@@ -16,7 +16,6 @@ from venncal.calibration import (
     isotonic_calibrate,
     pava,
     regularized_point,
-    venn_abers_interval,
 )
 from venncal.data import (
     AI4I_SCHEMA,
@@ -52,7 +51,6 @@ from venncal.models import (
     fit_logistic,
     fit_tree,
     load_score_table,
-    score_tree,
 )
 from venncal.synthetic import REFERENCE_SEED, write_reference_csv
 from venncal.venn_tree import VennTree, build_venn_tree, extract_rules, format_rules, render_tree
@@ -100,8 +98,6 @@ __all__ = [
     "render_tree",
     "repeated_stratified_kfold",
     "run_experiment",
-    "score_tree",
-    "venn_abers_interval",
     "write_reference_csv",
 ]
 

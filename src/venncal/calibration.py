@@ -31,7 +31,6 @@ __all__ = [
     "isotonic_calibrate",
     "pava",
     "regularized_point",
-    "venn_abers_interval",
 ]
 
 
@@ -398,8 +397,3 @@ class VennAbersCalibrator:
             p1[i] = iv.p1
             point[i] = iv.point
         return p0, p1, point
-
-
-def venn_abers_interval(cal: VennAbersCalibrator, s_test: float) -> ProbabilityInterval:
-    """Interval [g0(s), g1(s)] from the two label-augmented isotonic fits."""
-    return cal.interval(s_test)

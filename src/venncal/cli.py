@@ -13,6 +13,7 @@ Exit code 0 on success, 1 with a diagnostic on stderr otherwise.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -20,6 +21,9 @@ from pathlib import Path
 from venncal.calibration import VennAbersCalibrator
 from venncal.data import load_csv, stratified_holdout
 from venncal.harness import (
+    KNOWN_CALIBRATORS,
+    KNOWN_MODELS,
+    POST_HOC_CALIBRATORS,
     ExperimentConfig,
     calibrate_scores,
     export_reliability,
@@ -38,8 +42,8 @@ def _add_experiment_parser(sub):
     p = sub.add_parser("experiment", help="run the cross-validated calibration experiment")
     p.add_argument("--config", help="JSON file with ExperimentConfig fields (flags override)")
     p.add_argument("--data", dest="dataset_path", help="dataset CSV path")
-    p.add_argument("--models", nargs="+", help="subset of: tree forest logistic external-scores")
-    p.add_argument("--calibrators", nargs="+", help="subset of: none venn-abers platt isotonic")
+    p.add_argument("--models", nargs="+", help=f"subset of: {' '.join(KNOWN_MODELS)}")
+    p.add_argument("--calibrators", nargs="+", help=f"subset of: {' '.join(KNOWN_CALIBRATORS)}")
     p.add_argument("--folds", dest="k", type=int, help="number of CV folds (default 10)")
     p.add_argument("--repetitions", type=int, help="number of CV repetitions (default 10)")
     p.add_argument("--cal-fraction", dest="calibration_fraction", type=float,
@@ -59,14 +63,10 @@ def _run_experiment(args) -> int:
     settings: dict = {}
     if args.config:
         settings.update(json.loads(Path(args.config).read_text(encoding="utf-8")))
-    for key in (
-        "dataset_path", "models", "calibrators", "k", "repetitions",
-        "calibration_fraction", "seed", "output_dir", "bins", "bin_mode",
-        "score_table_path", "n_trees", "tree_min_samples_leaf", "jobs",
-    ):
-        value = getattr(args, key, None)
+    for field in dataclasses.fields(ExperimentConfig):
+        value = getattr(args, field.name, None)
         if value is not None:
-            settings[key] = value
+            settings[field.name] = value
     config = ExperimentConfig.from_dict(settings)
 
     def progress(done, total):
@@ -147,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("calibrate-scores", help="calibrate an external score table")
     p.add_argument("--scores", required=True, help="score table CSV")
-    p.add_argument("--calibrator", required=True, choices=["venn-abers", "platt", "isotonic"])
+    p.add_argument("--calibrator", required=True, choices=POST_HOC_CALIBRATORS)
     p.add_argument("--out", required=True, help="output CSV path")
 
     p = sub.add_parser("reliability", help="export pooled reliability bins from a run directory")

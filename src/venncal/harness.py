@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
+from contextlib import nullcontext
 from dataclasses import dataclass
 from multiprocessing import Pool
 from pathlib import Path
@@ -45,8 +46,13 @@ __all__ = [
 ]
 
 KNOWN_MODELS = ("tree", "forest", "logistic", "external-scores")
-KNOWN_CALIBRATORS = ("none", "venn-abers", "platt", "isotonic")
+POST_HOC_CALIBRATORS = ("venn-abers", "platt", "isotonic")
+KNOWN_CALIBRATORS = ("none", *POST_HOC_CALIBRATORS)
 
+AGGREGATE_CSV_COLUMNS = (
+    "model", "calibrator", "n_folds", "accuracy", "auc", "precision",
+    "recall", "positive_predictions", "ece", "ece1",
+)
 PREDICTION_COLUMNS = ("instance_id", "label", "score", "p0", "p1", "point")
 RELIABILITY_COLUMNS = ("bin_low", "bin_high", "count", "mop", "foc")
 CALIBRATED_SCORE_COLUMNS = ("instance_id", "fold_id", "score", "p0", "p1", "point")
@@ -78,12 +84,13 @@ class ExperimentConfig:
             raise ValueError("repetitions must be >= 1")
         if not self.models or not self.calibrators:
             raise ValueError("at least one model and one calibrator must be selected")
-        for model in self.models:
-            if model not in KNOWN_MODELS:
-                raise ValueError(f"unknown model {model!r} (choose from {KNOWN_MODELS})")
-        for cal in self.calibrators:
-            if cal not in KNOWN_CALIBRATORS:
-                raise ValueError(f"unknown calibrator {cal!r} (choose from {KNOWN_CALIBRATORS})")
+        for field, known in (("models", KNOWN_MODELS), ("calibrators", KNOWN_CALIBRATORS)):
+            names = getattr(self, field)
+            for i, name in enumerate(names):
+                if name not in known:
+                    raise ValueError(f"unknown {field[:-1]} {name!r} (choose from {known})")
+                if name in names[:i]:
+                    raise ValueError(f"{field} lists {name!r} more than once")
         needs_data = any(m != "external-scores" for m in self.models)
         if needs_data and not self.dataset_path:
             raise ValueError("dataset_path is required for tree/forest/logistic models")
@@ -189,6 +196,8 @@ def _model_seed(seed: int, repetition: int, fold: int, role: str) -> int:
 
 def _calibrated(kind: str, cal_scores, cal_labels, test_scores):
     """(probability, p0, p1) arrays for one calibrator on one fold."""
+    if kind == "none":
+        return test_scores, test_scores, test_scores
     if kind == "venn-abers":
         calibrator = VennAbersCalibrator(cal_scores, cal_labels)
         p0, p1, point = calibrator.intervals(test_scores)
@@ -219,6 +228,25 @@ class _FoldOutcome:
     report: EvaluationReport
 
 
+def _outcome(config: ExperimentConfig, repetition: int, fold: int, model: str, calibrator: str,
+             instance_ids, labels, scores, calibrated) -> _FoldOutcome:
+    """Evaluate one calibrator's (probability, p0, p1) on a fold's test labels."""
+    point, p0, p1 = (np.asarray(a, dtype=np.float64) for a in calibrated)
+    return _FoldOutcome(
+        repetition=repetition,
+        fold=fold,
+        model=model,
+        calibrator=calibrator,
+        instance_ids=instance_ids,
+        labels=labels,
+        scores=np.asarray(scores, dtype=np.float64),
+        p0=p0,
+        p1=p1,
+        point=point,
+        report=evaluate(point, labels, m=config.bins, mode=config.bin_mode),
+    )
+
+
 def _fold_outcomes(config: ExperimentConfig, dataset: Dataset, split: FoldSplit) -> list[_FoldOutcome]:
     rep, fold = split.repetition_index, split.fold_index
     x, y = dataset.features, dataset.labels
@@ -229,40 +257,14 @@ def _fold_outcomes(config: ExperimentConfig, dataset: Dataset, split: FoldSplit)
     post_hoc = [c for c in config.calibrators if c != "none"]
 
     outcomes = []
-
-    def emit(model_name, calibrator_name, probability, p0, p1, scores):
-        probability = np.asarray(probability, dtype=np.float64)
-        report = evaluate(probability, test_y, m=config.bins, mode=config.bin_mode)
-        outcomes.append(
-            _FoldOutcome(
-                repetition=rep,
-                fold=fold,
-                model=model_name,
-                calibrator=calibrator_name,
-                instance_ids=split.test_ids,
-                labels=test_y,
-                scores=np.asarray(scores, dtype=np.float64),
-                p0=np.asarray(p0, dtype=np.float64),
-                p1=np.asarray(p1, dtype=np.float64),
-                point=probability,
-                report=report,
-            )
-        )
-
     for model_name in config.models:
         if model_name == "external-scores":
             continue  # handled outside the dataset fold loop
         try:
             if model_name == "logistic":
-                # evaluated uncalibrated only; calibration would consume the
-                # very split the paper's comparison baseline does not use
-                if "none" in config.calibrators:
-                    model = fit_logistic(x[train_ids], y[train_ids])
-                    scores = model.score_many(test_x)
-                    emit(model_name, "none", scores, scores, scores, scores)
-                continue
-
-            if model_name == "tree":
+                def fit(ids, role):
+                    return fit_logistic(x[ids], y[ids])
+            elif model_name == "tree":
                 def fit(ids, role):
                     return fit_tree(
                         x[ids],
@@ -279,17 +281,21 @@ def _fold_outcomes(config: ExperimentConfig, dataset: Dataset, split: FoldSplit)
                         seed=_model_seed(config.seed, rep, fold, role),
                     )
 
+            runs = []  # (calibrators, calibration scores, test scores) of each fitted model
             if "none" in config.calibrators:
                 full_model = fit(train_ids, f"{model_name}-full")
-                scores = full_model.score_many(test_x)
-                emit(model_name, "none", scores, scores, scores, scores)
-            if post_hoc:
+                runs.append((("none",), None, full_model.score_many(test_x)))
+            # logistic is evaluated uncalibrated only; calibration would consume
+            # the very split the paper's comparison baseline does not use
+            if post_hoc and model_name != "logistic":
                 proper_model = fit(proper_ids, f"{model_name}-proper")
-                cal_scores = proper_model.score_many(cal_x)
-                test_scores = proper_model.score_many(test_x)
-                for kind in post_hoc:
-                    probability, p0, p1 = _calibrated(kind, cal_scores, cal_y, test_scores)
-                    emit(model_name, kind, probability, p0, p1, test_scores)
+                runs.append((post_hoc, proper_model.score_many(cal_x), proper_model.score_many(test_x)))
+            for kinds, cal_scores, test_scores in runs:
+                for kind in kinds:
+                    calibrated = _calibrated(kind, cal_scores, cal_y, test_scores)
+                    outcomes.append(
+                        _outcome(config, rep, fold, model_name, kind, split.test_ids, test_y, test_scores, calibrated)
+                    )
         except Exception as err:
             raise RuntimeError(
                 f"repetition {rep} fold {fold} model {model_name}: {err}"
@@ -297,41 +303,26 @@ def _fold_outcomes(config: ExperimentConfig, dataset: Dataset, split: FoldSplit)
     return outcomes
 
 
-def _external_outcomes(config: ExperimentConfig, table: ScoreTable) -> list[_FoldOutcome]:
-    outcomes = []
+def _score_table_calibrations(table: ScoreTable, kinds):
+    """Per fold of the table and calibrator kind, in that order, yield
+    (fold, kind, test ids, test scores, test labels, (probability, p0, p1)).
+
+    Each calibrator is fitted on the fold's calibration partition and
+    applied to its test partition.  A missing partition or a failing
+    calibrator raises ValueError naming the fold.
+    """
     for fold in table.folds():
         cal_ids, cal_scores, cal_labels = table.select(fold, "calibration")
         test_ids, test_scores, test_labels = table.select(fold, "test")
-        if test_ids.size == 0 or cal_ids.size == 0:
-            raise RuntimeError(
-                f"external-scores fold {fold}: missing "
-                f"{'test' if test_ids.size == 0 else 'calibration'} partition"
-            )
-        for kind in config.calibrators:
+        if cal_ids.size == 0 or test_ids.size == 0:
+            missing = "calibration" if cal_ids.size == 0 else "test"
+            raise ValueError(f"fold {fold}: missing {missing} partition")
+        for kind in kinds:
             try:
-                if kind == "none":
-                    probability = p0 = p1 = test_scores
-                else:
-                    probability, p0, p1 = _calibrated(kind, cal_scores, cal_labels, test_scores)
-                report = evaluate(probability, test_labels, m=config.bins, mode=config.bin_mode)
-            except Exception as err:
-                raise RuntimeError(f"external-scores fold {fold} calibrator {kind}: {err}") from err
-            outcomes.append(
-                _FoldOutcome(
-                    repetition=0,
-                    fold=fold,
-                    model="external-scores",
-                    calibrator=kind,
-                    instance_ids=test_ids,
-                    labels=test_labels,
-                    scores=test_scores,
-                    p0=np.asarray(p0, dtype=np.float64),
-                    p1=np.asarray(p1, dtype=np.float64),
-                    point=np.asarray(probability, dtype=np.float64),
-                    report=report,
-                )
-            )
-    return outcomes
+                calibrated = _calibrated(kind, cal_scores, cal_labels, test_scores)
+            except ValueError as err:
+                raise ValueError(f"fold {fold} calibrator {kind}: {err}") from err
+            yield fold, kind, test_ids, test_scores, test_labels, calibrated
 
 
 # ---------------------------------------------------------------------------
@@ -453,22 +444,23 @@ def run_experiment(config: ExperimentConfig, progress=None) -> AggregateTable:
             calibration_fraction=config.calibration_fraction,
             seed=config.seed,
         )
-        if config.jobs > 1:
-            with Pool(processes=config.jobs) as pool:
-                for i, fold_result in enumerate(
-                    pool.imap(_run_fold, [(config, dataset, s) for s in splits])
-                ):
-                    outcomes.extend(fold_result)
-                    if progress:
-                        progress(i + 1, len(splits))
-        else:
-            for i, split in enumerate(splits):
-                outcomes.extend(_fold_outcomes(config, dataset, split))
+        tasks = [(config, dataset, s) for s in splits]
+        with Pool(processes=config.jobs) if config.jobs > 1 else nullcontext() as pool:
+            fold_results = map(_run_fold, tasks) if pool is None else pool.imap(_run_fold, tasks)
+            for done, fold_result in enumerate(fold_results, start=1):
+                outcomes.extend(fold_result)
                 if progress:
-                    progress(i + 1, len(splits))
+                    progress(done, len(splits))
     if "external-scores" in config.models:
         table = load_score_table(config.score_table_path)
-        outcomes.extend(_external_outcomes(config, table))
+        try:
+            for fold, kind, ids, scores, labels, calibrated in _score_table_calibrations(table, config.calibrators):
+                try:
+                    outcomes.append(_outcome(config, 0, fold, "external-scores", kind, ids, labels, scores, calibrated))
+                except Exception as err:
+                    raise RuntimeError(f"external-scores fold {fold} calibrator {kind}: {err}") from err
+        except ValueError as err:  # raised by the fold loop, which names the fold
+            raise RuntimeError(f"external-scores {err}") from err
 
     outcomes.sort(key=lambda o: (o.model, o.calibrator, o.repetition, o.fold))
     aggregate = _aggregate(config, outcomes)
@@ -485,21 +477,12 @@ def run_experiment(config: ExperimentConfig, progress=None) -> AggregateTable:
         (out / "table.txt").write_text(aggregate.to_text(), encoding="utf-8")
         with (out / "aggregate.csv").open("w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle)
-            writer.writerow(
-                ["model", "calibrator", "n_folds", "accuracy", "auc", "precision",
-                 "recall", "positive_predictions", "ece", "ece1"]
-            )
+            writer.writerow(AGGREGATE_CSV_COLUMNS)
             for r in aggregate.rows:
+                values = r.to_dict()
                 writer.writerow(
-                    [r.model, r.calibrator, r.n_folds]
-                    + [
-                        "" if v is None else repr(v) if isinstance(v, float) else v
-                        for v in (
-                            r.mean_accuracy, r.mean_auc, r.mean_precision,
-                            r.mean_recall, r.positive_prediction_total,
-                            r.mean_ece, r.mean_ece1,
-                        )
-                    ]
+                    "" if v is None else repr(v) if isinstance(v, float) else v
+                    for v in (values[c] for c in AGGREGATE_CSV_COLUMNS)
                 )
     return aggregate
 
@@ -514,27 +497,20 @@ def calibrate_scores(score_table_path, calibrator_kind: str, output_path) -> int
     For every fold the calibrator is fitted on the calibration partition
     and applied to the test partition.  Output columns:
     instance_id,fold_id,score,p0,p1,point (p0 == p1 == point for the
-    single-valued calibrators).
+    single-valued calibrators).  Every fold is calibrated before the output
+    is opened, so a failing fold leaves no partial file behind.
     """
-    if calibrator_kind not in ("venn-abers", "platt", "isotonic"):
+    if calibrator_kind not in POST_HOC_CALIBRATORS:
         raise ValueError(f"unknown calibrator kind {calibrator_kind!r}")
     table = load_score_table(score_table_path)
+    folds = list(_score_table_calibrations(table, (calibrator_kind,)))
     output_path = Path(output_path)
     output_path.parent.mkdir(parents=True, exist_ok=True)
     written = 0
     with output_path.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(CALIBRATED_SCORE_COLUMNS)
-        for fold in table.folds():
-            cal_ids, cal_scores, cal_labels = table.select(fold, "calibration")
-            test_ids, test_scores, _ = table.select(fold, "test")
-            if cal_ids.size == 0 or test_ids.size == 0:
-                missing = "calibration" if cal_ids.size == 0 else "test"
-                raise ValueError(f"fold {fold}: missing {missing} partition")
-            try:
-                point, p0, p1 = _calibrated(calibrator_kind, cal_scores, cal_labels, test_scores)
-            except ValueError as err:
-                raise ValueError(f"fold {fold}: {err}") from err
+        for fold, _, test_ids, test_scores, _, (point, p0, p1) in folds:
             for i in range(test_ids.size):
                 writer.writerow(
                     [
@@ -546,7 +522,7 @@ def calibrate_scores(score_table_path, calibrator_kind: str, output_path) -> int
                         repr(float(point[i])),
                     ]
                 )
-                written += 1
+            written += test_ids.size
     return written
 
 

@@ -3,7 +3,7 @@
 from venncal.models.forest import RandomForestModel, fit_forest
 from venncal.models.logistic import LogisticRegressionModel, fit_logistic
 from venncal.models.score_table import ScoreTable, load_score_table
-from venncal.models.tree import DecisionTreeModel, fit_tree, score_tree
+from venncal.models.tree import DecisionTreeModel, fit_tree
 
 __all__ = [
     "DecisionTreeModel",
@@ -14,5 +14,4 @@ __all__ = [
     "fit_logistic",
     "fit_tree",
     "load_score_table",
-    "score_tree",
 ]

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["DecisionTreeModel", "fit_tree", "score_tree"]
+__all__ = ["DecisionTreeModel", "fit_tree"]
 
 _NO_FEATURE = -1
 _TIE_WINDOW = 1e-9
@@ -320,8 +320,3 @@ def fit_tree(
         min_samples_split=min_samples_split,
         seed=seed,
     )
-
-
-def score_tree(model: DecisionTreeModel, x) -> float:
-    """Positive fraction of the leaf reached by one feature vector."""
-    return model.score(x)

@@ -22,7 +22,6 @@ from venncal.calibration import (
     isotonic_calibrate,
     pava,
     regularized_point,
-    venn_abers_interval,
 )
 
 
@@ -280,7 +279,7 @@ WORKED_LABELS = [0, 0, 1, 1, 1, 1]
 
 def test_venn_abers_worked_example():
     cal = VennAbersCalibrator(WORKED_SCORES, WORKED_LABELS)
-    iv = venn_abers_interval(cal, 0.8)
+    iv = cal.interval(0.8)
     # cross-checked against the exhaustive monotone-fit oracle
     p0, p1 = oracle_interval(WORKED_SCORES, WORKED_LABELS, 0.8)
     assert (p0, p1) == (0.75, 1.0)

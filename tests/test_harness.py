@@ -11,6 +11,7 @@ import pytest
 
 from venncal.cli import main as cli_main
 from venncal.harness import (
+    POST_HOC_CALIBRATORS,
     ExperimentConfig,
     calibrate_scores,
     export_reliability,
@@ -179,6 +180,10 @@ def test_config_validation():
         ExperimentConfig(dataset_path="x.csv", k=1)
     with pytest.raises(ValueError, match="model"):
         ExperimentConfig(dataset_path="x.csv", models=("nonsense",))
+    with pytest.raises(ValueError, match="models lists 'tree' more than once"):
+        ExperimentConfig(dataset_path="x.csv", models=("tree", "forest", "tree"))
+    with pytest.raises(ValueError, match="calibrators lists 'venn-abers' more than once"):
+        ExperimentConfig(dataset_path="x.csv", calibrators=("none", "venn-abers", "venn-abers"))
     with pytest.raises(ValueError, match="dataset_path"):
         ExperimentConfig(models=("tree",))
     with pytest.raises(ValueError, match="score_table_path"):
@@ -245,6 +250,8 @@ def test_calibrate_scores_platt_single_class_fold_names_fold(tmp_path):
     )
     with pytest.raises(ValueError, match="fold 3"):
         calibrate_scores(table, "platt", tmp_path / "out.csv")
+    # fold 0 succeeded, but nothing is written unless every fold does
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_calibrate_scores_missing_partition_names_fold(tmp_path):
@@ -273,6 +280,63 @@ def test_external_scores_model_in_experiment(tmp_path):
     table = run_experiment(config)
     assert table.row("external-scores", "none").n_folds == 2
     assert table.row("external-scores", "venn-abers").n_folds == 2
+
+
+def test_calibrate_scores_matches_experiment_fold_rows(tmp_path):
+    rng = np.random.default_rng(11)
+    folds = {}
+    for fold in range(3):
+        cal = [(float(s), int(rng.random() < s)) for s in rng.random(50)]
+        test = [(float(s), int(rng.random() < s)) for s in rng.random(30)]
+        folds[fold] = {"calibration": cal, "test": test}
+    table_path = write_score_table(tmp_path / "scores.csv", folds)
+    config = ExperimentConfig(
+        models=("external-scores",),
+        calibrators=POST_HOC_CALIBRATORS,
+        score_table_path=str(table_path),
+        output_dir=str(tmp_path / "run"),
+    )
+    run_experiment(config)
+    columns = ("instance_id", "score", "p0", "p1", "point")
+    for kind in POST_HOC_CALIBRATORS:
+        out = tmp_path / f"{kind}.csv"
+        calibrate_scores(table_path, kind, out)
+        with out.open() as handle:
+            calibrated = list(csv.DictReader(handle))
+        experiment = []
+        for fold in range(3):
+            path = tmp_path / "run" / "folds" / f"rep0_fold{fold}_external-scores_{kind}.csv"
+            with path.open() as handle:
+                experiment += [{**row, "fold_id": str(fold)} for row in csv.DictReader(handle)]
+        assert len(calibrated) == len(experiment) == 90
+        for got, want in zip(calibrated, experiment):
+            assert got["fold_id"] == want["fold_id"]
+            assert [got[c] for c in columns] == [want[c] for c in columns]
+
+
+def test_score_table_errors_name_fold_in_both_entry_points(tmp_path):
+    good = {"calibration": [(0.2, 0), (0.8, 1)], "test": [(0.3, 0), (0.7, 1)]}
+
+    def experiment(table, calibrators):
+        return run_experiment(
+            ExperimentConfig(models=("external-scores",), calibrators=calibrators, score_table_path=str(table))
+        )
+
+    table = write_score_table(tmp_path / "missing.csv", {0: good, 4: {"calibration": good["calibration"]}})
+    with pytest.raises(ValueError, match="fold 4: missing test partition"):
+        calibrate_scores(table, "isotonic", tmp_path / "out.csv")
+    with pytest.raises(RuntimeError, match="external-scores fold 4: missing test partition"):
+        experiment(table, ("none", "isotonic"))
+
+    table = write_score_table(tmp_path / "one_class_cal.csv", {0: good, 3: {**good, "calibration": [(0.2, 1)]}})
+    with pytest.raises(RuntimeError, match="external-scores fold 3 calibrator platt: "):
+        experiment(table, ("none", "platt"))
+
+    # only the experiment evaluates, and AUC needs both classes in the test partition
+    table = write_score_table(tmp_path / "one_class_test.csv", {0: good, 2: {**good, "test": [(0.5, 1)]}})
+    assert calibrate_scores(table, "isotonic", tmp_path / "out.csv") == 3
+    with pytest.raises(RuntimeError, match="external-scores fold 2 calibrator none: "):
+        experiment(table, ("none", "isotonic"))
 
 
 # ---------------------------------------------------------------------------

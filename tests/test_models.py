@@ -20,7 +20,6 @@ from venncal.models import (
     fit_logistic,
     fit_tree,
     load_score_table,
-    score_tree,
 )
 
 
@@ -91,17 +90,17 @@ def test_tree_empty_input_rejected():
 
 def test_tree_scoring_fraction_and_tie_routing():
     tree = fit_tree([[1.0], [2.0], [3.0], [4.0]], [0, 0, 1, 1])
-    assert score_tree(tree, [4.0]) == 1.0
+    assert tree.score([4.0]) == 1.0
     # value exactly on the threshold routes left
-    assert score_tree(tree, [2.5]) == 0.0
+    assert tree.score([2.5]) == 0.0
     with pytest.raises(ValueError):
-        score_tree(tree, [1.0, 2.0])
+        tree.score([1.0, 2.0])
 
 
 def test_tree_leaf_fraction():
     # one positive among four identical rows stays a single impure leaf
     tree = fit_tree([[7.0]] * 4, [1, 0, 0, 0])
-    assert score_tree(tree, [7.0]) == 0.25
+    assert tree.score([7.0]) == 0.25
 
 
 def test_tree_split_matches_oracle_on_random_instances():
