@@ -17,7 +17,7 @@ the per-point re-fit reference path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -250,15 +250,20 @@ def apply_platt(fit: PlattFit, s):
 # Venn-Abers
 # ---------------------------------------------------------------------------
 
-def regularized_point(p0: float, p1: float) -> float:
-    """Collapse an interval [p0, p1] to the single estimate p1 / (1 - p0 + p1).
+def regularized_point(p0, p1):
+    """Collapse intervals [p0, p1] to the single estimate p1 / (1 - p0 + p1).
 
-    Equal endpoints map to themselves; total uncertainty [0, 1] maps to the
-    neutral 0.5.
+    Takes scalars or arrays and returns the same shape.  Equal endpoints
+    map to themselves; total uncertainty [0, 1] maps to the neutral 0.5.
+    Raises ValueError naming the first pair outside 0 <= p0 <= p1 <= 1.
     """
-    if not (0.0 <= p0 <= p1 <= 1.0):
-        raise ValueError(f"invalid interval [{p0}, {p1}]")
-    return p1 / (1.0 - p0 + p1)
+    lo, hi = np.broadcast_arrays(np.asarray(p0, dtype=np.float64), np.asarray(p1, dtype=np.float64))
+    bad = ~((0.0 <= lo) & (lo <= hi) & (hi <= 1.0))
+    if bad.any():
+        i = int(np.argmax(bad.ravel()))
+        raise ValueError(f"invalid interval [{lo.ravel()[i]}, {hi.ravel()[i]}]")
+    point = hi / (1.0 - lo + hi)
+    return float(point) if point.ndim == 0 else point
 
 
 @dataclass(frozen=True)
@@ -360,15 +365,9 @@ class VennAbersCalibrator:
                 return float(cy / cw)
 
     def interval(self, s_test: float) -> ProbabilityInterval:
-        """Probability interval for a single test score (fast exact path)."""
-        s = float(s_test)
-        if not math.isfinite(s):
-            raise ValueError("test score must be finite")
-        position = int(np.searchsorted(self._distinct, s))
-        tied = position < self._distinct.size and self._distinct[position] == s
-        p0 = self._fitted_at_insert(position, tied, 0.0)
-        p1 = self._fitted_at_insert(position, tied, 1.0)
-        return ProbabilityInterval(p0=p0, p1=p1, point=regularized_point(p0, p1))
+        """Probability interval for a single test score: `intervals` of one."""
+        p0, p1, point = self.intervals([float(s_test)])
+        return ProbabilityInterval(p0=float(p0[0]), p1=float(p1[0]), point=float(point[0]))
 
     def interval_naive(self, s_test: float) -> ProbabilityInterval:
         """Reference path: re-pool and re-run PAVA for each augmented set."""
@@ -386,14 +385,20 @@ class VennAbersCalibrator:
         return ProbabilityInterval(p0=p0, p1=p1, point=regularized_point(p0, p1))
 
     def intervals(self, scores) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorised helper: arrays of (p0, p1, point) for many test scores."""
-        s = np.asarray(scores, dtype=np.float64)
-        p0 = np.empty(s.size, dtype=np.float64)
-        p1 = np.empty(s.size, dtype=np.float64)
-        point = np.empty(s.size, dtype=np.float64)
-        for i, value in enumerate(s.ravel()):
-            iv = self.interval(float(value))
-            p0[i] = iv.p0
-            p1[i] = iv.p1
-            point[i] = iv.point
-        return p0, p1, point
+        """Arrays of (p0, p1, point) for many test scores (fast exact path).
+
+        A score at sorted position j among the K distinct calibration scores
+        falls in cell 2*j + tied: the merge runs once per distinct cell (at
+        most 2K+1) and label, and its results are scattered to the scores.
+        """
+        s = np.asarray(scores, dtype=np.float64).ravel()
+        if not np.all(np.isfinite(s)):
+            raise ValueError("test scores must be finite")
+        position = np.searchsorted(self._distinct, s)
+        tied = self._distinct[np.minimum(position, self._distinct.size - 1)] == s
+        cells, inverse = np.unique(2 * position + tied, return_inverse=True)
+        p0, p1 = (
+            np.array([self._fitted_at_insert(c // 2, c % 2 == 1, label) for c in cells.tolist()], dtype=np.float64)
+            for label in (0.0, 1.0)
+        )
+        return p0[inverse], p1[inverse], regularized_point(p0, p1)[inverse]

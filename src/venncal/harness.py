@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from multiprocessing import Pool
 from pathlib import Path
 
@@ -78,6 +79,11 @@ class ExperimentConfig:
     jobs: int = 1
 
     def __post_init__(self):
+        for f in fields(self):  # annotations are strings under `from __future__ import annotations`
+            value = getattr(self, f.name)
+            wanted = {"int": numbers.Integral, "float": numbers.Real}.get(f.type)
+            if wanted and (isinstance(value, bool) or not isinstance(value, wanted)):
+                raise ValueError(f"{f.name} must be {f.type}, got {type(value).__name__} {value!r}")
         if self.k < 2:
             raise ValueError("k must be >= 2")
         if self.repetitions < 1:
@@ -86,6 +92,8 @@ class ExperimentConfig:
             raise ValueError("at least one model and one calibrator must be selected")
         for field, known in (("models", KNOWN_MODELS), ("calibrators", KNOWN_CALIBRATORS)):
             names = getattr(self, field)
+            if not isinstance(names, (tuple, list)):
+                raise ValueError(f"{field} must be a list of names, got {type(names).__name__} {names!r}")
             for i, name in enumerate(names):
                 if name not in known:
                     raise ValueError(f"unknown {field[:-1]} {name!r} (choose from {known})")
@@ -98,8 +106,11 @@ class ExperimentConfig:
             raise ValueError("score_table_path is required for the external-scores model")
         if self.bin_mode not in ("width", "frequency"):
             raise ValueError("bin_mode must be 'width' or 'frequency'")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
+        for name in ("bins", "n_trees", "tree_min_samples_leaf", "jobs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if not 0.0 < self.calibration_fraction < 1.0:
+            raise ValueError("calibration_fraction must be in (0, 1)")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -109,7 +120,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         coerced = dict(data)
         for key in ("models", "calibrators"):
-            if key in coerced and coerced[key] is not None:
+            if isinstance(coerced.get(key), list):
                 coerced[key] = tuple(coerced[key])
         return cls(**coerced)
 
@@ -469,10 +480,15 @@ def run_experiment(config: ExperimentConfig, progress=None) -> AggregateTable:
         out = Path(config.output_dir)
         folds_dir = out / "folds"
         folds_dir.mkdir(parents=True, exist_ok=True)
+        # a reused directory must not keep an earlier run's folds or splits
+        for stale in [*folds_dir.glob("rep*_fold*_*.json"), *folds_dir.glob("rep*_fold*_*.csv")]:
+            stale.unlink()
         for outcome in outcomes:
             _write_fold_artifacts(folds_dir, outcome)
         if splits:
             write_split_manifest(out / "splits.json", splits)
+        else:
+            (out / "splits.json").unlink(missing_ok=True)
         (out / "aggregate.json").write_text(aggregate.to_json(), encoding="utf-8")
         (out / "table.txt").write_text(aggregate.to_text(), encoding="utf-8")
         with (out / "aggregate.csv").open("w", newline="", encoding="utf-8") as handle:

@@ -14,7 +14,7 @@ candidates have genuinely equal gain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -135,12 +135,11 @@ def build_venn_tree(
         routed = display.apply(cal_x)
         cal_counts = {int(k): int(v) for k, v in zip(*np.unique(routed, return_counts=True))}
 
+    nodes = np.flatnonzero(display.feature_index == -1).tolist()
+    raw_scores = [display.leaf_score(node) for node in nodes]
+    p0, p1, point = calibrator.intervals(raw_scores)
     leaves = {}
-    for node in range(display.n_nodes):
-        if display.feature_index[node] != -1:
-            continue
-        raw = display.leaf_score(node)
-        interval = calibrator.interval(raw)
+    for node, raw, lo, hi, pt in zip(nodes, raw_scores, p0.tolist(), p1.tolist(), point.tolist()):
         if cal_counts is not None:
             n_cal = cal_counts.get(node, 0)
         else:
@@ -148,10 +147,10 @@ def build_venn_tree(
         leaves[node] = LeafAnnotation(
             node=node,
             raw_score=raw,
-            p0=interval.p0,
-            p1=interval.p1,
-            point=interval.point,
-            predicted_class=1 if interval.point >= 0.5 else 0,
+            p0=lo,
+            p1=hi,
+            point=pt,
+            predicted_class=1 if pt >= 0.5 else 0,
             n_train=int(display.n_samples[node]),
             n_calibration=n_cal,
         )

@@ -12,6 +12,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from venncal.calibration import (
     IsotonicFit,
@@ -361,6 +363,52 @@ def test_venn_abers_point_monotone_in_test_score():
         assert all(points[i] <= points[i + 1] + 1e-12 for i in range(len(points) - 1))
 
 
+# coarse grid values force ties; the wide floats reach past every calibration score
+GRID_SCORES = st.integers(0, 8).map(lambda i: i / 8)
+ANY_SCORES = st.one_of(GRID_SCORES, st.floats(0.0, 1.0), st.floats(-5.0, 5.0))
+PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=200, database=None)
+
+
+def bits(*values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+@st.composite
+def calibration_and_batch(draw):
+    """A calibration set with ties and a test batch mixing tied, untied,
+    repeated and out-of-range scores."""
+    scores = draw(st.lists(st.one_of(GRID_SCORES, st.floats(0.0, 1.0)), min_size=1, max_size=30))
+    labels = draw(st.lists(st.integers(0, 1), min_size=len(scores), max_size=len(scores)))
+    batch = draw(st.lists(st.one_of(st.sampled_from(scores), ANY_SCORES), min_size=1, max_size=40))
+    batch += batch[: draw(st.integers(0, len(batch)))]
+    return VennAbersCalibrator(scores, labels), np.asarray(batch)
+
+
+@PROPERTY_SETTINGS
+@given(calibration_and_batch())
+def test_venn_abers_intervals_property_matches_naive(case):
+    cal, batch = case
+    p0, p1, point = cal.intervals(batch)
+    assert p0.shape == p1.shape == point.shape == batch.shape
+    for i, s in enumerate(batch.tolist()):
+        slow = cal.interval_naive(s)
+        assert bits(p0[i], p1[i], point[i]) == bits(slow.p0, slow.p1, slow.point)
+        one = cal.interval(s)
+        assert bits(one.p0, one.p1, one.point) == bits(p0[i], p1[i], point[i])
+    assert np.all(p0 <= p1)
+
+
+@PROPERTY_SETTINGS
+@given(calibration_and_batch(), st.data())
+def test_venn_abers_intervals_property_permutation(case, data):
+    cal, batch = case
+    order = np.asarray(data.draw(st.permutations(range(batch.size))), dtype=np.int64)
+    whole = cal.intervals(batch)
+    permuted = cal.intervals(batch[order])
+    for got, want in zip(permuted, whole):
+        assert got.tobytes() == want[order].tobytes()
+
+
 def test_venn_abers_rejects_bad_inputs():
     with pytest.raises(ValueError):
         VennAbersCalibrator([], [])
@@ -390,3 +438,8 @@ def test_regularized_point_validates_interval():
         regularized_point(0.8, 0.2)
     with pytest.raises(ValueError):
         regularized_point(-0.1, 0.5)
+    p0 = np.array([0.6, 0.0, 0.75])
+    p1 = np.array([0.6, 1.0, 1.0])
+    assert regularized_point(p0, p1).tolist() == [regularized_point(a, b) for a, b in zip(p0, p1)]
+    with pytest.raises(ValueError, match=r"invalid interval \[0\.8, 0\.3\]"):
+        regularized_point(np.array([0.1, 0.8, 0.2]), np.array([0.2, 0.3, 0.1]))

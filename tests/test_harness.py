@@ -190,6 +190,26 @@ def test_config_validation():
         ExperimentConfig(models=("external-scores",))
     with pytest.raises(ValueError, match="unknown config keys"):
         ExperimentConfig.from_dict({"dataset_path": "x.csv", "bogus": 1})
+    # a string is not split into one-letter names, and a number must be one
+    with pytest.raises(ValueError, match="models must be a list of names, got str 'tree'"):
+        ExperimentConfig.from_dict({"dataset_path": "x.csv", "models": "tree"})
+    with pytest.raises(ValueError, match="calibrators must be a list of names, got str"):
+        ExperimentConfig.from_dict({"dataset_path": "x.csv", "calibrators": "none"})
+    with pytest.raises(ValueError, match="k must be int, got str '10'"):
+        ExperimentConfig.from_dict({"dataset_path": "x.csv", "k": "10"})
+    with pytest.raises(ValueError, match="seed must be int, got float"):
+        ExperimentConfig.from_dict({"dataset_path": "x.csv", "seed": 1.5})
+    with pytest.raises(ValueError, match="jobs must be int, got bool"):
+        ExperimentConfig(dataset_path="x.csv", jobs=True)
+    with pytest.raises(ValueError, match="calibration_fraction must be float, got str"):
+        ExperimentConfig.from_dict({"dataset_path": "x.csv", "calibration_fraction": "0.3"})
+    # out-of-range values are rejected before any data is loaded
+    for name in ("bins", "n_trees", "tree_min_samples_leaf", "jobs"):
+        with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+            ExperimentConfig(dataset_path="x.csv", **{name: 0})
+    for fraction in (0.0, 1.0, 1.5, -0.2):
+        with pytest.raises(ValueError, match=r"calibration_fraction must be in \(0, 1\)"):
+            ExperimentConfig(dataset_path="x.csv", calibration_fraction=fraction)
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +300,35 @@ def test_external_scores_model_in_experiment(tmp_path):
     table = run_experiment(config)
     assert table.row("external-scores", "none").n_folds == 2
     assert table.row("external-scores", "venn-abers").n_folds == 2
+
+
+def test_rerun_into_same_directory_drops_earlier_fold_files(tmp_path):
+    rng = np.random.default_rng(3)
+    folds = {
+        fold: {part: [(float(s), int(rng.random() < s)) for s in rng.random(40)] for part in ("calibration", "test")}
+        for fold in range(2)
+    }
+    table_path = write_score_table(tmp_path / "scores.csv", folds)
+    out = tmp_path / "run"
+    (out / "splits.json").parent.mkdir()
+    (out / "splits.json").write_text("{}", encoding="utf-8")  # left by an earlier dataset run
+    for calibrators in (("none", "platt"), ("none",)):
+        run_experiment(
+            ExperimentConfig(
+                models=("external-scores",),
+                calibrators=calibrators,
+                score_table_path=str(table_path),
+                output_dir=str(out),
+            )
+        )
+    with pytest.raises(FileNotFoundError):
+        load_fold_predictions(out, "external-scores", "platt")
+    probabilities, _ = load_fold_predictions(out, "external-scores", "none")
+    assert probabilities.size == 80
+    assert sorted(p.name for p in (out / "folds").iterdir()) == [
+        f"rep0_fold{fold}_external-scores_none.{ext}" for fold in range(2) for ext in ("csv", "json")
+    ]
+    assert not (out / "splits.json").exists()
 
 
 def test_calibrate_scores_matches_experiment_fold_rows(tmp_path):

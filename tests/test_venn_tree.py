@@ -56,6 +56,20 @@ def test_pruned_leaf_scores_are_pooled_fractions():
     assert total == tree.n_samples[0]
 
 
+@pytest.mark.parametrize("depth", [None, 0, 1, 2, 4])
+def test_leaf_intervals_match_naive_refit(depth):
+    for seed in range(4):
+        tree, calibrator, cal_x, _ = small_setup(seed=seed)
+        for features in (None, cal_x):
+            vt = build_venn_tree(tree, calibrator, display_max_depth=depth, calibration_features=features)
+            assert sorted(vt.leaves) == np.flatnonzero(vt.tree.feature_index == -1).tolist()
+            for ann in vt.leaves.values():
+                want = calibrator.interval_naive(ann.raw_score)
+                got = np.array([ann.p0, ann.p1, ann.point])
+                assert got.tobytes() == np.array([want.p0, want.p1, want.point]).tobytes()
+                assert all(type(v) is float for v in (ann.p0, ann.p1, ann.point))
+
+
 def test_leaf_interval_ordering_and_decision():
     tree, calibrator, _, _ = small_setup()
     vt = build_venn_tree(tree, calibrator, display_max_depth=3)
