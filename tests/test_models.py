@@ -8,6 +8,8 @@ index, then lowest threshold).
 
 from __future__ import annotations
 
+import hashlib
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -217,6 +219,122 @@ def test_forest_validates_arguments():
         fit_forest([[1.0]], [1], n_trees=0)
     with pytest.raises(ValueError):
         fit_forest([[1.0, 2.0]], [1], max_features=5)
+    with pytest.raises(ValueError, match="min_samples_leaf"):
+        fit_forest([[1.0], [2.0]], [0, 1], min_samples_leaf=0)
+    with pytest.raises(ValueError, match="min_samples_split"):
+        fit_forest([[1.0], [2.0]], [0, 1], min_samples_split=1)
+
+
+def test_forest_recursion_matches_oracle_everywhere():
+    # every member tree searches all features, so each internal node of
+    # each tree must be the exhaustive optimum on that tree's bootstrap rows
+    rng = np.random.default_rng(17)
+    for trial in range(12):
+        n = int(rng.integers(6, 30))
+        x = rng.integers(0, 4, size=(n, 3)).astype(float)
+        y = rng.integers(0, 2, size=n)
+        n_trees = int(rng.integers(2, 6))
+        forest = fit_forest(x, y, n_trees=n_trees, max_features=3, seed=trial)
+        streams = np.random.SeedSequence(trial).spawn(n_trees)
+        for tree, stream in zip(forest.trees, streams):
+            sample = np.random.default_rng(stream).integers(0, n, size=n)
+            stack = [(0, sample)]
+            while stack:
+                node, idx = stack.pop()
+                assert tree.n_samples[node] == idx.size
+                assert tree.n_positive[node] == y[idx].sum()
+                if tree.feature_index[node] == -1:
+                    # a leaf is pure or has no split left
+                    assert y[idx].min() == y[idx].max() or exhaustive_best_split(x[idx], y[idx]) is None
+                    continue
+                expected = exhaustive_best_split(x[idx], y[idx])
+                assert expected == (tree.feature_index[node], tree.threshold[node])
+                go_left = x[idx, tree.feature_index[node]] <= tree.threshold[node]
+                stack.append((tree.left_child[node], idx[go_left]))
+                stack.append((tree.right_child[node], idx[~go_left]))
+
+
+# ---------------------------------------------------------------------------
+# golden output: model.to_dict() digests recorded from the per-node builder
+# ---------------------------------------------------------------------------
+
+def _golden_data(name):
+    rng = np.random.default_rng(2024)
+    if name == "grid":  # integer grid: many exact ties in value and in gain
+        x = rng.integers(0, 5, size=(300, 4)).astype(float)
+        y = (x[:, 0] + x[:, 2] + rng.integers(0, 4, size=300) > 5).astype(int)
+    elif name == "continuous":
+        x = rng.normal(size=(400, 5))
+        y = (x[:, 1] - 0.5 * x[:, 3] + rng.normal(size=400) > 0.4).astype(int)
+    elif name == "single-class":
+        x = rng.random((60, 3))
+        y = np.ones(60, dtype=int)
+    elif name == "constant-feature":
+        x = np.column_stack([np.full(200, 2.5), rng.integers(0, 6, size=200), rng.random(200)])
+        y = (x[:, 2] + 0.1 * x[:, 1] + 0.3 * rng.random(200) > 0.8).astype(int)
+    elif name == "wide":  # feature 0 has more than 32 768 distinct values
+        x = np.column_stack([rng.random(40_000), rng.integers(0, 3, size=40_000)])
+        y = (x[:, 0] + 0.2 * x[:, 1] + 0.5 * rng.random(40_000) > 1.0).astype(int)
+    return x, y
+
+
+GOLDEN_MODELS = [
+    # (data, fit, keyword arguments, sha256 of json.dumps(model.to_dict()))
+    ("grid", "tree", {},
+     "1b2bbbbf8a8bb9f54a425429830fd1ac3712d967dc91ce7cee44727cea7a977d"),
+    ("grid", "tree", {"min_samples_leaf": 6},
+     "dc077bbba7dca4f55c5b68c8fc3d15bd9465c21ff803865ce6234dea704af345"),
+    ("grid", "tree", {"max_features": 2, "seed": 3},
+     "9be5238c14c4b51e17769fbae6a9b006517ddc892888ab57d5b2247a8bfee401"),
+    ("continuous", "tree", {"max_depth": 3},
+     "61d32b75caaedfc8aa93c46859a51c361f738f1b4e7d3dea879caa05f1dbf853"),
+    ("continuous", "tree", {"min_samples_split": 20, "max_features": 1, "seed": 4},
+     "cf7a2af53057ba6327b7e47c1f7f0df0b91fa67933618580779b391c321b978d"),
+    ("single-class", "tree", {},
+     "18d55330633535900d38199902030763d943654db316dbbcdf896f86fb2a5ae2"),
+    ("constant-feature", "tree", {},
+     "7bcebee080fe1da6eedf2b294b83b16957d5fc995b78702c75c3467b1c8f64ef"),
+    ("wide", "tree", {"max_depth": 6, "min_samples_leaf": 6},
+     "4d93a38d9a0cd60faa76b0fc5a32a0b602e614c015e010977254f7bdea248d74"),
+    ("grid", "forest", {"n_trees": 8, "seed": 0},
+     "e7007c9eb749c9c828fc130ed445f399189dfe030433f367af9a0c96cc67de6b"),
+    ("grid", "forest", {"n_trees": 8, "seed": 1, "min_samples_leaf": 6},
+     "1b89aebdc94cb1eaee849de6d00c19b211d6fa11959b6c4a1bd8035c5f1c93a1"),
+    ("grid", "forest", {"n_trees": 40, "seed": 2, "max_features": 1},
+     "65addeee2a404ce80c7e0f6303cac89c34e7892c548df409b12bd2d9762cf3ff"),
+    ("grid", "forest", {"n_trees": 5, "seed": 3, "max_features": 4, "max_depth": 3},
+     "5c26341012e5d6867f89f62fb0bfd95d0ff1a19b56f770aa3999b7c8684f0e8c"),
+    ("continuous", "forest", {"n_trees": 8, "seed": 0},
+     "6dc3c9d390c7ebd511fc5d3a72b118dd3e66f49dee2e529fce91e92df56d6d1f"),
+    ("continuous", "forest", {"n_trees": 6, "seed": 5, "max_depth": 3, "min_samples_leaf": 6},
+     "569b43c97418e37e955d97be09f428b8ef05d94622a24f9905fbe8d895bb1ab5"),
+    ("continuous", "forest", {"n_trees": 4, "seed": 6, "bootstrap": False},
+     "f6f45db4e40e370d5ec70d4942cbe4a10090328ab54b02201c34ad2bcc598e06"),
+    ("continuous", "forest", {"n_trees": 3, "seed": 7, "bootstrap": False, "max_features": 5},
+     "743bc13e9b6d2ab6ba395631026fc5643ec7e84533328f7a202d5b1104489834"),
+    ("continuous", "forest", {"n_trees": 1, "seed": 8},
+     "f26636634e75f325aeaa0ec82dfa6759346fc659cda268460b150c82760b1561"),
+    ("single-class", "forest", {"n_trees": 3, "seed": 0},
+     "162c1c7b62e0fbd1b04357326324578b7bebe2f9b83fc115a33c1eaa5b9556a2"),
+    ("constant-feature", "forest", {"n_trees": 6, "seed": 9},
+     "9afe0e6314efac1b76898f446eb339b76ffbf51a3317ee20f255fb91225e050b"),
+    ("wide", "forest", {"n_trees": 3, "seed": 1, "max_depth": 5, "min_samples_leaf": 6},
+     "0e6d22c4f31b048ef9cb13544fd0c90ae08e073e8e1f29bd62cc8080e55e3482"),
+    ("wide", "forest", {"n_trees": 2, "seed": 2, "max_features": 2, "min_samples_leaf": 200},
+     "63636c2e7e71394f0b00f7a7e00299fd0137d1b45a721f1ad29bef9d54e69fc7"),
+]
+
+
+def _golden_digest(data, fit, kwargs):
+    x, y = _golden_data(data)
+    model = (fit_tree if fit == "tree" else fit_forest)(x, y, **kwargs)
+    return hashlib.sha256(json.dumps(model.to_dict()).encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("data, fit, kwargs, digest", GOLDEN_MODELS)
+def test_models_match_golden_digests(data, fit, kwargs, digest):
+    # any change in split choice, threshold, node order or RNG use shows here
+    assert _golden_digest(data, fit, kwargs) == digest
 
 
 # ---------------------------------------------------------------------------
