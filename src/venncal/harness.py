@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import numbers
+import platform
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from multiprocessing import Pool
@@ -43,6 +44,7 @@ __all__ = [
     "export_reliability",
     "load_fold_predictions",
     "run_experiment",
+    "run_record",
     "write_reliability_csv",
 ]
 
@@ -433,21 +435,66 @@ def _run_fold(args):
     return _fold_outcomes(config, dataset, split)
 
 
+def run_record(config: ExperimentConfig) -> dict:
+    """What produced a run's artifacts, as run_experiment writes it to run.json.
+
+    Holds the config without jobs and output_dir (the artifacts depend on
+    neither), the venncal, numpy and Python versions, a sha256 over the
+    package's *.py files in sorted order, and a sha256 of each input file
+    the run reads (None for one it does not read).  It holds no timings,
+    so a rerun of the same code, config and inputs writes the same bytes.
+    """
+    import hashlib  # loads OpenSSL, so only when a run is recorded
+
+    from venncal import __version__
+
+    def file_sha256(path) -> str:
+        digest = hashlib.sha256()
+        with open(path, "rb") as handle:
+            for block in iter(lambda: handle.read(1 << 16), b""):
+                digest.update(block)
+        return digest.hexdigest()
+
+    package = Path(__file__).resolve().parent
+    source = hashlib.sha256()
+    for path in sorted(package.rglob("*.py")):
+        data = path.read_bytes()
+        source.update(f"{path.relative_to(package).as_posix()}\n{len(data)}\n".encode("utf-8"))
+        source.update(data)
+    settings = {f.name: getattr(config, f.name) for f in fields(config)}
+    del settings["jobs"], settings["output_dir"]
+    reads_dataset = any(m != "external-scores" for m in config.models)
+    return {
+        "config": {name: list(v) if isinstance(v, tuple) else v for name, v in settings.items()},
+        "venncal_version": __version__,
+        "numpy_version": np.__version__,
+        "python_version": platform.python_version(),
+        "source_sha256": source.hexdigest(),
+        "dataset_sha256": file_sha256(config.dataset_path) if reads_dataset else None,
+        "score_table_sha256": (
+            file_sha256(config.score_table_path) if "external-scores" in config.models else None
+        ),
+    }
+
+
 def run_experiment(config: ExperimentConfig, progress=None) -> AggregateTable:
     """Run the configured experiment; returns (and optionally writes) the table.
 
     With an output directory set, writes per-fold metric JSONs and
-    prediction CSVs, the split manifest, aggregate.json / aggregate.csv and
-    a human-readable table.txt.  Fold-level errors abort the run with the
-    fold named; identical config and seed produce byte-identical artifacts
-    regardless of the jobs count.
+    prediction CSVs, the split manifest, aggregate.json / aggregate.csv, a
+    human-readable table.txt and, last, run.json (see run_record).
+    Fold-level errors abort the run with the fold named; identical config
+    and seed produce byte-identical artifacts regardless of the jobs count.
     """
     needs_data = any(m != "external-scores" for m in config.models)
+    dataset = load_csv(config.dataset_path) if needs_data else None
+    table = load_score_table(config.score_table_path) if "external-scores" in config.models else None
+    # taken once the inputs loaded and before the folds run, so a source file
+    # edited meanwhile is not vouched for
+    record = run_record(config) if config.output_dir else None
     outcomes: list[_FoldOutcome] = []
     splits: list[FoldSplit] = []
-    dataset = None
-    if needs_data:
-        dataset = load_csv(config.dataset_path)
+    if dataset is not None:
         splits = repeated_stratified_kfold(
             dataset,
             k=config.k,
@@ -462,8 +509,7 @@ def run_experiment(config: ExperimentConfig, progress=None) -> AggregateTable:
                 outcomes.extend(fold_result)
                 if progress:
                     progress(done, len(splits))
-    if "external-scores" in config.models:
-        table = load_score_table(config.score_table_path)
+    if table is not None:
         try:
             for fold, kind, ids, scores, labels, calibrated in _score_table_calibrations(table, config.calibrators):
                 try:
@@ -480,6 +526,8 @@ def run_experiment(config: ExperimentConfig, progress=None) -> AggregateTable:
         out = Path(config.output_dir)
         folds_dir = out / "folds"
         folds_dir.mkdir(parents=True, exist_ok=True)
+        # written last, so a run that fails while writing leaves none
+        (out / "run.json").unlink(missing_ok=True)
         # a reused directory must not keep an earlier run's folds or splits
         for stale in [*folds_dir.glob("rep*_fold*_*.json"), *folds_dir.glob("rep*_fold*_*.csv")]:
             stale.unlink()
@@ -500,6 +548,7 @@ def run_experiment(config: ExperimentConfig, progress=None) -> AggregateTable:
                     "" if v is None else repr(v) if isinstance(v, float) else v
                     for v in (values[c] for c in AGGREGATE_CSV_COLUMNS)
                 )
+        (out / "run.json").write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     return aggregate
 
 

@@ -2,8 +2,10 @@
 
 The forest score is the arithmetic mean of the member trees' leaf positive
 fractions.  Each tree gets an independent random stream spawned from the
-forest seed, so training the trees serially or in parallel produces the
-same forest.
+forest seed, drawn for its bootstrap sample first and then for one feature
+subset per split in the tree's preorder.  The trees grow in lockstep in the
+tree module's one builder, which searches the next node of every tree in
+flight with one sort; each tree is the same as if it were grown alone.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from venncal.models.tree import DecisionTreeModel, _validate_training_data, fit_tree
+from venncal.models.tree import DecisionTreeModel, _grow, _validate_training_data
 
 __all__ = ["RandomForestModel", "fit_forest"]
 
@@ -85,33 +87,23 @@ def fit_forest(
     x, y = _validate_training_data(features, labels)
     if n_trees < 1:
         raise ValueError("n_trees must be >= 1")
-    n, n_features = x.shape
+    n_features = x.shape[1]
     if max_features is None:
         max_features = math.ceil(math.sqrt(n_features))
     if not (1 <= max_features <= n_features):
         raise ValueError(f"max_features must be in [1, {n_features}]")
 
-    streams = np.random.SeedSequence(seed).spawn(n_trees)
-    trees = []
-    for tree_stream in streams:
-        rng = np.random.default_rng(tree_stream)
-        if bootstrap:
-            sample = rng.integers(0, n, size=n)
-            x_fit, y_fit = x[sample], y[sample]
-        else:
-            x_fit, y_fit = x, y
-        trees.append(
-            fit_tree(
-                x_fit,
-                y_fit,
-                max_depth=max_depth,
-                min_samples_leaf=min_samples_leaf,
-                min_samples_split=min_samples_split,
-                max_features=max_features if max_features < n_features else None,
-                seed=seed,
-                rng=rng,
-            )
-        )
+    trees = _grow(
+        x,
+        y,
+        [np.random.default_rng(stream) for stream in np.random.SeedSequence(seed).spawn(n_trees)],
+        bootstrap=bootstrap,
+        max_depth=max_depth,
+        min_samples_leaf=min_samples_leaf,
+        min_samples_split=min_samples_split,
+        max_features=max_features,
+        seed=seed,
+    )
     return RandomForestModel(
         trees=trees,
         n_trees=n_trees,

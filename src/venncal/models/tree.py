@@ -6,14 +6,23 @@ node; ties in impurity decrease are broken by lowest feature index, then
 lowest threshold, which makes the split choice reproducible against an
 exhaustive-enumeration oracle.
 
-The split search is vectorised across the candidate features of a node.
-Scores are compared in floating point first and near-ties are re-compared
-with exact integer arithmetic, so the tie rule holds exactly even when two
-candidates have genuinely equal gain.
+One builder, ``_grow``, grows every tree: a forest's trees in lockstep and
+a single tree as a forest of one.  Features are rank-coded once per fit.
+Each step takes the next splittable node of every tree in flight (each
+tree keeps its own preorder, so its random stream is drawn exactly as if
+it were grown alone) and searches all of them at once: one sort of packed
+keys ``(node * k + candidate) << bits | (2 * rank + label)`` orders every
+(node, candidate feature) segment by value, a cumulative sum over runs of
+equal keys counts the positives left of each value boundary, and a
+segmented maximum gives each node's best score.  Scores are compared in
+floating point first and near-ties are re-compared with exact integer
+arithmetic, so the tie rule holds exactly even when two candidates have
+genuinely equal gain.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,142 +152,321 @@ def _validate_training_data(features, labels):
     return x, y
 
 
-class _Builder:
-    def __init__(self, x, y, max_depth, min_samples_leaf, min_samples_split, max_features, rng):
-        self.x = x
-        self.y = y
-        self.max_depth = max_depth
-        self.min_samples_leaf = min_samples_leaf
-        self.min_samples_split = min_samples_split
-        self.n_features = x.shape[1]
-        self.max_features = max_features
-        self.rng = rng
-        self._subset_batch: np.ndarray | None = None
-        self._subset_next = 0
-        self.feature_index: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.n_samples: list[int] = []
-        self.n_positive: list[int] = []
+# Both bound one lockstep step and were set by timing forest fits on the
+# reference data: more trees in flight share the numpy call overhead of a
+# step among more nodes but hold more row buffers, and more rows per step
+# share it too but enlarge the step's key and candidate arrays.  Without the
+# row bound the cv-reference benchmark ran 5% faster (21.1 s against 22.3 s
+# per 10-fold run) but peaked at 67 MB resident against 57 MB.
+_TREES_IN_FLIGHT = 32
+_ROWS_PER_STEP = 1 << 14
 
-    def _new_node(self, m: int, pos: int) -> int:
+
+def _key_dtype(bits: int):
+    return np.uint32 if bits <= 32 else np.uint64
+
+
+class _Tree:
+    """One tree being grown: its rows, its pending nodes and its node arrays.
+
+    ``rows`` holds original row ids (a bootstrap sample repeats some), not
+    copies of feature rows; every node owns a contiguous range of it, which
+    a split partitions in place into the left child's range followed by the
+    right child's.
+    """
+
+    def __init__(self, rows: np.ndarray, positives: int, rng: np.random.Generator):
+        self.rows = rows
+        self.rng = rng
+        self.subsets: np.ndarray | None = None
+        self.next_subset = 0
+        # pending (start, end, depth, parent, is_right, positives); the right
+        # child is pushed first, so nodes pop in preorder
+        self.stack = [(0, rows.size, 0, -1, False, positives)]
+        # typed arrays: 8 bytes a value, where a list would also hold an object
+        self.feature_index = array("q")
+        self.threshold = array("d")
+        self.left = array("q")
+        self.right = array("q")
+        self.n_samples = array("q")
+        self.n_positive = array("q")
+
+    def pop_node(self):
+        """Pop the next node in preorder, recorded as a leaf until it splits."""
+        start, end, depth, parent, is_right, pos = self.stack.pop()
         node = len(self.feature_index)
         self.feature_index.append(_NO_FEATURE)
         self.threshold.append(np.nan)
         self.left.append(-1)
         self.right.append(-1)
-        self.n_samples.append(m)
+        self.n_samples.append(end - start)
         self.n_positive.append(pos)
-        return node
+        if parent >= 0:
+            (self.right if is_right else self.left)[parent] = node
+        return node, start, end, depth, pos
 
-    def _candidate_features(self) -> np.ndarray:
-        if self.max_features is None or self.max_features >= self.n_features:
-            return np.arange(self.n_features)
+    def candidate_features(self, n_features: int, max_features: int) -> np.ndarray:
         # batched uniform subsets: the smallest k of i.i.d. uniforms per row
-        if self._subset_batch is None or self._subset_next >= self._subset_batch.shape[0]:
-            draws = self.rng.random((256, self.n_features))
-            picks = np.argpartition(draws, self.max_features - 1, axis=1)[:, : self.max_features]
-            self._subset_batch = np.sort(picks, axis=1)
-            self._subset_next = 0
-        chosen = self._subset_batch[self._subset_next]
-        self._subset_next += 1
-        return chosen
+        if self.subsets is None or self.next_subset >= self.subsets.shape[0]:
+            draws = self.rng.random((256, n_features))
+            picks = np.argpartition(draws, max_features - 1, axis=1)[:, :max_features]
+            self.subsets = np.sort(picks, axis=1)
+            self.next_subset = 0
+        self.next_subset += 1
+        return self.subsets[self.next_subset - 1]
 
-    def _best_split(self, idx: np.ndarray, pos: int):
-        """Best (feature, threshold, left row mask) at a node, or None.
 
-        Maximises (pL^2 + qL^2)/nL + (pR^2 + qR^2)/nR, which orders splits
-        identically to Gini impurity decrease.  Scores are only computed at
-        boundary positions (value changes in sorted order) and float
-        near-ties are re-compared with exact integers to enforce the tie
-        rule.
-        """
-        m = idx.size
-        feats = self._candidate_features()
-        sub = self.x[idx][:, feats]
-        order = np.argsort(sub, axis=0)
-        cols = np.arange(feats.size)
-        sorted_vals = sub[order, cols]
-        cum_pos = np.cumsum(self.y[idx][order], axis=0)
+def _rank_codes(x: np.ndarray, labels: np.ndarray):
+    """Rank-coded features, each packed with the row's label.
 
-        is_boundary = sorted_vals[:-1] != sorted_vals[1:]
-        if self.min_samples_leaf > 1:
-            n_left = np.arange(1, m)
-            size_ok = (n_left >= self.min_samples_leaf) & (m - n_left >= self.min_samples_leaf)
-            is_boundary &= size_ok[:, None]
-        # feature-major candidate order matches the tie rule (lowest feature
-        # index first, then lowest threshold)
-        cand_feat, cand_pos = np.nonzero(is_boundary.T)
-        if cand_feat.size == 0:
-            return None
+    packed[r, f] = 2 * rank + label in the smallest unsigned dtype, where
+    x[r, f] == values[first_value[f] + rank]: values holds the sorted
+    distinct values of every feature, one feature after the other.
+    """
+    columns = [np.unique(column, return_inverse=True) for column in x.T]
+    counts = np.array([distinct.size for distinct, _ in columns])
+    packed = np.empty(x.shape, dtype=np.min_scalar_type(2 * counts.max() - 1))
+    for f, (_, inverse) in enumerate(columns):
+        packed[:, f] = 2 * inverse + labels
+    values = np.concatenate([distinct for distinct, _ in columns])
+    return packed, values, np.cumsum(counts) - counts
 
-        p_left = cum_pos[cand_pos, cand_feat]
-        n_left = (cand_pos + 1).astype(np.float64)
-        n_right = float(m) - n_left
-        p_right = float(pos) - p_left
-        q_left = n_left - p_left
-        q_right = n_right - p_right
-        score = (p_left * p_left + q_left * q_left) / n_left
-        score += (p_right * p_right + q_right * q_right) / n_right
 
-        best_float = float(score.max())
-        window = _TIE_WINDOW * (1.0 + abs(best_float))
-        near = np.flatnonzero(score >= best_float - window)
-        best = None  # (num, den, candidate index)
-        for i in near:
-            n_l = int(cand_pos[i]) + 1
-            n_r = m - n_l
-            p_l = int(round(p_left[i]))
+def _best_splits(keys, bits, sizes, positives, k, min_samples_leaf):
+    """Winning candidate of every node of one step that has one.
+
+    keys are the step's sorted packed keys: the rows of node slot j sit in
+    k consecutive segments of sizes[j] keys, one per candidate feature, each
+    ordered by rank code.  Maximises (pL^2 + qL^2)/nL + (pR^2 + qR^2)/nR,
+    which orders splits identically to Gini impurity decrease.  Scores are
+    only computed at value boundaries, and float near-ties are re-compared
+    with exact integers to enforce the tie rule.  Returns the winners'
+    slots, candidate indices, key positions (the last key left of the
+    threshold), left sizes and left positives, in slot order.
+    """
+    # runs of equal keys share segment, rank and label; the positives left of
+    # a boundary are summed over runs rather than over keys
+    ends = np.flatnonzero(np.r_[keys[:-1] != keys[1:], True])
+    ranked = keys[ends]
+    cum_pos = np.diff(ends, prepend=-1)
+    cum_pos[(ranked & 1) == 0] = 0
+    np.cumsum(cum_pos, out=cum_pos)
+    ranked >>= 1
+    last = np.flatnonzero(ranked[:-1] != ranked[1:])  # last run of each value
+    seg = (ranked[last] >> (bits - 1)).astype(np.intp)
+    del ranked
+    offsets = np.cumsum(sizes) - sizes
+    seg_start = (k * offsets[:, None] + np.arange(k) * sizes[:, None]).ravel()
+    n_left = ends[last] - seg_start[seg] + 1
+    m = np.repeat(sizes, k)[seg]
+    # a segment's last key is never a boundary: its right side is empty
+    keep = (n_left >= min_samples_leaf) & (m - n_left >= min_samples_leaf)
+    if not keep.any():
+        return (np.zeros(0, dtype=np.intp),) * 5
+    last, seg, n_left, m = last[keep], seg[keep], n_left[keep], m[keep]
+    cand = ends[last]
+    slot = seg // k
+    first_run = np.searchsorted(ends, seg_start)
+    before = np.where(first_run > 0, cum_pos[first_run - 1], 0)
+    p_left = cum_pos[last] - before[seg]
+    del cum_pos, ends, last  # per-run arrays go before the per-candidate scores come
+
+    # feature-major candidate order within a slot matches the tie rule
+    # (lowest feature index first, then lowest threshold)
+    pos = positives[slot]
+    pl = p_left.astype(np.float64)
+    nl = n_left.astype(np.float64)
+    nr = m.astype(np.float64) - nl
+    pr = pos.astype(np.float64) - pl
+    ql = nl - pl
+    qr = nr - pr
+    score = (pl * pl + ql * ql) / nl
+    score += (pr * pr + qr * qr) / nr
+
+    first = np.flatnonzero(np.r_[True, slot[1:] != slot[:-1]])
+    best = np.maximum.reduceat(score, first)
+    floor = np.empty(sizes.size)
+    floor[slot[first]] = best - _TIE_WINDOW * (1.0 + np.abs(best))
+    near = np.flatnonzero(score >= floor[slot])
+    near_first = np.flatnonzero(np.r_[True, slot[near[1:]] != slot[near[:-1]]])
+    near_end = np.append(near_first[1:], near.size)
+    winner = near[near_first]
+    for g in np.flatnonzero(near_end - near_first > 1):
+        best_exact = None  # (num, den, candidate index)
+        for i in near[near_first[g] : near_end[g]].tolist():
+            n_l = int(n_left[i])
+            n_r = int(m[i]) - n_l
+            p_l = int(p_left[i])
             q_l = n_l - p_l
-            p_r = pos - p_l
+            p_r = int(pos[i]) - p_l
             q_r = n_r - p_r
             num = (p_l * p_l + q_l * q_l) * n_r + (p_r * p_r + q_r * q_r) * n_l
             den = n_l * n_r
-            if best is None or num * best[1] > best[0] * den:
-                best = (num, den, i)
-        i = best[2]
-        fl = int(cand_feat[i])
-        sp = int(cand_pos[i])
-        lo = float(sorted_vals[sp, fl])
-        hi = float(sorted_vals[sp + 1, fl])
-        thr = (lo + hi) / 2.0
-        if not (lo < thr < hi):  # adjacent floats: keep routing consistent
-            thr = lo
-        feature = int(feats[fl])
-        left_mask = sub[:, fl] <= thr
-        return feature, thr, left_mask
+            if best_exact is None or num * best_exact[1] > best_exact[0] * den:
+                best_exact = (num, den, i)
+        winner[g] = best_exact[2]
+    slot = slot[winner]
+    return slot, seg[winner] - k * slot, cand[winner], n_left[winner], p_left[winner]
 
-    def build(self) -> int:
-        root_idx = np.arange(self.x.shape[0])
-        stack = [(root_idx, 0, -1, False)]  # (rows, depth, parent, is_right)
-        while stack:
-            idx, depth, parent, is_right = stack.pop()
-            m = idx.size
-            pos = int(round(float(self.y[idx].sum())))
-            node = self._new_node(m, pos)
-            if parent >= 0:
-                if is_right:
-                    self.right[parent] = node
-                else:
-                    self.left[parent] = node
 
-            splittable = (
-                0 < pos < m
-                and m >= self.min_samples_split
-                and m >= 2 * self.min_samples_leaf
-                and (self.max_depth is None or depth < self.max_depth)
-            )
-            split = self._best_split(idx, pos) if splittable else None
-            if split is None:
+def _grow(
+    x: np.ndarray,
+    y: np.ndarray,
+    rngs: list[np.random.Generator],
+    *,
+    bootstrap: bool,
+    max_depth: int | None,
+    min_samples_leaf: int,
+    min_samples_split: int,
+    max_features: int | None,
+    seed: int,
+) -> list[DecisionTreeModel]:
+    """Grow one tree per generator, all in lockstep; the only tree builder.
+
+    Tree t draws from rngs[t] alone: its bootstrap sample first (when
+    bootstrap is set), then one feature subset per splittable node in
+    preorder (when max_features is below the feature count).  A step takes
+    the next splittable node of every tree in flight and searches them all
+    at once, so each tree equals the one grown alone from its generator.
+    """
+    if min_samples_leaf < 1:
+        raise ValueError(f"min_samples_leaf must be >= 1, got {min_samples_leaf}")
+    if min_samples_split < 2:
+        raise ValueError(f"min_samples_split must be >= 2, got {min_samples_split}")
+    n, n_features = x.shape
+    subsets = max_features is not None and max_features < n_features
+    k = max_features if subsets else n_features
+    labels = y.astype(np.uint8)
+    packed, values, first_value = _rank_codes(x, labels)
+    # key = (slot * k + candidate) << bits | (2 * rank + label)
+    bits = int(packed.max(initial=1)).bit_length()
+    slots = min(len(rngs), _TREES_IN_FLIGHT)
+    key_dtype = _key_dtype(bits + (slots * k - 1).bit_length())
+    segment_keys = (np.arange(slots * k, dtype=key_dtype) << bits).reshape(slots, k)
+    min_rows = max(min_samples_split, 2 * min_samples_leaf)
+    # the smallest dtype for row ids: every tree in flight holds n of them
+    row_dtype = np.min_scalar_type(n - 1)
+
+    def model(tree: _Tree) -> DecisionTreeModel:
+        return DecisionTreeModel(
+            feature_index=np.array(tree.feature_index, dtype=np.int64),
+            threshold=np.array(tree.threshold, dtype=np.float64),
+            left_child=np.array(tree.left, dtype=np.int64),
+            right_child=np.array(tree.right, dtype=np.int64),
+            n_samples=np.array(tree.n_samples, dtype=np.int64),
+            n_positive=np.array(tree.n_positive, dtype=np.int64),
+            n_features=n_features,
+            max_depth=max_depth,
+            min_samples_leaf=min_samples_leaf,
+            min_samples_split=min_samples_split,
+            seed=seed,
+        )
+
+    def split(step: list) -> None:
+        """Search every node of one step at once and split those that can.
+
+        step holds (tree, node, start, end, depth, positives) per node; the
+        arrays below die on return, before the next step allocates its own.
+        """
+        sizes = np.array([entry[3] - entry[2] for entry in step])
+        positives = np.array([entry[5] for entry in step])
+        if subsets:
+            feats = np.array([entry[0].candidate_features(n_features, k) for entry in step])
+        else:
+            feats = np.broadcast_to(np.arange(n_features), (len(step), k))
+        rows = np.concatenate([tree.rows[start:end] for tree, _, start, end, _, _ in step])
+        # flat index of each row's first cell in packed; widened before the
+        # multiply, since row ids may be as narrow as uint8
+        first_cell = rows.astype(np.intp)
+        first_cell *= n_features
+        cells = np.empty_like(first_cell)
+        # one contiguous row of keys per candidate; np.repeat spreads the
+        # per-node values, and one-dimensional np.take with intp indices is
+        # several times faster here than two-dimensional fancy indexing
+        keys = np.empty((k, rows.size), dtype=key_dtype)
+        for c in range(k):
+            np.add(np.repeat(feats[:, c], sizes), first_cell, out=cells)
+            keys[c] = np.take(packed, cells)
+            keys[c] |= np.repeat(segment_keys[: len(step), c], sizes)
+        keys = keys.ravel()
+        keys.sort()
+        slot, candidate, at, n_left, p_left = _best_splits(keys, bits, sizes, positives, k, min_samples_leaf)
+        if slot.size == 0:
+            return
+
+        rank_mask = (1 << (bits - 1)) - 1
+        feature = feats[slot, candidate]
+        rank = ((keys[at] >> 1) & rank_mask).astype(np.intp)
+        next_rank = ((keys[at + 1] >> 1) & rank_mask).astype(np.intp)
+        del keys
+        lo = values[first_value[feature] + rank]
+        hi = values[first_value[feature] + next_rank]
+        with np.errstate(over="ignore"):  # lo + hi beyond the float range: thr = lo below
+            thr = (lo + hi) / 2.0
+        adjacent = ~((lo < thr) & (thr < hi))  # adjacent floats: keep routing consistent
+        thr[adjacent] = lo[adjacent]
+
+        # partition every splitting node's rows: left range, then right range
+        split_feature = np.zeros(len(step), dtype=np.intp)
+        split_rank = np.full(len(step), rank_mask, dtype=packed.dtype)
+        split_feature[slot] = feature
+        split_rank[slot] = rank
+        np.add(np.repeat(split_feature, sizes), first_cell, out=cells)
+        row_rank = np.take(packed, cells)
+        del first_cell, cells
+        row_rank >>= 1
+        go_left = row_rank <= np.repeat(split_rank, sizes)
+        left_rows, right_rows = rows[go_left], rows[~go_left]
+        left_sizes = sizes.copy()
+        left_sizes[slot] = n_left
+        right_sizes = sizes - left_sizes
+        left_at = np.cumsum(left_sizes) - left_sizes
+        right_at = np.cumsum(right_sizes) - right_sizes
+        for j, f, t, n_l, p_l, l_at, r_at in zip(
+            slot.tolist(), feature.tolist(), thr.tolist(), n_left.tolist(), p_left.tolist(),
+            left_at[slot].tolist(), right_at[slot].tolist(),
+        ):
+            tree, node, start, end, depth, pos = step[j]
+            tree.feature_index[node] = f
+            tree.threshold[node] = t
+            mid = start + n_l
+            tree.rows[start:mid] = left_rows[l_at : l_at + n_l]
+            tree.rows[mid:end] = right_rows[r_at : r_at + end - mid]
+            tree.stack.append((mid, end, depth + 1, node, True, pos - p_l))
+            tree.stack.append((start, mid, depth + 1, node, False, p_l))
+
+    grown: list[DecisionTreeModel | None] = [None] * len(rngs)
+    waiting = list(enumerate(rngs))[::-1]
+    flight: list[tuple[int, _Tree]] = []
+    while waiting or flight:
+        while waiting and len(flight) < _TREES_IN_FLIGHT:
+            index, rng = waiting.pop()
+            sample = (rng.integers(0, n, size=n) if bootstrap else np.arange(n)).astype(row_dtype)
+            flight.append((index, _Tree(sample, int(labels[sample].sum()), rng)))
+
+        step = []  # (tree, node, start, end, depth, positives)
+        n_rows = 0
+        taken, skipped = [], []
+        for index, tree in flight:
+            while tree.stack:
+                start, end, depth, _, _, pos = tree.stack[-1]
+                if 0 < pos < end - start >= min_rows and (max_depth is None or depth < max_depth):
+                    break
+                tree.pop_node()
+            else:
+                grown[index] = model(tree)
                 continue
-            feature, thr, left_mask = split
-            self.feature_index[node] = feature
-            self.threshold[node] = thr
-            # push right first so the left subtree is built first (LIFO)
-            stack.append((idx[~left_mask], depth + 1, node, True))
-            stack.append((idx[left_mask], depth + 1, node, False))
-        return len(self.feature_index)
+            if not step or n_rows + end - start <= _ROWS_PER_STEP:
+                step.append((tree, *tree.pop_node()))
+                n_rows += end - start
+                taken.append((index, tree))
+            else:
+                skipped.append((index, tree))
+        # a tree whose node did not fit goes first in the next step
+        flight = skipped + taken
+        if step:
+            split(step)
+    return grown
 
 
 def fit_tree(
@@ -290,33 +478,25 @@ def fit_tree(
     min_samples_split: int = 2,
     max_features: int | None = None,
     seed: int = 0,
-    rng: np.random.Generator | None = None,
 ) -> DecisionTreeModel:
     """Fit a CART tree; deterministic given the data, seed and tie rule.
 
     max_features, when set, restricts each split to a fresh random subset
-    of the features (used by the forest); with the default None the search
-    is exhaustive and the seed is never consumed.
+    of the features drawn from default_rng(seed); with the default None the
+    search is exhaustive and the seed is never consumed.
     """
     x, y = _validate_training_data(features, labels)
-    if min_samples_leaf < 1 or min_samples_split < 2:
-        raise ValueError("min_samples_leaf >= 1 and min_samples_split >= 2 required")
     if max_features is not None and not (1 <= max_features <= x.shape[1]):
         raise ValueError(f"max_features must be in [1, {x.shape[1]}]")
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    builder = _Builder(x, y, max_depth, min_samples_leaf, min_samples_split, max_features, rng)
-    builder.build()
-    return DecisionTreeModel(
-        feature_index=np.asarray(builder.feature_index, dtype=np.int64),
-        threshold=np.asarray(builder.threshold, dtype=np.float64),
-        left_child=np.asarray(builder.left, dtype=np.int64),
-        right_child=np.asarray(builder.right, dtype=np.int64),
-        n_samples=np.asarray(builder.n_samples, dtype=np.int64),
-        n_positive=np.asarray(builder.n_positive, dtype=np.int64),
-        n_features=x.shape[1],
+    (tree,) = _grow(
+        x,
+        y,
+        [np.random.default_rng(seed)],
+        bootstrap=False,
         max_depth=max_depth,
         min_samples_leaf=min_samples_leaf,
         min_samples_split=min_samples_split,
+        max_features=max_features,
         seed=seed,
     )
+    return tree

@@ -2,14 +2,16 @@
 
 Each test prints one PASS/FAIL line per criterion.  Criteria 1-3 evaluate
 the full 10x10 cross-validated experiment on the bundled reference dataset
-(10 000 rows, 339 failures); that run takes a while on one core, so its
-artifacts are cached under .cache/acceptance_run at the repository root
-and reused when present.  Criteria 4-8 run fresh every time.
+(10 000 rows, 339 failures); that run takes minutes, so its artifacts are
+cached under .cache/acceptance_run at the repository root and reused while
+the run.json there matches the current code and config.  Criteria 4-8 run
+fresh every time.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -19,7 +21,7 @@ import pytest
 
 from venncal.calibration import VennAbersCalibrator, regularized_point, pava
 from venncal.data import load_csv
-from venncal.harness import ExperimentConfig, load_fold_predictions, run_experiment
+from venncal.harness import ExperimentConfig, load_fold_predictions, run_experiment, run_record
 from venncal.metrics import auc, ece, ece_minority, reliability_bins
 from venncal.models import fit_tree
 from venncal.synthetic import write_reference_csv
@@ -41,28 +43,43 @@ def _report(criterion: int, description: str, ok: bool, detail: str = "") -> Non
 
 
 @pytest.fixture(scope="session")
-def reference_run():
-    """Aggregate table of the cached full experiment, building it if needed."""
-    CACHE.mkdir(exist_ok=True)
-    if not DATA_PATH.exists():
-        write_reference_csv(DATA_PATH)
-    aggregate_path = RUN_DIR / "aggregate.json"
-    complete = (
-        aggregate_path.exists()
+def reference_csv():
+    """The bundled reference CSV, rewritten by the current generator.
+
+    Writing it takes under a second, and a file left by an earlier
+    generator would otherwise be checked as if the current one wrote it.
+    """
+    return write_reference_csv(DATA_PATH)
+
+
+@pytest.fixture(scope="session")
+def reference_run(reference_csv):
+    """Aggregate table of the cached full experiment, building it if needed.
+
+    The cache is rebuilt unless its run.json is the record this code, config
+    and dataset would write, so artifacts of other code or data never pass
+    for these.
+    """
+    # the artifacts do not depend on jobs, so use every core
+    config = ExperimentConfig(
+        dataset_path=str(reference_csv),
+        models=("tree", "forest", "logistic"),
+        calibrators=("none", "venn-abers", "platt", "isotonic"),
+        k=10,
+        repetitions=10,
+        seed=0,
+        output_dir=str(RUN_DIR),
+        jobs=os.cpu_count() or 1,
+    )
+    record_path = RUN_DIR / "run.json"
+    current = (
+        record_path.exists()
+        and json.loads(record_path.read_text(encoding="utf-8")) == run_record(config)
         and len(list((RUN_DIR / "folds").glob("*.json"))) == EXPECTED_FOLD_FILES
     )
-    if not complete:
-        config = ExperimentConfig(
-            dataset_path=str(DATA_PATH),
-            models=("tree", "forest", "logistic"),
-            calibrators=("none", "venn-abers", "platt", "isotonic"),
-            k=10,
-            repetitions=10,
-            seed=0,
-            output_dir=str(RUN_DIR),
-        )
+    if not current:
         run_experiment(config)
-    rows = json.loads(aggregate_path.read_text(encoding="utf-8"))
+    rows = json.loads((RUN_DIR / "aggregate.json").read_text(encoding="utf-8"))
     return {(r["model"], r["calibrator"]): r for r in rows}
 
 
@@ -380,11 +397,8 @@ def test_criterion_7_determinism(tmp_path):
 # criterion 8: rule/tree round trip
 # ---------------------------------------------------------------------------
 
-def test_criterion_8_rule_tree_roundtrip():
-    CACHE.mkdir(exist_ok=True)
-    if not DATA_PATH.exists():
-        write_reference_csv(DATA_PATH)
-    dataset = load_csv(DATA_PATH)
+def test_criterion_8_rule_tree_roundtrip(reference_csv):
+    dataset = load_csv(reference_csv)
     x, y = dataset.features, dataset.labels
     tree = fit_tree(x[:6000], y[:6000], min_samples_leaf=6, seed=1)
     calibrator = VennAbersCalibrator(tree.score_many(x[6000:9000]), y[6000:9000])

@@ -17,6 +17,7 @@ from venncal.harness import (
     export_reliability,
     load_fold_predictions,
     run_experiment,
+    run_record,
     write_reliability_csv,
 )
 
@@ -107,9 +108,8 @@ def test_determinism_byte_identical_artifacts(tmp_path):
     config_b = small_config(tmp_path, output_dir=str(tmp_path / "run_b"))
     run_experiment(config_a)
     run_experiment(config_b)
-    a = (tmp_path / "run_a" / "aggregate.json").read_bytes()
-    b = (tmp_path / "run_b" / "aggregate.json").read_bytes()
-    assert a == b
+    for name in ("aggregate.json", "run.json"):  # run.json holds no timings
+        assert (tmp_path / "run_a" / name).read_bytes() == (tmp_path / "run_b" / name).read_bytes()
     for fold_file in sorted((tmp_path / "run_a" / "folds").iterdir()):
         twin = tmp_path / "run_b" / "folds" / fold_file.name
         assert fold_file.read_bytes() == twin.read_bytes()
@@ -120,9 +120,45 @@ def test_parallel_run_matches_serial(tmp_path):
     parallel = small_config(tmp_path, output_dir=str(tmp_path / "run_par"), jobs=2)
     run_experiment(serial)
     run_experiment(parallel)
-    a = (tmp_path / "run_serial" / "aggregate.json").read_bytes()
-    b = (tmp_path / "run_par" / "aggregate.json").read_bytes()
-    assert a == b
+    for name in ("aggregate.json", "run.json"):
+        assert (tmp_path / "run_serial" / name).read_bytes() == (tmp_path / "run_par" / name).read_bytes()
+    assert json.loads((tmp_path / "run_par" / "run.json").read_text(encoding="utf-8")) == run_record(parallel)
+
+
+def test_run_record_names_config_versions_and_source(tmp_path):
+    config = small_config(tmp_path)
+    record = run_record(config)
+    assert set(record) == {
+        "config", "venncal_version", "numpy_version", "python_version",
+        "source_sha256", "dataset_sha256", "score_table_sha256",
+    }
+    assert record["config"]["models"] == ["tree", "forest", "logistic"]
+    assert record["config"]["seed"] == 7
+    # neither changes the artifacts, so neither may change the record
+    assert "jobs" not in record["config"] and "output_dir" not in record["config"]
+    assert run_record(small_config(tmp_path, jobs=2, output_dir=str(tmp_path / "elsewhere"))) == record
+    assert run_record(small_config(tmp_path, seed=8)) != record
+    assert len(record["source_sha256"]) == 64
+    assert record["score_table_sha256"] is None  # no external-scores model reads one
+
+
+def test_run_record_changes_with_input_files(tmp_path):
+    config = small_config(tmp_path)
+    record = run_record(config)
+    data = Path(config.dataset_path)
+    text = data.read_text(encoding="utf-8")
+    data.write_text(text + text.splitlines()[-1] + "\n", encoding="utf-8")  # one row more
+    changed = run_record(config)
+    assert changed["dataset_sha256"] != record["dataset_sha256"]
+    assert {k: v for k, v in changed.items() if k != "dataset_sha256"} == {
+        k: v for k, v in record.items() if k != "dataset_sha256"
+    }
+    table = write_score_table(tmp_path / "scores.csv", {0: {"calibration": WORKED_CAL, "test": [(0.8, 1)]}})
+    external = small_config(tmp_path, models=("external-scores",), score_table_path=str(table))
+    first = run_record(external)
+    assert first["dataset_sha256"] is None and len(first["score_table_sha256"]) == 64
+    write_score_table(table, {0: {"calibration": WORKED_CAL, "test": [(0.7, 1)]}})
+    assert run_record(external)["score_table_sha256"] != first["score_table_sha256"]
 
 
 def test_aggregate_matches_fold_artifacts(tmp_path):

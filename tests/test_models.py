@@ -15,6 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import venncal.models.tree as tree_module
 from venncal.models import (
     DecisionTreeModel,
     RandomForestModel,
@@ -255,7 +256,7 @@ def test_forest_recursion_matches_oracle_everywhere():
 
 
 # ---------------------------------------------------------------------------
-# golden output: model.to_dict() digests recorded from the per-node builder
+# golden output: model.to_dict() digests, recorded with the earlier per-node builder
 # ---------------------------------------------------------------------------
 
 def _golden_data(name):
@@ -272,6 +273,12 @@ def _golden_data(name):
     elif name == "constant-feature":
         x = np.column_stack([np.full(200, 2.5), rng.integers(0, 6, size=200), rng.random(200)])
         y = (x[:, 2] + 0.1 * x[:, 1] + 0.3 * rng.random(200) > 0.8).astype(int)
+    elif name == "extreme":  # adjacent floats, and midpoints beyond the float range
+        x = np.column_stack([
+            rng.choice([1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0)], size=80),
+            rng.choice([-1.7e308, 1e308, 1.5e308, 1.7e308], size=80),
+        ])
+        y = rng.integers(0, 2, size=80)
     elif name == "wide":  # feature 0 has more than 32 768 distinct values
         x = np.column_stack([rng.random(40_000), rng.integers(0, 3, size=40_000)])
         y = (x[:, 0] + 0.2 * x[:, 1] + 0.5 * rng.random(40_000) > 1.0).astype(int)
@@ -294,6 +301,10 @@ GOLDEN_MODELS = [
      "18d55330633535900d38199902030763d943654db316dbbcdf896f86fb2a5ae2"),
     ("constant-feature", "tree", {},
      "7bcebee080fe1da6eedf2b294b83b16957d5fc995b78702c75c3467b1c8f64ef"),
+    ("extreme", "tree", {},
+     "595dc0c36d9e65fbbf7aa4d61aded5d44c05a37fd6c6679beeb95f96dfbe321d"),
+    ("extreme", "forest", {"n_trees": 4, "seed": 2, "max_features": 1},
+     "aee45e2bd94fd5368c5af2bb4e69ff3848a100d20d23d8fefe48b076c1c5b53b"),
     ("wide", "tree", {"max_depth": 6, "min_samples_leaf": 6},
      "4d93a38d9a0cd60faa76b0fc5a32a0b602e614c015e010977254f7bdea248d74"),
     ("grid", "forest", {"n_trees": 8, "seed": 0},
@@ -312,6 +323,8 @@ GOLDEN_MODELS = [
      "f6f45db4e40e370d5ec70d4942cbe4a10090328ab54b02201c34ad2bcc598e06"),
     ("continuous", "forest", {"n_trees": 3, "seed": 7, "bootstrap": False, "max_features": 5},
      "743bc13e9b6d2ab6ba395631026fc5643ec7e84533328f7a202d5b1104489834"),
+    ("continuous", "forest", {"n_trees": 50, "seed": 10, "max_features": 2, "min_samples_leaf": 6},
+     "7f803d969d34dd41916386113146b55a5abe008be268c1f891a68f0a799b6bba"),
     ("continuous", "forest", {"n_trees": 1, "seed": 8},
      "f26636634e75f325aeaa0ec82dfa6759346fc659cda268460b150c82760b1561"),
     ("single-class", "forest", {"n_trees": 3, "seed": 0},
@@ -320,6 +333,8 @@ GOLDEN_MODELS = [
      "9afe0e6314efac1b76898f446eb339b76ffbf51a3317ee20f255fb91225e050b"),
     ("wide", "forest", {"n_trees": 3, "seed": 1, "max_depth": 5, "min_samples_leaf": 6},
      "0e6d22c4f31b048ef9cb13544fd0c90ae08e073e8e1f29bd62cc8080e55e3482"),
+    ("wide", "forest", {"n_trees": 3, "seed": 3, "max_features": 1, "max_depth": 3},
+     "68f10c0005b60945ff2ee5ca5927db75f0395f7a9b0475c1d680139a0b74c3f1"),
     ("wide", "forest", {"n_trees": 2, "seed": 2, "max_features": 2, "min_samples_leaf": 200},
      "63636c2e7e71394f0b00f7a7e00299fd0137d1b45a721f1ad29bef9d54e69fc7"),
 ]
@@ -331,10 +346,19 @@ def _golden_digest(data, fit, kwargs):
     return hashlib.sha256(json.dumps(model.to_dict()).encode("utf-8")).hexdigest()
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("data, fit, kwargs, digest", GOLDEN_MODELS)
 def test_models_match_golden_digests(data, fit, kwargs, digest):
     # any change in split choice, threshold, node order or RNG use shows here
     assert _golden_digest(data, fit, kwargs) == digest
+
+
+def test_wide_keys_match_golden_digests(monkeypatch):
+    # the builder packs its sort keys into 64 bits only when 32 do not
+    # suffice; forcing the wide keys must not change any model
+    monkeypatch.setattr(tree_module, "_key_dtype", lambda bits: np.uint64)
+    for data, fit, kwargs, digest in GOLDEN_MODELS:
+        assert _golden_digest(data, fit, kwargs) == digest, (data, fit, kwargs)
 
 
 # ---------------------------------------------------------------------------
