@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 from pathlib import Path
 
@@ -455,6 +456,65 @@ def test_reliability_roundtrip_from_run(tmp_path):
     with out.open() as handle:
         rows = list(csv.DictReader(handle))
     assert sum(int(r["count"]) for r in rows) == 320
+
+
+# ---------------------------------------------------------------------------
+# output bytes
+# ---------------------------------------------------------------------------
+
+# sha256 of every CSV kind venncal writes, recorded before the writers were
+# merged into one; fold files are hashed together, name then bytes
+GOLDEN_OUTPUT_DIGESTS = {
+    "folds": "0163734e385bcabc872c09cd9df7383115d6b26b9279281069d6acadebd4d617",
+    "aggregate.csv": "7c09c4ecf32881af361628c0f1cfc173d2ebe3dafc107881174be74631258b7a",
+    "aggregate.json": "4937c6b25a46630d591e2b6ebe458116a90a26f89efd6d572bca1f75d6554a36",
+    "table.txt": "120ed80a348c23967a9b9b2e16d7f5bac200fb4dd29023cfd40f5a50eab250d7",
+    "splits.json": "dad9db2e86e9a22231d5a35c1ccdbd085742acd9b544514d0920271edcc55469",
+    "calibrated venn-abers": "fbf460c5a32491b9210cbe1561cb2977b736bf48533fa77a93ea94178f7db377",
+    "calibrated platt": "88e759d04f9fd7b152f3a7ca08517668ea3bd077abded674b58831c98a92d2b9",
+    "calibrated isotonic": "bb07f0f9408bc19b02f6ecb4790e013f944e20e2d0f7bc9c5657dc78e37c6209",
+    "reliability gap": "b48e509999145e2be5c2c7286279967d2d2a389621df60e171034c6200eca718",
+    "reliability none": "2dedd8bf935f323942291bedb9b5923961487751f7d613743fa8646215caa9db",
+}
+
+
+def test_output_bytes_match_golden_digests(tmp_path):
+    rng = np.random.default_rng(21)
+    folds = {}
+    for fold in range(2):
+        cal = [(round(float(s), 2) if i % 2 else float(s), int(rng.random() < s)) for i, s in enumerate(rng.random(40))]
+        # test scores below 0.5: the uncalibrated scores predict no failure,
+        # so that row's precision is undefined and written as an empty cell
+        test = [(0.49 * float(s), int(i % 3 == 0)) for i, s in enumerate(rng.random(30))]
+        folds[fold] = {"calibration": cal, "test": test}
+    table_path = write_score_table(tmp_path / "scores.csv", folds)
+    config = small_config(
+        tmp_path, models=("tree", "logistic", "external-scores"), score_table_path=str(table_path)
+    )
+    run_experiment(config)
+    run_dir = Path(config.output_dir)
+    folds_digest = hashlib.sha256()
+    for path in sorted((run_dir / "folds").iterdir()):
+        folds_digest.update(path.name.encode("utf-8") + b"\n" + path.read_bytes())
+    digests = {"folds": folds_digest.hexdigest()}
+    for name in ("aggregate.csv", "aggregate.json", "table.txt", "splits.json"):
+        digests[name] = hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
+    with (run_dir / "aggregate.csv").open(newline="") as handle:
+        none_row = [r for r in csv.DictReader(handle) if r["model"] == "external-scores" and r["calibrator"] == "none"]
+    assert none_row[0]["precision"] == ""
+
+    for kind in POST_HOC_CALIBRATORS:
+        calibrate_scores(table_path, kind, tmp_path / f"{kind}.csv")
+        digests[f"calibrated {kind}"] = hashlib.sha256((tmp_path / f"{kind}.csv").read_bytes()).hexdigest()
+
+    # bins 1 to 3 of 5 hold no prediction, so their mop and foc are NaN
+    bins = export_reliability(np.array([0.05, 0.1, 0.15, 0.9, 0.95]), np.array([0, 0, 1, 1, 1]), bins=5)
+    write_reliability_csv(tmp_path / "gap.csv", bins)
+    assert (tmp_path / "gap.csv").read_text(encoding="utf-8").splitlines()[2] == "0.2,0.4,0,,"
+    write_reliability_csv(tmp_path / "none.csv", None)
+    for name in ("gap", "none"):
+        digests[f"reliability {name}"] = hashlib.sha256((tmp_path / f"{name}.csv").read_bytes()).hexdigest()
+    assert digests == GOLDEN_OUTPUT_DIGESTS
 
 
 # ---------------------------------------------------------------------------
