@@ -18,8 +18,7 @@ from venncal.calibration import (
     regularized_point,
 )
 from venncal.data import (
-    AI4I_SCHEMA,
-    CsvSchema,
+    AI4I_COLUMNS,
     Dataset,
     FoldSplit,
     load_csv,
@@ -56,9 +55,8 @@ from venncal.synthetic import REFERENCE_SEED, write_reference_csv
 from venncal.venn_tree import VennTree, build_venn_tree, extract_rules, format_rules, render_tree
 
 __all__ = [
-    "AI4I_SCHEMA",
+    "AI4I_COLUMNS",
     "AggregateTable",
-    "CsvSchema",
     "Dataset",
     "DecisionTreeModel",
     "EvaluationReport",

@@ -1,11 +1,13 @@
-"""Dataset ingestion and cross-validation splits.
+"""Dataset ingestion, CSV rows in and out, and cross-validation splits.
 
-Loads the predictive-maintenance CSV (AI4I-style column layout by default,
-configurable through CsvSchema), mapping the quality letter to an ordinal
-code, dropping identifier and failure-mode indicator columns, and taking
-the machine-failure column as the binary label.  Also produces repeated
-stratified k-fold splits where each fold's training portion is further
-divided into a proper-training part and a calibration part.
+Loads the predictive-maintenance CSV in the AI4I column layout
+(AI4I_COLUMNS), mapping the quality letter to an ordinal code, dropping
+identifier and failure-mode indicator columns, and taking the
+machine-failure column as the binary label.  read_rows and write_columns
+are the one CSV row reader and the one column writer of the package.
+Also produces repeated stratified k-fold splits where each fold's training
+portion is further divided into a proper-training part and a calibration
+part.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 __all__ = [
-    "AI4I_SCHEMA",
-    "CsvSchema",
+    "AI4I_COLUMNS",
+    "FEATURE_NAMES",
     "Dataset",
     "FoldSplit",
     "InfeasibleSplitError",
@@ -27,15 +29,17 @@ __all__ = [
     "SchemaError",
     "ValidationError",
     "load_csv",
+    "read_rows",
     "repeated_stratified_kfold",
     "splits_to_manifest",
     "stratified_holdout",
+    "write_columns",
     "write_split_manifest",
 ]
 
 
 class SchemaError(ValueError):
-    """CSV header does not match the configured schema."""
+    """CSV header does not match the expected columns."""
 
 
 class ParseError(ValueError):
@@ -50,44 +54,31 @@ class InfeasibleSplitError(ValueError):
     """Requested split cannot be satisfied by the class counts."""
 
 
-@dataclass(frozen=True)
-class CsvSchema:
-    """Column layout of the input CSV.
-
-    quality_column is mapped through quality_codes into the first feature;
-    numeric_columns follow in order (csv name, feature name); id_columns
-    and indicator_columns are dropped when present.  Any column outside the
-    schema is an error.
-    """
-
-    quality_column: str = "Type"
-    quality_feature_name: str = "quality"
-    quality_codes: tuple[tuple[str, float], ...] = (("L", 0.0), ("M", 1.0), ("H", 2.0))
-    numeric_columns: tuple[tuple[str, str], ...] = (
-        ("Air temperature [K]", "air temperature [K]"),
-        ("Process temperature [K]", "process temperature [K]"),
-        ("Rotational speed [rpm]", "rotational speed [rpm]"),
-        ("Torque [Nm]", "torque [Nm]"),
-        ("Tool wear [min]", "tool wear [min]"),
-    )
-    label_column: str = "Machine failure"
-    id_columns: tuple[str, ...] = ("UDI", "Product ID")
-    indicator_columns: tuple[str, ...] = ("TWF", "HDF", "PWF", "OSF", "RNF")
-
-    @property
-    def feature_names(self) -> tuple[str, ...]:
-        return (self.quality_feature_name,) + tuple(name for _, name in self.numeric_columns)
-
-    @property
-    def required_columns(self) -> tuple[str, ...]:
-        return (self.quality_column,) + tuple(c for c, _ in self.numeric_columns) + (self.label_column,)
-
-    @property
-    def optional_columns(self) -> tuple[str, ...]:
-        return self.id_columns + self.indicator_columns
-
-
-AI4I_SCHEMA = CsvSchema()
+# The AI4I layout in file order: csv column -> feature name.  The quality
+# letter of "Type" is coded through QUALITY_CODES, the other named columns
+# are read as numbers and LABEL_COLUMN is the label.  The columns mapped to
+# None besides the label (identifiers and failure-mode indicators) are
+# dropped, and a file may leave them out.
+AI4I_COLUMNS = {
+    "UDI": None,
+    "Product ID": None,
+    "Type": "quality",
+    "Air temperature [K]": "air temperature [K]",
+    "Process temperature [K]": "process temperature [K]",
+    "Rotational speed [rpm]": "rotational speed [rpm]",
+    "Torque [Nm]": "torque [Nm]",
+    "Tool wear [min]": "tool wear [min]",
+    "Machine failure": None,
+    "TWF": None,
+    "HDF": None,
+    "PWF": None,
+    "OSF": None,
+    "RNF": None,
+}
+QUALITY_COLUMN = "Type"
+QUALITY_CODES = {"L": 0.0, "M": 1.0, "H": 2.0}
+LABEL_COLUMN = "Machine failure"
+FEATURE_NAMES = tuple(name for name in AI4I_COLUMNS.values() if name)
 
 
 @dataclass(frozen=True)
@@ -117,71 +108,110 @@ class Dataset:
         return int(self.labels.sum())
 
 
-def load_csv(path, schema: CsvSchema = AI4I_SCHEMA) -> Dataset:
-    """Load the maintenance CSV into a Dataset.
+def load_csv(path) -> Dataset:
+    """Load the maintenance CSV (AI4I_COLUMNS) into a Dataset.
 
     Row order is preserved.  Errors name the offending column or the
     offending data row (1-based, header excluded).
     """
     path = Path(path)
+    rows = read_rows(path, "dataset")
+    header = next(rows)
+    for column, feature in AI4I_COLUMNS.items():
+        if (feature or column == LABEL_COLUMN) and column not in header:
+            raise SchemaError(f"{path}: missing required column {column!r}")
+    for column in header:
+        if column not in AI4I_COLUMNS:
+            raise SchemaError(f"{path}: unknown column {column!r}")
+    quality_idx = header.index(QUALITY_COLUMN)
+    numeric_idx = [header.index(c) for c, feature in AI4I_COLUMNS.items() if feature and c != QUALITY_COLUMN]
+    label_idx = header.index(LABEL_COLUMN)
+
+    features = []
+    labels = []
+    for row_number, row in rows:
+        quality_raw = row[quality_idx].strip()
+        if quality_raw not in QUALITY_CODES:
+            raise ValidationError(
+                f"{path}: row {row_number}: unknown quality value {quality_raw!r} "
+                f"(expected one of {sorted(QUALITY_CODES)})"
+            )
+        values = [QUALITY_CODES[quality_raw]]
+        for column_idx in numeric_idx:
+            cell = row[column_idx].strip()
+            try:
+                values.append(float(cell))
+            except ValueError:
+                raise ParseError(
+                    f"{path}: row {row_number}: non-numeric value {cell!r} in column {header[column_idx]!r}"
+                ) from None
+        label_raw = row[label_idx].strip()
+        if label_raw not in ("0", "1"):
+            raise ValidationError(
+                f"{path}: row {row_number}: label must be 0 or 1, got {label_raw!r}"
+            )
+        features.append(values)
+        labels.append(int(label_raw))
+    return Dataset(
+        features=np.asarray(features, dtype=np.float64),
+        labels=np.asarray(labels, dtype=np.int64),
+        feature_names=FEATURE_NAMES,
+    )
+
+
+# ---------------------------------------------------------------------------
+# CSV rows in and out
+# ---------------------------------------------------------------------------
+
+def read_rows(path, kind: str = "file"):
+    """Yield a CSV's stripped header, then (row number, fields) per non-blank row.
+
+    Rows are numbered from 1 after the header; fields are not stripped.
+    Raises FileNotFoundError ("<kind> not found"), SchemaError (empty file,
+    a column named twice), ParseError (a field count other than the
+    header's) and ValidationError (no data rows), naming the file and row.
+    """
+    path = Path(path)
     if not path.exists():
-        raise FileNotFoundError(f"dataset not found: {path}")
-    quality_map = dict(schema.quality_codes)
+        raise FileNotFoundError(f"{kind} not found: {path}")
     with path.open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         try:
             header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise SchemaError(f"{path}: empty file") from None
-        known = set(schema.required_columns) | set(schema.optional_columns)
-        for column in schema.required_columns:
-            if column not in header:
-                raise SchemaError(f"{path}: missing required column {column!r}")
-        for column in header:
-            if column not in known:
-                raise SchemaError(f"{path}: unknown column {column!r}")
-
-        col = {name: header.index(name) for name in header}
-        quality_idx = col[schema.quality_column]
-        numeric_idx = [(col[c], name) for c, name in schema.numeric_columns]
-        label_idx = col[schema.label_column]
-
-        features = []
-        labels = []
+        for i, column in enumerate(header):
+            if column in header[:i]:
+                raise SchemaError(f"{path}: column {column!r} appears more than once")
+        yield header
+        rows = 0
         for row_number, row in enumerate(reader, start=1):
             if not row:
                 continue
             if len(row) != len(header):
                 raise ParseError(f"{path}: row {row_number}: expected {len(header)} fields, got {len(row)}")
-            quality_raw = row[quality_idx].strip()
-            if quality_raw not in quality_map:
-                raise ValidationError(
-                    f"{path}: row {row_number}: unknown quality value {quality_raw!r} "
-                    f"(expected one of {sorted(quality_map)})"
-                )
-            values = [quality_map[quality_raw]]
-            for column_idx, _ in numeric_idx:
-                cell = row[column_idx].strip()
-                try:
-                    values.append(float(cell))
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: row {row_number}: non-numeric value {cell!r} in column {header[column_idx]!r}"
-                    ) from None
-            label_raw = row[label_idx].strip()
-            if label_raw not in ("0", "1"):
-                raise ValidationError(
-                    f"{path}: row {row_number}: label must be 0 or 1, got {label_raw!r}"
-                )
-            features.append(values)
-            labels.append(int(label_raw))
-    if not features:
+            rows += 1
+            yield row_number, row
+    if not rows:
         raise ValidationError(f"{path}: no data rows")
-    return Dataset(
-        features=np.asarray(features, dtype=np.float64),
-        labels=np.asarray(labels, dtype=np.int64),
-        feature_names=schema.feature_names,
-    )
+
+
+def write_columns(path, header, columns) -> None:
+    """Write a CSV from a header and equal-length columns.
+
+    Numpy columns are converted with tolist(), so ints are written as ints
+    and floats by repr; None and NaN become empty cells.
+    """
+    cells = []
+    for column in columns:
+        values = column.tolist() if isinstance(column, np.ndarray) else column
+        cells.append(["" if v is None or v != v else v for v in values])  # NaN != NaN
+    if len({len(c) for c in cells}) > 1:
+        raise ValueError(f"{path}: columns differ in length")
+    with Path(path).open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(zip(*cells))
 
 
 # ---------------------------------------------------------------------------
@@ -294,22 +324,35 @@ def repeated_stratified_kfold(
     return splits
 
 
+def _manifest_fold(split: FoldSplit) -> dict:
+    return {
+        "repetition": split.repetition_index,
+        "fold": split.fold_index,
+        "proper_train_ids": split.proper_train_ids.tolist(),
+        "calibration_ids": split.calibration_ids.tolist(),
+        "test_ids": split.test_ids.tolist(),
+    }
+
+
 def splits_to_manifest(splits: list[FoldSplit]) -> dict:
     """JSON-ready manifest for reproducibility audits."""
     return {
         "seed": splits[0].seed if splits else None,
-        "folds": [
-            {
-                "repetition": s.repetition_index,
-                "fold": s.fold_index,
-                "proper_train_ids": s.proper_train_ids.tolist(),
-                "calibration_ids": s.calibration_ids.tolist(),
-                "test_ids": s.test_ids.tolist(),
-            }
-            for s in splits
-        ],
+        "folds": [_manifest_fold(s) for s in splits],
     }
 
 
 def write_split_manifest(path, splits: list[FoldSplit]) -> None:
-    Path(path).write_text(json.dumps(splits_to_manifest(splits), sort_keys=True), encoding="utf-8")
+    """Write json.dumps(splits_to_manifest(splits), sort_keys=True) fold by fold.
+
+    Only one fold's ids are held as Python ints at a time.
+    """
+    # the manifest with an empty fold list, cut between its brackets
+    empty = json.dumps({"folds": [], "seed": splits[0].seed if splits else None}, sort_keys=True)
+    cut = empty.index("[]") + 1
+    head, tail = empty[:cut], empty[cut:]
+    with Path(path).open("w", encoding="utf-8") as handle:
+        handle.write(head)
+        for i, split in enumerate(splits):
+            handle.write((", " if i else "") + json.dumps(_manifest_fold(split), sort_keys=True))
+        handle.write(tail)

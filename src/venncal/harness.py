@@ -14,12 +14,12 @@ are written in sorted order, and JSON floats use repr round-tripping.
 
 from __future__ import annotations
 
-import csv
 import json
 import numbers
 import platform
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
+from functools import partial
 from multiprocessing import Pool
 from pathlib import Path
 
@@ -32,7 +32,17 @@ from venncal.calibration import (
     isotonic_calibrate,
     pava,
 )
-from venncal.data import Dataset, FoldSplit, load_csv, repeated_stratified_kfold, write_split_manifest
+from venncal.data import (
+    Dataset,
+    FoldSplit,
+    ParseError,
+    SchemaError,
+    load_csv,
+    read_rows,
+    repeated_stratified_kfold,
+    write_columns,
+    write_split_manifest,
+)
 from venncal.metrics import EvaluationReport, evaluate, reliability_bins
 from venncal.models import ScoreTable, fit_forest, fit_logistic, fit_tree, load_score_table
 
@@ -83,7 +93,7 @@ class ExperimentConfig:
     def __post_init__(self):
         for f in fields(self):  # annotations are strings under `from __future__ import annotations`
             value = getattr(self, f.name)
-            wanted = {"int": numbers.Integral, "float": numbers.Real}.get(f.type)
+            wanted = {"int": numbers.Integral, "float": numbers.Real, "str | None": (str, type(None))}.get(f.type)
             if wanted and (isinstance(value, bool) or not isinstance(value, wanted)):
                 raise ValueError(f"{f.name} must be {f.type}, got {type(value).__name__} {value!r}")
         if self.k < 2:
@@ -125,10 +135,6 @@ class ExperimentConfig:
             if isinstance(coerced.get(key), list):
                 coerced[key] = tuple(coerced[key])
         return cls(**coerced)
-
-    @classmethod
-    def from_json(cls, path) -> "ExperimentConfig":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 # ---------------------------------------------------------------------------
@@ -356,24 +362,19 @@ def _write_fold_artifacts(folds_dir: Path, outcome: _FoldOutcome) -> None:
         **outcome.report.to_dict(),
     }
     stem.with_suffix(".json").write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
-    with stem.with_suffix(".csv").open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(PREDICTION_COLUMNS)
-        for i in range(outcome.instance_ids.size):
-            writer.writerow(
-                [
-                    int(outcome.instance_ids[i]),
-                    int(outcome.labels[i]),
-                    repr(float(outcome.scores[i])),
-                    repr(float(outcome.p0[i])),
-                    repr(float(outcome.p1[i])),
-                    repr(float(outcome.point[i])),
-                ]
-            )
+    write_columns(
+        stem.with_suffix(".csv"),
+        PREDICTION_COLUMNS,
+        (outcome.instance_ids, outcome.labels, outcome.scores, outcome.p0, outcome.p1, outcome.point),
+    )
 
 
 def load_fold_predictions(output_dir, model: str, calibrator: str):
-    """Pool (probabilities, labels) over all fold prediction CSVs of a pair."""
+    """Pool (probabilities, labels) over all fold prediction CSVs of a pair.
+
+    A file that is not a prediction CSV fails with the file, and the row
+    if one is at fault, named.
+    """
     folds_dir = Path(output_dir) / "folds"
     paths = sorted(folds_dir.glob(f"rep*_fold*_{model}_{calibrator}.csv"))
     if not paths:
@@ -381,11 +382,16 @@ def load_fold_predictions(output_dir, model: str, calibrator: str):
     probabilities = []
     labels = []
     for path in paths:
-        with path.open(newline="", encoding="utf-8") as handle:
-            reader = csv.DictReader(handle)
-            for row in reader:
-                probabilities.append(float(row["point"]))
-                labels.append(int(row["label"]))
+        rows = read_rows(path)
+        header = next(rows)
+        if tuple(header) != PREDICTION_COLUMNS:
+            raise SchemaError(f"{path}: expected header {','.join(PREDICTION_COLUMNS)}, got {','.join(header)}")
+        for row_number, (_, label, _, _, _, point) in rows:
+            try:
+                probabilities.append(float(point))
+                labels.append(int(label))
+            except ValueError:
+                raise ParseError(f"{path}: row {row_number}: non-numeric label or point") from None
     return np.asarray(probabilities), np.asarray(labels)
 
 
@@ -428,11 +434,6 @@ def _aggregate(config: ExperimentConfig, outcomes: list[_FoldOutcome]) -> Aggreg
             )
         )
     return AggregateTable(rows=tuple(rows))
-
-
-def _run_fold(args):
-    config, dataset, split = args
-    return _fold_outcomes(config, dataset, split)
 
 
 def run_record(config: ExperimentConfig) -> dict:
@@ -502,9 +503,9 @@ def run_experiment(config: ExperimentConfig, progress=None) -> AggregateTable:
             calibration_fraction=config.calibration_fraction,
             seed=config.seed,
         )
-        tasks = [(config, dataset, s) for s in splits]
+        run_fold = partial(_fold_outcomes, config, dataset)
         with Pool(processes=config.jobs) if config.jobs > 1 else nullcontext() as pool:
-            fold_results = map(_run_fold, tasks) if pool is None else pool.imap(_run_fold, tasks)
+            fold_results = map(run_fold, splits) if pool is None else pool.imap(run_fold, splits)
             for done, fold_result in enumerate(fold_results, start=1):
                 outcomes.extend(fold_result)
                 if progress:
@@ -539,15 +540,10 @@ def run_experiment(config: ExperimentConfig, progress=None) -> AggregateTable:
             (out / "splits.json").unlink(missing_ok=True)
         (out / "aggregate.json").write_text(aggregate.to_json(), encoding="utf-8")
         (out / "table.txt").write_text(aggregate.to_text(), encoding="utf-8")
-        with (out / "aggregate.csv").open("w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(AGGREGATE_CSV_COLUMNS)
-            for r in aggregate.rows:
-                values = r.to_dict()
-                writer.writerow(
-                    "" if v is None else repr(v) if isinstance(v, float) else v
-                    for v in (values[c] for c in AGGREGATE_CSV_COLUMNS)
-                )
+        rows = [r.to_dict() for r in aggregate.rows]
+        write_columns(
+            out / "aggregate.csv", AGGREGATE_CSV_COLUMNS, [[row[c] for row in rows] for c in AGGREGATE_CSV_COLUMNS]
+        )
         (out / "run.json").write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     return aggregate
 
@@ -568,27 +564,15 @@ def calibrate_scores(score_table_path, calibrator_kind: str, output_path) -> int
     if calibrator_kind not in POST_HOC_CALIBRATORS:
         raise ValueError(f"unknown calibrator kind {calibrator_kind!r}")
     table = load_score_table(score_table_path)
-    folds = list(_score_table_calibrations(table, (calibrator_kind,)))
+    folds = [
+        (test_ids, np.full(test_ids.size, fold), test_scores, p0, p1, point)
+        for fold, _, test_ids, test_scores, _, (point, p0, p1) in _score_table_calibrations(table, (calibrator_kind,))
+    ]
+    columns = [np.concatenate(column) for column in zip(*folds)]
     output_path = Path(output_path)
     output_path.parent.mkdir(parents=True, exist_ok=True)
-    written = 0
-    with output_path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(CALIBRATED_SCORE_COLUMNS)
-        for fold, _, test_ids, test_scores, _, (point, p0, p1) in folds:
-            for i in range(test_ids.size):
-                writer.writerow(
-                    [
-                        int(test_ids[i]),
-                        fold,
-                        repr(float(test_scores[i])),
-                        repr(float(p0[i])),
-                        repr(float(p1[i])),
-                        repr(float(point[i])),
-                    ]
-                )
-            written += test_ids.size
-    return written
+    write_columns(output_path, CALIBRATED_SCORE_COLUMNS, columns)
+    return int(columns[0].size)
 
 
 def export_reliability(probabilities, labels, scope: str = "all", bins: int = 10, mode: str = "width"):
@@ -609,12 +593,8 @@ def write_reliability_csv(path, bins) -> None:
     """Write plot-ready bins; an empty file (header only) when bins is None."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(RELIABILITY_COLUMNS)
-        if bins is None:
-            return
-        for lo, hi, count, mop, foc in bins.rows():
-            writer.writerow(
-                [repr(lo), repr(hi), count, "" if count == 0 else repr(mop), "" if count == 0 else repr(foc)]
-            )
+    columns = [()] * len(RELIABILITY_COLUMNS)
+    if bins is not None:  # an empty bin's mop and foc are NaN, written as empty cells
+        edges = bins.bin_edges
+        columns = [edges[:-1], edges[1:], bins.counts, bins.mean_prediction, bins.fraction_positive]
+    write_columns(path, RELIABILITY_COLUMNS, columns)

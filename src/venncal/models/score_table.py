@@ -9,11 +9,12 @@ partition of that fold.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from venncal.data import read_rows
 
 __all__ = ["ScoreTable", "load_score_table", "SCORE_TABLE_COLUMNS"]
 
@@ -53,60 +54,48 @@ def load_score_table(path) -> ScoreTable:
     row named (1-based, excluding the header).
     """
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"score table not found: {path}")
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
+    rows = read_rows(path, "score table")
+    header = next(rows)
+    if tuple(header) != SCORE_TABLE_COLUMNS:
+        raise ValueError(
+            f"{path}: expected header {','.join(SCORE_TABLE_COLUMNS)}, got {','.join(header)}"
+        )
+    instance_ids = []
+    fold_ids = []
+    partitions = []
+    scores = []
+    labels = []
+    seen: set[tuple[int, int]] = set()
+    for row_number, row in rows:
+        raw_instance, raw_fold, partition, raw_score, raw_label = (v.strip() for v in row)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        if tuple(h.strip() for h in header) != SCORE_TABLE_COLUMNS:
+            instance = int(raw_instance)
+            fold = int(raw_fold)
+        except ValueError:
+            raise ValueError(f"{path}: row {row_number}: non-integer instance_id/fold_id") from None
+        if partition not in _PARTITIONS:
             raise ValueError(
-                f"{path}: expected header {','.join(SCORE_TABLE_COLUMNS)}, got {','.join(header)}"
+                f"{path}: row {row_number}: partition must be one of {_PARTITIONS}, got {partition!r}"
             )
-        instance_ids = []
-        fold_ids = []
-        partitions = []
-        scores = []
-        labels = []
-        seen: set[tuple[int, int]] = set()
-        for row_number, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if len(row) != 5:
-                raise ValueError(f"{path}: row {row_number}: expected 5 fields, got {len(row)}")
-            raw_instance, raw_fold, partition, raw_score, raw_label = (v.strip() for v in row)
-            try:
-                instance = int(raw_instance)
-                fold = int(raw_fold)
-            except ValueError:
-                raise ValueError(f"{path}: row {row_number}: non-integer instance_id/fold_id") from None
-            if partition not in _PARTITIONS:
-                raise ValueError(
-                    f"{path}: row {row_number}: partition must be one of {_PARTITIONS}, got {partition!r}"
-                )
-            try:
-                score = float(raw_score)
-            except ValueError:
-                raise ValueError(f"{path}: row {row_number}: non-numeric score {raw_score!r}") from None
-            if not (0.0 <= score <= 1.0):
-                raise ValueError(f"{path}: row {row_number}: score {score} outside [0, 1]")
-            if raw_label not in ("0", "1"):
-                raise ValueError(f"{path}: row {row_number}: label must be 0 or 1, got {raw_label!r}")
-            key = (instance, fold)
-            if key in seen:
-                raise ValueError(
-                    f"{path}: row {row_number}: duplicate (instance_id, fold_id) = {key}"
-                )
-            seen.add(key)
-            instance_ids.append(instance)
-            fold_ids.append(fold)
-            partitions.append(partition)
-            scores.append(score)
-            labels.append(int(raw_label))
-    if not instance_ids:
-        raise ValueError(f"{path}: no data rows")
+        try:
+            score = float(raw_score)
+        except ValueError:
+            raise ValueError(f"{path}: row {row_number}: non-numeric score {raw_score!r}") from None
+        if not (0.0 <= score <= 1.0):
+            raise ValueError(f"{path}: row {row_number}: score {score} outside [0, 1]")
+        if raw_label not in ("0", "1"):
+            raise ValueError(f"{path}: row {row_number}: label must be 0 or 1, got {raw_label!r}")
+        key = (instance, fold)
+        if key in seen:
+            raise ValueError(
+                f"{path}: row {row_number}: duplicate (instance_id, fold_id) = {key}"
+            )
+        seen.add(key)
+        instance_ids.append(instance)
+        fold_ids.append(fold)
+        partitions.append(partition)
+        scores.append(score)
+        labels.append(int(raw_label))
     table = ScoreTable(
         instance_id=np.asarray(instance_ids, dtype=np.int64),
         fold_id=np.asarray(fold_ids, dtype=np.int64),

@@ -19,6 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
+from venncal.data import AI4I_COLUMNS
+
 __all__ = ["REFERENCE_SEED", "generate_reference_rows", "write_reference_csv"]
 
 N_ROWS = 10_000
@@ -62,23 +64,6 @@ _RNF_PROB = 0.0005
 # published ones
 REFERENCE_SEED = 2044
 
-_COLUMNS = (
-    "UDI",
-    "Product ID",
-    "Type",
-    "Air temperature [K]",
-    "Process temperature [K]",
-    "Rotational speed [rpm]",
-    "Torque [Nm]",
-    "Tool wear [min]",
-    "Machine failure",
-    "TWF",
-    "HDF",
-    "PWF",
-    "OSF",
-    "RNF",
-)
-
 
 def _drift(rng: np.random.Generator, n: int) -> np.ndarray:
     """Random walk normalised per path to zero mean and unit spread."""
@@ -87,7 +72,7 @@ def _drift(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def generate_reference_rows(seed: int = REFERENCE_SEED, n_rows: int = N_ROWS) -> list[tuple]:
-    """Generate the dataset rows (header order matches _COLUMNS)."""
+    """Generate the dataset rows (in the column order of AI4I_COLUMNS)."""
     rng = np.random.default_rng(seed)
 
     quality = rng.choice(_QUALITY_LEVELS, size=n_rows, p=_QUALITY_PROBS)
@@ -177,6 +162,6 @@ def write_reference_csv(path, seed: int = REFERENCE_SEED, n_rows: int = N_ROWS) 
     rows = generate_reference_rows(seed=seed, n_rows=n_rows)
     with path.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(_COLUMNS)
+        writer.writerow(AI4I_COLUMNS)
         writer.writerows(rows)
     return path

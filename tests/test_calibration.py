@@ -409,6 +409,20 @@ def test_venn_abers_intervals_property_permutation(case, data):
         assert got.tobytes() == want[order].tobytes()
 
 
+@PROPERTY_SETTINGS
+@given(st.lists(st.tuples(st.one_of(GRID_SCORES, st.floats(0.0, 1.0)), st.integers(0, 1)), min_size=1, max_size=40))
+def test_pava_property_monotone_pooled_and_mass_preserving(points):
+    scores, labels = ([v for v, _ in points], [y for _, y in points])
+    fit = pava(scores, labels)
+    assert np.all(np.diff(fit.fitted_values) >= 0.0)
+    # exact ties pool into one breakpoint, weighted by the number of tied scores
+    distinct, counts = np.unique(scores, return_counts=True)
+    assert fit.breakpoints.tolist() == distinct.tolist()
+    assert fit.weights.tolist() == counts.tolist()
+    # each block's fitted value is its mean label, so the label mass is kept
+    assert float(np.dot(fit.weights, fit.fitted_values)) == pytest.approx(sum(labels), rel=1e-12, abs=1e-12)
+
+
 def test_venn_abers_rejects_bad_inputs():
     with pytest.raises(ValueError):
         VennAbersCalibrator([], [])

@@ -2,20 +2,27 @@
 
 from __future__ import annotations
 
+import json
+import re
+
 import numpy as np
 import pytest
 
 from venncal.data import (
-    AI4I_SCHEMA,
+    FEATURE_NAMES,
     Dataset,
     InfeasibleSplitError,
     ParseError,
     SchemaError,
     ValidationError,
     load_csv,
+    read_rows,
     repeated_stratified_kfold,
     splits_to_manifest,
+    write_columns,
+    write_split_manifest,
 )
+from venncal.models import load_score_table
 
 HEADER = (
     "UDI,Product ID,Type,Air temperature [K],Process temperature [K],"
@@ -59,7 +66,7 @@ def test_indicator_and_id_columns_dropped(tmp_path):
     assert ds.features.shape == (4, 6)
     assert "TWF" not in ds.feature_names
     assert "UDI" not in ds.feature_names
-    assert ds.feature_names == AI4I_SCHEMA.feature_names
+    assert ds.feature_names == FEATURE_NAMES
     assert ds.n_positive == 1
     assert ds.labels.tolist() == [0, 0, 1, 0]
 
@@ -111,6 +118,58 @@ def test_missing_file_raises(tmp_path):
         load_csv(tmp_path / "nope.csv")
 
 
+def test_short_row_names_file_and_row(tmp_path):
+    path = write_csv(tmp_path, make_rows(2) + ["3,L3,L,300.1,310.2,1500"])
+    with pytest.raises(ParseError, match=re.escape(f"{path}: row 3: expected 14 fields, got 6")):
+        load_csv(path)
+    table = tmp_path / "scores.csv"
+    table.write_text("instance_id,fold_id,partition,score,label\n1,0,test,0.5,1\n\n2,0,test\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=re.escape(f"{table}: row 3: expected 5 fields, got 3")):
+        load_score_table(table)
+
+
+def test_repeated_column_named(tmp_path):
+    header = HEADER + ",Torque [Nm]"
+    rows = [row + ",40.5" for row in make_rows(2)]
+    with pytest.raises(SchemaError, match=re.escape("column 'Torque [Nm]' appears more than once")):
+        load_csv(write_csv(tmp_path, rows, header=header))
+
+
+def test_empty_file_and_header_only_rejected(tmp_path):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("", encoding="utf-8")
+    header_only = tmp_path / "scores.csv"
+    header_only.write_text("instance_id,fold_id,partition,score,label\n\n", encoding="utf-8")
+    for load in (load_csv, load_score_table):
+        with pytest.raises(SchemaError, match="empty file"):
+            load(empty)
+    with pytest.raises(ValidationError, match="no data rows"):
+        load_csv(write_csv(tmp_path, []))
+    with pytest.raises(ValidationError, match="no data rows"):
+        load_score_table(header_only)
+
+
+def test_read_rows_skips_blank_rows_and_numbers_the_rest(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text(" a , b\n1,2\n\n 3 ,4\n", encoding="utf-8")
+    rows = list(read_rows(path))
+    assert rows == [["a", "b"], (1, ["1", "2"]), (3, [" 3 ", "4"])]
+    with pytest.raises(FileNotFoundError, match="table not found"):
+        next(read_rows(tmp_path / "nope.csv", "table"))
+
+
+def test_write_columns_formats_cells(tmp_path):
+    path = tmp_path / "out.csv"
+    write_columns(
+        path,
+        ("id", "x", "y", "name"),
+        (np.array([1, 2]), np.array([0.1, np.nan]), [None, 1 / 3], ["a", "b"]),
+    )
+    assert path.read_bytes() == b"id,x,y,name\r\n1,0.1,,a\r\n2,,0.3333333333333333,b\r\n"
+    with pytest.raises(ValueError, match="differ in length"):
+        write_columns(path, ("a", "b"), ([1, 2], [3]))
+
+
 # ---------------------------------------------------------------------------
 # splits
 # ---------------------------------------------------------------------------
@@ -122,7 +181,7 @@ def toy_dataset(n=120, n_pos=24):
     return Dataset(
         features=rng.random((n, 6)),
         labels=labels,
-        feature_names=AI4I_SCHEMA.feature_names,
+        feature_names=FEATURE_NAMES,
     )
 
 
@@ -158,7 +217,7 @@ def test_balanced_four_instance_dataset():
     ds = Dataset(
         features=np.arange(24, dtype=float).reshape(4, 6),
         labels=np.array([0, 1, 0, 1]),
-        feature_names=AI4I_SCHEMA.feature_names,
+        feature_names=FEATURE_NAMES,
     )
     splits = repeated_stratified_kfold(ds, k=2, repetitions=1, calibration_fraction=0.5, seed=0)
     for s in splits:
@@ -215,3 +274,11 @@ def test_manifest_roundtrip():
     assert len(manifest["folds"]) == 3
     fold = manifest["folds"][0]
     assert sorted(fold) == ["calibration_ids", "fold", "proper_train_ids", "repetition", "test_ids"]
+
+
+def test_split_manifest_file_matches_manifest(tmp_path):
+    path = tmp_path / "splits.json"
+    ds = toy_dataset()
+    for splits in ([], repeated_stratified_kfold(ds, k=3, repetitions=2, seed=9)):
+        write_split_manifest(path, splits)
+        assert path.read_text(encoding="utf-8") == json.dumps(splits_to_manifest(splits), sort_keys=True)

@@ -5,12 +5,14 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from venncal.cli import main as cli_main
+from venncal.data import ParseError
 from venncal.harness import (
     POST_HOC_CALIBRATORS,
     ExperimentConfig,
@@ -247,6 +249,10 @@ def test_config_validation():
     for fraction in (0.0, 1.0, 1.5, -0.2):
         with pytest.raises(ValueError, match=r"calibration_fraction must be in \(0, 1\)"):
             ExperimentConfig(dataset_path="x.csv", calibration_fraction=fraction)
+    # a path that is not a string fails here, not deep inside the run
+    for name in ("dataset_path", "score_table_path", "output_dir"):
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be str | None, got int 5")):
+            ExperimentConfig.from_dict({"dataset_path": "x.csv", name: 5})
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +462,21 @@ def test_reliability_roundtrip_from_run(tmp_path):
     with out.open() as handle:
         rows = list(csv.DictReader(handle))
     assert sum(int(r["count"]) for r in rows) == 320
+
+
+def test_load_fold_predictions_names_file_and_row(tmp_path):
+    config = small_config(tmp_path, models=("tree",), calibrators=("none",))
+    run_experiment(config)
+    path = Path(config.output_dir) / "folds" / "rep0_fold1_tree_none.csv"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join(lines[:3] + [lines[3][:5]]), encoding="utf-8")  # cut inside row 3
+    with pytest.raises(ParseError, match=re.escape(f"{path}: row 3: expected 6 fields, got ")):
+        load_fold_predictions(config.output_dir, "tree", "none")
+    label_cut = lines[2].split(",")
+    label_cut[1] = "x"
+    path.write_text("\n".join(lines[:2] + [",".join(label_cut)]), encoding="utf-8")
+    with pytest.raises(ParseError, match=re.escape(f"{path}: row 2: non-numeric label or point")):
+        load_fold_predictions(config.output_dir, "tree", "none")
 
 
 # ---------------------------------------------------------------------------

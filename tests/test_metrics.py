@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from venncal.metrics import (
     auc,
@@ -111,6 +113,19 @@ def test_auc_matches_brute_force():
         if y.min() == y.max():
             y[0] = 1 - y[0]
         assert abs(auc(p, y) - brute_force_auc(p, y)) <= 1e-12
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(
+    st.lists(
+        st.tuples(st.one_of(st.integers(0, 8).map(lambda i: i / 8), st.floats(0.0, 1.0)), st.integers(0, 1)),
+        min_size=2,
+        max_size=60,
+    ).filter(lambda points: len({y for _, y in points}) == 2)
+)
+def test_auc_property_equals_pair_counting(points):
+    p, y = [s for s, _ in points], [label for _, label in points]
+    assert auc(p, y) == brute_force_auc(p, y)
 
 
 # ---------------------------------------------------------------------------
