@@ -284,18 +284,8 @@ def repeated_stratified_kfold(
     class_members = [np.flatnonzero(y == value) for value in (0, 1)]
     splits = []
     for repetition in range(repetitions):
-        shuffled = [members[rng.permutation(members.size)] for members in class_members]
-        chunks: list[list[np.ndarray]] = []
-        for members in shuffled:
-            base = members.size // k
-            extra = members.size % k
-            out = []
-            cursor = 0
-            for fold in range(k):
-                size = base + (1 if fold < extra else 0)
-                out.append(members[cursor : cursor + size])
-                cursor += size
-            chunks.append(out)
+        # the first size % k chunks of a class hold one member more
+        chunks = [np.array_split(members[rng.permutation(members.size)], k) for members in class_members]
         for fold in range(k):
             test = np.sort(np.concatenate([chunks[0][fold], chunks[1][fold]]))
             calibration_parts = []

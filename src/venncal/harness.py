@@ -43,7 +43,7 @@ from venncal.data import (
     write_columns,
     write_split_manifest,
 )
-from venncal.metrics import EvaluationReport, evaluate, reliability_bins
+from venncal.metrics import EvaluationReport, evaluate, minority_bins, reliability_bins
 from venncal.models import ScoreTable, fit_forest, fit_logistic, fit_tree, load_score_table
 
 __all__ = [
@@ -111,10 +111,16 @@ class ExperimentConfig:
                     raise ValueError(f"unknown {field[:-1]} {name!r} (choose from {known})")
                 if name in names[:i]:
                     raise ValueError(f"{field} lists {name!r} more than once")
-        needs_data = any(m != "external-scores" for m in self.models)
-        if needs_data and not self.dataset_path:
+        paired = {model for model, _ in self.pairs()}
+        for model in self.models:
+            if model not in paired:
+                raise ValueError(
+                    f"model {model!r} pairs with none of the calibrators {tuple(self.calibrators)}"
+                    " (logistic runs with 'none' only)"
+                )
+        if self.reads_dataset and not self.dataset_path:
             raise ValueError("dataset_path is required for tree/forest/logistic models")
-        if "external-scores" in self.models and not self.score_table_path:
+        if self.reads_score_table and not self.score_table_path:
             raise ValueError("score_table_path is required for the external-scores model")
         if self.bin_mode not in ("width", "frequency"):
             raise ValueError("bin_mode must be 'width' or 'frequency'")
@@ -123,6 +129,27 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be >= 1")
         if not 0.0 < self.calibration_fraction < 1.0:
             raise ValueError("calibration_fraction must be in (0, 1)")
+
+    def pairs(self) -> tuple[tuple[str, str], ...]:
+        """The (model, calibrator) pairs that run, in aggregate-table order.
+
+        Logistic regression runs uncalibrated only: calibration would consume
+        the very split the paper's comparison baseline does not use.
+        """
+        return tuple(
+            (model, calibrator)
+            for model in self.models
+            for calibrator in self.calibrators
+            if model != "logistic" or calibrator == "none"
+        )
+
+    @property
+    def reads_dataset(self) -> bool:
+        return any(model != "external-scores" for model in self.models)
+
+    @property
+    def reads_score_table(self) -> bool:
+        return "external-scores" in self.models
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -271,50 +298,31 @@ def _fold_outcomes(config: ExperimentConfig, dataset: Dataset, split: FoldSplit)
     x, y = dataset.features, dataset.labels
     test_x, test_y = x[split.test_ids], y[split.test_ids]
     cal_x, cal_y = x[split.calibration_ids], y[split.calibration_ids]
-    train_ids = split.train_ids
-    proper_ids = split.proper_train_ids
-    post_hoc = [c for c in config.calibrators if c != "none"]
+
+    def fit(model_name, ids, role):
+        if model_name == "logistic":
+            return fit_logistic(x[ids], y[ids])
+        seed = _model_seed(config.seed, rep, fold, role)
+        if model_name == "tree":
+            return fit_tree(x[ids], y[ids], min_samples_leaf=config.tree_min_samples_leaf, seed=seed)
+        return fit_forest(x[ids], y[ids], n_trees=config.n_trees, seed=seed)
 
     outcomes = []
-    for model_name in config.models:
+    scores = {}  # role -> (calibration scores, test scores) of the model fitted for it
+    for model_name, kind in config.pairs():
         if model_name == "external-scores":
             continue  # handled outside the dataset fold loop
+        full = kind == "none"
+        role = f"{model_name}-{'full' if full else 'proper'}"
         try:
-            if model_name == "logistic":
-                def fit(ids, role):
-                    return fit_logistic(x[ids], y[ids])
-            elif model_name == "tree":
-                def fit(ids, role):
-                    return fit_tree(
-                        x[ids],
-                        y[ids],
-                        min_samples_leaf=config.tree_min_samples_leaf,
-                        seed=_model_seed(config.seed, rep, fold, role),
-                    )
-            else:
-                def fit(ids, role):
-                    return fit_forest(
-                        x[ids],
-                        y[ids],
-                        n_trees=config.n_trees,
-                        seed=_model_seed(config.seed, rep, fold, role),
-                    )
-
-            runs = []  # (calibrators, calibration scores, test scores) of each fitted model
-            if "none" in config.calibrators:
-                full_model = fit(train_ids, f"{model_name}-full")
-                runs.append((("none",), None, full_model.score_many(test_x)))
-            # logistic is evaluated uncalibrated only; calibration would consume
-            # the very split the paper's comparison baseline does not use
-            if post_hoc and model_name != "logistic":
-                proper_model = fit(proper_ids, f"{model_name}-proper")
-                runs.append((post_hoc, proper_model.score_many(cal_x), proper_model.score_many(test_x)))
-            for kinds, cal_scores, test_scores in runs:
-                for kind in kinds:
-                    calibrated = _calibrated(kind, cal_scores, cal_y, test_scores)
-                    outcomes.append(
-                        _outcome(config, rep, fold, model_name, kind, split.test_ids, test_y, test_scores, calibrated)
-                    )
+            if role not in scores:
+                model = fit(model_name, split.train_ids if full else split.proper_train_ids, role)
+                scores[role] = (None if full else model.score_many(cal_x), model.score_many(test_x))
+            cal_scores, test_scores = scores[role]
+            calibrated = _calibrated(kind, cal_scores, cal_y, test_scores)
+            outcomes.append(
+                _outcome(config, rep, fold, model_name, kind, split.test_ids, test_y, test_scores, calibrated)
+            )
         except Exception as err:
             raise RuntimeError(
                 f"repetition {rep} fold {fold} model {model_name}: {err}"
@@ -348,12 +356,12 @@ def _score_table_calibrations(table: ScoreTable, kinds):
 # artifacts
 # ---------------------------------------------------------------------------
 
-def _artifact_stem(outcome: _FoldOutcome) -> str:
-    return f"rep{outcome.repetition}_fold{outcome.fold}_{outcome.model}_{outcome.calibrator}"
+def _fold_stem(repetition, fold, model: str, calibrator: str) -> str:
+    return f"rep{repetition}_fold{fold}_{model}_{calibrator}"
 
 
 def _write_fold_artifacts(folds_dir: Path, outcome: _FoldOutcome) -> None:
-    stem = folds_dir / _artifact_stem(outcome)
+    stem = folds_dir / _fold_stem(outcome.repetition, outcome.fold, outcome.model, outcome.calibrator)
     payload = {
         "repetition": outcome.repetition,
         "fold": outcome.fold,
@@ -372,11 +380,16 @@ def _write_fold_artifacts(folds_dir: Path, outcome: _FoldOutcome) -> None:
 def load_fold_predictions(output_dir, model: str, calibrator: str):
     """Pool (probabilities, labels) over all fold prediction CSVs of a pair.
 
-    A file that is not a prediction CSV fails with the file, and the row
-    if one is at fault, named.
+    A name that is not a known model or calibrator is rejected before it
+    can reach the glob.  A file that is not a prediction CSV fails with the
+    file, and the row if one is at fault, named.
     """
+    if model not in KNOWN_MODELS:
+        raise ValueError(f"unknown model {model!r} (choose from {KNOWN_MODELS})")
+    if calibrator not in KNOWN_CALIBRATORS:
+        raise ValueError(f"unknown calibrator {calibrator!r} (choose from {KNOWN_CALIBRATORS})")
     folds_dir = Path(output_dir) / "folds"
-    paths = sorted(folds_dir.glob(f"rep*_fold*_{model}_{calibrator}.csv"))
+    paths = sorted(folds_dir.glob(_fold_stem("*", "*", model, calibrator) + ".csv"))
     if not paths:
         raise FileNotFoundError(f"no fold predictions for ({model}, {calibrator}) under {folds_dir}")
     probabilities = []
@@ -400,16 +413,8 @@ def load_fold_predictions(output_dir, model: str, calibrator: str):
 # ---------------------------------------------------------------------------
 
 def _aggregate(config: ExperimentConfig, outcomes: list[_FoldOutcome]) -> AggregateTable:
-    pairs: list[tuple[str, str]] = []
-    for model in config.models:
-        if model == "logistic":
-            if "none" in config.calibrators:
-                pairs.append((model, "none"))
-            continue
-        for cal in config.calibrators:
-            pairs.append((model, cal))
     rows = []
-    for model, cal in pairs:
+    for model, cal in config.pairs():
         cell = [o for o in outcomes if o.model == model and o.calibrator == cal]
         if not cell:
             raise RuntimeError(f"no fold results for configured pair ({model}, {cal})")
@@ -464,17 +469,14 @@ def run_record(config: ExperimentConfig) -> dict:
         source.update(data)
     settings = {f.name: getattr(config, f.name) for f in fields(config)}
     del settings["jobs"], settings["output_dir"]
-    reads_dataset = any(m != "external-scores" for m in config.models)
     return {
         "config": {name: list(v) if isinstance(v, tuple) else v for name, v in settings.items()},
         "venncal_version": __version__,
         "numpy_version": np.__version__,
         "python_version": platform.python_version(),
         "source_sha256": source.hexdigest(),
-        "dataset_sha256": file_sha256(config.dataset_path) if reads_dataset else None,
-        "score_table_sha256": (
-            file_sha256(config.score_table_path) if "external-scores" in config.models else None
-        ),
+        "dataset_sha256": file_sha256(config.dataset_path) if config.reads_dataset else None,
+        "score_table_sha256": file_sha256(config.score_table_path) if config.reads_score_table else None,
     }
 
 
@@ -487,9 +489,8 @@ def run_experiment(config: ExperimentConfig, progress=None) -> AggregateTable:
     Fold-level errors abort the run with the fold named; identical config
     and seed produce byte-identical artifacts regardless of the jobs count.
     """
-    needs_data = any(m != "external-scores" for m in config.models)
-    dataset = load_csv(config.dataset_path) if needs_data else None
-    table = load_score_table(config.score_table_path) if "external-scores" in config.models else None
+    dataset = load_csv(config.dataset_path) if config.reads_dataset else None
+    table = load_score_table(config.score_table_path) if config.reads_score_table else None
     # taken once the inputs loaded and before the folds run, so a source file
     # edited meanwhile is not vouched for
     record = run_record(config) if config.output_dir else None
@@ -511,8 +512,9 @@ def run_experiment(config: ExperimentConfig, progress=None) -> AggregateTable:
                 if progress:
                     progress(done, len(splits))
     if table is not None:
+        kinds = [cal for model, cal in config.pairs() if model == "external-scores"]
         try:
-            for fold, kind, ids, scores, labels, calibrated in _score_table_calibrations(table, config.calibrators):
+            for fold, kind, ids, scores, labels, calibrated in _score_table_calibrations(table, kinds):
                 try:
                     outcomes.append(_outcome(config, 0, fold, "external-scores", kind, ids, labels, scores, calibrated))
                 except Exception as err:
@@ -579,14 +581,8 @@ def export_reliability(probabilities, labels, scope: str = "all", bins: int = 10
     """Reliability bins for the requested scope; None if the scope is empty."""
     if scope not in ("all", "minority"):
         raise ValueError("scope must be 'all' or 'minority'")
-    p = np.asarray(probabilities, dtype=np.float64)
-    y = np.asarray(labels)
-    if scope == "minority":
-        keep = p >= 0.5
-        if not np.any(keep):
-            return None
-        p, y = p[keep], y[keep]
-    return reliability_bins(p, y, m=bins, mode=mode)
+    binning = minority_bins if scope == "minority" else reliability_bins
+    return binning(probabilities, labels, m=bins, mode=mode)
 
 
 def write_reliability_csv(path, bins) -> None:

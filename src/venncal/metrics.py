@@ -22,6 +22,7 @@ __all__ = [
     "ece",
     "ece_minority",
     "evaluate",
+    "minority_bins",
     "reliability_bins",
 ]
 
@@ -184,13 +185,19 @@ def ece(bins: ReliabilityBins) -> float:
     return float(np.dot(bins.counts[occupied], gaps) / n)
 
 
-def ece_minority(probabilities, labels, m: int = 10, mode: str = "width") -> float | None:
-    """ECE over the positive predictions only (p >= 0.5); None if there are none."""
+def minority_bins(probabilities, labels, m: int = 10, mode: str = "width") -> ReliabilityBins | None:
+    """Reliability bins of the positive predictions only (p >= 0.5); None if there are none."""
     p, y = _check_inputs(probabilities, labels)
     keep = p >= DECISION_THRESHOLD
     if not np.any(keep):
         return None
-    return ece(reliability_bins(p[keep], y[keep], m=m, mode=mode))
+    return reliability_bins(p[keep], y[keep], m=m, mode=mode)
+
+
+def ece_minority(probabilities, labels, m: int = 10, mode: str = "width") -> float | None:
+    """ECE over the positive predictions only (p >= 0.5); None if there are none."""
+    bins = minority_bins(probabilities, labels, m=m, mode=mode)
+    return None if bins is None else ece(bins)
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +240,7 @@ def evaluate(probabilities, labels, m: int = 10, mode: str = "width") -> Evaluat
     p, y = _check_inputs(probabilities, labels)
     cls = classification_metrics(p, y)
     bins_all = reliability_bins(p, y, m=m, mode=mode)
-    keep = p >= DECISION_THRESHOLD
-    bins_minority = reliability_bins(p[keep], y[keep], m=m, mode=mode) if np.any(keep) else None
+    bins_minority = minority_bins(p, y, m=m, mode=mode)
     return EvaluationReport(
         n_instances=int(p.size),
         accuracy=cls.accuracy,

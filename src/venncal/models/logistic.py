@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from venncal.models.tree import _validate_training_data
+
 __all__ = ["LogisticRegressionModel", "fit_logistic"]
 
 _P_FLOOR = np.nextafter(0.0, 1.0)
@@ -79,18 +81,7 @@ def fit_logistic(
     `max_iterations` steps; on (quasi-)separable data the bias and weights
     simply stop growing at the cap.
     """
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
-    y = np.asarray(labels, dtype=np.float64)
-    if x.ndim != 2 or y.ndim != 1 or y.size != x.shape[0]:
-        raise ValueError("features must be (n, d) with one label per row")
-    if x.shape[0] == 0:
-        raise ValueError("cannot fit on empty input")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("features contain non-finite values")
-    if not np.all((y == 0.0) | (y == 1.0)):
-        raise ValueError("labels must be 0 or 1")
+    x, y = _validate_training_data(features, labels)
 
     mean = x.mean(axis=0)
     std = x.std(axis=0)

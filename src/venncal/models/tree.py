@@ -66,13 +66,15 @@ class DecisionTreeModel:
     def leaf_score(self, node: int) -> float:
         return float(self.n_positive[node] / self.n_samples[node])
 
-    def depth(self) -> int:
+    def node_depths(self) -> np.ndarray:
+        """Depth of every node, for a tree whose parents come before their children."""
         depths = np.zeros(self.n_nodes, dtype=np.int64)
-        for node in range(self.n_nodes):
-            if self.feature_index[node] != _NO_FEATURE:
-                for child in (self.left_child[node], self.right_child[node]):
-                    depths[child] = depths[node] + 1
-        return int(depths.max(initial=0))
+        for node in np.flatnonzero(self.feature_index != _NO_FEATURE):
+            depths[self.left_child[node]] = depths[self.right_child[node]] = depths[node] + 1
+        return depths
+
+    def depth(self) -> int:
+        return int(self.node_depths().max(initial=0))
 
     def apply(self, features) -> np.ndarray:
         """Leaf index for every row of a feature matrix."""

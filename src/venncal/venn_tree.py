@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from venncal.calibration import VennAbersCalibrator
+from venncal.metrics import DECISION_THRESHOLD
 from venncal.models.tree import DecisionTreeModel
 
 __all__ = [
@@ -61,40 +62,22 @@ class VennTree:
 
 
 def _collapse_to_depth(tree: DecisionTreeModel, max_depth: int) -> DecisionTreeModel:
-    """Copy of the tree with every node at max_depth turned into a leaf."""
-    feature = []
-    threshold = []
-    left = []
-    right = []
-    n_samples = []
-    n_positive = []
-    # preorder walk; children indices patched as nodes are emitted
-    stack = [(0, 0, -1, False)]
-    while stack:
-        old, depth, parent, is_right = stack.pop()
-        new = len(feature)
-        keep_split = tree.feature_index[old] >= 0 and depth < max_depth
-        feature.append(int(tree.feature_index[old]) if keep_split else -1)
-        threshold.append(float(tree.threshold[old]) if keep_split else float("nan"))
-        left.append(-1)
-        right.append(-1)
-        n_samples.append(int(tree.n_samples[old]))
-        n_positive.append(int(tree.n_positive[old]))
-        if parent >= 0:
-            if is_right:
-                right[parent] = new
-            else:
-                left[parent] = new
-        if keep_split:
-            stack.append((int(tree.right_child[old]), depth + 1, new, True))
-            stack.append((int(tree.left_child[old]), depth + 1, new, False))
+    """Copy of the tree with every node at max_depth turned into a leaf.
+
+    The nodes no deeper than max_depth keep their order, so a tree in
+    preorder stays in preorder.
+    """
+    depths = tree.node_depths()
+    keep = depths <= max_depth
+    renumbered = np.cumsum(keep) - 1
+    split = ((tree.feature_index >= 0) & (depths < max_depth))[keep]
     return DecisionTreeModel(
-        feature_index=np.asarray(feature, dtype=np.int64),
-        threshold=np.asarray(threshold, dtype=np.float64),
-        left_child=np.asarray(left, dtype=np.int64),
-        right_child=np.asarray(right, dtype=np.int64),
-        n_samples=np.asarray(n_samples, dtype=np.int64),
-        n_positive=np.asarray(n_positive, dtype=np.int64),
+        feature_index=np.where(split, tree.feature_index[keep], -1),
+        threshold=np.where(split, tree.threshold[keep], np.nan),
+        left_child=np.where(split, renumbered[tree.left_child[keep]], -1),
+        right_child=np.where(split, renumbered[tree.right_child[keep]], -1),
+        n_samples=tree.n_samples[keep],
+        n_positive=tree.n_positive[keep],
         n_features=tree.n_features,
         max_depth=max_depth,
         min_samples_leaf=tree.min_samples_leaf,
@@ -150,7 +133,7 @@ def build_venn_tree(
             p0=lo,
             p1=hi,
             point=pt,
-            predicted_class=1 if pt >= 0.5 else 0,
+            predicted_class=1 if pt >= DECISION_THRESHOLD else 0,
             n_train=int(display.n_samples[node]),
             n_calibration=n_cal,
         )

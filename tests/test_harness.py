@@ -4,13 +4,17 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import importlib.util
 import json
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import venncal
+from venncal import harness
 from venncal.cli import main as cli_main
 from venncal.data import ParseError
 from venncal.harness import (
@@ -23,6 +27,7 @@ from venncal.harness import (
     run_record,
     write_reliability_csv,
 )
+from venncal.metrics import minority_bins
 
 HEADER = (
     "UDI,Product ID,Type,Air temperature [K],Process temperature [K],"
@@ -223,6 +228,10 @@ def test_config_validation():
         ExperimentConfig(dataset_path="x.csv", models=("tree", "forest", "tree"))
     with pytest.raises(ValueError, match="calibrators lists 'venn-abers' more than once"):
         ExperimentConfig(dataset_path="x.csv", calibrators=("none", "venn-abers", "venn-abers"))
+    # logistic runs uncalibrated only, so without "none" it would fit nothing
+    for models, calibrators in ((("logistic",), ("platt",)), (("logistic", "tree"), ("venn-abers",))):
+        with pytest.raises(ValueError, match="model 'logistic' pairs with none of the calibrators"):
+            ExperimentConfig(dataset_path="x.csv", models=models, calibrators=calibrators)
     with pytest.raises(ValueError, match="dataset_path"):
         ExperimentConfig(models=("tree",))
     with pytest.raises(ValueError, match="score_table_path"):
@@ -431,6 +440,36 @@ def test_score_table_errors_name_fold_in_both_entry_points(tmp_path):
         experiment(table, ("none", "isotonic"))
 
 
+def test_bench_tracer_records_every_harness_binding(tmp_path, monkeypatch):
+    """bench/tracing.py rebinds venncal.harness globals to trace a run's layers.
+
+    A harness that captured a fitter or calibrator at import time would slip
+    past the rebinding, and its layer would silently read zero in a trace.
+    """
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclasses look their module up
+    spec.loader.exec_module(tracing)
+    rng = np.random.default_rng(2)
+    folds = {
+        fold: {part: [(float(s), int(rng.random() < s)) for s in rng.random(40)] for part in ("calibration", "test")}
+        for fold in range(2)
+    }
+    table_path = write_score_table(tmp_path / "scores.csv", folds)
+    config = small_config(
+        tmp_path, models=("tree", "forest", "logistic", "external-scores"), score_table_path=str(table_path)
+    )
+    tracer = tracing.Tracer()
+    tracer.instrument(venncal, harness)
+    try:
+        run_experiment(config)
+    finally:
+        tracer.restore()
+    recorded = {span.name for span in tracer.spans}
+    assert set(tracing.HARNESS_BINDINGS.values()) - recorded == set()
+
+
 # ---------------------------------------------------------------------------
 # reliability export
 # ---------------------------------------------------------------------------
@@ -442,7 +481,11 @@ def test_export_reliability_scopes(tmp_path):
     assert bins_all.n_instances == 4
     bins_minority = export_reliability(p, y, scope="minority")
     assert bins_minority.n_instances == 2
+    direct = minority_bins(p, y)
+    for name in ("bin_edges", "counts", "mean_prediction", "fraction_positive"):
+        assert np.array_equal(getattr(bins_minority, name), getattr(direct, name), equal_nan=True)
     assert export_reliability(np.array([0.1, 0.2]), np.array([0, 1]), scope="minority") is None
+    assert minority_bins(np.array([0.1, 0.2]), np.array([0, 1])) is None
 
 
 def test_write_reliability_csv_empty_has_header_only(tmp_path):
@@ -456,6 +499,10 @@ def test_reliability_roundtrip_from_run(tmp_path):
     run_experiment(config)
     p, y = load_fold_predictions(config.output_dir, "forest", "venn-abers")
     assert p.size == 320  # both folds pooled
+    # a glob pattern is no name: it would pool the folds of several pairs
+    for model, calibrator in (("*", "none"), ("forest", "?one"), ("[tf]*", "venn-abers")):
+        with pytest.raises(ValueError, match="unknown (model|calibrator)"):
+            load_fold_predictions(config.output_dir, model, calibrator)
     bins = export_reliability(p, y, scope="all")
     out = tmp_path / "bins.csv"
     write_reliability_csv(out, bins)
@@ -574,6 +621,11 @@ def test_cli_experiment_and_reliability(tmp_path, capsys):
     )
     assert rc == 0
     assert (tmp_path / "rel.csv").exists()
+    capsys.readouterr()
+    argv = ["reliability", "--run-dir", str(run_dir), "--model", "*", "--calibrator", "none"]
+    assert cli_main([*argv, "--out", str(tmp_path / "all.csv")]) == 1
+    assert "unknown model '*'" in capsys.readouterr().err
+    assert not (tmp_path / "all.csv").exists()
 
 
 def test_cli_config_file_with_flag_override(tmp_path, capsys):

@@ -13,6 +13,7 @@ from venncal.metrics import (
     ece,
     ece_minority,
     evaluate,
+    minority_bins,
     reliability_bins,
 )
 
@@ -215,14 +216,20 @@ def test_ece_permutation_invariant_and_bounded():
 
 def test_ece_minority_worked_example():
     assert ece_minority([0.95, 0.95, 0.3], [1, 0, 0]) == pytest.approx(0.45, abs=1e-12)
+    bins = minority_bins([0.95, 0.95, 0.3], [1, 0, 0])
+    assert bins.n_instances == 2
+    assert ece(bins) == ece_minority([0.95, 0.95, 0.3], [1, 0, 0])
 
 
 def test_ece_minority_absent_when_no_positive_predictions():
     assert ece_minority([0.4, 0.2], [1, 0]) is None
+    assert minority_bins([0.4, 0.2], [1, 0]) is None
 
 
 def test_ece_minority_perfectly_calibrated_subset():
     assert ece_minority([1.0, 1.0, 0.2], [1, 1, 1]) == 0.0
+    # the cut is p >= 0.5, so a prediction of exactly 0.5 is in it
+    assert minority_bins([0.5, 1.0, 0.2], [1, 1, 1]).n_instances == 2
 
 
 def test_minority_foc_equals_fraction_correct():
