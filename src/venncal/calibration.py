@@ -163,6 +163,10 @@ class PlattFit:
     target_negative: float
 
 
+_PLATT_MAX_ITERATIONS = 10_000
+_PLATT_TOLERANCE = 1e-8
+
+
 def _platt_loss_and_grad(s, t, slope, intercept):
     z = slope * s + intercept
     # p = 1 / (1 + e^z); log p = -log(1 + e^z); log(1 - p) = z + log p
@@ -182,12 +186,12 @@ def _platt_loss_and_grad(s, t, slope, intercept):
     return loss, grad, hess
 
 
-def fit_platt(scores, labels, tolerance: float = 1e-8, max_iterations: int = 10000) -> PlattFit:
+def fit_platt(scores, labels) -> PlattFit:
     """Fit the sigmoid by minimising cross-entropy against smoothed targets.
 
     Damped Newton iteration: the 2x2 Hessian is regularised and the step
     halved until the loss does not increase.  Stops when the gradient norm
-    falls to `tolerance` or after `max_iterations` steps.
+    falls to 1e-8 or after 10 000 steps.
 
     Raises ValueError when only one class is present (the smoothed targets
     degenerate).
@@ -205,8 +209,8 @@ def fit_platt(scores, labels, tolerance: float = 1e-8, max_iterations: int = 100
     intercept = math.log((n_neg + 1.0) / (n_pos + 1.0))
     loss, grad, hess = _platt_loss_and_grad(s, t, slope, intercept)
     damping = 1e-12
-    for _ in range(max_iterations):
-        if math.hypot(grad[0], grad[1]) <= tolerance:
+    for _ in range(_PLATT_MAX_ITERATIONS):
+        if math.hypot(grad[0], grad[1]) <= _PLATT_TOLERANCE:
             break
         h = hess + damping * np.eye(2)
         try:

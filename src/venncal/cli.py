@@ -33,7 +33,7 @@ from venncal.harness import (
 )
 from venncal.models import fit_tree
 from venncal.synthetic import REFERENCE_SEED, write_reference_csv
-from venncal.venn_tree import build_venn_tree, extract_rules, format_rules, render_tree
+from venncal.venn_tree import CLASS_NAMES, build_venn_tree, extract_rules, format_rules, render_tree
 
 import numpy as np
 
@@ -124,7 +124,7 @@ def _run_venn_tree(args) -> int:
             a = vt.leaves[node]
             handle.write(
                 f"{a.node},{a.n_train},{a.n_calibration},{a.raw_score!r},"
-                f"{a.p0!r},{a.p1!r},{a.point!r},{vt.class_names[a.predicted_class]}\n"
+                f"{a.p0!r},{a.p1!r},{a.point!r},{CLASS_NAMES[a.predicted_class]}\n"
             )
     print(f"wrote {len(rules)} rules, tree.dot and leaves.csv to {out}")
     return 0

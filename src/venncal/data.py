@@ -241,6 +241,8 @@ def stratified_holdout(labels, fraction: float, rng: np.random.Generator):
     The held-out part receives round(fraction * class size) members of each
     class; used for the calibration split inside each fold.
     """
+    if not (0.0 < fraction < 1.0):
+        raise InfeasibleSplitError("calibration_fraction must be in (0, 1)")
     y = np.asarray(labels)
     held = []
     rest = []

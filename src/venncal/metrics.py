@@ -9,7 +9,7 @@ same error restricted to instances predicted positive (p >= 0.5).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -55,10 +55,10 @@ class ClassificationMetrics:
     positive_prediction_count: int
 
 
-def classification_metrics(probabilities, labels, threshold: float = DECISION_THRESHOLD) -> ClassificationMetrics:
-    """Confusion-matrix metrics with predict-positive iff p >= threshold."""
+def classification_metrics(probabilities, labels) -> ClassificationMetrics:
+    """Confusion-matrix metrics with predict-positive iff p >= 0.5."""
     p, y = _check_inputs(probabilities, labels)
-    pred = p >= threshold
+    pred = p >= DECISION_THRESHOLD
     pos = y == 1.0
     tp = int(np.sum(pred & pos))
     fp = int(np.sum(pred & ~pos))
@@ -216,20 +216,9 @@ class EvaluationReport:
     positive_prediction_count: int
     ece: float
     ece1: float | None
-    reliability_all: ReliabilityBins
-    reliability_minority: ReliabilityBins | None
 
     def to_dict(self) -> dict:
-        return {
-            "n_instances": self.n_instances,
-            "accuracy": self.accuracy,
-            "auc": self.auc,
-            "precision": self.precision,
-            "recall": self.recall,
-            "positive_prediction_count": self.positive_prediction_count,
-            "ece": self.ece,
-            "ece1": self.ece1,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -239,7 +228,6 @@ def evaluate(probabilities, labels, m: int = 10, mode: str = "width") -> Evaluat
     """Compute the full report for one prediction set."""
     p, y = _check_inputs(probabilities, labels)
     cls = classification_metrics(p, y)
-    bins_all = reliability_bins(p, y, m=m, mode=mode)
     bins_minority = minority_bins(p, y, m=m, mode=mode)
     return EvaluationReport(
         n_instances=int(p.size),
@@ -248,8 +236,6 @@ def evaluate(probabilities, labels, m: int = 10, mode: str = "width") -> Evaluat
         precision=cls.precision,
         recall=cls.recall,
         positive_prediction_count=cls.positive_prediction_count,
-        ece=ece(bins_all),
+        ece=ece(reliability_bins(p, y, m=m, mode=mode)),
         ece1=ece(bins_minority) if bins_minority is not None else None,
-        reliability_all=bins_all,
-        reliability_minority=bins_minority,
     )

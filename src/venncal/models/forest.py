@@ -23,14 +23,13 @@ __all__ = ["RandomForestModel", "fit_forest"]
 @dataclass
 class RandomForestModel:
     trees: list[DecisionTreeModel]
-    n_trees: int
     max_features: int
     bootstrap: bool
     seed: int
 
     @property
-    def n_features(self) -> int:
-        return self.trees[0].n_features
+    def n_trees(self) -> int:
+        return len(self.trees)
 
     def score_many(self, features) -> np.ndarray:
         x = np.asarray(features, dtype=np.float64)
@@ -38,12 +37,6 @@ class RandomForestModel:
         for tree in self.trees:
             total += tree.score_many(x)
         return total / self.n_trees
-
-    def score(self, x) -> float:
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 1 or x.size != self.n_features:
-            raise ValueError(f"expected a feature vector of length {self.n_features}, got shape {x.shape}")
-        return float(self.score_many(x[None, :])[0])
 
     def to_dict(self) -> dict:
         return {
@@ -54,16 +47,6 @@ class RandomForestModel:
             "seed": self.seed,
             "trees": [tree.to_dict() for tree in self.trees],
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RandomForestModel":
-        return cls(
-            trees=[DecisionTreeModel.from_dict(t) for t in data["trees"]],
-            n_trees=int(data["n_trees"]),
-            max_features=int(data["max_features"]),
-            bootstrap=bool(data["bootstrap"]),
-            seed=int(data["seed"]),
-        )
 
 
 def fit_forest(
@@ -106,7 +89,6 @@ def fit_forest(
     )
     return RandomForestModel(
         trees=trees,
-        n_trees=n_trees,
         max_features=max_features,
         bootstrap=bootstrap,
         seed=seed,

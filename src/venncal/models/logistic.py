@@ -15,6 +15,8 @@ from venncal.models.tree import _validate_training_data
 
 __all__ = ["LogisticRegressionModel", "fit_logistic"]
 
+_MAX_ITERATIONS = 500
+_TOLERANCE = 1e-8
 _P_FLOOR = np.nextafter(0.0, 1.0)
 _P_CEIL = np.nextafter(1.0, 0.0)
 
@@ -27,8 +29,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 class LogisticRegressionModel:
     weights: np.ndarray  # one per feature, original scale
     bias: float
-    max_iterations: int
-    tolerance: float
     converged: bool
 
     @property
@@ -42,44 +42,13 @@ class LogisticRegressionModel:
         p = _sigmoid(x @ self.weights + self.bias)
         return np.clip(p, _P_FLOOR, _P_CEIL)  # keep scores strictly inside (0, 1)
 
-    def score(self, x) -> float:
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 1 or x.size != self.n_features:
-            raise ValueError(f"expected a feature vector of length {self.n_features}, got shape {x.shape}")
-        return float(self.score_many(x[None, :])[0])
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "logistic_regression",
-            "weights": self.weights.tolist(),
-            "bias": self.bias,
-            "max_iterations": self.max_iterations,
-            "tolerance": self.tolerance,
-            "converged": self.converged,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "LogisticRegressionModel":
-        return cls(
-            weights=np.asarray(data["weights"], dtype=np.float64),
-            bias=float(data["bias"]),
-            max_iterations=int(data["max_iterations"]),
-            tolerance=float(data["tolerance"]),
-            converged=bool(data["converged"]),
-        )
-
-
-def fit_logistic(
-    features,
-    labels,
-    max_iterations: int = 500,
-    tolerance: float = 1e-8,
-) -> LogisticRegressionModel:
+def fit_logistic(features, labels) -> LogisticRegressionModel:
     """Fit by Newton ascent of the binomial log-likelihood.
 
-    Stops when the gradient infinity-norm drops to `tolerance` or after
-    `max_iterations` steps; on (quasi-)separable data the bias and weights
-    simply stop growing at the cap.
+    Stops when the gradient infinity-norm drops to 1e-8 or after 500
+    steps; on (quasi-)separable data the bias and weights simply stop
+    growing at the cap.
     """
     x, y = _validate_training_data(features, labels)
 
@@ -93,10 +62,10 @@ def fit_logistic(
 
     beta = np.zeros(design.shape[1])
     converged = False
-    for _ in range(max_iterations):
+    for _ in range(_MAX_ITERATIONS):
         p = _sigmoid(design @ beta)
         grad = design.T @ (y - p)
-        if np.max(np.abs(grad)) <= tolerance:
+        if np.max(np.abs(grad)) <= _TOLERANCE:
             converged = True
             break
         w = np.clip(p * (1.0 - p), 1e-12, None)
@@ -116,7 +85,5 @@ def fit_logistic(
     return LogisticRegressionModel(
         weights=weights,
         bias=bias,
-        max_iterations=max_iterations,
-        tolerance=tolerance,
         converged=converged,
     )

@@ -59,15 +59,11 @@ class DecisionTreeModel:
     def n_nodes(self) -> int:
         return int(self.feature_index.size)
 
-    @property
-    def n_leaves(self) -> int:
-        return int(np.sum(self.feature_index == _NO_FEATURE))
-
     def leaf_score(self, node: int) -> float:
         return float(self.n_positive[node] / self.n_samples[node])
 
     def node_depths(self) -> np.ndarray:
-        """Depth of every node, for a tree whose parents come before their children."""
+        """Depth of every node; parents come before their children in every tree."""
         depths = np.zeros(self.n_nodes, dtype=np.int64)
         for node in np.flatnonzero(self.feature_index != _NO_FEATURE):
             depths[self.left_child[node]] = depths[self.right_child[node]] = depths[node] + 1
@@ -95,12 +91,6 @@ class DecisionTreeModel:
         leaves = self.apply(features)
         return self.n_positive[leaves] / self.n_samples[leaves]
 
-    def score(self, x) -> float:
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 1 or x.size != self.n_features:
-            raise ValueError(f"expected a feature vector of length {self.n_features}, got shape {x.shape}")
-        return float(self.score_many(x[None, :])[0])
-
     def to_dict(self) -> dict:
         return {
             "kind": "decision_tree",
@@ -119,7 +109,8 @@ class DecisionTreeModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DecisionTreeModel":
-        return cls(
+        """Load a tree written by ``to_dict``; raises ValueError naming the first bad node."""
+        tree = cls(
             feature_index=np.asarray(data["feature_index"], dtype=np.int64),
             threshold=np.asarray(
                 [np.nan if t is None else t for t in data["threshold"]], dtype=np.float64
@@ -134,6 +125,38 @@ class DecisionTreeModel:
             min_samples_split=int(data["min_samples_split"]),
             seed=int(data["seed"]),
         )
+        tree._check_nodes()
+        return tree
+
+    def _check_nodes(self) -> None:
+        """Every split's children lie after it, and every node but the root has one parent.
+
+        Together these make the node arrays a tree whose parents come before
+        their children, which ``node_depths`` and ``apply`` rely on.
+        """
+        n = self.n_nodes
+        arrays = (self.feature_index, self.threshold, self.left_child,
+                  self.right_child, self.n_samples, self.n_positive)
+        if n == 0 or {a.shape for a in arrays} != {(n,)}:
+            shapes = [a.shape for a in arrays]
+            raise ValueError(f"node arrays must be non-empty and of one length, got shapes {shapes}")
+        split = np.flatnonzero(self.feature_index != _NO_FEATURE)
+        bad = split[(self.feature_index[split] < 0) | (self.feature_index[split] >= self.n_features)]
+        if bad.size:
+            node = int(bad[0])
+            raise ValueError(
+                f"node {node}: split feature {self.feature_index[node]} is not in [0, {self.n_features})"
+            )
+        for side, child in (("left", self.left_child), ("right", self.right_child)):
+            bad = split[(child[split] <= split) | (child[split] >= n)]
+            if bad.size:
+                node = int(bad[0])
+                raise ValueError(f"node {node}: {side} child {child[node]} must lie after it and below {n}")
+        parents = np.bincount(np.concatenate([self.left_child[split], self.right_child[split]]), minlength=n)
+        bad = np.flatnonzero(parents[1:] != 1) + 1
+        if bad.size:
+            node = int(bad[0])
+            raise ValueError(f"node {node} is a child of {parents[node]} split nodes, not of one")
 
 
 def _validate_training_data(features, labels):

@@ -18,6 +18,7 @@ from venncal.metrics import DECISION_THRESHOLD
 from venncal.models.tree import DecisionTreeModel
 
 __all__ = [
+    "CLASS_NAMES",
     "Condition",
     "LeafAnnotation",
     "Rule",
@@ -28,7 +29,7 @@ __all__ = [
     "render_tree",
 ]
 
-DEFAULT_CLASS_NAMES = ("No Failure", "Failure")
+CLASS_NAMES = ("No Failure", "Failure")
 
 # visual encoding ranges for the DOT export
 _MIN_NODE_WIDTH = 0.75
@@ -53,7 +54,6 @@ class VennTree:
     tree: DecisionTreeModel  # display tree (possibly depth-collapsed)
     leaves: dict[int, LeafAnnotation]
     feature_names: tuple[str, ...]
-    class_names: tuple[str, str]
 
     def annotation_for(self, x) -> LeafAnnotation:
         """Leaf annotation reached by one feature vector."""
@@ -91,7 +91,6 @@ def build_venn_tree(
     calibrator: VennAbersCalibrator,
     display_max_depth: int | None = None,
     feature_names: tuple[str, ...] | None = None,
-    class_names: tuple[str, str] = DEFAULT_CLASS_NAMES,
     calibration_features=None,
 ) -> VennTree:
     """Annotate each (display) leaf with its Venn-Abers interval.
@@ -145,7 +144,6 @@ def build_venn_tree(
         tree=display,
         leaves=leaves,
         feature_names=tuple(feature_names),
-        class_names=class_names,
     )
 
 
@@ -220,7 +218,7 @@ def extract_rules(vt: VennTree) -> list[Rule]:
         rules.append(
             Rule(
                 conditions=collected[node],
-                conclusion=vt.class_names[ann.predicted_class],
+                conclusion=CLASS_NAMES[ann.predicted_class],
                 p0=ann.p0,
                 p1=ann.p1,
                 point=ann.point,
@@ -249,12 +247,12 @@ def format_rules(rules: list[Rule]) -> str:
 # DOT rendering
 # ---------------------------------------------------------------------------
 
-def _leaf_attributes(ann: LeafAnnotation, class_names: tuple[str, str]) -> str:
+def _leaf_attributes(ann: LeafAnnotation) -> str:
     hue = _CLASS_HUES[ann.predicted_class]
     saturation = min(1.0, abs(ann.point - 0.5) * 2.0)
     width = _MIN_NODE_WIDTH + (ann.p1 - ann.p0) * (_MAX_NODE_WIDTH - _MIN_NODE_WIDTH)
     label = (
-        f"{class_names[ann.predicted_class]}\\n"
+        f"{CLASS_NAMES[ann.predicted_class]}\\n"
         f"[{ann.p0:.2f}, {ann.p1:.2f}]\\np = {ann.point:.2f}"
     )
     return (
@@ -275,7 +273,7 @@ def render_tree(vt: VennTree) -> str:
     lines = ["digraph venn_tree {", "  graph [ordering=out];", "  node [fontname=Helvetica];"]
     for node in range(tree.n_nodes):
         if tree.feature_index[node] == -1:
-            lines.append(f"  n{node} [{_leaf_attributes(vt.leaves[node], vt.class_names)}];")
+            lines.append(f"  n{node} [{_leaf_attributes(vt.leaves[node])}];")
         else:
             name = vt.feature_names[int(tree.feature_index[node])]
             label = f"{name} ≤ {float(tree.threshold[node]):g}"

@@ -19,6 +19,7 @@ from venncal.data import (
     read_rows,
     repeated_stratified_kfold,
     splits_to_manifest,
+    stratified_holdout,
     write_columns,
     write_split_manifest,
 )
@@ -264,6 +265,10 @@ def test_invalid_parameters_rejected():
         repeated_stratified_kfold(ds, k=2, repetitions=0)
     with pytest.raises(InfeasibleSplitError):
         repeated_stratified_kfold(ds, k=2, repetitions=1, calibration_fraction=1.5)
+    # round(fraction * class size) of a negative share would hold out all but a few rows
+    for fraction in (-0.2, 0.0, 1.0, 1.5):
+        with pytest.raises(InfeasibleSplitError, match="calibration_fraction"):
+            stratified_holdout(ds.labels, fraction, np.random.default_rng(0))
 
 
 def test_manifest_roundtrip():

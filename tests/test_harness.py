@@ -677,6 +677,12 @@ def test_cli_synth_data_and_venn_tree(tmp_path, capsys):
     payload = json.loads((out_dir / "model.json").read_text(encoding="utf-8"))
     model = DecisionTreeModel.from_dict(payload)
     assert model.n_features == 6
+    # a calibration share outside (0, 1) fails before anything is written
+    bad_dir = tmp_path / "vt_bad"
+    rc = cli_main(["venn-tree", "--data", str(data_path), "--out", str(bad_dir), "--cal-fraction", "-0.2"])
+    assert rc == 1
+    assert "calibration_fraction must be in (0, 1)" in capsys.readouterr().err
+    assert not bad_dir.exists()
 
 
 def test_cli_calibrate_scores_errors_nonzero(tmp_path, capsys):

@@ -71,7 +71,7 @@ def test_tree_simple_split():
     left, right = tree.left_child[0], tree.right_child[0]
     assert tree.leaf_score(left) == 0.0
     assert tree.leaf_score(right) == 1.0
-    assert tree.n_leaves == 2
+    assert np.sum(tree.feature_index == -1) == 2
 
 
 def test_tree_pure_labels_single_leaf():
@@ -93,17 +93,17 @@ def test_tree_empty_input_rejected():
 
 def test_tree_scoring_fraction_and_tie_routing():
     tree = fit_tree([[1.0], [2.0], [3.0], [4.0]], [0, 0, 1, 1])
-    assert tree.score([4.0]) == 1.0
+    assert tree.score_many([[4.0]])[0] == 1.0
     # value exactly on the threshold routes left
-    assert tree.score([2.5]) == 0.0
+    assert tree.score_many([[2.5]])[0] == 0.0
     with pytest.raises(ValueError):
-        tree.score([1.0, 2.0])
+        tree.score_many([[1.0, 2.0]])
 
 
 def test_tree_leaf_fraction():
     # one positive among four identical rows stays a single impure leaf
     tree = fit_tree([[7.0]] * 4, [1, 0, 0, 0])
-    assert tree.score([7.0]) == 0.25
+    assert tree.score_many([[7.0]])[0] == 0.25
 
 
 def test_tree_split_matches_oracle_on_random_instances():
@@ -166,7 +166,44 @@ def test_tree_json_roundtrip():
     tree = fit_tree([[1.0], [2.0], [3.0], [4.0]], [0, 0, 1, 1])
     clone = DecisionTreeModel.from_dict(tree.to_dict())
     assert clone.to_dict() == tree.to_dict()
-    assert clone.score([3.3]) == tree.score([3.3])
+    assert clone.score_many([[3.3]])[0] == tree.score_many([[3.3]])[0]
+
+
+def _node_dict(left, right, feature_index=None, n_features=1):
+    """A model.json document with the given child arrays; split nodes use feature 0."""
+    if feature_index is None:
+        feature_index = [-1 if child == -1 else 0 for child in left]
+    n = len(left)
+    return {
+        "kind": "decision_tree", "n_features": n_features, "max_depth": None,
+        "min_samples_leaf": 1, "min_samples_split": 2, "seed": 0,
+        "feature_index": feature_index,
+        "threshold": [None if f == -1 else 0.5 for f in feature_index],
+        "left_child": left, "right_child": right,
+        "n_samples": [4] * n, "n_positive": [1] * n,
+    }
+
+
+def test_tree_from_dict_rejects_malformed_nodes():
+    # parents first: 0 -> (1, 2), 2 -> (3, 4), 4 -> (5, 6) loads with depth 3
+    tree = DecisionTreeModel.from_dict(_node_dict([1, -1, 3, -1, 5, -1, -1], [2, -1, 4, -1, 6, -1, -1]))
+    assert tree.depth() == 3
+    cases = [
+        ("self-loop", _node_dict([0, -1, -1], [2, -1, -1]), r"node 0\b"),
+        ("child out of range", _node_dict([1, -1, -1], [3, -1, -1]), r"node 0\b"),
+        # root 0 -> (2, 3), 3 -> (1, 4), 1 -> (5, 6): a child comes before its parent
+        ("child before parent", _node_dict([2, 5, -1, 1, -1, -1, -1], [3, 6, -1, 4, -1, -1, -1]), r"node 3\b"),
+        ("two parents", _node_dict([1, 2, -1, -1], [2, 3, -1, -1]), r"node 2\b"),
+        ("feature out of range", _node_dict([1, -1, -1], [2, -1, -1], feature_index=[1, -1, -1]), r"node 0\b"),
+    ]
+    unequal = _node_dict([1, -1, -1], [2, -1, -1])
+    unequal["n_samples"] = [4, 4]
+    cases.append(("unequal lengths", unequal, "one length"))
+    empty = _node_dict([], [])
+    cases.append(("no nodes", empty, "non-empty"))
+    for name, payload, message in cases:
+        with pytest.raises(ValueError, match=message):
+            DecisionTreeModel.from_dict(payload)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +223,7 @@ def test_forest_degenerate_equals_tree():
 def test_forest_score_is_mean_of_trees():
     t1 = fit_tree([[0.0], [1.0]], [0, 0])  # leaf score 0.0
     t2 = fit_tree([[0.0], [1.0], [2.0], [3.0], [4.0]], [1, 0, 1, 0, 1])
-    forest = RandomForestModel(trees=[t1, t2], n_trees=2, max_features=1, bootstrap=True, seed=0)
+    forest = RandomForestModel(trees=[t1, t2], max_features=1, bootstrap=True, seed=0)
     x = np.array([[0.5]])
     expected = (t1.score_many(x) + t2.score_many(x)) / 2.0
     assert forest.score_many(x).tolist() == expected.tolist()
@@ -196,8 +233,8 @@ def test_forest_mean_worked_example():
     # trees scoring 0.2 and 0.6 average to 0.4
     t1 = fit_tree([[0.0]] * 5, [1, 0, 0, 0, 0])
     t2 = fit_tree([[0.0]] * 5, [1, 1, 1, 0, 0])
-    forest = RandomForestModel(trees=[t1, t2], n_trees=2, max_features=1, bootstrap=True, seed=0)
-    assert forest.score([0.0]) == pytest.approx(0.4)
+    forest = RandomForestModel(trees=[t1, t2], max_features=1, bootstrap=True, seed=0)
+    assert forest.score_many([[0.0]])[0] == pytest.approx(0.4)
 
 
 def test_forest_determinism_and_scores_in_range():
@@ -382,7 +419,7 @@ def test_logistic_all_negative_labels():
 
 def test_logistic_scores_strictly_inside_unit_interval():
     model = fit_logistic([[-100.0], [100.0]], [0, 1])
-    assert 0.0 < model.score([-1e9]) < model.score([1e9]) < 1.0
+    assert 0.0 < model.score_many([[-1e9]])[0] < model.score_many([[1e9]])[0] < 1.0
 
 
 def test_logistic_recovers_known_coefficients():

@@ -149,8 +149,8 @@ def test_render_tree_visual_encoding():
     for a in anns:
         for b in anns:
             if (a.p0, a.p1, a.point, a.predicted_class) == (b.p0, b.p1, b.point, b.predicted_class):
-                attrs_a = _leaf_attributes(a, vt.class_names).replace(f"n{a.node}", "")
-                attrs_b = _leaf_attributes(b, vt.class_names).replace(f"n{b.node}", "")
+                attrs_a = _leaf_attributes(a).replace(f"n{a.node}", "")
+                attrs_b = _leaf_attributes(b).replace(f"n{b.node}", "")
                 assert attrs_a == attrs_b
 
 
@@ -164,8 +164,8 @@ def test_render_width_and_intensity_monotone():
     wide_uncertain = LeafAnnotation(
         node=1, raw_score=0.5, p0=0.41, p1=0.70, point=0.55, predicted_class=1, n_train=5, n_calibration=3
     )
-    a = _leaf_attributes(narrow_confident, ("No Failure", "Failure"))
-    b = _leaf_attributes(wide_uncertain, ("No Failure", "Failure"))
+    a = _leaf_attributes(narrow_confident)
+    b = _leaf_attributes(wide_uncertain)
 
     def attr(s, key):
         part = [p for p in s.split(", ") if p.startswith(key)][0]
