@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 
 from venncal.data import load_csv
 from venncal.synthetic import REFERENCE_SEED, generate_reference_rows, write_reference_csv
 
+# sha256 of the reference CSV that write_reference_csv() writes at REFERENCE_SEED
+REFERENCE_CSV_SHA256 = "d9a623ef444f2cbeedba7426d74ce8b3e0dd9eacfd6c4f58e5fce4b4e59988fb"
 
 def test_reference_dataset_published_balance(tmp_path):
     path = write_reference_csv(tmp_path / "reference.csv")
@@ -18,6 +22,7 @@ def test_reference_dataset_published_balance(tmp_path):
 
 def test_reference_csv_regeneration_byte_identical(tmp_path):
     a = write_reference_csv(tmp_path / "a.csv")
+    assert hashlib.sha256(a.read_bytes()).hexdigest() == REFERENCE_CSV_SHA256
     b = write_reference_csv(tmp_path / "b.csv")
     assert a.read_bytes() == b.read_bytes()
     c = write_reference_csv(tmp_path / "c.csv", seed=REFERENCE_SEED + 1)
