@@ -44,18 +44,19 @@ def _add_experiment_parser(sub):
     p.add_argument("--data", dest="dataset_path", help="dataset CSV path")
     p.add_argument("--models", nargs="+", help=f"subset of: {' '.join(KNOWN_MODELS)}")
     p.add_argument("--calibrators", nargs="+", help=f"subset of: {' '.join(KNOWN_CALIBRATORS)}")
-    p.add_argument("--folds", dest="k", type=int, help="number of CV folds (default 10)")
-    p.add_argument("--repetitions", type=int, help="number of CV repetitions (default 10)")
+    p.add_argument("--folds", dest="k", type=int, help=f"number of CV folds (default {ExperimentConfig.k})")
+    p.add_argument("--repetitions", type=int,
+                   help=f"number of CV repetitions (default {ExperimentConfig.repetitions})")
     p.add_argument("--cal-fraction", dest="calibration_fraction", type=float,
                    help="share of each fold's training portion held out for calibration")
-    p.add_argument("--seed", type=int, help="master seed (default 0)")
+    p.add_argument("--seed", type=int, help=f"master seed (default {ExperimentConfig.seed})")
     p.add_argument("--out", dest="output_dir", help="artifact directory")
-    p.add_argument("--bins", type=int, help="reliability bin count (default 10)")
+    p.add_argument("--bins", type=int, help=f"reliability bin count (default {ExperimentConfig.bins})")
     p.add_argument("--bin-mode", dest="bin_mode", choices=["width", "frequency"])
     p.add_argument("--score-table", dest="score_table_path", help="score table for external-scores")
-    p.add_argument("--trees", dest="n_trees", type=int, help="forest size (default 100)")
+    p.add_argument("--trees", dest="n_trees", type=int, help=f"forest size (default {ExperimentConfig.n_trees})")
     p.add_argument("--tree-min-samples-leaf", dest="tree_min_samples_leaf", type=int)
-    p.add_argument("--jobs", type=int, help="parallel fold workers (default 1)")
+    p.add_argument("--jobs", type=int, help=f"parallel fold workers (default {ExperimentConfig.jobs})")
     p.add_argument("--quiet", action="store_true", help="suppress progress output")
 
 
@@ -163,8 +164,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", dest="dataset_path", required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--max-depth", type=int, default=5, help="display depth (default 5)")
-    p.add_argument("--cal-fraction", dest="calibration_fraction", type=float, default=1 / 3)
-    p.add_argument("--min-samples-leaf", type=int, default=6)
+    p.add_argument("--cal-fraction", dest="calibration_fraction", type=float,
+                   default=ExperimentConfig.calibration_fraction)
+    p.add_argument("--min-samples-leaf", type=int, default=ExperimentConfig.tree_min_samples_leaf)
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("synth-data", help="write the bundled reference dataset")

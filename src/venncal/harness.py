@@ -241,13 +241,12 @@ def _model_seed(seed: int, repetition: int, fold: int, role: str) -> int:
 
 
 def _calibrated(kind: str, cal_scores, cal_labels, test_scores):
-    """(probability, p0, p1) arrays for one calibrator on one fold."""
+    """(p0, p1, point) arrays for one calibrator on one fold."""
     if kind == "none":
         return test_scores, test_scores, test_scores
     if kind == "venn-abers":
         calibrator = VennAbersCalibrator(cal_scores, cal_labels)
-        p0, p1, point = calibrator.intervals(test_scores)
-        return point, p0, p1
+        return calibrator.intervals(test_scores)
     if kind == "platt":
         fit = fit_platt(cal_scores, cal_labels)
         p = apply_platt(fit, test_scores)
@@ -274,30 +273,36 @@ class _FoldOutcome:
     report: EvaluationReport
 
 
-def _outcome(config: ExperimentConfig, repetition: int, fold: int, model: str, calibrator: str,
-             instance_ids, labels, scores, calibrated) -> _FoldOutcome:
-    """Evaluate one calibrator's (probability, p0, p1) on a fold's test labels."""
-    point, p0, p1 = (np.asarray(a, dtype=np.float64) for a in calibrated)
-    return _FoldOutcome(
-        repetition=repetition,
-        fold=fold,
-        model=model,
-        calibrator=calibrator,
-        instance_ids=instance_ids,
-        labels=labels,
-        scores=np.asarray(scores, dtype=np.float64),
-        p0=p0,
-        p1=p1,
-        point=point,
-        report=evaluate(point, labels, m=config.bins, mode=config.bin_mode),
-    )
+def _fold_outcomes(config: ExperimentConfig, repetition: int, fold: int, test_ids, test_labels,
+                   scores) -> list[_FoldOutcome]:
+    """Calibrate and evaluate, on one fold, each configured pair whose model `scores` serves.
+
+    scores[model](kind) gives the (calibration scores, calibration labels,
+    test scores) that calibrator kind sees.  A failing pair raises
+    RuntimeError naming the repetition, model, fold and calibrator.
+    """
+    outcomes = []
+    for model, kind in config.pairs():
+        if model not in scores:
+            continue
+        try:
+            cal_scores, cal_labels, test_scores = scores[model](kind)
+            p0, p1, point = _calibrated(kind, cal_scores, cal_labels, test_scores)
+            report = evaluate(point, test_labels, m=config.bins, mode=config.bin_mode)
+        except Exception as err:
+            raise RuntimeError(f"repetition {repetition} {model} fold {fold} calibrator {kind}: {err}") from err
+        outcomes.append(
+            _FoldOutcome(repetition, fold, model, kind, test_ids, test_labels, test_scores, p0, p1, point, report)
+        )
+    return outcomes
 
 
-def _fold_outcomes(config: ExperimentConfig, dataset: Dataset, split: FoldSplit) -> list[_FoldOutcome]:
+def _dataset_fold_outcomes(config: ExperimentConfig, dataset: Dataset, split: FoldSplit) -> list[_FoldOutcome]:
     rep, fold = split.repetition_index, split.fold_index
     x, y = dataset.features, dataset.labels
     test_x, test_y = x[split.test_ids], y[split.test_ids]
     cal_x, cal_y = x[split.calibration_ids], y[split.calibration_ids]
+    fitted = {}  # role -> (calibration scores, calibration labels, test scores) of the model fitted for it
 
     def fit(model_name, ids, role):
         if model_name == "logistic":
@@ -307,49 +312,30 @@ def _fold_outcomes(config: ExperimentConfig, dataset: Dataset, split: FoldSplit)
             return fit_tree(x[ids], y[ids], min_samples_leaf=config.tree_min_samples_leaf, seed=seed)
         return fit_forest(x[ids], y[ids], n_trees=config.n_trees, seed=seed)
 
-    outcomes = []
-    scores = {}  # role -> (calibration scores, test scores) of the model fitted for it
-    for model_name, kind in config.pairs():
-        if model_name == "external-scores":
-            continue  # handled outside the dataset fold loop
+    def scores(model_name, kind):
         full = kind == "none"
         role = f"{model_name}-{'full' if full else 'proper'}"
-        try:
-            if role not in scores:
-                model = fit(model_name, split.train_ids if full else split.proper_train_ids, role)
-                scores[role] = (None if full else model.score_many(cal_x), model.score_many(test_x))
-            cal_scores, test_scores = scores[role]
-            calibrated = _calibrated(kind, cal_scores, cal_y, test_scores)
-            outcomes.append(
-                _outcome(config, rep, fold, model_name, kind, split.test_ids, test_y, test_scores, calibrated)
-            )
-        except Exception as err:
-            raise RuntimeError(
-                f"repetition {rep} fold {fold} model {model_name}: {err}"
-            ) from err
-    return outcomes
+        if role not in fitted:
+            model = fit(model_name, split.train_ids if full else split.proper_train_ids, role)
+            fitted[role] = (None if full else model.score_many(cal_x), cal_y, model.score_many(test_x))
+        return fitted[role]
+
+    served = {name: partial(scores, name) for name in ("tree", "forest", "logistic")}
+    return _fold_outcomes(config, rep, fold, split.test_ids, test_y, served)
 
 
-def _score_table_calibrations(table: ScoreTable, kinds):
-    """Per fold of the table and calibrator kind, in that order, yield
-    (fold, kind, test ids, test scores, test labels, (probability, p0, p1)).
+def _table_folds(table: ScoreTable):
+    """Per fold of the table, in order, yield (fold, calibration, test).
 
-    Each calibrator is fitted on the fold's calibration partition and
-    applied to its test partition.  A missing partition or a failing
-    calibrator raises ValueError naming the fold.
+    Each partition is the (ids, scores, labels) of ScoreTable.select.  A
+    missing partition raises ValueError naming the fold.
     """
     for fold in table.folds():
-        cal_ids, cal_scores, cal_labels = table.select(fold, "calibration")
-        test_ids, test_scores, test_labels = table.select(fold, "test")
-        if cal_ids.size == 0 or test_ids.size == 0:
-            missing = "calibration" if cal_ids.size == 0 else "test"
+        calibration, test = table.select(fold, "calibration"), table.select(fold, "test")
+        if calibration[0].size == 0 or test[0].size == 0:
+            missing = "calibration" if calibration[0].size == 0 else "test"
             raise ValueError(f"fold {fold}: missing {missing} partition")
-        for kind in kinds:
-            try:
-                calibrated = _calibrated(kind, cal_scores, cal_labels, test_scores)
-            except ValueError as err:
-                raise ValueError(f"fold {fold} calibrator {kind}: {err}") from err
-            yield fold, kind, test_ids, test_scores, test_labels, calibrated
+        yield fold, calibration, test
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +490,7 @@ def run_experiment(config: ExperimentConfig, progress=None) -> AggregateTable:
             calibration_fraction=config.calibration_fraction,
             seed=config.seed,
         )
-        run_fold = partial(_fold_outcomes, config, dataset)
+        run_fold = partial(_dataset_fold_outcomes, config, dataset)
         with Pool(processes=config.jobs) if config.jobs > 1 else nullcontext() as pool:
             fold_results = map(run_fold, splits) if pool is None else pool.imap(run_fold, splits)
             for done, fold_result in enumerate(fold_results, start=1):
@@ -512,14 +498,12 @@ def run_experiment(config: ExperimentConfig, progress=None) -> AggregateTable:
                 if progress:
                     progress(done, len(splits))
     if table is not None:
-        kinds = [cal for model, cal in config.pairs() if model == "external-scores"]
         try:
-            for fold, kind, ids, scores, labels, calibrated in _score_table_calibrations(table, kinds):
-                try:
-                    outcomes.append(_outcome(config, 0, fold, "external-scores", kind, ids, labels, scores, calibrated))
-                except Exception as err:
-                    raise RuntimeError(f"external-scores fold {fold} calibrator {kind}: {err}") from err
-        except ValueError as err:  # raised by the fold loop, which names the fold
+            for fold, (_, cal_scores, cal_labels), (test_ids, test_scores, test_labels) in _table_folds(table):
+                partitions = (cal_scores, cal_labels, test_scores)
+                served = {"external-scores": lambda kind: partitions}
+                outcomes.extend(_fold_outcomes(config, 0, fold, test_ids, test_labels, served))
+        except ValueError as err:  # a missing partition, named by fold
             raise RuntimeError(f"external-scores {err}") from err
 
     outcomes.sort(key=lambda o: (o.model, o.calibrator, o.repetition, o.fold))
@@ -566,10 +550,13 @@ def calibrate_scores(score_table_path, calibrator_kind: str, output_path) -> int
     if calibrator_kind not in POST_HOC_CALIBRATORS:
         raise ValueError(f"unknown calibrator kind {calibrator_kind!r}")
     table = load_score_table(score_table_path)
-    folds = [
-        (test_ids, np.full(test_ids.size, fold), test_scores, p0, p1, point)
-        for fold, _, test_ids, test_scores, _, (point, p0, p1) in _score_table_calibrations(table, (calibrator_kind,))
-    ]
+    folds = []
+    for fold, (_, cal_scores, cal_labels), (test_ids, test_scores, _) in _table_folds(table):
+        try:
+            calibrated = _calibrated(calibrator_kind, cal_scores, cal_labels, test_scores)
+        except ValueError as err:
+            raise ValueError(f"fold {fold} calibrator {calibrator_kind}: {err}") from err
+        folds.append((test_ids, np.full(test_ids.size, fold), test_scores, *calibrated))
     columns = [np.concatenate(column) for column in zip(*folds)]
     output_path = Path(output_path)
     output_path.parent.mkdir(parents=True, exist_ok=True)

@@ -8,7 +8,6 @@ same error restricted to instances predicted positive (p >= 0.5).
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -219,9 +218,6 @@ class EvaluationReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def evaluate(probabilities, labels, m: int = 10, mode: str = "width") -> EvaluationReport:

@@ -14,12 +14,11 @@ class balance: 10 000 instances with 339 failures.
 
 from __future__ import annotations
 
-import csv
 from pathlib import Path
 
 import numpy as np
 
-from venncal.data import AI4I_COLUMNS
+from venncal.data import AI4I_COLUMNS, write_columns
 
 __all__ = ["REFERENCE_SEED", "generate_reference_rows", "write_reference_csv"]
 
@@ -160,8 +159,5 @@ def write_reference_csv(path, seed: int = REFERENCE_SEED, n_rows: int = N_ROWS) 
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     rows = generate_reference_rows(seed=seed, n_rows=n_rows)
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(AI4I_COLUMNS)
-        writer.writerows(rows)
+    write_columns(path, AI4I_COLUMNS, list(zip(*rows)))
     return path

@@ -91,15 +91,16 @@ def build_venn_tree(
     calibrator: VennAbersCalibrator,
     display_max_depth: int | None = None,
     feature_names: tuple[str, ...] | None = None,
-    calibration_features=None,
+    *,
+    calibration_features,
 ) -> VennTree:
     """Annotate each (display) leaf with its Venn-Abers interval.
 
     Collapsed leaves score with the pooled training positive fraction of
-    their subtree and are re-calibrated through the same calibrator.  When
-    the calibration feature matrix is supplied, per-leaf calibration counts
-    are exact (routed); otherwise they fall back to the number of
-    calibration scores exactly equal to the leaf score.
+    their subtree and are re-calibrated through the same calibrator.  Each
+    leaf's n_calibration is the number of rows of calibration_features (the
+    calibration set the calibrator was fitted on) that the display tree
+    routes to it, so the counts sum to the calibration set's size.
     """
     display = tree
     if display_max_depth is not None:
@@ -107,25 +108,20 @@ def build_venn_tree(
             raise ValueError("display_max_depth must be >= 0")
         display = _collapse_to_depth(tree, display_max_depth)
 
-    cal_counts: dict[int, int] | None = None
-    if calibration_features is not None:
-        cal_x = np.asarray(calibration_features, dtype=np.float64)
-        if cal_x.ndim != 2 or cal_x.shape[1] != display.n_features:
-            raise ValueError(
-                f"calibration features have {cal_x.shape} but the tree expects {display.n_features} columns"
-            )
-        routed = display.apply(cal_x)
-        cal_counts = {int(k): int(v) for k, v in zip(*np.unique(routed, return_counts=True))}
+    cal_x = np.asarray(calibration_features, dtype=np.float64)
+    n_cal = calibrator.calibration_scores.size
+    if cal_x.ndim != 2 or cal_x.shape != (n_cal, display.n_features):
+        raise ValueError(
+            f"calibration features have {cal_x.shape} but the calibrator and tree expect {(n_cal, display.n_features)}"
+        )
+    routed = display.apply(cal_x)
+    cal_counts = {int(k): int(v) for k, v in zip(*np.unique(routed, return_counts=True))}
 
     nodes = np.flatnonzero(display.feature_index == -1).tolist()
     raw_scores = [display.leaf_score(node) for node in nodes]
     p0, p1, point = calibrator.intervals(raw_scores)
     leaves = {}
     for node, raw, lo, hi, pt in zip(nodes, raw_scores, p0.tolist(), p1.tolist(), point.tolist()):
-        if cal_counts is not None:
-            n_cal = cal_counts.get(node, 0)
-        else:
-            n_cal = int(np.sum(calibrator.calibration_scores == raw))
         leaves[node] = LeafAnnotation(
             node=node,
             raw_score=raw,
@@ -134,7 +130,7 @@ def build_venn_tree(
             point=pt,
             predicted_class=1 if pt >= DECISION_THRESHOLD else 0,
             n_train=int(display.n_samples[node]),
-            n_calibration=n_cal,
+            n_calibration=cal_counts.get(node, 0),
         )
     if feature_names is None:
         feature_names = tuple(f"feature {i}" for i in range(display.n_features))

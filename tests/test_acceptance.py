@@ -402,7 +402,9 @@ def test_criterion_8_rule_tree_roundtrip(reference_csv):
     x, y = dataset.features, dataset.labels
     tree = fit_tree(x[:6000], y[:6000], min_samples_leaf=6, seed=1)
     calibrator = VennAbersCalibrator(tree.score_many(x[6000:9000]), y[6000:9000])
-    vt = build_venn_tree(tree, calibrator, display_max_depth=5, feature_names=dataset.feature_names)
+    vt = build_venn_tree(
+        tree, calibrator, display_max_depth=5, feature_names=dataset.feature_names, calibration_features=x[6000:9000]
+    )
     rules = extract_rules(vt)
     rng = np.random.default_rng(88)
     low = x.min(axis=0) - 1.0

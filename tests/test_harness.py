@@ -440,6 +440,16 @@ def test_score_table_errors_name_fold_in_both_entry_points(tmp_path):
         experiment(table, ("none", "isotonic"))
 
 
+def test_dataset_fold_error_names_repetition_model_fold_and_calibrator(tmp_path, monkeypatch):
+    def failing_fit(scores, labels):
+        raise ValueError("no fit")
+
+    monkeypatch.setattr(harness, "fit_platt", failing_fit)
+    config = small_config(tmp_path, models=("tree",), calibrators=("none", "platt"))
+    with pytest.raises(RuntimeError, match=r"^repetition 0 tree fold 0 calibrator platt: no fit$"):
+        run_experiment(config)
+
+
 def test_bench_tracer_records_every_harness_binding(tmp_path, monkeypatch):
     """bench/tracing.py rebinds venncal.harness globals to trace a run's layers.
 

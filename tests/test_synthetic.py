@@ -12,6 +12,7 @@ from venncal.synthetic import REFERENCE_SEED, generate_reference_rows, write_ref
 # sha256 of the reference CSV that write_reference_csv() writes at REFERENCE_SEED
 REFERENCE_CSV_SHA256 = "d9a623ef444f2cbeedba7426d74ce8b3e0dd9eacfd6c4f58e5fce4b4e59988fb"
 
+
 def test_reference_dataset_published_balance(tmp_path):
     path = write_reference_csv(tmp_path / "reference.csv")
     ds = load_csv(path)

@@ -34,23 +34,23 @@ def small_setup(seed=0, n=400):
 def test_pure_leaf_all_calibration_positive_gives_p1_one():
     tree = fit_tree([[0.0], [1.0], [2.0], [3.0]], [0, 0, 1, 1])
     calibrator = VennAbersCalibrator([0.0, 0.0, 1.0, 1.0], [0, 0, 1, 1])
-    vt = build_venn_tree(tree, calibrator)
+    vt = build_venn_tree(tree, calibrator, calibration_features=[[0.0], [1.0], [2.0], [3.0]])
     high_leaf = [ann for ann in vt.leaves.values() if ann.raw_score == 1.0][0]
     assert high_leaf.p1 == 1.0
     assert high_leaf.predicted_class == 1
 
 
 def test_full_depth_pruning_is_a_no_op():
-    tree, calibrator, _, _ = small_setup()
-    vt = build_venn_tree(tree, calibrator, display_max_depth=tree.depth())
+    tree, calibrator, cal_x, _ = small_setup()
+    vt = build_venn_tree(tree, calibrator, display_max_depth=tree.depth(), calibration_features=cal_x)
     assert vt.tree.n_nodes == tree.n_nodes
     assert vt.tree.feature_index.tolist() == tree.feature_index.tolist()
     assert vt.tree.threshold.tolist() == pytest.approx(tree.threshold.tolist(), nan_ok=True)
 
 
 def test_pruned_leaf_scores_are_pooled_fractions():
-    tree, calibrator, _, _ = small_setup()
-    vt = build_venn_tree(tree, calibrator, display_max_depth=2)
+    tree, calibrator, cal_x, _ = small_setup()
+    vt = build_venn_tree(tree, calibrator, display_max_depth=2, calibration_features=cal_x)
     assert vt.tree.depth() <= 2
     for ann in vt.leaves.values():
         node = ann.node
@@ -64,40 +64,45 @@ def test_pruned_leaf_scores_are_pooled_fractions():
 def test_leaf_intervals_match_naive_refit(depth):
     for seed in range(4):
         tree, calibrator, cal_x, _ = small_setup(seed=seed)
-        for features in (None, cal_x):
-            vt = build_venn_tree(tree, calibrator, display_max_depth=depth, calibration_features=features)
-            assert sorted(vt.leaves) == np.flatnonzero(vt.tree.feature_index == -1).tolist()
-            for ann in vt.leaves.values():
-                want = calibrator.interval_naive(ann.raw_score)
-                got = np.array([ann.p0, ann.p1, ann.point])
-                assert got.tobytes() == np.array([want.p0, want.p1, want.point]).tobytes()
-                assert all(type(v) is float for v in (ann.p0, ann.p1, ann.point))
+        vt = build_venn_tree(tree, calibrator, display_max_depth=depth, calibration_features=cal_x)
+        assert sorted(vt.leaves) == np.flatnonzero(vt.tree.feature_index == -1).tolist()
+        for ann in vt.leaves.values():
+            want = calibrator.interval_naive(ann.raw_score)
+            got = np.array([ann.p0, ann.p1, ann.point])
+            assert got.tobytes() == np.array([want.p0, want.p1, want.point]).tobytes()
+            assert all(type(v) is float for v in (ann.p0, ann.p1, ann.point))
 
 
 def test_leaf_interval_ordering_and_decision():
-    tree, calibrator, _, _ = small_setup()
-    vt = build_venn_tree(tree, calibrator, display_max_depth=3)
+    tree, calibrator, cal_x, _ = small_setup()
+    vt = build_venn_tree(tree, calibrator, display_max_depth=3, calibration_features=cal_x)
     for ann in vt.leaves.values():
         assert 0.0 <= ann.p0 <= ann.p1 <= 1.0
         assert ann.predicted_class == (1 if ann.point >= 0.5 else 0)
 
 
 def test_calibration_counts_routed_exactly():
-    tree, calibrator, cal_x, _ = small_setup()
-    vt = build_venn_tree(tree, calibrator, display_max_depth=2, calibration_features=cal_x)
-    assert sum(ann.n_calibration for ann in vt.leaves.values()) == cal_x.shape[0]
+    # leaves that share a score, or that collapsing merged, still count
+    # only the calibration rows routed to them
+    for seed in range(4):
+        tree, calibrator, cal_x, _ = small_setup(seed=seed)
+        for depth in (None, 0, 1, 2, 4):
+            vt = build_venn_tree(tree, calibrator, display_max_depth=depth, calibration_features=cal_x)
+            assert sum(ann.n_calibration for ann in vt.leaves.values()) == cal_x.shape[0]
 
 
 def test_calibration_feature_mismatch_rejected():
     tree, calibrator, cal_x, _ = small_setup()
     with pytest.raises(ValueError):
         build_venn_tree(tree, calibrator, calibration_features=cal_x[:, :2])
+    with pytest.raises(ValueError, match=r"have \(132, 3\) but the calibrator and tree expect \(133, 3\)"):
+        build_venn_tree(tree, calibrator, calibration_features=cal_x[1:])
 
 
 def test_single_leaf_tree_rule_has_no_conditions():
     tree = fit_tree([[1.0], [1.0]], [1, 1])
     calibrator = VennAbersCalibrator([1.0, 1.0], [1, 1])
-    vt = build_venn_tree(tree, calibrator)
+    vt = build_venn_tree(tree, calibrator, calibration_features=[[1.0], [1.0]])
     rules = extract_rules(vt)
     assert len(rules) == 1
     assert rules[0].conditions == ()
@@ -110,7 +115,7 @@ def test_rule_bound_merging_keeps_tightest():
     y = np.array([0, 1, 0, 1, 0, 1])
     tree = fit_tree(x, y)
     calibrator = VennAbersCalibrator(tree.score_many(x), y)
-    vt = build_venn_tree(tree, calibrator, feature_names=("x",))
+    vt = build_venn_tree(tree, calibrator, feature_names=("x",), calibration_features=x)
     for rule in extract_rules(vt):
         seen = set()
         for cond in rule.conditions:
@@ -122,8 +127,8 @@ def test_rule_bound_merging_keeps_tightest():
 
 
 def test_rules_partition_feature_space_and_roundtrip():
-    tree, calibrator, _, _ = small_setup(seed=3)
-    vt = build_venn_tree(tree, calibrator, display_max_depth=4)
+    tree, calibrator, cal_x, _ = small_setup(seed=3)
+    vt = build_venn_tree(tree, calibrator, display_max_depth=4, calibration_features=cal_x)
     rules = extract_rules(vt)
     rng = np.random.default_rng(11)
     for _ in range(1000):
@@ -137,8 +142,8 @@ def test_rules_partition_feature_space_and_roundtrip():
 
 
 def test_render_tree_visual_encoding():
-    tree, calibrator, _, _ = small_setup(seed=5)
-    vt = build_venn_tree(tree, calibrator, display_max_depth=3)
+    tree, calibrator, cal_x, _ = small_setup(seed=5)
+    vt = build_venn_tree(tree, calibrator, display_max_depth=3, calibration_features=cal_x)
     dot = render_tree(vt)
     assert dot.startswith("digraph venn_tree {")
     assert dot.count("->") == 2 * sum(1 for f in vt.tree.feature_index if f != -1)
