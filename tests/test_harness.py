@@ -599,7 +599,8 @@ def test_output_bytes_match_golden_digests(tmp_path):
 # CLI
 # ---------------------------------------------------------------------------
 
-def test_cli_experiment_and_reliability(tmp_path, capsys):
+def run_small_cli_experiment(tmp_path) -> Path:
+    """The small `venncal experiment` run of the CLI tests; returns its directory."""
     data = write_small_dataset(tmp_path / "toy.csv")
     run_dir = tmp_path / "cli_run"
     rc = cli_main(
@@ -617,6 +618,11 @@ def test_cli_experiment_and_reliability(tmp_path, capsys):
         ]
     )
     assert rc == 0
+    return run_dir
+
+
+def test_cli_experiment_and_reliability(tmp_path, capsys):
+    run_dir = run_small_cli_experiment(tmp_path)
     out = capsys.readouterr().out
     assert "venn-abers" in out
     rc = cli_main(
@@ -636,6 +642,27 @@ def test_cli_experiment_and_reliability(tmp_path, capsys):
     assert cli_main([*argv, "--out", str(tmp_path / "all.csv")]) == 1
     assert "unknown model '*'" in capsys.readouterr().err
     assert not (tmp_path / "all.csv").exists()
+
+
+# sha256 of the CSV `venncal reliability` writes for (tree, venn-abers) of
+# the small CLI run, recorded while the CLI went through export_reliability
+CLI_RELIABILITY_DIGESTS = {
+    "all": "5643abf80c1c84aa0f9ef44c4fdb6a9da7c2f8882a00389c67862679c2357756",
+    "minority": "517c085c433186adef97d8cfd21d6f629ab0d9b92138c8b2a01e6dc7b8ad82c7",
+    "frequency": "b0e08f18cf575b1fd7950e830fc442093f647f5ed7bfb5877033e4ac317b594c",
+}
+
+
+def test_cli_reliability_bytes_match_golden_digests(tmp_path, capsys):
+    run_dir = run_small_cli_experiment(tmp_path)
+    argv = ["reliability", "--run-dir", str(run_dir), "--model", "tree", "--calibrator", "venn-abers"]
+    digests = {}
+    for name, options in (("all", ["--scope", "all"]), ("minority", ["--scope", "minority"]),
+                          ("frequency", ["--bin-mode", "frequency"])):
+        out = tmp_path / f"{name}.csv"
+        assert cli_main([*argv, *options, "--out", str(out)]) == 0
+        digests[name] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digests == CLI_RELIABILITY_DIGESTS
 
 
 def test_cli_config_file_with_flag_override(tmp_path, capsys):
