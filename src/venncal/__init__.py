@@ -28,7 +28,6 @@ from venncal.harness import (
     AggregateTable,
     ExperimentConfig,
     calibrate_scores,
-    export_reliability,
     run_experiment,
 )
 from venncal.metrics import (
@@ -37,7 +36,6 @@ from venncal.metrics import (
     auc,
     classification_metrics,
     ece,
-    ece_minority,
     evaluate,
     reliability_bins,
 )
@@ -78,9 +76,7 @@ __all__ = [
     "calibrate_scores",
     "classification_metrics",
     "ece",
-    "ece_minority",
     "evaluate",
-    "export_reliability",
     "extract_rules",
     "fit_forest",
     "fit_logistic",

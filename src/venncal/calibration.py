@@ -368,11 +368,6 @@ class VennAbersCalibrator:
             if not merged:
                 return float(cy / cw)
 
-    def interval(self, s_test: float) -> ProbabilityInterval:
-        """Probability interval for a single test score: `intervals` of one."""
-        p0, p1, point = self.intervals([float(s_test)])
-        return ProbabilityInterval(p0=float(p0[0]), p1=float(p1[0]), point=float(point[0]))
-
     def interval_naive(self, s_test: float) -> ProbabilityInterval:
         """Reference path: re-pool and re-run PAVA for each augmented set."""
         s = float(s_test)

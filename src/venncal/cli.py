@@ -26,11 +26,11 @@ from venncal.harness import (
     POST_HOC_CALIBRATORS,
     ExperimentConfig,
     calibrate_scores,
-    export_reliability,
     load_fold_predictions,
     run_experiment,
     write_reliability_csv,
 )
+from venncal.metrics import minority_bins, reliability_bins
 from venncal.models import fit_tree
 from venncal.synthetic import REFERENCE_SEED, write_reference_csv
 from venncal.venn_tree import CLASS_NAMES, build_venn_tree, extract_rules, format_rules, render_tree
@@ -87,14 +87,22 @@ def _run_calibrate_scores(args) -> int:
 
 def _run_reliability(args) -> int:
     probabilities, labels = load_fold_predictions(args.run_dir, args.model, args.calibrator)
-    bins = export_reliability(probabilities, labels, scope=args.scope, bins=args.bins, mode=args.bin_mode)
+    binning = minority_bins if args.scope == "minority" else reliability_bins
+    bins = binning(probabilities, labels, m=args.bins, mode=args.bin_mode)
     write_reliability_csv(args.out, bins)
     n = 0 if bins is None else bins.n_instances
     print(f"wrote reliability bins over {n} predictions to {args.out}")
     return 0
 
 
+def _check_seed(seed: int) -> None:
+    """Reject a --seed below 0, which numpy's generators refuse without naming it."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
 def _run_venn_tree(args) -> int:
+    _check_seed(args.seed)
     dataset = load_csv(args.dataset_path)
     rng = np.random.default_rng(args.seed)
     proper_ids, calibration_ids = stratified_holdout(dataset.labels, args.calibration_fraction, rng)
@@ -132,6 +140,7 @@ def _run_venn_tree(args) -> int:
 
 
 def _run_synth_data(args) -> int:
+    _check_seed(args.seed)
     path = write_reference_csv(args.out, seed=args.seed)
     print(f"wrote reference dataset to {path}")
     return 0

@@ -43,7 +43,7 @@ from venncal.data import (
     write_columns,
     write_split_manifest,
 )
-from venncal.metrics import EvaluationReport, evaluate, minority_bins, reliability_bins
+from venncal.metrics import EvaluationReport, evaluate
 from venncal.models import ScoreTable, fit_forest, fit_logistic, fit_tree, load_score_table
 
 __all__ = [
@@ -51,7 +51,6 @@ __all__ = [
     "AggregateTable",
     "ExperimentConfig",
     "calibrate_scores",
-    "export_reliability",
     "load_fold_predictions",
     "run_experiment",
     "run_record",
@@ -98,6 +97,8 @@ class ExperimentConfig:
                 raise ValueError(f"{f.name} must be {f.type}, got {type(value).__name__} {value!r}")
         if self.k < 2:
             raise ValueError("k must be >= 2")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         if not self.models or not self.calibrators:
@@ -111,11 +112,12 @@ class ExperimentConfig:
                     raise ValueError(f"unknown {field[:-1]} {name!r} (choose from {known})")
                 if name in names[:i]:
                     raise ValueError(f"{field} lists {name!r} more than once")
+            object.__setattr__(self, field, tuple(names))  # a JSON list, hashable and equal to its tuple
         paired = {model for model, _ in self.pairs()}
         for model in self.models:
             if model not in paired:
                 raise ValueError(
-                    f"model {model!r} pairs with none of the calibrators {tuple(self.calibrators)}"
+                    f"model {model!r} pairs with none of the calibrators {self.calibrators}"
                     " (logistic runs with 'none' only)"
                 )
         if self.reads_dataset and not self.dataset_path:
@@ -153,15 +155,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(data) - known
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        coerced = dict(data)
-        for key in ("models", "calibrators"):
-            if isinstance(coerced.get(key), list):
-                coerced[key] = tuple(coerced[key])
-        return cls(**coerced)
+        return cls(**data)
 
 
 # ---------------------------------------------------------------------------
@@ -204,12 +201,6 @@ class AggregateRow:
 class AggregateTable:
     rows: tuple[AggregateRow, ...]
 
-    def row(self, model: str, calibrator: str) -> AggregateRow:
-        for r in self.rows:
-            if r.model == model and r.calibrator == calibrator:
-                return r
-        raise KeyError(f"no aggregate row for ({model}, {calibrator})")
-
     def to_json(self) -> str:
         return json.dumps([r.to_dict() for r in self.rows], sort_keys=True, indent=1)
 
@@ -235,7 +226,7 @@ class AggregateTable:
 # ---------------------------------------------------------------------------
 
 def _model_seed(seed: int, repetition: int, fold: int, role: str) -> int:
-    role_code = {"tree-full": 0, "tree-proper": 1, "forest-full": 2, "forest-proper": 3, "logistic": 4}[role]
+    role_code = {"tree-full": 0, "tree-proper": 1, "forest-full": 2, "forest-proper": 3}[role]
     ss = np.random.SeedSequence(entropy=(seed, repetition, fold, role_code))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
@@ -562,14 +553,6 @@ def calibrate_scores(score_table_path, calibrator_kind: str, output_path) -> int
     output_path.parent.mkdir(parents=True, exist_ok=True)
     write_columns(output_path, CALIBRATED_SCORE_COLUMNS, columns)
     return int(columns[0].size)
-
-
-def export_reliability(probabilities, labels, scope: str = "all", bins: int = 10, mode: str = "width"):
-    """Reliability bins for the requested scope; None if the scope is empty."""
-    if scope not in ("all", "minority"):
-        raise ValueError("scope must be 'all' or 'minority'")
-    binning = minority_bins if scope == "minority" else reliability_bins
-    return binning(probabilities, labels, m=bins, mode=mode)
 
 
 def write_reliability_csv(path, bins) -> None:

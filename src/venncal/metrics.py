@@ -19,7 +19,6 @@ __all__ = [
     "auc",
     "classification_metrics",
     "ece",
-    "ece_minority",
     "evaluate",
     "minority_bins",
     "reliability_bins",
@@ -120,23 +119,6 @@ class ReliabilityBins:
     def n_instances(self) -> int:
         return int(self.counts.sum())
 
-    @property
-    def n_bins(self) -> int:
-        return int(self.counts.size)
-
-    def rows(self):
-        """(bin_low, bin_high, count, mop, foc) tuples, plot-ready."""
-        return [
-            (
-                float(self.bin_edges[i]),
-                float(self.bin_edges[i + 1]),
-                int(self.counts[i]),
-                float(self.mean_prediction[i]),
-                float(self.fraction_positive[i]),
-            )
-            for i in range(self.n_bins)
-        ]
-
 
 def _width_edges(m: int) -> np.ndarray:
     return np.arange(m + 1, dtype=np.float64) / m
@@ -191,12 +173,6 @@ def minority_bins(probabilities, labels, m: int = 10, mode: str = "width") -> Re
     if not np.any(keep):
         return None
     return reliability_bins(p[keep], y[keep], m=m, mode=mode)
-
-
-def ece_minority(probabilities, labels, m: int = 10, mode: str = "width") -> float | None:
-    """ECE over the positive predictions only (p >= 0.5); None if there are none."""
-    bins = minority_bins(probabilities, labels, m=m, mode=mode)
-    return None if bins is None else ece(bins)
 
 
 # ---------------------------------------------------------------------------

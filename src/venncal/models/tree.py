@@ -69,9 +69,6 @@ class DecisionTreeModel:
             depths[self.left_child[node]] = depths[self.right_child[node]] = depths[node] + 1
         return depths
 
-    def depth(self) -> int:
-        return int(self.node_depths().max(initial=0))
-
     def apply(self, features) -> np.ndarray:
         """Leaf index for every row of a feature matrix."""
         x = np.asarray(features, dtype=np.float64)

@@ -172,43 +172,29 @@ class Rule:
         return all(condition.holds(x) for condition in self.conditions)
 
 
-def _merged(conditions: list[Condition]) -> tuple[Condition, ...]:
-    """Per-feature bound merging, keeping the tightest bound in path order."""
-    out: list[Condition] = []
-    slot: dict[tuple[int, str], int] = {}
-    for cond in conditions:
-        key = (cond.feature_index, cond.comparator)
-        if key not in slot:
-            slot[key] = len(out)
-            out.append(cond)
-            continue
-        i = slot[key]
-        tighter = (
-            cond.threshold < out[i].threshold
-            if cond.comparator == "<="
-            else cond.threshold > out[i].threshold
-        )
-        if tighter:
-            out[i] = cond
-    return tuple(out)
-
-
 def extract_rules(vt: VennTree) -> list[Rule]:
-    """One conjunctive rule per leaf, in leaf-index order."""
+    """One conjunctive rule per leaf, in leaf-index order.
+
+    A rule keeps the tightest bound of its path per (feature, comparator),
+    placed where the path first bounds that feature that way.
+    """
     tree = vt.tree
     rules = []
-    stack: list[tuple[int, list[Condition]]] = [(0, [])]
+    # each path's bounds by (feature, comparator); replacing a value keeps its key's place
+    stack: list[tuple[int, dict[tuple[int, str], Condition]]] = [(0, {})]
     collected: dict[int, tuple[Condition, ...]] = {}
     while stack:
-        node, path = stack.pop()
+        node, bounds = stack.pop()
         if tree.feature_index[node] == -1:
-            collected[node] = _merged(path)
+            collected[node] = tuple(bounds.values())
             continue
         f = int(tree.feature_index[node])
         t = float(tree.threshold[node])
-        name = vt.feature_names[f]
-        stack.append((int(tree.right_child[node]), path + [Condition(f, name, ">", t)]))
-        stack.append((int(tree.left_child[node]), path + [Condition(f, name, "<=", t)]))
+        for child, comparator in ((tree.right_child[node], ">"), (tree.left_child[node], "<=")):
+            bound = bounds.get((f, comparator))
+            if bound is None or (t < bound.threshold if comparator == "<=" else t > bound.threshold):
+                bound = Condition(f, vt.feature_names[f], comparator, t)
+            stack.append((int(child), {**bounds, (f, comparator): bound}))
     for node in sorted(collected):
         ann = vt.leaves[node]
         rules.append(

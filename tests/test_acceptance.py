@@ -22,7 +22,7 @@ import pytest
 from venncal.calibration import VennAbersCalibrator, regularized_point, pava
 from venncal.data import load_csv
 from venncal.harness import ExperimentConfig, load_fold_predictions, run_experiment, run_record
-from venncal.metrics import auc, ece, ece_minority, reliability_bins
+from venncal.metrics import auc, ece, minority_bins, reliability_bins
 from venncal.models import fit_tree
 from venncal.synthetic import write_reference_csv
 from venncal.venn_tree import build_venn_tree, extract_rules
@@ -118,7 +118,7 @@ def _pooled_errors(run_dir, model, calibrator):
     # a single fold has only ~25 minority predictions, whose binomial noise
     # alone puts a ~0.1 floor under any per-fold ECE-1 average
     p, y = load_fold_predictions(run_dir, model, calibrator)
-    return ece(reliability_bins(p, y, m=10)), ece_minority(p, y, m=10)
+    return ece(reliability_bins(p, y, m=10)), ece(minority_bins(p, y, m=10))
 
 
 def test_criterion_2_table2_directional(reference_run):
@@ -142,19 +142,13 @@ def test_criterion_2_table2_directional(reference_run):
 # criterion 3: calibration-direction checks
 # ---------------------------------------------------------------------------
 
-def _minority_bins(run_dir, model):
-    p, y = load_fold_predictions(run_dir, model, "none")
-    keep = p >= 0.5
-    return reliability_bins(p[keep], y[keep], m=10)
-
-
 def test_criterion_3_over_and_underconfidence(reference_run):
-    dt_bins = _minority_bins(RUN_DIR, "tree")
-    rf_bins = _minority_bins(RUN_DIR, "forest")
+    dt_bins = minority_bins(*load_fold_predictions(RUN_DIR, "tree", "none"), m=10)
+    rf_bins = minority_bins(*load_fold_predictions(RUN_DIR, "forest", "none"), m=10)
 
     def direction_counts(bins):
         below = above = 0
-        for _, _, count, mop, foc in bins.rows():
+        for count, mop, foc in zip(bins.counts, bins.mean_prediction, bins.fraction_positive):
             if count == 0:
                 continue
             if foc < mop:
@@ -301,8 +295,8 @@ def test_criterion_5_venn_abers_properties():
         labels = rng.integers(0, 2, size=n)
         cal = VennAbersCalibrator(scores, labels)
         s = float(rng.random())
-        iv = cal.interval(s)
-        if not (0.0 <= iv.p0 <= iv.p1 <= 1.0):
+        (p0,), (p1,), _ = cal.intervals([s])
+        if not (0.0 <= p0 <= p1 <= 1.0):
             ordering_ok = False
             break
     identity_ok = (
@@ -310,13 +304,13 @@ def test_criterion_5_venn_abers_properties():
         and all(abs(regularized_point(p, p) - p) <= 1e-12 for p in np.linspace(0, 1, 101))
     )
     cal = VennAbersCalibrator([0.1, 0.2, 0.3, 0.4, 0.6, 0.9], [0, 0, 1, 1, 1, 1])
-    iv = cal.interval(0.8)
-    worked_ok = iv.p0 == 0.75 and iv.p1 == 1.0 and abs(iv.point - 0.8) <= 1e-12
+    (p0,), (p1,), (point,) = cal.intervals([0.8])
+    worked_ok = p0 == 0.75 and p1 == 1.0 and abs(point - 0.8) <= 1e-12
     _report(
         5,
         "interval ordering, point-estimate identities and the worked example hold",
         ordering_ok and identity_ok and worked_ok,
-        f"worked example [p0, p1]=[{iv.p0}, {iv.p1}], point={iv.point}",
+        f"worked example [p0, p1]=[{p0}, {p1}], point={point}",
     )
 
 

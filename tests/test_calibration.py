@@ -281,28 +281,27 @@ WORKED_LABELS = [0, 0, 1, 1, 1, 1]
 
 def test_venn_abers_worked_example():
     cal = VennAbersCalibrator(WORKED_SCORES, WORKED_LABELS)
-    iv = cal.interval(0.8)
+    (p0,), (p1,), (point,) = cal.intervals([0.8])
     # cross-checked against the exhaustive monotone-fit oracle
-    p0, p1 = oracle_interval(WORKED_SCORES, WORKED_LABELS, 0.8)
-    assert (p0, p1) == (0.75, 1.0)
-    assert iv.p0 == 0.75
-    assert iv.p1 == 1.0
-    assert iv.point == pytest.approx(0.8, abs=1e-15)
+    assert oracle_interval(WORKED_SCORES, WORKED_LABELS, 0.8) == (0.75, 1.0)
+    assert p0 == 0.75
+    assert p1 == 1.0
+    assert point == pytest.approx(0.8, abs=1e-15)
 
 
 def test_venn_abers_empty_information_case():
     cal = VennAbersCalibrator([0.5, 0.5], [0, 1])
-    iv = cal.interval(0.5)
-    assert iv.p0 <= 0.5 <= iv.p1
-    assert iv.p0 == pytest.approx(1 / 3)
-    assert iv.p1 == pytest.approx(2 / 3)
-    assert iv.point == pytest.approx(0.5)
+    (p0,), (p1,), (point,) = cal.intervals([0.5])
+    assert p0 <= 0.5 <= p1
+    assert p0 == pytest.approx(1 / 3)
+    assert p1 == pytest.approx(2 / 3)
+    assert point == pytest.approx(0.5)
 
 
 def test_venn_abers_all_positive_labels():
     cal = VennAbersCalibrator([0.2, 0.5, 0.8], [1, 1, 1])
-    for s in (0.0, 0.5, 1.0):
-        assert cal.interval(s).p1 == 1.0
+    _, p1, _ = cal.intervals([0.0, 0.5, 1.0])
+    assert p1.tolist() == [1.0, 1.0, 1.0]
 
 
 def test_venn_abers_fast_path_bit_identical_to_naive():
@@ -317,11 +316,11 @@ def test_venn_abers_fast_path_bit_identical_to_naive():
         labels = rng.integers(0, 2, size=n)
         cal = VennAbersCalibrator(scores, labels)
         for s in [float(rng.random()), float(scores[int(rng.integers(0, n))]), -0.5, 1.5]:
-            fast = cal.interval(s)
+            (p0,), (p1,), (point,) = cal.intervals([s])
             slow = cal.interval_naive(s)
-            assert fast.p0 == slow.p0
-            assert fast.p1 == slow.p1
-            assert fast.point == slow.point
+            assert p0 == slow.p0
+            assert p1 == slow.p1
+            assert point == slow.point
 
 
 def test_venn_abers_matches_dp_oracle():
@@ -332,10 +331,10 @@ def test_venn_abers_matches_dp_oracle():
         labels = rng.integers(0, 2, size=n)
         s_test = float(rng.integers(0, 5)) / 4.0
         cal = VennAbersCalibrator(scores, labels)
-        iv = cal.interval(s_test)
-        p0, p1 = oracle_interval(scores, labels, s_test)
-        assert iv.p0 == pytest.approx(p0, abs=1e-12)
-        assert iv.p1 == pytest.approx(p1, abs=1e-12)
+        (p0,), (p1,), _ = cal.intervals([s_test])
+        oracle_p0, oracle_p1 = oracle_interval(scores, labels, s_test)
+        assert p0 == pytest.approx(oracle_p0, abs=1e-12)
+        assert p1 == pytest.approx(oracle_p1, abs=1e-12)
 
 
 def test_venn_abers_interval_ordering_property():
@@ -346,9 +345,9 @@ def test_venn_abers_interval_ordering_property():
         labels = rng.integers(0, 2, size=n)
         cal = VennAbersCalibrator(scores, labels)
         for s in rng.random(4):
-            iv = cal.interval(float(s))
-            assert 0.0 <= iv.p0 <= iv.p1 <= 1.0
-            assert 0.0 <= iv.point <= 1.0
+            (p0,), (p1,), (point,) = cal.intervals([float(s)])
+            assert 0.0 <= p0 <= p1 <= 1.0
+            assert 0.0 <= point <= 1.0
 
 
 def test_venn_abers_point_monotone_in_test_score():
@@ -359,7 +358,7 @@ def test_venn_abers_point_monotone_in_test_score():
         labels = rng.integers(0, 2, size=n)
         cal = VennAbersCalibrator(scores, labels)
         grid = np.sort(rng.random(12))
-        points = [cal.interval(float(s)).point for s in grid]
+        points = [cal.intervals([float(s)])[2][0] for s in grid]
         assert all(points[i] <= points[i + 1] + 1e-12 for i in range(len(points) - 1))
 
 
@@ -393,8 +392,8 @@ def test_venn_abers_intervals_property_matches_naive(case):
     for i, s in enumerate(batch.tolist()):
         slow = cal.interval_naive(s)
         assert bits(p0[i], p1[i], point[i]) == bits(slow.p0, slow.p1, slow.point)
-        one = cal.interval(s)
-        assert bits(one.p0, one.p1, one.point) == bits(p0[i], p1[i], point[i])
+        (one_p0,), (one_p1,), (one_point,) = cal.intervals([s])  # a batch of one agrees with the whole batch
+        assert bits(one_p0, one_p1, one_point) == bits(p0[i], p1[i], point[i])
     assert np.all(p0 <= p1)
 
 
@@ -428,7 +427,7 @@ def test_venn_abers_rejects_bad_inputs():
         VennAbersCalibrator([], [])
     cal = VennAbersCalibrator([0.5], [1])
     with pytest.raises(ValueError):
-        cal.interval(float("nan"))
+        cal.intervals([float("nan")])
 
 
 # ---------------------------------------------------------------------------

@@ -21,13 +21,12 @@ from venncal.harness import (
     POST_HOC_CALIBRATORS,
     ExperimentConfig,
     calibrate_scores,
-    export_reliability,
     load_fold_predictions,
     run_experiment,
     run_record,
     write_reliability_csv,
 )
-from venncal.metrics import minority_bins
+from venncal.metrics import minority_bins, reliability_bins
 
 HEADER = (
     "UDI,Product ID,Type,Air temperature [K],Process temperature [K],"
@@ -83,14 +82,14 @@ def test_smoke_run_produces_all_rows_and_artifacts(tmp_path):
     table = run_experiment(config)
     # logistic is uncalibrated-only; tree and forest get all four variants
     assert len(table.rows) == 4 + 4 + 1
+    rows = {(r.model, r.calibrator): r for r in table.rows}
     for model in ("tree", "forest"):
         for cal in ("none", "venn-abers", "platt", "isotonic"):
-            row = table.row(model, cal)
+            row = rows[model, cal]
             assert row.n_folds == 2
             assert 0.0 <= row.mean_accuracy <= 1.0
-    assert table.row("logistic", "none").n_folds == 2
-    with pytest.raises(KeyError):
-        table.row("logistic", "platt")
+    assert rows["logistic", "none"].n_folds == 2
+    assert ("logistic", "platt") not in rows
 
     run_dir = tmp_path / "run"
     assert (run_dir / "aggregate.json").exists()
@@ -247,6 +246,9 @@ def test_config_validation():
         ExperimentConfig.from_dict({"dataset_path": "x.csv", "k": "10"})
     with pytest.raises(ValueError, match="seed must be int, got float"):
         ExperimentConfig.from_dict({"dataset_path": "x.csv", "seed": 1.5})
+    # numpy's generators take no negative seed, and would not name the field
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        ExperimentConfig(dataset_path="x.csv", seed=-1)
     with pytest.raises(ValueError, match="jobs must be int, got bool"):
         ExperimentConfig(dataset_path="x.csv", jobs=True)
     with pytest.raises(ValueError, match="calibration_fraction must be float, got str"):
@@ -262,6 +264,17 @@ def test_config_validation():
     for name in ("dataset_path", "score_table_path", "output_dir"):
         with pytest.raises(ValueError, match=re.escape(f"{name} must be str | None, got int 5")):
             ExperimentConfig.from_dict({"dataset_path": "x.csv", name: 5})
+
+
+def test_config_name_lists_become_tuples():
+    # a config built from JSON lists is the config built from tuples, and hashable
+    from_lists = ExperimentConfig(dataset_path="x.csv", models=["tree"], calibrators=["none", "platt"])
+    assert from_lists.models == ("tree",) and from_lists.calibrators == ("none", "platt")
+    from_json = ExperimentConfig.from_dict(
+        json.loads('{"dataset_path": "x.csv", "models": ["tree"], "calibrators": ["none", "platt"]}')
+    )
+    assert from_lists == from_json
+    assert hash(from_lists) == hash(from_json)
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +363,10 @@ def test_external_scores_model_in_experiment(tmp_path):
         output_dir=str(tmp_path / "run"),
     )
     table = run_experiment(config)
-    assert table.row("external-scores", "none").n_folds == 2
-    assert table.row("external-scores", "venn-abers").n_folds == 2
+    assert [(r.model, r.calibrator, r.n_folds) for r in table.rows] == [
+        ("external-scores", "none", 2),
+        ("external-scores", "venn-abers", 2),
+    ]
 
 
 def test_rerun_into_same_directory_drops_earlier_fold_files(tmp_path):
@@ -484,17 +499,11 @@ def test_bench_tracer_records_every_harness_binding(tmp_path, monkeypatch):
 # reliability export
 # ---------------------------------------------------------------------------
 
-def test_export_reliability_scopes(tmp_path):
+def test_export_reliability_scopes():
     p = np.array([0.95, 0.95, 0.3, 0.1])
     y = np.array([1, 0, 0, 0])
-    bins_all = export_reliability(p, y, scope="all")
-    assert bins_all.n_instances == 4
-    bins_minority = export_reliability(p, y, scope="minority")
-    assert bins_minority.n_instances == 2
-    direct = minority_bins(p, y)
-    for name in ("bin_edges", "counts", "mean_prediction", "fraction_positive"):
-        assert np.array_equal(getattr(bins_minority, name), getattr(direct, name), equal_nan=True)
-    assert export_reliability(np.array([0.1, 0.2]), np.array([0, 1]), scope="minority") is None
+    assert reliability_bins(p, y).n_instances == 4
+    assert minority_bins(p, y).n_instances == 2
     assert minority_bins(np.array([0.1, 0.2]), np.array([0, 1])) is None
 
 
@@ -513,7 +522,7 @@ def test_reliability_roundtrip_from_run(tmp_path):
     for model, calibrator in (("*", "none"), ("forest", "?one"), ("[tf]*", "venn-abers")):
         with pytest.raises(ValueError, match="unknown (model|calibrator)"):
             load_fold_predictions(config.output_dir, model, calibrator)
-    bins = export_reliability(p, y, scope="all")
+    bins = reliability_bins(p, y)
     out = tmp_path / "bins.csv"
     write_reliability_csv(out, bins)
     with out.open() as handle:
@@ -586,7 +595,7 @@ def test_output_bytes_match_golden_digests(tmp_path):
         digests[f"calibrated {kind}"] = hashlib.sha256((tmp_path / f"{kind}.csv").read_bytes()).hexdigest()
 
     # bins 1 to 3 of 5 hold no prediction, so their mop and foc are NaN
-    bins = export_reliability(np.array([0.05, 0.1, 0.15, 0.9, 0.95]), np.array([0, 0, 1, 1, 1]), bins=5)
+    bins = reliability_bins(np.array([0.05, 0.1, 0.15, 0.9, 0.95]), np.array([0, 0, 1, 1, 1]), m=5)
     write_reliability_csv(tmp_path / "gap.csv", bins)
     assert (tmp_path / "gap.csv").read_text(encoding="utf-8").splitlines()[2] == "0.2,0.4,0,,"
     write_reliability_csv(tmp_path / "none.csv", None)
@@ -642,6 +651,11 @@ def test_cli_experiment_and_reliability(tmp_path, capsys):
     assert cli_main([*argv, "--out", str(tmp_path / "all.csv")]) == 1
     assert "unknown model '*'" in capsys.readouterr().err
     assert not (tmp_path / "all.csv").exists()
+    # a negative seed is named before any data loads
+    argv = ["experiment", "--data", str(tmp_path / "toy.csv"), "--seed", "-1", "--out", str(tmp_path / "neg")]
+    assert cli_main([*argv, "--quiet"]) == 1
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "neg").exists()
 
 
 # sha256 of the CSV `venncal reliability` writes for (tree, venn-abers) of
@@ -653,7 +667,7 @@ CLI_RELIABILITY_DIGESTS = {
 }
 
 
-def test_cli_reliability_bytes_match_golden_digests(tmp_path, capsys):
+def test_cli_reliability_bytes_match_golden_digests(tmp_path):
     run_dir = run_small_cli_experiment(tmp_path)
     argv = ["reliability", "--run-dir", str(run_dir), "--model", "tree", "--calibrator", "venn-abers"]
     digests = {}
@@ -720,6 +734,15 @@ def test_cli_synth_data_and_venn_tree(tmp_path, capsys):
     assert rc == 1
     assert "calibration_fraction must be in (0, 1)" in capsys.readouterr().err
     assert not bad_dir.exists()
+    # so does a negative seed, which numpy would refuse without naming it
+    rc = cli_main(["venn-tree", "--data", str(data_path), "--out", str(bad_dir), "--seed", "-1"])
+    assert rc == 1
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not bad_dir.exists()
+    rc = cli_main(["synth-data", "--out", str(tmp_path / "synth_bad" / "ref.csv"), "--seed", "-2"])
+    assert rc == 1
+    assert "seed must be >= 0, got -2" in capsys.readouterr().err
+    assert not (tmp_path / "synth_bad").exists()
 
 
 def test_cli_calibrate_scores_errors_nonzero(tmp_path, capsys):

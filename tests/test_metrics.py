@@ -11,7 +11,6 @@ from venncal.metrics import (
     auc,
     classification_metrics,
     ece,
-    ece_minority,
     evaluate,
     minority_bins,
     reliability_bins,
@@ -174,7 +173,7 @@ def test_reliability_counts_sum_and_mop_within_edges():
         y = rng.integers(0, 2, size=n)
         bins = reliability_bins(p, y)
         assert bins.counts.sum() == n
-        for lo, hi, count, mop, _ in bins.rows():
+        for lo, hi, count, mop in zip(bins.bin_edges[:-1], bins.bin_edges[1:], bins.counts, bins.mean_prediction):
             if count:
                 assert lo <= mop <= hi
 
@@ -215,19 +214,18 @@ def test_ece_permutation_invariant_and_bounded():
 
 
 def test_ece_minority_worked_example():
-    assert ece_minority([0.95, 0.95, 0.3], [1, 0, 0]) == pytest.approx(0.45, abs=1e-12)
     bins = minority_bins([0.95, 0.95, 0.3], [1, 0, 0])
     assert bins.n_instances == 2
-    assert ece(bins) == ece_minority([0.95, 0.95, 0.3], [1, 0, 0])
+    assert ece(bins) == pytest.approx(0.45, abs=1e-12)
 
 
 def test_ece_minority_absent_when_no_positive_predictions():
-    assert ece_minority([0.4, 0.2], [1, 0]) is None
+    # ECE-1 is undefined, not zero, without positive predictions
     assert minority_bins([0.4, 0.2], [1, 0]) is None
 
 
 def test_ece_minority_perfectly_calibrated_subset():
-    assert ece_minority([1.0, 1.0, 0.2], [1, 1, 1]) == 0.0
+    assert ece(minority_bins([1.0, 1.0, 0.2], [1, 1, 1])) == 0.0
     # the cut is p >= 0.5, so a prediction of exactly 0.5 is in it
     assert minority_bins([0.5, 1.0, 0.2], [1, 1, 1]).n_instances == 2
 
@@ -240,7 +238,7 @@ def test_minority_foc_equals_fraction_correct():
     y = rng.integers(0, 2, size=300)
     keep = p >= 0.5
     bins = reliability_bins(p[keep], y[keep])
-    for lo, hi, count, _, foc in bins.rows():
+    for lo, hi, count, foc in zip(bins.bin_edges[:-1], bins.bin_edges[1:], bins.counts, bins.fraction_positive):
         if count:
             sel = (p >= 0.5) & (p >= lo) & (p < hi if hi < 1 else p <= 1.0)
             correct = np.mean((p[sel] >= 0.5) == (y[sel] == 1))
@@ -259,7 +257,7 @@ def test_evaluate_report_roundtrip():
     assert report.n_instances == 500
     assert report.auc == pytest.approx(auc(p, y))
     assert report.ece == pytest.approx(ece(reliability_bins(p, y)))
-    assert report.ece1 == pytest.approx(ece_minority(p, y))
+    assert report.ece1 == pytest.approx(ece(minority_bins(p, y)))
     d = report.to_dict()
     assert set(d) == {
         "n_instances",

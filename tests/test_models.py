@@ -150,7 +150,7 @@ def test_tree_determinism_and_depth_limit():
     t1 = fit_tree(x, y, max_depth=3, seed=11)
     t2 = fit_tree(x, y, max_depth=3, seed=11)
     assert t1.to_dict() == t2.to_dict()
-    assert t1.depth() <= 3
+    assert t1.node_depths().max() <= 3
 
 
 def test_tree_min_samples_leaf_respected():
@@ -187,7 +187,7 @@ def _node_dict(left, right, feature_index=None, n_features=1):
 def test_tree_from_dict_rejects_malformed_nodes():
     # parents first: 0 -> (1, 2), 2 -> (3, 4), 4 -> (5, 6) loads with depth 3
     tree = DecisionTreeModel.from_dict(_node_dict([1, -1, 3, -1, 5, -1, -1], [2, -1, 4, -1, 6, -1, -1]))
-    assert tree.depth() == 3
+    assert tree.node_depths().max() == 3
     cases = [
         ("self-loop", _node_dict([0, -1, -1], [2, -1, -1]), r"node 0\b"),
         ("child out of range", _node_dict([1, -1, -1], [3, -1, -1]), r"node 0\b"),

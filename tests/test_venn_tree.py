@@ -42,7 +42,7 @@ def test_pure_leaf_all_calibration_positive_gives_p1_one():
 
 def test_full_depth_pruning_is_a_no_op():
     tree, calibrator, cal_x, _ = small_setup()
-    vt = build_venn_tree(tree, calibrator, display_max_depth=tree.depth(), calibration_features=cal_x)
+    vt = build_venn_tree(tree, calibrator, display_max_depth=int(tree.node_depths().max()), calibration_features=cal_x)
     assert vt.tree.n_nodes == tree.n_nodes
     assert vt.tree.feature_index.tolist() == tree.feature_index.tolist()
     assert vt.tree.threshold.tolist() == pytest.approx(tree.threshold.tolist(), nan_ok=True)
@@ -51,7 +51,7 @@ def test_full_depth_pruning_is_a_no_op():
 def test_pruned_leaf_scores_are_pooled_fractions():
     tree, calibrator, cal_x, _ = small_setup()
     vt = build_venn_tree(tree, calibrator, display_max_depth=2, calibration_features=cal_x)
-    assert vt.tree.depth() <= 2
+    assert vt.tree.node_depths().max() <= 2
     for ann in vt.leaves.values():
         node = ann.node
         assert ann.raw_score == vt.tree.n_positive[node] / vt.tree.n_samples[node]
