@@ -30,7 +30,7 @@ from venncal.harness import (
     run_experiment,
     write_reliability_csv,
 )
-from venncal.metrics import minority_bins, reliability_bins
+from venncal.metrics import BIN_MODES, minority_bins, reliability_bins
 from venncal.models import fit_tree
 from venncal.synthetic import REFERENCE_SEED, write_reference_csv
 from venncal.venn_tree import CLASS_NAMES, build_venn_tree, extract_rules, format_rules, render_tree
@@ -52,7 +52,7 @@ def _add_experiment_parser(sub):
     p.add_argument("--seed", type=int, help=f"master seed (default {ExperimentConfig.seed})")
     p.add_argument("--out", dest="output_dir", help="artifact directory")
     p.add_argument("--bins", type=int, help=f"reliability bin count (default {ExperimentConfig.bins})")
-    p.add_argument("--bin-mode", dest="bin_mode", choices=["width", "frequency"])
+    p.add_argument("--bin-mode", dest="bin_mode", choices=BIN_MODES)
     p.add_argument("--score-table", dest="score_table_path", help="score table for external-scores")
     p.add_argument("--trees", dest="n_trees", type=int, help=f"forest size (default {ExperimentConfig.n_trees})")
     p.add_argument("--tree-min-samples-leaf", dest="tree_min_samples_leaf", type=int)
@@ -95,14 +95,9 @@ def _run_reliability(args) -> int:
     return 0
 
 
-def _check_seed(seed: int) -> None:
-    """Reject a --seed below 0, which numpy's generators refuse without naming it."""
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-
-
 def _run_venn_tree(args) -> int:
-    _check_seed(args.seed)
+    if args.seed < 0:  # numpy's generators refuse it without naming it
+        raise ValueError(f"seed must be >= 0, got {args.seed}")
     dataset = load_csv(args.dataset_path)
     rng = np.random.default_rng(args.seed)
     proper_ids, calibration_ids = stratified_holdout(dataset.labels, args.calibration_fraction, rng)
@@ -140,7 +135,6 @@ def _run_venn_tree(args) -> int:
 
 
 def _run_synth_data(args) -> int:
-    _check_seed(args.seed)
     path = write_reference_csv(args.out, seed=args.seed)
     print(f"wrote reference dataset to {path}")
     return 0
@@ -165,8 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--calibrator", required=True)
     p.add_argument("--scope", choices=["all", "minority"], default="all")
-    p.add_argument("--bins", type=int, default=10)
-    p.add_argument("--bin-mode", dest="bin_mode", choices=["width", "frequency"], default="width")
+    p.add_argument("--bins", type=int, default=ExperimentConfig.bins)
+    p.add_argument("--bin-mode", dest="bin_mode", choices=BIN_MODES, default=ExperimentConfig.bin_mode)
     p.add_argument("--out", required=True, help="output CSV path")
 
     p = sub.add_parser("venn-tree", help="export an interval-annotated decision tree")

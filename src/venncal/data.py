@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -112,7 +113,8 @@ def load_csv(path) -> Dataset:
     """Load the maintenance CSV (AI4I_COLUMNS) into a Dataset.
 
     Row order is preserved.  Errors name the offending column or the
-    offending data row (1-based, header excluded).
+    offending data row (1-based, header excluded); a numeric cell that
+    reads as nan or inf is rejected with its row and column named.
     """
     path = Path(path)
     rows = read_rows(path, "dataset")
@@ -140,11 +142,16 @@ def load_csv(path) -> Dataset:
         for column_idx in numeric_idx:
             cell = row[column_idx].strip()
             try:
-                values.append(float(cell))
+                value = float(cell)
             except ValueError:
                 raise ParseError(
                     f"{path}: row {row_number}: non-numeric value {cell!r} in column {header[column_idx]!r}"
                 ) from None
+            if not math.isfinite(value):
+                raise ValidationError(
+                    f"{path}: row {row_number}: non-finite value {cell!r} in column {header[column_idx]!r}"
+                )
+            values.append(value)
         label_raw = row[label_idx].strip()
         if label_raw not in ("0", "1"):
             raise ValidationError(

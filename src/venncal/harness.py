@@ -18,7 +18,7 @@ import json
 import numbers
 import platform
 from contextlib import nullcontext
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from functools import partial
 from multiprocessing import Pool
 from pathlib import Path
@@ -43,8 +43,8 @@ from venncal.data import (
     write_columns,
     write_split_manifest,
 )
-from venncal.metrics import EvaluationReport, evaluate
-from venncal.models import ScoreTable, fit_forest, fit_logistic, fit_tree, load_score_table
+from venncal.metrics import BIN_MODES, EvaluationReport, evaluate
+from venncal.models import fit_forest, fit_logistic, fit_tree, load_score_table
 
 __all__ = [
     "AggregateRow",
@@ -124,8 +124,8 @@ class ExperimentConfig:
             raise ValueError("dataset_path is required for tree/forest/logistic models")
         if self.reads_score_table and not self.score_table_path:
             raise ValueError("score_table_path is required for the external-scores model")
-        if self.bin_mode not in ("width", "frequency"):
-            raise ValueError("bin_mode must be 'width' or 'frequency'")
+        if self.bin_mode not in BIN_MODES:
+            raise ValueError(f"bin_mode must be {' or '.join(map(repr, BIN_MODES))}")
         for name in ("bins", "n_trees", "tree_min_samples_leaf", "jobs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -167,34 +167,26 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class AggregateRow:
+    """One (model, calibrator) row; the field names are the aggregate.json keys.
+
+    Each metric is its mean over the pair's folds, except positive_predictions,
+    their total.  precision and ece1 are undefined on a fold without positive
+    predictions: each is the mean over the folds where it is defined (None if
+    there are none), and its *_fold_count is the number of those folds.
+    """
+
     model: str
     calibrator: str
     n_folds: int
-    mean_accuracy: float
-    mean_auc: float
-    mean_precision: float | None
+    accuracy: float
+    auc: float
+    precision: float | None
     precision_fold_count: int
-    mean_recall: float
-    positive_prediction_total: int
-    mean_ece: float
-    mean_ece1: float | None
+    recall: float
+    positive_predictions: int
+    ece: float
+    ece1: float | None
     ece1_fold_count: int
-
-    def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "calibrator": self.calibrator,
-            "n_folds": self.n_folds,
-            "accuracy": self.mean_accuracy,
-            "auc": self.mean_auc,
-            "precision": self.mean_precision,
-            "precision_fold_count": self.precision_fold_count,
-            "recall": self.mean_recall,
-            "positive_predictions": self.positive_prediction_total,
-            "ece": self.mean_ece,
-            "ece1": self.mean_ece1,
-            "ece1_fold_count": self.ece1_fold_count,
-        }
 
 
 @dataclass(frozen=True)
@@ -202,7 +194,7 @@ class AggregateTable:
     rows: tuple[AggregateRow, ...]
 
     def to_json(self) -> str:
-        return json.dumps([r.to_dict() for r in self.rows], sort_keys=True, indent=1)
+        return json.dumps([asdict(r) for r in self.rows], sort_keys=True, indent=1)
 
     def to_text(self) -> str:
         def fmt(value, digits=3):
@@ -214,9 +206,9 @@ class AggregateTable:
         for r in self.rows:
             lines.append(
                 f"{r.model:<16}{r.calibrator:<12}"
-                f"{fmt(r.mean_accuracy):>7}{fmt(r.mean_auc):>7}{fmt(r.mean_precision):>7}"
-                f"{fmt(r.mean_recall):>7}{r.positive_prediction_total:>7}"
-                f"{fmt(r.mean_ece):>8}{fmt(r.mean_ece1):>8}"
+                f"{fmt(r.accuracy):>7}{fmt(r.auc):>7}{fmt(r.precision):>7}"
+                f"{fmt(r.recall):>7}{r.positive_predictions:>7}"
+                f"{fmt(r.ece):>8}{fmt(r.ece1):>8}"
             )
         return "\n".join(lines) + "\n"
 
@@ -315,20 +307,6 @@ def _dataset_fold_outcomes(config: ExperimentConfig, dataset: Dataset, split: Fo
     return _fold_outcomes(config, rep, fold, split.test_ids, test_y, served)
 
 
-def _table_folds(table: ScoreTable):
-    """Per fold of the table, in order, yield (fold, calibration, test).
-
-    Each partition is the (ids, scores, labels) of ScoreTable.select.  A
-    missing partition raises ValueError naming the fold.
-    """
-    for fold in table.folds():
-        calibration, test = table.select(fold, "calibration"), table.select(fold, "test")
-        if calibration[0].size == 0 or test[0].size == 0:
-            missing = "calibration" if calibration[0].size == 0 else "test"
-            raise ValueError(f"fold {fold}: missing {missing} partition")
-        yield fold, calibration, test
-
-
 # ---------------------------------------------------------------------------
 # artifacts
 # ---------------------------------------------------------------------------
@@ -344,7 +322,7 @@ def _write_fold_artifacts(folds_dir: Path, outcome: _FoldOutcome) -> None:
         "fold": outcome.fold,
         "model": outcome.model,
         "calibrator": outcome.calibrator,
-        **outcome.report.to_dict(),
+        **asdict(outcome.report),
     }
     stem.with_suffix(".json").write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
     write_columns(
@@ -397,24 +375,14 @@ def _aggregate(config: ExperimentConfig, outcomes: list[_FoldOutcome]) -> Aggreg
             raise RuntimeError(f"no fold results for configured pair ({model}, {cal})")
         cell.sort(key=lambda o: (o.repetition, o.fold))
         reports = [o.report for o in cell]
-        precisions = [r.precision for r in reports if r.precision is not None]
-        ece1s = [r.ece1 for r in reports if r.ece1 is not None]
-        rows.append(
-            AggregateRow(
-                model=model,
-                calibrator=cal,
-                n_folds=len(cell),
-                mean_accuracy=float(np.mean([r.accuracy for r in reports])),
-                mean_auc=float(np.mean([r.auc for r in reports])),
-                mean_precision=float(np.mean(precisions)) if precisions else None,
-                precision_fold_count=len(precisions),
-                mean_recall=float(np.mean([r.recall for r in reports])),
-                positive_prediction_total=int(sum(r.positive_prediction_count for r in reports)),
-                mean_ece=float(np.mean([r.ece for r in reports])),
-                mean_ece1=float(np.mean(ece1s)) if ece1s else None,
-                ece1_fold_count=len(ece1s),
-            )
-        )
+        row = {"positive_predictions": sum(r.positive_prediction_count for r in reports)}
+        for name in ("accuracy", "auc", "recall", "ece"):
+            row[name] = float(np.mean([getattr(r, name) for r in reports]))
+        for name in ("precision", "ece1"):  # the mean over the folds where it is defined
+            defined = [getattr(r, name) for r in reports if getattr(r, name) is not None]
+            row[name] = float(np.mean(defined)) if defined else None
+            row[f"{name}_fold_count"] = len(defined)
+        rows.append(AggregateRow(model=model, calibrator=cal, n_folds=len(cell), **row))
     return AggregateTable(rows=tuple(rows))
 
 
@@ -490,7 +458,7 @@ def run_experiment(config: ExperimentConfig, progress=None) -> AggregateTable:
                     progress(done, len(splits))
     if table is not None:
         try:
-            for fold, (_, cal_scores, cal_labels), (test_ids, test_scores, test_labels) in _table_folds(table):
+            for fold, (_, cal_scores, cal_labels), (test_ids, test_scores, test_labels) in table.folds():
                 partitions = (cal_scores, cal_labels, test_scores)
                 served = {"external-scores": lambda kind: partitions}
                 outcomes.extend(_fold_outcomes(config, 0, fold, test_ids, test_labels, served))
@@ -517,10 +485,8 @@ def run_experiment(config: ExperimentConfig, progress=None) -> AggregateTable:
             (out / "splits.json").unlink(missing_ok=True)
         (out / "aggregate.json").write_text(aggregate.to_json(), encoding="utf-8")
         (out / "table.txt").write_text(aggregate.to_text(), encoding="utf-8")
-        rows = [r.to_dict() for r in aggregate.rows]
-        write_columns(
-            out / "aggregate.csv", AGGREGATE_CSV_COLUMNS, [[row[c] for row in rows] for c in AGGREGATE_CSV_COLUMNS]
-        )
+        columns = [[getattr(r, c) for r in aggregate.rows] for c in AGGREGATE_CSV_COLUMNS]
+        write_columns(out / "aggregate.csv", AGGREGATE_CSV_COLUMNS, columns)
         (out / "run.json").write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     return aggregate
 
@@ -542,7 +508,7 @@ def calibrate_scores(score_table_path, calibrator_kind: str, output_path) -> int
         raise ValueError(f"unknown calibrator kind {calibrator_kind!r}")
     table = load_score_table(score_table_path)
     folds = []
-    for fold, (_, cal_scores, cal_labels), (test_ids, test_scores, _) in _table_folds(table):
+    for fold, (_, cal_scores, cal_labels), (test_ids, test_scores, _) in table.folds():
         try:
             calibrated = _calibrated(calibrator_kind, cal_scores, cal_labels, test_scores)
         except ValueError as err:

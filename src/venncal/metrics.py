@@ -8,11 +8,12 @@ same error restricted to instances predicted positive (p >= 0.5).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
+    "BIN_MODES",
     "ClassificationMetrics",
     "EvaluationReport",
     "ReliabilityBins",
@@ -25,6 +26,7 @@ __all__ = [
 ]
 
 DECISION_THRESHOLD = 0.5
+BIN_MODES = ("width", "frequency")  # equal-width bins, or edges at probability quantiles
 
 
 def _check_inputs(probabilities, labels):
@@ -139,12 +141,9 @@ def reliability_bins(probabilities, labels, m: int = 10, mode: str = "width") ->
     p, y = _check_inputs(probabilities, labels)
     if m < 1:
         raise ValueError("m must be >= 1")
-    if mode == "width":
-        edges = _width_edges(m)
-    elif mode == "frequency":
-        edges = _frequency_edges(p, m)
-    else:
+    if mode not in BIN_MODES:
         raise ValueError(f"unknown bin mode: {mode!r}")
+    edges = _frequency_edges(p, m) if mode == "frequency" else _width_edges(m)
     idx = np.searchsorted(edges, p, side="right") - 1
     idx = np.clip(idx, 0, m - 1)  # p == 1.0 joins the last bin
     counts = np.bincount(idx, minlength=m)
@@ -191,9 +190,6 @@ class EvaluationReport:
     positive_prediction_count: int
     ece: float
     ece1: float | None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def evaluate(probabilities, labels, m: int = 10, mode: str = "width") -> EvaluationReport:

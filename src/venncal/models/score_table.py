@@ -26,7 +26,7 @@ _PARTITIONS = ("calibration", "test")
 class ScoreTable:
     instance_id: np.ndarray
     fold_id: np.ndarray
-    partition: np.ndarray  # "calibration" | "test"
+    is_test: np.ndarray  # bool: in its fold's test partition, else in its calibration partition
     score: np.ndarray
     label: np.ndarray
 
@@ -34,15 +34,21 @@ class ScoreTable:
     def n_rows(self) -> int:
         return int(self.instance_id.size)
 
-    def folds(self) -> list[int]:
-        return sorted(int(f) for f in np.unique(self.fold_id))
+    def folds(self):
+        """Per fold, in ascending order, yield (fold, calibration, test).
 
-    def select(self, fold: int, partition: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(instance_ids, scores, labels) for one fold partition."""
-        if partition not in _PARTITIONS:
-            raise ValueError(f"unknown partition {partition!r}")
-        mask = (self.fold_id == fold) & (self.partition == partition)
-        return self.instance_id[mask], self.score[mask], self.label[mask]
+        Each partition is (instance_ids, scores, labels) in file order.  A
+        fold without a calibration or a test row raises ValueError naming
+        the fold and the missing partition.
+        """
+        for fold in np.unique(self.fold_id).tolist():
+            in_fold = self.fold_id == fold
+            partitions = []
+            for partition, mask in zip(_PARTITIONS, (in_fold & ~self.is_test, in_fold & self.is_test)):
+                if not mask.any():
+                    raise ValueError(f"fold {fold}: missing {partition} partition")
+                partitions.append((self.instance_id[mask], self.score[mask], self.label[mask]))
+            yield fold, *partitions
 
 
 def load_score_table(path) -> ScoreTable:
@@ -62,7 +68,7 @@ def load_score_table(path) -> ScoreTable:
         )
     instance_ids = []
     fold_ids = []
-    partitions = []
+    is_test = []
     scores = []
     labels = []
     seen: set[tuple[int, int]] = set()
@@ -93,16 +99,16 @@ def load_score_table(path) -> ScoreTable:
         seen.add(key)
         instance_ids.append(instance)
         fold_ids.append(fold)
-        partitions.append(partition)
+        is_test.append(partition == "test")
         scores.append(score)
         labels.append(int(raw_label))
     table = ScoreTable(
         instance_id=np.asarray(instance_ids, dtype=np.int64),
         fold_id=np.asarray(fold_ids, dtype=np.int64),
-        partition=np.asarray(partitions, dtype=object),
+        is_test=np.asarray(is_test, dtype=bool),
         score=np.asarray(scores, dtype=np.float64),
         label=np.asarray(labels, dtype=np.int64),
     )
-    for arr in (table.instance_id, table.fold_id, table.partition, table.score, table.label):
+    for arr in (table.instance_id, table.fold_id, table.is_test, table.score, table.label):
         arr.setflags(write=False)
     return table

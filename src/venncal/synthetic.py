@@ -72,6 +72,8 @@ def _drift(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def generate_reference_rows(seed: int = REFERENCE_SEED, n_rows: int = N_ROWS) -> list[tuple]:
     """Generate the dataset rows (in the column order of AI4I_COLUMNS)."""
+    if seed < 0:  # numpy's generators refuse it without naming it
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
 
     quality = rng.choice(_QUALITY_LEVELS, size=n_rows, p=_QUALITY_PROBS)
@@ -155,9 +157,12 @@ def generate_reference_rows(seed: int = REFERENCE_SEED, n_rows: int = N_ROWS) ->
 
 
 def write_reference_csv(path, seed: int = REFERENCE_SEED, n_rows: int = N_ROWS) -> Path:
-    """Write the reference CSV (header plus n_rows data rows)."""
+    """Write the reference CSV (header plus n_rows data rows).
+
+    A negative seed fails before the directory or the file is created.
+    """
+    rows = generate_reference_rows(seed=seed, n_rows=n_rows)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    rows = generate_reference_rows(seed=seed, n_rows=n_rows)
     write_columns(path, AI4I_COLUMNS, list(zip(*rows)))
     return path

@@ -102,6 +102,15 @@ def test_non_numeric_cell_names_row(tmp_path):
         load_csv(write_csv(tmp_path, rows))
 
 
+def test_non_finite_cell_names_file_row_and_column(tmp_path):
+    for cell in ("nan", "inf", "-Infinity"):
+        rows = make_rows(3) + [f"4,L4,L,300.1,310.2,1500,{cell},100,0,0,0,0,0,0"]
+        path = write_csv(tmp_path, rows)
+        message = f"{path}: row 4: non-finite value {cell!r} in column 'Torque [Nm]'"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            load_csv(path)
+
+
 def test_bad_label_rejected(tmp_path):
     rows = ["1,L1,L,300.1,310.2,1500,40.5,100,2,0,0,0,0,0"]
     with pytest.raises(ValidationError, match="label"):

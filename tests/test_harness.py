@@ -87,7 +87,7 @@ def test_smoke_run_produces_all_rows_and_artifacts(tmp_path):
         for cal in ("none", "venn-abers", "platt", "isotonic"):
             row = rows[model, cal]
             assert row.n_folds == 2
-            assert 0.0 <= row.mean_accuracy <= 1.0
+            assert 0.0 <= row.accuracy <= 1.0
     assert rows["logistic", "none"].n_folds == 2
     assert ("logistic", "platt") not in rows
 
@@ -177,10 +177,10 @@ def test_aggregate_matches_fold_artifacts(tmp_path):
         for path in sorted(folds_dir.glob(f"rep*_fold*_{row.model}_{row.calibrator}.json")):
             reports.append(json.loads(path.read_text()))
         assert len(reports) == row.n_folds
-        assert row.mean_accuracy == pytest.approx(np.mean([r["accuracy"] for r in reports]), abs=1e-12)
-        assert row.positive_prediction_total == sum(r["positive_prediction_count"] for r in reports)
+        assert row.accuracy == pytest.approx(np.mean([r["accuracy"] for r in reports]), abs=1e-12)
+        assert row.positive_predictions == sum(r["positive_prediction_count"] for r in reports)
         eces = [r["ece"] for r in reports]
-        assert row.mean_ece == pytest.approx(np.mean(eces), abs=1e-12)
+        assert row.ece == pytest.approx(np.mean(eces), abs=1e-12)
 
 
 def test_paired_test_sets_across_variants(tmp_path):
@@ -264,6 +264,17 @@ def test_config_validation():
     for name in ("dataset_path", "score_table_path", "output_dir"):
         with pytest.raises(ValueError, match=re.escape(f"{name} must be str | None, got int 5")):
             ExperimentConfig.from_dict({"dataset_path": "x.csv", name: 5})
+
+
+def test_unknown_bin_mode_rejected_by_config_and_cli(tmp_path, capsys):
+    with pytest.raises(ValueError, match="^bin_mode must be 'width' or 'frequency'$"):
+        ExperimentConfig(dataset_path="x.csv", bin_mode="quantile")
+    for command in (["experiment", "--data", "x.csv"], ["reliability", "--run-dir", "run", "--model", "tree",
+                                                       "--calibrator", "none", "--out", str(tmp_path / "bins.csv")]):
+        with pytest.raises(SystemExit):  # argparse rejects it before any handler runs
+            cli_main([*command, "--bin-mode", "quantile"])
+        assert "invalid choice: 'quantile'" in capsys.readouterr().err
+    assert not (tmp_path / "bins.csv").exists()
 
 
 def test_config_name_lists_become_tuples():
@@ -752,3 +763,18 @@ def test_cli_calibrate_scores_errors_nonzero(tmp_path, capsys):
     )
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_calibrate_scores_writes_the_library_bytes(tmp_path, capsys):
+    rng = np.random.default_rng(4)
+    folds = {
+        fold: {part: [(float(s), int(rng.random() < s)) for s in rng.random(20)] for part in ("calibration", "test")}
+        for fold in range(2)
+    }
+    table = write_score_table(tmp_path / "scores.csv", folds)
+    for kind in POST_HOC_CALIBRATORS:
+        out = tmp_path / "cli" / f"{kind}.csv"
+        assert cli_main(["calibrate-scores", "--scores", str(table), "--calibrator", kind, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote 40 calibrated rows to {out}\n"
+        assert calibrate_scores(table, kind, tmp_path / f"{kind}.csv") == 40
+        assert out.read_bytes() == (tmp_path / f"{kind}.csv").read_bytes()

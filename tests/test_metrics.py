@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from venncal.metrics import (
+    BIN_MODES,
     auc,
     classification_metrics,
     ece,
@@ -188,6 +191,15 @@ def test_reliability_frequency_mode():
     assert bins.counts.min() >= 80
 
 
+def test_reliability_unknown_mode_rejected():
+    p, y = [0.2, 0.7], [0, 1]
+    assert [reliability_bins(p, y, mode=mode).n_instances for mode in BIN_MODES] == [2, 2]
+    with pytest.raises(ValueError, match="^unknown bin mode: 'quantile'$"):
+        reliability_bins(p, y, mode="quantile")
+    with pytest.raises(ValueError, match="^unknown bin mode: 'quantile'$"):
+        evaluate(p, y, mode="quantile")
+
+
 # ---------------------------------------------------------------------------
 # ECE / ECE-1
 # ---------------------------------------------------------------------------
@@ -258,7 +270,7 @@ def test_evaluate_report_roundtrip():
     assert report.auc == pytest.approx(auc(p, y))
     assert report.ece == pytest.approx(ece(reliability_bins(p, y)))
     assert report.ece1 == pytest.approx(ece(minority_bins(p, y)))
-    d = report.to_dict()
+    d = asdict(report)
     assert set(d) == {
         "n_instances",
         "accuracy",

@@ -469,11 +469,15 @@ def test_score_table_roundtrip(tmp_path):
     )
     table = load_score_table(path)
     assert table.n_rows == 4
-    assert table.folds() == [0, 1]
-    ids, scores, labels = table.select(0, "test")
+    folds = table.folds()
+    fold, calibration, (ids, scores, labels) = next(folds)
+    assert fold == 0
+    assert [part.tolist() for part in calibration] == [[1, 2], [0.25, 0.75], [0, 1]]
     assert ids.tolist() == [3]
     assert scores.tolist() == [0.5]
     assert labels.tolist() == [1]
+    with pytest.raises(ValueError, match="^fold 1: missing calibration partition$"):
+        next(folds)
 
 
 def test_score_table_out_of_range_score_names_row(tmp_path):

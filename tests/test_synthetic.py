@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
+import pytest
 
 from venncal.data import load_csv
 from venncal.synthetic import REFERENCE_SEED, generate_reference_rows, write_reference_csv
@@ -28,6 +29,14 @@ def test_reference_csv_regeneration_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
     c = write_reference_csv(tmp_path / "c.csv", seed=REFERENCE_SEED + 1)
     assert a.read_bytes() != c.read_bytes()
+
+
+def test_negative_seed_named_before_anything_is_created(tmp_path):
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+        generate_reference_rows(seed=-1, n_rows=10)
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+        write_reference_csv(tmp_path / "newdir" / "x.csv", seed=-1)
+    assert not (tmp_path / "newdir").exists()
 
 
 def test_failure_label_is_union_of_modes():
