@@ -86,6 +86,8 @@ def _run_calibrate_scores(args) -> int:
 
 
 def _run_reliability(args) -> int:
+    if args.bins < 1:  # before any fold CSV is read
+        raise ValueError(f"--bins must be >= 1, got {args.bins}")
     probabilities, labels = load_fold_predictions(args.run_dir, args.model, args.calibrator)
     binning = minority_bins if args.scope == "minority" else reliability_bins
     bins = binning(probabilities, labels, m=args.bins, mode=args.bin_mode)

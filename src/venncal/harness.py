@@ -37,6 +37,7 @@ from venncal.data import (
     FoldSplit,
     ParseError,
     SchemaError,
+    ValidationError,
     load_csv,
     read_rows,
     repeated_stratified_kfold,
@@ -360,6 +361,8 @@ def load_fold_predictions(output_dir, model: str, calibrator: str):
                 labels.append(int(label))
             except ValueError:
                 raise ParseError(f"{path}: row {row_number}: non-numeric label or point") from None
+            if not 0.0 <= probabilities[-1] <= 1.0:  # nan fails this too
+                raise ValidationError(f"{path}: row {row_number}: point {point!r} outside [0, 1]")
     return np.asarray(probabilities), np.asarray(labels)
 
 
@@ -386,14 +389,34 @@ def _aggregate(config: ExperimentConfig, outcomes: list[_FoldOutcome]) -> Aggreg
     return AggregateTable(rows=tuple(rows))
 
 
+def _arithmetic_probe() -> bytes:
+    """float64 bits of Platt, logistic and ECE arithmetic on one seeded probe.
+
+    Called through their own modules: a tracer may rebind this module's names.
+    """
+    from venncal import calibration, metrics, models
+
+    rng = np.random.default_rng(0)
+    scores = rng.random(200)
+    labels = (rng.random(200) < scores).astype(np.int64)
+    features = rng.normal(size=(200, 6)) + scores[:, None]
+    outputs = (
+        calibration.apply_platt(calibration.fit_platt(scores, labels), scores),
+        models.fit_logistic(features, labels).score_many(features),
+        np.float64(metrics.ece(metrics.reliability_bins(scores, labels))),
+    )
+    return b"".join(output.tobytes() for output in outputs)
+
+
 def run_record(config: ExperimentConfig) -> dict:
     """What produced a run's artifacts, as run_experiment writes it to run.json.
 
     Holds the config without jobs and output_dir (the artifacts depend on
     neither), the venncal, numpy and Python versions, a sha256 over the
-    package's *.py files in sorted order, and a sha256 of each input file
-    the run reads (None for one it does not read).  It holds no timings,
-    so a rerun of the same code, config and inputs writes the same bytes.
+    package's *.py files in sorted order, a sha256 of each input file the
+    run reads (None for one it does not read) and arithmetic_sha256, which
+    names the CPU path (exp loop, BLAS kernel).  It holds no timings, so a
+    rerun of the same code, config, inputs and path writes the same bytes.
     """
     import hashlib  # loads OpenSSL, so only when a run is recorded
 
@@ -420,6 +443,7 @@ def run_record(config: ExperimentConfig) -> dict:
         "numpy_version": np.__version__,
         "python_version": platform.python_version(),
         "source_sha256": source.hexdigest(),
+        "arithmetic_sha256": hashlib.sha256(_arithmetic_probe()).hexdigest(),
         "dataset_sha256": file_sha256(config.dataset_path) if config.reads_dataset else None,
         "score_table_sha256": file_sha256(config.score_table_path) if config.reads_score_table else None,
     }

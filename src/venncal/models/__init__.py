@@ -1,9 +1,8 @@
 """Binary scoring models with a uniform score-in-[0,1] interface."""
 
-from venncal.models.forest import RandomForestModel, fit_forest
 from venncal.models.logistic import LogisticRegressionModel, fit_logistic
 from venncal.models.score_table import ScoreTable, load_score_table
-from venncal.models.tree import DecisionTreeModel, fit_tree
+from venncal.models.tree import DecisionTreeModel, RandomForestModel, fit_forest, fit_tree
 
 __all__ = [
     "DecisionTreeModel",

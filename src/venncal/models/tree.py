@@ -1,10 +1,16 @@
-"""CART-style binary classification tree.
+"""CART-style classification trees and random forests of them.
 
 Greedy recursive partitioning on the Gini criterion.  Candidate thresholds
 are the midpoints between consecutive distinct sorted feature values at the
 node; ties in impurity decrease are broken by lowest feature index, then
 lowest threshold, which makes the split choice reproducible against an
 exhaustive-enumeration oracle.
+
+A random forest bags such trees with per-split feature subsampling and
+scores the arithmetic mean of its trees' leaf positive fractions.  Each
+tree draws from its own stream, spawned from ``SeedSequence(seed)``: its
+bootstrap sample first, then one feature subset per splittable node in
+preorder.
 
 One builder, ``_grow``, grows every tree: a forest's trees in lockstep and
 a single tree as a forest of one.  Features are rank-coded once per fit.
@@ -22,12 +28,13 @@ genuinely equal gain.
 
 from __future__ import annotations
 
+import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-__all__ = ["DecisionTreeModel", "fit_tree"]
+__all__ = ["DecisionTreeModel", "RandomForestModel", "fit_forest", "fit_tree"]
 
 _NO_FEATURE = -1
 _TIE_WINDOW = 1e-9
@@ -68,6 +75,29 @@ class DecisionTreeModel:
         for node in np.flatnonzero(self.feature_index != _NO_FEATURE):
             depths[self.left_child[node]] = depths[self.right_child[node]] = depths[node] + 1
         return depths
+
+    def collapsed(self, max_depth: int) -> "DecisionTreeModel":
+        """Copy of the tree with every node at max_depth turned into a leaf.
+
+        The nodes no deeper than max_depth keep their order, so a tree in
+        preorder stays in preorder.
+        """
+        if max_depth < 0:  # would keep no node, not even the root
+            raise ValueError(f"max_depth must be >= 0, got {max_depth}")
+        depths = self.node_depths()
+        keep = depths <= max_depth
+        renumbered = np.cumsum(keep) - 1
+        split = ((self.feature_index != _NO_FEATURE) & (depths < max_depth))[keep]
+        return replace(
+            self,
+            feature_index=np.where(split, self.feature_index[keep], _NO_FEATURE),
+            threshold=np.where(split, self.threshold[keep], np.nan),
+            left_child=np.where(split, renumbered[self.left_child[keep]], -1),
+            right_child=np.where(split, renumbered[self.right_child[keep]], -1),
+            n_samples=self.n_samples[keep],
+            n_positive=self.n_positive[keep],
+            max_depth=max_depth,
+        )
 
     def apply(self, features) -> np.ndarray:
         """Leaf index for every row of a feature matrix."""
@@ -351,11 +381,13 @@ def _grow(
     the next splittable node of every tree in flight and searches them all
     at once, so each tree equals the one grown alone from its generator.
     """
+    n, n_features = x.shape
+    if max_features is not None and not 1 <= max_features <= n_features:
+        raise ValueError(f"max_features must be in [1, {n_features}]")
     if min_samples_leaf < 1:
         raise ValueError(f"min_samples_leaf must be >= 1, got {min_samples_leaf}")
     if min_samples_split < 2:
         raise ValueError(f"min_samples_split must be >= 2, got {min_samples_split}")
-    n, n_features = x.shape
     subsets = max_features is not None and max_features < n_features
     k = max_features if subsets else n_features
     labels = y.astype(np.uint8)
@@ -508,8 +540,6 @@ def fit_tree(
     search is exhaustive and the seed is never consumed.
     """
     x, y = _validate_training_data(features, labels)
-    if max_features is not None and not (1 <= max_features <= x.shape[1]):
-        raise ValueError(f"max_features must be in [1, {x.shape[1]}]")
     (tree,) = _grow(
         x,
         y,
@@ -522,3 +552,69 @@ def fit_tree(
         seed=seed,
     )
     return tree
+
+
+@dataclass
+class RandomForestModel:
+    trees: list[DecisionTreeModel]
+    max_features: int
+    bootstrap: bool
+    seed: int
+
+    @property
+    def n_trees(self) -> int:
+        return len(self.trees)
+
+    def score_many(self, features) -> np.ndarray:
+        x = np.asarray(features, dtype=np.float64)
+        total = np.zeros(x.shape[0], dtype=np.float64)
+        for tree in self.trees:
+            total += tree.score_many(x)
+        return total / self.n_trees
+
+    def to_dict(self) -> dict:
+        return {
+            "kind": "random_forest",
+            "n_trees": self.n_trees,
+            "max_features": self.max_features,
+            "bootstrap": self.bootstrap,
+            "seed": self.seed,
+            "trees": [tree.to_dict() for tree in self.trees],
+        }
+
+
+def fit_forest(
+    features,
+    labels,
+    *,
+    n_trees: int = 100,
+    max_features: int | None = None,
+    max_depth: int | None = None,
+    min_samples_leaf: int = 1,
+    min_samples_split: int = 2,
+    bootstrap: bool = True,
+    seed: int = 0,
+) -> RandomForestModel:
+    """Train n_trees CART trees on bootstrap samples.
+
+    max_features defaults to ceil(sqrt(n_features)).  With bootstrap=False
+    and max_features equal to the feature count the forest degenerates to
+    n_trees copies of the plain tree fit.
+    """
+    x, y = _validate_training_data(features, labels)
+    if n_trees < 1:
+        raise ValueError("n_trees must be >= 1")
+    if max_features is None:
+        max_features = math.ceil(math.sqrt(x.shape[1]))
+    trees = _grow(
+        x,
+        y,
+        [np.random.default_rng(stream) for stream in np.random.SeedSequence(seed).spawn(n_trees)],
+        bootstrap=bootstrap,
+        max_depth=max_depth,
+        min_samples_leaf=min_samples_leaf,
+        min_samples_split=min_samples_split,
+        max_features=max_features,
+        seed=seed,
+    )
+    return RandomForestModel(trees=trees, max_features=max_features, bootstrap=bootstrap, seed=seed)

@@ -61,31 +61,6 @@ class VennTree:
         return self.leaves[leaf]
 
 
-def _collapse_to_depth(tree: DecisionTreeModel, max_depth: int) -> DecisionTreeModel:
-    """Copy of the tree with every node at max_depth turned into a leaf.
-
-    The nodes no deeper than max_depth keep their order, so a tree in
-    preorder stays in preorder.
-    """
-    depths = tree.node_depths()
-    keep = depths <= max_depth
-    renumbered = np.cumsum(keep) - 1
-    split = ((tree.feature_index >= 0) & (depths < max_depth))[keep]
-    return DecisionTreeModel(
-        feature_index=np.where(split, tree.feature_index[keep], -1),
-        threshold=np.where(split, tree.threshold[keep], np.nan),
-        left_child=np.where(split, renumbered[tree.left_child[keep]], -1),
-        right_child=np.where(split, renumbered[tree.right_child[keep]], -1),
-        n_samples=tree.n_samples[keep],
-        n_positive=tree.n_positive[keep],
-        n_features=tree.n_features,
-        max_depth=max_depth,
-        min_samples_leaf=tree.min_samples_leaf,
-        min_samples_split=tree.min_samples_split,
-        seed=tree.seed,
-    )
-
-
 def build_venn_tree(
     tree: DecisionTreeModel,
     calibrator: VennAbersCalibrator,
@@ -102,11 +77,9 @@ def build_venn_tree(
     calibration set the calibrator was fitted on) that the display tree
     routes to it, so the counts sum to the calibration set's size.
     """
-    display = tree
-    if display_max_depth is not None:
-        if display_max_depth < 0:
-            raise ValueError("display_max_depth must be >= 0")
-        display = _collapse_to_depth(tree, display_max_depth)
+    if display_max_depth is not None and display_max_depth < 0:
+        raise ValueError("display_max_depth must be >= 0")
+    display = tree if display_max_depth is None else tree.collapsed(display_max_depth)
 
     cal_x = np.asarray(calibration_features, dtype=np.float64)
     n_cal = calibrator.calibration_scores.size

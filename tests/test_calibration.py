@@ -163,6 +163,8 @@ def test_pava_rejects_bad_input():
         pava([0.1, 0.2], [0, 2])
     with pytest.raises(ValueError):
         pava([0.1], [0, 1])
+    with pytest.raises(ValueError, match="scores and labels must be one-dimensional"):
+        pava([[0.1, 0.2]], [0, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +185,12 @@ def test_isotonic_calibrate_between_and_above():
     fit = pava([1.0, 2.0, 3.0], [0, 1, 0])
     assert isotonic_calibrate(fit, 2.5) == 0.5
     assert isotonic_calibrate(fit, 99.0) == 0.5
+
+
+def test_isotonic_calibrate_rejects_empty_fit():
+    empty = IsotonicFit(breakpoints=np.array([]), fitted_values=np.array([]), weights=np.array([]))
+    with pytest.raises(ValueError, match="^empty isotonic fit$"):
+        isotonic_calibrate(empty, 0.5)
 
 
 def test_isotonic_calibrate_vectorised():
@@ -428,6 +436,9 @@ def test_venn_abers_rejects_bad_inputs():
     cal = VennAbersCalibrator([0.5], [1])
     with pytest.raises(ValueError):
         cal.intervals([float("nan")])
+    for score in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="^test score must be finite$"):
+            cal.interval_naive(score)
 
 
 # ---------------------------------------------------------------------------

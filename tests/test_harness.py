@@ -6,7 +6,10 @@ import csv
 import hashlib
 import importlib.util
 import json
+import os
+import platform
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -16,7 +19,7 @@ import pytest
 import venncal
 from venncal import harness
 from venncal.cli import main as cli_main
-from venncal.data import ParseError
+from venncal.data import ParseError, SchemaError, ValidationError
 from venncal.harness import (
     POST_HOC_CALIBRATORS,
     ExperimentConfig,
@@ -137,7 +140,7 @@ def test_run_record_names_config_versions_and_source(tmp_path):
     record = run_record(config)
     assert set(record) == {
         "config", "venncal_version", "numpy_version", "python_version",
-        "source_sha256", "dataset_sha256", "score_table_sha256",
+        "source_sha256", "arithmetic_sha256", "dataset_sha256", "score_table_sha256",
     }
     assert record["config"]["models"] == ["tree", "forest", "logistic"]
     assert record["config"]["seed"] == 7
@@ -145,7 +148,7 @@ def test_run_record_names_config_versions_and_source(tmp_path):
     assert "jobs" not in record["config"] and "output_dir" not in record["config"]
     assert run_record(small_config(tmp_path, jobs=2, output_dir=str(tmp_path / "elsewhere"))) == record
     assert run_record(small_config(tmp_path, seed=8)) != record
-    assert len(record["source_sha256"]) == 64
+    assert len(record["source_sha256"]) == len(record["arithmetic_sha256"]) == 64
     assert record["score_table_sha256"] is None  # no external-scores model reads one
 
 
@@ -166,6 +169,42 @@ def test_run_record_changes_with_input_files(tmp_path):
     assert first["dataset_sha256"] is None and len(first["score_table_sha256"]) == 64
     write_score_table(table, {0: {"calibration": WORKED_CAL, "test": [(0.7, 1)]}})
     assert run_record(external)["score_table_sha256"] != first["score_table_sha256"]
+
+
+def _exp_loops() -> set[str]:
+    """The dispatch targets numpy runs its float64 exp on here."""
+    info = np.lib.introspect.opt_func_info(func_name="^exp$", signature="float64")
+    return {loop["current"] for loop in info.get("exp", {}).values()}
+
+
+@pytest.mark.parametrize(
+    "child_env, same",
+    [
+        pytest.param({}, True, id="same-path"),
+        pytest.param({"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL"}, False, id="no-avx512-exp",
+                     marks=pytest.mark.skipif("X86_V4" not in _exp_loops(), reason="no X86_V4 exp loop")),
+        pytest.param({"OPENBLAS_CORETYPE": "Prescott"}, False, id="prescott-blas",
+                     marks=pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"), reason="not x86-64")),
+    ],
+)
+def test_run_record_arithmetic_sha256_names_the_cpu_path(tmp_path, child_env, same):
+    """Two fresh interpreters on one path record the same value; one on another CPU path records another."""
+    config = ExperimentConfig(dataset_path=str(write_small_dataset(tmp_path / "toy.csv")))
+    src = str(Path(venncal.__file__).resolve().parent.parent)
+    code = (
+        "import json; from venncal.harness import ExperimentConfig, run_record; "
+        f"print(json.dumps(run_record(ExperimentConfig(dataset_path={config.dataset_path!r}))))"
+    )
+
+    def child_record(extra_env):
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        env = {**os.environ, "PYTHONPATH": path, **extra_env}
+        return json.loads(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True).stdout)
+
+    default, other = child_record({}), child_record(child_env)
+    assert default == run_record(config)
+    assert (other["arithmetic_sha256"] == default["arithmetic_sha256"]) is same
+    assert {**other, "arithmetic_sha256": None} == {**default, "arithmetic_sha256": None}
 
 
 def test_aggregate_matches_fold_artifacts(tmp_path):
@@ -249,6 +288,11 @@ def test_config_validation():
     # numpy's generators take no negative seed, and would not name the field
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         ExperimentConfig(dataset_path="x.csv", seed=-1)
+    with pytest.raises(ValueError, match="^repetitions must be >= 1$"):
+        ExperimentConfig(dataset_path="x.csv", repetitions=0)
+    for models, calibrators in (((), ("none",)), (("tree",), ())):
+        with pytest.raises(ValueError, match="^at least one model and one calibrator must be selected$"):
+            ExperimentConfig(dataset_path="x.csv", models=models, calibrators=calibrators)
     with pytest.raises(ValueError, match="jobs must be int, got bool"):
         ExperimentConfig(dataset_path="x.csv", jobs=True)
     with pytest.raises(ValueError, match="calibration_fraction must be float, got str"):
@@ -347,6 +391,14 @@ def test_calibrate_scores_platt_single_class_fold_names_fold(tmp_path):
     with pytest.raises(ValueError, match="fold 3"):
         calibrate_scores(table, "platt", tmp_path / "out.csv")
     # fold 0 succeeded, but nothing is written unless every fold does
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_calibrate_scores_rejects_unknown_kind(tmp_path):
+    table = write_score_table(tmp_path / "scores.csv", {0: {"calibration": WORKED_CAL, "test": [(0.8, 1)]}})
+    for kind in ("none", "beta"):  # "none" calibrates nothing, so it has no output to write
+        with pytest.raises(ValueError, match=f"^unknown calibrator kind '{kind}'$"):
+            calibrate_scores(table, kind, tmp_path / "out.csv")
     assert not (tmp_path / "out.csv").exists()
 
 
@@ -554,6 +606,23 @@ def test_load_fold_predictions_names_file_and_row(tmp_path):
     path.write_text("\n".join(lines[:2] + [",".join(label_cut)]), encoding="utf-8")
     with pytest.raises(ParseError, match=re.escape(f"{path}: row 2: non-numeric label or point")):
         load_fold_predictions(config.output_dir, "tree", "none")
+    path.write_text("\n".join(["id,label,score,p0,p1,point", *lines[1:]]), encoding="utf-8")
+    with pytest.raises(SchemaError, match=re.escape(f"{path}: expected header {lines[0]}, got id,label,")):
+        load_fold_predictions(config.output_dir, "tree", "none")
+
+
+def test_load_fold_predictions_rejects_point_outside_unit_interval(tmp_path):
+    """A nan point would otherwise fail later as a bare 'probabilities must lie in [0, 1]'."""
+    config = small_config(tmp_path, models=("tree",), calibrators=("none",))
+    run_experiment(config)
+    path = Path(config.output_dir) / "folds" / "rep0_fold0_tree_none.csv"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    for point in ("nan", "inf", "-0.25", "1.5"):
+        row = lines[3].split(",")
+        row[-1] = point
+        path.write_text("\n".join([*lines[:3], ",".join(row), *lines[4:]]) + "\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: row 3: point '{point}' outside [0, 1]")):
+            load_fold_predictions(config.output_dir, "tree", "none")
 
 
 # ---------------------------------------------------------------------------
@@ -667,6 +736,17 @@ def test_cli_experiment_and_reliability(tmp_path, capsys):
     assert cli_main([*argv, "--quiet"]) == 1
     assert "seed must be >= 0, got -1" in capsys.readouterr().err
     assert not (tmp_path / "neg").exists()
+
+
+def test_cli_reliability_rejects_bins_below_one_before_reading(tmp_path, capsys):
+    run_dir = run_small_cli_experiment(tmp_path)
+    capsys.readouterr()
+    # the flag is named, and a run directory without folds is never read
+    for directory in (run_dir, tmp_path / "nowhere"):
+        argv = ["reliability", "--run-dir", str(directory), "--model", "tree", "--calibrator", "none"]
+        assert cli_main([*argv, "--bins", "0", "--out", str(tmp_path / "bins.csv")]) == 1
+        assert capsys.readouterr().err == "error: --bins must be >= 1, got 0\n"
+    assert not (tmp_path / "bins.csv").exists()
 
 
 # sha256 of the CSV `venncal reliability` writes for (tree, venn-abers) of

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from venncal.metrics import (
     BIN_MODES,
+    ReliabilityBins,
     auc,
     classification_metrics,
     ece,
@@ -83,6 +84,20 @@ def test_classification_consistency_properties():
 def test_empty_input_rejected():
     with pytest.raises(ValueError):
         classification_metrics([], [])
+
+
+@pytest.mark.parametrize(
+    "probabilities, labels, message",
+    [
+        ([0.5], [0, 1], "length mismatch: 1 probabilities vs 2 labels"),
+        ([0.5, 1.5], [0, 1], r"probabilities must lie in \[0, 1\]"),
+        ([0.5, np.nan], [0, 1], r"probabilities must lie in \[0, 1\]"),
+        ([0.5, 0.7], [0, 2], "labels must be 0 or 1"),
+    ],
+)
+def test_bad_inputs_name_the_quantity(probabilities, labels, message):
+    with pytest.raises(ValueError, match=message):
+        classification_metrics(probabilities, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +218,19 @@ def test_reliability_unknown_mode_rejected():
 # ---------------------------------------------------------------------------
 # ECE / ECE-1
 # ---------------------------------------------------------------------------
+
+def test_reliability_and_ece_reject_degenerate_bins():
+    with pytest.raises(ValueError, match="^m must be >= 1$"):
+        reliability_bins([0.5], [1], m=0)
+    empty = ReliabilityBins(
+        bin_edges=np.array([0.0, 1.0]),
+        counts=np.array([0]),
+        mean_prediction=np.array([np.nan]),
+        fraction_positive=np.array([np.nan]),
+    )
+    with pytest.raises(ValueError, match="^ece of empty bins$"):
+        ece(empty)
+
 
 def test_ece_worked_example():
     bins = reliability_bins([0.95, 0.95, 0.85, 0.05], [1, 0, 1, 0])

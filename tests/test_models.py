@@ -91,6 +91,21 @@ def test_tree_empty_input_rejected():
         fit_tree(np.empty((0, 2)), [])
 
 
+@pytest.mark.parametrize(
+    "features, labels, kwargs, message",
+    [
+        (np.zeros((2, 2, 2)), [0, 1], {}, "features must be a 2-d matrix"),
+        ([[1.0], [2.0]], [0, 1, 1], {}, "labels must be one per feature row"),
+        ([[1.0], [2.0]], [0, 2], {}, "labels must be 0 or 1"),
+        ([[1.0, 2.0], [2.0, 1.0]], [0, 1], {"max_features": 3}, r"max_features must be in \[1, 2\]"),
+        ([[1.0, 2.0], [2.0, 1.0]], [0, 1], {"max_features": 0}, r"max_features must be in \[1, 2\]"),
+    ],
+)
+def test_tree_rejects_bad_training_input(features, labels, kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        fit_tree(features, labels, **kwargs)
+
+
 def test_tree_scoring_fraction_and_tie_routing():
     tree = fit_tree([[1.0], [2.0], [3.0], [4.0]], [0, 0, 1, 1])
     assert tree.score_many([[4.0]])[0] == 1.0
@@ -151,6 +166,17 @@ def test_tree_determinism_and_depth_limit():
     t2 = fit_tree(x, y, max_depth=3, seed=11)
     assert t1.to_dict() == t2.to_dict()
     assert t1.node_depths().max() <= 3
+
+
+def test_tree_collapsed_equals_the_depth_limited_fit():
+    rng = np.random.default_rng(3)
+    x = rng.random((200, 3))
+    y = (x[:, 0] + 0.3 * rng.random(200) > 0.7).astype(int)
+    tree = fit_tree(x, y)
+    for depth in range(int(tree.node_depths().max()) + 2):
+        assert tree.collapsed(depth).to_dict() == fit_tree(x, y, max_depth=depth).to_dict()
+    with pytest.raises(ValueError, match="^max_depth must be >= 0, got -1$"):
+        tree.collapsed(-1)
 
 
 def test_tree_min_samples_leaf_respected():
@@ -255,7 +281,7 @@ def test_forest_determinism_and_scores_in_range():
 def test_forest_validates_arguments():
     with pytest.raises(ValueError):
         fit_forest([[1.0]], [1], n_trees=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"max_features must be in \[1, 2\]"):
         fit_forest([[1.0, 2.0]], [1], max_features=5)
     with pytest.raises(ValueError, match="min_samples_leaf"):
         fit_forest([[1.0], [2.0]], [0, 1], min_samples_leaf=0)
@@ -447,6 +473,13 @@ def test_logistic_rejects_non_finite():
         fit_logistic([[np.inf]], [1])
 
 
+def test_logistic_score_many_rejects_wrong_feature_count():
+    model = fit_logistic([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]], [0, 1, 1])
+    for features in ([[1.0]], [1.0, 2.0]):
+        with pytest.raises(ValueError, match=r"expected \(n, 2\) feature matrix"):
+            model.score_many(features)
+
+
 # ---------------------------------------------------------------------------
 # score table
 # ---------------------------------------------------------------------------
@@ -503,3 +536,16 @@ def test_score_table_bad_partition_and_label(tmp_path):
         load_score_table(write_table(tmp_path, ["1,0,holdout,0.5,1"]))
     with pytest.raises(ValueError, match="label"):
         load_score_table(write_table(tmp_path, ["1,0,test,0.5,2"]))
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("1.5,0,test,0.5,1", "row 2: non-integer instance_id/fold_id"),
+        ("2,x,test,0.5,1", "row 2: non-integer instance_id/fold_id"),
+        ("2,0,test,high,1", "row 2: non-numeric score 'high'"),
+    ],
+)
+def test_score_table_non_numeric_cells_name_row(tmp_path, row, message):
+    with pytest.raises(ValueError, match=message):
+        load_score_table(write_table(tmp_path, ["1,0,test,0.5,1", row]))

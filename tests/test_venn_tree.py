@@ -97,6 +97,10 @@ def test_calibration_feature_mismatch_rejected():
         build_venn_tree(tree, calibrator, calibration_features=cal_x[:, :2])
     with pytest.raises(ValueError, match=r"have \(132, 3\) but the calibrator and tree expect \(133, 3\)"):
         build_venn_tree(tree, calibrator, calibration_features=cal_x[1:])
+    with pytest.raises(ValueError, match="^one feature name per feature column required$"):
+        build_venn_tree(tree, calibrator, feature_names=("a", "b"), calibration_features=cal_x)
+    with pytest.raises(ValueError, match="^display_max_depth must be >= 0$"):
+        build_venn_tree(tree, calibrator, display_max_depth=-1, calibration_features=cal_x)
 
 
 def test_single_leaf_tree_rule_has_no_conditions():
