@@ -416,6 +416,43 @@ def test_models_match_golden_digests(data, fit, kwargs, digest):
     assert _golden_digest(data, fit, kwargs) == digest
 
 
+def _score_probe(data):
+    """Forest, tree and a seeded 40 000-row probe on which they are scored.
+
+    The probe is longer than one walk chunk, even for a single tree, and
+    half of its cells hold a split threshold of their column taken from
+    the forest or the tree, so many rows sit exactly on a threshold.
+    """
+    x, y = _golden_data(data)
+    forest = fit_forest(x, y, n_trees=20, min_samples_leaf=5, seed=4)
+    tree = fit_tree(x, y, min_samples_leaf=2)
+    rng = np.random.default_rng(31)
+    probe = x[rng.integers(0, x.shape[0], size=40_000)] + rng.normal(scale=0.05, size=(40_000, x.shape[1]))
+    splits = [(m.feature_index[s], m.threshold[s])
+              for m in [tree, *forest.trees] for s in np.flatnonzero(m.feature_index != -1)]
+    features, thresholds = np.array(splits).T
+    for f in range(x.shape[1]):
+        column_thresholds = thresholds[features == f]
+        on = rng.random(probe.shape[0]) < 0.5
+        probe[on, f] = rng.choice(column_thresholds, size=int(on.sum()))
+    return forest, tree, probe
+
+
+GOLDEN_SCORES = {
+    # data: sha256 of the forest's score_many bits, then the tree's apply leaf ids
+    "grid": "52481874740e768a5c13a16918bb63421f59d7215a8cfed03013186aa787f7e1",
+    "continuous": "4912f96e67cfd1b8e7830f100e87da0e8f9938c1e7ea78e437a27601a15db0f5",
+}
+
+
+@pytest.mark.parametrize("data", sorted(GOLDEN_SCORES))
+def test_scores_match_golden_digests(data):
+    forest, tree, probe = _score_probe(data)
+    h = hashlib.sha256(np.asarray(forest.score_many(probe), dtype="<f8").tobytes())
+    h.update(np.asarray(tree.apply(probe), dtype="<i8").tobytes())
+    assert h.hexdigest() == GOLDEN_SCORES[data]
+
+
 def test_wide_keys_match_golden_digests(monkeypatch):
     # the builder packs its sort keys into 64 bits only when 32 do not
     # suffice; forcing the wide keys must not change any model
