@@ -24,13 +24,33 @@ segmented maximum gives each node's best score.  Scores are compared in
 floating point first and near-ties are re-compared with exact integer
 arithmetic, so the tie rule holds exactly even when two candidates have
 genuinely equal gain.
+
+One traversal, ``_walk``, scores every tree: a forest's trees at once and
+a single tree as a forest of one.  ``_pack`` concatenates the node arrays
+of all trees with per-tree offsets and makes both child slots of a leaf
+point to the leaf itself, so one gather ``child[2 * node + go_left]``
+advances every (tree, row) pair a level, with no branch on leaf versus
+split; ``x <= threshold`` routes left, and a nan goes right.  Every
+``_LEVELS_PER_COMPACTION`` levels the pairs that reached a leaf leave the
+active set.  A forest's score sums its trees' leaf fractions in tree
+order, ``total += fraction[tree]``, and divides by the tree count; a
+pairwise ``np.sum`` would round differently.  Rows are walked in chunks of
+about ``_PAIRS_PER_CHUNK`` pairs.  Both constants were set by scoring
+1000-row batches and 3 333 rows with the 100-tree reference forest on a
+2-vCPU Xeon VM.  Per batch, chunks of 2^12, 2^13, 2^14 and 2^15 pairs
+took 9.3, 8.1, 7.5 and 8.5 ms and raised peak RSS by 0.0, 0.1, 0.7 and
+1.8 MB; larger chunks ran slower still.  2^13 keeps nearly all of the
+speed and almost none of the memory.  Compacting every 4 to 6 levels was
+fastest; every level took 35% longer and every 8 levels a few percent
+longer.  A forest packs its trees once, on construction; a tree packs
+itself on each call, which is O(nodes) and leaves no cache to go stale.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -100,19 +120,8 @@ class DecisionTreeModel:
         )
 
     def apply(self, features) -> np.ndarray:
-        """Leaf index for every row of a feature matrix."""
-        x = np.asarray(features, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.n_features:
-            raise ValueError(f"expected (n, {self.n_features}) feature matrix, got {x.shape}")
-        node = np.zeros(x.shape[0], dtype=np.int64)
-        while True:
-            feat = self.feature_index[node]
-            active = np.flatnonzero(feat != _NO_FEATURE)
-            if active.size == 0:
-                return node
-            rows = node[active]
-            go_left = x[active, feat[active]] <= self.threshold[rows]
-            node[active] = np.where(go_left, self.left_child[rows], self.right_child[rows])
+        """Leaf index for every row of a feature matrix: the packed walk over a forest of one."""
+        return np.concatenate([leaves[0] for leaves in _walk(_pack([self]), features)])
 
     def score_many(self, features) -> np.ndarray:
         leaves = self.apply(features)
@@ -186,6 +195,75 @@ class DecisionTreeModel:
             raise ValueError(f"node {node} is a child of {parents[node]} split nodes, not of one")
 
 
+@dataclass(frozen=True)
+class _Packed:
+    """The node arrays of one or more trees concatenated, in the form the walk reads.
+
+    Tree t's nodes start at root[t]; child[2 * node + go_left] is the node a
+    row reaches next, and both slots of a leaf hold the leaf itself.  A leaf
+    has feature 0, so its gather stays inside the row.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    child: np.ndarray
+    leaf: np.ndarray
+    root: np.ndarray
+    n_features: int
+
+
+def _pack(trees: list[DecisionTreeModel]) -> _Packed:
+    sizes = [tree.n_nodes for tree in trees]
+    root = np.cumsum(sizes) - sizes
+    feature = np.concatenate([tree.feature_index for tree in trees])
+    leaf = feature == _NO_FEATURE
+    child = np.empty((feature.size, 2), dtype=np.intp)
+    child[:, 0] = np.concatenate([tree.right_child + r for tree, r in zip(trees, root)])
+    child[:, 1] = np.concatenate([tree.left_child + r for tree, r in zip(trees, root)])
+    child[leaf] = np.flatnonzero(leaf)[:, None]
+    return _Packed(
+        feature=np.where(leaf, 0, feature).astype(np.intp),
+        threshold=np.concatenate([tree.threshold for tree in trees]),
+        child=child.ravel(),
+        leaf=leaf,
+        root=root.astype(np.intp),
+        n_features=trees[0].n_features,
+    )
+
+
+def _walk(packed: _Packed, features):
+    """The one traversal: the leaf of every (tree, row) pair, as (n_trees, rows) chunks.
+
+    Yields at least one chunk, in row order, so the chunks concatenate
+    along rows to the whole matrix's leaves.
+    """
+    x = np.asarray(features, dtype=np.float64)
+    k = packed.n_features
+    if x.ndim != 2 or x.shape[1] != k:
+        raise ValueError(f"expected (n, {k}) feature matrix, got {x.shape}")
+    n_trees, n = packed.root.size, x.shape[0]
+    chunks = max(1, -(-n_trees * n // _PAIRS_PER_CHUNK))
+    step = max(1, -(-n // chunks))
+    for start in range(0, max(n, 1), step):
+        cells = x[start : start + step].ravel()
+        m = min(step, n - start)
+        node = np.repeat(packed.root, m)
+        row = np.tile(np.arange(0, m * k, k, dtype=np.intp), n_trees)  # cell of each pair's feature 0
+        pair = np.arange(n_trees * m)
+        leaves = np.empty(n_trees * m, dtype=np.intp)
+        while True:
+            done = packed.leaf[node]
+            leaves[pair[done]] = node[done]
+            active = ~done
+            node, row, pair = node[active], row[active], pair[active]
+            if node.size == 0:
+                break
+            for _ in range(_LEVELS_PER_COMPACTION):
+                go_left = cells[row + packed.feature[node]] <= packed.threshold[node]
+                node = packed.child[2 * node + go_left]
+        yield leaves.reshape(n_trees, m)
+
+
 def _validate_training_data(features, labels):
     x = np.asarray(features, dtype=np.float64)
     if x.ndim == 1:
@@ -212,6 +290,10 @@ def _validate_training_data(features, labels):
 # per 10-fold run) but peaked at 67 MB resident against 57 MB.
 _TREES_IN_FLIGHT = 32
 _ROWS_PER_STEP = 1 << 14
+
+# Both bound the scoring walk; the module docstring gives their timings.
+_PAIRS_PER_CHUNK = 1 << 13
+_LEVELS_PER_COMPACTION = 4
 
 
 def _key_dtype(bits: int):
@@ -560,17 +642,28 @@ class RandomForestModel:
     max_features: int
     bootstrap: bool
     seed: int
+    _packed: _Packed = field(init=False, repr=False, compare=False)
+    _fraction: np.ndarray = field(init=False, repr=False, compare=False)  # of every packed node
+
+    def __post_init__(self):
+        widths = {tree.n_features for tree in self.trees}
+        if len(widths) != 1:
+            raise ValueError(f"a forest needs trees of one feature count, got {sorted(widths)}")
+        self._packed = _pack(self.trees)
+        self._fraction = np.concatenate([tree.n_positive / tree.n_samples for tree in self.trees])
 
     @property
     def n_trees(self) -> int:
         return len(self.trees)
 
     def score_many(self, features) -> np.ndarray:
-        x = np.asarray(features, dtype=np.float64)
-        total = np.zeros(x.shape[0], dtype=np.float64)
-        for tree in self.trees:
-            total += tree.score_many(x)
-        return total / self.n_trees
+        parts = []
+        for leaves in _walk(self._packed, features):
+            total = np.zeros(leaves.shape[1])
+            for fractions in self._fraction[leaves]:  # in tree order
+                total += fractions
+            parts.append(total)
+        return np.concatenate(parts) / self.n_trees
 
     def to_dict(self) -> dict:
         return {

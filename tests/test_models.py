@@ -273,9 +273,11 @@ def test_forest_determinism_and_scores_in_range():
     s1 = f1.score_many(probe)
     assert np.array_equal(s1, f2.score_many(probe))
     assert np.all((s1 >= 0) & (s1 <= 1))
-    # recompute the mean directly from the member trees
-    direct = np.mean([t.score_many(probe) for t in f1.trees], axis=0)
-    assert np.allclose(s1, direct, atol=1e-15)
+    # the score is the sum of the member trees' scores in tree order, over n_trees
+    total = np.zeros(probe.shape[0])
+    for tree in f1.trees:
+        total += tree.score_many(probe)
+    assert s1.tobytes() == (total / f1.n_trees).tobytes()
 
 
 def test_forest_validates_arguments():
@@ -416,6 +418,20 @@ def test_models_match_golden_digests(data, fit, kwargs, digest):
     assert _golden_digest(data, fit, kwargs) == digest
 
 
+def _probe(x, models, rng, n, jitter):
+    """n rows drawn from x plus normal jitter, half of whose cells then hold
+    a split threshold of their column taken from the models."""
+    probe = x[rng.integers(0, x.shape[0], size=n)] + rng.normal(scale=jitter, size=(n, x.shape[1]))
+    splits = [(m.feature_index[s], m.threshold[s]) for m in models for s in np.flatnonzero(m.feature_index != -1)]
+    features, thresholds = np.array(splits).reshape(-1, 2).T
+    for f in range(x.shape[1]):
+        column_thresholds = thresholds[features == f]
+        on = rng.random(probe.shape[0]) < 0.5
+        if column_thresholds.size:
+            probe[on, f] = rng.choice(column_thresholds, size=int(on.sum()))
+    return probe
+
+
 def _score_probe(data):
     """Forest, tree and a seeded 40 000-row probe on which they are scored.
 
@@ -426,16 +442,7 @@ def _score_probe(data):
     x, y = _golden_data(data)
     forest = fit_forest(x, y, n_trees=20, min_samples_leaf=5, seed=4)
     tree = fit_tree(x, y, min_samples_leaf=2)
-    rng = np.random.default_rng(31)
-    probe = x[rng.integers(0, x.shape[0], size=40_000)] + rng.normal(scale=0.05, size=(40_000, x.shape[1]))
-    splits = [(m.feature_index[s], m.threshold[s])
-              for m in [tree, *forest.trees] for s in np.flatnonzero(m.feature_index != -1)]
-    features, thresholds = np.array(splits).T
-    for f in range(x.shape[1]):
-        column_thresholds = thresholds[features == f]
-        on = rng.random(probe.shape[0]) < 0.5
-        probe[on, f] = rng.choice(column_thresholds, size=int(on.sum()))
-    return forest, tree, probe
+    return forest, tree, _probe(x, [tree, *forest.trees], np.random.default_rng(31), 40_000, 0.05)
 
 
 GOLDEN_SCORES = {
@@ -451,6 +458,88 @@ def test_scores_match_golden_digests(data):
     h = hashlib.sha256(np.asarray(forest.score_many(probe), dtype="<f8").tobytes())
     h.update(np.asarray(tree.apply(probe), dtype="<i8").tobytes())
     assert h.hexdigest() == GOLDEN_SCORES[data]
+
+
+# ---------------------------------------------------------------------------
+# scoring: the packed walk against a per-row reference
+# ---------------------------------------------------------------------------
+
+def _reference_leaves(tree, x):
+    leaves = []
+    for row in x:
+        node = 0
+        while tree.feature_index[node] != -1:
+            go_left = row[tree.feature_index[node]] <= tree.threshold[node]
+            node = tree.left_child[node] if go_left else tree.right_child[node]
+        leaves.append(node)
+    return np.array(leaves, dtype=np.int64)
+
+
+def _reference_scores(trees, x):
+    total = np.zeros(len(x))
+    for tree in trees:
+        leaves = _reference_leaves(tree, x)
+        total += tree.n_positive[leaves] / tree.n_samples[leaves]
+    return total / len(trees)
+
+
+@pytest.mark.parametrize("pairs_per_chunk, levels", [(1, 1), (64, 3), (None, None)])
+@pytest.mark.parametrize(
+    "data, kwargs",
+    [
+        ("grid", {"n_trees": 6, "seed": 1}),
+        ("continuous", {"n_trees": 6, "seed": 2, "min_samples_leaf": 3}),
+        ("extreme", {"n_trees": 4, "seed": 2, "max_features": 1}),  # adjacent floats: thr = lo
+        ("constant-feature", {"n_trees": 4, "seed": 3, "max_depth": 4}),
+        ("single-class", {"n_trees": 3, "seed": 0}),  # single-leaf trees only
+    ],
+)
+def test_walk_matches_per_row_reference(monkeypatch, data, kwargs, pairs_per_chunk, levels):
+    if pairs_per_chunk is not None:  # a batch of several chunks, compacted every `levels` levels
+        monkeypatch.setattr(tree_module, "_PAIRS_PER_CHUNK", pairs_per_chunk)
+        monkeypatch.setattr(tree_module, "_LEVELS_PER_COMPACTION", levels)
+    x, y = _golden_data(data)
+    forest = fit_forest(x, y, **kwargs)
+    trees = [
+        *forest.trees,
+        fit_tree(x, y),
+        fit_tree(x, np.ones_like(y)),  # a single leaf
+        *(DecisionTreeModel.from_dict(tree.to_dict()) for tree in forest.trees),
+        *(tree.collapsed(2) for tree in forest.trees),
+    ]
+    probe = _probe(x, trees, np.random.default_rng(5), 200, 0.0)
+    probe[::17, 0] = np.nan
+    for tree in trees:
+        assert np.array_equal(tree.apply(probe), _reference_leaves(tree, probe))
+    for members in (forest.trees, trees):
+        scores = RandomForestModel(trees=members, max_features=1, bootstrap=True, seed=0).score_many(probe)
+        assert scores.dtype == np.float64
+        assert scores.tobytes() == _reference_scores(members, probe).tobytes()
+    assert forest.score_many(probe[:0]).shape == (0,)
+    assert trees[0].apply(probe[:0]).shape == (0,)
+
+
+def test_forest_and_tree_reject_wrong_feature_count():
+    x, y = [[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]], [0, 1, 1]
+    tree = fit_tree(x, y)
+    forest = fit_forest(x, y, n_trees=3, seed=0)
+    for score in (forest.score_many, tree.score_many, tree.apply):
+        for features in ([[1.0]], [1.0, 2.0]):
+            with pytest.raises(ValueError, match=r"expected \(n, 2\) feature matrix"):
+                score(features)
+    with pytest.raises(ValueError, match=r"trees of one feature count, got \[\]"):
+        RandomForestModel(trees=[], max_features=1, bootstrap=True, seed=0)
+    narrow = fit_tree([[0.0], [1.0]], [0, 1])
+    with pytest.raises(ValueError, match=r"trees of one feature count, got \[1, 2\]"):
+        RandomForestModel(trees=[tree, narrow], max_features=1, bootstrap=True, seed=0)
+
+
+def test_nan_routes_right():
+    # x <= threshold is False for nan, so a nan row takes the right child
+    tree = fit_tree([[1.0], [2.0], [3.0], [4.0]], [0, 0, 1, 1])
+    assert tree.apply([[np.nan]]).tolist() == [tree.right_child[0]]
+    forest = RandomForestModel(trees=[tree, tree], max_features=1, bootstrap=True, seed=0)
+    assert forest.score_many([[np.nan], [1.0]]).tolist() == [1.0, 0.0]
 
 
 def test_wide_keys_match_golden_digests(monkeypatch):
