@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 
@@ -23,7 +24,9 @@ from venncal.data import (
     write_columns,
     write_split_manifest,
 )
+from venncal.harness import load_fold_predictions
 from venncal.models import load_score_table
+from venncal.synthetic import write_reference_csv
 
 HEADER = (
     "UDI,Product ID,Type,Air temperature [K],Process temperature [K],"
@@ -178,6 +181,67 @@ def test_write_columns_formats_cells(tmp_path):
     assert path.read_bytes() == b"id,x,y,name\r\n1,0.1,,a\r\n2,,0.3333333333333333,b\r\n"
     with pytest.raises(ValueError, match="differ in length"):
         write_columns(path, ("a", "b"), ([1, 2], [3]))
+
+
+def _arrays_digest(*arrays):
+    digest = hashlib.sha256()
+    for array in arrays:
+        digest.update(f"{array.dtype.str}{array.shape}".encode())
+        digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+# cells that parse, but not from their shortest spelling: padding, signs,
+# exponents, extreme magnitudes and more digits than a float64 holds
+ODD_SCORES = (" 0.5 ", "5e-1", "+.25", "1", "0", "-0.0", "1E-300", "5e-324", "0.1000000000000000055511151231257827")
+ODD_IDS = ("007", "+12", " 3 ")
+
+
+def _odd_score_table(path):
+    """A seeded 10-fold score table of about 16 000 rows, with ODD_SCORES and ODD_IDS cells."""
+    rng = np.random.default_rng(13)
+    labels = (rng.random(4000) < 0.034).astype(int)
+    lines = ["instance_id,fold_id,partition,score,label"]
+    for fold in range(10):
+        for j in np.flatnonzero((np.arange(4000) % 10 == fold) | (rng.random(4000) < 1 / 3)).tolist():
+            partition = "test" if j % 10 == fold else "calibration"
+            score = repr(float(rng.random()))
+            lines.append(f"{j},{fold},{partition},{score},{labels[j]}")
+    for i, cell in enumerate(ODD_SCORES):
+        lines.append(f"{5000 + i},{i % 10}, test ,{cell}, 1 ")
+    for i, cell in enumerate(ODD_IDS):
+        lines.append(f"{cell},-{i + 1},calibration,0.5,0")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+# sha256 over dtype, shape and bytes of the arrays each CSV loader returns,
+# recorded from the per-row parse loops
+GOLDEN_PARSED_DIGESTS = {
+    "reference csv": "fe99e7d33b13eaa1efbe53f541b699a1d909c0efe7fa903dffaab444067e000a",
+    "score table": "6b06e36e60dbc3c9fdf59fccfcdd281da2fb2513526112723d78cea2cccd1601",
+    "fold predictions": "10bad56f2e3ce884559afac247783c539497df6cc715ec6e34d13fef3e3f1146",
+}
+
+
+def test_parsed_arrays_match_golden_digests(tmp_path):
+    dataset = load_csv(write_reference_csv(tmp_path / "reference.csv"))
+    assert dataset.features.flags.c_contiguous
+    table = load_score_table(_odd_score_table(tmp_path / "scores.csv"))
+    assert table.n_rows > 16_000
+    folds = tmp_path / "run" / "folds"
+    folds.mkdir(parents=True)
+    for fold, points in enumerate((ODD_SCORES, ("0.25", "1.0", "0.75"))):
+        rows = [f"{i}, {i % 2} ,0.5,0.25,0.75,{point}" for i, point in enumerate(points)]
+        (folds / f"rep0_fold{fold}_tree_none.csv").write_text(
+            "\n".join(["instance_id,label,score,p0,p1,point", *rows]) + "\n", encoding="utf-8"
+        )
+    digests = {
+        "reference csv": _arrays_digest(dataset.features, dataset.labels),
+        "score table": _arrays_digest(table.instance_id, table.fold_id, table.is_test, table.score, table.label),
+        "fold predictions": _arrays_digest(*load_fold_predictions(tmp_path / "run", "tree", "none")),
+    }
+    assert digests == GOLDEN_PARSED_DIGESTS
 
 
 # ---------------------------------------------------------------------------
