@@ -135,10 +135,12 @@ def isotonic_calibrate(fit: IsotonicFit, s):
 
     Uses the value of the greatest breakpoint <= s; inputs below the first
     breakpoint clamp to the first fitted value, inputs above the last to
-    the last.
+    the last.  A non-finite s is rejected.
     """
     if fit.breakpoints.size == 0:
         raise ValueError("empty isotonic fit")
+    if not np.all(np.isfinite(s)):
+        raise ValueError("test scores must be finite")
     idx = np.searchsorted(fit.breakpoints, s, side="right") - 1
     idx = np.maximum(idx, 0)
     return fit.fitted_values[idx]
@@ -242,8 +244,11 @@ def fit_platt(scores, labels) -> PlattFit:
 
 
 def apply_platt(fit: PlattFit, s):
-    """Evaluate 1 / (1 + exp(slope * s + intercept)) for scalar or array s."""
-    z = fit.slope * np.asarray(s, dtype=np.float64) + fit.intercept
+    """Evaluate 1 / (1 + exp(slope * s + intercept)) for scalar or array s; s must be finite."""
+    s = np.asarray(s, dtype=np.float64)
+    if not np.all(np.isfinite(s)):
+        raise ValueError("test scores must be finite")
+    z = fit.slope * s + fit.intercept
     out = np.exp(-np.logaddexp(0.0, z))
     if np.ndim(s) == 0:
         return float(out)

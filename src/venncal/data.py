@@ -3,8 +3,8 @@
 Loads the predictive-maintenance CSV in the AI4I column layout
 (AI4I_COLUMNS), mapping the quality letter to an ordinal code, dropping
 identifier and failure-mode indicator columns, and taking the
-machine-failure column as the binary label.  read_rows and write_columns
-are the one CSV row reader and the one column writer of the package.
+machine-failure column as the binary label.  read_rows, parse_columns and
+write_columns are the one CSV row reader, column reader and column writer.
 Also produces repeated stratified k-fold splits where each fold's training
 portion is further divided into a proper-training part and a calibration
 part.
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,11 +25,14 @@ __all__ = [
     "Dataset",
     "FoldSplit",
     "InfeasibleSplitError",
+    "LABEL_CODES",
     "ParseError",
     "SchemaError",
     "ValidationError",
     "load_csv",
+    "parse_columns",
     "read_rows",
+    "reject_first",
     "repeated_stratified_kfold",
     "splits_to_manifest",
     "stratified_holdout",
@@ -79,6 +81,7 @@ AI4I_COLUMNS = {
 QUALITY_COLUMN = "Type"
 QUALITY_CODES = {"L": 0.0, "M": 1.0, "H": 2.0}
 LABEL_COLUMN = "Machine failure"
+LABEL_CODES = {"0": 0, "1": 1}  # the label cell of every CSV venncal reads
 FEATURE_NAMES = tuple(name for name in AI4I_COLUMNS.values() if name)
 
 
@@ -125,43 +128,19 @@ def load_csv(path) -> Dataset:
     for column in header:
         if column not in AI4I_COLUMNS:
             raise SchemaError(f"{path}: unknown column {column!r}")
-    quality_idx = header.index(QUALITY_COLUMN)
-    numeric_idx = [header.index(c) for c, feature in AI4I_COLUMNS.items() if feature and c != QUALITY_COLUMN]
-    label_idx = header.index(LABEL_COLUMN)
-
-    features = []
-    labels = []
-    for row_number, row in rows:
-        quality_raw = row[quality_idx].strip()
-        if quality_raw not in QUALITY_CODES:
-            raise ValidationError(
-                f"{path}: row {row_number}: unknown quality value {quality_raw!r} "
-                f"(expected one of {sorted(QUALITY_CODES)})"
-            )
-        values = [QUALITY_CODES[quality_raw]]
-        for column_idx in numeric_idx:
-            cell = row[column_idx].strip()
-            try:
-                value = float(cell)
-            except ValueError:
-                raise ParseError(
-                    f"{path}: row {row_number}: non-numeric value {cell!r} in column {header[column_idx]!r}"
-                ) from None
-            if not math.isfinite(value):
-                raise ValidationError(
-                    f"{path}: row {row_number}: non-finite value {cell!r} in column {header[column_idx]!r}"
-                )
-            values.append(value)
-        label_raw = row[label_idx].strip()
-        if label_raw not in ("0", "1"):
-            raise ValidationError(
-                f"{path}: row {row_number}: label must be 0 or 1, got {label_raw!r}"
-            )
-        features.append(values)
-        labels.append(int(label_raw))
+    feature_columns = [column for column, feature in AI4I_COLUMNS.items() if feature]
+    parsers = {column: float for column in feature_columns}
+    parsers[QUALITY_COLUMN] = QUALITY_CODES.__getitem__
+    parsers[LABEL_COLUMN] = LABEL_CODES.__getitem__
+    row_numbers, columns = parse_columns(path, header, rows, parsers)
+    features = np.column_stack([np.asarray(columns[column], dtype=np.float64) for column in feature_columns])
+    reject_first(
+        path, row_numbers, ~np.isfinite(features),
+        lambda i, j: f"non-finite value '{features[i, j]}' in column {feature_columns[j]!r}",
+    )
     return Dataset(
-        features=np.asarray(features, dtype=np.float64),
-        labels=np.asarray(labels, dtype=np.int64),
+        features=features,
+        labels=np.asarray(columns[LABEL_COLUMN], dtype=np.int64),
         feature_names=FEATURE_NAMES,
     )
 
@@ -203,6 +182,46 @@ def read_rows(path, kind: str = "file"):
         raise ValidationError(f"{path}: no data rows")
 
 
+def parse_columns(path, header, rows, parsers):
+    """Parse the named columns of read_rows' data rows in one pass: (row numbers, {column: values}).
+
+    parsers maps a column to a builtin or a bound method (int, float, a
+    token map's __getitem__), so no Python frame runs per stripped cell.
+    A parser's ValueError is raised as a ParseError, its KeyError as a
+    ValidationError, each naming the file, row, column and cell.
+    """
+    columns = {column: [] for column in parsers}
+    cells = [(header.index(column), parse, columns[column].append) for column, parse in parsers.items()]
+    row_numbers = []
+    for row_number, row in rows:
+        row_numbers.append(row_number)
+        for i, parse, append in cells:
+            cell = row[i].strip()
+            try:
+                append(parse(cell))
+            except ValueError:
+                raise ParseError(
+                    f"{path}: row {row_number}: non-numeric value {cell!r} in column {header[i]!r}"
+                ) from None
+            except KeyError:
+                raise ValidationError(
+                    f"{path}: row {row_number}: {header[i]!r} must be one of {list(parse.__self__)}, got {cell!r}"
+                ) from None
+    return row_numbers, columns
+
+
+def reject_first(path, row_numbers, bad, fault) -> None:
+    """Raise a ValidationError naming the row of the first True in bad, a mask over the parsed rows.
+
+    fault words the rest from that entry's index (a row, or a row and a
+    column), and is called only on failure.
+    """
+    hits = np.argwhere(bad)
+    if hits.size:
+        index = hits[0].tolist()
+        raise ValidationError(f"{path}: row {row_numbers[index[0]]}: {fault(*index)}")
+
+
 def write_columns(path, header, columns) -> None:
     """Write a CSV from a header and equal-length columns.
 
@@ -242,24 +261,24 @@ class FoldSplit:
         return np.sort(np.concatenate([self.proper_train_ids, self.calibration_ids]))
 
 
+def _hold_out(class_sequences, fraction: float):
+    """Sorted (rest, held_out): the first round(fraction * size) ids of each class sequence are held out."""
+    if not (0.0 < fraction < 1.0):
+        raise InfeasibleSplitError("calibration_fraction must be in (0, 1)")
+    parts = [np.split(ids, [int(round(fraction * ids.size))]) for ids in class_sequences]
+    held, rest = (np.sort(np.concatenate(part)) for part in zip(*parts))
+    return rest, held
+
+
 def stratified_holdout(labels, fraction: float, rng: np.random.Generator):
     """Split indices into (rest, held_out) with per-class proportions.
 
     The held-out part receives round(fraction * class size) members of each
-    class; used for the calibration split inside each fold.
+    class, drawn at random.
     """
-    if not (0.0 < fraction < 1.0):
-        raise InfeasibleSplitError("calibration_fraction must be in (0, 1)")
     y = np.asarray(labels)
-    held = []
-    rest = []
-    for value in np.unique(y):
-        members = np.flatnonzero(y == value)
-        members = members[rng.permutation(members.size)]
-        take = int(round(fraction * members.size))
-        held.append(members[:take])
-        rest.append(members[take:])
-    return np.sort(np.concatenate(rest)), np.sort(np.concatenate(held))
+    members = [np.flatnonzero(y == value) for value in np.unique(y)]
+    return _hold_out([ids[rng.permutation(ids.size)] for ids in members], fraction)
 
 
 def repeated_stratified_kfold(
@@ -297,17 +316,8 @@ def repeated_stratified_kfold(
         chunks = [np.array_split(members[rng.permutation(members.size)], k) for members in class_members]
         for fold in range(k):
             test = np.sort(np.concatenate([chunks[0][fold], chunks[1][fold]]))
-            calibration_parts = []
-            proper_parts = []
-            for cls in (0, 1):
-                train_cls = np.concatenate(
-                    [chunks[cls][f] for f in range(k) if f != fold]
-                )
-                take = int(round(calibration_fraction * train_cls.size))
-                calibration_parts.append(train_cls[:take])
-                proper_parts.append(train_cls[take:])
-            calibration = np.sort(np.concatenate(calibration_parts))
-            proper = np.sort(np.concatenate(proper_parts))
+            train = [np.concatenate(class_chunks[:fold] + class_chunks[fold + 1:]) for class_chunks in chunks]
+            proper, calibration = _hold_out(train, calibration_fraction)
             for arr in (proper, calibration, test):
                 arr.setflags(write=False)
             splits.append(

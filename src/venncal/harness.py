@@ -33,13 +33,14 @@ from venncal.calibration import (
     pava,
 )
 from venncal.data import (
+    LABEL_CODES,
     Dataset,
     FoldSplit,
-    ParseError,
     SchemaError,
-    ValidationError,
     load_csv,
+    parse_columns,
     read_rows,
+    reject_first,
     repeated_stratified_kfold,
     write_columns,
     write_split_manifest,
@@ -348,6 +349,7 @@ def load_fold_predictions(output_dir, model: str, calibrator: str):
     paths = sorted(folds_dir.glob(_fold_stem("*", "*", model, calibrator) + ".csv"))
     if not paths:
         raise FileNotFoundError(f"no fold predictions for ({model}, {calibrator}) under {folds_dir}")
+    parsers = {"label": LABEL_CODES.__getitem__, "point": float}
     probabilities = []
     labels = []
     for path in paths:
@@ -355,15 +357,13 @@ def load_fold_predictions(output_dir, model: str, calibrator: str):
         header = next(rows)
         if tuple(header) != PREDICTION_COLUMNS:
             raise SchemaError(f"{path}: expected header {','.join(PREDICTION_COLUMNS)}, got {','.join(header)}")
-        for row_number, (_, label, _, _, _, point) in rows:
-            try:
-                probabilities.append(float(point))
-                labels.append(int(label))
-            except ValueError:
-                raise ParseError(f"{path}: row {row_number}: non-numeric label or point") from None
-            if not 0.0 <= probabilities[-1] <= 1.0:  # nan fails this too
-                raise ValidationError(f"{path}: row {row_number}: point {point!r} outside [0, 1]")
-    return np.asarray(probabilities), np.asarray(labels)
+        row_numbers, columns = parse_columns(path, header, rows, parsers)
+        point = np.asarray(columns["point"], dtype=np.float64)
+        outside = ~((point >= 0.0) & (point <= 1.0))  # nan is outside too
+        reject_first(path, row_numbers, outside, lambda i: f"point '{point[i]}' outside [0, 1]")
+        probabilities.append(point)
+        labels.append(np.asarray(columns["label"], dtype=np.int64))
+    return np.concatenate(probabilities), np.concatenate(labels)
 
 
 # ---------------------------------------------------------------------------

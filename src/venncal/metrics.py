@@ -32,6 +32,8 @@ BIN_MODES = ("width", "frequency")  # equal-width bins, or edges at probability 
 def _check_inputs(probabilities, labels):
     p = np.asarray(probabilities, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
+    if p.ndim != 1 or y.ndim != 1:
+        raise ValueError(f"probabilities and labels must be one-dimensional, got shapes {p.shape} and {y.shape}")
     if p.size != y.size:
         raise ValueError(f"length mismatch: {p.size} probabilities vs {y.size} labels")
     if p.size == 0:

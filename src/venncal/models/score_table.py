@@ -14,12 +14,12 @@ from pathlib import Path
 
 import numpy as np
 
-from venncal.data import read_rows
+from venncal.data import LABEL_CODES, SchemaError, ValidationError, parse_columns, read_rows, reject_first
 
 __all__ = ["ScoreTable", "load_score_table", "SCORE_TABLE_COLUMNS"]
 
 SCORE_TABLE_COLUMNS = ("instance_id", "fold_id", "partition", "score", "label")
-_PARTITIONS = ("calibration", "test")
+_PARTITIONS = {"calibration": False, "test": True}  # partition -> is_test
 
 
 @dataclass(frozen=True)
@@ -38,15 +38,15 @@ class ScoreTable:
         """Per fold, in ascending order, yield (fold, calibration, test).
 
         Each partition is (instance_ids, scores, labels) in file order.  A
-        fold without a calibration or a test row raises ValueError naming
-        the fold and the missing partition.
+        fold without a calibration or a test row raises ValidationError
+        naming the fold and the missing partition.
         """
         for fold in np.unique(self.fold_id).tolist():
             in_fold = self.fold_id == fold
             partitions = []
             for partition, mask in zip(_PARTITIONS, (in_fold & ~self.is_test, in_fold & self.is_test)):
                 if not mask.any():
-                    raise ValueError(f"fold {fold}: missing {partition} partition")
+                    raise ValidationError(f"fold {fold}: missing {partition} partition")
                 partitions.append((self.instance_id[mask], self.score[mask], self.label[mask]))
             yield fold, *partitions
 
@@ -55,60 +55,31 @@ def load_score_table(path) -> ScoreTable:
     """Load and validate a score-table CSV.
 
     Header must be exactly instance_id,fold_id,partition,score,label.
-    Scores outside [0, 1], labels outside {0, 1}, unknown partitions and
-    duplicate (instance_id, fold_id) keys are rejected with the offending
-    row named (1-based, excluding the header).
+    Non-integer ids, non-numeric scores, unknown partitions, labels
+    outside {0, 1}, scores outside [0, 1] and duplicate (instance_id,
+    fold_id) keys are rejected as ParseError or ValidationError with the
+    offending row named (1-based, excluding the header).
     """
     path = Path(path)
     rows = read_rows(path, "score table")
     header = next(rows)
     if tuple(header) != SCORE_TABLE_COLUMNS:
-        raise ValueError(
+        raise SchemaError(
             f"{path}: expected header {','.join(SCORE_TABLE_COLUMNS)}, got {','.join(header)}"
         )
-    instance_ids = []
-    fold_ids = []
-    is_test = []
-    scores = []
-    labels = []
-    seen: set[tuple[int, int]] = set()
-    for row_number, row in rows:
-        raw_instance, raw_fold, partition, raw_score, raw_label = (v.strip() for v in row)
-        try:
-            instance = int(raw_instance)
-            fold = int(raw_fold)
-        except ValueError:
-            raise ValueError(f"{path}: row {row_number}: non-integer instance_id/fold_id") from None
-        if partition not in _PARTITIONS:
-            raise ValueError(
-                f"{path}: row {row_number}: partition must be one of {_PARTITIONS}, got {partition!r}"
-            )
-        try:
-            score = float(raw_score)
-        except ValueError:
-            raise ValueError(f"{path}: row {row_number}: non-numeric score {raw_score!r}") from None
-        if not (0.0 <= score <= 1.0):
-            raise ValueError(f"{path}: row {row_number}: score {score} outside [0, 1]")
-        if raw_label not in ("0", "1"):
-            raise ValueError(f"{path}: row {row_number}: label must be 0 or 1, got {raw_label!r}")
-        key = (instance, fold)
-        if key in seen:
-            raise ValueError(
-                f"{path}: row {row_number}: duplicate (instance_id, fold_id) = {key}"
-            )
-        seen.add(key)
-        instance_ids.append(instance)
-        fold_ids.append(fold)
-        is_test.append(partition == "test")
-        scores.append(score)
-        labels.append(int(raw_label))
-    table = ScoreTable(
-        instance_id=np.asarray(instance_ids, dtype=np.int64),
-        fold_id=np.asarray(fold_ids, dtype=np.int64),
-        is_test=np.asarray(is_test, dtype=bool),
-        score=np.asarray(scores, dtype=np.float64),
-        label=np.asarray(labels, dtype=np.int64),
-    )
-    for arr in (table.instance_id, table.fold_id, table.is_test, table.score, table.label):
+    parsers = dict(zip(SCORE_TABLE_COLUMNS, (int, int, _PARTITIONS.__getitem__, float, LABEL_CODES.__getitem__)))
+    row_numbers, columns = parse_columns(path, header, rows, parsers)
+    dtypes = (np.int64, np.int64, bool, np.float64, np.int64)
+    fields = [np.asarray(columns[c], dtype=t) for c, t in zip(SCORE_TABLE_COLUMNS, dtypes)]  # ScoreTable's, in order
+    for arr in fields:
         arr.setflags(write=False)
+    table = ScoreTable(*fields)
+    ids, folds, score = table.instance_id, table.fold_id, table.score
+    reject_first(path, row_numbers, ~((score >= 0.0) & (score <= 1.0)), lambda i: f"score {score[i]} outside [0, 1]")
+    # a stable sort by key keeps each key's rows in file order: all but the first repeat an earlier one
+    order = np.lexsort((ids, folds))
+    repeats = np.zeros(table.n_rows, dtype=bool)
+    repeats[order[1:]] = (ids[order[1:]] == ids[order[:-1]]) & (folds[order[1:]] == folds[order[:-1]])
+    duplicate = "duplicate (instance_id, fold_id) = ({}, {})"
+    reject_first(path, row_numbers, repeats, lambda i: duplicate.format(ids[i], folds[i]))
     return table

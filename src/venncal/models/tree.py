@@ -168,7 +168,9 @@ class DecisionTreeModel:
         """Every split's children lie after it, and every node but the root has one parent.
 
         Together these make the node arrays a tree whose parents come before
-        their children, which ``node_depths`` and ``apply`` rely on.
+        their children, which ``node_depths`` and ``apply`` rely on.  Each
+        node also holds at least one sample, and at most that many positives,
+        so every leaf fraction lies in [0, 1].
         """
         n = self.n_nodes
         arrays = (self.feature_index, self.threshold, self.left_child,
@@ -193,6 +195,11 @@ class DecisionTreeModel:
         if bad.size:
             node = int(bad[0])
             raise ValueError(f"node {node} is a child of {parents[node]} split nodes, not of one")
+        bad = np.flatnonzero((self.n_samples < 1) | (self.n_positive < 0) | (self.n_positive > self.n_samples))
+        if bad.size:
+            node = int(bad[0])
+            raise ValueError(f"node {node}: {self.n_positive[node]} positives of {self.n_samples[node]} samples, "
+                             "need 0 <= n_positive <= n_samples and n_samples >= 1")
 
 
 @dataclass(frozen=True)

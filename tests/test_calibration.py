@@ -25,6 +25,7 @@ from venncal.calibration import (
     pava,
     regularized_point,
 )
+from venncal.metrics import ece, reliability_bins
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +192,17 @@ def test_isotonic_calibrate_rejects_empty_fit():
     empty = IsotonicFit(breakpoints=np.array([]), fitted_values=np.array([]), weights=np.array([]))
     with pytest.raises(ValueError, match="^empty isotonic fit$"):
         isotonic_calibrate(empty, 0.5)
+
+
+@pytest.mark.parametrize(
+    "fit, apply", [(pava, isotonic_calibrate), (fit_platt, apply_platt)], ids=["isotonic", "platt"]
+)
+def test_calibrators_reject_non_finite_test_scores(fit, apply):
+    """Isotonic returned its top fitted value (1.0 here) for nan and inf; Platt returned nan with a warning."""
+    calibrator = fit([0.1, 0.4, 0.6, 0.9], [0, 0, 1, 1])
+    for score in (np.nan, np.inf, -np.inf, [0.5, np.nan], np.array([[0.5], [np.inf]])):
+        with pytest.raises(ValueError, match="^test scores must be finite$"):
+            apply(calibrator, score)
 
 
 def test_isotonic_calibrate_vectorised():
@@ -439,6 +451,37 @@ def test_venn_abers_rejects_bad_inputs():
     for score in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="^test score must be finite$"):
             cal.interval_naive(score)
+
+
+@pytest.mark.parametrize("grid", [None, 10], ids=["continuous", "ten-value grid"])
+def test_venn_abers_p_y_is_calibrated_for_a_non_monotone_scorer(grid):
+    """p_Y, p1 for a true label 1 and p0 otherwise, is calibrated for any scorer on IID data.
+
+    Vovk & Petej, "Venn-Abers predictors" (UAI 2014).  Each of 4000
+    calibration sets of 40 rows predicts one test row, so the test rows are
+    independent.  With P(y=1 | s) = 0.15 + 0.7 sin^2(7s) no monotone map of s
+    is calibrated, yet p_Y must score under the 95% quantile of the ECE its
+    own predictions reach on labels redrawn from them (200 seeded Bernoulli
+    redraws), while the wrong-label probability must not.  On the grid most
+    test scores tie a calibration score, which the tied cell must handle.
+    """
+    rng = np.random.default_rng(0)
+    n_sets, n_calibration = 4000, 40
+    s = rng.random((n_sets, n_calibration + 1))  # the last row of each set is its test row
+    if grid:
+        s = np.floor(s * grid) / grid
+    y = (rng.random(s.shape) < 0.15 + 0.7 * np.sin(7 * s) ** 2).astype(np.int64)
+    p0, p1 = np.empty(n_sets), np.empty(n_sets)
+    for i, (si, yi) in enumerate(zip(s, y)):
+        (p0[i],), (p1[i],), _ = VennAbersCalibrator(si[:-1], yi[:-1]).intervals(si[-1:])
+    test_labels = y[:, -1]
+    p_y = np.where(test_labels == 1, p1, p0)
+    wrong_label = np.where(test_labels == 1, p0, p1)
+    redraw = np.random.default_rng(1)
+    null = [ece(reliability_bins(p_y, (redraw.random(n_sets) < p_y).astype(np.int64))) for _ in range(200)]
+    floor = float(np.quantile(null, 0.95))
+    assert ece(reliability_bins(p_y, test_labels)) < floor
+    assert ece(reliability_bins(wrong_label, test_labels)) > floor
 
 
 # ---------------------------------------------------------------------------

@@ -106,24 +106,28 @@ def test_non_numeric_cell_names_row(tmp_path):
 
 
 def test_non_finite_cell_names_file_row_and_column(tmp_path):
-    for cell in ("nan", "inf", "-Infinity"):
+    for cell, value in (("nan", "nan"), ("inf", "inf"), ("-Infinity", "-inf")):  # the parsed value is shown
         rows = make_rows(3) + [f"4,L4,L,300.1,310.2,1500,{cell},100,0,0,0,0,0,0"]
         path = write_csv(tmp_path, rows)
-        message = f"{path}: row 4: non-finite value {cell!r} in column 'Torque [Nm]'"
+        message = f"{path}: row 4: non-finite value {value!r} in column 'Torque [Nm]'"
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             load_csv(path)
 
 
 def test_bad_label_rejected(tmp_path):
     rows = ["1,L1,L,300.1,310.2,1500,40.5,100,2,0,0,0,0,0"]
-    with pytest.raises(ValidationError, match="label"):
-        load_csv(write_csv(tmp_path, rows))
+    path = write_csv(tmp_path, rows)
+    message = f"{path}: row 1: 'Machine failure' must be one of ['0', '1'], got '2'"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        load_csv(path)
 
 
 def test_bad_quality_rejected(tmp_path):
     rows = ["1,X1,X,300.1,310.2,1500,40.5,100,0,0,0,0,0,0"]
-    with pytest.raises(ValidationError, match="quality"):
-        load_csv(write_csv(tmp_path, rows))
+    path = write_csv(tmp_path, rows)
+    message = f"{path}: row 1: 'Type' must be one of ['L', 'M', 'H'], got 'X'"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        load_csv(path)
 
 
 def test_missing_file_raises(tmp_path):

@@ -604,8 +604,17 @@ def test_load_fold_predictions_names_file_and_row(tmp_path):
     label_cut = lines[2].split(",")
     label_cut[1] = "x"
     path.write_text("\n".join(lines[:2] + [",".join(label_cut)]), encoding="utf-8")
-    with pytest.raises(ParseError, match=re.escape(f"{path}: row 2: non-numeric label or point")):
+    with pytest.raises(ValidationError, match=re.escape(f"{path}: row 2: 'label' must be one of ['0', '1'], got 'x'")):
         load_fold_predictions(config.output_dir, "tree", "none")
+    for column, cell, error, message in (
+        (1, "2", ValidationError, "'label' must be one of ['0', '1'], got '2'"),
+        (5, "x", ParseError, "non-numeric value 'x' in column 'point'"),
+    ):
+        row = lines[2].split(",")
+        row[column] = cell
+        path.write_text("\n".join(lines[:2] + [",".join(row)]), encoding="utf-8")
+        with pytest.raises(error, match=re.escape(f"{path}: row 2: {message}")):
+            load_fold_predictions(config.output_dir, "tree", "none")
     path.write_text("\n".join(["id,label,score,p0,p1,point", *lines[1:]]), encoding="utf-8")
     with pytest.raises(SchemaError, match=re.escape(f"{path}: expected header {lines[0]}, got id,label,")):
         load_fold_predictions(config.output_dir, "tree", "none")

@@ -93,6 +93,10 @@ def test_empty_input_rejected():
         ([0.5, 1.5], [0, 1], r"probabilities must lie in \[0, 1\]"),
         ([0.5, np.nan], [0, 1], r"probabilities must lie in \[0, 1\]"),
         ([0.5, 0.7], [0, 2], "labels must be 0 or 1"),
+        # a probability column counted each row twice: accuracy 2.0 and 8 positive predictions of 4 rows
+        ([[0.9], [0.8], [0.2], [0.6]], [1, 1, 0, 0], r"must be one-dimensional, got shapes \(4, 1\) and \(4,\)$"),
+        ([0.9, 0.8], [[1], [0]], r"must be one-dimensional, got shapes \(2,\) and \(2, 1\)$"),
+        (0.9, 1, r"must be one-dimensional, got shapes \(\) and \(\)$"),
     ],
 )
 def test_bad_inputs_name_the_quantity(probabilities, labels, message):

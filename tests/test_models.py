@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import venncal.models.tree as tree_module
+from venncal.data import ParseError, SchemaError, ValidationError
 from venncal.models import (
     DecisionTreeModel,
     RandomForestModel,
@@ -227,6 +229,17 @@ def test_tree_from_dict_rejects_malformed_nodes():
     cases.append(("unequal lengths", unequal, "one length"))
     empty = _node_dict([], [])
     cases.append(("no nodes", empty, "non-empty"))
+    # an empty leaf and one with more positives than samples: the first loaded and scored [nan, 1.25]
+    need = "need 0 <= n_positive <= n_samples and n_samples >= 1"
+    for n_samples, n_positive, message in (
+        ([4, 0, 4], [1, 0, 5], rf"^node 1: 0 positives of 0 samples, {need}$"),
+        ([4, 4, 4], [1, 1, 5], r"^node 2: 5 positives of 4 samples"),
+        ([4, 4, 4], [1, -1, 0], r"^node 1: -1 positives of 4 samples"),
+        ([0, 4, 4], [0, 0, 0], r"^node 0: 0 positives of 0 samples"),
+    ):
+        counts = _node_dict([1, -1, -1], [2, -1, -1])
+        counts["n_samples"], counts["n_positive"] = n_samples, n_positive
+        cases.append(("impossible counts", counts, message))
     for name, payload, message in cases:
         with pytest.raises(ValueError, match=message):
             DecisionTreeModel.from_dict(payload)
@@ -667,11 +680,32 @@ def test_score_table_bad_partition_and_label(tmp_path):
 @pytest.mark.parametrize(
     "row, message",
     [
-        ("1.5,0,test,0.5,1", "row 2: non-integer instance_id/fold_id"),
-        ("2,x,test,0.5,1", "row 2: non-integer instance_id/fold_id"),
-        ("2,0,test,high,1", "row 2: non-numeric score 'high'"),
+        ("1.5,0,test,0.5,1", "row 2: non-numeric value '1.5' in column 'instance_id'"),
+        ("2,x,test,0.5,1", "row 2: non-numeric value 'x' in column 'fold_id'"),
+        ("2,0,test,high,1", "row 2: non-numeric value 'high' in column 'score'"),
     ],
 )
 def test_score_table_non_numeric_cells_name_row(tmp_path, row, message):
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ParseError, match=re.escape(message)):
         load_score_table(write_table(tmp_path, ["1,0,test,0.5,1", row]))
+
+
+def test_score_table_faults_name_file_row_and_value(tmp_path):
+    cases = [
+        (["1,0,test,0.5,1", "2,0,hold,0.5,1"], "row 2: 'partition' must be one of ['calibration', 'test'], got 'hold'"),
+        (["1,0,test,0.5,1", "2,0,test,0.5, 01 "], "row 2: 'label' must be one of ['0', '1'], got '01'"),
+        (["1,0,test,0.5,1", "2,0,test,nan,1"], "row 2: score nan outside [0, 1]"),
+        (["1,0,test,0.5,1", "2,0,test,-0.25,1"], "row 2: score -0.25 outside [0, 1]"),
+        # the first row that repeats an earlier key, not the first key repeated
+        (["1,0,test,0.5,1", "2,0,test,0.5,1", "2,1,test,0.5,1", "2,0,calibration,0.5,0", "1,0,test,0.5,1"],
+         "row 4: duplicate (instance_id, fold_id) = (2, 0)"),
+        # a non-numeric cell is found while parsing, before any range or key check
+        (["1,0,test,1.5,1", "1,0,test,0.5,1", "3,0,test,high,1"], "row 3: non-numeric value 'high' in column 'score'"),
+    ]
+    for rows, message in cases:
+        path = write_table(tmp_path, rows)
+        error = ParseError if "non-numeric" in message else ValidationError
+        with pytest.raises(error, match=f"^{re.escape(f'{path}: {message}')}$"):
+            load_score_table(path)
+    with pytest.raises(SchemaError, match="expected header"):
+        load_score_table(write_table(tmp_path, ["1,0,test,0.5,1"], header="id,fold,part,score,label"))
