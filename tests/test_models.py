@@ -666,7 +666,7 @@ def test_score_table_duplicate_key_rejected(tmp_path):
 
 def test_score_table_bad_header_rejected(tmp_path):
     path = write_table(tmp_path, ["1,0,test,0.5,1"], header="id,fold,part,score,label")
-    with pytest.raises(ValueError, match="header"):
+    with pytest.raises(SchemaError, match="header"):
         load_score_table(path)
 
 
@@ -707,5 +707,4 @@ def test_score_table_faults_name_file_row_and_value(tmp_path):
         error = ParseError if "non-numeric" in message else ValidationError
         with pytest.raises(error, match=f"^{re.escape(f'{path}: {message}')}$"):
             load_score_table(path)
-    with pytest.raises(SchemaError, match="expected header"):
-        load_score_table(write_table(tmp_path, ["1,0,test,0.5,1"], header="id,fold,part,score,label"))
+
