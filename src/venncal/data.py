@@ -3,8 +3,14 @@
 Loads the predictive-maintenance CSV in the AI4I column layout
 (AI4I_COLUMNS), mapping the quality letter to an ordinal code, dropping
 identifier and failure-mode indicator columns, and taking the
-machine-failure column as the binary label.  read_rows, parse_columns and
-write_columns are the one CSV row reader, column reader and column writer.
+machine-failure column as the binary label.  read_header, parse_columns
+and write_columns are the one CSV header reader, column reader and column
+writer.  parse_columns reads a whole file with one np.loadtxt call:
+integers take an optional sign and ASCII digits, numbers what float()
+takes (to the same bits) except underscores and non-ASCII digits, and a
+cell that starts with '"' is quoted as the csv module quotes it.  Data
+rows count from 1 after the header, blank lines skipped but counted; a
+faulty row is searched for only after a check fails.
 Also produces repeated stratified k-fold splits where each fold's training
 portion is further divided into a proper-training part and a calibration
 part.
@@ -13,7 +19,9 @@ part.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,7 +39,7 @@ __all__ = [
     "ValidationError",
     "load_csv",
     "parse_columns",
-    "read_rows",
+    "read_header",
     "reject_first",
     "repeated_stratified_kfold",
     "splits_to_manifest",
@@ -120,8 +128,7 @@ def load_csv(path) -> Dataset:
     reads as nan or inf is rejected with its row and column named.
     """
     path = Path(path)
-    rows = read_rows(path, "dataset")
-    header = next(rows)
+    header = read_header(path, "dataset")
     for column, feature in AI4I_COLUMNS.items():
         if (feature or column == LABEL_COLUMN) and column not in header:
             raise SchemaError(f"{path}: missing required column {column!r}")
@@ -129,88 +136,155 @@ def load_csv(path) -> Dataset:
         if column not in AI4I_COLUMNS:
             raise SchemaError(f"{path}: unknown column {column!r}")
     feature_columns = [column for column, feature in AI4I_COLUMNS.items() if feature]
-    parsers = {column: float for column in feature_columns}
-    parsers[QUALITY_COLUMN] = QUALITY_CODES.__getitem__
-    parsers[LABEL_COLUMN] = LABEL_CODES.__getitem__
-    row_numbers, columns = parse_columns(path, header, rows, parsers)
-    features = np.column_stack([np.asarray(columns[column], dtype=np.float64) for column in feature_columns])
+    parsers = {column: np.float64 for column in feature_columns}
+    parsers[QUALITY_COLUMN] = QUALITY_CODES
+    parsers[LABEL_COLUMN] = LABEL_CODES
+    columns = parse_columns(path, header, parsers)
+    features = np.column_stack([columns[column] for column in feature_columns])
     reject_first(
-        path, row_numbers, ~np.isfinite(features),
+        path, ~np.isfinite(features),
         lambda i, j: f"non-finite value '{features[i, j]}' in column {feature_columns[j]!r}",
     )
-    return Dataset(
-        features=features,
-        labels=np.asarray(columns[LABEL_COLUMN], dtype=np.int64),
-        feature_names=FEATURE_NAMES,
-    )
+    return Dataset(features=features, labels=columns[LABEL_COLUMN], feature_names=FEATURE_NAMES)
 
 
 # ---------------------------------------------------------------------------
-# CSV rows in and out
+# CSV columns in and out
 # ---------------------------------------------------------------------------
 
-def read_rows(path, kind: str = "file"):
-    """Yield a CSV's stripped header, then (row number, fields) per non-blank row.
+# A token cell is read into a bytes field of TOKEN_WIDTH characters (latin-1;
+# any other character fails the read) and stripped of ASCII whitespace, as
+# bytes.strip() strips it.  np.loadtxt cuts a cell to its field's width, so a
+# cell that fills the field is rejected.
+TOKEN_WIDTH = 16
+TOKEN_PADDING = " \t\n\r\x0b\x0c"
 
-    Rows are numbered from 1 after the header; fields are not stripped.
-    Raises FileNotFoundError ("<kind> not found"), SchemaError (empty file,
-    a column named twice), ParseError (a field count other than the
-    header's) and ValidationError (no data rows), naming the file and row.
+
+def read_header(path, kind: str = "file") -> list[str]:
+    """A CSV's header, each name stripped.
+
+    Raises FileNotFoundError ("<kind> not found") and SchemaError (empty
+    file, a column named twice), naming the file.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"{kind} not found: {path}")
     with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
         try:
-            header = [h.strip() for h in next(reader)]
+            header = [h.strip() for h in next(csv.reader(handle))]
         except StopIteration:
             raise SchemaError(f"{path}: empty file") from None
-        for i, column in enumerate(header):
-            if column in header[:i]:
-                raise SchemaError(f"{path}: column {column!r} appears more than once")
-        yield header
-        rows = 0
-        for row_number, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(f"{path}: row {row_number}: expected {len(header)} fields, got {len(row)}")
-            rows += 1
-            yield row_number, row
-    if not rows:
-        raise ValidationError(f"{path}: no data rows")
+    for i, column in enumerate(header):
+        if column in header[:i]:
+            raise SchemaError(f"{path}: column {column!r} appears more than once")
+    return header
 
 
-def parse_columns(path, header, rows, parsers):
-    """Parse the named columns of read_rows' data rows in one pass: (row numbers, {column: values}).
+def _loadtxt(source, dtype, **options):
+    return np.loadtxt(
+        source, dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1, encoding="utf-8", **options
+    )
 
-    parsers maps a column to a builtin or a bound method (int, float, a
-    token map's __getitem__), so no Python frame runs per stripped cell.
-    A parser's ValueError is raised as a ParseError, its KeyError as a
-    ValidationError, each naming the file, row, column and cell.
+
+def parse_columns(path, header, parsers) -> dict:
+    """Parse the named columns of a CSV below its header with one np.loadtxt call: {column: array}.
+
+    parsers maps a column to np.int64, np.float64 or a token map (stripped
+    cell -> value); every other column is read but not kept, so each row
+    must have the header's field count.  A row at fault is found only
+    when a check fails, by _first_fault, and named the way _records
+    numbers it.  Raises ParseError (a field count other than the
+    header's, a non-numeric cell), ValidationError (a cell that is not a
+    token of its map, no data rows), each naming the file.
     """
-    columns = {column: [] for column in parsers}
-    cells = [(header.index(column), parse, columns[column].append) for column, parse in parsers.items()]
-    row_numbers = []
-    for row_number, row in rows:
-        row_numbers.append(row_number)
-        for i, parse, append in cells:
-            cell = row[i].strip()
-            try:
-                append(parse(cell))
-            except ValueError:
-                raise ParseError(
-                    f"{path}: row {row_number}: non-numeric value {cell!r} in column {header[i]!r}"
-                ) from None
-            except KeyError:
-                raise ValidationError(
-                    f"{path}: row {row_number}: {header[i]!r} must be one of {list(parse.__self__)}, got {cell!r}"
-                ) from None
-    return row_numbers, columns
+    path = Path(path)
+    types = {column: f"S{TOKEN_WIDTH}" if isinstance(parse, dict) else parse for column, parse in parsers.items()}
+    dtype = [(column, types.get(column, "U1")) for column in header]  # a "U1" column is counted, not kept
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            table = _loadtxt(path, dtype, skiprows=1)
+    except ValueError as error:
+        raise _first_fault(path, header, parsers, dtype) or ParseError(f"{path}: {error}") from None
+    if not table.size:
+        raise ValidationError(f"{path}: no data rows")
+    columns = {}
+    for column, parse in parsers.items():
+        if isinstance(parse, dict):
+            columns[column], known = _map_tokens(table[column], parse)
+            if not known.all():
+                raise _first_fault(path, header, parsers, dtype) or ValidationError(
+                    f"{path}: {column!r} must be one of {list(parse)}"
+                )
+        else:
+            columns[column] = np.ascontiguousarray(table[column])
+    return columns
 
 
-def reject_first(path, row_numbers, bad, fault) -> None:
+def _map_tokens(cells, tokens):
+    """(values, known): each stripped cell's value in tokens, and whether it has one and is shorter than TOKEN_WIDTH."""
+    stripped = np.strings.strip(cells)
+    values = np.zeros(cells.shape, dtype=np.asarray(list(tokens.values())).dtype)
+    known = np.zeros(cells.shape, dtype=bool)
+    for token, value in tokens.items():
+        hit = stripped == token.encode()
+        values[hit] = value
+        known |= hit
+    return values, known & (np.strings.str_len(cells) < TOKEN_WIDTH)
+
+
+def _records(path):
+    """Yield (row number, text, fields) per non-blank row below a CSV's header.
+
+    Rows are csv records numbered from 1 after the header, blank ones
+    counted; text is the row's lines as the file holds them.
+    """
+    with Path(path).open(newline="", encoding="utf-8") as handle:
+        lines = []  # the lines csv has read since the last record
+        reader = csv.reader(lines.append(line) or line for line in handle)
+        next(reader)
+        lines.clear()
+        for row_number, fields in enumerate(reader, start=1):
+            text = "".join(lines)
+            lines.clear()
+            if fields:
+                yield row_number, text, fields
+
+
+def _first_fault(path, header, parsers, dtype):
+    """The ParseError or ValidationError of the first row at fault in parse_columns' terms, or None.
+
+    Rows are read with np.loadtxt in blocks; in a block that fails, each
+    numeric cell is tried with np.loadtxt on its row's text, so a cell
+    fails here exactly when it fails in parse_columns' one call.  A row's
+    cells are tried in the order of parsers.
+    """
+    records = _records(path)
+    for block in iter(lambda: list(itertools.islice(records, 1024)), []):
+        try:
+            _loadtxt([text for _, text, _ in block], dtype)
+            numbers_parse = True
+        except ValueError:
+            numbers_parse = False
+        for row_number, text, fields in block:
+            where = f"{path}: row {row_number}"
+            if len(fields) != len(header):
+                return ParseError(f"{where}: expected {len(header)} fields, got {len(fields)}")
+            for column, parse in parsers.items():
+                i = header.index(column)
+                if isinstance(parse, dict):
+                    cell = fields[i].strip(TOKEN_PADDING) if len(fields[i]) < TOKEN_WIDTH else fields[i]
+                    if cell not in parse:
+                        return ValidationError(f"{where}: {column!r} must be one of {list(parse)}, got {cell!r}")
+                elif not numbers_parse:
+                    try:
+                        _loadtxt([text], parse, usecols=[i])
+                    except ValueError:
+                        return ParseError(f"{where}: non-numeric value {fields[i].strip()!r} in column {column!r}")
+    return None
+
+
+def reject_first(path, bad, fault) -> None:
     """Raise a ValidationError naming the row of the first True in bad, a mask over the parsed rows.
 
     fault words the rest from that entry's index (a row, or a row and a
@@ -219,7 +293,8 @@ def reject_first(path, row_numbers, bad, fault) -> None:
     hits = np.argwhere(bad)
     if hits.size:
         index = hits[0].tolist()
-        raise ValidationError(f"{path}: row {row_numbers[index[0]]}: {fault(*index)}")
+        row_number = next(itertools.islice(_records(path), index[0], None))[0]
+        raise ValidationError(f"{path}: row {row_number}: {fault(*index)}")
 
 
 def write_columns(path, header, columns) -> None:

@@ -39,7 +39,7 @@ from venncal.data import (
     SchemaError,
     load_csv,
     parse_columns,
-    read_rows,
+    read_header,
     reject_first,
     repeated_stratified_kfold,
     write_columns,
@@ -349,20 +349,19 @@ def load_fold_predictions(output_dir, model: str, calibrator: str):
     paths = sorted(folds_dir.glob(_fold_stem("*", "*", model, calibrator) + ".csv"))
     if not paths:
         raise FileNotFoundError(f"no fold predictions for ({model}, {calibrator}) under {folds_dir}")
-    parsers = {"label": LABEL_CODES.__getitem__, "point": float}
+    parsers = {"label": LABEL_CODES, "point": np.float64}
     probabilities = []
     labels = []
     for path in paths:
-        rows = read_rows(path)
-        header = next(rows)
+        header = read_header(path)
         if tuple(header) != PREDICTION_COLUMNS:
             raise SchemaError(f"{path}: expected header {','.join(PREDICTION_COLUMNS)}, got {','.join(header)}")
-        row_numbers, columns = parse_columns(path, header, rows, parsers)
-        point = np.asarray(columns["point"], dtype=np.float64)
+        columns = parse_columns(path, header, parsers)
+        point = columns["point"]
         outside = ~((point >= 0.0) & (point <= 1.0))  # nan is outside too
-        reject_first(path, row_numbers, outside, lambda i: f"point '{point[i]}' outside [0, 1]")
+        reject_first(path, outside, lambda i: f"point '{point[i]}' outside [0, 1]")
         probabilities.append(point)
-        labels.append(np.asarray(columns["label"], dtype=np.int64))
+        labels.append(columns["label"])
     return np.concatenate(probabilities), np.concatenate(labels)
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from venncal.data import LABEL_CODES, SchemaError, ValidationError, parse_columns, read_rows, reject_first
+from venncal.data import LABEL_CODES, SchemaError, ValidationError, parse_columns, read_header, reject_first
 
 __all__ = ["ScoreTable", "load_score_table", "SCORE_TABLE_COLUMNS"]
 
@@ -61,25 +61,23 @@ def load_score_table(path) -> ScoreTable:
     offending row named (1-based, excluding the header).
     """
     path = Path(path)
-    rows = read_rows(path, "score table")
-    header = next(rows)
+    header = read_header(path, "score table")
     if tuple(header) != SCORE_TABLE_COLUMNS:
         raise SchemaError(
             f"{path}: expected header {','.join(SCORE_TABLE_COLUMNS)}, got {','.join(header)}"
         )
-    parsers = dict(zip(SCORE_TABLE_COLUMNS, (int, int, _PARTITIONS.__getitem__, float, LABEL_CODES.__getitem__)))
-    row_numbers, columns = parse_columns(path, header, rows, parsers)
-    dtypes = (np.int64, np.int64, bool, np.float64, np.int64)
-    fields = [np.asarray(columns[c], dtype=t) for c, t in zip(SCORE_TABLE_COLUMNS, dtypes)]  # ScoreTable's, in order
+    parsers = dict(zip(SCORE_TABLE_COLUMNS, (np.int64, np.int64, _PARTITIONS, np.float64, LABEL_CODES)))
+    columns = parse_columns(path, header, parsers)
+    fields = [columns[column] for column in SCORE_TABLE_COLUMNS]  # ScoreTable's, in order
     for arr in fields:
         arr.setflags(write=False)
     table = ScoreTable(*fields)
     ids, folds, score = table.instance_id, table.fold_id, table.score
-    reject_first(path, row_numbers, ~((score >= 0.0) & (score <= 1.0)), lambda i: f"score {score[i]} outside [0, 1]")
+    reject_first(path, ~((score >= 0.0) & (score <= 1.0)), lambda i: f"score {score[i]} outside [0, 1]")
     # a stable sort by key keeps each key's rows in file order: all but the first repeat an earlier one
     order = np.lexsort((ids, folds))
     repeats = np.zeros(table.n_rows, dtype=bool)
     repeats[order[1:]] = (ids[order[1:]] == ids[order[:-1]]) & (folds[order[1:]] == folds[order[:-1]])
     duplicate = "duplicate (instance_id, fold_id) = ({}, {})"
-    reject_first(path, row_numbers, repeats, lambda i: duplicate.format(ids[i], folds[i]))
+    reject_first(path, repeats, lambda i: duplicate.format(ids[i], folds[i]))
     return table

@@ -17,7 +17,6 @@ from venncal.data import (
     SchemaError,
     ValidationError,
     load_csv,
-    read_rows,
     repeated_stratified_kfold,
     splits_to_manifest,
     stratified_holdout,
@@ -100,9 +99,13 @@ def test_unknown_column_named(tmp_path):
 
 
 def test_non_numeric_cell_names_row(tmp_path):
-    rows = make_rows(3) + ["4,L4,L,300.1,oops,1500,40.5,100,0,0,0,0,0,0"]
-    with pytest.raises(ParseError, match="row 4"):
-        load_csv(write_csv(tmp_path, rows))
+    # Python's float() would read underscores between digits and non-ASCII digits
+    for cell in ("oops", "1_0", "0.2_5", "\u0663"):
+        rows = make_rows(3) + [f"4,L4,L,300.1,{cell},1500,40.5,100,0,0,0,0,0,0"]
+        path = write_csv(tmp_path, rows)
+        message = f"{path}: row 4: non-numeric value {cell!r} in column 'Process temperature [K]'"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            load_csv(path)
 
 
 def test_non_finite_cell_names_file_row_and_column(tmp_path):
@@ -115,19 +118,21 @@ def test_non_finite_cell_names_file_row_and_column(tmp_path):
 
 
 def test_bad_label_rejected(tmp_path):
-    rows = ["1,L1,L,300.1,310.2,1500,40.5,100,2,0,0,0,0,0"]
-    path = write_csv(tmp_path, rows)
-    message = f"{path}: row 1: 'Machine failure' must be one of ['0', '1'], got '2'"
-    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-        load_csv(path)
+    for label in ("2", "10"):
+        rows = [f"1,L1,L,300.1,310.2,1500,40.5,100,{label},0,0,0,0,0"]
+        path = write_csv(tmp_path, rows)
+        message = f"{path}: row 1: 'Machine failure' must be one of ['0', '1'], got {label!r}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            load_csv(path)
 
 
 def test_bad_quality_rejected(tmp_path):
-    rows = ["1,X1,X,300.1,310.2,1500,40.5,100,0,0,0,0,0,0"]
-    path = write_csv(tmp_path, rows)
-    message = f"{path}: row 1: 'Type' must be one of ['L', 'M', 'H'], got 'X'"
-    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-        load_csv(path)
+    for quality in ("X", "LL"):
+        rows = [f"1,X1,{quality},300.1,310.2,1500,40.5,100,0,0,0,0,0,0"]
+        path = write_csv(tmp_path, rows)
+        message = f"{path}: row 1: 'Type' must be one of ['L', 'M', 'H'], got {quality!r}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            load_csv(path)
 
 
 def test_missing_file_raises(tmp_path):
@@ -138,6 +143,9 @@ def test_missing_file_raises(tmp_path):
 def test_short_row_names_file_and_row(tmp_path):
     path = write_csv(tmp_path, make_rows(2) + ["3,L3,L,300.1,310.2,1500"])
     with pytest.raises(ParseError, match=re.escape(f"{path}: row 3: expected 14 fields, got 6")):
+        load_csv(path)
+    path = write_csv(tmp_path, make_rows(2) + [make_rows(3)[2] + ",0"])  # the dataset reader keeps 8 of 14 columns
+    with pytest.raises(ParseError, match=re.escape(f"{path}: row 3: expected 14 fields, got 15")):
         load_csv(path)
     table = tmp_path / "scores.csv"
     table.write_text("instance_id,fold_id,partition,score,label\n1,0,test,0.5,1\n\n2,0,test\n", encoding="utf-8")
@@ -166,13 +174,19 @@ def test_empty_file_and_header_only_rejected(tmp_path):
         load_score_table(header_only)
 
 
-def test_read_rows_skips_blank_rows_and_numbers_the_rest(tmp_path):
-    path = tmp_path / "t.csv"
-    path.write_text(" a , b\n1,2\n\n 3 ,4\n", encoding="utf-8")
-    rows = list(read_rows(path))
-    assert rows == [["a", "b"], (1, ["1", "2"]), (3, [" 3 ", "4"])]
-    with pytest.raises(FileNotFoundError, match="table not found"):
-        next(read_rows(tmp_path / "nope.csv", "table"))
+def test_loaders_skip_blank_rows_and_number_the_rest(tmp_path):
+    """Data rows count from 1 after the header; blank lines are skipped but counted, and header names stripped."""
+    table = tmp_path / "scores.csv"
+    table.write_text(" instance_id , fold_id,partition,score,label\n1,0,test,0.5,1\n\n\n 3 ,0,test,x,1\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=re.escape(f"{table}: row 4: non-numeric value 'x' in column 'score'")):
+        load_score_table(table)
+    path = write_csv(tmp_path, make_rows(1) + ["", "", "2,L2,L,300.1,310.2,1500,40.5,oops,0,0,0,0,0,0"])
+    with pytest.raises(ParseError, match=re.escape(f"{path}: row 4: non-numeric value 'oops' in column 'Tool wear [min]'")):
+        load_csv(path)
+    with pytest.raises(FileNotFoundError, match="score table not found"):
+        load_score_table(tmp_path / "nope.csv")
+    with pytest.raises(FileNotFoundError, match="dataset not found"):
+        load_csv(tmp_path / "nope.csv")
 
 
 def test_write_columns_formats_cells(tmp_path):

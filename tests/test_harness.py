@@ -608,7 +608,11 @@ def test_load_fold_predictions_names_file_and_row(tmp_path):
         load_fold_predictions(config.output_dir, "tree", "none")
     for column, cell, error, message in (
         (1, "2", ValidationError, "'label' must be one of ['0', '1'], got '2'"),
+        (1, "10", ValidationError, "'label' must be one of ['0', '1'], got '10'"),
         (5, "x", ParseError, "non-numeric value 'x' in column 'point'"),
+        (5, "1_0", ParseError, "non-numeric value '1_0' in column 'point'"),
+        (5, "0.2_5", ParseError, "non-numeric value '0.2_5' in column 'point'"),
+        (5, "\u0663", ParseError, "non-numeric value '\u0663' in column 'point'"),
     ):
         row = lines[2].split(",")
         row[column] = cell

@@ -683,6 +683,10 @@ def test_score_table_bad_partition_and_label(tmp_path):
         ("1.5,0,test,0.5,1", "row 2: non-numeric value '1.5' in column 'instance_id'"),
         ("2,x,test,0.5,1", "row 2: non-numeric value 'x' in column 'fold_id'"),
         ("2,0,test,high,1", "row 2: non-numeric value 'high' in column 'score'"),
+        # Python's int() and float() would read these as 10, 0.25 and 3
+        ("1_0,0,test,0.5,1", "row 2: non-numeric value '1_0' in column 'instance_id'"),
+        ("2,0,test,0.2_5,1", "row 2: non-numeric value '0.2_5' in column 'score'"),
+        ("2,\u0663,test,0.5,1", "row 2: non-numeric value '\u0663' in column 'fold_id'"),
     ],
 )
 def test_score_table_non_numeric_cells_name_row(tmp_path, row, message):
@@ -690,10 +694,32 @@ def test_score_table_non_numeric_cells_name_row(tmp_path, row, message):
         load_score_table(write_table(tmp_path, ["1,0,test,0.5,1", row]))
 
 
+def test_score_table_names_the_first_fault_of_a_long_table(tmp_path):
+    """Faults past the first few thousand rows: the first in file order is named, numeric or token."""
+    rows = [f"{i},0,{'test' if i % 3 else 'calibration'},0.5,{i % 2}" for i in range(1, 3001)]
+    for faults, message in (
+        ({2500: "2500,0,test,oops,0", 2600: "2600,0,hold,0.5,0"}, "row 2500: non-numeric value 'oops' in column 'score'"),
+        ({500: "500,0,hold,0.5,0", 2600: "2600,0,test,oops,0"}, "row 500: 'partition' must be one of"),
+        ({2999: "2999,0,test,0.5,0,1"}, "row 2999: expected 5 fields, got 6"),
+    ):
+        path = write_table(tmp_path, [faults.get(i, row) for i, row in enumerate(rows, start=1)])
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            load_score_table(path)
+
+
 def test_score_table_faults_name_file_row_and_value(tmp_path):
     cases = [
         (["1,0,test,0.5,1", "2,0,hold,0.5,1"], "row 2: 'partition' must be one of ['calibration', 'test'], got 'hold'"),
         (["1,0,test,0.5,1", "2,0,test,0.5, 01 "], "row 2: 'label' must be one of ['0', '1'], got '01'"),
+        (["1,0,test,0.5,1", "2,0,test,0.5,10"], "row 2: 'label' must be one of ['0', '1'], got '10'"),
+        (["1,0,test,0.5,1", "2,0,calibrationx,0.5,1"],
+         "row 2: 'partition' must be one of ['calibration', 'test'], got 'calibrationx'"),
+        # a cell longer than a fixed-width field is not cut to a token
+        (["1,0,test,0.5,1", "2,0,test            x,0.5,1"],
+         "row 2: 'partition' must be one of ['calibration', 'test'], got 'test            x'"),
+        # a token cell holds fewer than 16 characters, padding included; a longer one is shown unstripped
+        (["1,0,test,0.5,1", "2,0,test            ,0.5,1"],
+         "row 2: 'partition' must be one of ['calibration', 'test'], got 'test            '"),
         (["1,0,test,0.5,1", "2,0,test,nan,1"], "row 2: score nan outside [0, 1]"),
         (["1,0,test,0.5,1", "2,0,test,-0.25,1"], "row 2: score -0.25 outside [0, 1]"),
         # the first row that repeats an earlier key, not the first key repeated
