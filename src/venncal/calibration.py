@@ -75,13 +75,11 @@ def _pava_pooled(weights: np.ndarray, label_sums: np.ndarray) -> np.ndarray:
     rounding in the merge decisions.
     """
     n = weights.size
-    # parallel stacks of block (weight sum, label sum, start index)
+    # parallel stacks of block (weight sum, label sum, start index), on Python floats
     bw: list[float] = []
     by: list[float] = []
     bs: list[int] = []
-    for i in range(n):
-        cw = weights[i]
-        cy = label_sums[i]
+    for i, (cw, cy) in enumerate(zip(weights.tolist(), label_sums.tolist())):
         start = i
         while bw and by[-1] * cw >= cy * bw[-1]:
             cw += bw.pop()
@@ -315,11 +313,13 @@ class VennAbersCalibrator:
 
         A block is a tuple (weight_sum, label_sum, link); prefix links point
         to the block on the left, suffix links to the block on the right.
-        Sharing makes the whole construction O(n).
+        Sharing makes the whole construction O(n).  The sums are Python
+        floats: the same IEEE arithmetic as numpy scalars, with less
+        overhead per operation.
         """
-        w = self._weights
-        a = self._label_sums
-        k = w.size
+        w = self._weights.tolist()
+        a = self._label_sums.tolist()
+        k = len(w)
         left_states: list = [None] * (k + 1)
         top = None
         for j in range(k):
@@ -349,8 +349,8 @@ class VennAbersCalibrator:
 
     def _fitted_at_insert(self, position: int, tied: bool, label: float) -> float:
         if tied:
-            cw = self._weights[position] + 1.0
-            cy = self._label_sums[position] + label
+            cw = float(self._weights[position]) + 1.0
+            cy = float(self._label_sums[position]) + label
             left = self._left_states[position]
             right = self._right_states[position + 1]
         else:
@@ -371,7 +371,7 @@ class VennAbersCalibrator:
                 right = right[2]
                 merged = True
             if not merged:
-                return float(cy / cw)
+                return cy / cw
 
     def interval_naive(self, s_test: float) -> ProbabilityInterval:
         """Reference path: re-pool and re-run PAVA for each augmented set."""

@@ -1,4 +1,4 @@
-"""Dataset ingestion, CSV rows in and out, and cross-validation splits.
+"""Dataset ingestion, CSV columns in and out, and cross-validation splits.
 
 Loads the predictive-maintenance CSV in the AI4I column layout
 (AI4I_COLUMNS), mapping the quality letter to an ordinal code, dropping
@@ -8,9 +8,13 @@ and write_columns are the one CSV header reader, column reader and column
 writer.  parse_columns reads a whole file with one np.loadtxt call:
 integers take an optional sign and ASCII digits, numbers what float()
 takes (to the same bits) except underscores and non-ASCII digits, and a
-cell that starts with '"' is quoted as the csv module quotes it.  Data
-rows count from 1 after the header, blank lines skipped but counted; a
-faulty row is searched for only after a check fails.
+cell that starts with '"' is quoted as the csv module quotes it.  A NUL
+character anywhere in a file is rejected.  Data rows count from 1 after
+the header, blank lines skipped but counted; a faulty row is searched for
+only after a check fails.  write_columns formats each column once (a
+float column once per distinct value) and writes its rows in blocks with
+one str.format per row, byte for byte as csv.writer's QUOTE_MINIMAL
+writes them.
 Also produces repeated stratified k-fold splits where each fold's training
 portion is further divided into a proper-training part and a calibration
 part.
@@ -21,6 +25,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -158,22 +163,26 @@ def load_csv(path) -> Dataset:
 # cell that fills the field is rejected.
 TOKEN_WIDTH = 16
 TOKEN_PADDING = " \t\n\r\x0b\x0c"
+NUL = "\x00"  # rejected anywhere in a CSV that is read
 
 
 def read_header(path, kind: str = "file") -> list[str]:
     """A CSV's header, each name stripped.
 
     Raises FileNotFoundError ("<kind> not found") and SchemaError (empty
-    file, a column named twice), naming the file.
+    file, a NUL character, a column named twice), naming the file.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"{kind} not found: {path}")
     with path.open(newline="", encoding="utf-8") as handle:
+        lines = []
         try:
-            header = [h.strip() for h in next(csv.reader(handle))]
+            header = [h.strip() for h in next(csv.reader(_without_nul(handle, lines)))]
         except StopIteration:
             raise SchemaError(f"{path}: empty file") from None
+    if any(NUL in line for line in lines):
+        raise SchemaError(f"{path}: NUL character in the header")
     for i, column in enumerate(header):
         if column in header[:i]:
             raise SchemaError(f"{path}: column {column!r} appears more than once")
@@ -194,8 +203,11 @@ def parse_columns(path, header, parsers) -> dict:
     must have the header's field count.  A row at fault is found only
     when a check fails, by _first_fault, and named the way _records
     numbers it.  Raises ParseError (a field count other than the
-    header's, a non-numeric cell), ValidationError (a cell that is not a
-    token of its map, no data rows), each naming the file.
+    header's, a non-numeric cell, a NUL character anywhere in a row),
+    ValidationError (a cell that is not a token of its map, no data
+    rows), each naming the file.  A NUL is looked for in the file's bytes
+    because numpy's string fields drop trailing NULs: '1\x00' would read
+    as the token '1'.
     """
     path = Path(path)
     types = {column: f"S{TOKEN_WIDTH}" if isinstance(parse, dict) else parse for column, parse in parsers.items()}
@@ -208,6 +220,8 @@ def parse_columns(path, header, parsers) -> dict:
         raise _first_fault(path, header, parsers, dtype) or ParseError(f"{path}: {error}") from None
     if not table.size:
         raise ValidationError(f"{path}: no data rows")
+    if NUL.encode() in path.read_bytes():
+        raise _first_fault(path, header, parsers, dtype) or ParseError(f"{path}: NUL character")
     columns = {}
     for column, parse in parsers.items():
         if isinstance(parse, dict):
@@ -233,21 +247,33 @@ def _map_tokens(cells, tokens):
     return values, known & (np.strings.str_len(cells) < TOKEN_WIDTH)
 
 
+def _without_nul(handle, lines):
+    """handle's lines with NUL characters taken out, each line appended to lines as the file holds it.
+
+    The csv module of Python 3.10 stops at a NUL with its own error; with
+    the NULs taken out, every Python reads the same records and fields.
+    """
+    for line in handle:
+        lines.append(line)
+        yield line.replace(NUL, "")
+
+
 def _records(path):
     """Yield (row number, text, fields) per non-blank row below a CSV's header.
 
     Rows are csv records numbered from 1 after the header, blank ones
-    counted; text is the row's lines as the file holds them.
+    counted; text is the row's lines as the file holds them, and fields
+    its cells without NUL characters.
     """
     with Path(path).open(newline="", encoding="utf-8") as handle:
         lines = []  # the lines csv has read since the last record
-        reader = csv.reader(lines.append(line) or line for line in handle)
+        reader = csv.reader(_without_nul(handle, lines))
         next(reader)
         lines.clear()
         for row_number, fields in enumerate(reader, start=1):
             text = "".join(lines)
             lines.clear()
-            if fields:
+            if fields or NUL in text:
                 yield row_number, text, fields
 
 
@@ -257,7 +283,8 @@ def _first_fault(path, header, parsers, dtype):
     Rows are read with np.loadtxt in blocks; in a block that fails, each
     numeric cell is tried with np.loadtxt on its row's text, so a cell
     fails here exactly when it fails in parse_columns' one call.  A row's
-    cells are tried in the order of parsers.
+    cells are tried in the order of parsers, after its NUL characters and
+    its field count.
     """
     records = _records(path)
     for block in iter(lambda: list(itertools.islice(records, 1024)), []):
@@ -268,6 +295,8 @@ def _first_fault(path, header, parsers, dtype):
             numbers_parse = False
         for row_number, text, fields in block:
             where = f"{path}: row {row_number}"
+            if NUL in text:
+                return ParseError(f"{where}: NUL character in the row")
             if len(fields) != len(header):
                 return ParseError(f"{where}: expected {len(header)} fields, got {len(fields)}")
             for column, parse in parsers.items():
@@ -297,22 +326,73 @@ def reject_first(path, bad, fault) -> None:
         raise ValidationError(f"{path}: row {row_number}: {fault(*index)}")
 
 
-def write_columns(path, header, columns) -> None:
-    """Write a CSV from a header and equal-length columns.
+WRITE_BLOCK_ROWS = 1024  # rows converted and written at a time, so no file is held whole as text
+_NEEDS_QUOTES = re.compile('[,"\r\n]').search  # QUOTE_MINIMAL quotes a cell holding any of these
 
-    Numpy columns are converted with tolist(), so ints are written as ints
-    and floats by repr; None and NaN become empty cells.
+
+def _cell_text(value) -> str:
+    """A cell as csv.writer writes it: None and NaN empty, str as is, anything else by str(), quoted if needed."""
+    if value is None or value != value:  # NaN != NaN
+        return ""
+    text = value if isinstance(value, str) else str(value)
+    if _NEEDS_QUOTES(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _column_texts(column) -> list:
+    """One column's cells, in the form str.format writes as its cell text.
+
+    A float column, or a list of Python floats, is formatted once per
+    distinct bit pattern (so -0.0 and 0.0 stay apart) by repr; an int or
+    bool column, or a list of Python ints, is left as Python ints, which
+    str.format writes as str() does.
     """
-    cells = []
-    for column in columns:
-        values = column.tolist() if isinstance(column, np.ndarray) else column
-        cells.append(["" if v is None or v != v else v for v in values])  # NaN != NaN
-    if len({len(c) for c in cells}) > 1:
+    if isinstance(column, np.ndarray) and column.ndim == 1 and column.dtype.kind in "fiub":
+        if column.dtype.kind != "f":
+            return column.tolist()
+        if column.dtype.itemsize <= 8:
+            distinct, inverse = np.unique(column.astype(np.float64, copy=False).view(np.uint64), return_inverse=True)
+            texts = ["" if x != x else repr(x) for x in distinct.view(np.float64).tolist()]
+            return np.array(texts, dtype=object)[inverse].tolist()
+    values = column.tolist() if isinstance(column, np.ndarray) else column
+    types = set(map(type, values))
+    if types == {float}:
+        return _column_texts(np.array(values, dtype=np.float64))
+    if types == {int}:
+        return list(values)
+    return [_cell_text(value) for value in values]
+
+
+def write_columns(path, header, columns) -> None:
+    """Write a CSV from a header and equal-length columns, byte for byte as csv.writer writes it.
+
+    Numpy columns write as their tolist() would: ints as ints, floats by
+    repr; None and NaN become empty cells.  A text cell that holds ',',
+    '"' or a line break is quoted ('"' doubled), and a row of one empty
+    cell is written '""', as QUOTE_MINIMAL has it.  Rows are formatted
+    WRITE_BLOCK_ROWS at a time, and in each block a column object is
+    converted once, however often it is passed.
+    """
+    columns = list(columns)
+    lengths = {len(column) for column in columns}
+    if len(lengths) > 1:
         raise ValueError(f"{path}: columns differ in length")
+    names = [_cell_text(name) for name in header]
+    if names == [""]:  # csv.writer quotes a row of one empty cell
+        names = ['""']
+    row = ",".join(["{}"] * len(columns)) + "\r\n"
     with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(zip(*cells))
+        handle.write(",".join(names) + "\r\n")
+        for start in range(0, lengths.pop() if lengths else 0, WRITE_BLOCK_ROWS):
+            texts = {}  # id(column) -> its cells in this block; columns keeps every column alive
+            for column in columns:
+                if id(column) not in texts:
+                    texts[id(column)] = _column_texts(column[start:start + WRITE_BLOCK_ROWS])
+            cells = [texts[id(column)] for column in columns]
+            if len(cells) == 1:
+                cells = [[cell if cell != "" else '""' for cell in cells[0]]]
+            handle.write("".join(map(row.format, *cells)))
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
+import math
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from venncal.data import (
     FEATURE_NAMES,
@@ -189,6 +195,30 @@ def test_loaders_skip_blank_rows_and_number_the_rest(tmp_path):
         load_csv(tmp_path / "nope.csv")
 
 
+def test_nul_character_rejected_with_file_and_row(tmp_path):
+    """numpy's string fields drop trailing NULs, so '1\\x00' must not load as the label 1."""
+    table = tmp_path / "scores.csv"
+    header = "instance_id,fold_id,partition,score,label\n"
+    table.write_text(header + "1,0,calibration,0.5,1\x00\n2,0,test\x00,0.5,0\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=re.escape(f"{table}: row 1: NUL character in the row")):
+        load_score_table(table)
+    table.write_text(header + "1,0,calibration,0.5,1\n\n2,0,test,0.5\x00,0\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=re.escape(f"{table}: row 3: NUL character in the row")):
+        load_score_table(table)
+    table.write_text(header + "1,0,calibration,0.5,1\n\x00\n2,0,test,0.5,0\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=re.escape(f"{table}: row 2: NUL character in the row")):
+        load_score_table(table)
+    table.write_text(header + "1,0,calibration,0.5,x\n2,0,test\x00,0.5,0\n", encoding="utf-8")  # the first fault wins
+    with pytest.raises(ValidationError, match=re.escape(f"{table}: row 1: 'label' must be one of")):
+        load_score_table(table)
+    table.write_text(header.replace("label", "label\x00") + "1,0,test,0.5,1\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match=re.escape(f"{table}: NUL character in the header")):
+        load_score_table(table)
+    path = write_csv(tmp_path, make_rows(2) + ["3,L3\x00,L,300.1,310.2,1500,40.5,100,0,0,0,0,0,0"])  # a dropped column
+    with pytest.raises(ParseError, match=re.escape(f"{path}: row 3: NUL character in the row")):
+        load_csv(path)
+
+
 def test_write_columns_formats_cells(tmp_path):
     path = tmp_path / "out.csv"
     write_columns(
@@ -199,6 +229,80 @@ def test_write_columns_formats_cells(tmp_path):
     assert path.read_bytes() == b"id,x,y,name\r\n1,0.1,,a\r\n2,,0.3333333333333333,b\r\n"
     with pytest.raises(ValueError, match="differ in length"):
         write_columns(path, ("a", "b"), ([1, 2], [3]))
+
+
+def _csv_writer_columns(path, header, columns):
+    """write_columns as it was written on csv.writer: the byte oracle of the property test below."""
+    cells = []
+    for column in columns:
+        values = column.tolist() if isinstance(column, np.ndarray) else column
+        cells.append(["" if v is None or v != v else v for v in values])  # NaN != NaN
+    if len({len(c) for c in cells}) > 1:
+        raise ValueError(f"{path}: columns differ in length")
+    with Path(path).open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(zip(*cells))
+
+
+ODD_FLOATS = st.sampled_from([-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 2.5e-310, 1e16, 1e-5, 1 / 3])
+FLOATS = st.one_of(ODD_FLOATS, st.floats(), st.floats(allow_subnormal=True, min_value=-1e-307, max_value=1e-307))
+TEXT = st.text(st.sampled_from('ab ,"\n\r\t.-'), max_size=4)
+CELLS = st.one_of(st.none(), TEXT, st.integers(-(2**70), 2**70), FLOATS, st.booleans())
+
+
+@st.composite
+def column_tables(draw):
+    """A header and equal-length columns: numpy float64, float32, int64 and bool columns,
+    lists of mixed cells, the same object passed again and equal values in a distinct array."""
+    n = draw(st.integers(0, 12))
+    kinds = {
+        "float64": lambda: np.array(draw(st.lists(FLOATS, min_size=n, max_size=n)), dtype=np.float64),
+        "float32": lambda: np.array(draw(st.lists(st.floats(width=32), min_size=n, max_size=n)), dtype=np.float32),
+        "int64": lambda: np.array(draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n)), dtype=np.int64),
+        "bool": lambda: np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool),
+        "cells": lambda: draw(st.lists(CELLS, min_size=n, max_size=n)),
+    }
+    columns = []
+    for _ in range(draw(st.integers(1, 5))):
+        reuse = columns and draw(st.sampled_from(["new", "same", "copy"]))
+        if reuse == "same":
+            columns.append(draw(st.sampled_from(columns)))
+        elif reuse == "copy":
+            column = draw(st.sampled_from(columns))
+            columns.append(column.copy() if isinstance(column, np.ndarray) else list(column))
+        else:
+            columns.append(kinds[draw(st.sampled_from(sorted(kinds)))]())
+    header = draw(st.lists(TEXT, min_size=len(columns), max_size=len(columns)))
+    return header, columns
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(column_tables())
+def test_write_columns_property_matches_csv_writer(table):
+    header, columns = table
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+        write_columns(got, header, columns)
+        _csv_writer_columns(want, header, columns)
+        assert got.read_bytes() == want.read_bytes()
+
+
+def test_write_columns_one_column_and_shared_columns(tmp_path):
+    """A one-column row with an empty cell is quoted; a column passed several times is written each time,
+    within a write block and across blocks."""
+    path = tmp_path / "out.csv"
+    write_columns(path, [""], [[None, "", 1.5, math.nan]])
+    assert path.read_bytes() == b'""\r\n""\r\n""\r\n1.5\r\n""\r\n'
+    shared = np.array([-0.0, 0.0, math.nan, 5e-324, 1e16])
+    write_columns(path, ("a", "b,c", 'd"'), (shared, shared, shared.copy()))
+    rows = ["-0.0", "0.0", "", "5e-324", "1e+16"]
+    assert path.read_bytes() == "".join(['a,"b,c","d"""\r\n'] + [f"{r},{r},{r}\r\n" for r in rows]).encode()
+    many = np.repeat([0.5, -0.0, math.nan], 1000)  # rows of more than two write blocks
+    columns = (np.arange(many.size), many, many, many.astype(np.float32), ["a,b", None, 7] * 1000)
+    write_columns(path, ("i", "x", "y", "z", "t"), columns)
+    _csv_writer_columns(tmp_path / "want.csv", ("i", "x", "y", "z", "t"), columns)
+    assert path.read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def _arrays_digest(*arrays):
