@@ -14,16 +14,22 @@ preorder.
 
 One builder, ``_grow``, grows every tree: a forest's trees in lockstep and
 a single tree as a forest of one.  Features are rank-coded once per fit.
-Each step takes the next splittable node of every tree in flight (each
-tree keeps its own preorder, so its random stream is drawn exactly as if
-it were grown alone) and searches all of them at once: one sort of packed
-keys ``(node * k + candidate) << bits | (2 * rank + label)`` orders every
-(node, candidate feature) segment by value, a cumulative sum over runs of
-equal keys counts the positives left of each value boundary, and a
-segmented maximum gives each node's best score.  Scores are compared in
-floating point first and near-ties are re-compared with exact integer
-arithmetic, so the tie rule holds exactly even when two candidates have
-genuinely equal gain.
+Each step takes pending nodes of the trees in flight and searches all of
+them at once.  A tree that draws feature subsets gives its next splittable
+node in preorder, so its random stream is drawn exactly as if it were
+grown alone.  A tree that draws none (``fit_tree`` without max_features,
+and every tree of a forest whose max_features is the feature count) gives
+all its pending splittable nodes, breadth-first as SPRINT grows a tree
+(Shafer, Agrawal & Mehta, VLDB 1996); its nodes are numbered as the steps
+take them and renumbered to preorder once it is done, so either way a
+model is in preorder.  One sort of packed keys
+``(slot * k + candidate) << bits | (2 * rank + label)``, one slot per node
+of the step, orders every (node, candidate feature) segment by value, a
+cumulative sum over runs of equal keys counts the positives left of each
+value boundary, and a segmented maximum gives each node's best score.
+Scores are compared in floating point first and near-ties are re-compared
+with exact integer arithmetic, so the tie rule holds exactly even when two
+candidates have genuinely equal gain.
 
 One traversal, ``_walk``, scores every tree: a forest's trees at once and
 a single tree as a forest of one.  ``_pack`` concatenates the node arrays
@@ -292,11 +298,15 @@ def _validate_training_data(features, labels):
 # Both bound one lockstep step and were set by timing forest fits on the
 # reference data: more trees in flight share the numpy call overhead of a
 # step among more nodes but hold more row buffers, and more rows per step
-# share it too but enlarge the step's key and candidate arrays.  Without the
-# row bound the cv-reference benchmark ran 5% faster (21.1 s against 22.3 s
-# per 10-fold run) but peaked at 67 MB resident against 57 MB.
-_TREES_IN_FLIGHT = 32
-_ROWS_PER_STEP = 1 << 14
+# share it too but enlarge the step's key and candidate arrays.  Fitting
+# 100-tree forests on 5 999 and 8 999 reference rows on a 2-vCPU VM, nine
+# interleaved rounds, against 32 trees and 2^14 rows: 64 and 2^15 took
+# x0.80 of the time (quartiles 0.78-0.88), 64 and 2^14 x0.93, 128 and 2^14
+# x0.89, 128 and 2^15 x0.89.  The traced allocation peak of an 8 999-row
+# fit went from 4.1 MB to 5.4 MB (7.1 MB with 128 trees).  With no row
+# bound at all an earlier builder peaked at 67 MB resident against 57 MB.
+_TREES_IN_FLIGHT = 64
+_ROWS_PER_STEP = 1 << 15
 
 # Both bound the scoring walk; the module docstring gives their timings.
 _PAIRS_PER_CHUNK = 1 << 13
@@ -322,7 +332,7 @@ class _Tree:
         self.subsets: np.ndarray | None = None
         self.next_subset = 0
         # pending (start, end, depth, parent, is_right, positives); the right
-        # child is pushed first, so nodes pop in preorder
+        # child is pushed first, so nodes taken one per step pop in preorder
         self.stack = [(0, rows.size, 0, -1, False, positives)]
         # typed arrays: 8 bytes a value, where a list would also hold an object
         self.feature_index = array("q")
@@ -333,7 +343,7 @@ class _Tree:
         self.n_positive = array("q")
 
     def pop_node(self):
-        """Pop the next node in preorder, recorded as a leaf until it splits."""
+        """Pop the top pending node and number it next, recorded as a leaf until it splits."""
         start, end, depth, parent, is_right, pos = self.stack.pop()
         node = len(self.feature_index)
         self.feature_index.append(_NO_FEATURE)
@@ -357,6 +367,29 @@ class _Tree:
         return self.subsets[self.next_subset - 1]
 
 
+def _in_preorder(tree: DecisionTreeModel) -> DecisionTreeModel:
+    """The tree with its nodes renumbered to preorder, left subtree first."""
+    left, right = tree.left_child.tolist(), tree.right_child.tolist()
+    order, stack = [], [0]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        if left[node] >= 0:
+            stack += (right[node], left[node])
+    number = np.empty(len(order), dtype=np.int64)
+    number[order] = np.arange(len(order))
+    split = tree.feature_index[order] != _NO_FEATURE
+    return replace(
+        tree,
+        feature_index=tree.feature_index[order],
+        threshold=tree.threshold[order],
+        left_child=np.where(split, number[tree.left_child[order]], -1),
+        right_child=np.where(split, number[tree.right_child[order]], -1),
+        n_samples=tree.n_samples[order],
+        n_positive=tree.n_positive[order],
+    )
+
+
 def _rank_codes(x: np.ndarray, labels: np.ndarray):
     """Rank-coded features, each packed with the row's label.
 
@@ -373,6 +406,11 @@ def _rank_codes(x: np.ndarray, labels: np.ndarray):
     return packed, values, np.cumsum(counts) - counts
 
 
+def _segment_starts(counts, k):
+    """Where each (slot, candidate) segment starts, when slot j's k segments hold counts[j] each."""
+    return (k * (np.cumsum(counts) - counts)[:, None] + np.arange(k) * counts[:, None]).ravel()
+
+
 def _best_splits(keys, bits, sizes, positives, k, min_samples_leaf):
     """Winning candidate of every node of one step that has one.
 
@@ -387,18 +425,20 @@ def _best_splits(keys, bits, sizes, positives, k, min_samples_leaf):
     """
     # runs of equal keys share segment, rank and label; the positives left of
     # a boundary are summed over runs rather than over keys
-    ends = np.flatnonzero(np.r_[keys[:-1] != keys[1:], True])
+    boundary = np.empty(keys.size, dtype=bool)
+    np.not_equal(keys[:-1], keys[1:], out=boundary[:-1])
+    boundary[-1] = True
+    ends = np.flatnonzero(boundary)
+    del boundary
     ranked = keys[ends]
     cum_pos = np.diff(ends, prepend=-1)
-    cum_pos[(ranked & 1) == 0] = 0
+    cum_pos *= (ranked & 1).astype(np.intp, copy=False)  # a run of negatives adds none
     np.cumsum(cum_pos, out=cum_pos)
     ranked >>= 1
     last = np.flatnonzero(ranked[:-1] != ranked[1:])  # last run of each value
     seg = (ranked[last] >> (bits - 1)).astype(np.intp)
     del ranked
-    offsets = np.cumsum(sizes) - sizes
-    seg_start = (k * offsets[:, None] + np.arange(k) * sizes[:, None]).ravel()
-    n_left = ends[last] - seg_start[seg] + 1
+    n_left = ends[last] - _segment_starts(sizes, k)[seg] + 1
     m = np.repeat(sizes, k)[seg]
     # a segment's last key is never a boundary: its right side is empty
     keep = (n_left >= min_samples_leaf) & (m - n_left >= min_samples_leaf)
@@ -407,9 +447,9 @@ def _best_splits(keys, bits, sizes, positives, k, min_samples_leaf):
     last, seg, n_left, m = last[keep], seg[keep], n_left[keep], m[keep]
     cand = ends[last]
     slot = seg // k
-    first_run = np.searchsorted(ends, seg_start)
-    before = np.where(first_run > 0, cum_pos[first_run - 1], 0)
-    p_left = cum_pos[last] - before[seg]
+    # a segment holds its node's rows once each, so the positives before it
+    # are laid out as its keys are
+    p_left = cum_pos[last] - _segment_starts(positives, k)[seg]
     del cum_pos, ends, last  # per-run arrays go before the per-candidate scores come
 
     # feature-major candidate order within a slot matches the tie rule
@@ -417,12 +457,22 @@ def _best_splits(keys, bits, sizes, positives, k, min_samples_leaf):
     pos = positives[slot]
     pl = p_left.astype(np.float64)
     nl = n_left.astype(np.float64)
-    nr = m.astype(np.float64) - nl
-    pr = pos.astype(np.float64) - pl
+    nr = m.astype(np.float64)
+    nr -= nl
+    pr = pos.astype(np.float64)
+    pr -= pl
     ql = nl - pl
     qr = nr - pr
-    score = (pl * pl + ql * ql) / nl
-    score += (pr * pr + qr * qr) / nr
+    # (pl * pl + ql * ql) / nl + (pr * pr + qr * qr) / nr, in place
+    score = pl * pl
+    ql *= ql
+    score += ql
+    score /= nl
+    pr *= pr
+    qr *= qr
+    pr += qr
+    pr /= nr
+    score += pr
 
     first = np.flatnonzero(np.r_[True, slot[1:] != slot[:-1]])
     best = np.maximum.reduceat(score, first)
@@ -467,7 +517,8 @@ def _grow(
     Tree t draws from rngs[t] alone: its bootstrap sample first (when
     bootstrap is set), then one feature subset per splittable node in
     preorder (when max_features is below the feature count).  A step takes
-    the next splittable node of every tree in flight and searches them all
+    the next splittable node of every such tree in flight, or all pending
+    splittable nodes of a tree that draws no subsets, and searches them all
     at once, so each tree equals the one grown alone from its generator.
     """
     n, n_features = x.shape
@@ -481,17 +532,13 @@ def _grow(
     k = max_features if subsets else n_features
     labels = y.astype(np.uint8)
     packed, values, first_value = _rank_codes(x, labels)
-    # key = (slot * k + candidate) << bits | (2 * rank + label)
     bits = int(packed.max(initial=1)).bit_length()
-    slots = min(len(rngs), _TREES_IN_FLIGHT)
-    key_dtype = _key_dtype(bits + (slots * k - 1).bit_length())
-    segment_keys = (np.arange(slots * k, dtype=key_dtype) << bits).reshape(slots, k)
     min_rows = max(min_samples_split, 2 * min_samples_leaf)
     # the smallest dtype for row ids: every tree in flight holds n of them
     row_dtype = np.min_scalar_type(n - 1)
 
     def model(tree: _Tree) -> DecisionTreeModel:
-        return DecisionTreeModel(
+        grown = DecisionTreeModel(
             feature_index=np.array(tree.feature_index, dtype=np.int64),
             threshold=np.array(tree.threshold, dtype=np.float64),
             left_child=np.array(tree.left, dtype=np.int64),
@@ -504,6 +551,8 @@ def _grow(
             min_samples_split=min_samples_split,
             seed=seed,
         )
+        # a tree that draws no subsets numbered its nodes as the steps took them
+        return grown if subsets else _in_preorder(grown)
 
     def split(step: list) -> None:
         """Search every node of one step at once and split those that can.
@@ -511,6 +560,9 @@ def _grow(
         step holds (tree, node, start, end, depth, positives) per node; the
         arrays below die on return, before the next step allocates its own.
         """
+        # key = (slot * k + candidate) << bits | (2 * rank + label), one slot per node
+        key_dtype = _key_dtype(bits + (len(step) * k - 1).bit_length())
+        segment_keys = (np.arange(len(step) * k, dtype=key_dtype) << bits).reshape(len(step), k)
         sizes = np.array([entry[3] - entry[2] for entry in step])
         positives = np.array([entry[5] for entry in step])
         if subsets:
@@ -530,7 +582,7 @@ def _grow(
         for c in range(k):
             np.add(np.repeat(feats[:, c], sizes), first_cell, out=cells)
             keys[c] = np.take(packed, cells)
-            keys[c] |= np.repeat(segment_keys[: len(step), c], sizes)
+            keys[c] |= np.repeat(segment_keys[:, c], sizes)
         keys = keys.ravel()
         keys.sort()
         slot, candidate, at, n_left, p_left = _best_splits(keys, bits, sizes, positives, k, min_samples_leaf)
@@ -591,20 +643,21 @@ def _grow(
         n_rows = 0
         taken, skipped = [], []
         for index, tree in flight:
-            while tree.stack:
+            first, fits = len(step), True
+            # a tree that draws subsets gives one node, so its generator draws in preorder
+            while tree.stack and fits and not (subsets and len(step) > first):
                 start, end, depth, _, _, pos = tree.stack[-1]
-                if 0 < pos < end - start >= min_rows and (max_depth is None or depth < max_depth):
-                    break
-                tree.pop_node()
-            else:
-                grown[index] = model(tree)
-                continue
-            if not step or n_rows + end - start <= _ROWS_PER_STEP:
-                step.append((tree, *tree.pop_node()))
-                n_rows += end - start
+                if not (0 < pos < end - start >= min_rows and (max_depth is None or depth < max_depth)):
+                    tree.pop_node()  # a leaf
+                elif fits := not step or n_rows + end - start <= _ROWS_PER_STEP:
+                    step.append((tree, *tree.pop_node()))
+                    n_rows += end - start
+            if not fits:
+                skipped.append((index, tree))
+            elif len(step) > first:
                 taken.append((index, tree))
             else:
-                skipped.append((index, tree))
+                grown[index] = model(tree)
         # a tree whose node did not fit goes first in the next step
         flight = skipped + taken
         if step:

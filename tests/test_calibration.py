@@ -429,6 +429,23 @@ def test_venn_abers_intervals_property_permutation(case, data):
 
 
 @PROPERTY_SETTINGS
+@given(calibration_and_batch(), st.data())
+def test_venn_abers_intervals_property_increasing_transform(case, data):
+    """Venn-Abers sees scores only through their order: one strictly increasing
+    map applied to the calibration and the test scores changes no output bit."""
+    cal, batch = case
+    distinct = np.unique(np.concatenate([cal.calibration_scores, batch]))
+    image = np.sort(data.draw(st.lists(st.floats(-1e6, 1e6), min_size=distinct.size, max_size=distinct.size, unique=True)))
+
+    def increasing(scores):  # the i-th smallest distinct score goes to the i-th smallest image
+        return image[np.searchsorted(distinct, scores)]
+
+    moved = VennAbersCalibrator(increasing(cal.calibration_scores), cal.calibration_labels)
+    for got, want in zip(moved.intervals(increasing(batch)), cal.intervals(batch)):
+        assert got.tobytes() == want.tobytes()
+
+
+@PROPERTY_SETTINGS
 @given(st.lists(st.tuples(st.one_of(GRID_SCORES, st.floats(0.0, 1.0)), st.integers(0, 1)), min_size=1, max_size=40))
 def test_pava_property_monotone_pooled_and_mass_preserving(points):
     scores, labels = ([v for v, _ in points], [y for _, y in points])

@@ -219,6 +219,28 @@ def test_nul_character_rejected_with_file_and_row(tmp_path):
         load_csv(path)
 
 
+@pytest.mark.parametrize("character", "\x1c\x1d\x1e\x1f")
+def test_information_separator_in_numeric_cell_names_file_row_and_column(tmp_path, character):
+    """np.loadtxt strips \\x1c-\\x1f from a number as whitespace; float() and int() reject them, and so does the reader."""
+    table = tmp_path / "scores.csv"
+    header = "instance_id,fold_id,partition,score,label\n"
+    for rows, row, cell, column in (
+        ("1,0,calibration,0.5,1\n2,0,test,0.2{},0\n", 2, "0.2{}", "score"),
+        ("1,0,calibration,0.5,1\n\n{}3,0,test,0.2,0\n", 3, "{}3", "instance_id"),
+    ):
+        table.write_text(header + rows.format(character), encoding="utf-8")
+        message = f"{table}: row {row}: non-numeric value {cell.format(character)!r} in column {column!r}"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            load_score_table(table)
+    path = write_csv(tmp_path, make_rows(3) + [f"4,L4,L,300.1,310.2{character},1500,40.5,100,0,0,0,0,0,0"])
+    message = f"{path}: row 4: non-numeric value {'310.2' + character!r} in column 'Process temperature [K]'"
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        load_csv(path)
+    # the dropped Product ID column is not a number, and its cell is not checked
+    path = write_csv(tmp_path, make_rows(3) + [f"4,L4{character},L,300.1,310.2,1500,40.5,100,0,0,0,0,0,0"])
+    assert load_csv(path).features.shape == (4, 6)
+
+
 def test_write_columns_formats_cells(tmp_path):
     path = tmp_path / "out.csv"
     write_columns(

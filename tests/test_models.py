@@ -401,6 +401,10 @@ GOLDEN_MODELS = [
      "f6f45db4e40e370d5ec70d4942cbe4a10090328ab54b02201c34ad2bcc598e06"),
     ("continuous", "forest", {"n_trees": 3, "seed": 7, "bootstrap": False, "max_features": 5},
      "743bc13e9b6d2ab6ba395631026fc5643ec7e84533328f7a202d5b1104489834"),
+    # max_features is the feature count: bootstrapped trees that draw no subsets
+    # (recorded with the builder that took one node of a tree per step)
+    ("continuous", "forest", {"n_trees": 6, "seed": 12, "max_features": 5},
+     "0dcde2257def053003dc25f3ab2c6c49ad6c910368becc3580f2fa7bc8140721"),
     ("continuous", "forest", {"n_trees": 50, "seed": 10, "max_features": 2, "min_samples_leaf": 6},
      "7f803d969d34dd41916386113146b55a5abe008be268c1f891a68f0a799b6bba"),
     ("continuous", "forest", {"n_trees": 1, "seed": 8},
@@ -429,6 +433,17 @@ def _golden_digest(data, fit, kwargs):
 def test_models_match_golden_digests(data, fit, kwargs, digest):
     # any change in split choice, threshold, node order or RNG use shows here
     assert _golden_digest(data, fit, kwargs) == digest
+
+
+@pytest.mark.parametrize("trees_in_flight", [1, 2])
+@pytest.mark.parametrize("rows_per_step", [1, 64])
+def test_step_layout_never_changes_a_model(monkeypatch, trees_in_flight, rows_per_step):
+    # one row per step makes every step hold the one node that always fits;
+    # 64 rows make trees skip steps, and a skipped tree goes first in the next
+    monkeypatch.setattr(tree_module, "_TREES_IN_FLIGHT", trees_in_flight)
+    monkeypatch.setattr(tree_module, "_ROWS_PER_STEP", rows_per_step)
+    for data, fit, kwargs, digest in GOLDEN_MODELS:
+        assert _golden_digest(data, fit, kwargs) == digest, (data, fit, kwargs)
 
 
 def _probe(x, models, rng, n, jitter):
