@@ -401,10 +401,6 @@ GOLDEN_MODELS = [
      "f6f45db4e40e370d5ec70d4942cbe4a10090328ab54b02201c34ad2bcc598e06"),
     ("continuous", "forest", {"n_trees": 3, "seed": 7, "bootstrap": False, "max_features": 5},
      "743bc13e9b6d2ab6ba395631026fc5643ec7e84533328f7a202d5b1104489834"),
-    # max_features is the feature count: bootstrapped trees that draw no subsets
-    # (recorded with the builder that took one node of a tree per step)
-    ("continuous", "forest", {"n_trees": 6, "seed": 12, "max_features": 5},
-     "0dcde2257def053003dc25f3ab2c6c49ad6c910368becc3580f2fa7bc8140721"),
     ("continuous", "forest", {"n_trees": 50, "seed": 10, "max_features": 2, "min_samples_leaf": 6},
      "7f803d969d34dd41916386113146b55a5abe008be268c1f891a68f0a799b6bba"),
     ("continuous", "forest", {"n_trees": 1, "seed": 8},
@@ -419,6 +415,10 @@ GOLDEN_MODELS = [
      "68f10c0005b60945ff2ee5ca5927db75f0395f7a9b0475c1d680139a0b74c3f1"),
     ("wide", "forest", {"n_trees": 2, "seed": 2, "max_features": 2, "min_samples_leaf": 200},
      "63636c2e7e71394f0b00f7a7e00299fd0137d1b45a721f1ad29bef9d54e69fc7"),
+    # max_features is the feature count: bootstrapped trees that draw no subsets
+    # (recorded with the builder that took one node of a tree per step)
+    ("continuous", "forest", {"n_trees": 6, "seed": 12, "max_features": 5},
+     "0dcde2257def053003dc25f3ab2c6c49ad6c910368becc3580f2fa7bc8140721"),
 ]
 
 
