@@ -7,11 +7,19 @@ import hashlib
 import numpy as np
 import pytest
 
-from venncal.data import load_csv
-from venncal.synthetic import REFERENCE_SEED, generate_reference_rows, write_reference_csv
+from venncal.data import QUALITY_CODES, load_csv
+from venncal.synthetic import N_ROWS, REFERENCE_SEED, generate_reference_rows, write_reference_csv
 
 # sha256 of the reference CSV that write_reference_csv() writes at REFERENCE_SEED
 REFERENCE_CSV_SHA256 = "d9a623ef444f2cbeedba7426d74ce8b3e0dd9eacfd6c4f58e5fce4b4e59988fb"
+# sha256 of write_reference_csv(path, seed, n_rows) at the seeds that the
+# batch-score fleet files and the CI console run use, and of a 7-row file
+GENERATED_CSV_SHA256 = {
+    (0, N_ROWS): "cf4ff81fee0dc6a5ec1cf3c81557d4c75daf909e9aea7f075cb761001ce5e77e",
+    (1, N_ROWS): "8c9e2c3f48822d7ec52b286cc71650f056fd08f3b6cf1b4fa03669b289e17e13",
+    (5, N_ROWS): "6835655e7c8202e2c34cb58648206caa5f2a61183e99c29dedefba86b11a4785",
+    (REFERENCE_SEED, 7): "2d218b75a7ec701f3b83e2a698154e7d22adac9b6f0e34120836164c10d1430f",
+}
 
 
 def test_reference_dataset_published_balance(tmp_path):
@@ -29,6 +37,20 @@ def test_reference_csv_regeneration_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
     c = write_reference_csv(tmp_path / "c.csv", seed=REFERENCE_SEED + 1)
     assert a.read_bytes() != c.read_bytes()
+
+
+@pytest.mark.parametrize("seed, n_rows", list(GENERATED_CSV_SHA256))
+def test_generated_csv_matches_golden_digest(tmp_path, seed, n_rows):
+    path = write_reference_csv(tmp_path / "generated.csv", seed=seed, n_rows=n_rows)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GENERATED_CSV_SHA256[(seed, n_rows)]
+
+
+def test_rows_hold_the_values_load_csv_reads_back(tmp_path):
+    rows = generate_reference_rows(seed=5, n_rows=2000)
+    dataset = load_csv(write_reference_csv(tmp_path / "generated.csv", seed=5, n_rows=2000))
+    features = np.array([[QUALITY_CODES[r[2]], *map(float, r[3:8])] for r in rows])
+    assert np.array_equal(dataset.features, features)
+    assert dataset.labels.tolist() == [r[8] for r in rows]
 
 
 def test_negative_seed_named_before_anything_is_created(tmp_path):
