@@ -348,16 +348,13 @@ class VennAbersCalibrator:
     # -- evaluation ---------------------------------------------------------
 
     def _fitted_at_insert(self, position: int, tied: bool, label: float) -> float:
+        """Fitted value of a test score inserted at sorted position, joining the tie group there if tied."""
+        cw, cy = 1.0, label
         if tied:
-            cw = float(self._weights[position]) + 1.0
-            cy = float(self._label_sums[position]) + label
-            left = self._left_states[position]
-            right = self._right_states[position + 1]
-        else:
-            cw = 1.0
-            cy = label
-            left = self._left_states[position]
-            right = self._right_states[position]
+            cw += float(self._weights[position])
+            cy += float(self._label_sums[position])
+        left = self._left_states[position]
+        right = self._right_states[position + tied]
         while True:
             merged = False
             while left is not None and left[1] * cw >= cy * left[0]:

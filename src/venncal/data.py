@@ -5,7 +5,9 @@ Loads the predictive-maintenance CSV in the AI4I column layout
 identifier and failure-mode indicator columns, and taking the
 machine-failure column as the binary label.  read_header, parse_columns
 and write_columns are the one CSV header reader, column reader and column
-writer.  parse_columns reads a whole file with one np.loadtxt call:
+writer.  read_header strips header names of ASCII whitespace only, as a
+token cell is stripped, and owns the exact-header check of the files whose
+header is fixed.  parse_columns reads a whole file with one np.loadtxt call:
 integers take an optional sign and ASCII digits, numbers what float()
 takes (to the same bits) except underscores and non-ASCII digits, and a
 cell that starts with '"' is quoted as the csv module quotes it.  A NUL
@@ -13,9 +15,9 @@ character anywhere in a file is rejected, and so is a numeric cell holding
 an information separator (\\x1c-\\x1f).  Data rows count from 1 after
 the header, blank lines skipped but counted; a faulty row is searched for
 only after a check fails.  write_columns formats each column once (a
-float column once per distinct value) and writes its rows in blocks with
-one str.format per row, byte for byte as csv.writer's QUOTE_MINIMAL
-writes them.
+numpy float column once per distinct value, any other non-numpy column
+cell by cell) and writes its rows in blocks with one str.format per row,
+byte for byte as csv.writer's QUOTE_MINIMAL writes them.
 Also produces repeated stratified k-fold splits where each fold's training
 portion is further divided into a proper-training part and a calibration
 part.
@@ -172,11 +174,12 @@ SEPARATORS = "\x1c\x1d\x1e\x1f"
 _HAS_SEPARATOR = re.compile(f"[{SEPARATORS}]").search
 
 
-def read_header(path, kind: str = "file") -> list[str]:
-    """A CSV's header, each name stripped.
+def read_header(path, kind: str = "file", expected=None) -> list[str]:
+    """A CSV's header, each name stripped of ASCII whitespace as a token cell is.
 
     Raises FileNotFoundError ("<kind> not found") and SchemaError (empty
-    file, a NUL character, a column named twice), naming the file.
+    file, a NUL character, a column named twice, names other than the
+    expected ones when those are given), naming the file.
     """
     path = Path(path)
     if not path.exists():
@@ -184,7 +187,7 @@ def read_header(path, kind: str = "file") -> list[str]:
     with path.open(newline="", encoding="utf-8") as handle:
         lines = []
         try:
-            header = [h.strip() for h in next(csv.reader(_without_nul(handle, lines)))]
+            header = [h.strip(TOKEN_PADDING) for h in next(csv.reader(_without_nul(handle, lines)))]
         except StopIteration:
             raise SchemaError(f"{path}: empty file") from None
     if any(NUL in line for line in lines):
@@ -192,6 +195,9 @@ def read_header(path, kind: str = "file") -> list[str]:
     for i, column in enumerate(header):
         if column in header[:i]:
             raise SchemaError(f"{path}: column {column!r} appears more than once")
+    if expected is not None and tuple(header) != tuple(expected):
+        got = ",".join(repr(column)[1:-1] for column in header)  # a control character shows escaped
+        raise SchemaError(f"{path}: expected header {','.join(expected)}, got {got}")
     return header
 
 
@@ -365,10 +371,10 @@ def _cell_text(value) -> str:
 def _column_texts(column) -> list:
     """One column's cells, in the form str.format writes as its cell text.
 
-    A float column, or a list of Python floats, is formatted once per
-    distinct bit pattern (so -0.0 and 0.0 stay apart) by repr; an int or
-    bool column, or a list of Python ints, is left as Python ints, which
-    str.format writes as str() does.
+    A numpy float column is formatted once per distinct bit pattern (so
+    -0.0 and 0.0 stay apart) by repr; a numpy int or bool column is left as
+    Python ints, which str.format writes as str() does; anything else goes
+    cell by cell through _cell_text.
     """
     if isinstance(column, np.ndarray) and column.ndim == 1 and column.dtype.kind in "fiub":
         if column.dtype.kind != "f":
@@ -378,11 +384,6 @@ def _column_texts(column) -> list:
             texts = ["" if x != x else repr(x) for x in distinct.view(np.float64).tolist()]
             return np.array(texts, dtype=object)[inverse].tolist()
     values = column.tolist() if isinstance(column, np.ndarray) else column
-    types = set(map(type, values))
-    if types == {float}:
-        return _column_texts(np.array(values, dtype=np.float64))
-    if types == {int}:
-        return list(values)
     return [_cell_text(value) for value in values]
 
 
@@ -476,8 +477,6 @@ def repeated_stratified_kfold(
         raise InfeasibleSplitError("k must be >= 2")
     if repetitions < 1:
         raise InfeasibleSplitError("repetitions must be >= 1")
-    if not (0.0 < calibration_fraction < 1.0):
-        raise InfeasibleSplitError("calibration_fraction must be in (0, 1)")
     y = dataset.labels
     for value in (0, 1):
         count = int(np.sum(y == value))

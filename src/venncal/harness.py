@@ -36,7 +36,6 @@ from venncal.data import (
     LABEL_CODES,
     Dataset,
     FoldSplit,
-    SchemaError,
     load_csv,
     parse_columns,
     read_header,
@@ -353,9 +352,7 @@ def load_fold_predictions(output_dir, model: str, calibrator: str):
     probabilities = []
     labels = []
     for path in paths:
-        header = read_header(path)
-        if tuple(header) != PREDICTION_COLUMNS:
-            raise SchemaError(f"{path}: expected header {','.join(PREDICTION_COLUMNS)}, got {','.join(header)}")
+        header = read_header(path, expected=PREDICTION_COLUMNS)
         columns = parse_columns(path, header, parsers)
         point = columns["point"]
         outside = ~((point >= 0.0) & (point <= 1.0))  # nan is outside too
@@ -488,7 +485,6 @@ def run_experiment(config: ExperimentConfig, progress=None) -> AggregateTable:
         except ValueError as err:  # a missing partition, named by fold
             raise RuntimeError(f"external-scores {err}") from err
 
-    outcomes.sort(key=lambda o: (o.model, o.calibrator, o.repetition, o.fold))
     aggregate = _aggregate(config, outcomes)
 
     if config.output_dir:

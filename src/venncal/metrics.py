@@ -89,15 +89,9 @@ def auc(probabilities, labels) -> float:
     n_neg = p.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("auc requires both classes")
-    order = np.argsort(p, kind="stable")
-    sorted_p = p[order]
-    boundaries = np.flatnonzero(np.diff(sorted_p) != 0.0) + 1
-    starts = np.concatenate(([0], boundaries))
-    ends = np.concatenate((boundaries, [p.size]))
-    midranks = (starts + ends - 1) / 2.0 + 1.0  # 1-based midrank per tie run
-    ranks = np.empty(p.size, dtype=np.float64)
-    ranks[order] = np.repeat(midranks, ends - starts)
-    rank_sum_pos = float(np.sum(ranks[y == 1.0]))
+    _, inverse, counts = np.unique(p, return_inverse=True, return_counts=True)
+    midranks = np.cumsum(counts) - (counts - 1) / 2.0  # 1-based midrank per distinct score
+    rank_sum_pos = float(np.sum(midranks[inverse[y == 1.0]]))
     u = rank_sum_pos - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)
 

@@ -92,9 +92,6 @@ class DecisionTreeModel:
     def n_nodes(self) -> int:
         return int(self.feature_index.size)
 
-    def leaf_score(self, node: int) -> float:
-        return float(self.n_positive[node] / self.n_samples[node])
-
     def node_depths(self) -> np.ndarray:
         """Depth of every node; parents come before their children in every tree."""
         depths = np.zeros(self.n_nodes, dtype=np.int64)
@@ -111,19 +108,9 @@ class DecisionTreeModel:
         if max_depth < 0:  # would keep no node, not even the root
             raise ValueError(f"max_depth must be >= 0, got {max_depth}")
         depths = self.node_depths()
-        keep = depths <= max_depth
-        renumbered = np.cumsum(keep) - 1
-        split = ((self.feature_index != _NO_FEATURE) & (depths < max_depth))[keep]
-        return replace(
-            self,
-            feature_index=np.where(split, self.feature_index[keep], _NO_FEATURE),
-            threshold=np.where(split, self.threshold[keep], np.nan),
-            left_child=np.where(split, renumbered[self.left_child[keep]], -1),
-            right_child=np.where(split, renumbered[self.right_child[keep]], -1),
-            n_samples=self.n_samples[keep],
-            n_positive=self.n_positive[keep],
-            max_depth=max_depth,
-        )
+        keep = np.flatnonzero(depths <= max_depth)
+        split = (self.feature_index[keep] != _NO_FEATURE) & (depths[keep] < max_depth)
+        return replace(_renumbered(self, keep, split), max_depth=max_depth)
 
     def apply(self, features) -> np.ndarray:
         """Leaf index for every row of a feature matrix: the packed walk over a forest of one."""
@@ -279,8 +266,6 @@ def _walk(packed: _Packed, features):
 
 def _validate_training_data(features, labels):
     x = np.asarray(features, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
     y = np.asarray(labels, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("features must be a 2-d matrix")
@@ -367,6 +352,25 @@ class _Tree:
         return self.subsets[self.next_subset - 1]
 
 
+def _renumbered(tree: DecisionTreeModel, nodes: np.ndarray, split: np.ndarray) -> DecisionTreeModel:
+    """The tree of the given nodes, numbered in their order; split says which of them stay splits.
+
+    The others become leaves.  The children of every node that stays a
+    split must be among nodes.
+    """
+    number = np.zeros(tree.n_nodes, dtype=np.int64)
+    number[nodes] = np.arange(nodes.size)
+    return replace(
+        tree,
+        feature_index=np.where(split, tree.feature_index[nodes], _NO_FEATURE),
+        threshold=np.where(split, tree.threshold[nodes], np.nan),
+        left_child=np.where(split, number[tree.left_child[nodes]], -1),
+        right_child=np.where(split, number[tree.right_child[nodes]], -1),
+        n_samples=tree.n_samples[nodes],
+        n_positive=tree.n_positive[nodes],
+    )
+
+
 def _in_preorder(tree: DecisionTreeModel) -> DecisionTreeModel:
     """The tree with its nodes renumbered to preorder, left subtree first."""
     left, right = tree.left_child.tolist(), tree.right_child.tolist()
@@ -376,18 +380,8 @@ def _in_preorder(tree: DecisionTreeModel) -> DecisionTreeModel:
         order.append(node)
         if left[node] >= 0:
             stack += (right[node], left[node])
-    number = np.empty(len(order), dtype=np.int64)
-    number[order] = np.arange(len(order))
-    split = tree.feature_index[order] != _NO_FEATURE
-    return replace(
-        tree,
-        feature_index=tree.feature_index[order],
-        threshold=tree.threshold[order],
-        left_child=np.where(split, number[tree.left_child[order]], -1),
-        right_child=np.where(split, number[tree.right_child[order]], -1),
-        n_samples=tree.n_samples[order],
-        n_positive=tree.n_positive[order],
-    )
+    order = np.array(order)
+    return _renumbered(tree, order, tree.feature_index[order] != _NO_FEATURE)
 
 
 def _rank_codes(x: np.ndarray, labels: np.ndarray):

@@ -14,6 +14,7 @@ class balance: 10 000 instances with 339 failures.
 
 from __future__ import annotations
 
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ N_ROWS = 10_000
 _QUALITY_LEVELS = ("L", "M", "H")
 _QUALITY_PROBS = (0.5, 0.3, 0.2)
 _WEAR_INCREMENT = {"L": 2, "M": 3, "H": 5}
+_SERIAL_BASE = {"L": 46000, "M": 14000, "H": 28000}  # a quality's product ids count up from its base + 1
 
 # temperature drift: random walks normalised per path to the target spread
 _AIR_MEAN = 300.0
@@ -70,8 +72,12 @@ def _drift(rng: np.random.Generator, n: int) -> np.ndarray:
     return (walk - walk.mean()) / walk.std()
 
 
-def generate_reference_rows(seed: int = REFERENCE_SEED, n_rows: int = N_ROWS) -> list[tuple]:
-    """Generate the dataset rows (in the column order of AI4I_COLUMNS)."""
+def _reference_columns(seed: int, n_rows: int) -> list[np.ndarray]:
+    """The dataset as one column per AI4I_COLUMNS entry, in its order.
+
+    Temperatures and torque are rounded to tenths, so each writes by repr
+    as its one-decimal text.
+    """
     if seed < 0:  # numpy's generators refuse it without naming it
         raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
@@ -100,7 +106,6 @@ def generate_reference_rows(seed: int = REFERENCE_SEED, n_rows: int = N_ROWS) ->
     rpm = np.round(np.maximum(rpm, 100.0))
 
     # tool wear accumulates per cycle and resets on a tool-wear event
-    serial = {"L": 46000, "M": 14000, "H": 28000}
     wear = np.empty(n_rows, dtype=np.int64)
     twf = np.zeros(n_rows, dtype=np.int64)
     current = 0
@@ -131,29 +136,17 @@ def generate_reference_rows(seed: int = REFERENCE_SEED, n_rows: int = N_ROWS) ->
     rnf = (rng.random(n_rows) < _RNF_PROB).astype(np.int64)
     failure = ((twf + hdf + pwf + osf + rnf) > 0).astype(np.int64)
 
-    rows = []
-    for i in range(n_rows):
-        q = quality[i]
-        serial[q] += 1
-        rows.append(
-            (
-                i + 1,
-                f"{q}{serial[q]}",
-                q,
-                f"{air[i]:.1f}",
-                f"{process[i]:.1f}",
-                int(rpm[i]),
-                f"{torque[i]:.1f}",
-                int(wear[i]),
-                int(failure[i]),
-                int(twf[i]),
-                int(hdf[i]),
-                int(pwf[i]),
-                int(osf[i]),
-                int(rnf[i]),
-            )
-        )
-    return rows
+    serials = {q: itertools.count(base + 1) for q, base in _SERIAL_BASE.items()}
+    product_id = np.array([f"{q}{next(serials[q])}" for q in quality.tolist()])
+    return [
+        np.arange(1, n_rows + 1), product_id, quality, air, process, rpm.astype(np.int64), torque, wear,
+        failure, twf, hdf, pwf, osf, rnf,
+    ]
+
+
+def generate_reference_rows(seed: int = REFERENCE_SEED, n_rows: int = N_ROWS) -> list[tuple]:
+    """The dataset rows in the column order of AI4I_COLUMNS, numeric cells as Python numbers."""
+    return list(zip(*(column.tolist() for column in _reference_columns(seed, n_rows))))
 
 
 def write_reference_csv(path, seed: int = REFERENCE_SEED, n_rows: int = N_ROWS) -> Path:
@@ -161,8 +154,8 @@ def write_reference_csv(path, seed: int = REFERENCE_SEED, n_rows: int = N_ROWS) 
 
     A negative seed fails before the directory or the file is created.
     """
-    rows = generate_reference_rows(seed=seed, n_rows=n_rows)
+    columns = _reference_columns(seed, n_rows)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    write_columns(path, AI4I_COLUMNS, list(zip(*rows)))
+    write_columns(path, AI4I_COLUMNS, columns)
     return path

@@ -90,11 +90,11 @@ def build_venn_tree(
     routed = display.apply(cal_x)
     cal_counts = {int(k): int(v) for k, v in zip(*np.unique(routed, return_counts=True))}
 
-    nodes = np.flatnonzero(display.feature_index == -1).tolist()
-    raw_scores = [display.leaf_score(node) for node in nodes]
+    nodes = np.flatnonzero(display.feature_index == -1)
+    raw_scores = display.n_positive[nodes] / display.n_samples[nodes]
     p0, p1, point = calibrator.intervals(raw_scores)
     leaves = {}
-    for node, raw, lo, hi, pt in zip(nodes, raw_scores, p0.tolist(), p1.tolist(), point.tolist()):
+    for node, raw, lo, hi, pt in zip(nodes.tolist(), raw_scores.tolist(), p0.tolist(), p1.tolist(), point.tolist()):
         leaves[node] = LeafAnnotation(
             node=node,
             raw_score=raw,

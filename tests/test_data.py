@@ -241,6 +241,33 @@ def test_information_separator_in_numeric_cell_names_file_row_and_column(tmp_pat
     assert load_csv(path).features.shape == (4, 6)
 
 
+@pytest.mark.parametrize("character", "\x1c\x1d\x1e\x1f\xa0")
+def test_header_names_lose_ascii_whitespace_only(tmp_path, character):
+    """str.strip() would also strip information separators and Unicode spaces from a name, and the column would load."""
+    escaped = f"\\x{ord(character):02x}"  # how the expected-header error shows the character
+    table = tmp_path / "scores.csv"
+    table.write_text(f"instance_id,fold_id,partition,score{character},label\n1,0,test,0.5,1\n", encoding="utf-8")
+    message = (f"{table}: expected header instance_id,fold_id,partition,score,label, got "
+               f"instance_id,fold_id,partition,score{escaped},label")
+    with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+        load_score_table(table)
+    folds = tmp_path / "run" / "folds"
+    folds.mkdir(parents=True)
+    predictions = folds / "rep0_fold0_tree_none.csv"
+    predictions.write_text(f"instance_id,label,score,p0,p1,point{character}\n1,1,0.5,0.5,0.5,0.5\n", encoding="utf-8")
+    message = (f"{predictions}: expected header instance_id,label,score,p0,p1,point, got "
+               f"instance_id,label,score,p0,p1,point{escaped}")
+    with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+        load_fold_predictions(tmp_path / "run", "tree", "none")
+    path = write_csv(tmp_path, make_rows(2), header=HEADER.replace("Torque [Nm]", "Torque [Nm]" + character))
+    message = f"{path}: missing required column 'Torque [Nm]'"
+    with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+        load_csv(path)
+    # ASCII whitespace around a name is still stripped
+    table.write_text(" instance_id,fold_id\t,partition,score ,label\n1,0,test,0.5,1\n", encoding="utf-8")
+    assert load_score_table(table).n_rows == 1
+
+
 def test_write_columns_formats_cells(tmp_path):
     path = tmp_path / "out.csv"
     write_columns(

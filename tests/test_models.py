@@ -71,21 +71,21 @@ def test_tree_simple_split():
     assert tree.threshold[0] == 2.5
     assert exhaustive_best_split([[1.0], [2.0], [3.0], [4.0]], [0, 0, 1, 1]) == (0, 2.5)
     left, right = tree.left_child[0], tree.right_child[0]
-    assert tree.leaf_score(left) == 0.0
-    assert tree.leaf_score(right) == 1.0
+    assert tree.n_positive[left] / tree.n_samples[left] == 0.0
+    assert tree.n_positive[right] / tree.n_samples[right] == 1.0
     assert np.sum(tree.feature_index == -1) == 2
 
 
 def test_tree_pure_labels_single_leaf():
     tree = fit_tree([[1.0], [2.0], [5.0]], [1, 1, 1])
     assert tree.n_nodes == 1
-    assert tree.leaf_score(0) == 1.0
+    assert tree.n_positive[0] / tree.n_samples[0] == 1.0
 
 
 def test_tree_constant_feature_unsplittable():
     tree = fit_tree([[1.0], [1.0], [1.0]], [0, 1, 0])
     assert tree.n_nodes == 1
-    assert tree.leaf_score(0) == pytest.approx(1 / 3)
+    assert tree.n_positive[0] / tree.n_samples[0] == pytest.approx(1 / 3)
 
 
 def test_tree_empty_input_rejected():
@@ -101,6 +101,7 @@ def test_tree_empty_input_rejected():
         ([[1.0], [2.0]], [0, 2], {}, "labels must be 0 or 1"),
         ([[1.0, 2.0], [2.0, 1.0]], [0, 1], {"max_features": 3}, r"max_features must be in \[1, 2\]"),
         ([[1.0, 2.0], [2.0, 1.0]], [0, 1], {"max_features": 0}, r"max_features must be in \[1, 2\]"),
+        ([1.0, 2.0], [0, 1], {}, "features must be a 2-d matrix"),
     ],
 )
 def test_tree_rejects_bad_training_input(features, labels, kwargs, message):
@@ -302,6 +303,8 @@ def test_forest_validates_arguments():
         fit_forest([[1.0], [2.0]], [0, 1], min_samples_leaf=0)
     with pytest.raises(ValueError, match="min_samples_split"):
         fit_forest([[1.0], [2.0]], [0, 1], min_samples_split=1)
+    with pytest.raises(ValueError, match="features must be a 2-d matrix"):
+        fit_forest([1.0, 2.0], [0, 1])
 
 
 def test_forest_recursion_matches_oracle_everywhere():
@@ -625,6 +628,8 @@ def test_logistic_constant_feature_ignored():
 def test_logistic_rejects_non_finite():
     with pytest.raises(ValueError):
         fit_logistic([[np.inf]], [1])
+    with pytest.raises(ValueError, match="features must be a 2-d matrix"):
+        fit_logistic([1.0, 2.0], [0, 1])
 
 
 def test_logistic_score_many_rejects_wrong_feature_count():
