@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from venncal.calibration import VennAbersCalibrator
-from venncal.data import load_csv, stratified_holdout
+from venncal.data import load_csv, stratified_holdout, write_columns
 from venncal.harness import (
     KNOWN_CALIBRATORS,
     KNOWN_MODELS,
@@ -36,6 +36,8 @@ from venncal.synthetic import REFERENCE_SEED, write_reference_csv
 from venncal.venn_tree import CLASS_NAMES, build_venn_tree, extract_rules, format_rules, render_tree
 
 import numpy as np
+
+LEAVES_COLUMNS = ("leaf", "n_train", "n_calibration", "raw_score", "p0", "p1", "point", "predicted_class")
 
 
 def _add_experiment_parser(sub):
@@ -100,6 +102,8 @@ def _run_reliability(args) -> int:
 def _run_venn_tree(args) -> int:
     if args.seed < 0:  # numpy's generators refuse it without naming it
         raise ValueError(f"seed must be >= 0, got {args.seed}")
+    if args.max_depth < 0:  # before the dataset is read
+        raise ValueError(f"--max-depth must be >= 0, got {args.max_depth}")
     dataset = load_csv(args.dataset_path)
     rng = np.random.default_rng(args.seed)
     proper_ids, calibration_ids = stratified_holdout(dataset.labels, args.calibration_fraction, rng)
@@ -124,14 +128,11 @@ def _run_venn_tree(args) -> int:
     (out / "rules.txt").write_text(format_rules(rules), encoding="utf-8")
     (out / "tree.dot").write_text(render_tree(vt), encoding="utf-8")
     (out / "model.json").write_text(json.dumps(tree.to_dict(), sort_keys=True), encoding="utf-8")
-    with (out / "leaves.csv").open("w", encoding="utf-8") as handle:
-        handle.write("leaf,n_train,n_calibration,raw_score,p0,p1,point,predicted_class\n")
-        for node in sorted(vt.leaves):
-            a = vt.leaves[node]
-            handle.write(
-                f"{a.node},{a.n_train},{a.n_calibration},{a.raw_score!r},"
-                f"{a.p0!r},{a.p1!r},{a.point!r},{CLASS_NAMES[a.predicted_class]}\n"
-            )
+    rows = [
+        (a.node, a.n_train, a.n_calibration, a.raw_score, a.p0, a.p1, a.point, CLASS_NAMES[a.predicted_class])
+        for _, a in sorted(vt.leaves.items())
+    ]
+    write_columns(out / "leaves.csv", LEAVES_COLUMNS, list(zip(*rows)))
     print(f"wrote {len(rules)} rules, tree.dot and leaves.csv to {out}")
     return 0
 

@@ -3,21 +3,22 @@
 Loads the predictive-maintenance CSV in the AI4I column layout
 (AI4I_COLUMNS), mapping the quality letter to an ordinal code, dropping
 identifier and failure-mode indicator columns, and taking the
-machine-failure column as the binary label.  read_header, parse_columns
-and write_columns are the one CSV header reader, column reader and column
-writer.  read_header strips header names of ASCII whitespace only, as a
-token cell is stripped, and owns the exact-header check of the files whose
-header is fixed.  parse_columns reads a whole file with one np.loadtxt call:
-integers take an optional sign and ASCII digits, numbers what float()
-takes (to the same bits) except underscores and non-ASCII digits, and a
-cell that starts with '"' is quoted as the csv module quotes it.  A NUL
-character anywhere in a file is rejected, and so is a numeric cell holding
-an information separator (\\x1c-\\x1f).  Data rows count from 1 after
-the header, blank lines skipped but counted; a faulty row is searched for
-only after a check fails.  write_columns formats each column once (a
-numpy float column once per distinct value, any other non-numpy column
-cell by cell) and writes its rows in blocks with one str.format per row,
-byte for byte as csv.writer's QUOTE_MINIMAL writes them.
+machine-failure column as the binary label.  parse_columns and
+write_columns are the one CSV reader and the one CSV writer.
+parse_columns reads a file with one call: it checks the file's header,
+its names stripped of ASCII whitespace only as a token cell is, against
+the exact header the caller passes, then reads the rows below it with one
+np.loadtxt call: integers take an optional sign and ASCII digits, numbers
+what float() takes (to the same bits) except underscores and non-ASCII
+digits, and a cell that starts with '"' is quoted as the csv module
+quotes it.  A NUL character anywhere in a file is rejected, and so are
+bytes that are not UTF-8 and a numeric cell holding an information
+separator (\\x1c-\\x1f).  Data rows count from 1 after the header, blank
+lines skipped but counted; a faulty row is searched for only after a
+check fails.  write_columns formats each column once (a numpy float
+column once per distinct value, any other non-numpy column cell by cell)
+and writes its rows in blocks with one str.format per row, byte for byte
+as csv.writer's QUOTE_MINIMAL writes them.
 Also produces repeated stratified k-fold splits where each fold's training
 portion is further divided into a proper-training part and a calibration
 part.
@@ -47,7 +48,6 @@ __all__ = [
     "ValidationError",
     "load_csv",
     "parse_columns",
-    "read_header",
     "reject_first",
     "repeated_stratified_kfold",
     "splits_to_manifest",
@@ -77,7 +77,7 @@ class InfeasibleSplitError(ValueError):
 # letter of "Type" is coded through QUALITY_CODES, the other named columns
 # are read as numbers and LABEL_COLUMN is the label.  The columns mapped to
 # None besides the label (identifiers and failure-mode indicators) are
-# dropped, and a file may leave them out.
+# read but dropped.  A dataset file has exactly these columns, in this order.
 AI4I_COLUMNS = {
     "UDI": None,
     "Product ID": None,
@@ -131,23 +131,17 @@ class Dataset:
 def load_csv(path) -> Dataset:
     """Load the maintenance CSV (AI4I_COLUMNS) into a Dataset.
 
-    Row order is preserved.  Errors name the offending column or the
-    offending data row (1-based, header excluded); a numeric cell that
-    reads as nan or inf is rejected with its row and column named.
+    Row order is preserved, and the header must be exactly AI4I_COLUMNS.
+    Errors name the file and the offending data row (1-based, header
+    excluded); a numeric cell that reads as nan or inf is rejected with
+    its row and column named.
     """
     path = Path(path)
-    header = read_header(path, "dataset")
-    for column, feature in AI4I_COLUMNS.items():
-        if (feature or column == LABEL_COLUMN) and column not in header:
-            raise SchemaError(f"{path}: missing required column {column!r}")
-    for column in header:
-        if column not in AI4I_COLUMNS:
-            raise SchemaError(f"{path}: unknown column {column!r}")
     feature_columns = [column for column, feature in AI4I_COLUMNS.items() if feature]
     parsers = {column: np.float64 for column in feature_columns}
     parsers[QUALITY_COLUMN] = QUALITY_CODES
     parsers[LABEL_COLUMN] = LABEL_CODES
-    columns = parse_columns(path, header, parsers)
+    columns = parse_columns(path, "dataset", tuple(AI4I_COLUMNS), parsers)
     features = np.column_stack([columns[column] for column in feature_columns])
     reject_first(
         path, ~np.isfinite(features),
@@ -172,33 +166,8 @@ NUL = "\x00"  # rejected anywhere in a CSV that is read
 # is rejected
 SEPARATORS = "\x1c\x1d\x1e\x1f"
 _HAS_SEPARATOR = re.compile(f"[{SEPARATORS}]").search
-
-
-def read_header(path, kind: str = "file", expected=None) -> list[str]:
-    """A CSV's header, each name stripped of ASCII whitespace as a token cell is.
-
-    Raises FileNotFoundError ("<kind> not found") and SchemaError (empty
-    file, a NUL character, a column named twice, names other than the
-    expected ones when those are given), naming the file.
-    """
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"{kind} not found: {path}")
-    with path.open(newline="", encoding="utf-8") as handle:
-        lines = []
-        try:
-            header = [h.strip(TOKEN_PADDING) for h in next(csv.reader(_without_nul(handle, lines)))]
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file") from None
-    if any(NUL in line for line in lines):
-        raise SchemaError(f"{path}: NUL character in the header")
-    for i, column in enumerate(header):
-        if column in header[:i]:
-            raise SchemaError(f"{path}: column {column!r} appears more than once")
-    if expected is not None and tuple(header) != tuple(expected):
-        got = ",".join(repr(column)[1:-1] for column in header)  # a control character shows escaped
-        raise SchemaError(f"{path}: expected header {','.join(expected)}, got {got}")
-    return header
+# a byte that is not UTF-8, as _records reads it (surrogateescape)
+_NOT_UTF8 = re.compile("[\udc80-\udcff]").search
 
 
 def _loadtxt(source, dtype, **options):
@@ -207,23 +176,44 @@ def _loadtxt(source, dtype, **options):
     )
 
 
-def parse_columns(path, header, parsers) -> dict:
-    """Parse the named columns of a CSV below its header with one np.loadtxt call: {column: array}.
+def parse_columns(path, kind, header, parsers) -> dict:
+    """Check a CSV's header and parse the named columns below it with one np.loadtxt call: {column: array}.
 
-    parsers maps a column to np.int64, np.float64 or a token map (stripped
-    cell -> value); every other column is read but not kept, so each row
-    must have the header's field count.  A row at fault is found only
-    when a check fails, by _first_fault, and named the way _records
-    numbers it.  Raises ParseError (a field count other than the
-    header's, a non-numeric cell, a NUL character anywhere in a row),
-    ValidationError (a cell that is not a token of its map, no data
-    rows), each naming the file.  NUL and SEPARATORS are looked for in
-    the file's bytes because np.loadtxt reads past them: numpy's string
-    fields drop trailing NULs ('1\\x00' would read as the token '1'),
-    and a number's separators are stripped as whitespace ('0.2\\x1c'
-    would read as 0.2).
+    The file's header, each name stripped of ASCII whitespace as a token
+    cell is, must be exactly header.  parsers maps a column to np.int64,
+    np.float64 or a token map (stripped cell -> value); every other column
+    is read but not kept, so each row must have the header's field count.
+    A row at fault is found only when a check fails, by _first_fault, and
+    named the way _records numbers it.  Raises FileNotFoundError ("<kind>
+    not found"), SchemaError (an empty file; a NUL character, bytes that
+    are not UTF-8 or a column named twice in the header; any other
+    header), ParseError (a field count other than the header's, a
+    non-numeric cell, a NUL character or bytes that are not UTF-8 anywhere
+    in a row), ValidationError (a cell that is not a token of its map, no
+    data rows), each naming the file.  NUL and SEPARATORS are looked for
+    in the file's bytes because np.loadtxt reads past them: numpy's string
+    fields drop trailing NULs ('1\\x00' would read as the token '1'), and
+    a number's separators are stripped as whitespace ('0.2\\x1c' would read
+    as 0.2).
     """
     path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(f"{kind} not found: {path}")
+    _, text, fields = next(_records(path), (0, None, None))
+    if text is None:
+        raise SchemaError(f"{path}: empty file")
+    if NUL in text:
+        raise SchemaError(f"{path}: NUL character in the header")
+    if _NOT_UTF8(text):
+        raise SchemaError(f"{path}: bytes that are not UTF-8 in the header")
+    names = [name.strip(TOKEN_PADDING) for name in fields]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise SchemaError(f"{path}: column {name!r} appears more than once")
+    header = tuple(header)
+    if tuple(names) != header:
+        got = ",".join(repr(name)[1:-1] for name in names)  # a control character shows escaped
+        raise SchemaError(f"{path}: expected header {','.join(header)}, got {got}")
     types = {column: f"S{TOKEN_WIDTH}" if isinstance(parse, dict) else parse for column, parse in parsers.items()}
     dtype = [(column, types.get(column, "U1")) for column in header]  # a "U1" column is counted, not kept
     try:
@@ -268,33 +258,23 @@ def _map_tokens(cells, tokens):
     return values, known & (np.strings.str_len(cells) < TOKEN_WIDTH)
 
 
-def _without_nul(handle, lines):
-    """handle's lines with NUL characters taken out, each line appended to lines as the file holds it.
-
-    The csv module of Python 3.10 stops at a NUL with its own error; with
-    the NULs taken out, every Python reads the same records and fields.
-    """
-    for line in handle:
-        lines.append(line)
-        yield line.replace(NUL, "")
-
-
 def _records(path):
-    """Yield (row number, text, fields) per non-blank row below a CSV's header.
+    """Yield (row number, text, fields) for a CSV's header, as row 0, and each non-blank row below it.
 
-    Rows are csv records numbered from 1 after the header, blank ones
-    counted; text is the row's lines as the file holds them, and fields
-    its cells without NUL characters.
+    Rows are csv records numbered from 0, blank ones counted; text is the
+    row's lines as the file holds them, a byte that is not UTF-8 as a lone
+    surrogate (surrogateescape), and fields its cells without NUL
+    characters: the csv module of Python 3.10 stops at a NUL with its own
+    error, and with the NULs taken out every Python reads the same records
+    and fields.
     """
-    with Path(path).open(newline="", encoding="utf-8") as handle:
+    with Path(path).open(newline="", encoding="utf-8", errors="surrogateescape") as handle:
         lines = []  # the lines csv has read since the last record
-        reader = csv.reader(_without_nul(handle, lines))
-        next(reader)
-        lines.clear()
-        for row_number, fields in enumerate(reader, start=1):
+        reader = csv.reader(lines.append(line) or line.replace(NUL, "") for line in handle)
+        for row_number, fields in enumerate(reader):
             text = "".join(lines)
             lines.clear()
-            if fields or NUL in text:
+            if fields or NUL in text or not row_number:
                 yield row_number, text, fields
 
 
@@ -304,10 +284,11 @@ def _first_fault(path, header, parsers, dtype):
     Rows are read with np.loadtxt in blocks; in a block that fails, each
     numeric cell is tried with np.loadtxt on its row's text, so a cell
     fails here exactly when it fails in parse_columns' one call.  A row's
-    cells are tried in the order of parsers, after its NUL characters and
-    its field count.
+    cells are tried in the order of parsers, after its NUL characters,
+    its bytes that are not UTF-8 and its field count.
     """
     records = _records(path)
+    next(records)  # the header
     for block in iter(lambda: list(itertools.islice(records, 1024)), []):
         try:
             _loadtxt([text for _, text, _ in block], dtype)
@@ -318,6 +299,8 @@ def _first_fault(path, header, parsers, dtype):
             where = f"{path}: row {row_number}"
             if NUL in text:
                 return ParseError(f"{where}: NUL character in the row")
+            if _NOT_UTF8(text):
+                return ParseError(f"{where}: bytes that are not UTF-8")
             if len(fields) != len(header):
                 return ParseError(f"{where}: expected {len(header)} fields, got {len(fields)}")
             for column, parse in parsers.items():
@@ -350,7 +333,7 @@ def reject_first(path, bad, fault) -> None:
     hits = np.argwhere(bad)
     if hits.size:
         index = hits[0].tolist()
-        row_number = next(itertools.islice(_records(path), index[0], None))[0]
+        row_number = next(itertools.islice(_records(path), index[0] + 1, None))[0]  # row 0 is the header
         raise ValidationError(f"{path}: row {row_number}: {fault(*index)}")
 
 

@@ -38,7 +38,6 @@ from venncal.data import (
     FoldSplit,
     load_csv,
     parse_columns,
-    read_header,
     reject_first,
     repeated_stratified_kfold,
     write_columns,
@@ -352,8 +351,7 @@ def load_fold_predictions(output_dir, model: str, calibrator: str):
     probabilities = []
     labels = []
     for path in paths:
-        header = read_header(path, expected=PREDICTION_COLUMNS)
-        columns = parse_columns(path, header, parsers)
+        columns = parse_columns(path, "fold predictions", PREDICTION_COLUMNS, parsers)
         point = columns["point"]
         outside = ~((point >= 0.0) & (point <= 1.0))  # nan is outside too
         reject_first(path, outside, lambda i: f"point '{point[i]}' outside [0, 1]")

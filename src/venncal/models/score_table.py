@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from venncal.data import LABEL_CODES, ValidationError, parse_columns, read_header, reject_first
+from venncal.data import LABEL_CODES, ValidationError, parse_columns, reject_first
 
 __all__ = ["ScoreTable", "load_score_table", "SCORE_TABLE_COLUMNS"]
 
@@ -61,9 +61,8 @@ def load_score_table(path) -> ScoreTable:
     offending row named (1-based, excluding the header).
     """
     path = Path(path)
-    header = read_header(path, "score table", SCORE_TABLE_COLUMNS)
     parsers = dict(zip(SCORE_TABLE_COLUMNS, (np.int64, np.int64, _PARTITIONS, np.float64, LABEL_CODES)))
-    columns = parse_columns(path, header, parsers)
+    columns = parse_columns(path, "score table", SCORE_TABLE_COLUMNS, parsers)
     fields = [columns[column] for column in SCORE_TABLE_COLUMNS]  # ScoreTable's, in order
     for arr in fields:
         arr.setflags(write=False)

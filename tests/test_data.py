@@ -7,6 +7,7 @@ import hashlib
 import json
 import math
 import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -17,12 +18,14 @@ from hypothesis import strategies as st
 
 from venncal.data import (
     FEATURE_NAMES,
+    LABEL_CODES,
     Dataset,
     InfeasibleSplitError,
     ParseError,
     SchemaError,
     ValidationError,
     load_csv,
+    parse_columns,
     repeated_stratified_kfold,
     splits_to_manifest,
     stratified_holdout,
@@ -31,6 +34,7 @@ from venncal.data import (
 )
 from venncal.harness import load_fold_predictions
 from venncal.models import load_score_table
+from venncal.models.score_table import _PARTITIONS as PARTITIONS
 from venncal.synthetic import write_reference_csv
 
 HEADER = (
@@ -260,7 +264,7 @@ def test_header_names_lose_ascii_whitespace_only(tmp_path, character):
     with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
         load_fold_predictions(tmp_path / "run", "tree", "none")
     path = write_csv(tmp_path, make_rows(2), header=HEADER.replace("Torque [Nm]", "Torque [Nm]" + character))
-    message = f"{path}: missing required column 'Torque [Nm]'"
+    message = f"{path}: expected header {HEADER}, got {HEADER.replace('Torque [Nm]', 'Torque [Nm]' + escaped)}"
     with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
         load_csv(path)
     # ASCII whitespace around a name is still stripped
@@ -352,6 +356,76 @@ def test_write_columns_one_column_and_shared_columns(tmp_path):
     write_columns(path, ("i", "x", "y", "z", "t"), columns)
     _csv_writer_columns(tmp_path / "want.csv", ("i", "x", "y", "z", "t"), columns)
     assert path.read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+@pytest.mark.parametrize("row", [0, 2, 300])
+def test_bytes_that_are_not_utf8_in_a_dataset_name_file_and_row(tmp_path, row):
+    """A byte that is not UTF-8 fails naming the file and its row, also past the text decoder's 8 KB read-ahead
+    and in a column that is dropped (RNF)."""
+    path = tmp_path / "latin.csv"
+    lines = [line.encode() for line in [HEADER, *make_rows(400)]]
+    assert len(b"\n".join(lines[:300])) > 8192
+    lines[row] += b"\xe9"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    error, message = (ParseError, f"{path}: row {row}: bytes that are not UTF-8") if row else (
+        SchemaError, f"{path}: bytes that are not UTF-8 in the header")
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        load_csv(path)
+
+
+@pytest.mark.parametrize("kind", ["score table", "fold predictions"])
+def test_bytes_that_are_not_utf8_in_a_score_table_or_fold_file_name_file_and_row(tmp_path, kind):
+    if kind == "score table":
+        path = tmp_path / "scores.csv"
+        path.write_bytes(b"instance_id,fold_id,partition,score,label\n1,0,test,0.5,1\n\n2,0,t\xe9st,0.5,0\n")
+        load, row = (lambda: load_score_table(path)), 3
+    else:
+        path = tmp_path / "run" / "folds" / "rep0_fold0_tree_none.csv"
+        path.parent.mkdir(parents=True)
+        path.write_bytes(b"instance_id,label,score,p0,p1,point\n1,1,0.5,0.5,0.5,0.5\n2,0,0.5,0.5,0.5,0.\xe95\n")
+        load, row = (lambda: load_fold_predictions(tmp_path / "run", "tree", "none")), 2
+    with pytest.raises(ParseError, match=f"^{re.escape(f'{path}: row {row}: bytes that are not UTF-8')}$"):
+        load()
+
+
+# every finite float64 class: signed zeros, the subnormal and normal extremes
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, sys.float_info.max, -sys.float_info.max)
+FINITE_FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+INT64S = st.one_of(st.sampled_from([-(2**63), 2**63 - 1, 0]), st.integers(-(2**63), 2**63 - 1))
+TOKEN_MAPS = (LABEL_CODES, PARTITIONS)
+
+
+@st.composite
+def typed_tables(draw):
+    """Columns as write_columns takes them and the parsers and arrays parse_columns should return for them."""
+    n = draw(st.integers(1, 12))
+    columns, parsers, expected = [], {}, {}
+    for i, kind in enumerate(draw(st.lists(st.sampled_from(["float", "int", "token"]), min_size=1, max_size=5))):
+        name = f"c{i}"
+        if kind == "token":
+            tokens = draw(st.sampled_from(TOKEN_MAPS))
+            column = draw(st.lists(st.sampled_from(sorted(tokens)), min_size=n, max_size=n))
+            parsers[name], expected[name] = tokens, np.array([tokens[cell] for cell in column])
+        else:
+            dtype, cells = (np.float64, FINITE_FLOATS) if kind == "float" else (np.int64, INT64S)
+            column = np.array(draw(st.lists(cells, min_size=n, max_size=n)), dtype=dtype)
+            parsers[name], expected[name] = dtype, column
+        columns.append(column)
+    return list(parsers), columns, parsers, expected
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(typed_tables())
+def test_parse_columns_reads_back_what_write_columns_writes(table):
+    """float64 (by repr), int64 and token columns come back bit for bit, -0.0, subnormals and both extremes included."""
+    header, columns, parsers, expected = table
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        write_columns(path, header, columns)
+        parsed = parse_columns(path, "table", header, parsers)
+    assert parsed.keys() == expected.keys()
+    for name, want in expected.items():
+        assert parsed[name].dtype == want.dtype and parsed[name].tobytes() == want.tobytes(), name
 
 
 def _arrays_digest(*arrays):

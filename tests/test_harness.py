@@ -849,6 +849,15 @@ def test_cli_synth_data_and_venn_tree(tmp_path, capsys):
     assert not (tmp_path / "synth_bad").exists()
 
 
+def test_cli_venn_tree_negative_max_depth_named_before_data_is_read(tmp_path, capsys):
+    """The flag is named, not the library's display_max_depth, and the dataset (here missing) is never read."""
+    out_dir = tmp_path / "vt"
+    argv = ["venn-tree", "--data", str(tmp_path / "missing.csv"), "--out", str(out_dir), "--max-depth", "-1"]
+    assert cli_main(argv) == 1
+    assert capsys.readouterr().err == "error: --max-depth must be >= 0, got -1\n"
+    assert not out_dir.exists()
+
+
 def test_cli_calibrate_scores_errors_nonzero(tmp_path, capsys):
     rc = cli_main(
         ["calibrate-scores", "--scores", str(tmp_path / "missing.csv"), "--calibrator", "platt",

@@ -191,27 +191,28 @@ def test_render_width_and_intensity_monotone():
 
 
 # sha256 of every file `venncal venn-tree` writes for the seed-5 synthetic
-# dataset at tree seed 1; depth 0 keeps only the root, 99 the whole tree
+# dataset at tree seed 1; depth 0 keeps only the root, 99 the whole tree.
+# leaves.csv ends its lines in \r\n, as write_columns writes every CSV
 GOLDEN_VENN_TREE_DIGESTS = {
     0: {
         "rules.txt": "a5fca256b5f4aa372b73ddea6c39835f760374b556b5e734487d310bed104991",
         "tree.dot": "18b691ab068570737beefef89a361aa6e47c600e61e1936793adb6659bf5a75c",
-        "leaves.csv": "4296fd49ca182afc9790aa881d6d27ebfee0699ddb7703b3cb2e89c6b9314ff3",
+        "leaves.csv": "2bc03f03b2256a3ce9f8609161bd79e6cb3f0177bd1219a84c225204dfa60989",
     },
     2: {
         "rules.txt": "591bc98853d976f6b7b4794505f44e5b97f2d9eabfb7b2a0588340bb85c2f0c2",
         "tree.dot": "2710808c2f36e4830b8f99f611b507dc0b3eff5ba05fba66815ee0ba8f471d5e",
-        "leaves.csv": "fe43a8bf85169a896d85322d7ba6865bdfe294d7779b6e5fd7133e9cb4b533d1",
+        "leaves.csv": "4e32b6509200fa04d792a7a2c47968d7f3bfbec6fd8b409df5461a02bf182cb6",
     },
     5: {
         "rules.txt": "604efb0b607cfe5896ec327baab3f3f733c0c3971710a21c4df6139a77007f14",
         "tree.dot": "324983350a2bfedcf147975d09d952e44e9ff85fc3d4754ed14868328dcbc526",
-        "leaves.csv": "274cd32ee5f2ef637dfe4f74b90ea3526464f54e8bb50c83895701dc1d3f9600",
+        "leaves.csv": "9ea3dba78c8fcdb3cc39465bcdb524533ed0ee8735ff3d7526f51e09ba0a4597",
     },
     99: {
         "rules.txt": "91922a143f9c14d80517de30e824a54b4ca8359ce6b0c606184cdec983c5e57c",
         "tree.dot": "a19a75c5048723f401e52fc3d700d785574cc243896da8c0779ebbd3c48c5b3d",
-        "leaves.csv": "c5bbc4d04725f9ccd2bec289b7520756b0e662667df9bb374ee73085c4ac4832",
+        "leaves.csv": "09c66faffdcd19755b7aaffb3300a56be2d271d6d89135f65e740f4824a15f7f",
     },
 }
 # the fitted tree is the same at every display depth
