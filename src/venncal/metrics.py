@@ -29,7 +29,8 @@ DECISION_THRESHOLD = 0.5
 BIN_MODES = ("width", "frequency")  # equal-width bins, or edges at probability quantiles
 
 
-def _check_inputs(probabilities, labels):
+def _check_inputs(probabilities, labels, m: int = 1, mode: str = BIN_MODES[0]):
+    """The probabilities and labels as float arrays, once they and the bin settings are valid."""
     p = np.asarray(probabilities, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
     if p.ndim != 1 or y.ndim != 1:
@@ -42,6 +43,10 @@ def _check_inputs(probabilities, labels):
         raise ValueError("probabilities must lie in [0, 1]")
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("labels must be 0 or 1")
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if mode not in BIN_MODES:
+        raise ValueError(f"unknown bin mode: {mode!r}")
     return p, y
 
 
@@ -59,13 +64,16 @@ class ClassificationMetrics:
 
 def classification_metrics(probabilities, labels) -> ClassificationMetrics:
     """Confusion-matrix metrics with predict-positive iff p >= 0.5."""
-    p, y = _check_inputs(probabilities, labels)
+    return _classification_metrics(*_check_inputs(probabilities, labels))
+
+
+def _classification_metrics(p: np.ndarray, y: np.ndarray) -> ClassificationMetrics:
     pred = p >= DECISION_THRESHOLD
     pos = y == 1.0
-    tp = int(np.sum(pred & pos))
-    fp = int(np.sum(pred & ~pos))
-    fn = int(np.sum(~pred & pos))
-    tn = int(np.sum(~pred & ~pos))
+    tp = int(np.count_nonzero(pred & pos))
+    fp = int(np.count_nonzero(pred)) - tp
+    fn = int(np.count_nonzero(pos)) - tp
+    tn = p.size - tp - fp - fn
     n_pred = tp + fp
     precision = tp / n_pred if n_pred > 0 else None
     recall = tp / (tp + fn) if (tp + fn) > 0 else 0.0
@@ -82,16 +90,25 @@ def auc(probabilities, labels) -> float:
 
     Fraction of (positive, negative) pairs where the positive instance
     scores higher, ties counted one half.  Computed via midranks in
-    O(n log n); exactly equal to brute-force pair counting.
+    O(n log n); exactly equal to brute-force pair counting.  A positive
+    scoring s has the 1-based midrank (below + at_or_below + 1) / 2, where
+    two binary searches in the sorted scores count the scores < s and
+    <= s; it is a half-integer, exact in float64 below 2^52.
     """
-    p, y = _check_inputs(probabilities, labels)
-    n_pos = int(np.sum(y == 1.0))
+    return _auc(*_check_inputs(probabilities, labels))
+
+
+def _auc(p: np.ndarray, y: np.ndarray) -> float:
+    positives = p[y == 1.0]
+    n_pos = positives.size
     n_neg = p.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("auc requires both classes")
-    _, inverse, counts = np.unique(p, return_inverse=True, return_counts=True)
-    midranks = np.cumsum(counts) - (counts - 1) / 2.0  # 1-based midrank per distinct score
-    rank_sum_pos = float(np.sum(midranks[inverse[y == 1.0]]))
+    ordered = np.sort(p)
+    below = np.searchsorted(ordered, positives, side="left")
+    at_or_below = np.searchsorted(ordered, positives, side="right")
+    midranks = (below + at_or_below + 1) / 2.0
+    rank_sum_pos = float(np.sum(midranks))
     u = rank_sum_pos - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)
 
@@ -134,11 +151,10 @@ def reliability_bins(probabilities, labels, m: int = 10, mode: str = "width") ->
     bin closed at 1.0; mode "frequency" places edges at probability
     quantiles instead.  Empty bins are kept with count 0.
     """
-    p, y = _check_inputs(probabilities, labels)
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if mode not in BIN_MODES:
-        raise ValueError(f"unknown bin mode: {mode!r}")
+    return _reliability_bins(*_check_inputs(probabilities, labels, m, mode), m, mode)
+
+
+def _reliability_bins(p: np.ndarray, y: np.ndarray, m: int, mode: str) -> ReliabilityBins:
     edges = _frequency_edges(p, m) if mode == "frequency" else _width_edges(m)
     idx = np.searchsorted(edges, p, side="right") - 1
     idx = np.clip(idx, 0, m - 1)  # p == 1.0 joins the last bin
@@ -163,11 +179,14 @@ def ece(bins: ReliabilityBins) -> float:
 
 def minority_bins(probabilities, labels, m: int = 10, mode: str = "width") -> ReliabilityBins | None:
     """Reliability bins of the positive predictions only (p >= 0.5); None if there are none."""
-    p, y = _check_inputs(probabilities, labels)
+    return _minority_bins(*_check_inputs(probabilities, labels, m, mode), m, mode)
+
+
+def _minority_bins(p: np.ndarray, y: np.ndarray, m: int, mode: str) -> ReliabilityBins | None:
     keep = p >= DECISION_THRESHOLD
     if not np.any(keep):
         return None
-    return reliability_bins(p[keep], y[keep], m=m, mode=mode)
+    return _reliability_bins(p[keep], y[keep], m, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -189,17 +208,22 @@ class EvaluationReport:
 
 
 def evaluate(probabilities, labels, m: int = 10, mode: str = "width") -> EvaluationReport:
-    """Compute the full report for one prediction set."""
-    p, y = _check_inputs(probabilities, labels)
-    cls = classification_metrics(p, y)
-    bins_minority = minority_bins(p, y, m=m, mode=mode)
+    """Compute the full report for one prediction set.
+
+    The inputs and bin settings are checked once, here; every metric then
+    reads the same checked arrays.  Each field equals what the public
+    function of its name returns on the same arguments.
+    """
+    p, y = _check_inputs(probabilities, labels, m, mode)
+    cls = _classification_metrics(p, y)
+    bins_minority = _minority_bins(p, y, m, mode)
     return EvaluationReport(
         n_instances=int(p.size),
         accuracy=cls.accuracy,
-        auc=auc(p, y),
+        auc=_auc(p, y),
         precision=cls.precision,
         recall=cls.recall,
         positive_prediction_count=cls.positive_prediction_count,
-        ece=ece(reliability_bins(p, y, m=m, mode=mode)),
+        ece=ece(_reliability_bins(p, y, m, mode)),
         ece1=ece(bins_minority) if bins_minority is not None else None,
     )

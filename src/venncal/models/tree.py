@@ -36,20 +36,31 @@ a single tree as a forest of one.  ``_pack`` concatenates the node arrays
 of all trees with per-tree offsets and makes both child slots of a leaf
 point to the leaf itself, so one gather ``child[2 * node + go_left]``
 advances every (tree, row) pair a level, with no branch on leaf versus
-split; ``x <= threshold`` routes left, and a nan goes right.  Every
-``_LEVELS_PER_COMPACTION`` levels the pairs that reached a leaf leave the
-active set.  A forest's score sums its trees' leaf fractions in tree
-order, ``total += fraction[tree]``, and divides by the tree count; a
-pairwise ``np.sum`` would round differently.  Rows are walked in chunks of
-about ``_PAIRS_PER_CHUNK`` pairs.  Both constants were set by scoring
-1000-row batches and 3 333 rows with the 100-tree reference forest on a
-2-vCPU Xeon VM.  Per batch, chunks of 2^12, 2^13, 2^14 and 2^15 pairs
+split; ``x <= threshold`` routes left, and a nan goes right.  The walk
+cuts a batch into chunks of about ``_PAIRS_PER_CHUNK`` pairs: one block of
+up to that many rows times one group of consecutive trees, as many as fill
+the chunk, so a 1000-row batch of the 100-tree forest walks 8 trees at a
+time and each level's gathers stay within those trees' nodes.  A chunk
+advances ``_LEVELS_PER_COMPACTION`` levels, then the pairs that reached a
+leaf leave its active set; a finished pair that walks on stays on its
+leaf.  A forest's score sums its trees' leaf fractions in tree order and
+divides by the tree count.  Each chunk is summed by one
+``np.add.accumulate`` down its tree axis, which adds row after row, and a
+block's later tree groups carry on from the running total of the earlier
+ones.  ``np.sum`` or ``np.add.reduce`` must not take its place: on a
+1-row batch numpy sums the tree axis pairwise, which rounds differently.
+Both constants were set by scoring 1000-row batches and 3 333 rows with
+the 100-tree reference forest on a 2-vCPU Xeon VM, when a chunk still
+held every tree: per batch, chunks of 2^12, 2^13, 2^14 and 2^15 pairs
 took 9.3, 8.1, 7.5 and 8.5 ms and raised peak RSS by 0.0, 0.1, 0.7 and
-1.8 MB; larger chunks ran slower still.  2^13 keeps nearly all of the
-speed and almost none of the memory.  Compacting every 4 to 6 levels was
-fastest; every level took 35% longer and every 8 levels a few percent
-longer.  A forest packs its trees once, on construction; a tree packs
-itself on each call, which is O(nodes) and leaves no cache to go stale.
+1.8 MB, and compacting every 4 to 6 levels was fastest.  Timed again on
+chunks of one row block times one tree group (2-vCPU Xeon VM, the median
+of 7 rounds of each round's fastest of 15 batches), 2^12, 2^13 and 2^14
+pairs took 14.5, 12.0 and 14.1 ms per 1000-row batch and 50.6, 46.6 and
+47.4 ms for 3 333 rows, and compacting every 3, 4, 5 or 6 levels took
+14.3, 12.0, 13.3 and 12.5 ms per batch, so both constants stay.  A
+forest packs its trees once, on construction; a tree packs itself on each
+call, which is O(nodes) and leaves no cache to go stale.
 """
 
 from __future__ import annotations
@@ -114,7 +125,7 @@ class DecisionTreeModel:
 
     def apply(self, features) -> np.ndarray:
         """Leaf index for every row of a feature matrix: the packed walk over a forest of one."""
-        return np.concatenate([leaves[0] for leaves in _walk(_pack([self]), features)])
+        return np.concatenate([leaves[0] for _, _, leaves in _walk(_pack([self]), features)])
 
     def score_many(self, features) -> np.ndarray:
         leaves = self.apply(features)
@@ -232,36 +243,39 @@ def _pack(trees: list[DecisionTreeModel]) -> _Packed:
 
 
 def _walk(packed: _Packed, features):
-    """The one traversal: the leaf of every (tree, row) pair, as (n_trees, rows) chunks.
+    """The one traversal: the leaf of every (tree, row) pair, in chunks.
 
-    Yields at least one chunk, in row order, so the chunks concatenate
-    along rows to the whole matrix's leaves.
+    Yields (start, first, leaves) per chunk, where leaves[t, r] is the leaf
+    that tree first + t reaches for row start + r.  A chunk is one block of
+    rows times one group of consecutive trees; blocks come in row order and
+    a block's groups in tree order.  Yields at least one chunk.
     """
     x = np.asarray(features, dtype=np.float64)
     k = packed.n_features
     if x.ndim != 2 or x.shape[1] != k:
         raise ValueError(f"expected (n, {k}) feature matrix, got {x.shape}")
     n_trees, n = packed.root.size, x.shape[0]
-    chunks = max(1, -(-n_trees * n // _PAIRS_PER_CHUNK))
-    step = max(1, -(-n // chunks))
-    for start in range(0, max(n, 1), step):
-        cells = x[start : start + step].ravel()
-        m = min(step, n - start)
-        node = np.repeat(packed.root, m)
-        row = np.tile(np.arange(0, m * k, k, dtype=np.intp), n_trees)  # cell of each pair's feature 0
-        pair = np.arange(n_trees * m)
-        leaves = np.empty(n_trees * m, dtype=np.intp)
-        while True:
-            done = packed.leaf[node]
-            leaves[pair[done]] = node[done]
-            active = ~done
-            node, row, pair = node[active], row[active], pair[active]
-            if node.size == 0:
-                break
-            for _ in range(_LEVELS_PER_COMPACTION):
-                go_left = cells[row + packed.feature[node]] <= packed.threshold[node]
-                node = packed.child[2 * node + go_left]
-        yield leaves.reshape(n_trees, m)
+    rows = max(1, min(n, _PAIRS_PER_CHUNK))
+    group = max(1, _PAIRS_PER_CHUNK // rows)
+    for start in range(0, max(n, 1), rows):
+        cells = x[start : start + rows].ravel()
+        m = min(rows, n - start)
+        row_of = np.tile(np.arange(0, m * k, k, dtype=np.intp), min(group, n_trees))  # cell of feature 0
+        for first in range(0, n_trees, group):
+            roots = packed.root[first : first + group]
+            node = np.repeat(roots, m)
+            row = row_of[: node.size]
+            pair = np.arange(node.size)
+            leaves = np.empty(node.size, dtype=np.intp)
+            while node.size:
+                for _ in range(_LEVELS_PER_COMPACTION):
+                    go_left = cells[row + packed.feature[node]] <= packed.threshold[node]
+                    node = packed.child[2 * node + go_left]
+                done = packed.leaf[node]
+                leaves[pair[done]] = node[done]
+                active = ~done
+                node, row, pair = node[active], row[active], pair[active]
+            yield start, first, leaves.reshape(roots.size, m)
 
 
 def _validate_training_data(features, labels):
@@ -711,13 +725,14 @@ class RandomForestModel:
         return len(self.trees)
 
     def score_many(self, features) -> np.ndarray:
-        parts = []
-        for leaves in _walk(self._packed, features):
-            total = np.zeros(leaves.shape[1])
-            for fractions in self._fraction[leaves]:  # in tree order
-                total += fractions
-            parts.append(total)
-        return np.concatenate(parts) / self.n_trees
+        totals = []
+        for _, first, leaves in _walk(self._packed, features):
+            fractions = self._fraction[leaves]
+            if first:  # a later tree group continues its row block's running total
+                fractions[0] += totals.pop()
+            # accumulate adds row after row, in tree order; a reduce could pair them
+            totals.append(np.add.accumulate(fractions, axis=0)[-1])
+        return np.concatenate(totals) / self.n_trees
 
     def to_dict(self) -> dict:
         return {

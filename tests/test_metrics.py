@@ -268,6 +268,14 @@ def test_ece_minority_absent_when_no_positive_predictions():
     assert minority_bins([0.4, 0.2], [1, 0]) is None
 
 
+def test_minority_bins_check_m_and_mode_without_positive_predictions():
+    # the bin settings are checked before the p >= 0.5 cut, not only when it keeps a row
+    with pytest.raises(ValueError, match="^unknown bin mode: 'quantile'$"):
+        minority_bins([0.1, 0.2], [0, 1], mode="quantile")
+    with pytest.raises(ValueError, match="^m must be >= 1$"):
+        minority_bins([0.1, 0.2], [0, 1], m=0)
+
+
 def test_ece_minority_perfectly_calibrated_subset():
     assert ece(minority_bins([1.0, 1.0, 0.2], [1, 1, 1])) == 0.0
     # the cut is p >= 0.5, so a prediction of exactly 0.5 is in it
@@ -295,13 +303,20 @@ def test_minority_foc_equals_fraction_correct():
 
 def test_evaluate_report_roundtrip():
     rng = np.random.default_rng(77)
-    p = rng.random(500)
-    y = (rng.random(500) < p).astype(int)
-    report = evaluate(p, y)
-    assert report.n_instances == 500
-    assert report.auc == pytest.approx(auc(p, y))
-    assert report.ece == pytest.approx(ece(reliability_bins(p, y)))
-    assert report.ece1 == pytest.approx(ece(minority_bins(p, y)))
+    continuous = rng.random(500)
+    y = (rng.random(500) < continuous).astype(int)
+    # the continuous scores, then the same rounded to 21 distinct values held by both classes
+    for p in (continuous, np.round(continuous * 20) / 20):
+        report = evaluate(p, y)
+        assert report.n_instances == 500
+        # evaluate checks its inputs once and calls the metrics' cores: each
+        # field is the public function's value, bit for bit
+        assert report.auc == auc(p, y)
+        assert report.ece == ece(reliability_bins(p, y))
+        assert report.ece1 == ece(minority_bins(p, y))
+        cls = classification_metrics(p, y)
+        assert (report.accuracy, report.precision, report.recall, report.positive_prediction_count) == (
+            cls.accuracy, cls.precision, cls.recall, cls.positive_prediction_count)
     d = asdict(report)
     assert set(d) == {
         "n_instances",

@@ -514,7 +514,9 @@ def _reference_scores(trees, x):
     return total / len(trees)
 
 
-@pytest.mark.parametrize("pairs_per_chunk, levels", [(1, 1), (64, 3), (None, None)])
+# 1 and 64 pairs make one-tree chunks; 1000 pairs over the 200-row probe make
+# one row block of 5-tree groups, so a 6-tree forest ends on a 1-tree group
+@pytest.mark.parametrize("pairs_per_chunk, levels", [(1, 1), (64, 3), (1000, 2), (None, None)])
 @pytest.mark.parametrize(
     "data, kwargs",
     [
@@ -546,6 +548,10 @@ def test_walk_matches_per_row_reference(monkeypatch, data, kwargs, pairs_per_chu
         scores = RandomForestModel(trees=members, max_features=1, bootstrap=True, seed=0).score_many(probe)
         assert scores.dtype == np.float64
         assert scores.tobytes() == _reference_scores(members, probe).tobytes()
+    # a 1-row batch sums a column of tree fractions, which a pairwise sum would round differently
+    everything = RandomForestModel(trees=trees, max_features=1, bootstrap=True, seed=0)
+    for row in probe[:, None]:
+        assert everything.score_many(row).tobytes() == _reference_scores(trees, row).tobytes()
     assert forest.score_many(probe[:0]).shape == (0,)
     assert trees[0].apply(probe[:0]).shape == (0,)
 
