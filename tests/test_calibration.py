@@ -7,6 +7,7 @@ points, so every expected value here is computed, not asserted from hope.
 
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 from itertools import product
 
@@ -98,6 +99,26 @@ def oracle_interval(cal_scores, cal_labels, s_test):
     return out[0], out[1]
 
 
+def textbook_pava(scores, labels):
+    """Pool adjacent violators on exact rationals, one fitted value per distinct score.
+
+    Blocks are merged while a block's mean exceeds its right neighbour's,
+    stepping back one block after each merge; no pooling of equal means, no
+    stacks, no cross-multiplication.  Usable at any size.
+    """
+    _, weights, sums = pooled(scores, labels)
+    blocks = [[w, t, 1] for w, t in zip(weights, sums)]  # weight, label sum, distinct scores
+    i = 0
+    while i < len(blocks) - 1:
+        (w, t, count), (w_next, t_next, count_next) = blocks[i], blocks[i + 1]
+        if Fraction(t, w) > Fraction(t_next, w_next):
+            blocks[i : i + 2] = [[w + w_next, t + t_next, count + count_next]]
+            i = max(i - 1, 0)
+        else:
+            i += 1
+    return [float(Fraction(t, w)) for w, t, count in blocks for _ in range(count)]
+
+
 # ---------------------------------------------------------------------------
 # PAVA
 # ---------------------------------------------------------------------------
@@ -139,7 +160,21 @@ def test_pava_matches_dp_oracle_on_random_instances():
         fit = pava(scores, labels)
         distinct, oracle_fit, _ = monotone_lsq_oracle(scores, labels)
         assert fit.breakpoints.tolist() == distinct
-        assert np.max(np.abs(fit.fitted_values - np.array(oracle_fit))) <= 1e-12
+        assert fit.fitted_values.tolist() == oracle_fit
+
+
+@pytest.mark.parametrize("case", ["2000 continuous", "20-value grid", "all labels 0", "all labels 1"])
+def test_pava_matches_textbook_pava_at_scale(case):
+    """The exhaustive oracle stops at about 10 distinct points; this one reaches long blocks."""
+    rng = np.random.default_rng(77)
+    scores = rng.random(2000)
+    if case == "20-value grid":
+        scores = np.floor(scores * 20) / 20
+    labels = (rng.random(scores.size) < scores).astype(np.int64)
+    if case.startswith("all labels"):
+        labels[:] = int(case[-1])
+    fit = pava(scores, labels)
+    assert fit.fitted_values.tolist() == textbook_pava(scores, labels)
 
 
 def test_pava_conservation_and_monotonicity():
@@ -349,12 +384,14 @@ def test_venn_abers_matches_dp_oracle():
         n = int(rng.integers(1, 9))
         scores = rng.integers(0, 5, size=n) / 4.0
         labels = rng.integers(0, 2, size=n)
-        s_test = float(rng.integers(0, 5)) / 4.0
         cal = VennAbersCalibrator(scores, labels)
-        (p0,), (p1,), _ = cal.intervals([s_test])
-        oracle_p0, oracle_p1 = oracle_interval(scores, labels, s_test)
-        assert p0 == pytest.approx(oracle_p0, abs=1e-12)
-        assert p1 == pytest.approx(oracle_p1, abs=1e-12)
+        # a grid score, an untied one between grid values, and one below and
+        # one above every calibration score (an empty left or right stack)
+        grid_score = float(rng.integers(0, 5)) / 4.0
+        untied_score = (float(rng.integers(0, 4)) + 0.5) / 4.0
+        for s_test in (grid_score, untied_score, -0.5, 1.5):
+            (p0,), (p1,), _ = cal.intervals([s_test])
+            assert (p0, p1) == oracle_interval(scores, labels, s_test)
 
 
 def test_venn_abers_interval_ordering_property():
@@ -499,6 +536,53 @@ def test_venn_abers_p_y_is_calibrated_for_a_non_monotone_scorer(grid):
     floor = float(np.quantile(null, 0.95))
     assert ece(reliability_bins(p_y, test_labels)) < floor
     assert ece(reliability_bins(wrong_label, test_labels)) > floor
+
+
+# ---------------------------------------------------------------------------
+# bytes at scale
+# ---------------------------------------------------------------------------
+
+def scale_case(case):
+    """Calibration scores and labels of one at-scale case, and its probes: every
+    calibration score, 1000 uniform scores, and one score below and one above them all."""
+    rng = np.random.default_rng(2306)
+    n, grid = {"2000 continuous": (2000, None), "3000 on a 50-value grid": (3000, 50), "500 labels all 0": (500, None)}[case]
+    scores = rng.random(n)
+    if grid:
+        scores = np.floor(scores * grid) / grid
+    labels = (rng.random(n) < scores).astype(np.int64)
+    if case == "500 labels all 0":
+        labels[:] = 0
+    return scores, labels, np.concatenate([scores, rng.random(1000), [-1.0, 2.0]])
+
+
+# sha256 of the float64 bytes of pava's fitted values and of each Venn-Abers
+# output array on the probes, recorded before the PAVA loops were merged into one
+GOLDEN_SCALE_DIGESTS = {
+    "2000 continuous pava": "ae82bfda35dd1704710ab3d172ae9e3b6503db8d1bb551a9081a1e19bedc8f52",
+    "2000 continuous p0": "04a36b3696193524ccd37fa4d8b7483c018467860d54d2d17a0b24660d6055c1",
+    "2000 continuous p1": "69cd0f112090df7239430cc22c739dc8241f9f0e63b28a3de1f121b5cc88a848",
+    "2000 continuous point": "a94e9898ca03e421be1a20dd2178ef9c1fd879c69386de9ea55a470f8e94ff74",
+    "3000 on a 50-value grid pava": "a3a6d658e6ae1fa88393770d9fafa39acf61eacbe8f0a694adc36e67d361be2c",
+    "3000 on a 50-value grid p0": "b8d67d0eed4b81159fafdfb97a3963e3b8c10e71275fc14547497065b713b613",
+    "3000 on a 50-value grid p1": "b8483f923eb4ab6f9107cc29e9e717a6889783dae3be4b704c5eafd295672ca7",
+    "3000 on a 50-value grid point": "291a484c1dd694f0a63ce1b6baa3b6f8a0fcf4c5387311d4e6eb4fd815f793af",
+    "500 labels all 0 pava": "fc19b1997119425765295aeab72d76faa6927d4f83985d328c26f20468d6cc76",
+    "500 labels all 0 p0": "4cb37c7e6cf544b5a164996d263eaed9f40cf8863480cca49c3d695788e87574",
+    "500 labels all 0 p1": "29b047e03b837f30599a685a7c0bf6245936787ef607a93878ecd3108d465ff6",
+    "500 labels all 0 point": "0e109d10e8b31e9a636bff3a1f9349d9e3adac10367c4822eb3d902a3509f53f",
+}
+
+
+def test_calibrator_bytes_at_scale_match_golden_digests():
+    digests = {}
+    for case in ("2000 continuous", "3000 on a 50-value grid", "500 labels all 0"):
+        scores, labels, probes = scale_case(case)
+        digests[f"{case} pava"] = hashlib.sha256(pava(scores, labels).fitted_values.tobytes()).hexdigest()
+        p0, p1, point = VennAbersCalibrator(scores, labels).intervals(probes)
+        for name, values in (("p0", p0), ("p1", p1), ("point", point)):
+            digests[f"{case} {name}"] = hashlib.sha256(values.tobytes()).hexdigest()
+    assert digests == GOLDEN_SCALE_DIGESTS
 
 
 # ---------------------------------------------------------------------------
