@@ -5,13 +5,14 @@ the pool-adjacent-violators algorithm (PAVA), sigmoid (Platt) scaling, and
 inductive Venn-Abers probability intervals derived from a pair of isotonic
 fits.
 
-All PAVA arithmetic keeps block weights and label sums as exact integers
-(stored in float64, which is exact well past any realistic calibration-set
-size) and compares block means by cross-multiplication.  Fitted values are
-produced by a single division per block, so any two code paths that agree
-on the block partition produce bit-identical probabilities.  This is what
-lets the incremental Venn-Abers evaluator guarantee exact agreement with
-the per-point re-fit reference path.
+One loop, `_prefix_fits`, runs every PAVA merge; the isotonic fit and
+both Venn-Abers stack directions are built from it.  Block weights and
+label sums are exact integers (stored in float64, which is exact well past
+any realistic calibration-set size) and block means are compared by
+cross-multiplication.  Fitted values are produced by a single division per
+block, so any two code paths that agree on the block partition produce
+bit-identical probabilities.  This is what lets the incremental Venn-Abers
+evaluator guarantee exact agreement with its reference, two isotonic refits.
 """
 
 from __future__ import annotations
@@ -67,32 +68,26 @@ def _pool_by_score(scores: np.ndarray, labels: np.ndarray):
     return distinct, weights, label_sums
 
 
-def _pava_pooled(weights: np.ndarray, label_sums: np.ndarray) -> np.ndarray:
-    """PAVA on pre-pooled weighted points; returns one fitted value per point.
+def _prefix_fits(weights: np.ndarray, label_sums: np.ndarray) -> list:
+    """PAVA block stacks of every prefix of pre-pooled weighted points.
 
-    Merging is non-strict (equal block means pool), so the block partition
-    is canonical.  Comparisons cross-multiply integer sums, avoiding any
-    rounding in the merge decisions.
+    fits[j] is the top block of the fit of the first j points, a tuple
+    (weight_sum, label_sum, block on its left); fits[0] is None.  Prefixes
+    share their lower blocks, so the construction is O(n).  Merging is
+    non-strict (equal block means pool), so the partition is canonical, and
+    cross-multiplies integer sums, so no merge decision rounds.  The sums are
+    Python floats: numpy's IEEE arithmetic with less overhead per operation.
     """
-    n = weights.size
-    # parallel stacks of block (weight sum, label sum, start index), on Python floats
-    bw: list[float] = []
-    by: list[float] = []
-    bs: list[int] = []
-    for i, (cw, cy) in enumerate(zip(weights.tolist(), label_sums.tolist())):
-        start = i
-        while bw and by[-1] * cw >= cy * bw[-1]:
-            cw += bw.pop()
-            cy += by.pop()
-            start = bs.pop()
-        bw.append(cw)
-        by.append(cy)
-        bs.append(start)
-    fitted = np.empty(n, dtype=np.float64)
-    ends = bs[1:] + [n]
-    for (w, y, s), e in zip(zip(bw, by, bs), ends):
-        fitted[s:e] = y / w
-    return fitted
+    fits: list = [None]
+    top = None
+    for cw, cy in zip(weights.tolist(), label_sums.tolist()):
+        while top is not None and top[1] * cw >= cy * top[0]:
+            cw += top[0]
+            cy += top[1]
+            top = top[2]
+        top = (cw, cy, top)
+        fits.append(top)
+    return fits
 
 
 # ---------------------------------------------------------------------------
@@ -118,11 +113,20 @@ def pava(scores, labels) -> IsotonicFit:
 
     Exact score ties are pooled into single weighted points before the
     pool-adjacent-violators pass, so the result is a function of score.
-    Runs in O(n log n) (dominated by the sort).
+    The fit is the last prefix stack of `_prefix_fits`.  Runs in O(n log n)
+    (dominated by the sort).
     """
     s, y = _as_score_label_arrays(scores, labels)
     distinct, weights, label_sums = _pool_by_score(s, y)
-    fitted = _pava_pooled(weights, label_sums)
+    means, block_weights = [], []
+    top = _prefix_fits(weights, label_sums)[-1]
+    while top is not None:  # right to left
+        w, y_sum, top = top
+        means.append(y_sum / w)
+        block_weights.append(w)
+    # a point lies in the first block whose running weight reaches the point's
+    # running weight; both are exact integer sums, so the search is exact
+    fitted = np.array(means[::-1])[np.searchsorted(np.cumsum(block_weights[::-1]), np.cumsum(weights))]
     for arr in (distinct, fitted, weights):
         arr.setflags(write=False)
     return IsotonicFit(breakpoints=distinct, fitted_values=fitted, weights=weights)
@@ -291,10 +295,10 @@ class VennAbersCalibrator:
     estimate follows from it.  A tied test score joins its tie group before
     the fit, so evaluation is order-independent.
 
-    The default evaluator reuses precomputed prefix/suffix block stacks of
-    the calibration sequence and only re-merges around the insertion point;
-    it is exact (bit-identical to `interval_naive`, which re-runs PAVA from
-    scratch) because all block accounting is integer-valued.
+    `intervals` reuses the PAVA block stacks (from `_prefix_fits`) of every
+    prefix and suffix of the calibration sequence and only re-merges around
+    the insertion point; it is exact (bit-identical to `interval_naive`, two
+    `pava` refits) because all block accounting is integer-valued.
     """
 
     def __init__(self, calibration_scores, calibration_labels):
@@ -306,44 +310,10 @@ class VennAbersCalibrator:
         self.calibration_scores = s
         self.calibration_labels = y
         self._distinct, self._weights, self._label_sums = _pool_by_score(s, y)
-        self._build_states()
-
-    def _build_states(self) -> None:
-        """Persistent PAVA block stacks for every prefix and suffix.
-
-        A block is a tuple (weight_sum, label_sum, link); prefix links point
-        to the block on the left, suffix links to the block on the right.
-        Sharing makes the whole construction O(n).  The sums are Python
-        floats: the same IEEE arithmetic as numpy scalars, with less
-        overhead per operation.
-        """
-        w = self._weights.tolist()
-        a = self._label_sums.tolist()
-        k = len(w)
-        left_states: list = [None] * (k + 1)
-        top = None
-        for j in range(k):
-            cw = w[j]
-            cy = a[j]
-            while top is not None and top[1] * cw >= cy * top[0]:
-                cw += top[0]
-                cy += top[1]
-                top = top[2]
-            top = (cw, cy, top)
-            left_states[j + 1] = top
-        right_states: list = [None] * (k + 1)
-        top = None
-        for j in range(k - 1, -1, -1):
-            cw = w[j]
-            cy = a[j]
-            while top is not None and cy * top[0] >= top[1] * cw:
-                cw += top[0]
-                cy += top[1]
-                top = top[2]
-            top = (cw, cy, top)
-            right_states[j] = top
-        self._left_states = left_states
-        self._right_states = right_states
+        self._left_states = _prefix_fits(self._weights, self._label_sums)
+        # suffix stacks: prefix stacks of the reversed points with negated label
+        # sums, which turns the merge comparison around; negation is exact
+        self._right_states = _prefix_fits(self._weights[::-1], -self._label_sums[::-1])[::-1]
 
     # -- evaluation ---------------------------------------------------------
 
@@ -362,27 +332,25 @@ class VennAbersCalibrator:
                 cy += left[1]
                 left = left[2]
                 merged = True
-            while right is not None and cy * right[0] >= right[1] * cw:
+            while right is not None and cy * right[0] >= -right[1] * cw:
                 cw += right[0]
-                cy += right[1]
+                cy -= right[1]
                 right = right[2]
                 merged = True
             if not merged:
                 return cy / cw
 
     def interval_naive(self, s_test: float) -> ProbabilityInterval:
-        """Reference path: re-pool and re-run PAVA for each augmented set."""
+        """Reference path, the definition: isotonic fits from scratch of the
+        calibration set plus (s_test, 0) and plus (s_test, 1), read at s_test."""
         s = float(s_test)
         if not math.isfinite(s):
             raise ValueError("test score must be finite")
-        out = []
-        for label in (0.0, 1.0):
-            aug_s = np.append(self.calibration_scores, s)
-            aug_y = np.append(self.calibration_labels, label)
-            distinct, weights, sums = _pool_by_score(aug_s, aug_y)
-            fitted = _pava_pooled(weights, sums)
-            out.append(float(fitted[np.searchsorted(distinct, s)]))
-        p0, p1 = out
+        scores = np.append(self.calibration_scores, s)
+        p0, p1 = (
+            float(isotonic_calibrate(pava(scores, np.append(self.calibration_labels, label)), s))
+            for label in (0.0, 1.0)
+        )
         return ProbabilityInterval(p0=p0, p1=p1, point=regularized_point(p0, p1))
 
     def intervals(self, scores) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

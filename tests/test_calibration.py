@@ -2,7 +2,8 @@
 
 The isotonic results are checked against an independent dynamic-programming
 oracle that enumerates every monotone step-function fit over the pooled
-points, so every expected value here is computed, not asserted from hope.
+points, and at scale against a textbook PAVA on fractions, so every expected
+value here is computed, not asserted from hope.
 """
 
 from __future__ import annotations
@@ -542,11 +543,15 @@ def test_venn_abers_p_y_is_calibrated_for_a_non_monotone_scorer(grid):
 # bytes at scale
 # ---------------------------------------------------------------------------
 
+# case -> (calibration scores, grid values or None for continuous scores)
+SCALE_CASES = {"2000 continuous": (2000, None), "3000 on a 50-value grid": (3000, 50), "500 labels all 0": (500, None)}
+
+
 def scale_case(case):
     """Calibration scores and labels of one at-scale case, and its probes: every
     calibration score, 1000 uniform scores, and one score below and one above them all."""
     rng = np.random.default_rng(2306)
-    n, grid = {"2000 continuous": (2000, None), "3000 on a 50-value grid": (3000, 50), "500 labels all 0": (500, None)}[case]
+    n, grid = SCALE_CASES[case]
     scores = rng.random(n)
     if grid:
         scores = np.floor(scores * grid) / grid
@@ -576,7 +581,7 @@ GOLDEN_SCALE_DIGESTS = {
 
 def test_calibrator_bytes_at_scale_match_golden_digests():
     digests = {}
-    for case in ("2000 continuous", "3000 on a 50-value grid", "500 labels all 0"):
+    for case in SCALE_CASES:
         scores, labels, probes = scale_case(case)
         digests[f"{case} pava"] = hashlib.sha256(pava(scores, labels).fitted_values.tobytes()).hexdigest()
         p0, p1, point = VennAbersCalibrator(scores, labels).intervals(probes)
