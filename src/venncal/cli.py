@@ -65,7 +65,11 @@ def _add_experiment_parser(sub):
 def _run_experiment(args) -> int:
     settings: dict = {}
     if args.config:
-        settings.update(json.loads(Path(args.config).read_text(encoding="utf-8")))
+        loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        if not isinstance(loaded, dict):  # dict.update would fail naming neither the file nor the cause
+            kind = {list: "array", str: "string", bool: "boolean", type(None): "null"}.get(type(loaded), "number")
+            raise ValueError(f"--config {args.config}: expected a JSON object, got a JSON {kind}")
+        settings.update(loaded)
     for field in dataclasses.fields(ExperimentConfig):
         value = getattr(args, field.name, None)
         if value is not None:

@@ -50,7 +50,6 @@ __all__ = [
     "parse_columns",
     "reject_first",
     "repeated_stratified_kfold",
-    "splits_to_manifest",
     "stratified_holdout",
     "write_columns",
     "write_split_manifest",
@@ -414,7 +413,6 @@ class FoldSplit:
     proper_train_ids: np.ndarray
     calibration_ids: np.ndarray
     test_ids: np.ndarray
-    seed: int
 
     @property
     def train_ids(self) -> np.ndarray:
@@ -486,41 +484,31 @@ def repeated_stratified_kfold(
                     proper_train_ids=proper,
                     calibration_ids=calibration,
                     test_ids=test,
-                    seed=seed,
                 )
             )
     return splits
 
 
-def _manifest_fold(split: FoldSplit) -> dict:
-    return {
-        "repetition": split.repetition_index,
-        "fold": split.fold_index,
-        "proper_train_ids": split.proper_train_ids.tolist(),
-        "calibration_ids": split.calibration_ids.tolist(),
-        "test_ids": split.test_ids.tolist(),
-    }
+def write_split_manifest(path, seed: int, splits: list[FoldSplit]) -> None:
+    """Write the split manifest that rebuilds the folds of a run.
 
-
-def splits_to_manifest(splits: list[FoldSplit]) -> dict:
-    """JSON-ready manifest for reproducibility audits."""
-    return {
-        "seed": splits[0].seed if splits else None,
-        "folds": [_manifest_fold(s) for s in splits],
-    }
-
-
-def write_split_manifest(path, splits: list[FoldSplit]) -> None:
-    """Write json.dumps(splits_to_manifest(splits), sort_keys=True) fold by fold.
-
-    Only one fold's ids are held as Python ints at a time.
+    The file holds json.dumps({"folds": [...], "seed": seed},
+    sort_keys=True); each fold is an object with the keys calibration_ids,
+    fold, proper_train_ids, repetition and test_ids, in that order.  It is
+    written fold by fold, so only one fold's ids are held as Python ints at
+    a time.
     """
-    # the manifest with an empty fold list, cut between its brackets
-    empty = json.dumps({"folds": [], "seed": splits[0].seed if splits else None}, sort_keys=True)
-    cut = empty.index("[]") + 1
-    head, tail = empty[:cut], empty[cut:]
+    # the manifest with an empty fold list, split around that list
+    head, tail = json.dumps({"folds": [], "seed": seed}, sort_keys=True).split("[]")
     with Path(path).open("w", encoding="utf-8") as handle:
-        handle.write(head)
+        handle.write(head + "[")
         for i, split in enumerate(splits):
-            handle.write((", " if i else "") + json.dumps(_manifest_fold(split), sort_keys=True))
-        handle.write(tail)
+            fold = {
+                "calibration_ids": split.calibration_ids.tolist(),
+                "fold": split.fold_index,
+                "proper_train_ids": split.proper_train_ids.tolist(),
+                "repetition": split.repetition_index,
+                "test_ids": split.test_ids.tolist(),
+            }
+            handle.write((", " if i else "") + json.dumps(fold, sort_keys=True))
+        handle.write("]" + tail)

@@ -257,19 +257,19 @@ class _FoldOutcome:
 
 
 def _fold_outcomes(config: ExperimentConfig, repetition: int, fold: int, test_ids, test_labels,
-                   scores) -> list[_FoldOutcome]:
-    """Calibrate and evaluate, on one fold, each configured pair whose model `scores` serves.
+                   models, partitions) -> list[_FoldOutcome]:
+    """Calibrate and evaluate, on one fold, each configured pair whose model is in `models`.
 
-    scores[model](kind) gives the (calibration scores, calibration labels,
-    test scores) that calibrator kind sees.  A failing pair raises
+    partitions(model, kind) gives the (calibration scores, calibration
+    labels, test scores) that calibrator kind sees.  A failing pair raises
     RuntimeError naming the repetition, model, fold and calibrator.
     """
     outcomes = []
     for model, kind in config.pairs():
-        if model not in scores:
+        if model not in models:
             continue
         try:
-            cal_scores, cal_labels, test_scores = scores[model](kind)
+            cal_scores, cal_labels, test_scores = partitions(model, kind)
             p0, p1, point = _calibrated(kind, cal_scores, cal_labels, test_scores)
             report = evaluate(point, test_labels, m=config.bins, mode=config.bin_mode)
         except Exception as err:
@@ -287,24 +287,23 @@ def _dataset_fold_outcomes(config: ExperimentConfig, dataset: Dataset, split: Fo
     cal_x, cal_y = x[split.calibration_ids], y[split.calibration_ids]
     fitted = {}  # role -> (calibration scores, calibration labels, test scores) of the model fitted for it
 
-    def fit(model_name, ids, role):
-        if model_name == "logistic":
-            return fit_logistic(x[ids], y[ids])
-        seed = _model_seed(config.seed, rep, fold, role)
-        if model_name == "tree":
-            return fit_tree(x[ids], y[ids], min_samples_leaf=config.tree_min_samples_leaf, seed=seed)
-        return fit_forest(x[ids], y[ids], n_trees=config.n_trees, seed=seed)
-
-    def scores(model_name, kind):
+    def partitions(model_name, kind):
         full = kind == "none"
         role = f"{model_name}-{'full' if full else 'proper'}"
         if role not in fitted:
-            model = fit(model_name, split.train_ids if full else split.proper_train_ids, role)
+            ids = split.train_ids if full else split.proper_train_ids
+            if model_name == "logistic":
+                model = fit_logistic(x[ids], y[ids])
+            else:
+                seed = _model_seed(config.seed, rep, fold, role)
+                if model_name == "tree":
+                    model = fit_tree(x[ids], y[ids], min_samples_leaf=config.tree_min_samples_leaf, seed=seed)
+                else:
+                    model = fit_forest(x[ids], y[ids], n_trees=config.n_trees, seed=seed)
             fitted[role] = (None if full else model.score_many(cal_x), cal_y, model.score_many(test_x))
         return fitted[role]
 
-    served = {name: partial(scores, name) for name in ("tree", "forest", "logistic")}
-    return _fold_outcomes(config, rep, fold, split.test_ids, test_y, served)
+    return _fold_outcomes(config, rep, fold, split.test_ids, test_y, ("tree", "forest", "logistic"), partitions)
 
 
 # ---------------------------------------------------------------------------
@@ -478,8 +477,8 @@ def run_experiment(config: ExperimentConfig, progress=None) -> AggregateTable:
         try:
             for fold, (_, cal_scores, cal_labels), (test_ids, test_scores, test_labels) in table.folds():
                 partitions = (cal_scores, cal_labels, test_scores)
-                served = {"external-scores": lambda kind: partitions}
-                outcomes.extend(_fold_outcomes(config, 0, fold, test_ids, test_labels, served))
+                outcomes.extend(_fold_outcomes(config, 0, fold, test_ids, test_labels, ("external-scores",),
+                                               lambda model, kind: partitions))
         except ValueError as err:  # a missing partition, named by fold
             raise RuntimeError(f"external-scores {err}") from err
 
@@ -497,7 +496,7 @@ def run_experiment(config: ExperimentConfig, progress=None) -> AggregateTable:
         for outcome in outcomes:
             _write_fold_artifacts(folds_dir, outcome)
         if splits:
-            write_split_manifest(out / "splits.json", splits)
+            write_split_manifest(out / "splits.json", config.seed, splits)
         else:
             (out / "splits.json").unlink(missing_ok=True)
         (out / "aggregate.json").write_text(aggregate.to_json(), encoding="utf-8")

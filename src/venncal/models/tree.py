@@ -536,6 +536,8 @@ def _grow(
         raise ValueError(f"min_samples_leaf must be >= 1, got {min_samples_leaf}")
     if min_samples_split < 2:
         raise ValueError(f"min_samples_split must be >= 2, got {min_samples_split}")
+    if max_depth is not None and max_depth < 0:
+        raise ValueError(f"max_depth must be >= 0, got {max_depth}")
     subsets = max_features is not None and max_features < n_features
     k = max_features if subsets else n_features
     labels = y.astype(np.uint8)

@@ -27,7 +27,6 @@ from venncal.data import (
     load_csv,
     parse_columns,
     repeated_stratified_kfold,
-    splits_to_manifest,
     stratified_holdout,
     write_columns,
     write_split_manifest,
@@ -589,19 +588,38 @@ def test_invalid_parameters_rejected():
             stratified_holdout(ds.labels, fraction, np.random.default_rng(0))
 
 
-def test_manifest_roundtrip():
+def test_manifest_roundtrip(tmp_path):
     ds = toy_dataset()
     splits = repeated_stratified_kfold(ds, k=3, repetitions=1, seed=9)
-    manifest = splits_to_manifest(splits)
+    path = tmp_path / "splits.json"
+    write_split_manifest(path, 9, splits)
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    assert sorted(manifest) == ["folds", "seed"]
     assert manifest["seed"] == 9
     assert len(manifest["folds"]) == 3
-    fold = manifest["folds"][0]
-    assert sorted(fold) == ["calibration_ids", "fold", "proper_train_ids", "repetition", "test_ids"]
+    for fold, split in zip(manifest["folds"], splits):
+        assert sorted(fold) == ["calibration_ids", "fold", "proper_train_ids", "repetition", "test_ids"]
+        assert (fold["repetition"], fold["fold"]) == (split.repetition_index, split.fold_index)
+        for name in ("proper_train_ids", "calibration_ids", "test_ids"):
+            assert np.array_equal(fold[name], getattr(split, name))
 
 
 def test_split_manifest_file_matches_manifest(tmp_path):
     path = tmp_path / "splits.json"
     ds = toy_dataset()
     for splits in ([], repeated_stratified_kfold(ds, k=3, repetitions=2, seed=9)):
-        write_split_manifest(path, splits)
-        assert path.read_text(encoding="utf-8") == json.dumps(splits_to_manifest(splits), sort_keys=True)
+        write_split_manifest(path, 9, splits)
+        expected = {
+            "seed": 9,
+            "folds": [
+                {
+                    "repetition": s.repetition_index,
+                    "fold": s.fold_index,
+                    "proper_train_ids": s.proper_train_ids.tolist(),
+                    "calibration_ids": s.calibration_ids.tolist(),
+                    "test_ids": s.test_ids.tolist(),
+                }
+                for s in splits
+            ],
+        }
+        assert path.read_text(encoding="utf-8") == json.dumps(expected, sort_keys=True)

@@ -803,6 +803,16 @@ def test_cli_config_file_with_flag_override(tmp_path, capsys):
     assert "tree" in capsys.readouterr().out
 
 
+def test_cli_config_file_not_an_object_named_before_data_is_read(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    for document, kind in (([["k", 2]], "array"), (3, "number"), (2.5, "number"), ("k", "string"), (True, "boolean"),
+                           (None, "null")):
+        config_path.write_text(json.dumps(document), encoding="utf-8")
+        argv = ["experiment", "--config", str(config_path), "--data", str(tmp_path / "missing.csv"), "--quiet"]
+        assert cli_main(argv) == 1
+        assert capsys.readouterr().err == f"error: --config {config_path}: expected a JSON object, got a JSON {kind}\n"
+
+
 def test_cli_synth_data_and_venn_tree(tmp_path, capsys):
     data_path = tmp_path / "ref.csv"
     # a non-reference seed keeps this test fast to regenerate but identical in shape

@@ -102,6 +102,7 @@ def test_tree_empty_input_rejected():
         ([[1.0, 2.0], [2.0, 1.0]], [0, 1], {"max_features": 3}, r"max_features must be in \[1, 2\]"),
         ([[1.0, 2.0], [2.0, 1.0]], [0, 1], {"max_features": 0}, r"max_features must be in \[1, 2\]"),
         ([1.0, 2.0], [0, 1], {}, "features must be a 2-d matrix"),
+        ([[1.0], [2.0]], [0, 1], {"max_depth": -1}, "max_depth must be >= 0, got -1"),
     ],
 )
 def test_tree_rejects_bad_training_input(features, labels, kwargs, message):
@@ -303,6 +304,8 @@ def test_forest_validates_arguments():
         fit_forest([[1.0], [2.0]], [0, 1], min_samples_leaf=0)
     with pytest.raises(ValueError, match="min_samples_split"):
         fit_forest([[1.0], [2.0]], [0, 1], min_samples_split=1)
+    with pytest.raises(ValueError, match="max_depth must be >= 0, got -1"):
+        fit_forest([[1.0], [2.0]], [0, 1], max_depth=-1)
     with pytest.raises(ValueError, match="features must be a 2-d matrix"):
         fit_forest([1.0, 2.0], [0, 1])
 
