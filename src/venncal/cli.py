@@ -65,7 +65,12 @@ def _add_experiment_parser(sub):
 def _run_experiment(args) -> int:
     settings: dict = {}
     if args.config:
-        loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        try:  # json and open name neither the flag nor, for bad JSON, the file
+            loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except FileNotFoundError:
+            raise ValueError(f"--config {args.config}: no such file") from None
+        except json.JSONDecodeError as err:
+            raise ValueError(f"--config {args.config}: not valid JSON: {err}") from None
         if not isinstance(loaded, dict):  # dict.update would fail naming neither the file nor the cause
             kind = {list: "array", str: "string", bool: "boolean", type(None): "null"}.get(type(loaded), "number")
             raise ValueError(f"--config {args.config}: expected a JSON object, got a JSON {kind}")

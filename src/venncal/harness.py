@@ -404,12 +404,13 @@ def _arithmetic_probe() -> bytes:
 def run_record(config: ExperimentConfig) -> dict:
     """What produced a run's artifacts, as run_experiment writes it to run.json.
 
-    Holds the config without jobs and output_dir (the artifacts depend on
-    neither), the venncal, numpy and Python versions, a sha256 over the
-    package's *.py files in sorted order, a sha256 of each input file the
-    run reads (None for one it does not read) and arithmetic_sha256, which
-    names the CPU path (exp loop, BLAS kernel).  It holds no timings, so a
-    rerun of the same code, config, inputs and path writes the same bytes.
+    Holds the config without jobs, output_dir and the two input paths (the
+    artifacts depend on none of them), the venncal, numpy and Python
+    versions, a sha256 over the package's *.py files in sorted order, a
+    sha256 of each input file the run reads (None for one it does not read)
+    and arithmetic_sha256, which names the CPU path (exp loop, BLAS kernel).
+    It holds no timings, so a rerun of the same code, config, input bytes
+    and CPU path writes the same bytes, wherever the files lie.
     """
     import hashlib  # loads OpenSSL, so only when a run is recorded
 
@@ -429,7 +430,7 @@ def run_record(config: ExperimentConfig) -> dict:
         source.update(f"{path.relative_to(package).as_posix()}\n{len(data)}\n".encode("utf-8"))
         source.update(data)
     settings = {f.name: getattr(config, f.name) for f in fields(config)}
-    del settings["jobs"], settings["output_dir"]
+    del settings["jobs"], settings["output_dir"], settings["dataset_path"], settings["score_table_path"]
     return {
         "config": {name: list(v) if isinstance(v, tuple) else v for name, v in settings.items()},
         "venncal_version": __version__,

@@ -67,7 +67,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -149,7 +149,10 @@ class DecisionTreeModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DecisionTreeModel":
-        """Load a tree written by ``to_dict``; raises ValueError naming the first bad node."""
+        """Load a tree written by ``to_dict``; raises ValueError naming a missing field or the first bad node."""
+        missing = [f.name for f in fields(cls) if f.name not in data]
+        if missing:  # data[name] would raise a bare KeyError
+            raise ValueError(f"tree document has no {missing[0]!r} field")
         tree = cls(
             feature_index=np.asarray(data["feature_index"], dtype=np.int64),
             threshold=np.asarray(
@@ -172,7 +175,8 @@ class DecisionTreeModel:
         """Every split's children lie after it, and every node but the root has one parent.
 
         Together these make the node arrays a tree whose parents come before
-        their children, which ``node_depths`` and ``apply`` rely on.  Each
+        their children, which ``node_depths`` and ``apply`` rely on.  Every
+        split's threshold is finite: a NaN one would send every row right.  Each
         node also holds at least one sample, and at most that many positives,
         so every leaf fraction lies in [0, 1].
         """
@@ -189,6 +193,10 @@ class DecisionTreeModel:
             raise ValueError(
                 f"node {node}: split feature {self.feature_index[node]} is not in [0, {self.n_features})"
             )
+        bad = split[~np.isfinite(self.threshold[split])]
+        if bad.size:
+            node = int(bad[0])
+            raise ValueError(f"node {node}: split threshold {self.threshold[node]} is not a finite number")
         for side, child in (("left", self.left_child), ("right", self.right_child)):
             bad = split[(child[split] <= split) | (child[split] >= n)]
             if bad.size:

@@ -5,15 +5,14 @@ the full 10x10 cross-validated experiment on the bundled reference dataset
 (10 000 rows, 339 failures); that run takes minutes, so its artifacts are
 cached under .cache/acceptance_run at the repository root and reused while
 the run.json there matches the current code and config.  Criteria 4-8 run
-fresh every time.
+fresh every time.  Criterion 4's brute-force references and criterion 7's
+toy dataset come from tests/support.py, the copies the unit tests use.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from fractions import Fraction
-from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +25,8 @@ from venncal.metrics import auc, ece, minority_bins, reliability_bins
 from venncal.models import fit_tree
 from venncal.synthetic import write_reference_csv
 from venncal.venn_tree import build_venn_tree, extract_rules
+
+from support import brute_force_auc, exhaustive_best_split, monotone_lsq_oracle, write_small_dataset
 
 CACHE = Path(__file__).resolve().parent.parent / ".cache"
 RUN_DIR = CACHE / "acceptance_run"
@@ -171,66 +172,6 @@ def test_criterion_3_over_and_underconfidence(reference_run):
 # criterion 4: oracle equivalence
 # ---------------------------------------------------------------------------
 
-def _dp_isotonic(scores, labels):
-    """Exhaustive monotone least-squares fit over pooled points."""
-    order = np.argsort(scores, kind="stable")
-    s = np.asarray(scores, dtype=float)[order]
-    y = np.asarray(labels, dtype=float)[order]
-    distinct, weights, sums = [], [], []
-    for si, yi in zip(s, y):
-        if distinct and distinct[-1] == si:
-            weights[-1] += 1
-            sums[-1] += Fraction(yi)
-        else:
-            distinct.append(si)
-            weights.append(1)
-            sums.append(Fraction(yi))
-    k = len(distinct)
-    best = None
-    for breaks in product([False, True], repeat=k - 1):
-        blocks = [[0]]
-        for i, brk in enumerate(breaks):
-            if brk:
-                blocks.append([])
-            blocks[-1].append(i + 1)
-        means = [Fraction(sum(sums[i] for i in b), sum(weights[i] for i in b)) for b in blocks]
-        if any(means[i] > means[i + 1] for i in range(len(means) - 1)):
-            continue
-        sse = sum(
-            weights[i] * (mean - sums[i] / weights[i]) ** 2
-            for b, mean in zip(blocks, means)
-            for i in b
-        )
-        if best is None or sse < best[0]:
-            fit = [None] * k
-            for b, mean in zip(blocks, means):
-                for i in b:
-                    fit[i] = float(mean)
-            best = (sse, fit)
-    return distinct, best[1]
-
-
-def _exhaustive_split(x, y):
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y)
-    m = len(y)
-    best = None
-    for feature in range(x.shape[1]):
-        values = sorted(set(x[:, feature]))
-        for lo, hi in zip(values[:-1], values[1:]):
-            threshold = (lo + hi) / 2.0
-            left = x[:, feature] <= threshold
-            n_l = int(left.sum())
-            p_l = int(y[left].sum())
-            n_r, p_r = m - n_l, int(y.sum()) - p_l
-            score = Fraction(p_l * p_l + (n_l - p_l) ** 2, n_l) + Fraction(
-                p_r * p_r + (n_r - p_r) ** 2, n_r
-            )
-            if best is None or score > best[0]:
-                best = (score, feature, threshold)
-    return None if best is None else (best[1], best[2])
-
-
 def test_criterion_4_oracle_equivalence():
     rng = np.random.default_rng(44)
     pava_mismatches = 0
@@ -239,7 +180,7 @@ def test_criterion_4_oracle_equivalence():
         scores = rng.integers(0, 6, size=n) / 5.0
         labels = rng.integers(0, 2, size=n)
         fit = pava(scores, labels)
-        distinct, oracle_fit = _dp_isotonic(scores, labels)
+        distinct, oracle_fit, _ = monotone_lsq_oracle(scores, labels)
         assert fit.breakpoints.tolist() == distinct
         pava_mismatches += fit.fitted_values.tolist() != oracle_fit
     pava_ok = pava_mismatches == 0
@@ -251,9 +192,7 @@ def test_criterion_4_oracle_equivalence():
         y = rng.integers(0, 2, size=n)
         if y.min() == y.max():
             y[0] = 1 - y[0]
-        pos, neg = p[y == 1], p[y == 0]
-        wins = sum(float(a > b) + 0.5 * float(a == b) for a in pos for b in neg)
-        auc_mismatches += auc(p, y) != wins / (len(pos) * len(neg))
+        auc_mismatches += auc(p, y) != brute_force_auc(p, y)
     auc_ok = auc_mismatches == 0
 
     split_matches = 0
@@ -263,7 +202,7 @@ def test_criterion_4_oracle_equivalence():
         d = int(rng.integers(1, 3))
         x = rng.integers(0, 4, size=(n, d)).astype(float)
         y = rng.integers(0, 2, size=n)
-        expected = _exhaustive_split(x, y)
+        expected = exhaustive_best_split(x, y)
         tree = fit_tree(x, y)
         if y.min() == y.max() or expected is None:
             ok = tree.feature_index[0] == -1
@@ -344,30 +283,9 @@ def test_criterion_6_statistical_validity():
 # criterion 7: determinism
 # ---------------------------------------------------------------------------
 
-def _write_toy_dataset(path: Path, n=260, seed=4):
-    header = (
-        "UDI,Product ID,Type,Air temperature [K],Process temperature [K],"
-        "Rotational speed [rpm],Torque [Nm],Tool wear [min],Machine failure,TWF,HDF,PWF,OSF,RNF"
-    )
-    rng = np.random.default_rng(seed)
-    rows = []
-    for i in range(n):
-        t = rng.choice(["L", "M", "H"])
-        air = 300 + 2 * rng.normal()
-        process = air + 10 + rng.normal()
-        rpm = 1500 + 150 * rng.normal()
-        torque = 40 + 10 * rng.normal()
-        wear = rng.integers(0, 240)
-        fail = int(torque > 52 or (rpm < 1350 and process - air < 9.2) or rng.random() < 0.03)
-        rows.append(
-            f"{i+1},{t}{i},{t},{air:.1f},{process:.1f},{rpm:.0f},{torque:.1f},{wear},{fail},0,0,0,0,0"
-        )
-    path.write_text("\n".join([header] + rows) + "\n", encoding="utf-8")
-
-
 def test_criterion_7_determinism(tmp_path):
     data = tmp_path / "toy.csv"
-    _write_toy_dataset(data, n=260, seed=4)
+    write_small_dataset(data, n=260, seed=4)
     outputs = []
     for name in ("one", "two"):
         config = ExperimentConfig(

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 import pytest
@@ -29,66 +28,12 @@ from venncal.calibration import (
 )
 from venncal.metrics import ece, reliability_bins
 
+from support import monotone_lsq_oracle, pooled
+
 
 # ---------------------------------------------------------------------------
-# oracle: exhaustive monotone least squares
+# oracles built on the shared references: Venn-Abers by refit, textbook PAVA
 # ---------------------------------------------------------------------------
-
-def pooled(scores, labels):
-    order = np.argsort(scores, kind="stable")
-    s = np.asarray(scores, dtype=float)[order]
-    y = np.asarray(labels, dtype=float)[order]
-    distinct = []
-    weights = []
-    sums = []
-    for si, yi in zip(s, y):
-        if distinct and distinct[-1] == si:
-            weights[-1] += 1
-            sums[-1] += Fraction(yi)
-        else:
-            distinct.append(si)
-            weights.append(1)
-            sums.append(Fraction(yi))
-    return distinct, weights, sums
-
-
-def monotone_lsq_oracle(scores, labels):
-    """Best non-decreasing step fit by brute force over block partitions.
-
-    Exact rational arithmetic; returns the fitted value per distinct score.
-    Only usable for ~10 distinct points (2^(k-1) partitions).
-    """
-    distinct, weights, sums = pooled(scores, labels)
-    k = len(distinct)
-    best_sse = None
-    best_fit = None
-    for breaks in product([False, True], repeat=k - 1):
-        blocks = [[0]]
-        for i, brk in enumerate(breaks):
-            if brk:
-                blocks.append([])
-            blocks[-1].append(i + 1)
-        means = []
-        for block in blocks:
-            w = sum(weights[i] for i in block)
-            t = sum(sums[i] for i in block)
-            means.append(Fraction(t, w))
-        if any(means[i] > means[i + 1] for i in range(len(means) - 1)):
-            continue
-        sse = Fraction(0)
-        for block, mean in zip(blocks, means):
-            for i in block:
-                mean_i = sums[i] / weights[i]
-                sse += weights[i] * (mean - mean_i) ** 2
-        if best_sse is None or sse < best_sse:
-            best_sse = sse
-            fit = [None] * k
-            for block, mean in zip(blocks, means):
-                for i in block:
-                    fit[i] = mean
-            best_fit = fit
-    return distinct, [float(v) for v in best_fit], best_sse
-
 
 def oracle_interval(cal_scores, cal_labels, s_test):
     out = []

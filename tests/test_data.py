@@ -36,10 +36,7 @@ from venncal.models import load_score_table
 from venncal.models.score_table import _PARTITIONS as PARTITIONS
 from venncal.synthetic import write_reference_csv
 
-HEADER = (
-    "UDI,Product ID,Type,Air temperature [K],Process temperature [K],"
-    "Rotational speed [rpm],Torque [Nm],Tool wear [min],Machine failure,TWF,HDF,PWF,OSF,RNF"
-)
+from support import HEADER
 
 
 def write_csv(tmp_path, rows, header=HEADER, name="data.csv"):

@@ -31,29 +31,7 @@ from venncal.harness import (
 )
 from venncal.metrics import minority_bins, reliability_bins
 
-HEADER = (
-    "UDI,Product ID,Type,Air temperature [K],Process temperature [K],"
-    "Rotational speed [rpm],Torque [Nm],Tool wear [min],Machine failure,TWF,HDF,PWF,OSF,RNF"
-)
-
-
-def write_small_dataset(path: Path, n=320, seed=0):
-    """Learnable toy data in the maintenance schema."""
-    rng = np.random.default_rng(seed)
-    rows = []
-    for i in range(n):
-        t = rng.choice(["L", "M", "H"])
-        air = 300 + 2 * rng.normal()
-        process = air + 10 + rng.normal()
-        rpm = 1500 + 150 * rng.normal()
-        torque = 40 + 10 * rng.normal()
-        wear = rng.integers(0, 240)
-        fail = int(torque > 52 or (rpm < 1350 and process - air < 9.2) or rng.random() < 0.03)
-        rows.append(
-            f"{i+1},{t}{i},{t},{air:.1f},{process:.1f},{rpm:.0f},{torque:.1f},{wear},{fail},0,0,0,0,0"
-        )
-    path.write_text("\n".join([HEADER] + rows) + "\n", encoding="utf-8")
-    return path
+from support import write_small_dataset
 
 
 def small_config(tmp_path, **overrides) -> ExperimentConfig:
@@ -148,6 +126,11 @@ def test_run_record_names_config_versions_and_source(tmp_path):
     assert "jobs" not in record["config"] and "output_dir" not in record["config"]
     assert run_record(small_config(tmp_path, jobs=2, output_dir=str(tmp_path / "elsewhere"))) == record
     assert run_record(small_config(tmp_path, seed=8)) != record
+    # the record names its inputs by content, so the same bytes at another path give the same record
+    copy = tmp_path / "copy" / "toy.csv"
+    copy.parent.mkdir()
+    copy.write_bytes(Path(config.dataset_path).read_bytes())
+    assert run_record(small_config(tmp_path, dataset_path=str(copy))) == record
     assert len(record["source_sha256"]) == len(record["arithmetic_sha256"]) == 64
     assert record["score_table_sha256"] is None  # no external-scores model reads one
 
@@ -811,6 +794,18 @@ def test_cli_config_file_not_an_object_named_before_data_is_read(tmp_path, capsy
         argv = ["experiment", "--config", str(config_path), "--data", str(tmp_path / "missing.csv"), "--quiet"]
         assert cli_main(argv) == 1
         assert capsys.readouterr().err == f"error: --config {config_path}: expected a JSON object, got a JSON {kind}\n"
+
+
+def test_cli_config_file_unreadable_named_before_data_is_read(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text('{"k": 2,', encoding="utf-8")
+    for path, message in (
+        (config_path, "not valid JSON: Expecting property name enclosed in double quotes: line 1 column 9 (char 8)"),
+        (tmp_path / "missing.json", "no such file"),
+    ):
+        argv = ["experiment", "--config", str(path), "--data", str(tmp_path / "missing.csv"), "--quiet"]
+        assert cli_main(argv) == 1
+        assert capsys.readouterr().err == f"error: --config {path}: {message}\n"
 
 
 def test_cli_synth_data_and_venn_tree(tmp_path, capsys):

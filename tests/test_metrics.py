@@ -20,20 +20,7 @@ from venncal.metrics import (
     reliability_bins,
 )
 
-
-def brute_force_auc(probabilities, labels):
-    p = np.asarray(probabilities, dtype=float)
-    y = np.asarray(labels)
-    pos = p[y == 1]
-    neg = p[y == 0]
-    wins = 0.0
-    for a in pos:
-        for b in neg:
-            if a > b:
-                wins += 1.0
-            elif a == b:
-                wins += 0.5
-    return wins / (len(pos) * len(neg))
+from support import brute_force_auc
 
 
 # ---------------------------------------------------------------------------

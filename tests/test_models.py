@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,38 +26,7 @@ from venncal.models import (
     load_score_table,
 )
 
-
-# ---------------------------------------------------------------------------
-# oracle: exhaustive split enumeration
-# ---------------------------------------------------------------------------
-
-def exhaustive_best_split(x, y):
-    """Best (feature, threshold) by brute force, or None.
-
-    Maximises the Gini impurity decrease computed in exact rationals;
-    ties resolved by lowest feature index, then lowest threshold.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y)
-    if x.ndim == 1:
-        x = x[:, None]
-    m = len(y)
-    best = None  # (gain: Fraction, feature, threshold)
-    for feature in range(x.shape[1]):
-        values = sorted(set(x[:, feature]))
-        for lo, hi in zip(values[:-1], values[1:]):
-            threshold = (lo + hi) / 2.0
-            left = x[:, feature] <= threshold
-            n_l, n_r = int(left.sum()), int(m - left.sum())
-            p_l = int(y[left].sum())
-            p_r = int(y.sum()) - p_l
-            def gini_term(p, n):
-                return Fraction(p * p + (n - p) * (n - p), n)
-            # parent impurity is candidate-independent; compare children purity
-            gain = gini_term(p_l, n_l) + gini_term(p_r, n_r)
-            if best is None or gain > best[0]:
-                best = (gain, feature, threshold)
-    return None if best is None else (best[1], best[2])
+from support import exhaustive_best_split
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +199,13 @@ def test_tree_from_dict_rejects_malformed_nodes():
     cases.append(("unequal lengths", unequal, "one length"))
     empty = _node_dict([], [])
     cases.append(("no nodes", empty, "non-empty"))
+    # a null threshold loaded as NaN and sent every row right
+    no_threshold = _node_dict([1, -1, -1], [2, -1, -1])
+    no_threshold["threshold"][0] = None
+    cases.append(("non-finite threshold", no_threshold, r"^node 0: split threshold nan is not a finite number$"))
+    missing = _node_dict([1, -1, -1], [2, -1, -1])
+    del missing["feature_index"]
+    cases.append(("missing field", missing, r"^tree document has no 'feature_index' field$"))
     # an empty leaf and one with more positives than samples: the first loaded and scored [nan, 1.25]
     need = "need 0 <= n_positive <= n_samples and n_samples >= 1"
     for n_samples, n_positive, message in (
