@@ -141,7 +141,7 @@ def _run_venn_tree(args) -> int:
         (a.node, a.n_train, a.n_calibration, a.raw_score, a.p0, a.p1, a.point, CLASS_NAMES[a.predicted_class])
         for _, a in sorted(vt.leaves.items())
     ]
-    write_columns(out / "leaves.csv", LEAVES_COLUMNS, list(zip(*rows)))
+    write_columns(LEAVES_COLUMNS, {out / "leaves.csv": list(zip(*rows))})
     print(f"wrote {len(rules)} rules, tree.dot and leaves.csv to {out}")
     return 0
 

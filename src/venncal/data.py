@@ -15,9 +15,10 @@ quotes it.  A NUL character anywhere in a file is rejected, and so are
 bytes that are not UTF-8 and a numeric cell holding an information
 separator (\\x1c-\\x1f).  Data rows count from 1 after the header, blank
 lines skipped but counted; a faulty row is searched for only after a
-check fails.  write_columns formats each column once (a numpy float
-column once per distinct value, any other non-numpy column cell by cell)
-and writes its rows in blocks with one str.format per row, byte for byte
+check fails.  write_columns writes one or more CSVs that share a header
+and a row count in lockstep, a block of rows at a time: in each block
+every distinct float64 bit pattern of all their float columns is
+formatted once, by repr, and rows are joined with str.join, byte for byte
 as csv.writer's QUOTE_MINIMAL writes them.
 Also produces repeated stratified k-fold splits where each fold's training
 portion is further divided into a proper-training part and a calibration
@@ -31,6 +32,7 @@ import itertools
 import json
 import re
 import warnings
+from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -350,54 +352,75 @@ def _cell_text(value) -> str:
     return text
 
 
-def _column_texts(column) -> list:
-    """One column's cells, in the form str.format writes as its cell text.
+def _block_texts(columns, block: slice) -> dict:
+    """{id(column): the text of its cells in block} for the distinct column objects in columns.
 
-    A numpy float column is formatted once per distinct bit pattern (so
-    -0.0 and 0.0 stay apart) by repr; a numpy int or bool column is left as
-    Python ints, which str.format writes as str() does; anything else goes
-    cell by cell through _cell_text.
+    The float64 bit patterns of every numpy float column (of at most 64
+    bits) go through one np.unique, and each distinct pattern is formatted
+    once, by repr: NaN as an empty cell, -0.0 apart from 0.0.  A numpy int
+    or bool column is written by str(), anything else cell by cell through
+    _cell_text.
     """
-    if isinstance(column, np.ndarray) and column.ndim == 1 and column.dtype.kind in "fiub":
-        if column.dtype.kind != "f":
-            return column.tolist()
-        if column.dtype.itemsize <= 8:
-            distinct, inverse = np.unique(column.astype(np.float64, copy=False).view(np.uint64), return_inverse=True)
-            texts = ["" if x != x else repr(x) for x in distinct.view(np.float64).tolist()]
-            return np.array(texts, dtype=object)[inverse].tolist()
-    values = column.tolist() if isinstance(column, np.ndarray) else column
-    return [_cell_text(value) for value in values]
+    texts = {}
+    floats = {}  # id(column) -> its float64 bits in block
+    for column in columns:
+        key = id(column)
+        if key in texts or key in floats:
+            continue
+        part = column[block]
+        kind = part.dtype.kind if isinstance(part, np.ndarray) and part.ndim == 1 else None
+        if kind == "f" and part.dtype.itemsize <= 8:
+            floats[key] = part.astype(np.float64, copy=False).view(np.uint64)
+        elif kind in ("i", "u", "b"):
+            texts[key] = list(map(str, part.tolist()))
+        else:
+            texts[key] = [_cell_text(value) for value in (part.tolist() if isinstance(part, np.ndarray) else part)]
+    if floats:
+        distinct, inverse = np.unique(np.concatenate(list(floats.values())), return_inverse=True)
+        cells = np.array(["" if x != x else repr(x) for x in distinct.view(np.float64).tolist()], dtype=object)[inverse]
+        start = 0
+        for key, bits in floats.items():
+            texts[key] = cells[start:start + bits.size].tolist()
+            start += bits.size
+    return texts
 
 
-def write_columns(path, header, columns) -> None:
-    """Write a CSV from a header and equal-length columns, byte for byte as csv.writer writes it.
+def write_columns(header, tables) -> None:
+    """Write CSVs that share a header and a row count, each byte for byte as csv.writer writes it.
 
-    Numpy columns write as their tolist() would: ints as ints, floats by
-    repr; None and NaN become empty cells.  A text cell that holds ',',
-    '"' or a line break is quoted ('"' doubled), and a row of one empty
-    cell is written '""', as QUOTE_MINIMAL has it.  Rows are formatted
-    WRITE_BLOCK_ROWS at a time, and in each block a column object is
-    converted once, however often it is passed.
+    tables maps each path to its equal-length columns.  Numpy columns write
+    as their tolist() would: ints as ints, floats by repr; None and NaN
+    become empty cells.  A text cell that holds ',', '"' or a line break is
+    quoted ('"' doubled), and a row of one empty cell is written '""', as
+    QUOTE_MINIMAL has it.  The files are written in lockstep,
+    WRITE_BLOCK_ROWS rows at a time; in each block a column object is
+    converted once however often it is passed, a float64 bit pattern is
+    formatted once over all tables (_block_texts), and rows are joined with
+    str.join.  Columns that differ in length, within a table or across
+    tables, raise ValueError naming a path before any file is opened.
     """
-    columns = list(columns)
-    lengths = {len(column) for column in columns}
-    if len(lengths) > 1:
-        raise ValueError(f"{path}: columns differ in length")
+    tables = {path: list(columns) for path, columns in tables.items()}
+    lengths = set()
+    for path, columns in tables.items():
+        lengths.update(len(column) for column in columns)
+        if len(lengths) > 1:
+            raise ValueError(f"{path}: columns differ in length")
     names = [_cell_text(name) for name in header]
     if names == [""]:  # csv.writer quotes a row of one empty cell
         names = ['""']
-    row = ",".join(["{}"] * len(columns)) + "\r\n"
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        handle.write(",".join(names) + "\r\n")
+    # tables keeps every column alive, so the ids _block_texts keys them by stay distinct
+    every_column = [column for columns in tables.values() for column in columns]
+    with ExitStack() as stack:
+        handles = [stack.enter_context(Path(path).open("w", newline="", encoding="utf-8")) for path in tables]
+        for handle in handles:
+            handle.write(",".join(names) + "\r\n")
         for start in range(0, lengths.pop() if lengths else 0, WRITE_BLOCK_ROWS):
-            texts = {}  # id(column) -> its cells in this block; columns keeps every column alive
-            for column in columns:
-                if id(column) not in texts:
-                    texts[id(column)] = _column_texts(column[start:start + WRITE_BLOCK_ROWS])
-            cells = [texts[id(column)] for column in columns]
-            if len(cells) == 1:
-                cells = [[cell if cell != "" else '""' for cell in cells[0]]]
-            handle.write("".join(map(row.format, *cells)))
+            texts = _block_texts(every_column, slice(start, start + WRITE_BLOCK_ROWS))
+            for handle, columns in zip(handles, tables.values()):
+                cells = [texts[id(column)] for column in columns]
+                if len(cells) == 1:
+                    cells = [[cell or '""' for cell in cells[0]]]
+                handle.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
 # ---------------------------------------------------------------------------

@@ -314,21 +314,27 @@ def _fold_stem(repetition, fold, model: str, calibrator: str) -> str:
     return f"rep{repetition}_fold{fold}_{model}_{calibrator}"
 
 
-def _write_fold_artifacts(folds_dir: Path, outcome: _FoldOutcome) -> None:
-    stem = folds_dir / _fold_stem(outcome.repetition, outcome.fold, outcome.model, outcome.calibrator)
-    payload = {
-        "repetition": outcome.repetition,
-        "fold": outcome.fold,
-        "model": outcome.model,
-        "calibrator": outcome.calibrator,
-        **asdict(outcome.report),
-    }
-    stem.with_suffix(".json").write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
-    write_columns(
-        stem.with_suffix(".csv"),
-        PREDICTION_COLUMNS,
-        (outcome.instance_ids, outcome.labels, outcome.scores, outcome.p0, outcome.p1, outcome.point),
-    )
+def _write_fold_artifacts(folds_dir: Path, outcomes: list[_FoldOutcome]) -> None:
+    """Write the metric JSONs of one _fold_outcomes call, then its prediction CSVs with one write_columns call.
+
+    The outcomes of one call share their test rows, so their CSVs have one
+    row count and are written in lockstep.
+    """
+    tables = {}
+    for outcome in outcomes:
+        stem = folds_dir / _fold_stem(outcome.repetition, outcome.fold, outcome.model, outcome.calibrator)
+        payload = {
+            "repetition": outcome.repetition,
+            "fold": outcome.fold,
+            "model": outcome.model,
+            "calibrator": outcome.calibrator,
+            **asdict(outcome.report),
+        }
+        stem.with_suffix(".json").write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
+        tables[stem.with_suffix(".csv")] = (
+            outcome.instance_ids, outcome.labels, outcome.scores, outcome.p0, outcome.p1, outcome.point
+        )
+    write_columns(PREDICTION_COLUMNS, tables)
 
 
 def load_fold_predictions(output_dir, model: str, calibrator: str):
@@ -457,7 +463,7 @@ def run_experiment(config: ExperimentConfig, progress=None) -> AggregateTable:
     # taken once the inputs loaded and before the folds run, so a source file
     # edited meanwhile is not vouched for
     record = run_record(config) if config.output_dir else None
-    outcomes: list[_FoldOutcome] = []
+    groups: list[list[_FoldOutcome]] = []  # the outcomes of each _fold_outcomes call
     splits: list[FoldSplit] = []
     if dataset is not None:
         splits = repeated_stratified_kfold(
@@ -471,19 +477,19 @@ def run_experiment(config: ExperimentConfig, progress=None) -> AggregateTable:
         with Pool(processes=config.jobs) if config.jobs > 1 else nullcontext() as pool:
             fold_results = map(run_fold, splits) if pool is None else pool.imap(run_fold, splits)
             for done, fold_result in enumerate(fold_results, start=1):
-                outcomes.extend(fold_result)
+                groups.append(fold_result)
                 if progress:
                     progress(done, len(splits))
     if table is not None:
         try:
             for fold, (_, cal_scores, cal_labels), (test_ids, test_scores, test_labels) in table.folds():
                 partitions = (cal_scores, cal_labels, test_scores)
-                outcomes.extend(_fold_outcomes(config, 0, fold, test_ids, test_labels, ("external-scores",),
-                                               lambda model, kind: partitions))
+                groups.append(_fold_outcomes(config, 0, fold, test_ids, test_labels, ("external-scores",),
+                                             lambda model, kind: partitions))
         except ValueError as err:  # a missing partition, named by fold
             raise RuntimeError(f"external-scores {err}") from err
 
-    aggregate = _aggregate(config, outcomes)
+    aggregate = _aggregate(config, [outcome for group in groups for outcome in group])
 
     if config.output_dir:
         out = Path(config.output_dir)
@@ -494,8 +500,8 @@ def run_experiment(config: ExperimentConfig, progress=None) -> AggregateTable:
         # a reused directory must not keep an earlier run's folds or splits
         for stale in [*folds_dir.glob("rep*_fold*_*.json"), *folds_dir.glob("rep*_fold*_*.csv")]:
             stale.unlink()
-        for outcome in outcomes:
-            _write_fold_artifacts(folds_dir, outcome)
+        for group in groups:
+            _write_fold_artifacts(folds_dir, group)
         if splits:
             write_split_manifest(out / "splits.json", config.seed, splits)
         else:
@@ -503,7 +509,7 @@ def run_experiment(config: ExperimentConfig, progress=None) -> AggregateTable:
         (out / "aggregate.json").write_text(aggregate.to_json(), encoding="utf-8")
         (out / "table.txt").write_text(aggregate.to_text(), encoding="utf-8")
         columns = [[getattr(r, c) for r in aggregate.rows] for c in AGGREGATE_CSV_COLUMNS]
-        write_columns(out / "aggregate.csv", AGGREGATE_CSV_COLUMNS, columns)
+        write_columns(AGGREGATE_CSV_COLUMNS, {out / "aggregate.csv": columns})
         (out / "run.json").write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     return aggregate
 
@@ -531,10 +537,18 @@ def calibrate_scores(score_table_path, calibrator_kind: str, output_path) -> int
         except ValueError as err:
             raise ValueError(f"fold {fold} calibrator {calibrator_kind}: {err}") from err
         folds.append((test_ids, np.full(test_ids.size, fold), test_scores, *calibrated))
-    columns = [np.concatenate(column) for column in zip(*folds)]
+    # ids of a column's per-fold arrays -> their concatenation: Platt's and isotonic's p0, p1 and point are one
+    # array per fold, so they are joined once and written from one array
+    joined = {}
+    columns = []
+    for parts in zip(*folds):
+        key = tuple(map(id, parts))
+        if key not in joined:
+            joined[key] = np.concatenate(parts)
+        columns.append(joined[key])
     output_path = Path(output_path)
     output_path.parent.mkdir(parents=True, exist_ok=True)
-    write_columns(output_path, CALIBRATED_SCORE_COLUMNS, columns)
+    write_columns(CALIBRATED_SCORE_COLUMNS, {output_path: columns})
     return int(columns[0].size)
 
 
@@ -546,4 +560,4 @@ def write_reliability_csv(path, bins) -> None:
     if bins is not None:  # an empty bin's mop and foc are NaN, written as empty cells
         edges = bins.bin_edges
         columns = [edges[:-1], edges[1:], bins.counts, bins.mean_prediction, bins.fraction_positive]
-    write_columns(path, RELIABILITY_COLUMNS, columns)
+    write_columns(RELIABILITY_COLUMNS, {path: columns})

@@ -157,5 +157,5 @@ def write_reference_csv(path, seed: int = REFERENCE_SEED, n_rows: int = N_ROWS) 
     columns = _reference_columns(seed, n_rows)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    write_columns(path, AI4I_COLUMNS, columns)
+    write_columns(AI4I_COLUMNS, {path: columns})
     return path

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import math
 import re
+import struct
 import sys
 import tempfile
 from pathlib import Path
@@ -19,6 +21,7 @@ from hypothesis import strategies as st
 from venncal.data import (
     FEATURE_NAMES,
     LABEL_CODES,
+    WRITE_BLOCK_ROWS,
     Dataset,
     InfeasibleSplitError,
     ParseError,
@@ -271,17 +274,29 @@ def test_header_names_lose_ascii_whitespace_only(tmp_path, character):
 def test_write_columns_formats_cells(tmp_path):
     path = tmp_path / "out.csv"
     write_columns(
-        path,
         ("id", "x", "y", "name"),
-        (np.array([1, 2]), np.array([0.1, np.nan]), [None, 1 / 3], ["a", "b"]),
+        {path: (np.array([1, 2]), np.array([0.1, np.nan]), [None, 1 / 3], ["a", "b"])},
     )
     assert path.read_bytes() == b"id,x,y,name\r\n1,0.1,,a\r\n2,,0.3333333333333333,b\r\n"
     with pytest.raises(ValueError, match="differ in length"):
-        write_columns(path, ("a", "b"), ([1, 2], [3]))
+        write_columns(("a", "b"), {path: ([1, 2], [3])})
+
+
+def test_write_columns_length_mismatch_across_tables_names_a_path_before_opening_any(tmp_path):
+    """Tables of different row counts, or a table whose columns differ, fail naming the path at fault,
+    and no file is opened: an existing one keeps its bytes and a new one is not created."""
+    kept, new = tmp_path / "kept.csv", tmp_path / "new.csv"
+    kept.write_bytes(b"earlier bytes\r\n")
+    one, two = np.array([0.5]), np.array([0.5, 1.5])
+    for tables in ({kept: (two, two), new: (one, one)}, {kept: (one, one), new: (one, [1, 2])}):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(new))}: columns differ in length$"):
+            write_columns(("x", "y"), tables)
+        assert kept.read_bytes() == b"earlier bytes\r\n"
+        assert not new.exists()
 
 
 def _csv_writer_columns(path, header, columns):
-    """write_columns as it was written on csv.writer: the byte oracle of the property test below."""
+    """write_columns of one table as it was written on csv.writer: the byte oracle of the property test below."""
     cells = []
     for column in columns:
         values = column.tolist() if isinstance(column, np.ndarray) else column
@@ -294,64 +309,97 @@ def _csv_writer_columns(path, header, columns):
         writer.writerows(zip(*cells))
 
 
+def _float64_bits(value) -> int:
+    return struct.unpack("<Q", struct.pack("<d", value))[0]
+
+
 ODD_FLOATS = st.sampled_from([-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 2.5e-310, 1e16, 1e-5, 1 / 3])
 FLOATS = st.one_of(ODD_FLOATS, st.floats(), st.floats(allow_subnormal=True, min_value=-1e-307, max_value=1e-307))
+# quiet and signalling NaNs of either sign with payloads: each is its own bit pattern, and each an empty cell
+NAN_BITS = st.sampled_from([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000123, 0x7FF0000000000001, 0xFFFFFFFFFFFFFFFF])
+FLOAT64_BITS = st.one_of(FLOATS.map(_float64_bits), NAN_BITS)
 TEXT = st.text(st.sampled_from('ab ,"\n\r\t.-'), max_size=4)
 CELLS = st.one_of(st.none(), TEXT, st.integers(-(2**70), 2**70), FLOATS, st.booleans())
 
 
 @st.composite
 def column_tables(draw):
-    """A header and equal-length columns: numpy float64, float32, int64 and bool columns,
-    lists of mixed cells, the same object passed again and equal values in a distinct array."""
-    n = draw(st.integers(0, 12))
+    """A header and one to three tables of equal-length columns for write_columns.
+
+    Columns are numpy float64 (NaNs with payloads among them), float32,
+    int64 and bool arrays, and lists of mixed cells.  A column may be a
+    column object already passed, in this table or an earlier one, or a copy
+    of one (content-equal, another object).  Each column is a pool of up to
+    12 drawn values repeated to the row count, which is at most 12 or spans
+    three write blocks.
+    """
+    n = draw(st.one_of(st.integers(0, 12), st.just(2 * WRITE_BLOCK_ROWS + 5)))
+
+    def drawn(values, dtype=None):
+        pool = draw(st.lists(values, min_size=1, max_size=12))
+        return list(itertools.islice(itertools.cycle(pool), n)) if dtype is None else np.resize(np.array(pool, dtype=dtype), n)
+
     kinds = {
-        "float64": lambda: np.array(draw(st.lists(FLOATS, min_size=n, max_size=n)), dtype=np.float64),
-        "float32": lambda: np.array(draw(st.lists(st.floats(width=32), min_size=n, max_size=n)), dtype=np.float32),
-        "int64": lambda: np.array(draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n)), dtype=np.int64),
-        "bool": lambda: np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool),
-        "cells": lambda: draw(st.lists(CELLS, min_size=n, max_size=n)),
+        "float64": lambda: drawn(FLOAT64_BITS, np.uint64).view(np.float64),
+        "float32": lambda: drawn(st.floats(width=32), np.float32),
+        "int64": lambda: drawn(st.integers(-(2**63), 2**63 - 1), np.int64),
+        "bool": lambda: drawn(st.booleans(), bool),
+        "cells": lambda: drawn(CELLS),
     }
-    columns = []
-    for _ in range(draw(st.integers(1, 5))):
-        reuse = columns and draw(st.sampled_from(["new", "same", "copy"]))
-        if reuse == "same":
-            columns.append(draw(st.sampled_from(columns)))
-        elif reuse == "copy":
-            column = draw(st.sampled_from(columns))
-            columns.append(column.copy() if isinstance(column, np.ndarray) else list(column))
-        else:
-            columns.append(kinds[draw(st.sampled_from(sorted(kinds)))]())
-    header = draw(st.lists(TEXT, min_size=len(columns), max_size=len(columns)))
-    return header, columns
+    width = draw(st.integers(1, 5))
+    tables, passed = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        columns = []
+        for _ in range(width):
+            reuse = passed and draw(st.sampled_from(["new", "same", "copy"]))
+            if reuse == "same":
+                column = draw(st.sampled_from(passed))
+            elif reuse == "copy":
+                column = draw(st.sampled_from(passed))
+                column = column.copy() if isinstance(column, np.ndarray) else list(column)
+            else:
+                column = kinds[draw(st.sampled_from(sorted(kinds)))]()
+            columns.append(column)
+            passed.append(column)
+        tables.append(columns)
+    header = draw(st.lists(TEXT, min_size=width, max_size=width))
+    return header, tables
 
 
 @settings(derandomize=True, deadline=None, max_examples=200, database=None)
 @given(column_tables())
-def test_write_columns_property_matches_csv_writer(table):
-    header, columns = table
+def test_write_columns_property_matches_csv_writer(drawn):
+    """Tables written in one call: each file holds the bytes csv.writer writes for that table alone."""
+    header, tables = drawn
     with tempfile.TemporaryDirectory() as tmp:
-        got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
-        write_columns(got, header, columns)
-        _csv_writer_columns(want, header, columns)
-        assert got.read_bytes() == want.read_bytes()
+        paths = [Path(tmp) / f"got{i}.csv" for i in range(len(tables))]
+        write_columns(header, dict(zip(paths, tables)))
+        want = Path(tmp) / "want.csv"
+        for path, columns in zip(paths, tables):
+            _csv_writer_columns(want, header, columns)
+            assert path.read_bytes() == want.read_bytes()
 
 
 def test_write_columns_one_column_and_shared_columns(tmp_path):
     """A one-column row with an empty cell is quoted; a column passed several times is written each time,
-    within a write block and across blocks."""
+    within a write block and across blocks, and in every table that passes it."""
     path = tmp_path / "out.csv"
-    write_columns(path, [""], [[None, "", 1.5, math.nan]])
+    write_columns([""], {path: [[None, "", 1.5, math.nan]]})
     assert path.read_bytes() == b'""\r\n""\r\n""\r\n1.5\r\n""\r\n'
     shared = np.array([-0.0, 0.0, math.nan, 5e-324, 1e16])
-    write_columns(path, ("a", "b,c", 'd"'), (shared, shared, shared.copy()))
+    write_columns(("a", "b,c", 'd"'), {path: (shared, shared, shared.copy())})
     rows = ["-0.0", "0.0", "", "5e-324", "1e+16"]
     assert path.read_bytes() == "".join(['a,"b,c","d"""\r\n'] + [f"{r},{r},{r}\r\n" for r in rows]).encode()
     many = np.repeat([0.5, -0.0, math.nan], 1000)  # rows of more than two write blocks
-    columns = (np.arange(many.size), many, many, many.astype(np.float32), ["a,b", None, 7] * 1000)
-    write_columns(path, ("i", "x", "y", "z", "t"), columns)
-    _csv_writer_columns(tmp_path / "want.csv", ("i", "x", "y", "z", "t"), columns)
-    assert path.read_bytes() == (tmp_path / "want.csv").read_bytes()
+    header = ("i", "x", "y", "z", "t")
+    tables = {
+        tmp_path / "first.csv": (np.arange(many.size), many, many, many.astype(np.float32), ["a,b", None, 7] * 1000),
+        tmp_path / "second.csv": (np.arange(many.size), -many, many, many.copy(), [0.25] * many.size),
+    }
+    write_columns(header, tables)
+    for path, columns in tables.items():
+        _csv_writer_columns(tmp_path / "want.csv", header, columns)
+        assert path.read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 @pytest.mark.parametrize("row", [0, 2, 300])
@@ -417,7 +465,7 @@ def test_parse_columns_reads_back_what_write_columns_writes(table):
     header, columns, parsers, expected = table
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "table.csv"
-        write_columns(path, header, columns)
+        write_columns(header, {path: columns})
         parsed = parse_columns(path, "table", header, parsers)
     assert parsed.keys() == expected.keys()
     for name, want in expected.items():

@@ -19,7 +19,7 @@ import pytest
 import venncal
 from venncal import harness
 from venncal.cli import main as cli_main
-from venncal.data import ParseError, SchemaError, ValidationError
+from venncal.data import ParseError, SchemaError, ValidationError, write_columns
 from venncal.harness import (
     POST_HOC_CALIBRATORS,
     ExperimentConfig,
@@ -415,6 +415,39 @@ def test_external_scores_model_in_experiment(tmp_path):
     ]
 
 
+def test_dataset_and_score_table_folds_with_equal_indices_keep_their_own_rows(tmp_path):
+    """A dataset fold and a score-table fold share (repetition, fold) but not their test rows:
+    each fold CSV holds exactly the test rows of its own source, in its source's order."""
+    rng = np.random.default_rng(8)
+    sizes = {0: 17, 1: 23}  # the dataset's two folds hold about 160 test rows each
+    folds = {
+        fold: {part: [(float(s), int(rng.random() < s)) for s in rng.random(size)] for part in ("calibration", "test")}
+        for fold, size in sizes.items()
+    }
+    table_path = write_score_table(tmp_path / "scores.csv", folds)
+    config = small_config(
+        tmp_path, models=("tree", "external-scores"), calibrators=("none", "venn-abers"), score_table_path=str(table_path)
+    )
+    run_experiment(config)
+    out = Path(config.output_dir)
+    splits = json.loads((out / "splits.json").read_text(encoding="utf-8"))["folds"]
+    with table_path.open(newline="") as handle:
+        table_rows = [row for row in csv.DictReader(handle) if row["partition"] == "test"]
+    for fold, size in sizes.items():
+        own = {
+            "tree": {"instance_id": [str(i) for i in splits[fold]["test_ids"]]},
+            "external-scores": {
+                name: [row[name] for row in table_rows if row["fold_id"] == str(fold)] for name in ("instance_id", "score")
+            },
+        }
+        assert len(own["tree"]["instance_id"]) > 150 and len(own["external-scores"]["instance_id"]) == size
+        for model, columns in own.items():
+            for calibrator in config.calibrators:
+                with (out / "folds" / f"rep0_fold{fold}_{model}_{calibrator}.csv").open(newline="") as handle:
+                    written = list(csv.DictReader(handle))
+                assert {name: [row[name] for row in written] for name in columns} == columns, (model, calibrator)
+
+
 def test_rerun_into_same_directory_drops_earlier_fold_files(tmp_path):
     rng = np.random.default_rng(3)
     folds = {
@@ -444,7 +477,16 @@ def test_rerun_into_same_directory_drops_earlier_fold_files(tmp_path):
     assert not (out / "splits.json").exists()
 
 
-def test_calibrate_scores_matches_experiment_fold_rows(tmp_path):
+def test_calibrate_scores_matches_experiment_fold_rows(tmp_path, monkeypatch):
+    """calibrate_scores writes the experiment's fold rows; Platt's and isotonic's p0, p1 and point reach
+    the writer as one array."""
+    written = {}
+
+    def recording_write_columns(header, tables):
+        written.update(tables)
+        write_columns(header, tables)
+
+    monkeypatch.setattr(harness, "write_columns", recording_write_columns)
     rng = np.random.default_rng(11)
     folds = {}
     for fold in range(3):
@@ -474,6 +516,8 @@ def test_calibrate_scores_matches_experiment_fold_rows(tmp_path):
         for got, want in zip(calibrated, experiment):
             assert got["fold_id"] == want["fold_id"]
             assert [got[c] for c in columns] == [want[c] for c in columns]
+        p0, p1, point = written[out][3:]
+        assert (p0 is p1 is point) == (kind != "venn-abers")
 
 
 def test_score_table_errors_name_fold_in_both_entry_points(tmp_path):
