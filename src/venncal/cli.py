@@ -111,8 +111,13 @@ def _run_reliability(args) -> int:
 def _run_venn_tree(args) -> int:
     if args.seed < 0:  # numpy's generators refuse it without naming it
         raise ValueError(f"seed must be >= 0, got {args.seed}")
-    if args.max_depth < 0:  # before the dataset is read
+    # flags checked before the dataset is read, named as the user typed them
+    if args.max_depth < 0:
         raise ValueError(f"--max-depth must be >= 0, got {args.max_depth}")
+    if not 0.0 < args.calibration_fraction < 1.0:
+        raise ValueError(f"--cal-fraction must be in (0, 1), got {args.calibration_fraction}")
+    if args.min_samples_leaf < 1:
+        raise ValueError(f"--min-samples-leaf must be >= 1, got {args.min_samples_leaf}")
     dataset = load_csv(args.dataset_path)
     rng = np.random.default_rng(args.seed)
     proper_ids, calibration_ids = stratified_holdout(dataset.labels, args.calibration_fraction, rng)

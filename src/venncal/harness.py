@@ -218,7 +218,8 @@ class AggregateTable:
 # ---------------------------------------------------------------------------
 
 def _model_seed(seed: int, repetition: int, fold: int, role: str) -> int:
-    role_code = {"tree-full": 0, "tree-proper": 1, "forest-full": 2, "forest-proper": 3}[role]
+    # codes 0 and 1 were the tree roles, whose fit draws nothing; the forest codes stay so their streams stay
+    role_code = {"forest-full": 2, "forest-proper": 3}[role]
     ss = np.random.SeedSequence(entropy=(seed, repetition, fold, role_code))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
@@ -294,12 +295,11 @@ def _dataset_fold_outcomes(config: ExperimentConfig, dataset: Dataset, split: Fo
             ids = split.train_ids if full else split.proper_train_ids
             if model_name == "logistic":
                 model = fit_logistic(x[ids], y[ids])
+            elif model_name == "tree":
+                model = fit_tree(x[ids], y[ids], min_samples_leaf=config.tree_min_samples_leaf)
             else:
                 seed = _model_seed(config.seed, rep, fold, role)
-                if model_name == "tree":
-                    model = fit_tree(x[ids], y[ids], min_samples_leaf=config.tree_min_samples_leaf, seed=seed)
-                else:
-                    model = fit_forest(x[ids], y[ids], n_trees=config.n_trees, seed=seed)
+                model = fit_forest(x[ids], y[ids], n_trees=config.n_trees, seed=seed)
             fitted[role] = (None if full else model.score_many(cal_x), cal_y, model.score_many(test_x))
         return fitted[role]
 
@@ -537,15 +537,7 @@ def calibrate_scores(score_table_path, calibrator_kind: str, output_path) -> int
         except ValueError as err:
             raise ValueError(f"fold {fold} calibrator {calibrator_kind}: {err}") from err
         folds.append((test_ids, np.full(test_ids.size, fold), test_scores, *calibrated))
-    # ids of a column's per-fold arrays -> their concatenation: Platt's and isotonic's p0, p1 and point are one
-    # array per fold, so they are joined once and written from one array
-    joined = {}
-    columns = []
-    for parts in zip(*folds):
-        key = tuple(map(id, parts))
-        if key not in joined:
-            joined[key] = np.concatenate(parts)
-        columns.append(joined[key])
+    columns = [np.concatenate(parts) for parts in zip(*folds)]
     output_path = Path(output_path)
     output_path.parent.mkdir(parents=True, exist_ok=True)
     write_columns(CALIBRATED_SCORE_COLUMNS, {output_path: columns})

@@ -17,9 +17,9 @@ a single tree as a forest of one.  Features are rank-coded once per fit.
 Each step takes pending nodes of the trees in flight and searches all of
 them at once.  A tree that draws feature subsets gives its next splittable
 node in preorder, so its random stream is drawn exactly as if it were
-grown alone.  A tree that draws none (``fit_tree`` without max_features,
-and every tree of a forest whose max_features is the feature count) gives
-all its pending splittable nodes, breadth-first as SPRINT grows a tree
+grown alone.  A tree that draws none (every ``fit_tree``, and every tree
+of a forest whose max_features is the feature count) gives all its
+pending splittable nodes, breadth-first as SPRINT grows a tree
 (Shafer, Agrawal & Mehta, VLDB 1996); its nodes are numbered as the steps
 take them and renumbered to preorder once it is done, so either way a
 model is in preorder.  One sort of packed keys
@@ -94,9 +94,9 @@ class DecisionTreeModel:
     n_samples: np.ndarray
     n_positive: np.ndarray
     n_features: int
-    max_depth: int | None
+    max_depth: int | None  # None for a fitted tree; set by collapsed
     min_samples_leaf: int
-    min_samples_split: int
+    min_samples_split: int  # 2 for every fitted tree
     seed: int
 
     @property
@@ -338,9 +338,9 @@ class _Tree:
         self.rng = rng
         self.subsets: np.ndarray | None = None
         self.next_subset = 0
-        # pending (start, end, depth, parent, is_right, positives); the right
-        # child is pushed first, so nodes taken one per step pop in preorder
-        self.stack = [(0, rows.size, 0, -1, False, positives)]
+        # pending (start, end, parent, is_right, positives); the right child
+        # is pushed first, so nodes taken one per step pop in preorder
+        self.stack = [(0, rows.size, -1, False, positives)]
         # typed arrays: 8 bytes a value, where a list would also hold an object
         self.feature_index = array("q")
         self.threshold = array("d")
@@ -351,7 +351,7 @@ class _Tree:
 
     def pop_node(self):
         """Pop the top pending node and number it next, recorded as a leaf until it splits."""
-        start, end, depth, parent, is_right, pos = self.stack.pop()
+        start, end, parent, is_right, pos = self.stack.pop()
         node = len(self.feature_index)
         self.feature_index.append(_NO_FEATURE)
         self.threshold.append(np.nan)
@@ -361,7 +361,7 @@ class _Tree:
         self.n_positive.append(pos)
         if parent >= 0:
             (self.right if is_right else self.left)[parent] = node
-        return node, start, end, depth, pos
+        return node, start, end, pos
 
     def candidate_features(self, n_features: int, max_features: int) -> np.ndarray:
         # batched uniform subsets: the smallest k of i.i.d. uniforms per row
@@ -522,15 +522,14 @@ def _grow(
     rngs: list[np.random.Generator],
     *,
     bootstrap: bool,
-    max_depth: int | None,
     min_samples_leaf: int,
-    min_samples_split: int,
-    max_features: int | None,
+    max_features: int,
     seed: int,
 ) -> list[DecisionTreeModel]:
-    """Grow one tree per generator, all in lockstep; the only tree builder.
+    """Grow one tree per generator, all in lockstep, to full depth; the only tree builder.
 
-    Tree t draws from rngs[t] alone: its bootstrap sample first (when
+    A node splits while it is impure and holds at least 2 * min_samples_leaf
+    rows.  Tree t draws from rngs[t] alone: its bootstrap sample first (when
     bootstrap is set), then one feature subset per splittable node in
     preorder (when max_features is below the feature count).  A step takes
     the next splittable node of every such tree in flight, or all pending
@@ -538,20 +537,16 @@ def _grow(
     at once, so each tree equals the one grown alone from its generator.
     """
     n, n_features = x.shape
-    if max_features is not None and not 1 <= max_features <= n_features:
+    if not 1 <= max_features <= n_features:
         raise ValueError(f"max_features must be in [1, {n_features}]")
     if min_samples_leaf < 1:
         raise ValueError(f"min_samples_leaf must be >= 1, got {min_samples_leaf}")
-    if min_samples_split < 2:
-        raise ValueError(f"min_samples_split must be >= 2, got {min_samples_split}")
-    if max_depth is not None and max_depth < 0:
-        raise ValueError(f"max_depth must be >= 0, got {max_depth}")
-    subsets = max_features is not None and max_features < n_features
-    k = max_features if subsets else n_features
+    subsets = max_features < n_features
+    k = max_features  # candidate features per node
     labels = y.astype(np.uint8)
     packed, values, first_value = _rank_codes(x, labels)
     bits = int(packed.max(initial=1)).bit_length()
-    min_rows = max(min_samples_split, 2 * min_samples_leaf)
+    min_rows = 2 * min_samples_leaf
     # the smallest dtype for row ids: every tree in flight holds n of them
     row_dtype = np.min_scalar_type(n - 1)
 
@@ -564,9 +559,9 @@ def _grow(
             n_samples=np.array(tree.n_samples, dtype=np.int64),
             n_positive=np.array(tree.n_positive, dtype=np.int64),
             n_features=n_features,
-            max_depth=max_depth,
+            max_depth=None,
             min_samples_leaf=min_samples_leaf,
-            min_samples_split=min_samples_split,
+            min_samples_split=2,
             seed=seed,
         )
         # a tree that draws no subsets numbered its nodes as the steps took them
@@ -575,19 +570,19 @@ def _grow(
     def split(step: list) -> None:
         """Search every node of one step at once and split those that can.
 
-        step holds (tree, node, start, end, depth, positives) per node; the
+        step holds (tree, node, start, end, positives) per node; the
         arrays below die on return, before the next step allocates its own.
         """
         # key = (slot * k + candidate) << bits | (2 * rank + label), one slot per node
         key_dtype = _key_dtype(bits + (len(step) * k - 1).bit_length())
         segment_keys = (np.arange(len(step) * k, dtype=key_dtype) << bits).reshape(len(step), k)
         sizes = np.array([entry[3] - entry[2] for entry in step])
-        positives = np.array([entry[5] for entry in step])
+        positives = np.array([entry[4] for entry in step])
         if subsets:
             feats = np.array([entry[0].candidate_features(n_features, k) for entry in step])
         else:
             feats = np.broadcast_to(np.arange(n_features), (len(step), k))
-        rows = np.concatenate([tree.rows[start:end] for tree, _, start, end, _, _ in step])
+        rows = np.concatenate([tree.rows[start:end] for tree, _, start, end, _ in step])
         # flat index of each row's first cell in packed; widened before the
         # multiply, since row ids may be as narrow as uint8
         first_cell = rows.astype(np.intp)
@@ -639,14 +634,14 @@ def _grow(
             slot.tolist(), feature.tolist(), thr.tolist(), n_left.tolist(), p_left.tolist(),
             left_at[slot].tolist(), right_at[slot].tolist(),
         ):
-            tree, node, start, end, depth, pos = step[j]
+            tree, node, start, end, pos = step[j]
             tree.feature_index[node] = f
             tree.threshold[node] = t
             mid = start + n_l
             tree.rows[start:mid] = left_rows[l_at : l_at + n_l]
             tree.rows[mid:end] = right_rows[r_at : r_at + end - mid]
-            tree.stack.append((mid, end, depth + 1, node, True, pos - p_l))
-            tree.stack.append((start, mid, depth + 1, node, False, p_l))
+            tree.stack.append((mid, end, node, True, pos - p_l))
+            tree.stack.append((start, mid, node, False, p_l))
 
     grown: list[DecisionTreeModel | None] = [None] * len(rngs)
     waiting = list(enumerate(rngs))[::-1]
@@ -657,15 +652,15 @@ def _grow(
             sample = (rng.integers(0, n, size=n) if bootstrap else np.arange(n)).astype(row_dtype)
             flight.append((index, _Tree(sample, int(labels[sample].sum()), rng)))
 
-        step = []  # (tree, node, start, end, depth, positives)
+        step = []  # (tree, node, start, end, positives)
         n_rows = 0
         taken, skipped = [], []
         for index, tree in flight:
             first, fits = len(step), True
             # a tree that draws subsets gives one node, so its generator draws in preorder
             while tree.stack and fits and not (subsets and len(step) > first):
-                start, end, depth, _, _, pos = tree.stack[-1]
-                if not (0 < pos < end - start >= min_rows and (max_depth is None or depth < max_depth)):
+                start, end, _, _, pos = tree.stack[-1]
+                if not 0 < pos < end - start >= min_rows:
                     tree.pop_node()  # a leaf
                 elif fits := not step or n_rows + end - start <= _ROWS_PER_STEP:
                     step.append((tree, *tree.pop_node()))
@@ -687,17 +682,14 @@ def fit_tree(
     features,
     labels,
     *,
-    max_depth: int | None = None,
     min_samples_leaf: int = 1,
-    min_samples_split: int = 2,
-    max_features: int | None = None,
     seed: int = 0,
 ) -> DecisionTreeModel:
-    """Fit a CART tree; deterministic given the data, seed and tie rule.
+    """Fit a CART tree to full depth; deterministic given the data and tie rule.
 
-    max_features, when set, restricts each split to a fresh random subset
-    of the features drawn from default_rng(seed); with the default None the
-    search is exhaustive and the seed is never consumed.
+    Every split searches every feature, so nothing is drawn and seed is
+    only recorded in the model.  ``collapsed(max_depth)`` bounds the depth
+    of the fitted tree.
     """
     x, y = _validate_training_data(features, labels)
     (tree,) = _grow(
@@ -705,10 +697,8 @@ def fit_tree(
         y,
         [np.random.default_rng(seed)],
         bootstrap=False,
-        max_depth=max_depth,
         min_samples_leaf=min_samples_leaf,
-        min_samples_split=min_samples_split,
-        max_features=max_features,
+        max_features=x.shape[1],
         seed=seed,
     )
     return tree
@@ -761,13 +751,11 @@ def fit_forest(
     *,
     n_trees: int = 100,
     max_features: int | None = None,
-    max_depth: int | None = None,
     min_samples_leaf: int = 1,
-    min_samples_split: int = 2,
     bootstrap: bool = True,
     seed: int = 0,
 ) -> RandomForestModel:
-    """Train n_trees CART trees on bootstrap samples.
+    """Train n_trees full-depth CART trees on bootstrap samples.
 
     max_features defaults to ceil(sqrt(n_features)).  With bootstrap=False
     and max_features equal to the feature count the forest degenerates to
@@ -783,9 +771,7 @@ def fit_forest(
         y,
         [np.random.default_rng(stream) for stream in np.random.SeedSequence(seed).spawn(n_trees)],
         bootstrap=bootstrap,
-        max_depth=max_depth,
         min_samples_leaf=min_samples_leaf,
-        min_samples_split=min_samples_split,
         max_features=max_features,
         seed=seed,
     )

@@ -19,7 +19,7 @@ import pytest
 import venncal
 from venncal import harness
 from venncal.cli import main as cli_main
-from venncal.data import ParseError, SchemaError, ValidationError, write_columns
+from venncal.data import ParseError, SchemaError, ValidationError
 from venncal.harness import (
     POST_HOC_CALIBRATORS,
     ExperimentConfig,
@@ -477,16 +477,8 @@ def test_rerun_into_same_directory_drops_earlier_fold_files(tmp_path):
     assert not (out / "splits.json").exists()
 
 
-def test_calibrate_scores_matches_experiment_fold_rows(tmp_path, monkeypatch):
-    """calibrate_scores writes the experiment's fold rows; Platt's and isotonic's p0, p1 and point reach
-    the writer as one array."""
-    written = {}
-
-    def recording_write_columns(header, tables):
-        written.update(tables)
-        write_columns(header, tables)
-
-    monkeypatch.setattr(harness, "write_columns", recording_write_columns)
+def test_calibrate_scores_matches_experiment_fold_rows(tmp_path):
+    """calibrate_scores writes the experiment's fold rows."""
     rng = np.random.default_rng(11)
     folds = {}
     for fold in range(3):
@@ -516,8 +508,6 @@ def test_calibrate_scores_matches_experiment_fold_rows(tmp_path, monkeypatch):
         for got, want in zip(calibrated, experiment):
             assert got["fold_id"] == want["fold_id"]
             assert [got[c] for c in columns] == [want[c] for c in columns]
-        p0, p1, point = written[out][3:]
-        assert (p0 is p1 is point) == (kind != "venn-abers")
 
 
 def test_score_table_errors_name_fold_in_both_entry_points(tmp_path):
@@ -885,7 +875,7 @@ def test_cli_synth_data_and_venn_tree(tmp_path, capsys):
     bad_dir = tmp_path / "vt_bad"
     rc = cli_main(["venn-tree", "--data", str(data_path), "--out", str(bad_dir), "--cal-fraction", "-0.2"])
     assert rc == 1
-    assert "calibration_fraction must be in (0, 1)" in capsys.readouterr().err
+    assert "--cal-fraction must be in (0, 1), got -0.2" in capsys.readouterr().err
     assert not bad_dir.exists()
     # so does a negative seed, which numpy would refuse without naming it
     rc = cli_main(["venn-tree", "--data", str(data_path), "--out", str(bad_dir), "--seed", "-1"])
@@ -898,12 +888,21 @@ def test_cli_synth_data_and_venn_tree(tmp_path, capsys):
     assert not (tmp_path / "synth_bad").exists()
 
 
-def test_cli_venn_tree_negative_max_depth_named_before_data_is_read(tmp_path, capsys):
-    """The flag is named, not the library's display_max_depth, and the dataset (here missing) is never read."""
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--max-depth", "-1", "--max-depth must be >= 0, got -1"),
+        ("--cal-fraction", "0", "--cal-fraction must be in (0, 1), got 0.0"),
+        ("--min-samples-leaf", "0", "--min-samples-leaf must be >= 1, got 0"),
+    ],
+    ids=["--max-depth", "--cal-fraction", "--min-samples-leaf"],
+)
+def test_cli_venn_tree_bad_flag_named_before_data_is_read(tmp_path, capsys, flag, value, message):
+    """The flag is named, not the library's argument, and the dataset (here missing) is never read."""
     out_dir = tmp_path / "vt"
-    argv = ["venn-tree", "--data", str(tmp_path / "missing.csv"), "--out", str(out_dir), "--max-depth", "-1"]
+    argv = ["venn-tree", "--data", str(tmp_path / "missing.csv"), "--out", str(out_dir), flag, value]
     assert cli_main(argv) == 1
-    assert capsys.readouterr().err == "error: --max-depth must be >= 0, got -1\n"
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out_dir.exists()
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -70,12 +71,13 @@ def test_tree_empty_input_rejected():
         ([[1.0, 2.0], [2.0, 1.0]], [0, 1], {"max_features": 3}, r"max_features must be in \[1, 2\]"),
         ([[1.0, 2.0], [2.0, 1.0]], [0, 1], {"max_features": 0}, r"max_features must be in \[1, 2\]"),
         ([1.0, 2.0], [0, 1], {}, "features must be a 2-d matrix"),
-        ([[1.0], [2.0]], [0, 1], {"max_depth": -1}, "max_depth must be >= 0, got -1"),
     ],
 )
 def test_tree_rejects_bad_training_input(features, labels, kwargs, message):
+    # a lone tree searches every feature; max_features bounds a forest's subsets
+    fit = fit_forest if "max_features" in kwargs else fit_tree
     with pytest.raises(ValueError, match=message):
-        fit_tree(features, labels, **kwargs)
+        fit(features, labels, **kwargs)
 
 
 def test_tree_scoring_fraction_and_tie_routing():
@@ -134,19 +136,42 @@ def test_tree_determinism_and_depth_limit():
     rng = np.random.default_rng(3)
     x = rng.random((200, 4))
     y = rng.integers(0, 2, size=200)
-    t1 = fit_tree(x, y, max_depth=3, seed=11)
-    t2 = fit_tree(x, y, max_depth=3, seed=11)
+    t1 = fit_tree(x, y, seed=11).collapsed(3)
+    t2 = fit_tree(x, y, seed=11).collapsed(3)
     assert t1.to_dict() == t2.to_dict()
     assert t1.node_depths().max() <= 3
 
 
-def test_tree_collapsed_equals_the_depth_limited_fit():
+def _digest(model):
+    return hashlib.sha256(json.dumps(model.to_dict()).encode("utf-8")).hexdigest()
+
+
+# sha256 of json.dumps(model.to_dict()) of the tree grown with its depth limited
+# to 0, 1, ..., 10 during the fit, recorded before the fit lost that limit; the
+# full tree is 9 deep
+DEPTH_LIMITED_DIGESTS = [
+    "8da4d2c87f435b995156d50bbb009b785f6eb0b466ef47748b8c8e259d0100ec",
+    "9997d5ceb0cc03999580922ec1132bd502597df1a4f9455562e311b84c41f59a",
+    "3e84770486ec619361cce6f805a27ff0340b5c816ca83e06c7f26d7c879860de",
+    "e66249f73abb755bb606842bf685e4fb6a179e4b12d70cc0435f6f63dbc7e435",
+    "e6ad0f2c26da11110b0231087d3f3fcf86178ad09cee920001151ce12e22a64c",
+    "fdf46f164393f6dc3c68c612f8aadc0461015612c76a82c42771bae5c4f0d28b",
+    "7b96a375b000e2bd20be855dbff83289eea52a94b40c312d0fb99400f6e06b7f",
+    "494be08aa7e6304172c937de9d95830328fc77031127f31ff547822c78669d03",
+    "7ebf4b55a0035e602164810827d956ef08c20ed133b6b352f0f6912fa9fc7ecc",
+    "e4c3cdd96a9a1b6b4e2b22514a4e62107c7404bb102540231d79c30fb9c8529b",
+    "8bcb21b183662bb14240273f53f440f633204274e1c825e7eb4fce043d5a949c",
+]
+
+
+def test_tree_collapsed_matches_golden_depth_limited_digests():
     rng = np.random.default_rng(3)
     x = rng.random((200, 3))
     y = (x[:, 0] + 0.3 * rng.random(200) > 0.7).astype(int)
     tree = fit_tree(x, y)
-    for depth in range(int(tree.node_depths().max()) + 2):
-        assert tree.collapsed(depth).to_dict() == fit_tree(x, y, max_depth=depth).to_dict()
+    assert tree.node_depths().max() + 2 == len(DEPTH_LIMITED_DIGESTS)
+    for depth, digest in enumerate(DEPTH_LIMITED_DIGESTS):
+        assert _digest(tree.collapsed(depth)) == digest, depth
     with pytest.raises(ValueError, match="^max_depth must be >= 0, got -1$"):
         tree.collapsed(-1)
 
@@ -273,14 +298,11 @@ def test_forest_determinism_and_scores_in_range():
 def test_forest_validates_arguments():
     with pytest.raises(ValueError):
         fit_forest([[1.0]], [1], n_trees=0)
-    with pytest.raises(ValueError, match=r"max_features must be in \[1, 2\]"):
-        fit_forest([[1.0, 2.0]], [1], max_features=5)
+    for max_features in (0, 5):
+        with pytest.raises(ValueError, match=r"max_features must be in \[1, 2\]"):
+            fit_forest([[1.0, 2.0]], [1], max_features=max_features)
     with pytest.raises(ValueError, match="min_samples_leaf"):
         fit_forest([[1.0], [2.0]], [0, 1], min_samples_leaf=0)
-    with pytest.raises(ValueError, match="min_samples_split"):
-        fit_forest([[1.0], [2.0]], [0, 1], min_samples_split=1)
-    with pytest.raises(ValueError, match="max_depth must be >= 0, got -1"):
-        fit_forest([[1.0], [2.0]], [0, 1], max_depth=-1)
     with pytest.raises(ValueError, match="features must be a 2-d matrix"):
         fit_forest([1.0, 2.0], [0, 1])
 
@@ -344,73 +366,82 @@ def _golden_data(name):
     return x, y
 
 
-GOLDEN_MODELS = [
-    # (data, fit, keyword arguments, sha256 of json.dumps(model.to_dict()))
-    ("grid", "tree", {},
-     "1b2bbbbf8a8bb9f54a425429830fd1ac3712d967dc91ce7cee44727cea7a977d"),
-    ("grid", "tree", {"min_samples_leaf": 6},
-     "dc077bbba7dca4f55c5b68c8fc3d15bd9465c21ff803865ce6234dea704af345"),
-    ("grid", "tree", {"max_features": 2, "seed": 3},
-     "9be5238c14c4b51e17769fbae6a9b006517ddc892888ab57d5b2247a8bfee401"),
-    ("continuous", "tree", {"max_depth": 3},
-     "61d32b75caaedfc8aa93c46859a51c361f738f1b4e7d3dea879caa05f1dbf853"),
-    ("continuous", "tree", {"min_samples_split": 20, "max_features": 1, "seed": 4},
-     "cf7a2af53057ba6327b7e47c1f7f0df0b91fa67933618580779b391c321b978d"),
-    ("single-class", "tree", {},
-     "18d55330633535900d38199902030763d943654db316dbbcdf896f86fb2a5ae2"),
-    ("constant-feature", "tree", {},
-     "7bcebee080fe1da6eedf2b294b83b16957d5fc995b78702c75c3467b1c8f64ef"),
-    ("extreme", "tree", {},
-     "595dc0c36d9e65fbbf7aa4d61aded5d44c05a37fd6c6679beeb95f96dfbe321d"),
-    ("extreme", "forest", {"n_trees": 4, "seed": 2, "max_features": 1},
-     "aee45e2bd94fd5368c5af2bb4e69ff3848a100d20d23d8fefe48b076c1c5b53b"),
-    ("wide", "tree", {"max_depth": 6, "min_samples_leaf": 6},
-     "4d93a38d9a0cd60faa76b0fc5a32a0b602e614c015e010977254f7bdea248d74"),
-    ("grid", "forest", {"n_trees": 8, "seed": 0},
-     "e7007c9eb749c9c828fc130ed445f399189dfe030433f367af9a0c96cc67de6b"),
-    ("grid", "forest", {"n_trees": 8, "seed": 1, "min_samples_leaf": 6},
-     "1b89aebdc94cb1eaee849de6d00c19b211d6fa11959b6c4a1bd8035c5f1c93a1"),
-    ("grid", "forest", {"n_trees": 40, "seed": 2, "max_features": 1},
-     "65addeee2a404ce80c7e0f6303cac89c34e7892c548df409b12bd2d9762cf3ff"),
-    ("grid", "forest", {"n_trees": 5, "seed": 3, "max_features": 4, "max_depth": 3},
-     "5c26341012e5d6867f89f62fb0bfd95d0ff1a19b56f770aa3999b7c8684f0e8c"),
-    ("continuous", "forest", {"n_trees": 8, "seed": 0},
-     "6dc3c9d390c7ebd511fc5d3a72b118dd3e66f49dee2e529fce91e92df56d6d1f"),
-    ("continuous", "forest", {"n_trees": 6, "seed": 5, "max_depth": 3, "min_samples_leaf": 6},
-     "569b43c97418e37e955d97be09f428b8ef05d94622a24f9905fbe8d895bb1ab5"),
-    ("continuous", "forest", {"n_trees": 4, "seed": 6, "bootstrap": False},
-     "f6f45db4e40e370d5ec70d4942cbe4a10090328ab54b02201c34ad2bcc598e06"),
-    ("continuous", "forest", {"n_trees": 3, "seed": 7, "bootstrap": False, "max_features": 5},
-     "743bc13e9b6d2ab6ba395631026fc5643ec7e84533328f7a202d5b1104489834"),
-    ("continuous", "forest", {"n_trees": 50, "seed": 10, "max_features": 2, "min_samples_leaf": 6},
-     "7f803d969d34dd41916386113146b55a5abe008be268c1f891a68f0a799b6bba"),
-    ("continuous", "forest", {"n_trees": 1, "seed": 8},
-     "f26636634e75f325aeaa0ec82dfa6759346fc659cda268460b150c82760b1561"),
-    ("single-class", "forest", {"n_trees": 3, "seed": 0},
-     "162c1c7b62e0fbd1b04357326324578b7bebe2f9b83fc115a33c1eaa5b9556a2"),
-    ("constant-feature", "forest", {"n_trees": 6, "seed": 9},
-     "9afe0e6314efac1b76898f446eb339b76ffbf51a3317ee20f255fb91225e050b"),
-    ("wide", "forest", {"n_trees": 3, "seed": 1, "max_depth": 5, "min_samples_leaf": 6},
-     "0e6d22c4f31b048ef9cb13544fd0c90ae08e073e8e1f29bd62cc8080e55e3482"),
-    ("wide", "forest", {"n_trees": 3, "seed": 3, "max_features": 1, "max_depth": 3},
-     "68f10c0005b60945ff2ee5ca5927db75f0395f7a9b0475c1d680139a0b74c3f1"),
-    ("wide", "forest", {"n_trees": 2, "seed": 2, "max_features": 2, "min_samples_leaf": 200},
-     "63636c2e7e71394f0b00f7a7e00299fd0137d1b45a721f1ad29bef9d54e69fc7"),
+GOLDEN_MODELS = {
+    # case: (data, fit, keyword arguments, sha256 of json.dumps(model.to_dict()));
+    # "collapsed": d collapses the fitted tree, or every tree of the forest, to
+    # depth d, which gives the model that a fit limited to depth d grew when the
+    # fit still took a depth limit.  A case keeps its number, and so its test id,
+    # when another case is removed.
+    0: ("grid", "tree", {},
+        "1b2bbbbf8a8bb9f54a425429830fd1ac3712d967dc91ce7cee44727cea7a977d"),
+    1: ("grid", "tree", {"min_samples_leaf": 6},
+        "dc077bbba7dca4f55c5b68c8fc3d15bd9465c21ff803865ce6234dea704af345"),
+    3: ("continuous", "tree", {"collapsed": 3},
+        "61d32b75caaedfc8aa93c46859a51c361f738f1b4e7d3dea879caa05f1dbf853"),
+    5: ("single-class", "tree", {},
+        "18d55330633535900d38199902030763d943654db316dbbcdf896f86fb2a5ae2"),
+    6: ("constant-feature", "tree", {},
+        "7bcebee080fe1da6eedf2b294b83b16957d5fc995b78702c75c3467b1c8f64ef"),
+    7: ("extreme", "tree", {},
+        "595dc0c36d9e65fbbf7aa4d61aded5d44c05a37fd6c6679beeb95f96dfbe321d"),
+    8: ("extreme", "forest", {"n_trees": 4, "seed": 2, "max_features": 1},
+        "aee45e2bd94fd5368c5af2bb4e69ff3848a100d20d23d8fefe48b076c1c5b53b"),
+    9: ("wide", "tree", {"collapsed": 6, "min_samples_leaf": 6},
+        "4d93a38d9a0cd60faa76b0fc5a32a0b602e614c015e010977254f7bdea248d74"),
+    10: ("grid", "forest", {"n_trees": 8, "seed": 0},
+         "e7007c9eb749c9c828fc130ed445f399189dfe030433f367af9a0c96cc67de6b"),
+    11: ("grid", "forest", {"n_trees": 8, "seed": 1, "min_samples_leaf": 6},
+         "1b89aebdc94cb1eaee849de6d00c19b211d6fa11959b6c4a1bd8035c5f1c93a1"),
+    12: ("grid", "forest", {"n_trees": 40, "seed": 2, "max_features": 1},
+         "65addeee2a404ce80c7e0f6303cac89c34e7892c548df409b12bd2d9762cf3ff"),
+    13: ("grid", "forest", {"n_trees": 5, "seed": 3, "max_features": 4, "collapsed": 3},
+         "5c26341012e5d6867f89f62fb0bfd95d0ff1a19b56f770aa3999b7c8684f0e8c"),
+    14: ("continuous", "forest", {"n_trees": 8, "seed": 0},
+         "6dc3c9d390c7ebd511fc5d3a72b118dd3e66f49dee2e529fce91e92df56d6d1f"),
+    16: ("continuous", "forest", {"n_trees": 4, "seed": 6, "bootstrap": False},
+         "f6f45db4e40e370d5ec70d4942cbe4a10090328ab54b02201c34ad2bcc598e06"),
+    17: ("continuous", "forest", {"n_trees": 3, "seed": 7, "bootstrap": False, "max_features": 5},
+         "743bc13e9b6d2ab6ba395631026fc5643ec7e84533328f7a202d5b1104489834"),
+    18: ("continuous", "forest", {"n_trees": 50, "seed": 10, "max_features": 2, "min_samples_leaf": 6},
+         "7f803d969d34dd41916386113146b55a5abe008be268c1f891a68f0a799b6bba"),
+    19: ("continuous", "forest", {"n_trees": 1, "seed": 8},
+         "f26636634e75f325aeaa0ec82dfa6759346fc659cda268460b150c82760b1561"),
+    20: ("single-class", "forest", {"n_trees": 3, "seed": 0},
+         "162c1c7b62e0fbd1b04357326324578b7bebe2f9b83fc115a33c1eaa5b9556a2"),
+    21: ("constant-feature", "forest", {"n_trees": 6, "seed": 9},
+         "9afe0e6314efac1b76898f446eb339b76ffbf51a3317ee20f255fb91225e050b"),
+    22: ("wide", "forest", {"n_trees": 3, "seed": 1, "collapsed": 5, "min_samples_leaf": 6},
+         "0e6d22c4f31b048ef9cb13544fd0c90ae08e073e8e1f29bd62cc8080e55e3482"),
+    24: ("wide", "forest", {"n_trees": 2, "seed": 2, "max_features": 2, "min_samples_leaf": 200},
+         "63636c2e7e71394f0b00f7a7e00299fd0137d1b45a721f1ad29bef9d54e69fc7"),
     # max_features is the feature count: bootstrapped trees that draw no subsets
     # (recorded with the builder that took one node of a tree per step)
-    ("continuous", "forest", {"n_trees": 6, "seed": 12, "max_features": 5},
-     "0dcde2257def053003dc25f3ab2c6c49ad6c910368becc3580f2fa7bc8140721"),
-]
+    25: ("continuous", "forest", {"n_trees": 6, "seed": 12, "max_features": 5},
+         "0dcde2257def053003dc25f3ab2c6c49ad6c910368becc3580f2fa7bc8140721"),
+    # the one case whose trees draw feature subsets over the wide keys
+    26: ("wide", "forest", {"n_trees": 3, "seed": 3, "max_features": 1, "min_samples_leaf": 200},
+         "4642faa70dcfe4107ca856d1997e98bb68e8895410ee558375910d4f82950f7d"),
+}
 
 
 def _golden_digest(data, fit, kwargs):
     x, y = _golden_data(data)
+    kwargs = dict(kwargs)
+    depth = kwargs.pop("collapsed", None)
     model = (fit_tree if fit == "tree" else fit_forest)(x, y, **kwargs)
-    return hashlib.sha256(json.dumps(model.to_dict()).encode("utf-8")).hexdigest()
+    if depth is not None and fit == "tree":
+        model = model.collapsed(depth)
+    elif depth is not None:
+        model = replace(model, trees=[tree.collapsed(depth) for tree in model.trees])
+    return _digest(model)
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("data, fit, kwargs, digest", GOLDEN_MODELS)
+@pytest.mark.parametrize(
+    "data, fit, kwargs, digest",
+    list(GOLDEN_MODELS.values()),
+    ids=[f"{data}-{fit}-kwargs{case}-{digest}" for case, (data, fit, _, digest) in GOLDEN_MODELS.items()],
+)
 def test_models_match_golden_digests(data, fit, kwargs, digest):
     # any change in split choice, threshold, node order or RNG use shows here
     assert _golden_digest(data, fit, kwargs) == digest
@@ -423,7 +454,7 @@ def test_step_layout_never_changes_a_model(monkeypatch, trees_in_flight, rows_pe
     # 64 rows make trees skip steps, and a skipped tree goes first in the next
     monkeypatch.setattr(tree_module, "_TREES_IN_FLIGHT", trees_in_flight)
     monkeypatch.setattr(tree_module, "_ROWS_PER_STEP", rows_per_step)
-    for data, fit, kwargs, digest in GOLDEN_MODELS:
+    for data, fit, kwargs, digest in GOLDEN_MODELS.values():
         assert _golden_digest(data, fit, kwargs) == digest, (data, fit, kwargs)
 
 
@@ -501,7 +532,7 @@ def _reference_scores(trees, x):
         ("grid", {"n_trees": 6, "seed": 1}),
         ("continuous", {"n_trees": 6, "seed": 2, "min_samples_leaf": 3}),
         ("extreme", {"n_trees": 4, "seed": 2, "max_features": 1}),  # adjacent floats: thr = lo
-        ("constant-feature", {"n_trees": 4, "seed": 3, "max_depth": 4}),
+        ("constant-feature", {"n_trees": 4, "seed": 3}),
         ("single-class", {"n_trees": 3, "seed": 0}),  # single-leaf trees only
     ],
 )
@@ -561,7 +592,7 @@ def test_wide_keys_match_golden_digests(monkeypatch):
     # the builder packs its sort keys into 64 bits only when 32 do not
     # suffice; forcing the wide keys must not change any model
     monkeypatch.setattr(tree_module, "_key_dtype", lambda bits: np.uint64)
-    for data, fit, kwargs, digest in GOLDEN_MODELS:
+    for data, fit, kwargs, digest in GOLDEN_MODELS.values():
         assert _golden_digest(data, fit, kwargs) == digest, (data, fit, kwargs)
 
 
