@@ -13,7 +13,6 @@ Exit code 0 on success, 1 with a diagnostic on stderr otherwise.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -21,16 +20,15 @@ from pathlib import Path
 from venncal.calibration import VennAbersCalibrator
 from venncal.data import load_csv, stratified_holdout, write_columns
 from venncal.harness import (
-    KNOWN_CALIBRATORS,
-    KNOWN_MODELS,
     POST_HOC_CALIBRATORS,
     ExperimentConfig,
     calibrate_scores,
+    check_setting,
     load_fold_predictions,
     run_experiment,
     write_reliability_csv,
 )
-from venncal.metrics import BIN_MODES, minority_bins, reliability_bins
+from venncal.metrics import minority_bins, reliability_bins
 from venncal.models import fit_tree
 from venncal.synthetic import REFERENCE_SEED, write_reference_csv
 from venncal.venn_tree import CLASS_NAMES, build_venn_tree, extract_rules, format_rules, render_tree
@@ -38,27 +36,32 @@ from venncal.venn_tree import CLASS_NAMES, build_venn_tree, extract_rules, forma
 import numpy as np
 
 LEAVES_COLUMNS = ("leaf", "n_train", "n_calibration", "raw_score", "p0", "p1", "point", "predicted_class")
+_FIELDS = ExperimentConfig.__dataclass_fields__  # name -> dataclasses.Field, in declaration order
+
+
+def _add_settings(parser, *names, suppress=False, **flags) -> None:
+    """Add the flags of ExperimentConfig fields as their metadata declares them; flags renames one.
+
+    Unless suppressed, a flag defaults to its field, and main checks its bound before the handler reads data.
+    """
+    shared = {}
+    for name in names:
+        declared = _FIELDS[name]
+        flag = shared[name] = flags.get(name, declared.metadata["flag"])
+        shown = " ".join(declared.default) if isinstance(declared.default, tuple) else declared.default
+        parser.add_argument(flag, dest=name, default=argparse.SUPPRESS if suppress else declared.default,
+                            type={"int": int, "float": float}.get(declared.type),
+                            nargs="+" if declared.type.startswith("tuple") else None,
+                            choices=declared.metadata.get("choices"),
+                            help=declared.metadata["help"] + ("" if shown is None else f" (default {shown})"))
+    if not suppress:
+        parser.set_defaults(shared=shared)
 
 
 def _add_experiment_parser(sub):
     p = sub.add_parser("experiment", help="run the cross-validated calibration experiment")
     p.add_argument("--config", help="JSON file with ExperimentConfig fields (flags override)")
-    p.add_argument("--data", dest="dataset_path", help="dataset CSV path")
-    p.add_argument("--models", nargs="+", help=f"subset of: {' '.join(KNOWN_MODELS)}")
-    p.add_argument("--calibrators", nargs="+", help=f"subset of: {' '.join(KNOWN_CALIBRATORS)}")
-    p.add_argument("--folds", dest="k", type=int, help=f"number of CV folds (default {ExperimentConfig.k})")
-    p.add_argument("--repetitions", type=int,
-                   help=f"number of CV repetitions (default {ExperimentConfig.repetitions})")
-    p.add_argument("--cal-fraction", dest="calibration_fraction", type=float,
-                   help="share of each fold's training portion held out for calibration")
-    p.add_argument("--seed", type=int, help=f"master seed (default {ExperimentConfig.seed})")
-    p.add_argument("--out", dest="output_dir", help="artifact directory")
-    p.add_argument("--bins", type=int, help=f"reliability bin count (default {ExperimentConfig.bins})")
-    p.add_argument("--bin-mode", dest="bin_mode", choices=BIN_MODES)
-    p.add_argument("--score-table", dest="score_table_path", help="score table for external-scores")
-    p.add_argument("--trees", dest="n_trees", type=int, help=f"forest size (default {ExperimentConfig.n_trees})")
-    p.add_argument("--tree-min-samples-leaf", dest="tree_min_samples_leaf", type=int)
-    p.add_argument("--jobs", type=int, help=f"parallel fold workers (default {ExperimentConfig.jobs})")
+    _add_settings(p, *_FIELDS, suppress=True)  # a flag not typed leaves its field to --config or the default
     p.add_argument("--quiet", action="store_true", help="suppress progress output")
 
 
@@ -75,10 +78,7 @@ def _run_experiment(args) -> int:
             kind = {list: "array", str: "string", bool: "boolean", type(None): "null"}.get(type(loaded), "number")
             raise ValueError(f"--config {args.config}: expected a JSON object, got a JSON {kind}")
         settings.update(loaded)
-    for field in dataclasses.fields(ExperimentConfig):
-        value = getattr(args, field.name, None)
-        if value is not None:
-            settings[field.name] = value
+    settings.update((name, value) for name, value in vars(args).items() if name in _FIELDS)
     config = ExperimentConfig.from_dict(settings)
 
     def progress(done, total):
@@ -97,8 +97,6 @@ def _run_calibrate_scores(args) -> int:
 
 
 def _run_reliability(args) -> int:
-    if args.bins < 1:  # before any fold CSV is read
-        raise ValueError(f"--bins must be >= 1, got {args.bins}")
     probabilities, labels = load_fold_predictions(args.run_dir, args.model, args.calibrator)
     binning = minority_bins if args.scope == "minority" else reliability_bins
     bins = binning(probabilities, labels, m=args.bins, mode=args.bin_mode)
@@ -109,22 +107,14 @@ def _run_reliability(args) -> int:
 
 
 def _run_venn_tree(args) -> int:
-    if args.seed < 0:  # numpy's generators refuse it without naming it
-        raise ValueError(f"seed must be >= 0, got {args.seed}")
-    # flags checked before the dataset is read, named as the user typed them
-    if args.max_depth < 0:
-        raise ValueError(f"--max-depth must be >= 0, got {args.max_depth}")
-    if not 0.0 < args.calibration_fraction < 1.0:
-        raise ValueError(f"--cal-fraction must be in (0, 1), got {args.calibration_fraction}")
-    if args.min_samples_leaf < 1:
-        raise ValueError(f"--min-samples-leaf must be >= 1, got {args.min_samples_leaf}")
+    check_setting("max_depth", args.max_depth, "--max-depth", {"low": 0})  # before the dataset is read
     dataset = load_csv(args.dataset_path)
     rng = np.random.default_rng(args.seed)
     proper_ids, calibration_ids = stratified_holdout(dataset.labels, args.calibration_fraction, rng)
     tree = fit_tree(
         dataset.features[proper_ids],
         dataset.labels[proper_ids],
-        min_samples_leaf=args.min_samples_leaf,
+        min_samples_leaf=args.tree_min_samples_leaf,
         seed=args.seed,
     )
     cal_x = dataset.features[calibration_ids]
@@ -176,18 +166,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--calibrator", required=True)
     p.add_argument("--scope", choices=["all", "minority"], default="all")
-    p.add_argument("--bins", type=int, default=ExperimentConfig.bins)
-    p.add_argument("--bin-mode", dest="bin_mode", choices=BIN_MODES, default=ExperimentConfig.bin_mode)
+    _add_settings(p, "bins", "bin_mode")
     p.add_argument("--out", required=True, help="output CSV path")
 
     p = sub.add_parser("venn-tree", help="export an interval-annotated decision tree")
     p.add_argument("--data", dest="dataset_path", required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--max-depth", type=int, default=5, help="display depth (default 5)")
-    p.add_argument("--cal-fraction", dest="calibration_fraction", type=float,
-                   default=ExperimentConfig.calibration_fraction)
-    p.add_argument("--min-samples-leaf", type=int, default=ExperimentConfig.tree_min_samples_leaf)
-    p.add_argument("--seed", type=int, default=0)
+    _add_settings(p, "calibration_fraction", "tree_min_samples_leaf", "seed",
+                  tree_min_samples_leaf="--min-samples-leaf")
 
     p = sub.add_parser("synth-data", help="write the bundled reference dataset")
     p.add_argument("--out", required=True, help="output CSV path")
@@ -206,6 +193,8 @@ def main(argv=None) -> int:
         "synth-data": _run_synth_data,
     }
     try:
+        for name, flag in getattr(args, "shared", {}).items():
+            check_setting(name, getattr(args, name), flag, _FIELDS[name].metadata)
         return handlers[args.command](args)
     except Exception as err:  # surfaced as a diagnostic, not a traceback
         print(f"error: {err}", file=sys.stderr)

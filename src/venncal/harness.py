@@ -18,9 +18,8 @@ import json
 import numbers
 import platform
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
-from multiprocessing import Pool
 from pathlib import Path
 
 import numpy as np
@@ -70,24 +69,41 @@ RELIABILITY_COLUMNS = ("bin_low", "bin_high", "count", "mop", "foc")
 CALIBRATED_SCORE_COLUMNS = ("instance_id", "fold_id", "score", "p0", "p1", "point")
 
 
+def check_setting(name: str, value, flag: str, bound) -> None:
+    """Raise the one error of a setting outside its bound ("low" inclusive, "inside" open, or "choices")."""
+    if "low" in bound and value < bound["low"]:
+        rule = f">= {bound['low']}"
+    elif "inside" in bound and not bound["inside"][0] < value < bound["inside"][1]:
+        rule = f"in {bound['inside']}"
+    elif "choices" in bound and value not in bound["choices"]:
+        rule = " or ".join(map(repr, bound["choices"]))
+    else:
+        return
+    raise ValueError(f"{name} must be {rule}, got {value!r} ({flag})")
+
+
+def _setting(default, flag: str, help: str, **bound):  # a field's default, experiment flag, help text and bound
+    return field(default=default, metadata={"flag": flag, "help": help, **bound})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a reproducible experiment run needs."""
+    """Everything a reproducible experiment run needs; each field's metadata declares its flag and bound."""
 
-    dataset_path: str | None = None
-    models: tuple[str, ...] = ("tree", "forest", "logistic")
-    calibrators: tuple[str, ...] = ("none", "venn-abers", "platt", "isotonic")
-    k: int = 10
-    repetitions: int = 10
-    calibration_fraction: float = 1.0 / 3.0
-    seed: int = 0
-    output_dir: str | None = None
-    bins: int = 10
-    bin_mode: str = "width"
-    score_table_path: str | None = None
-    n_trees: int = 100
-    tree_min_samples_leaf: int = 6
-    jobs: int = 1
+    dataset_path: str | None = _setting(None, "--data", "dataset CSV path")
+    models: tuple[str, ...] = _setting(("tree", "forest", "logistic"), "--models", f"any of {' '.join(KNOWN_MODELS)}")
+    calibrators: tuple[str, ...] = _setting(KNOWN_CALIBRATORS, "--calibrators", f"any of {' '.join(KNOWN_CALIBRATORS)}")
+    k: int = _setting(10, "--folds", "number of CV folds", low=2)
+    repetitions: int = _setting(10, "--repetitions", "number of CV repetitions", low=1)
+    calibration_fraction: float = _setting(1.0 / 3.0, "--cal-fraction", "held-out calibration share", inside=(0, 1))
+    seed: int = _setting(0, "--seed", "master seed", low=0)  # numpy's generators refuse a negative one unnamed
+    output_dir: str | None = _setting(None, "--out", "artifact directory")
+    bins: int = _setting(10, "--bins", "reliability bin count", low=1)
+    bin_mode: str = _setting("width", "--bin-mode", "reliability bin edges", choices=BIN_MODES)
+    score_table_path: str | None = _setting(None, "--score-table", "score table for external-scores")
+    n_trees: int = _setting(100, "--trees", "forest size", low=1)
+    tree_min_samples_leaf: int = _setting(6, "--tree-min-samples-leaf", "fewest training rows in a tree leaf", low=1)
+    jobs: int = _setting(1, "--jobs", "parallel fold workers", low=1)
 
     def __post_init__(self):
         for f in fields(self):  # annotations are strings under `from __future__ import annotations`
@@ -95,12 +111,7 @@ class ExperimentConfig:
             wanted = {"int": numbers.Integral, "float": numbers.Real, "str | None": (str, type(None))}.get(f.type)
             if wanted and (isinstance(value, bool) or not isinstance(value, wanted)):
                 raise ValueError(f"{f.name} must be {f.type}, got {type(value).__name__} {value!r}")
-        if self.k < 2:
-            raise ValueError("k must be >= 2")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
+            check_setting(f.name, value, f.metadata["flag"], f.metadata)
         if not self.models or not self.calibrators:
             raise ValueError("at least one model and one calibrator must be selected")
         for field, known in (("models", KNOWN_MODELS), ("calibrators", KNOWN_CALIBRATORS)):
@@ -124,13 +135,6 @@ class ExperimentConfig:
             raise ValueError("dataset_path is required for tree/forest/logistic models")
         if self.reads_score_table and not self.score_table_path:
             raise ValueError("score_table_path is required for the external-scores model")
-        if self.bin_mode not in BIN_MODES:
-            raise ValueError(f"bin_mode must be {' or '.join(map(repr, BIN_MODES))}")
-        for name in ("bins", "n_trees", "tree_min_samples_leaf", "jobs"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if not 0.0 < self.calibration_fraction < 1.0:
-            raise ValueError("calibration_fraction must be in (0, 1)")
 
     def pairs(self) -> tuple[tuple[str, str], ...]:
         """The (model, calibrator) pairs that run, in aggregate-table order.
@@ -474,6 +478,8 @@ def run_experiment(config: ExperimentConfig, progress=None) -> AggregateTable:
             seed=config.seed,
         )
         run_fold = partial(_dataset_fold_outcomes, config, dataset)
+        if config.jobs > 1:
+            from multiprocessing import Pool  # loaded only where a pool starts
         with Pool(processes=config.jobs) if config.jobs > 1 else nullcontext() as pool:
             fold_results = map(run_fold, splits) if pool is None else pool.imap(run_fold, splits)
             for done, fold_result in enumerate(fold_results, start=1):

@@ -289,8 +289,8 @@ def _walk(packed: _Packed, features):
 def _validate_training_data(features, labels):
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError("features must be a 2-d matrix")
+    if x.ndim != 2 or x.shape[1] == 0:
+        raise ValueError(f"features must be a 2-d matrix with at least one column, got shape {x.shape}")
     if y.ndim != 1 or y.size != x.shape[0]:
         raise ValueError("labels must be one per feature row")
     if x.shape[0] == 0:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -18,7 +20,7 @@ import pytest
 
 import venncal
 from venncal import harness
-from venncal.cli import main as cli_main
+from venncal.cli import build_parser, main as cli_main
 from venncal.data import ParseError, SchemaError, ValidationError
 from venncal.harness import (
     POST_HOC_CALIBRATORS,
@@ -241,7 +243,7 @@ def test_venn_abers_interval_columns_present(tmp_path):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="k"):
+    with pytest.raises(ValueError, match=r"^k must be >= 2, got 1 \(--folds\)$"):
         ExperimentConfig(dataset_path="x.csv", k=1)
     with pytest.raises(ValueError, match="model"):
         ExperimentConfig(dataset_path="x.csv", models=("nonsense",))
@@ -269,9 +271,9 @@ def test_config_validation():
     with pytest.raises(ValueError, match="seed must be int, got float"):
         ExperimentConfig.from_dict({"dataset_path": "x.csv", "seed": 1.5})
     # numpy's generators take no negative seed, and would not name the field
-    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1 \(--seed\)$"):
         ExperimentConfig(dataset_path="x.csv", seed=-1)
-    with pytest.raises(ValueError, match="^repetitions must be >= 1$"):
+    with pytest.raises(ValueError, match=r"^repetitions must be >= 1, got 0 \(--repetitions\)$"):
         ExperimentConfig(dataset_path="x.csv", repetitions=0)
     for models, calibrators in (((), ("none",)), (("tree",), ())):
         with pytest.raises(ValueError, match="^at least one model and one calibrator must be selected$"):
@@ -281,11 +283,13 @@ def test_config_validation():
     with pytest.raises(ValueError, match="calibration_fraction must be float, got str"):
         ExperimentConfig.from_dict({"dataset_path": "x.csv", "calibration_fraction": "0.3"})
     # out-of-range values are rejected before any data is loaded
-    for name in ("bins", "n_trees", "tree_min_samples_leaf", "jobs"):
-        with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+    for name, flag in (("bins", "--bins"), ("n_trees", "--trees"), ("tree_min_samples_leaf", "--tree-min-samples-leaf"),
+                       ("jobs", "--jobs")):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1, got 0 \\({flag}\\)$"):
             ExperimentConfig(dataset_path="x.csv", **{name: 0})
     for fraction in (0.0, 1.0, 1.5, -0.2):
-        with pytest.raises(ValueError, match=r"calibration_fraction must be in \(0, 1\)"):
+        message = f"calibration_fraction must be in (0, 1), got {fraction} (--cal-fraction)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ExperimentConfig(dataset_path="x.csv", calibration_fraction=fraction)
     # a path that is not a string fails here, not deep inside the run
     for name in ("dataset_path", "score_table_path", "output_dir"):
@@ -294,7 +298,7 @@ def test_config_validation():
 
 
 def test_unknown_bin_mode_rejected_by_config_and_cli(tmp_path, capsys):
-    with pytest.raises(ValueError, match="^bin_mode must be 'width' or 'frequency'$"):
+    with pytest.raises(ValueError, match=r"^bin_mode must be 'width' or 'frequency', got 'quantile' \(--bin-mode\)$"):
         ExperimentConfig(dataset_path="x.csv", bin_mode="quantile")
     for command in (["experiment", "--data", "x.csv"], ["reliability", "--run-dir", "run", "--model", "tree",
                                                        "--calibrator", "none", "--out", str(tmp_path / "bins.csv")]):
@@ -764,7 +768,7 @@ def test_cli_experiment_and_reliability(tmp_path, capsys):
     # a negative seed is named before any data loads
     argv = ["experiment", "--data", str(tmp_path / "toy.csv"), "--seed", "-1", "--out", str(tmp_path / "neg")]
     assert cli_main([*argv, "--quiet"]) == 1
-    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1 (--seed)\n"
     assert not (tmp_path / "neg").exists()
 
 
@@ -775,7 +779,7 @@ def test_cli_reliability_rejects_bins_below_one_before_reading(tmp_path, capsys)
     for directory in (run_dir, tmp_path / "nowhere"):
         argv = ["reliability", "--run-dir", str(directory), "--model", "tree", "--calibrator", "none"]
         assert cli_main([*argv, "--bins", "0", "--out", str(tmp_path / "bins.csv")]) == 1
-        assert capsys.readouterr().err == "error: --bins must be >= 1, got 0\n"
+        assert capsys.readouterr().err == "error: bins must be >= 1, got 0 (--bins)\n"
     assert not (tmp_path / "bins.csv").exists()
 
 
@@ -875,12 +879,12 @@ def test_cli_synth_data_and_venn_tree(tmp_path, capsys):
     bad_dir = tmp_path / "vt_bad"
     rc = cli_main(["venn-tree", "--data", str(data_path), "--out", str(bad_dir), "--cal-fraction", "-0.2"])
     assert rc == 1
-    assert "--cal-fraction must be in (0, 1), got -0.2" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: calibration_fraction must be in (0, 1), got -0.2 (--cal-fraction)\n"
     assert not bad_dir.exists()
     # so does a negative seed, which numpy would refuse without naming it
     rc = cli_main(["venn-tree", "--data", str(data_path), "--out", str(bad_dir), "--seed", "-1"])
     assert rc == 1
-    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1 (--seed)\n"
     assert not bad_dir.exists()
     rc = cli_main(["synth-data", "--out", str(tmp_path / "synth_bad" / "ref.csv"), "--seed", "-2"])
     assert rc == 1
@@ -891,9 +895,9 @@ def test_cli_synth_data_and_venn_tree(tmp_path, capsys):
 @pytest.mark.parametrize(
     "flag, value, message",
     [
-        ("--max-depth", "-1", "--max-depth must be >= 0, got -1"),
-        ("--cal-fraction", "0", "--cal-fraction must be in (0, 1), got 0.0"),
-        ("--min-samples-leaf", "0", "--min-samples-leaf must be >= 1, got 0"),
+        ("--max-depth", "-1", "max_depth must be >= 0, got -1 (--max-depth)"),
+        ("--cal-fraction", "0", "calibration_fraction must be in (0, 1), got 0.0 (--cal-fraction)"),
+        ("--min-samples-leaf", "0", "tree_min_samples_leaf must be >= 1, got 0 (--min-samples-leaf)"),
     ],
     ids=["--max-depth", "--cal-fraction", "--min-samples-leaf"],
 )
@@ -904,6 +908,73 @@ def test_cli_venn_tree_bad_flag_named_before_data_is_read(tmp_path, capsys, flag
     assert cli_main(argv) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out_dir.exists()
+
+
+# (flag, field, value, bound) of each experiment setting the flag sets out of its bound
+BAD_EXPERIMENT_SETTINGS = [
+    ("--folds", "k", 1, ">= 2"),
+    ("--repetitions", "repetitions", 0, ">= 1"),
+    ("--cal-fraction", "calibration_fraction", 0.0, "in (0, 1)"),
+    ("--seed", "seed", -1, ">= 0"),
+    ("--bins", "bins", 0, ">= 1"),
+    ("--trees", "n_trees", 0, ">= 1"),
+    ("--tree-min-samples-leaf", "tree_min_samples_leaf", 0, ">= 1"),
+    ("--jobs", "jobs", 0, ">= 1"),
+]
+
+
+@pytest.mark.parametrize("flag, field, value, rule", BAD_EXPERIMENT_SETTINGS,
+                         ids=[case[0] for case in BAD_EXPERIMENT_SETTINGS])
+def test_cli_experiment_bad_setting_named_before_data_is_read(tmp_path, capsys, flag, field, value, rule):
+    """Typed as the flag or read from --config, the error names the field, value and flag; the data is never read."""
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({field: value}), encoding="utf-8")
+    out_dir = tmp_path / "run"
+    argv = ["experiment", "--data", str(tmp_path / "missing.csv"), "--out", str(out_dir), "--quiet"]
+    for source in ([flag, str(value)], ["--config", str(config_path)]):
+        assert cli_main([*argv, *source]) == 1
+        assert capsys.readouterr().err == f"error: {field} must be {rule}, got {value!r} ({flag})\n"
+        assert not out_dir.exists()
+
+
+# every subcommand's option strings, pinned so that a renamed or dropped flag fails
+CLI_OPTIONS = {
+    "experiment": [
+        "-h", "--help", "--config", "--data", "--models", "--calibrators", "--folds", "--repetitions", "--cal-fraction",
+        "--seed", "--out", "--bins", "--bin-mode", "--score-table", "--trees", "--tree-min-samples-leaf", "--jobs",
+        "--quiet",
+    ],
+    "calibrate-scores": ["-h", "--help", "--scores", "--calibrator", "--out"],
+    "reliability": ["-h", "--help", "--run-dir", "--model", "--calibrator", "--scope", "--bins", "--bin-mode", "--out"],
+    "venn-tree": ["-h", "--help", "--data", "--out", "--max-depth", "--cal-fraction", "--min-samples-leaf", "--seed"],
+    "synth-data": ["-h", "--help", "--out", "--seed"],
+}
+
+
+def test_cli_flags_match_the_config_declarations():
+    (subparsers,) = [action for action in build_parser()._actions if isinstance(action, argparse._SubParsersAction)]
+    actions = {command: parser._actions for command, parser in subparsers.choices.items()}
+    options = {command: [flag for a in command_actions for flag in a.option_strings]
+               for command, command_actions in actions.items()}
+    assert options == CLI_OPTIONS
+    declared = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
+    # every config field has exactly one experiment flag, the one its metadata declares
+    flags = [(a.dest, a.option_strings) for a in actions["experiment"] if a.dest in declared]
+    assert flags == [(name, [f.metadata["flag"]]) for name, f in declared.items()]
+    # a flag another subcommand shares with a field has the field's default
+    for command, shared in (("reliability", {"bins", "bin_mode"}),
+                            ("venn-tree", {"dataset_path", "calibration_fraction", "tree_min_samples_leaf", "seed"})):
+        defaults = {a.dest: a.default for a in actions[command] if a.dest in declared}
+        assert defaults == {name: declared[name].default for name in shared}
+
+
+def test_import_venncal_leaves_multiprocessing_unloaded():
+    """multiprocessing is imported only where run_experiment starts a pool."""
+    src = str(Path(venncal.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = "import sys, venncal; print(sorted(name for name in sys.modules if name.startswith('multiprocessing')))"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout == "[]\n"
 
 
 def test_cli_calibrate_scores_errors_nonzero(tmp_path, capsys):

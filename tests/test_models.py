@@ -80,6 +80,14 @@ def test_tree_rejects_bad_training_input(features, labels, kwargs, message):
         fit(features, labels, **kwargs)
 
 
+@pytest.mark.parametrize("fit", [fit_tree, fit_forest, fit_logistic], ids=lambda fit: fit.__name__)
+def test_fits_reject_a_feature_matrix_without_columns(fit):
+    # logistic regression would fit its bias alone, and the tree fits would name max_features
+    message = r"^features must be a 2-d matrix with at least one column, got shape \(3, 0\)$"
+    with pytest.raises(ValueError, match=message):
+        fit(np.zeros((3, 0)), [0, 1, 0])
+
+
 def test_tree_scoring_fraction_and_tie_routing():
     tree = fit_tree([[1.0], [2.0], [3.0], [4.0]], [0, 0, 1, 1])
     assert tree.score_many([[4.0]])[0] == 1.0
@@ -303,7 +311,7 @@ def test_forest_validates_arguments():
             fit_forest([[1.0, 2.0]], [1], max_features=max_features)
     with pytest.raises(ValueError, match="min_samples_leaf"):
         fit_forest([[1.0], [2.0]], [0, 1], min_samples_leaf=0)
-    with pytest.raises(ValueError, match="features must be a 2-d matrix"):
+    with pytest.raises(ValueError, match=r"^features must be a 2-d matrix with at least one column, got shape \(2,\)$"):
         fit_forest([1.0, 2.0], [0, 1])
 
 
@@ -643,7 +651,7 @@ def test_logistic_constant_feature_ignored():
 def test_logistic_rejects_non_finite():
     with pytest.raises(ValueError):
         fit_logistic([[np.inf]], [1])
-    with pytest.raises(ValueError, match="features must be a 2-d matrix"):
+    with pytest.raises(ValueError, match=r"^features must be a 2-d matrix with at least one column, got shape \(2,\)$"):
         fit_logistic([1.0, 2.0], [0, 1])
 
 
