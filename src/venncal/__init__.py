@@ -6,6 +6,8 @@ and inductive Venn-Abers calibration, and ships an experiment harness plus
 an interval-annotated decision-tree exporter.
 """
 
+import importlib
+
 from venncal.calibration import (
     IsotonicFit,
     PlattFit,
@@ -49,8 +51,27 @@ from venncal.models import (
     fit_tree,
     load_score_table,
 )
-from venncal.synthetic import REFERENCE_SEED, write_reference_csv
-from venncal.venn_tree import VennTree, build_venn_tree, extract_rules, format_rules, render_tree
+
+# loaded on first use (PEP 562), so that ``import venncal`` alone does not compile them
+_LAZY = {
+    name: module
+    for module, names in (
+        ("venncal.synthetic", ("REFERENCE_SEED", "write_reference_csv")),
+        ("venncal.venn_tree", ("VennTree", "build_venn_tree", "extract_rules", "format_rules", "render_tree")),
+    )
+    for name in names
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(_LAZY[name]), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})
 
 __all__ = [
     "AI4I_COLUMNS",

@@ -446,7 +446,7 @@ class FoldSplit:
 def _hold_out(class_sequences, fraction: float):
     """Sorted (rest, held_out): the first round(fraction * size) ids of each class sequence are held out."""
     if not (0.0 < fraction < 1.0):
-        raise InfeasibleSplitError("calibration_fraction must be in (0, 1)")
+        raise InfeasibleSplitError(f"calibration_fraction must be in (0, 1), got {fraction}")
     parts = [np.split(ids, [int(round(fraction * ids.size))]) for ids in class_sequences]
     held, rest = (np.sort(np.concatenate(part)) for part in zip(*parts))
     return rest, held
@@ -478,9 +478,9 @@ def repeated_stratified_kfold(
     the calibration set.  Deterministic given the seed.
     """
     if k < 2:
-        raise InfeasibleSplitError("k must be >= 2")
+        raise InfeasibleSplitError(f"k must be >= 2, got {k}")
     if repetitions < 1:
-        raise InfeasibleSplitError("repetitions must be >= 1")
+        raise InfeasibleSplitError(f"repetitions must be >= 1, got {repetitions}")
     y = dataset.labels
     for value in (0, 1):
         count = int(np.sum(y == value))

@@ -33,32 +33,30 @@ candidates have genuinely equal gain.
 
 One traversal, ``_walk``, scores every tree: a forest's trees at once and
 a single tree as a forest of one.  ``_pack`` concatenates the node arrays
-of all trees with per-tree offsets and makes both child slots of a leaf
-point to the leaf itself, so one gather ``child[2 * node + go_left]``
-advances every (tree, row) pair a level, with no branch on leaf versus
-split; ``x <= threshold`` routes left, and a nan goes right.  The walk
-cuts a batch into chunks of about ``_PAIRS_PER_CHUNK`` pairs: one block of
-up to that many rows times one group of consecutive trees, as many as fill
-the chunk, so a 1000-row batch of the 100-tree forest walks 8 trees at a
-time and each level's gathers stay within those trees' nodes.  A chunk
-advances ``_LEVELS_PER_COMPACTION`` levels, then the pairs that reached a
-leaf leave its active set; a finished pair that walks on stays on its
-leaf.  A forest's score sums its trees' leaf fractions in tree order and
-divides by the tree count.  Each chunk is summed by one
+of all trees with per-tree offsets, doubles every node id and makes both
+child slots of a leaf point to the leaf itself, so one gather
+``child[node + go_left]`` advances every (tree, row) pair a level, with no
+multiply and no branch on leaf versus split; ``x <= threshold`` routes
+left, and a nan goes right.  The walk cuts a batch into chunks of about
+``_PAIRS_PER_CHUNK`` pairs: one block of up to that many rows times one
+group of consecutive trees, as many as fill the chunk, so a 1000-row batch
+of the 100-tree forest walks 16 trees at a time and each level's gathers
+stay within those trees' nodes.  A chunk advances
+``_LEVELS_PER_COMPACTION`` levels, then an index list of the pairs not yet
+on a leaf becomes its active set; a finished pair that walks on stays on
+its leaf.  A forest's score sums its trees' leaf fractions in tree order
+and divides by the tree count.  Each chunk is summed by one
 ``np.add.accumulate`` down its tree axis, which adds row after row, and a
 block's later tree groups carry on from the running total of the earlier
 ones.  ``np.sum`` or ``np.add.reduce`` must not take its place: on a
 1-row batch numpy sums the tree axis pairwise, which rounds differently.
-Both constants were set by scoring 1000-row batches and 3 333 rows with
-the 100-tree reference forest on a 2-vCPU Xeon VM, when a chunk still
-held every tree: per batch, chunks of 2^12, 2^13, 2^14 and 2^15 pairs
-took 9.3, 8.1, 7.5 and 8.5 ms and raised peak RSS by 0.0, 0.1, 0.7 and
-1.8 MB, and compacting every 4 to 6 levels was fastest.  Timed again on
-chunks of one row block times one tree group (2-vCPU Xeon VM, the median
-of 7 rounds of each round's fastest of 15 batches), 2^12, 2^13 and 2^14
-pairs took 14.5, 12.0 and 14.1 ms per 1000-row batch and 50.6, 46.6 and
-47.4 ms for 3 333 rows, and compacting every 3, 4, 5 or 6 levels took
-14.3, 12.0, 13.3 and 12.5 ms per batch, so both constants stay.  A
+Both constants were set by scoring the 100-tree reference forest on a
+2-vCPU Xeon VM, every setting called in turn on each batch, 40 rounds of
+ten 1000-row batches and one of 3 333 rows.  Against chunks of 2^14 pairs
+compacted every 5 levels (11.5 ms per 1000-row batch, 35.4 ms for 3 333
+rows), the medians of the per-call ratios were x1.04 and x1.08 for 2^13
+and 4, x1.02 and x1.07 for 2^13 and 5, x1.18 and x1.19 for 2^15 and 5,
+x1.01 and x1.04 for 2^14 and 4, and x0.97 and x1.01 for 2^14 and 6.  A
 forest packs its trees once, on construction; a tree packs itself on each
 call, which is O(nodes) and leaves no cache to go stale.
 """
@@ -218,15 +216,17 @@ class DecisionTreeModel:
 class _Packed:
     """The node arrays of one or more trees concatenated, in the form the walk reads.
 
-    Tree t's nodes start at root[t]; child[2 * node + go_left] is the node a
-    row reaches next, and both slots of a leaf hold the leaf itself.  A leaf
-    has feature 0, so its gather stays inside the row.
+    Node ids are doubled: node i of the concatenation is 2 * i, and feature,
+    threshold and split are laid out by doubled id (both slots of a node
+    hold its entry).  Tree t's root is root[t]; child[node + go_left] is the
+    doubled id a row reaches next, and both slots of a leaf hold the leaf
+    itself.  A leaf has feature 0, so its gather stays inside the row.
     """
 
     feature: np.ndarray
     threshold: np.ndarray
     child: np.ndarray
-    leaf: np.ndarray
+    split: np.ndarray
     root: np.ndarray
     n_features: int
 
@@ -241,11 +241,11 @@ def _pack(trees: list[DecisionTreeModel]) -> _Packed:
     child[:, 1] = np.concatenate([tree.left_child + r for tree, r in zip(trees, root)])
     child[leaf] = np.flatnonzero(leaf)[:, None]
     return _Packed(
-        feature=np.where(leaf, 0, feature).astype(np.intp),
-        threshold=np.concatenate([tree.threshold for tree in trees]),
-        child=child.ravel(),
-        leaf=leaf,
-        root=root.astype(np.intp),
+        feature=np.where(leaf, 0, feature).astype(np.intp).repeat(2),
+        threshold=np.concatenate([tree.threshold for tree in trees]).repeat(2),
+        child=2 * child.ravel(),
+        split=~leaf.repeat(2),
+        root=2 * root.astype(np.intp),
         n_features=trees[0].n_features,
     )
 
@@ -254,9 +254,10 @@ def _walk(packed: _Packed, features):
     """The one traversal: the leaf of every (tree, row) pair, in chunks.
 
     Yields (start, first, leaves) per chunk, where leaves[t, r] is the leaf
-    that tree first + t reaches for row start + r.  A chunk is one block of
-    rows times one group of consecutive trees; blocks come in row order and
-    a block's groups in tree order.  Yields at least one chunk.
+    (an undoubled node id) that tree first + t reaches for row start + r.  A
+    chunk is one block of rows times one group of consecutive trees; blocks
+    come in row order and a block's groups in tree order.  Yields at least
+    one chunk.
     """
     x = np.asarray(features, dtype=np.float64)
     k = packed.n_features
@@ -277,13 +278,11 @@ def _walk(packed: _Packed, features):
             leaves = np.empty(node.size, dtype=np.intp)
             while node.size:
                 for _ in range(_LEVELS_PER_COMPACTION):
-                    go_left = cells[row + packed.feature[node]] <= packed.threshold[node]
-                    node = packed.child[2 * node + go_left]
-                done = packed.leaf[node]
-                leaves[pair[done]] = node[done]
-                active = ~done
-                node, row, pair = node[active], row[active], pair[active]
-            yield start, first, leaves.reshape(roots.size, m)
+                    node = packed.child[node + (cells[row + packed.feature[node]] <= packed.threshold[node])]
+                leaves[pair] = node  # a pair still walking is written again later
+                live = np.flatnonzero(packed.split[node])
+                node, row, pair = node[live], row[live], pair[live]
+            yield start, first, (leaves >> 1).reshape(roots.size, m)
 
 
 def _validate_training_data(features, labels):
@@ -316,8 +315,8 @@ _TREES_IN_FLIGHT = 64
 _ROWS_PER_STEP = 1 << 15
 
 # Both bound the scoring walk; the module docstring gives their timings.
-_PAIRS_PER_CHUNK = 1 << 13
-_LEVELS_PER_COMPACTION = 4
+_PAIRS_PER_CHUNK = 1 << 14
+_LEVELS_PER_COMPACTION = 5
 
 
 def _key_dtype(bits: int):

@@ -621,15 +621,16 @@ def test_too_few_class_members_rejected():
 
 def test_invalid_parameters_rejected():
     ds = toy_dataset()
-    with pytest.raises(InfeasibleSplitError):
+    with pytest.raises(InfeasibleSplitError, match=r"^k must be >= 2, got 1$"):
         repeated_stratified_kfold(ds, k=1, repetitions=1)
-    with pytest.raises(InfeasibleSplitError):
+    with pytest.raises(InfeasibleSplitError, match=r"^repetitions must be >= 1, got 0$"):
         repeated_stratified_kfold(ds, k=2, repetitions=0)
-    with pytest.raises(InfeasibleSplitError):
+    with pytest.raises(InfeasibleSplitError, match=r"^calibration_fraction must be in \(0, 1\), got 1.5$"):
         repeated_stratified_kfold(ds, k=2, repetitions=1, calibration_fraction=1.5)
     # round(fraction * class size) of a negative share would hold out all but a few rows
     for fraction in (-0.2, 0.0, 1.0, 1.5):
-        with pytest.raises(InfeasibleSplitError, match="calibration_fraction"):
+        message = f"calibration_fraction must be in (0, 1), got {fraction}"
+        with pytest.raises(InfeasibleSplitError, match=f"^{re.escape(message)}$"):
             stratified_holdout(ds.labels, fraction, np.random.default_rng(0))
 
 

@@ -977,6 +977,25 @@ def test_import_venncal_leaves_multiprocessing_unloaded():
     assert result.stdout == "[]\n"
 
 
+def test_import_venncal_defers_venn_tree_and_synthetic():
+    """Both load on first use of one of their names; every public name is listed and resolves."""
+    src = str(Path(venncal.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = (
+        "import sys, venncal\n"
+        "lazy = ('venncal.venn_tree', 'venncal.synthetic')\n"
+        "print([name for name in lazy if name in sys.modules])\n"
+        "print(sorted(set(venncal.__all__) - set(dir(venncal))))\n"
+        "print([name for name in venncal.__all__ if getattr(venncal, name, None) is None])\n"
+        "print([name for name in lazy if name in sys.modules])\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout == "[]\n[]\n[]\n['venncal.venn_tree', 'venncal.synthetic']\n"
+    assert venncal.build_venn_tree is venncal.venn_tree.build_venn_tree
+    with pytest.raises(AttributeError, match="module 'venncal' has no attribute 'no_such_name'"):
+        venncal.no_such_name
+
+
 def test_cli_calibrate_scores_errors_nonzero(tmp_path, capsys):
     rc = cli_main(
         ["calibrate-scores", "--scores", str(tmp_path / "missing.csv"), "--calibrator", "platt",

@@ -532,7 +532,8 @@ def _reference_scores(trees, x):
 
 
 # 1 and 64 pairs make one-tree chunks; 1000 pairs over the 200-row probe make
-# one row block of 5-tree groups, so a 6-tree forest ends on a 1-tree group
+# one row block of 5-tree groups, so a 6-tree forest ends on a 1-tree group;
+# the default constants also walk batches of rows drawn from the probe
 @pytest.mark.parametrize("pairs_per_chunk, levels", [(1, 1), (64, 3), (1000, 2), (None, None)])
 @pytest.mark.parametrize(
     "data, kwargs",
@@ -559,6 +560,8 @@ def test_walk_matches_per_row_reference(monkeypatch, data, kwargs, pairs_per_chu
     ]
     probe = _probe(x, trees, np.random.default_rng(5), 200, 0.0)
     probe[::17, 0] = np.nan
+    probe[5::17, -1] = np.inf  # goes right
+    probe[11::17, 0] = -np.inf  # goes left
     for tree in trees:
         assert np.array_equal(tree.apply(probe), _reference_leaves(tree, probe))
     for members in (forest.trees, trees):
@@ -571,6 +574,17 @@ def test_walk_matches_per_row_reference(monkeypatch, data, kwargs, pairs_per_chu
         assert everything.score_many(row).tobytes() == _reference_scores(trees, row).tobytes()
     assert forest.score_many(probe[:0]).shape == (0,)
     assert trees[0].apply(probe[:0]).shape == (0,)
+    if pairs_per_chunk is None:
+        # a third of a chunk's rows makes 3-tree groups, and 20, 14 or 11 trees end on a 2-tree
+        # group; twice a chunk's rows and 100 more make one-tree chunks over 3 row blocks
+        assert len(trees) % 3 == 2
+        expected = [_reference_leaves(tree, probe) for tree in trees]
+        scores = _reference_scores(trees, probe)
+        for n in (tree_module._PAIRS_PER_CHUNK // 3, 2 * tree_module._PAIRS_PER_CHUNK + 100):
+            pick = np.random.default_rng(n).integers(0, len(probe), size=n)
+            for tree, leaves in zip(trees, expected):
+                assert np.array_equal(tree.apply(probe[pick]), leaves[pick])
+            assert everything.score_many(probe[pick]).tobytes() == scores[pick].tobytes()
 
 
 def test_forest_and_tree_reject_wrong_feature_count():
