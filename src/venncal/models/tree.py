@@ -32,33 +32,39 @@ with exact integer arithmetic, so the tie rule holds exactly even when two
 candidates have genuinely equal gain.
 
 One traversal, ``_walk``, scores every tree: a forest's trees at once and
-a single tree as a forest of one.  ``_pack`` concatenates the node arrays
-of all trees with per-tree offsets, doubles every node id and makes both
-child slots of a leaf point to the leaf itself, so one gather
-``child[node + go_left]`` advances every (tree, row) pair a level, with no
-multiply and no branch on leaf versus split; ``x <= threshold`` routes
-left, and a nan goes right.  The walk cuts a batch into chunks of about
-``_PAIRS_PER_CHUNK`` pairs: one block of up to that many rows times one
-group of consecutive trees, as many as fill the chunk, so a 1000-row batch
-of the 100-tree forest walks 16 trees at a time and each level's gathers
-stay within those trees' nodes.  A chunk advances
-``_LEVELS_PER_COMPACTION`` levels, then an index list of the pairs not yet
-on a leaf becomes its active set; a finished pair that walks on stays on
-its leaf.  A forest's score sums its trees' leaf fractions in tree order
-and divides by the tree count.  Each chunk is summed by one
-``np.add.accumulate`` down its tree axis, which adds row after row, and a
-block's later tree groups carry on from the running total of the earlier
-ones.  ``np.sum`` or ``np.add.reduce`` must not take its place: on a
+a single tree as a forest of one, as a predicated traversal with two
+gathers a level (VPRED: Asadi, Lin & de Vries, IEEE TKDE 2014).  ``_pack``
+concatenates the node arrays of all trees with per-tree offsets and
+replaces each split's threshold by its rank among the sorted distinct
+thresholds of its feature.  Every child slot ``2 * i + go_left`` holds one
+code ``(doubled child id << shift) | (child's rank << fbits) | child's
+feature``, and both slots of a leaf hold the leaf's own code.  The walk
+rank-codes each row block once, one ``searchsorted`` per feature, so a
+level is ``code = codes[(code >> shift) + (cells[row + feature] <=
+rank)]``, with no multiply and no branch on leaf versus split.  This is
+exact: ``x <= t`` holds just when x's rank among the cuts is at most t's,
+for every float, a nan ranking past every cut and so going right.  The
+walk cuts a batch into chunks of about ``_PAIRS_PER_CHUNK`` pairs: one
+block of up to that many rows times one group of consecutive trees, as
+many as fill the chunk, so a 1000-row batch of the 100-tree forest walks
+16 trees at a time and each level's gathers stay within those trees'
+codes.  A chunk advances ``_LEVELS_PER_COMPACTION`` levels, then an index
+list of the pairs not yet on a leaf becomes its active set; a finished
+pair that walks on stays on its leaf.  A forest's score sums its trees'
+leaf fractions in tree order, adding a chunk's tree rows one after
+another onto its row block's running total, and divides by the tree
+count.  ``np.sum`` or ``np.add.reduce`` must not take its place: on a
 1-row batch numpy sums the tree axis pairwise, which rounds differently.
 Both constants were set by scoring the 100-tree reference forest on a
 2-vCPU Xeon VM, every setting called in turn on each batch, 40 rounds of
 ten 1000-row batches and one of 3 333 rows.  Against chunks of 2^14 pairs
-compacted every 5 levels (11.5 ms per 1000-row batch, 35.4 ms for 3 333
-rows), the medians of the per-call ratios were x1.04 and x1.08 for 2^13
-and 4, x1.02 and x1.07 for 2^13 and 5, x1.18 and x1.19 for 2^15 and 5,
-x1.01 and x1.04 for 2^14 and 4, and x0.97 and x1.01 for 2^14 and 6.  A
-forest packs its trees once, on construction; a tree packs itself on each
-call, which is O(nodes) and leaves no cache to go stale.
+compacted every 6 levels (11.1 ms per 1000-row batch, 35.6 ms for 3 333
+rows), the medians of the per-call ratios were x1.01 and x1.03 for 2^14
+and 5, x1.05 and x1.07 for 2^14 and 4, x1.02 and x1.07 for 2^14 and 7,
+x1.06 and x1.07 for 2^14 and 8, x1.07 and x1.08 for 2^13 and 6, x1.11
+and x1.09 for 2^13 and 5, and x1.14 and x0.97 for 2^15 and 6.  A forest
+packs its trees once, on construction; a tree packs itself on each call,
+which is O(nodes) and leaves no cache to go stale.
 """
 
 from __future__ import annotations
@@ -214,38 +220,73 @@ class DecisionTreeModel:
 
 @dataclass(frozen=True)
 class _Packed:
-    """The node arrays of one or more trees concatenated, in the form the walk reads.
+    """The node arrays of one or more trees concatenated, as the codes the walk follows.
 
-    Node ids are doubled: node i of the concatenation is 2 * i, and feature,
-    threshold and split are laid out by doubled id (both slots of a node
-    hold its entry).  Tree t's root is root[t]; child[node + go_left] is the
-    doubled id a row reaches next, and both slots of a leaf hold the leaf
-    itself.  A leaf has feature 0, so its gather stays inside the row.
+    A split's threshold is replaced by its rank among cuts[f], the sorted
+    distinct thresholds of the splits on its feature f.  Node i of the
+    concatenation has the code (2 * i << shift) | (rank << fbits) | feature,
+    a leaf with rank and feature 0.  code[2 * i + go_left] holds the code of
+    the node a row at node i reaches next, and both slots of a leaf hold the
+    leaf's own.  Tree t's root has the code root[t].  split is laid out by
+    doubled id, so split[code >> shift] says whether a code is a split's.
     """
 
-    feature: np.ndarray
-    threshold: np.ndarray
-    child: np.ndarray
-    split: np.ndarray
+    code: np.ndarray
     root: np.ndarray
+    split: np.ndarray
+    cuts: list  # (f, cuts[f]) for every feature a split uses
+    fbits: int
+    shift: int
     n_features: int
 
 
 def _pack(trees: list[DecisionTreeModel]) -> _Packed:
+    """Pack trees for the walk; raises ValueError naming the tree and node whose split it cannot code."""
     sizes = [tree.n_nodes for tree in trees]
     root = np.cumsum(sizes) - sizes
+    n = sum(sizes)
+
+    def fault(i, what):
+        t = int(np.searchsorted(root, i, side="right")) - 1
+        return ValueError(f"tree {t} node {i - root[t]}: {what}")
+
     feature = np.concatenate([tree.feature_index for tree in trees])
-    leaf = feature == _NO_FEATURE
-    child = np.empty((feature.size, 2), dtype=np.intp)
-    child[:, 0] = np.concatenate([tree.right_child + r for tree, r in zip(trees, root)])
-    child[:, 1] = np.concatenate([tree.left_child + r for tree, r in zip(trees, root)])
-    child[leaf] = np.flatnonzero(leaf)[:, None]
+    split = feature != _NO_FEATURE
+    feature[~split] = 0  # a leaf's gather stays inside the row
+    threshold = np.concatenate([tree.threshold for tree in trees])
+    bad = np.flatnonzero(split & ~np.isfinite(threshold))
+    if bad.size:  # a nan would rank past every cut and route left, where x <= nan routes right
+        raise fault(bad[0], f"split threshold {threshold[bad[0]]} is not a finite number")
+    at = np.flatnonzero(split)
+    at = at[np.lexsort((threshold[at], feature[at]))]  # splits by feature, then threshold
+    f, t = feature[at], threshold[at]
+    first = np.diff(f, prepend=-1) != 0  # a feature's first split
+    fresh = first.copy()
+    fresh[1:] |= t[1:] != t[:-1]  # a distinct threshold's first split; -0.0 == 0.0
+    distinct = np.cumsum(fresh) - 1
+    code = np.zeros(n, dtype=np.int64)  # each node's rank, then its code
+    code[at] = distinct - np.maximum.accumulate(np.where(first, distinct, 0))
+    cuts = list(zip(f[first].tolist(), np.split(t[fresh], distinct[first][1:])))
+    fbits = int(feature.max(initial=0)).bit_length()
+    shift = fbits + int(code.max(initial=0)).bit_length()
+    bits = (2 * n - 2).bit_length() + shift  # the last node's code is the widest
+    if bits > 63:
+        raise fault(n - 1, f"its code would need {bits} bits, more than 63")
+    code <<= fbits
+    code |= feature
+    code |= np.arange(0, 2 * n, 2, dtype=np.int64) << shift
+    child = np.empty((n, 2), dtype=np.intp)
+    for tree, r in zip(trees, root.tolist()):
+        child[r : r + tree.n_nodes, 0] = tree.right_child + r
+        child[r : r + tree.n_nodes, 1] = tree.left_child + r
+    child[~split] = np.flatnonzero(~split)[:, None]
     return _Packed(
-        feature=np.where(leaf, 0, feature).astype(np.intp).repeat(2),
-        threshold=np.concatenate([tree.threshold for tree in trees]).repeat(2),
-        child=2 * child.ravel(),
-        split=~leaf.repeat(2),
-        root=2 * root.astype(np.intp),
+        code=code[child.ravel()],
+        root=code[root],
+        split=split.repeat(2),
+        cuts=cuts,
+        fbits=fbits,
+        shift=shift,
         n_features=trees[0].n_features,
     )
 
@@ -266,22 +307,30 @@ def _walk(packed: _Packed, features):
     n_trees, n = packed.root.size, x.shape[0]
     rows = max(1, min(n, _PAIRS_PER_CHUNK))
     group = max(1, _PAIRS_PER_CHUNK // rows)
+    shift, fmask = packed.shift, (1 << packed.fbits) - 1
+    rmask = (1 << shift) - 1 - fmask
     for start in range(0, max(n, 1), rows):
-        cells = x[start : start + rows].ravel()
-        m = min(rows, n - start)
+        block = x[start : start + rows]
+        m = block.shape[0]
+        # x <= t exactly when x's rank among cuts[f] is at most t's, nan ranking past every cut
+        cells = np.zeros(block.shape, dtype=np.int64)
+        for f, cut in packed.cuts:
+            cells[:, f] = cut.searchsorted(block[:, f])
+        cells = (cells << packed.fbits).ravel()  # in line with a code's rank field
         row_of = np.tile(np.arange(0, m * k, k, dtype=np.intp), min(group, n_trees))  # cell of feature 0
         for first in range(0, n_trees, group):
             roots = packed.root[first : first + group]
-            node = np.repeat(roots, m)
-            row = row_of[: node.size]
-            pair = np.arange(node.size)
-            leaves = np.empty(node.size, dtype=np.intp)
-            while node.size:
+            code = np.repeat(roots, m)
+            row = row_of[: code.size]
+            pair = np.arange(code.size)
+            leaves = np.empty(code.size, dtype=np.int64)
+            while code.size:
                 for _ in range(_LEVELS_PER_COMPACTION):
-                    node = packed.child[node + (cells[row + packed.feature[node]] <= packed.threshold[node])]
+                    code = packed.code.take((code >> shift) + (cells.take(row + (code & fmask)) <= (code & rmask)))
+                node = code >> shift
                 leaves[pair] = node  # a pair still walking is written again later
                 live = np.flatnonzero(packed.split[node])
-                node, row, pair = node[live], row[live], pair[live]
+                code, row, pair = code[live], row[live], pair[live]
             yield start, first, (leaves >> 1).reshape(roots.size, m)
 
 
@@ -316,7 +365,7 @@ _ROWS_PER_STEP = 1 << 15
 
 # Both bound the scoring walk; the module docstring gives their timings.
 _PAIRS_PER_CHUNK = 1 << 14
-_LEVELS_PER_COMPACTION = 5
+_LEVELS_PER_COMPACTION = 6
 
 
 def _key_dtype(bits: int):
@@ -727,10 +776,12 @@ class RandomForestModel:
         totals = []
         for _, first, leaves in _walk(self._packed, features):
             fractions = self._fraction[leaves]
-            if first:  # a later tree group continues its row block's running total
-                fractions[0] += totals.pop()
-            # accumulate adds row after row, in tree order; a reduce could pair them
-            totals.append(np.add.accumulate(fractions, axis=0)[-1])
+            # a later tree group continues its row block's running total; rows are added one
+            # after another, in tree order, where a reduce could pair them
+            total = totals.pop() + fractions[0] if first else fractions[0]
+            for row in fractions[1:]:
+                total += row
+            totals.append(total)
         return np.concatenate(totals) / self.n_trees
 
     def to_dict(self) -> dict:

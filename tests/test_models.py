@@ -610,6 +610,77 @@ def test_nan_routes_right():
     assert forest.score_many([[np.nan], [1.0]]).tolist() == [1.0, 0.0]
 
 
+def _hand_tree(spec, n_features=3):
+    """A tree loaded by from_dict, numbered in preorder from nested splits and leaves.
+
+    A split is (feature, threshold, left, right) and a leaf (n_samples,
+    n_positive); a split's counts are its children's sums.
+    """
+    nodes = []
+
+    def add(node):
+        i = len(nodes)
+        nodes.append(None)
+        if len(node) == 2:
+            nodes[i] = (-1, None, -1, -1, *node)
+        else:
+            feature, threshold, left, right = node
+            left, right = add(left), add(right)
+            nodes[i] = (feature, threshold, left, right,
+                        nodes[left][4] + nodes[right][4], nodes[left][5] + nodes[right][5])
+        return i
+
+    add(spec)
+    columns = ("feature_index", "threshold", "left_child", "right_child", "n_samples", "n_positive")
+    return DecisionTreeModel.from_dict({
+        "n_features": n_features, "max_depth": None, "min_samples_leaf": 1, "min_samples_split": 2,
+        "seed": 0, **{name: list(column) for name, column in zip(columns, zip(*nodes))},
+    })
+
+
+def test_walk_rank_codes_match_float_comparisons():
+    # the walk compares ranks among each feature's distinct thresholds, not floats; these
+    # thresholds and probes are where a rank could disagree with x <= threshold
+    big, one = 1.7e308, 1.0
+    after_one = np.nextafter(one, np.inf)  # adjacent floats
+    trees = [
+        _hand_tree((0, -0.0, (3, 1), (0, 0.0, (2, 1), (4, 3)))),
+        _hand_tree((0, 0.0, (1, -big, (1, 0), (2, 2)), (5, 1))),
+        _hand_tree((1, one, (1, -big, (1, 0), (1, 1)), (1, after_one, (2, 1), (1, big, (3, 2), (4, 0))))),
+        _hand_tree((1, after_one, (0, -0.0, (2, 0), (2, 2)), (0, big, (1, 1), (0, -big, (3, 3), (6, 1))))),
+        _hand_tree((7, 3)),  # a single leaf
+    ]  # no split uses feature 2
+    thresholds = np.array([-0.0, 0.0, -big, big, one, after_one])
+    values = np.concatenate([
+        thresholds, np.nextafter(thresholds, -np.inf), np.nextafter(thresholds, np.inf),
+        [-0.0, 0.0, -np.inf, np.inf, np.nan],
+    ])
+    rng = np.random.default_rng(9)
+    # every value in every column, against every value of the other columns in turn
+    probe = np.stack([rng.permutation(np.resize(values, 6 * values.size)) for _ in range(3)], axis=1)
+    forest = RandomForestModel(trees=trees, max_features=1, bootstrap=True, seed=0)
+    for batch in (probe, *probe[:, None]):
+        for tree in trees:
+            assert np.array_equal(tree.apply(batch), _reference_leaves(tree, batch))
+            assert tree.score_many(batch).tobytes() == _reference_scores([tree], batch).tobytes()
+        assert forest.score_many(batch).tobytes() == _reference_scores(trees, batch).tobytes()
+
+
+def test_walk_rejects_splits_the_rank_codes_cannot_hold():
+    # a forest takes its trees without from_dict's checks, so packing them checks what it needs
+    good = _hand_tree((0, 0.5, (1, 0), (1, 1)))
+    nan_split = _hand_tree((0, 0.5, (1, 0), (1, -0.5, (1, 0), (1, 1))))
+    nan_split = replace(nan_split, threshold=np.where(np.arange(5) == 2, np.nan, nan_split.threshold))
+    with pytest.raises(ValueError, match=r"^tree 1 node 2: split threshold nan is not a finite number$"):
+        RandomForestModel(trees=[good, nan_split], max_features=1, bootstrap=True, seed=0)
+    with pytest.raises(ValueError, match=r"^tree 0 node 2: split threshold nan is not a finite number$"):
+        nan_split.apply([[0.0, 0.0, 0.0]])
+    # feature 2 ** 62 - 1 takes 62 bits, so the last node's doubled id, 6, makes a 65-bit code
+    wide = _hand_tree((2**62 - 1, 0.5, (1, 0), (1, 1)), n_features=2**62)
+    with pytest.raises(ValueError, match=r"^tree 1 node 2: its code would need 65 bits, more than 63$"):
+        RandomForestModel(trees=[_hand_tree((1, 1), n_features=2**62), wide], max_features=1, bootstrap=True, seed=0)
+
+
 def test_wide_keys_match_golden_digests(monkeypatch):
     # the builder packs its sort keys into 64 bits only when 32 do not
     # suffice; forcing the wide keys must not change any model
