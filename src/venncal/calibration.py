@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from venncal.data import binary_labels, finite
+
 __all__ = [
     "IsotonicFit",
     "PlattFit",
@@ -44,15 +46,10 @@ def _as_score_label_arrays(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     y = np.asarray(labels, dtype=np.float64)
     if s.ndim != 1 or y.ndim != 1:
         raise ValueError("scores and labels must be one-dimensional")
-    if s.size != y.size:
-        raise ValueError(f"length mismatch: {s.size} scores vs {y.size} labels")
+    binary_labels(y, s.size, "score")
     if s.size == 0:
         raise ValueError("empty input")
-    if not np.all(np.isfinite(s)):
-        raise ValueError("scores contain non-finite values")
-    if not np.all((y == 0.0) | (y == 1.0)):
-        raise ValueError("labels must be 0 or 1")
-    return s, y
+    return finite(s, "scores"), y
 
 
 def _pool_by_score(scores: np.ndarray, labels: np.ndarray):
@@ -141,8 +138,7 @@ def isotonic_calibrate(fit: IsotonicFit, s):
     """
     if fit.breakpoints.size == 0:
         raise ValueError("empty isotonic fit")
-    if not np.all(np.isfinite(s)):
-        raise ValueError("test scores must be finite")
+    finite(s, "test scores")
     idx = np.searchsorted(fit.breakpoints, s, side="right") - 1
     idx = np.maximum(idx, 0)
     return fit.fitted_values[idx]
@@ -247,9 +243,7 @@ def fit_platt(scores, labels) -> PlattFit:
 
 def apply_platt(fit: PlattFit, s):
     """Evaluate 1 / (1 + exp(slope * s + intercept)) for scalar or array s; s must be finite."""
-    s = np.asarray(s, dtype=np.float64)
-    if not np.all(np.isfinite(s)):
-        raise ValueError("test scores must be finite")
+    s = finite(s, "test scores")
     z = fit.slope * s + fit.intercept
     out = np.exp(-np.logaddexp(0.0, z))
     if np.ndim(s) == 0:
@@ -343,9 +337,7 @@ class VennAbersCalibrator:
     def interval_naive(self, s_test: float) -> ProbabilityInterval:
         """Reference path, the definition: isotonic fits from scratch of the
         calibration set plus (s_test, 0) and plus (s_test, 1), read at s_test."""
-        s = float(s_test)
-        if not math.isfinite(s):
-            raise ValueError("test score must be finite")
+        s = float(finite(s_test, "test score"))
         scores = np.append(self.calibration_scores, s)
         p0, p1 = (
             float(isotonic_calibrate(pava(scores, np.append(self.calibration_labels, label)), s))
@@ -360,9 +352,7 @@ class VennAbersCalibrator:
         falls in cell 2*j + tied: the merge runs once per distinct cell (at
         most 2K+1) and label, and its results are scattered to the scores.
         """
-        s = np.asarray(scores, dtype=np.float64).ravel()
-        if not np.all(np.isfinite(s)):
-            raise ValueError("test scores must be finite")
+        s = finite(scores, "test scores").ravel()
         position = np.searchsorted(self._distinct, s)
         tied = self._distinct[np.minimum(position, self._distinct.size - 1)] == s
         cells, inverse = np.unique(2 * position + tied, return_inverse=True)

@@ -48,6 +48,8 @@ __all__ = [
     "ParseError",
     "SchemaError",
     "ValidationError",
+    "binary_labels",
+    "finite",
     "load_csv",
     "parse_columns",
     "reject_first",
@@ -102,6 +104,30 @@ LABEL_CODES = {"0": 0, "1": 1}  # the label cell of every CSV venncal reads
 FEATURE_NAMES = tuple(name for name in AI4I_COLUMNS.values() if name)
 
 
+def finite(values, what: str) -> np.ndarray:
+    """values as a float64 array; raises ValidationError naming the first nan or infinite entry."""
+    v = np.asarray(values, dtype=np.float64)
+    _require(v, np.isfinite(v), f"{what} must be finite")
+    return v
+
+
+def binary_labels(labels, rows: int, of: str) -> np.ndarray:
+    """labels as a float64 array, once it holds rows labels, one per `of`, each 0 or 1."""
+    y = np.asarray(labels, dtype=np.float64)
+    if y.shape != (rows,):
+        raise ValidationError(f"labels must be one per {of}: expected shape {(rows,)}, got {y.shape}")
+    _require(y, (y == 0.0) | (y == 1.0), "labels must be 0 or 1")
+    return y
+
+
+def _require(values: np.ndarray, holds: np.ndarray, rule: str) -> None:
+    """Unless holds is all True, raise ValidationError: rule, the first entry where it is False, its index."""
+    if not holds.all():
+        index = tuple(int(i) for i in np.unravel_index(np.argmin(holds), holds.shape))
+        where = f" at index {index[0] if len(index) == 1 else index}" if index else ""
+        raise ValidationError(f"{rule}, got {values[index]}{where}")
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Immutable feature matrix plus binary labels (1 = failure)."""
@@ -113,10 +139,7 @@ class Dataset:
     def __post_init__(self):
         if self.features.ndim != 2 or self.features.shape[1] != len(self.feature_names):
             raise ValidationError("features must be (n, len(feature_names))")
-        if self.labels.shape != (self.features.shape[0],):
-            raise ValidationError("labels must be one per row")
-        if not np.all((self.labels == 0) | (self.labels == 1)):
-            raise ValidationError("labels must be 0 or 1")
+        binary_labels(self.labels, self.features.shape[0], "row")
         self.features.setflags(write=False)
         self.labels.setflags(write=False)
 

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from venncal.data import _require, binary_labels
+
 __all__ = [
     "BIN_MODES",
     "ClassificationMetrics",
@@ -35,16 +37,12 @@ def _check_inputs(probabilities, labels, m: int = 1, mode: str = BIN_MODES[0]):
     y = np.asarray(labels, dtype=np.float64)
     if p.ndim != 1 or y.ndim != 1:
         raise ValueError(f"probabilities and labels must be one-dimensional, got shapes {p.shape} and {y.shape}")
-    if p.size != y.size:
-        raise ValueError(f"length mismatch: {p.size} probabilities vs {y.size} labels")
+    binary_labels(y, p.size, "probability")
     if p.size == 0:
         raise ValueError("empty input")
-    if np.any((p < 0.0) | (p > 1.0)) or not np.all(np.isfinite(p)):
-        raise ValueError("probabilities must lie in [0, 1]")
-    if not np.all((y == 0.0) | (y == 1.0)):
-        raise ValueError("labels must be 0 or 1")
+    _require(p, (p >= 0.0) & (p <= 1.0), "probabilities must lie in [0, 1]")  # nan fails both
     if m < 1:
-        raise ValueError("m must be >= 1")
+        raise ValueError(f"m must be >= 1, got {m}")
     if mode not in BIN_MODES:
         raise ValueError(f"unknown bin mode: {mode!r}")
     return p, y

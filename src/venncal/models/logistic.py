@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from venncal.models.tree import _validate_training_data
+from venncal.models.tree import _feature_matrix, _validate_training_data
 
 __all__ = ["LogisticRegressionModel", "fit_logistic"]
 
@@ -36,10 +36,7 @@ class LogisticRegressionModel:
         return int(self.weights.size)
 
     def score_many(self, features) -> np.ndarray:
-        x = np.asarray(features, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.n_features:
-            raise ValueError(f"expected (n, {self.n_features}) feature matrix, got {x.shape}")
-        p = _sigmoid(x @ self.weights + self.bias)
+        p = _sigmoid(_feature_matrix(features, self.n_features) @ self.weights + self.bias)
         return np.clip(p, _P_FLOOR, _P_CEIL)  # keep scores strictly inside (0, 1)
 
 

@@ -75,6 +75,8 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
+from venncal.data import binary_labels, finite
+
 __all__ = ["DecisionTreeModel", "RandomForestModel", "fit_forest", "fit_tree"]
 
 _NO_FEATURE = -1
@@ -88,7 +90,8 @@ class DecisionTreeModel:
     Internal nodes have feature_index >= 0 and route x left when
     x[feature_index] <= threshold.  Leaves have feature_index == -1 and
     score n_positive / n_samples.  Every node keeps its training counts so
-    subtrees can be collapsed into leaves later.
+    subtrees can be collapsed into leaves later.  Every tree is checked by
+    ``_check_nodes`` where it is built, ``replace`` and ``from_dict`` included.
     """
 
     feature_index: np.ndarray
@@ -102,6 +105,9 @@ class DecisionTreeModel:
     min_samples_leaf: int
     min_samples_split: int  # 2 for every fitted tree
     seed: int
+
+    def __post_init__(self):
+        self._check_nodes()
 
     @property
     def n_nodes(self) -> int:
@@ -157,7 +163,7 @@ class DecisionTreeModel:
         missing = [f.name for f in fields(cls) if f.name not in data]
         if missing:  # data[name] would raise a bare KeyError
             raise ValueError(f"tree document has no {missing[0]!r} field")
-        tree = cls(
+        return cls(
             feature_index=np.asarray(data["feature_index"], dtype=np.int64),
             threshold=np.asarray(
                 [np.nan if t is None else t for t in data["threshold"]], dtype=np.float64
@@ -172,17 +178,16 @@ class DecisionTreeModel:
             min_samples_split=int(data["min_samples_split"]),
             seed=int(data["seed"]),
         )
-        tree._check_nodes()
-        return tree
 
     def _check_nodes(self) -> None:
         """Every split's children lie after it, and every node but the root has one parent.
 
         Together these make the node arrays a tree whose parents come before
-        their children, which ``node_depths`` and ``apply`` rely on.  Every
-        split's threshold is finite: a NaN one would send every row right.  Each
-        node also holds at least one sample, and at most that many positives,
-        so every leaf fraction lies in [0, 1].
+        their children, which ``node_depths`` relies on, and without which
+        ``apply`` could loop forever.  Every split's threshold is finite: a nan
+        one would rank past every cut in ``_pack``.  Each node holds at least
+        one sample, and at most that many positives, so every leaf fraction
+        lies in [0, 1].  Raises ValueError naming the first node at fault.
         """
         n = self.n_nodes
         arrays = (self.feature_index, self.threshold, self.left_child,
@@ -190,32 +195,25 @@ class DecisionTreeModel:
         if n == 0 or {a.shape for a in arrays} != {(n,)}:
             shapes = [a.shape for a in arrays]
             raise ValueError(f"node arrays must be non-empty and of one length, got shapes {shapes}")
-        split = np.flatnonzero(self.feature_index != _NO_FEATURE)
-        bad = split[(self.feature_index[split] < 0) | (self.feature_index[split] >= self.n_features)]
-        if bad.size:
-            node = int(bad[0])
-            raise ValueError(
-                f"node {node}: split feature {self.feature_index[node]} is not in [0, {self.n_features})"
-            )
-        bad = split[~np.isfinite(self.threshold[split])]
-        if bad.size:
-            node = int(bad[0])
-            raise ValueError(f"node {node}: split threshold {self.threshold[node]} is not a finite number")
-        for side, child in (("left", self.left_child), ("right", self.right_child)):
-            bad = split[(child[split] <= split) | (child[split] >= n)]
+
+        def reject(bad, fault):  # fault words the rest from the first node in bad, called only on failure
             if bad.size:
-                node = int(bad[0])
-                raise ValueError(f"node {node}: {side} child {child[node]} must lie after it and below {n}")
+                raise ValueError(f"node {bad[0]}{fault(bad[0])}")
+
+        feature, threshold, samples, positives = self.feature_index, self.threshold, self.n_samples, self.n_positive
+        split = np.flatnonzero(feature != _NO_FEATURE)
+        reject(split[(feature[split] < 0) | (feature[split] >= self.n_features)],
+               lambda i: f": split feature {feature[i]} is not in [0, {self.n_features})")
+        reject(split[~np.isfinite(threshold[split])],
+               lambda i: f": split threshold {threshold[i]} is not a finite number")
+        for side, child in (("left", self.left_child), ("right", self.right_child)):
+            reject(split[(child[split] <= split) | (child[split] >= n)],
+                   lambda i: f": {side} child {child[i]} must lie after it and below {n}")
         parents = np.bincount(np.concatenate([self.left_child[split], self.right_child[split]]), minlength=n)
-        bad = np.flatnonzero(parents[1:] != 1) + 1
-        if bad.size:
-            node = int(bad[0])
-            raise ValueError(f"node {node} is a child of {parents[node]} split nodes, not of one")
-        bad = np.flatnonzero((self.n_samples < 1) | (self.n_positive < 0) | (self.n_positive > self.n_samples))
-        if bad.size:
-            node = int(bad[0])
-            raise ValueError(f"node {node}: {self.n_positive[node]} positives of {self.n_samples[node]} samples, "
-                             "need 0 <= n_positive <= n_samples and n_samples >= 1")
+        reject(np.flatnonzero(parents[1:] != 1) + 1, lambda i: f" is a child of {parents[i]} split nodes, not of one")
+        reject(np.flatnonzero((samples < 1) | (positives < 0) | (positives > samples)),
+               lambda i: f": {positives[i]} positives of {samples[i]} samples, "
+                         "need 0 <= n_positive <= n_samples and n_samples >= 1")
 
 
 @dataclass(frozen=True)
@@ -241,22 +239,14 @@ class _Packed:
 
 
 def _pack(trees: list[DecisionTreeModel]) -> _Packed:
-    """Pack trees for the walk; raises ValueError naming the tree and node whose split it cannot code."""
+    """Pack trees, each checked where it was built, for the walk; raises ValueError if a code needs over 63 bits."""
     sizes = [tree.n_nodes for tree in trees]
     root = np.cumsum(sizes) - sizes
     n = sum(sizes)
-
-    def fault(i, what):
-        t = int(np.searchsorted(root, i, side="right")) - 1
-        return ValueError(f"tree {t} node {i - root[t]}: {what}")
-
     feature = np.concatenate([tree.feature_index for tree in trees])
     split = feature != _NO_FEATURE
     feature[~split] = 0  # a leaf's gather stays inside the row
     threshold = np.concatenate([tree.threshold for tree in trees])
-    bad = np.flatnonzero(split & ~np.isfinite(threshold))
-    if bad.size:  # a nan would rank past every cut and route left, where x <= nan routes right
-        raise fault(bad[0], f"split threshold {threshold[bad[0]]} is not a finite number")
     at = np.flatnonzero(split)
     at = at[np.lexsort((threshold[at], feature[at]))]  # splits by feature, then threshold
     f, t = feature[at], threshold[at]
@@ -271,7 +261,7 @@ def _pack(trees: list[DecisionTreeModel]) -> _Packed:
     shift = fbits + int(code.max(initial=0)).bit_length()
     bits = (2 * n - 2).bit_length() + shift  # the last node's code is the widest
     if bits > 63:
-        raise fault(n - 1, f"its code would need {bits} bits, more than 63")
+        raise ValueError(f"tree {len(trees) - 1} node {sizes[-1] - 1}: its code would need {bits} bits, more than 63")
     code <<= fbits
     code |= feature
     code |= np.arange(0, 2 * n, 2, dtype=np.int64) << shift
@@ -300,10 +290,8 @@ def _walk(packed: _Packed, features):
     come in row order and a block's groups in tree order.  Yields at least
     one chunk.
     """
-    x = np.asarray(features, dtype=np.float64)
     k = packed.n_features
-    if x.ndim != 2 or x.shape[1] != k:
-        raise ValueError(f"expected (n, {k}) feature matrix, got {x.shape}")
+    x = _feature_matrix(features, k)
     n_trees, n = packed.root.size, x.shape[0]
     rows = max(1, min(n, _PAIRS_PER_CHUNK))
     group = max(1, _PAIRS_PER_CHUNK // rows)
@@ -334,20 +322,22 @@ def _walk(packed: _Packed, features):
             yield start, first, (leaves >> 1).reshape(roots.size, m)
 
 
+def _feature_matrix(features, k: int) -> np.ndarray:
+    """features as a float64 (n, k) matrix, the only width a model of k features scores."""
+    x = np.asarray(features, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != k:
+        raise ValueError(f"expected (n, {k}) feature matrix, got {x.shape}")
+    return x
+
+
 def _validate_training_data(features, labels):
     x = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] == 0:
         raise ValueError(f"features must be a 2-d matrix with at least one column, got shape {x.shape}")
-    if y.ndim != 1 or y.size != x.shape[0]:
-        raise ValueError("labels must be one per feature row")
+    y = binary_labels(labels, x.shape[0], "feature row")
     if x.shape[0] == 0:
         raise ValueError("cannot fit on empty input")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("features contain non-finite values")
-    if not np.all((y == 0.0) | (y == 1.0)):
-        raise ValueError("labels must be 0 or 1")
-    return x, y
+    return finite(x, "features"), y
 
 
 # Both bound one lockstep step and were set by timing forest fits on the
@@ -813,7 +803,7 @@ def fit_forest(
     """
     x, y = _validate_training_data(features, labels)
     if n_trees < 1:
-        raise ValueError("n_trees must be >= 1")
+        raise ValueError(f"n_trees must be >= 1, got {n_trees}")
     if max_features is None:
         max_features = math.ceil(math.sqrt(x.shape[1]))
     trees = _grow(

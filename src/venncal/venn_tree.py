@@ -77,8 +77,6 @@ def build_venn_tree(
     calibration set the calibrator was fitted on) that the display tree
     routes to it, so the counts sum to the calibration set's size.
     """
-    if display_max_depth is not None and display_max_depth < 0:
-        raise ValueError("display_max_depth must be >= 0")
     display = tree if display_max_depth is None else tree.collapsed(display_max_depth)
 
     cal_x = np.asarray(calibration_features, dtype=np.float64)

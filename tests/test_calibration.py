@@ -9,6 +9,7 @@ value here is computed, not asserted from hope.
 from __future__ import annotations
 
 import hashlib
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -181,8 +182,11 @@ def test_isotonic_calibrate_rejects_empty_fit():
 def test_calibrators_reject_non_finite_test_scores(fit, apply):
     """Isotonic returned its top fitted value (1.0 here) for nan and inf; Platt returned nan with a warning."""
     calibrator = fit([0.1, 0.4, 0.6, 0.9], [0, 0, 1, 1])
-    for score in (np.nan, np.inf, -np.inf, [0.5, np.nan], np.array([[0.5], [np.inf]])):
-        with pytest.raises(ValueError, match="^test scores must be finite$"):
+    for score, got in (
+        (np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf"),
+        ([0.5, np.nan], "nan at index 1"), (np.array([[0.5], [np.inf]]), "inf at index (1, 0)"),
+    ):
+        with pytest.raises(ValueError, match=f"^test scores must be finite, got {re.escape(got)}$"):
             apply(calibrator, score)
 
 
@@ -449,7 +453,7 @@ def test_venn_abers_rejects_bad_inputs():
     with pytest.raises(ValueError):
         cal.intervals([float("nan")])
     for score in (float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="^test score must be finite$"):
+        with pytest.raises(ValueError, match=f"^test score must be finite, got {score}$"):
             cal.interval_naive(score)
 
 

@@ -34,10 +34,13 @@ from venncal.data import (
     write_columns,
     write_split_manifest,
 )
+from venncal.calibration import VennAbersCalibrator, apply_platt, fit_platt, isotonic_calibrate, pava
 from venncal.harness import load_fold_predictions
-from venncal.models import load_score_table
+from venncal.metrics import auc, classification_metrics, evaluate, minority_bins, reliability_bins
+from venncal.models import DecisionTreeModel, fit_forest, fit_logistic, fit_tree, load_score_table
 from venncal.models.score_table import _PARTITIONS as PARTITIONS
 from venncal.synthetic import write_reference_csv
+from venncal.venn_tree import build_venn_tree
 
 from support import HEADER
 
@@ -669,3 +672,136 @@ def test_split_manifest_file_matches_manifest(tmp_path):
             ],
         }
         assert path.read_text(encoding="utf-8") == json.dumps(expected, sort_keys=True)
+
+
+# ---------------------------------------------------------------------------
+# input rules at every entry point
+# ---------------------------------------------------------------------------
+
+_X = [[0.0, 1.0], [1.0, 0.0], [0.5, 0.5], [0.2, 0.9]]
+_Y = [0, 1, 1, 0]
+
+
+def _venn_abers():
+    return VennAbersCalibrator([0.1, 0.4, 0.6, 0.9], [0, 0, 1, 1])
+
+
+def _tree_document(**changes):
+    """A 3-node model.json document, a split on feature 0 of 2 and two leaves, with changes applied."""
+    document = {
+        "kind": "decision_tree", "n_features": 2, "max_depth": None, "min_samples_leaf": 1,
+        "min_samples_split": 2, "seed": 0, "feature_index": [0, -1, -1], "threshold": [0.5, None, None],
+        "left_child": [1, -1, -1], "right_child": [2, -1, -1], "n_samples": [4, 2, 2], "n_positive": [2, 0, 2],
+    }
+    return {**document, **changes}
+
+
+def _bad_inputs():
+    """(id, call, args, message): call(*args) raises ValueError(message)."""
+    rows = []
+    for fit in (pava, fit_platt, VennAbersCalibrator):
+        rows += [
+            (f"{fit.__name__} nan", fit, ([0.1, np.nan], [0, 1]), "scores must be finite, got nan at index 1"),
+            (f"{fit.__name__} inf", fit, ([0.1, np.inf], [0, 1]), "scores must be finite, got inf at index 1"),
+            (f"{fit.__name__} label 2", fit, ([0.1, 0.2], [0, 2]), "labels must be 0 or 1, got 2.0 at index 1"),
+            (f"{fit.__name__} a label too many", fit, ([0.1], [0, 1]),
+             "labels must be one per score: expected shape (1,), got (2,)"),
+            (f"{fit.__name__} empty", fit, ([], []), "empty input"),
+        ]
+    test_scores = {
+        "intervals": lambda s: _venn_abers().intervals(s),
+        "isotonic_calibrate": lambda s: isotonic_calibrate(pava([0.1, 0.9], [0, 1]), s),
+        "apply_platt": lambda s: apply_platt(fit_platt([0.1, 0.4, 0.6, 0.9], [0, 0, 1, 1]), s),
+    }
+    for name, call in test_scores.items():
+        rows += [
+            (f"{name} nan", call, ([0.5, np.nan],), "test scores must be finite, got nan at index 1"),
+            (f"{name} inf", call, (np.array([[0.5], [-np.inf]]),),
+             "test scores must be finite, got -inf at index (1, 0)"),
+            (f"{name} scalar inf", call, (np.inf,), "test scores must be finite, got inf"),
+        ]
+    rows += [
+        (f"interval_naive {s}", lambda s: _venn_abers().interval_naive(s), (s,), f"test score must be finite, got {s}")
+        for s in (np.nan, np.inf)
+    ]
+    for metric in (classification_metrics, auc, reliability_bins, minority_bins, evaluate):
+        name = metric.__name__
+        rows += [
+            (f"{name} nan", metric, ([0.5, np.nan], [0, 1]), "probabilities must lie in [0, 1], got nan at index 1"),
+            (f"{name} inf", metric, ([0.5, np.inf], [0, 1]), "probabilities must lie in [0, 1], got inf at index 1"),
+            (f"{name} label 2", metric, ([0.5, 0.7], [0, 2]), "labels must be 0 or 1, got 2.0 at index 1"),
+            (f"{name} a label too many", metric, ([0.5], [0, 1]),
+             "labels must be one per probability: expected shape (1,), got (2,)"),
+            (f"{name} empty", metric, ([], []), "empty input"),
+        ]
+        if metric not in (classification_metrics, auc):
+            rows.append((f"{name} m 0", metric, ([0.5], [1], 0), "m must be >= 1, got 0"))
+    for fit in (fit_tree, fit_forest, fit_logistic):
+        name = fit.__name__
+        rows += [
+            (f"{name} nan", fit, ([[0.0, 1.0], [np.nan, 0.0]], [0, 1]),
+             "features must be finite, got nan at index (1, 0)"),
+            (f"{name} inf", fit, ([[0.0, np.inf], [1.0, 0.0]], [0, 1]),
+             "features must be finite, got inf at index (0, 1)"),
+            (f"{name} label 2", fit, (_X, [0, 1, 2, 0]), "labels must be 0 or 1, got 2.0 at index 2"),
+            (f"{name} a label too many", fit, (_X, [0, 1, 1, 0, 1]),
+             "labels must be one per feature row: expected shape (4,), got (5,)"),
+            (f"{name} empty", fit, (np.empty((0, 2)), []), "cannot fit on empty input"),
+            (f"{name} no columns", fit, (np.zeros((3, 0)), [0, 1, 0]),
+             "features must be a 2-d matrix with at least one column, got shape (3, 0)"),
+        ]
+    rows.append(("fit_forest n_trees 0", lambda n: fit_forest(_X, _Y, n_trees=n), (0,), "n_trees must be >= 1, got 0"))
+    scorers = {
+        "tree score_many": lambda x: fit_tree(_X, _Y).score_many(x),
+        "tree apply": lambda x: fit_tree(_X, _Y).apply(x),
+        "forest score_many": lambda x: fit_forest(_X, _Y, n_trees=3).score_many(x),
+        "logistic score_many": lambda x: fit_logistic(_X, _Y).score_many(x),
+    }
+    for name, call in scorers.items():
+        rows += [
+            (f"{name} narrow", call, ([[1.0]],), "expected (n, 2) feature matrix, got (1, 1)"),
+            (f"{name} vector", call, ([1.0, 2.0],), "expected (n, 2) feature matrix, got (2,)"),
+        ]
+    rows += [
+        (f"Dataset {name}", lambda labels: Dataset(np.zeros((2, len(FEATURE_NAMES))), labels, FEATURE_NAMES),
+         (np.array(labels),), message)
+        for name, labels, message in (
+            ("label 2", [0, 2], "labels must be 0 or 1, got 2.0 at index 1"),
+            ("a label too many", [0, 1, 1], "labels must be one per row: expected shape (2,), got (3,)"),
+        )
+    ]
+    load = DecisionTreeModel.from_dict
+    rows += [
+        ("from_dict nan threshold", load, (_tree_document(threshold=[None, None, None]),),
+         "node 0: split threshold nan is not a finite number"),
+        ("from_dict inf threshold", load, (_tree_document(threshold=[np.inf, None, None]),),
+         "node 0: split threshold inf is not a finite number"),
+        ("from_dict wide feature", load, (_tree_document(feature_index=[2, -1, -1]),),
+         "node 0: split feature 2 is not in [0, 2)"),
+        ("from_dict empty", load, (_tree_document(**dict.fromkeys(
+            ("feature_index", "threshold", "left_child", "right_child", "n_samples", "n_positive"), [])),),
+         "node arrays must be non-empty and of one length, got shapes [(0,), (0,), (0,), (0,), (0,), (0,)]"),
+        ("collapsed negative depth", lambda depth: fit_tree(_X, _Y).collapsed(depth), (-1,),
+         "max_depth must be >= 0, got -1"),
+    ]
+
+    def venn_tree(calibration_features, depth=None):
+        tree = fit_tree(_X, _Y)
+        calibrator = VennAbersCalibrator(tree.score_many(_X), _Y)
+        return build_venn_tree(tree, calibrator, depth, calibration_features=calibration_features)
+
+    rows += [
+        ("build_venn_tree negative depth", venn_tree, (_X, -1), "max_depth must be >= 0, got -1"),
+        ("build_venn_tree narrow", venn_tree, ([[0.5]] * 4,),
+         "calibration features have (4, 1) but the calibrator and tree expect (4, 2)"),
+    ]
+    return [pytest.param(call, args, message, id=name) for name, call, args, message in rows]
+
+
+@pytest.mark.parametrize("call, args, message", _bad_inputs())
+def test_every_entry_point_names_the_bad_input(call, args, message):
+    """Each input rule is stated once (venncal.data.finite and binary_labels, the tree checks) and names
+    the first entry at fault; every entry point that enforces a rule raises its whole message."""
+    with pytest.raises(ValueError) as caught:
+        call(*args)
+    assert str(caught.value) == message

@@ -76,7 +76,7 @@ def test_empty_input_rejected():
 @pytest.mark.parametrize(
     "probabilities, labels, message",
     [
-        ([0.5], [0, 1], "length mismatch: 1 probabilities vs 2 labels"),
+        ([0.5], [0, 1], r"labels must be one per probability: expected shape \(1,\), got \(2,\)"),
         ([0.5, 1.5], [0, 1], r"probabilities must lie in \[0, 1\]"),
         ([0.5, np.nan], [0, 1], r"probabilities must lie in \[0, 1\]"),
         ([0.5, 0.7], [0, 2], "labels must be 0 or 1"),
@@ -211,7 +211,7 @@ def test_reliability_unknown_mode_rejected():
 # ---------------------------------------------------------------------------
 
 def test_reliability_and_ece_reject_degenerate_bins():
-    with pytest.raises(ValueError, match="^m must be >= 1$"):
+    with pytest.raises(ValueError, match="^m must be >= 1, got 0$"):
         reliability_bins([0.5], [1], m=0)
     empty = ReliabilityBins(
         bin_edges=np.array([0.0, 1.0]),
@@ -259,7 +259,7 @@ def test_minority_bins_check_m_and_mode_without_positive_predictions():
     # the bin settings are checked before the p >= 0.5 cut, not only when it keeps a row
     with pytest.raises(ValueError, match="^unknown bin mode: 'quantile'$"):
         minority_bins([0.1, 0.2], [0, 1], mode="quantile")
-    with pytest.raises(ValueError, match="^m must be >= 1$"):
+    with pytest.raises(ValueError, match="^m must be >= 1, got 0$"):
         minority_bins([0.1, 0.2], [0, 1], m=0)
 
 

@@ -255,6 +255,13 @@ def test_tree_from_dict_rejects_malformed_nodes():
             DecisionTreeModel.from_dict(payload)
 
 
+def test_tree_with_a_cycle_fails_where_it_is_built():
+    # built by replace, this self-loop at the root was never checked, and apply walked it forever
+    tree = fit_tree([[1.0], [2.0], [3.0], [4.0]], [0, 0, 1, 1])
+    with pytest.raises(ValueError, match=r"^node 0: left child 0 must lie after it and below 3$"):
+        replace(tree, left_child=np.array([0, -1, -1]))
+
+
 # ---------------------------------------------------------------------------
 # random forest
 # ---------------------------------------------------------------------------
@@ -304,7 +311,7 @@ def test_forest_determinism_and_scores_in_range():
 
 
 def test_forest_validates_arguments():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^n_trees must be >= 1, got 0$"):
         fit_forest([[1.0]], [1], n_trees=0)
     for max_features in (0, 5):
         with pytest.raises(ValueError, match=r"max_features must be in \[1, 2\]"):
@@ -667,14 +674,11 @@ def test_walk_rank_codes_match_float_comparisons():
 
 
 def test_walk_rejects_splits_the_rank_codes_cannot_hold():
-    # a forest takes its trees without from_dict's checks, so packing them checks what it needs
-    good = _hand_tree((0, 0.5, (1, 0), (1, 1)))
-    nan_split = _hand_tree((0, 0.5, (1, 0), (1, -0.5, (1, 0), (1, 1))))
-    nan_split = replace(nan_split, threshold=np.where(np.arange(5) == 2, np.nan, nan_split.threshold))
-    with pytest.raises(ValueError, match=r"^tree 1 node 2: split threshold nan is not a finite number$"):
-        RandomForestModel(trees=[good, nan_split], max_features=1, bootstrap=True, seed=0)
-    with pytest.raises(ValueError, match=r"^tree 0 node 2: split threshold nan is not a finite number$"):
-        nan_split.apply([[0.0, 0.0, 0.0]])
+    # every tree is checked where it is built, so a nan split, which would rank past
+    # every cut and route left, never reaches _pack; packing checks only the code width
+    tree = _hand_tree((0, 0.5, (1, 0), (1, -0.5, (1, 0), (1, 1))))
+    with pytest.raises(ValueError, match=r"^node 2: split threshold nan is not a finite number$"):
+        replace(tree, threshold=np.where(np.arange(5) == 2, np.nan, tree.threshold))
     # feature 2 ** 62 - 1 takes 62 bits, so the last node's doubled id, 6, makes a 65-bit code
     wide = _hand_tree((2**62 - 1, 0.5, (1, 0), (1, 1)), n_features=2**62)
     with pytest.raises(ValueError, match=r"^tree 1 node 2: its code would need 65 bits, more than 63$"):

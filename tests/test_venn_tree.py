@@ -99,7 +99,7 @@ def test_calibration_feature_mismatch_rejected():
         build_venn_tree(tree, calibrator, calibration_features=cal_x[1:])
     with pytest.raises(ValueError, match="^one feature name per feature column required$"):
         build_venn_tree(tree, calibrator, feature_names=("a", "b"), calibration_features=cal_x)
-    with pytest.raises(ValueError, match="^display_max_depth must be >= 0$"):
+    with pytest.raises(ValueError, match="^max_depth must be >= 0, got -1$"):
         build_venn_tree(tree, calibrator, display_max_depth=-1, calibration_features=cal_x)
 
 
