@@ -36,42 +36,54 @@ a single tree as a forest of one, as a predicated traversal with two
 gathers a level (VPRED: Asadi, Lin & de Vries, IEEE TKDE 2014).  ``_pack``
 concatenates the node arrays of all trees with per-tree offsets and
 replaces each split's threshold by its rank among the sorted distinct
-thresholds of its feature.  Every child slot ``2 * i + go_left`` holds one
-code ``(doubled child id << shift) | (child's rank << fbits) | child's
-feature``, and both slots of a leaf hold the leaf's own code.  The walk
-rank-codes each row block once, one ``searchsorted`` per feature, so a
-level is ``code = codes[(code >> shift) + (cells[row + feature] <=
-rank)]``, with no multiply and no branch on leaf versus split.  This is
-exact: ``x <= t`` holds just when x's rank among the cuts is at most t's,
-for every float, a nan ranking past every cut and so going right.  The
-walk cuts a batch into chunks of about ``_PAIRS_PER_CHUNK`` pairs: one
-block of up to that many rows times one group of consecutive trees, as
-many as fill the chunk, so a 1000-row batch of the 100-tree forest walks
-16 trees at a time and each level's gathers stay within those trees'
-codes.  A chunk advances ``_LEVELS_PER_COMPACTION`` levels, then an index
-list of the pairs not yet on a leaf becomes its active set; a finished
-pair that walks on stays on its leaf.  A forest's score sums its trees'
-leaf fractions in tree order, adding a chunk's tree rows one after
-another onto its row block's running total, and divides by the tree
-count.  ``np.sum`` or ``np.add.reduce`` must not take its place: on a
-1-row batch numpy sums the tree axis pairwise, which rounds differently.
-Both constants were set by scoring the 100-tree reference forest on a
-2-vCPU Xeon VM, every setting called in turn on each batch, 40 rounds of
-ten 1000-row batches and one of 3 333 rows.  Against chunks of 2^14 pairs
-compacted every 6 levels (11.1 ms per 1000-row batch, 35.6 ms for 3 333
-rows), the medians of the per-call ratios were x1.01 and x1.03 for 2^14
-and 5, x1.05 and x1.07 for 2^14 and 4, x1.02 and x1.07 for 2^14 and 7,
-x1.06 and x1.07 for 2^14 and 8, x1.07 and x1.08 for 2^13 and 6, x1.11
-and x1.09 for 2^13 and 5, and x1.14 and x0.97 for 2^15 and 6.  A forest
-packs its trees once, on construction; a tree packs itself on each call,
-which is O(nodes) and leaves no cache to go stale.
+thresholds of its feature.  Node i's code is ``feature << fshift | rank
+<< cshift | (2 * i + 1)``, the feature field on top, and child slot
+``2 * i + go_left`` holds the code of the child it leads to; both slots of
+a leaf hold the leaf's own code.  The walk rank-codes each row block once,
+one ``searchsorted`` per feature, and stores each cell already tagged as
+``feature << fshift | rank << cshift``.  A row reaches its cell as ``row +
+(code >> fshift)``, and a code of the same feature is below that cell
+exactly when the row's rank is past the split's, that is when the row goes
+right, so a level is ``code = codes[(code & cmask) + ((code - cell) >>
+63)]``: eight int64 passes, with no mask of the rank field, no bool, no
+multiply and no branch on leaf versus split.  This is exact: ``x <= t``
+holds just when x's rank among the cuts is at most t's, for every float,
+a nan ranking one past the last cut and so going right.  The walk cuts a
+batch into chunks of about ``_PAIRS_PER_CHUNK`` pairs: one block of up to
+that many rows times one group of consecutive trees, as many as fill the
+chunk, so a 1000-row batch of the 100-tree forest walks 16 trees at a time
+and each level's gathers stay within those trees' codes.  A chunk first
+walks to the depth by which half of its forest's training samples have
+reached a leaf (the median leaf depth weighted by ``n_samples``, 10 for
+that forest, whose leaves lie 1 to 21 deep), then every
+``_LEVELS_PER_COMPACTION`` levels an index list of the pairs not yet on a
+leaf becomes its active set; a finished pair that walks on stays on its
+leaf.  A forest's score sums its trees' leaf fractions in tree order,
+adding a chunk's tree rows one after another onto its row block's running
+total, and divides by the tree count.  ``np.sum`` or ``np.add.reduce``
+must not take its place: on a 1-row batch numpy sums the tree axis
+pairwise, which rounds differently.  Both constants were set by scoring
+the 100-tree reference forest on a 2-vCPU Xeon VM, every setting called
+in turn on each batch, 40 rounds of ten 1000-row batches and one of 3 333
+rows.  Against chunks of 2^14 pairs, a first compaction at the median
+depth and then every 3 levels (10.3 ms per 1000-row batch, 38.1 ms for
+3 333 rows), the medians of the per-call ratios were x1.00 and x1.00 for
+every 2 levels, x1.01 and x1.00 for 4, x1.02 and x1.02 for 5, x1.04 and
+x1.02 for 6, x1.02 and x1.01 for a first compaction at 9, x0.98 and x0.99
+at 11, x1.13 and x1.10 for a first round of 6 and then every 6 (the
+previous schedule), x1.11 and x1.14 for chunks of 2^13 pairs, and x0.99
+and x0.95 for 2^15, which doubles a chunk's buffers.  A forest packs its
+trees once, on construction; a tree packs itself on first use and keeps
+its pack, which cannot go stale, as a tree's node arrays are read-only and
+its fields cannot be rebound.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import FrozenInstanceError, dataclass, field, fields, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -81,17 +93,22 @@ __all__ = ["DecisionTreeModel", "RandomForestModel", "fit_forest", "fit_tree"]
 
 _NO_FEATURE = -1
 _TIE_WINDOW = 1e-9
+_NODE_ARRAYS = ("feature_index", "threshold", "left_child", "right_child", "n_samples", "n_positive")
 
 
 @dataclass
 class DecisionTreeModel:
-    """Fitted tree as parallel node arrays (index 0 is the root).
+    """Fitted tree as parallel node arrays (index 0 is the root); immutable once built.
 
     Internal nodes have feature_index >= 0 and route x left when
     x[feature_index] <= threshold.  Leaves have feature_index == -1 and
     score n_positive / n_samples.  Every node keeps its training counts so
     subtrees can be collapsed into leaves later.  Every tree is checked by
-    ``_check_nodes`` where it is built, ``replace`` and ``from_dict`` included.
+    ``_check_nodes`` where it is built, ``replace`` and ``from_dict`` included,
+    and its node arrays are then read-only and its fields cannot be rebound,
+    so the packed codes ``apply`` keeps stay those of the tree.  Only the
+    fields are frozen: a fitted model's methods may still be wrapped on the
+    instance, as a tracer does.
     """
 
     feature_index: np.ndarray
@@ -108,17 +125,30 @@ class DecisionTreeModel:
 
     def __post_init__(self):
         self._check_nodes()
+        for name in _NODE_ARRAYS:
+            getattr(self, name).setflags(write=False)
+
+    def __setattr__(self, name, value):
+        if name in self.__dataclass_fields__ and name in self.__dict__:  # __init__ sets each field once
+            raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        super().__setattr__(name, value)
+
+    def __delattr__(self, name):
+        if name in self.__dataclass_fields__:
+            raise FrozenInstanceError(f"cannot delete field {name!r}")
+        super().__delattr__(name)
+
+    def __reduce__(self):  # a copy or an unpickled tree is built, checked and frozen anew, with no pack
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     @property
     def n_nodes(self) -> int:
         return int(self.feature_index.size)
 
     def node_depths(self) -> np.ndarray:
-        """Depth of every node; parents come before their children in every tree."""
-        depths = np.zeros(self.n_nodes, dtype=np.int64)
-        for node in np.flatnonzero(self.feature_index != _NO_FEATURE):
-            depths[self.left_child[node]] = depths[self.right_child[node]] = depths[node] + 1
-        return depths
+        """Depth of every node, one pass per level."""
+        child = np.stack([self.left_child, self.right_child], axis=1)
+        return _depths(self.feature_index != _NO_FEATURE, child, np.zeros(1, dtype=np.intp))
 
     def collapsed(self, max_depth: int) -> "DecisionTreeModel":
         """Copy of the tree with every node at max_depth turned into a leaf.
@@ -133,9 +163,13 @@ class DecisionTreeModel:
         split = (self.feature_index[keep] != _NO_FEATURE) & (depths[keep] < max_depth)
         return replace(_renumbered(self, keep, split), max_depth=max_depth)
 
+    @cached_property
+    def _packed(self) -> "_Packed":  # packed on first use: _grow builds trees no one walks alone
+        return _pack([self])
+
     def apply(self, features) -> np.ndarray:
         """Leaf index for every row of a feature matrix: the packed walk over a forest of one."""
-        return np.concatenate([leaves[0] for _, _, leaves in _walk(_pack([self]), features)])
+        return np.concatenate([leaves[0] for _, _, leaves in _walk(self._packed, features)])
 
     def score_many(self, features) -> np.ndarray:
         leaves = self.apply(features)
@@ -190,8 +224,7 @@ class DecisionTreeModel:
         lies in [0, 1].  Raises ValueError naming the first node at fault.
         """
         n = self.n_nodes
-        arrays = (self.feature_index, self.threshold, self.left_child,
-                  self.right_child, self.n_samples, self.n_positive)
+        arrays = [getattr(self, name) for name in _NODE_ARRAYS]
         if n == 0 or {a.shape for a in arrays} != {(n,)}:
             shapes = [a.shape for a in arrays]
             raise ValueError(f"node arrays must be non-empty and of one length, got shapes {shapes}")
@@ -222,20 +255,37 @@ class _Packed:
 
     A split's threshold is replaced by its rank among cuts[f], the sorted
     distinct thresholds of the splits on its feature f.  Node i of the
-    concatenation has the code (2 * i << shift) | (rank << fbits) | feature,
-    a leaf with rank and feature 0.  code[2 * i + go_left] holds the code of
-    the node a row at node i reaches next, and both slots of a leaf hold the
-    leaf's own.  Tree t's root has the code root[t].  split is laid out by
-    doubled id, so split[code >> shift] says whether a code is a split's.
+    concatenation has the code feature << fshift | rank << cshift | (2 * i
+    + 1), a leaf with rank and feature 0.  A row's cell of that feature
+    holds feature << fshift | its rank << cshift, so the code is below the
+    cell exactly when the row ranks past the cut and goes right.
+    code[2 * i + go_left] holds the code of the node a row at node i
+    reaches next, and both slots of a leaf hold the leaf's own.  Tree t's
+    root has the code root[t].  split is laid out by slot, so split[code &
+    cmask], with cmask the low cshift bits, says whether a code is a
+    split's.  The walk first compacts after first levels, the depth by
+    which half of the trees' training samples have reached a leaf.
     """
 
     code: np.ndarray
     root: np.ndarray
     split: np.ndarray
     cuts: list  # (f, cuts[f]) for every feature a split uses
-    fbits: int
-    shift: int
+    cshift: int
+    fshift: int
+    first: int
     n_features: int
+
+
+def _depths(split: np.ndarray, child: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """Depth of every node below roots, one pass per level; child[i] holds split node i's two children."""
+    depths = np.zeros(split.size, dtype=np.int64)
+    nodes, depth = roots, 0
+    while nodes.size:
+        depths[nodes] = depth
+        nodes = child[nodes[split[nodes]]].ravel()
+        depth += 1
+    return depths
 
 
 def _pack(trees: list[DecisionTreeModel]) -> _Packed:
@@ -245,7 +295,17 @@ def _pack(trees: list[DecisionTreeModel]) -> _Packed:
     n = sum(sizes)
     feature = np.concatenate([tree.feature_index for tree in trees])
     split = feature != _NO_FEATURE
-    feature[~split] = 0  # a leaf's gather stays inside the row
+    leaf = ~split
+    child = np.empty((n, 2), dtype=np.intp)
+    for tree, r in zip(trees, root.tolist()):
+        child[r : r + tree.n_nodes, 0] = tree.right_child + r
+        child[r : r + tree.n_nodes, 1] = tree.left_child + r
+    # training samples that have reached a leaf by the end of each level
+    samples = np.concatenate([tree.n_samples for tree in trees])[leaf]
+    reached = np.cumsum(np.bincount(_depths(split, child, root)[leaf], weights=samples))
+    del samples
+    child[leaf] = np.flatnonzero(leaf)[:, None]
+    feature[leaf] = 0  # a leaf's gather stays inside the row
     threshold = np.concatenate([tree.threshold for tree in trees])
     at = np.flatnonzero(split)
     at = at[np.lexsort((threshold[at], feature[at]))]  # splits by feature, then threshold
@@ -257,26 +317,24 @@ def _pack(trees: list[DecisionTreeModel]) -> _Packed:
     code = np.zeros(n, dtype=np.int64)  # each node's rank, then its code
     code[at] = distinct - np.maximum.accumulate(np.where(first, distinct, 0))
     cuts = list(zip(f[first].tolist(), np.split(t[fresh], distinct[first][1:])))
-    fbits = int(feature.max(initial=0)).bit_length()
-    shift = fbits + int(code.max(initial=0)).bit_length()
-    bits = (2 * n - 2).bit_length() + shift  # the last node's code is the widest
+    cshift = (2 * n - 1).bit_length()
+    # a cell's rank runs one past its feature's last cut
+    fshift = cshift + max((cut.size for _, cut in cuts), default=0).bit_length()
+    bits = fshift + int(feature.max(initial=0)).bit_length()
     if bits > 63:
         raise ValueError(f"tree {len(trees) - 1} node {sizes[-1] - 1}: its code would need {bits} bits, more than 63")
-    code <<= fbits
+    code <<= cshift
+    feature <<= fshift
     code |= feature
-    code |= np.arange(0, 2 * n, 2, dtype=np.int64) << shift
-    child = np.empty((n, 2), dtype=np.intp)
-    for tree, r in zip(trees, root.tolist()):
-        child[r : r + tree.n_nodes, 0] = tree.right_child + r
-        child[r : r + tree.n_nodes, 1] = tree.left_child + r
-    child[~split] = np.flatnonzero(~split)[:, None]
+    code |= np.arange(1, 2 * n, 2, dtype=np.int64)
     return _Packed(
         code=code[child.ravel()],
         root=code[root],
         split=split.repeat(2),
         cuts=cuts,
-        fbits=fbits,
-        shift=shift,
+        cshift=cshift,
+        fshift=fshift,
+        first=int(np.argmax(2 * reached >= reached[-1])),
         n_features=trees[0].n_features,
     )
 
@@ -295,8 +353,9 @@ def _walk(packed: _Packed, features):
     n_trees, n = packed.root.size, x.shape[0]
     rows = max(1, min(n, _PAIRS_PER_CHUNK))
     group = max(1, _PAIRS_PER_CHUNK // rows)
-    shift, fmask = packed.shift, (1 << packed.fbits) - 1
-    rmask = (1 << shift) - 1 - fmask
+    cshift, fshift = packed.cshift, packed.fshift
+    cmask = (1 << cshift) - 1
+    tags = np.arange(k, dtype=np.int64) << fshift
     for start in range(0, max(n, 1), rows):
         block = x[start : start + rows]
         m = block.shape[0]
@@ -304,7 +363,9 @@ def _walk(packed: _Packed, features):
         cells = np.zeros(block.shape, dtype=np.int64)
         for f, cut in packed.cuts:
             cells[:, f] = cut.searchsorted(block[:, f])
-        cells = (cells << packed.fbits).ravel()  # in line with a code's rank field
+        cells <<= cshift
+        cells |= tags  # a cell lines up with the feature and rank fields of a code
+        cells = cells.ravel()
         row_of = np.tile(np.arange(0, m * k, k, dtype=np.intp), min(group, n_trees))  # cell of feature 0
         for first in range(0, n_trees, group):
             roots = packed.root[first : first + group]
@@ -312,13 +373,22 @@ def _walk(packed: _Packed, features):
             row = row_of[: code.size]
             pair = np.arange(code.size)
             leaves = np.empty(code.size, dtype=np.int64)
+            levels = packed.first
             while code.size:
-                for _ in range(_LEVELS_PER_COMPACTION):
-                    code = packed.code.take((code >> shift) + (cells.take(row + (code & fmask)) <= (code & rmask)))
-                node = code >> shift
-                leaves[pair] = node  # a pair still walking is written again later
-                live = np.flatnonzero(packed.split[node])
+                for _ in range(levels):  # in place where numpy allows: every temporary is int64
+                    at = code >> fshift
+                    at += row
+                    step = cells.take(at)
+                    np.subtract(code, step, out=step)
+                    step >>= 63  # -1 where the code is below its row's cell: the row goes right
+                    code &= cmask
+                    step += code
+                    code = packed.code.take(step)
+                slot = code & cmask
+                leaves[pair] = slot  # a pair still walking is written again later
+                live = np.flatnonzero(packed.split[slot])
                 code, row, pair = code[live], row[live], pair[live]
+                levels = _LEVELS_PER_COMPACTION
             yield start, first, (leaves >> 1).reshape(roots.size, m)
 
 
@@ -355,7 +425,7 @@ _ROWS_PER_STEP = 1 << 15
 
 # Both bound the scoring walk; the module docstring gives their timings.
 _PAIRS_PER_CHUNK = 1 << 14
-_LEVELS_PER_COMPACTION = 6
+_LEVELS_PER_COMPACTION = 3
 
 
 def _key_dtype(bits: int):

@@ -8,10 +8,12 @@ index, then lowest threshold).
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
+import pickle
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -260,6 +262,39 @@ def test_tree_with_a_cycle_fails_where_it_is_built():
     tree = fit_tree([[1.0], [2.0], [3.0], [4.0]], [0, 0, 1, 1])
     with pytest.raises(ValueError, match=r"^node 0: left child 0 must lie after it and below 3$"):
         replace(tree, left_child=np.array([0, -1, -1]))
+
+
+def test_frozen_tree_rejects_writes_to_its_nodes():
+    # a checked tree made into a self-loop in place was never checked again, and apply hung on it
+    tree = fit_tree([[1.0], [2.0], [3.0], [4.0]], [0, 0, 1, 1])
+    for name in ("feature_index", "threshold", "left_child", "right_child", "n_samples", "n_positive"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(tree, name)[0] = 0
+        with pytest.raises(FrozenInstanceError):
+            setattr(tree, name, getattr(tree, name).copy())
+    with pytest.raises(FrozenInstanceError):
+        del tree.threshold
+    assert tree.apply([[1.0], [4.0]]).tolist() == [1, 2]
+    for clone in (pickle.loads(pickle.dumps(tree)), copy.deepcopy(tree), copy.copy(tree)):
+        assert clone.to_dict() == tree.to_dict() and "_packed" not in vars(clone)
+        with pytest.raises(ValueError, match="read-only"):
+            clone.left_child[0] = 0
+    # only the fields are frozen: a method may still be wrapped on the instance, as a tracer does
+    tree.score_many = lambda features: np.zeros(len(features))
+    assert tree.score_many([[1.0]]).tolist() == [0.0]
+
+
+def test_walk_packs_a_tree_once_and_a_replaced_tree_anew():
+    tree = fit_tree([[1.0], [2.0], [3.0], [4.0]], [0, 0, 1, 1])
+    assert "_packed" not in vars(tree)  # a fitted tree is packed on first use, not when built
+    assert tree.apply([[2.0], [2.4], [3.0]]).tolist() == [1, 1, 2]
+    packed = tree._packed
+    tree.apply([[2.0]])
+    assert tree._packed is packed
+    # the threshold moves from 2.5 to 2.2 after the original tree was applied
+    moved = replace(tree, threshold=np.array([2.2, np.nan, np.nan]))
+    assert moved.apply([[2.0], [2.4], [3.0]]).tolist() == [1, 2, 2]
+    assert tree.apply([[2.0], [2.4], [3.0]]).tolist() == [1, 1, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -538,10 +573,34 @@ def _reference_scores(trees, x):
     return total / len(trees)
 
 
+def _first_compaction_at(monkeypatch, depth_of):
+    """Make every pack compact first after depth_of(leaf depths) levels, not at the median leaf depth."""
+    pack = tree_module._pack
+
+    def packed_with_first(trees):
+        depths = np.concatenate([t.node_depths()[t.feature_index == -1] for t in trees])
+        return replace(pack(trees), first=depth_of(depths))
+
+    monkeypatch.setattr(tree_module, "_pack", packed_with_first)
+
+
 # 1 and 64 pairs make one-tree chunks; 1000 pairs over the 200-row probe make
 # one row block of 5-tree groups, so a 6-tree forest ends on a 1-tree group;
-# the default constants also walk batches of rows drawn from the probe
-@pytest.mark.parametrize("pairs_per_chunk, levels", [(1, 1), (64, 3), (1000, 2), (None, None)])
+# the default constants also walk batches of rows drawn from the probe.  The
+# first compaction comes at the median leaf depth, or at depth 0, before any
+# split tree's shallowest leaf, or at the deepest leaf, so one round walks
+# every pair to its leaf.
+@pytest.mark.parametrize(
+    "pairs_per_chunk, levels, first",
+    [
+        pytest.param(1, 1, None, id="1-1"),
+        pytest.param(64, 3, None, id="64-3"),
+        pytest.param(1000, 2, None, id="1000-2"),
+        pytest.param(None, None, None, id="None-None"),
+        pytest.param(64, 2, "before-every-leaf", id="64-2-first-before-every-leaf"),
+        pytest.param(None, None, "at-the-deepest-leaf", id="None-None-first-at-the-deepest-leaf"),
+    ],
+)
 @pytest.mark.parametrize(
     "data, kwargs",
     [
@@ -552,10 +611,16 @@ def _reference_scores(trees, x):
         ("single-class", {"n_trees": 3, "seed": 0}),  # single-leaf trees only
     ],
 )
-def test_walk_matches_per_row_reference(monkeypatch, data, kwargs, pairs_per_chunk, levels):
+def test_walk_matches_per_row_reference(monkeypatch, data, kwargs, pairs_per_chunk, levels, first):
     if pairs_per_chunk is not None:  # a batch of several chunks, compacted every `levels` levels
         monkeypatch.setattr(tree_module, "_PAIRS_PER_CHUNK", pairs_per_chunk)
         monkeypatch.setattr(tree_module, "_LEVELS_PER_COMPACTION", levels)
+    if first == "before-every-leaf":
+        _first_compaction_at(monkeypatch, lambda depths: 0)
+    elif first == "at-the-deepest-leaf":
+        # after one round no pair walks on: the walk must not count on a second round
+        monkeypatch.setattr(tree_module, "_LEVELS_PER_COMPACTION", None)
+        _first_compaction_at(monkeypatch, lambda depths: int(depths.max()))
     x, y = _golden_data(data)
     forest = fit_forest(x, y, **kwargs)
     trees = [
@@ -592,6 +657,28 @@ def test_walk_matches_per_row_reference(monkeypatch, data, kwargs, pairs_per_chu
             for tree, leaves in zip(trees, expected):
                 assert np.array_equal(tree.apply(probe[pick]), leaves[pick])
             assert everything.score_many(probe[pick]).tobytes() == scores[pick].tobytes()
+
+
+def test_walk_compacts_first_where_half_the_training_samples_reached_a_leaf():
+    x, y = _golden_data("continuous")
+    forest = fit_forest(x, y, n_trees=8, seed=3)
+    trees = [*forest.trees, fit_tree(x, np.ones_like(y))]  # and a single leaf at depth 0
+    reached = {}  # leaf depth -> training samples, each depth found by a walk down from the root
+    for tree in trees:
+        depths = {0: 0}
+        for node in range(tree.n_nodes):  # preorder: a parent before its children
+            if tree.feature_index[node] != -1:
+                depths[tree.left_child[node]] = depths[tree.right_child[node]] = depths[node] + 1
+            else:
+                reached[depths[node]] = reached.get(depths[node], 0) + int(tree.n_samples[node])
+        assert tree.node_depths().tolist() == [depths[node] for node in range(tree.n_nodes)]
+    total, below, median = sum(reached.values()), 0, None
+    for depth in sorted(reached):
+        below += reached[depth]
+        if median is None and 2 * below >= total:
+            median = depth
+    assert RandomForestModel(trees=trees, max_features=1, bootstrap=True, seed=0)._packed.first == median
+    assert 0 < median < max(reached)
 
 
 def test_forest_and_tree_reject_wrong_feature_count():
@@ -679,9 +766,10 @@ def test_walk_rejects_splits_the_rank_codes_cannot_hold():
     tree = _hand_tree((0, 0.5, (1, 0), (1, -0.5, (1, 0), (1, 1))))
     with pytest.raises(ValueError, match=r"^node 2: split threshold nan is not a finite number$"):
         replace(tree, threshold=np.where(np.arange(5) == 2, np.nan, tree.threshold))
-    # feature 2 ** 62 - 1 takes 62 bits, so the last node's doubled id, 6, makes a 65-bit code
+    # feature 2 ** 62 - 1 takes 62 bits, a cell's rank 0 or 1 one bit, and the last node's
+    # slot, 2 * 3 + 1, three bits: 66 in all
     wide = _hand_tree((2**62 - 1, 0.5, (1, 0), (1, 1)), n_features=2**62)
-    with pytest.raises(ValueError, match=r"^tree 1 node 2: its code would need 65 bits, more than 63$"):
+    with pytest.raises(ValueError, match=r"^tree 1 node 2: its code would need 66 bits, more than 63$"):
         RandomForestModel(trees=[_hand_tree((1, 1), n_features=2**62), wide], max_features=1, bootstrap=True, seed=0)
 
 
