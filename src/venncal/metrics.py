@@ -155,7 +155,7 @@ def reliability_bins(probabilities, labels, m: int = 10, mode: str = "width") ->
 def _reliability_bins(p: np.ndarray, y: np.ndarray, m: int, mode: str) -> ReliabilityBins:
     edges = _frequency_edges(p, m) if mode == "frequency" else _width_edges(m)
     idx = np.searchsorted(edges, p, side="right") - 1
-    idx = np.clip(idx, 0, m - 1)  # p == 1.0 joins the last bin
+    np.minimum(idx, m - 1, out=idx)  # p == 1.0 joins the last bin; p >= 0.0 == edges[0], so idx >= 0
     counts = np.bincount(idx, minlength=m)
     with np.errstate(invalid="ignore"):
         mop = np.bincount(idx, weights=p, minlength=m) / counts

@@ -6,11 +6,12 @@ node; ties in impurity decrease are broken by lowest feature index, then
 lowest threshold, which makes the split choice reproducible against an
 exhaustive-enumeration oracle.
 
-A random forest bags such trees with per-split feature subsampling and
-scores the arithmetic mean of its trees' leaf positive fractions.  Each
-tree draws from its own stream, spawned from ``SeedSequence(seed)``: its
-bootstrap sample first, then one feature subset per splittable node in
-preorder.
+A random forest bags such trees and scores the arithmetic mean of their
+leaf positive fractions.  ``fit_forest`` fits it one way: each tree on a
+bootstrap sample, each split searching ceil(sqrt(F)) of the F features,
+leaves down to one row.  Each tree draws from its own stream, spawned
+from ``SeedSequence(seed)``: its bootstrap sample first, then one feature
+subset per splittable node in preorder.
 
 One builder, ``_grow``, grows every tree: a forest's trees in lockstep and
 a single tree as a forest of one.  Features are rank-coded once per fit.
@@ -18,11 +19,11 @@ Each step takes pending nodes of the trees in flight and searches all of
 them at once.  A tree that draws feature subsets gives its next splittable
 node in preorder, so its random stream is drawn exactly as if it were
 grown alone.  A tree that draws none (every ``fit_tree``, and every tree
-of a forest whose max_features is the feature count) gives all its
-pending splittable nodes, breadth-first as SPRINT grows a tree
-(Shafer, Agrawal & Mehta, VLDB 1996); its nodes are numbered as the steps
-take them and renumbered to preorder once it is done, so either way a
-model is in preorder.  One sort of packed keys
+of a forest on one feature) gives all its pending splittable nodes,
+breadth-first as SPRINT grows a tree (Shafer, Agrawal & Mehta, VLDB
+1996); its nodes are numbered as the steps take them and renumbered to
+preorder once it is done, so either way a model is in preorder.  One
+sort of packed keys
 ``(slot * k + candidate) << bits | (2 * rank + label)``, one slot per node
 of the step, orders every (node, candidate feature) segment by value, a
 cumulative sum over runs of equal keys counts the positives left of each
@@ -73,9 +74,9 @@ x1.02 for 6, x1.02 and x1.01 for a first compaction at 9, x0.98 and x0.99
 at 11, x1.13 and x1.10 for a first round of 6 and then every 6 (the
 previous schedule), x1.11 and x1.14 for chunks of 2^13 pairs, and x0.99
 and x0.95 for 2^15, which doubles a chunk's buffers.  A forest packs its
-trees once, on construction; a tree packs itself on first use and keeps
-its pack, which cannot go stale, as a tree's node arrays are read-only and
-its fields cannot be rebound.
+trees once, on construction; a tree packs itself on first use.  Neither
+pack can go stale: node arrays and leaf fractions are read-only, a
+forest holds its trees as a tuple, and no model's fields can be rebound.
 """
 
 from __future__ import annotations
@@ -96,37 +97,13 @@ _TIE_WINDOW = 1e-9
 _NODE_ARRAYS = ("feature_index", "threshold", "left_child", "right_child", "n_samples", "n_positive")
 
 
-@dataclass
-class DecisionTreeModel:
-    """Fitted tree as parallel node arrays (index 0 is the root); immutable once built.
+class _Frozen:
+    """Dataclass fields that ``__init__`` sets once and nothing rebinds or deletes.
 
-    Internal nodes have feature_index >= 0 and route x left when
-    x[feature_index] <= threshold.  Leaves have feature_index == -1 and
-    score n_positive / n_samples.  Every node keeps its training counts so
-    subtrees can be collapsed into leaves later.  Every tree is checked by
-    ``_check_nodes`` where it is built, ``replace`` and ``from_dict`` included,
-    and its node arrays are then read-only and its fields cannot be rebound,
-    so the packed codes ``apply`` keeps stay those of the tree.  Only the
-    fields are frozen: a fitted model's methods may still be wrapped on the
-    instance, as a tracer does.
+    Other attributes stay assignable, so a method may still be wrapped on
+    the instance, as a tracer does.  A copy or an unpickled model is built
+    anew from its init fields, so it is checked, frozen and packed afresh.
     """
-
-    feature_index: np.ndarray
-    threshold: np.ndarray
-    left_child: np.ndarray
-    right_child: np.ndarray
-    n_samples: np.ndarray
-    n_positive: np.ndarray
-    n_features: int
-    max_depth: int | None  # None for a fitted tree; set by collapsed
-    min_samples_leaf: int
-    min_samples_split: int  # 2 for every fitted tree
-    seed: int
-
-    def __post_init__(self):
-        self._check_nodes()
-        for name in _NODE_ARRAYS:
-            getattr(self, name).setflags(write=False)
 
     def __setattr__(self, name, value):
         if name in self.__dataclass_fields__ and name in self.__dict__:  # __init__ sets each field once
@@ -138,8 +115,37 @@ class DecisionTreeModel:
             raise FrozenInstanceError(f"cannot delete field {name!r}")
         super().__delattr__(name)
 
-    def __reduce__(self):  # a copy or an unpickled tree is built, checked and frozen anew, with no pack
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
+
+
+@dataclass
+class DecisionTreeModel(_Frozen):
+    """Fitted tree as parallel node arrays (index 0 is the root); immutable once built.
+
+    Internal nodes have feature_index >= 0 and route x left when
+    x[feature_index] <= threshold.  Leaves have feature_index == -1 and
+    score n_positive / n_samples.  Every node keeps its training counts so
+    subtrees can be collapsed into leaves later.  Every tree is checked by
+    ``_check_nodes`` where it is built, ``replace`` and ``from_dict`` included,
+    and its node arrays are then read-only and its fields frozen, so the
+    packed codes ``apply`` keeps stay those of the tree.
+    """
+
+    feature_index: np.ndarray
+    threshold: np.ndarray
+    left_child: np.ndarray
+    right_child: np.ndarray
+    n_samples: np.ndarray
+    n_positive: np.ndarray
+    n_features: int
+    min_samples_leaf: int
+    seed: int
+
+    def __post_init__(self):
+        self._check_nodes()
+        for name in _NODE_ARRAYS:
+            getattr(self, name).setflags(write=False)
 
     @property
     def n_nodes(self) -> int:
@@ -161,11 +167,11 @@ class DecisionTreeModel:
         depths = self.node_depths()
         keep = np.flatnonzero(depths <= max_depth)
         split = (self.feature_index[keep] != _NO_FEATURE) & (depths[keep] < max_depth)
-        return replace(_renumbered(self, keep, split), max_depth=max_depth)
+        return _renumbered(self, keep, split)
 
     @cached_property
     def _packed(self) -> "_Packed":  # packed on first use: _grow builds trees no one walks alone
-        return _pack([self])
+        return _pack((self,))
 
     def apply(self, features) -> np.ndarray:
         """Leaf index for every row of a feature matrix: the packed walk over a forest of one."""
@@ -179,9 +185,7 @@ class DecisionTreeModel:
         return {
             "kind": "decision_tree",
             "n_features": self.n_features,
-            "max_depth": self.max_depth,
             "min_samples_leaf": self.min_samples_leaf,
-            "min_samples_split": self.min_samples_split,
             "seed": self.seed,
             "feature_index": self.feature_index.tolist(),
             "threshold": [None if np.isnan(t) else float(t) for t in self.threshold],
@@ -193,10 +197,14 @@ class DecisionTreeModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DecisionTreeModel":
-        """Load a tree written by ``to_dict``; raises ValueError naming a missing field or the first bad node."""
-        missing = [f.name for f in fields(cls) if f.name not in data]
+        """Load a tree written by ``to_dict``; raises ValueError naming a missing or unknown key or the first bad node."""
+        names = [f.name for f in fields(cls)]
+        missing = [name for name in names if name not in data]
         if missing:  # data[name] would raise a bare KeyError
             raise ValueError(f"tree document has no {missing[0]!r} field")
+        unknown = set(data) - {"kind", *names}
+        if unknown:
+            raise ValueError(f"unknown tree document keys: {sorted(unknown)}")
         return cls(
             feature_index=np.asarray(data["feature_index"], dtype=np.int64),
             threshold=np.asarray(
@@ -207,9 +215,7 @@ class DecisionTreeModel:
             n_samples=np.asarray(data["n_samples"], dtype=np.int64),
             n_positive=np.asarray(data["n_positive"], dtype=np.int64),
             n_features=int(data["n_features"]),
-            max_depth=data["max_depth"],
             min_samples_leaf=int(data["min_samples_leaf"]),
-            min_samples_split=int(data["min_samples_split"]),
             seed=int(data["seed"]),
         )
 
@@ -288,7 +294,7 @@ def _depths(split: np.ndarray, child: np.ndarray, roots: np.ndarray) -> np.ndarr
     return depths
 
 
-def _pack(trees: list[DecisionTreeModel]) -> _Packed:
+def _pack(trees: tuple[DecisionTreeModel, ...]) -> _Packed:
     """Pack trees, each checked where it was built, for the walk; raises ValueError if a code needs over 63 bits."""
     sizes = [tree.n_nodes for tree in trees]
     root = np.cumsum(sizes) - sizes
@@ -318,11 +324,15 @@ def _pack(trees: list[DecisionTreeModel]) -> _Packed:
     code[at] = distinct - np.maximum.accumulate(np.where(first, distinct, 0))
     cuts = list(zip(f[first].tolist(), np.split(t[fresh], distinct[first][1:])))
     cshift = (2 * n - 1).bit_length()
-    # a cell's rank runs one past its feature's last cut
-    fshift = cshift + max((cut.size for _, cut in cuts), default=0).bit_length()
-    bits = fshift + int(feature.max(initial=0)).bit_length()
+    most = max((cut.size for _, cut in cuts), default=0)
+    fshift = cshift + most.bit_length()  # a cell's rank runs one past its feature's last cut
+    widest = int(np.argmax(feature))  # a split of the widest feature, or a leaf if none splits
+    bits = fshift + int(feature[widest]).bit_length()
     if bits > 63:
-        raise ValueError(f"tree {len(trees) - 1} node {sizes[-1] - 1}: its code would need {bits} bits, more than 63")
+        at = int(np.searchsorted(root, widest, side="right")) - 1  # the tree that holds it
+        raise ValueError(f"codes would need {bits} bits, more than 63: {cshift} for {2 * n} child slots, "
+                         f"{fshift - cshift} for a feature's {most} cuts, and {bits - fshift} for split "
+                         f"feature {feature[widest]} at tree {at} node {widest - root[at]}")
     code <<= cshift
     feature <<= fshift
     code |= feature
@@ -645,8 +655,6 @@ def _grow(
     at once, so each tree equals the one grown alone from its generator.
     """
     n, n_features = x.shape
-    if not 1 <= max_features <= n_features:
-        raise ValueError(f"max_features must be in [1, {n_features}]")
     if min_samples_leaf < 1:
         raise ValueError(f"min_samples_leaf must be >= 1, got {min_samples_leaf}")
     subsets = max_features < n_features
@@ -667,9 +675,7 @@ def _grow(
             n_samples=np.array(tree.n_samples, dtype=np.int64),
             n_positive=np.array(tree.n_positive, dtype=np.int64),
             n_features=n_features,
-            max_depth=None,
             min_samples_leaf=min_samples_leaf,
-            min_samples_split=2,
             seed=seed,
         )
         # a tree that draws no subsets numbered its nodes as the steps took them
@@ -813,20 +819,22 @@ def fit_tree(
 
 
 @dataclass
-class RandomForestModel:
-    trees: list[DecisionTreeModel]
-    max_features: int
-    bootstrap: bool
+class RandomForestModel(_Frozen):
+    """Trees, a tuple packed once, scored by their mean leaf fraction; immutable once built."""
+
+    trees: tuple[DecisionTreeModel, ...]
     seed: int
     _packed: _Packed = field(init=False, repr=False, compare=False)
     _fraction: np.ndarray = field(init=False, repr=False, compare=False)  # of every packed node
 
     def __post_init__(self):
+        object.__setattr__(self, "trees", tuple(self.trees))  # the one rebinding: a list becomes a tuple
         widths = {tree.n_features for tree in self.trees}
         if len(widths) != 1:
             raise ValueError(f"a forest needs trees of one feature count, got {sorted(widths)}")
         self._packed = _pack(self.trees)
         self._fraction = np.concatenate([tree.n_positive / tree.n_samples for tree in self.trees])
+        self._fraction.setflags(write=False)
 
     @property
     def n_trees(self) -> int:
@@ -848,41 +856,29 @@ class RandomForestModel:
         return {
             "kind": "random_forest",
             "n_trees": self.n_trees,
-            "max_features": self.max_features,
-            "bootstrap": self.bootstrap,
             "seed": self.seed,
             "trees": [tree.to_dict() for tree in self.trees],
         }
 
 
-def fit_forest(
-    features,
-    labels,
-    *,
-    n_trees: int = 100,
-    max_features: int | None = None,
-    min_samples_leaf: int = 1,
-    bootstrap: bool = True,
-    seed: int = 0,
-) -> RandomForestModel:
-    """Train n_trees full-depth CART trees on bootstrap samples.
+def fit_forest(features, labels, *, n_trees: int = 100, seed: int = 0) -> RandomForestModel:
+    """Train n_trees CART trees, each on its own bootstrap sample, with leaves down to one row.
 
-    max_features defaults to ceil(sqrt(n_features)).  With bootstrap=False
-    and max_features equal to the feature count the forest degenerates to
-    n_trees copies of the plain tree fit.
+    Every split searches ceil(sqrt(n_features)) features drawn afresh for
+    it.  Tree t draws from the t-th stream spawned from
+    ``SeedSequence(seed)``, so the forest is a function of the data, n_trees
+    and seed alone.
     """
     x, y = _validate_training_data(features, labels)
     if n_trees < 1:
         raise ValueError(f"n_trees must be >= 1, got {n_trees}")
-    if max_features is None:
-        max_features = math.ceil(math.sqrt(x.shape[1]))
     trees = _grow(
         x,
         y,
         [np.random.default_rng(stream) for stream in np.random.SeedSequence(seed).spawn(n_trees)],
-        bootstrap=bootstrap,
-        min_samples_leaf=min_samples_leaf,
-        max_features=max_features,
+        bootstrap=True,
+        min_samples_leaf=1,
+        max_features=math.ceil(math.sqrt(x.shape[1])),
         seed=seed,
     )
-    return RandomForestModel(trees=trees, max_features=max_features, bootstrap=bootstrap, seed=seed)
+    return RandomForestModel(trees=trees, seed=seed)

@@ -689,8 +689,8 @@ def _venn_abers():
 def _tree_document(**changes):
     """A 3-node model.json document, a split on feature 0 of 2 and two leaves, with changes applied."""
     document = {
-        "kind": "decision_tree", "n_features": 2, "max_depth": None, "min_samples_leaf": 1,
-        "min_samples_split": 2, "seed": 0, "feature_index": [0, -1, -1], "threshold": [0.5, None, None],
+        "kind": "decision_tree", "n_features": 2, "min_samples_leaf": 1, "seed": 0,
+        "feature_index": [0, -1, -1], "threshold": [0.5, None, None],
         "left_child": [1, -1, -1], "right_child": [2, -1, -1], "n_samples": [4, 2, 2], "n_positive": [2, 0, 2],
     }
     return {**document, **changes}

@@ -115,6 +115,45 @@ def test_parallel_run_matches_serial(tmp_path):
     assert json.loads((tmp_path / "run_par" / "run.json").read_text(encoding="utf-8")) == run_record(parallel)
 
 
+# Metamorphic relations: two runs that must write the same fold files, with nothing recorded.
+
+def _relation_folds(tmp_path, name, data, models) -> dict:
+    """The fold files, by name, of a 3-fold run of models with 10-tree forests."""
+    config = ExperimentConfig.from_dict(dict(
+        dataset_path=str(data), models=models, calibrators=("none", "venn-abers", "isotonic"),
+        k=3, repetitions=1, n_trees=10, output_dir=str(tmp_path / name),
+    ))
+    run_experiment(config)
+    return {path.name: path.read_bytes() for path in (tmp_path / name / "folds").iterdir()}
+
+
+def test_a_pair_writes_the_same_folds_whichever_models_run_beside_it(tmp_path):
+    # a forest seed that depended on the pair's place in the config passed every other test
+    data = write_small_dataset(tmp_path / "toy.csv", n=2000)
+    alone = _relation_folds(tmp_path, "forest", data, ("forest",))
+    together = _relation_folds(tmp_path, "tree_forest", data, ("tree", "forest"))
+    assert len(alone) == 18  # 3 calibrators x 3 folds, a JSON and a CSV each
+    assert {name: together[name] for name in alone} == alone
+
+
+def test_doubling_every_numeric_feature_changes_no_fold_file(tmp_path):
+    # x -> 2.0 * x is exact and keeps the order of every column, and trees see features only
+    # through that order, so the scaled dataset must give the same bytes
+    data = write_small_dataset(tmp_path / "toy.csv", n=2000)
+    with data.open(newline="", encoding="utf-8") as handle:
+        header, *rows = csv.reader(handle)
+    numeric = range(header.index("Air temperature [K]"), header.index("Tool wear [min]") + 1)
+    for row in rows:
+        for j in numeric:
+            row[j] = repr(2.0 * float(row[j]))
+    scaled = tmp_path / "scaled.csv"
+    with scaled.open("w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle).writerows([header, *rows])
+    plain = _relation_folds(tmp_path, "plain", data, ("tree", "forest"))
+    doubled = _relation_folds(tmp_path, "doubled", scaled, ("tree", "forest"))
+    assert len(plain) == 36 and doubled == plain
+
+
 def test_run_record_names_config_versions_and_source(tmp_path):
     config = small_config(tmp_path)
     record = run_record(config)

@@ -195,6 +195,13 @@ def test_reliability_frequency_mode():
     assert bins.counts.sum() == 1000
     # quantile edges give near-equal occupancy on continuous data
     assert bins.counts.min() >= 80
+    # most probabilities at 0.0 make the first quantile edges 0.0 too; every 0.0 then joins
+    # the last bin that starts at 0.0, and 1.0 closes the last bin
+    p = np.array([0.0] * 6 + [0.4, 0.7, 1.0, 1.0])
+    bins = reliability_bins(p, [0] * 6 + [0, 1, 1, 1], m=4, mode="frequency")
+    assert bins.bin_edges.tolist() == [0.0, 0.0, 0.0, 0.625, 1.0]
+    assert bins.counts.tolist() == [0, 0, 7, 3]
+    assert bins.fraction_positive[2:].tolist() == [0.0, 1.0]
 
 
 def test_reliability_unknown_mode_rejected():

@@ -11,6 +11,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 import pickle
 import re
 from dataclasses import FrozenInstanceError, replace
@@ -70,21 +71,19 @@ def test_tree_empty_input_rejected():
         (np.zeros((2, 2, 2)), [0, 1], {}, "features must be a 2-d matrix"),
         ([[1.0], [2.0]], [0, 1, 1], {}, "labels must be one per feature row"),
         ([[1.0], [2.0]], [0, 2], {}, "labels must be 0 or 1"),
-        ([[1.0, 2.0], [2.0, 1.0]], [0, 1], {"max_features": 3}, r"max_features must be in \[1, 2\]"),
-        ([[1.0, 2.0], [2.0, 1.0]], [0, 1], {"max_features": 0}, r"max_features must be in \[1, 2\]"),
+        ([[1.0], [2.0]], [0, 1], {"min_samples_leaf": 0}, r"^min_samples_leaf must be >= 1, got 0$"),
+        ([[1.0], [np.inf]], [0, 1], {}, r"^features must be finite, got inf at index \(1, 0\)$"),
         ([1.0, 2.0], [0, 1], {}, "features must be a 2-d matrix"),
     ],
 )
 def test_tree_rejects_bad_training_input(features, labels, kwargs, message):
-    # a lone tree searches every feature; max_features bounds a forest's subsets
-    fit = fit_forest if "max_features" in kwargs else fit_tree
     with pytest.raises(ValueError, match=message):
-        fit(features, labels, **kwargs)
+        fit_tree(features, labels, **kwargs)
 
 
 @pytest.mark.parametrize("fit", [fit_tree, fit_forest, fit_logistic], ids=lambda fit: fit.__name__)
 def test_fits_reject_a_feature_matrix_without_columns(fit):
-    # logistic regression would fit its bias alone, and the tree fits would name max_features
+    # logistic regression would fit its bias alone
     message = r"^features must be a 2-d matrix with at least one column, got shape \(3, 0\)$"
     with pytest.raises(ValueError, match=message):
         fit(np.zeros((3, 0)), [0, 1, 0])
@@ -158,19 +157,21 @@ def _digest(model):
 
 # sha256 of json.dumps(model.to_dict()) of the tree grown with its depth limited
 # to 0, 1, ..., 10 during the fit, recorded before the fit lost that limit; the
-# full tree is 9 deep
+# full tree is 9 deep, so depths 9 and 10 give one document.  Re-recorded when
+# tree documents lost max_depth and min_samples_split: each is the earlier
+# document with those two keys deleted
 DEPTH_LIMITED_DIGESTS = [
-    "8da4d2c87f435b995156d50bbb009b785f6eb0b466ef47748b8c8e259d0100ec",
-    "9997d5ceb0cc03999580922ec1132bd502597df1a4f9455562e311b84c41f59a",
-    "3e84770486ec619361cce6f805a27ff0340b5c816ca83e06c7f26d7c879860de",
-    "e66249f73abb755bb606842bf685e4fb6a179e4b12d70cc0435f6f63dbc7e435",
-    "e6ad0f2c26da11110b0231087d3f3fcf86178ad09cee920001151ce12e22a64c",
-    "fdf46f164393f6dc3c68c612f8aadc0461015612c76a82c42771bae5c4f0d28b",
-    "7b96a375b000e2bd20be855dbff83289eea52a94b40c312d0fb99400f6e06b7f",
-    "494be08aa7e6304172c937de9d95830328fc77031127f31ff547822c78669d03",
-    "7ebf4b55a0035e602164810827d956ef08c20ed133b6b352f0f6912fa9fc7ecc",
-    "e4c3cdd96a9a1b6b4e2b22514a4e62107c7404bb102540231d79c30fb9c8529b",
-    "8bcb21b183662bb14240273f53f440f633204274e1c825e7eb4fce043d5a949c",
+    "e205588b058a026be7373b5959bfa86e26a1c936e874313e8bacf0824ad14aa9",
+    "da31e450f145ae714dfb4b0903542125b955f93af42e78715ed9b3bca1e70c1d",
+    "0f98364210d8b9f408f6dac1bee2c66cb22253e2fe6fb1238e084481800c52a1",
+    "f02bbaf881f779ca9a7e29a126d6347d23ffaf6a3f24618024feeebd67f46caf",
+    "fc1263da4fa6faf54b1ac5e27ab81f2bb1d28b87ca927caccf5b51b3809f5222",
+    "de9730b9e5425872010b68c0408bd896446814b24356d84b3b0014b337aaa68d",
+    "13fae2281db6c0027a0d93177c761471bbb222f9f221a24ed8c5fe50b5b6e0fb",
+    "c2fdcc4f54d1475ac3c19bf9f5c1552b2565e3440ab28cd041adea260afa5526",
+    "fd916f8c7e495ab5cc7cfc4c59de7b1030a8cd7b2b192da6d790aef7c08cf8ef",
+    "051039758b08579f5b0bdf0074a07a44c113dad29b34a8c12bbb6862359471e2",
+    "051039758b08579f5b0bdf0074a07a44c113dad29b34a8c12bbb6862359471e2",
 ]
 
 
@@ -208,8 +209,7 @@ def _node_dict(left, right, feature_index=None, n_features=1):
         feature_index = [-1 if child == -1 else 0 for child in left]
     n = len(left)
     return {
-        "kind": "decision_tree", "n_features": n_features, "max_depth": None,
-        "min_samples_leaf": 1, "min_samples_split": 2, "seed": 0,
+        "kind": "decision_tree", "n_features": n_features, "min_samples_leaf": 1, "seed": 0,
         "feature_index": feature_index,
         "threshold": [None if f == -1 else 0.5 for f in feature_index],
         "left_child": left, "right_child": right,
@@ -241,6 +241,9 @@ def test_tree_from_dict_rejects_malformed_nodes():
     missing = _node_dict([1, -1, -1], [2, -1, -1])
     del missing["feature_index"]
     cases.append(("missing field", missing, r"^tree document has no 'feature_index' field$"))
+    # the keys tree documents carried before they were cut to what a fit varies
+    dropped = {**_node_dict([1, -1, -1], [2, -1, -1]), "min_samples_split": 2, "max_depth": None}
+    cases.append(("unknown keys", dropped, r"^unknown tree document keys: \['max_depth', 'min_samples_split'\]$"))
     # an empty leaf and one with more positives than samples: the first loaded and scored [nan, 1.25]
     need = "need 0 <= n_positive <= n_samples and n_samples >= 1"
     for n_samples, n_positive, message in (
@@ -301,11 +304,26 @@ def test_walk_packs_a_tree_once_and_a_replaced_tree_anew():
 # random forest
 # ---------------------------------------------------------------------------
 
+def _forest(x, y, *, n_trees, seed, **settings):
+    """fit_forest's forest, or with settings the forest _grow grows with them in its place.
+
+    settings may name _grow's max_features, min_samples_leaf and bootstrap,
+    which fit_forest fixes at ceil(sqrt(n_features)), 1 and True; the trees
+    draw from the streams fit_forest spawns.
+    """
+    if not settings:
+        return fit_forest(x, y, n_trees=n_trees, seed=seed)
+    x, y = tree_module._validate_training_data(x, y)
+    grow = {"max_features": math.ceil(math.sqrt(x.shape[1])), "min_samples_leaf": 1, "bootstrap": True, **settings}
+    rngs = [np.random.default_rng(stream) for stream in np.random.SeedSequence(seed).spawn(n_trees)]
+    return RandomForestModel(trees=tree_module._grow(x, y, rngs, seed=seed, **grow), seed=seed)
+
+
 def test_forest_degenerate_equals_tree():
     rng = np.random.default_rng(5)
     x = rng.random((80, 3))
     y = rng.integers(0, 2, size=80)
-    forest = fit_forest(x, y, n_trees=1, max_features=3, bootstrap=False, seed=9)
+    forest = _forest(x, y, n_trees=1, seed=9, max_features=3, bootstrap=False)
     tree = fit_tree(x, y, seed=9)
     probe = rng.random((50, 3))
     assert np.array_equal(forest.score_many(probe), tree.score_many(probe))
@@ -314,7 +332,7 @@ def test_forest_degenerate_equals_tree():
 def test_forest_score_is_mean_of_trees():
     t1 = fit_tree([[0.0], [1.0]], [0, 0])  # leaf score 0.0
     t2 = fit_tree([[0.0], [1.0], [2.0], [3.0], [4.0]], [1, 0, 1, 0, 1])
-    forest = RandomForestModel(trees=[t1, t2], max_features=1, bootstrap=True, seed=0)
+    forest = RandomForestModel(trees=[t1, t2], seed=0)
     x = np.array([[0.5]])
     expected = (t1.score_many(x) + t2.score_many(x)) / 2.0
     assert forest.score_many(x).tolist() == expected.tolist()
@@ -324,8 +342,36 @@ def test_forest_mean_worked_example():
     # trees scoring 0.2 and 0.6 average to 0.4
     t1 = fit_tree([[0.0]] * 5, [1, 0, 0, 0, 0])
     t2 = fit_tree([[0.0]] * 5, [1, 1, 1, 0, 0])
-    forest = RandomForestModel(trees=[t1, t2], max_features=1, bootstrap=True, seed=0)
+    forest = RandomForestModel(trees=[t1, t2], seed=0)
     assert forest.score_many([[0.0]])[0] == pytest.approx(0.4)
+
+
+def test_frozen_forest_rejects_writes_to_its_trees():
+    # a forest packed on construction once held its trees in a list: after forest.trees[0] = b
+    # it still scored 0.0, its old tree's fraction, where b gives 1.0, while to_dict wrote b
+    a, b = fit_tree([[0.0], [1.0]], [0, 0]), fit_tree([[0.0], [1.0]], [1, 1])
+    forest = RandomForestModel(trees=[a], seed=0)
+    with pytest.raises(TypeError):
+        forest.trees[0] = b
+    for name, value in (("trees", (b,)), ("seed", 1), ("_packed", None), ("_fraction", np.ones(1))):
+        with pytest.raises(FrozenInstanceError):
+            setattr(forest, name, value)
+    for name in ("trees", "seed", "_packed"):
+        with pytest.raises(FrozenInstanceError):
+            delattr(forest, name)
+    with pytest.raises(ValueError, match="read-only"):
+        forest._fraction[0] = 1.0
+    assert forest.trees == (a,) and forest.score_many([[1.0]]).tolist() == [0.0]
+    # only the fields are frozen: score_many may still be wrapped on the instance, as a tracer
+    # does, and a copy is rebuilt from the trees and seed alone, so it scores as the forest does
+    x, y = _golden_data("continuous")
+    forest = fit_forest(x, y, n_trees=8, seed=3)
+    expected = forest.score_many(x)
+    forest.score_many = lambda features: np.zeros(len(features))
+    assert forest.score_many(x[:2]).tolist() == [0.0, 0.0]
+    for clone in (pickle.loads(pickle.dumps(forest)), copy.deepcopy(forest), copy.copy(forest)):
+        assert clone.to_dict() == forest.to_dict()
+        assert clone.score_many(x).tobytes() == expected.tobytes()
 
 
 def test_forest_determinism_and_scores_in_range():
@@ -348,11 +394,6 @@ def test_forest_determinism_and_scores_in_range():
 def test_forest_validates_arguments():
     with pytest.raises(ValueError, match="^n_trees must be >= 1, got 0$"):
         fit_forest([[1.0]], [1], n_trees=0)
-    for max_features in (0, 5):
-        with pytest.raises(ValueError, match=r"max_features must be in \[1, 2\]"):
-            fit_forest([[1.0, 2.0]], [1], max_features=max_features)
-    with pytest.raises(ValueError, match="min_samples_leaf"):
-        fit_forest([[1.0], [2.0]], [0, 1], min_samples_leaf=0)
     with pytest.raises(ValueError, match=r"^features must be a 2-d matrix with at least one column, got shape \(2,\)$"):
         fit_forest([1.0, 2.0], [0, 1])
 
@@ -366,7 +407,7 @@ def test_forest_recursion_matches_oracle_everywhere():
         x = rng.integers(0, 4, size=(n, 3)).astype(float)
         y = rng.integers(0, 2, size=n)
         n_trees = int(rng.integers(2, 6))
-        forest = fit_forest(x, y, n_trees=n_trees, max_features=3, seed=trial)
+        forest = _forest(x, y, n_trees=n_trees, seed=trial, max_features=3)
         streams = np.random.SeedSequence(trial).spawn(n_trees)
         for tree, stream in zip(forest.trees, streams):
             sample = np.random.default_rng(stream).integers(0, n, size=n)
@@ -387,7 +428,9 @@ def test_forest_recursion_matches_oracle_everywhere():
 
 
 # ---------------------------------------------------------------------------
-# golden output: model.to_dict() digests, recorded with the earlier per-node builder
+# golden output: model.to_dict() digests, recorded with the earlier per-node builder;
+# re-recorded when documents lost max_depth, min_samples_split, max_features and
+# bootstrap, each as the earlier document with those keys deleted
 # ---------------------------------------------------------------------------
 
 def _golden_data(name):
@@ -420,57 +463,59 @@ GOLDEN_MODELS = {
     # case: (data, fit, keyword arguments, sha256 of json.dumps(model.to_dict()));
     # "collapsed": d collapses the fitted tree, or every tree of the forest, to
     # depth d, which gives the model that a fit limited to depth d grew when the
-    # fit still took a depth limit.  A case keeps its number, and so its test id,
-    # when another case is removed.
+    # fit still took a depth limit.  A forest case that names max_features,
+    # min_samples_leaf or bootstrap is grown by _forest, as fit_forest fixes them.
+    # A case keeps its number, and so its test id, when another case is removed
+    # or its digest is re-recorded.
     0: ("grid", "tree", {},
-        "1b2bbbbf8a8bb9f54a425429830fd1ac3712d967dc91ce7cee44727cea7a977d"),
+        "12040404cf2ad7a4c08e497f1d4548ad3c4d98fb35df8ee443b92358a6ddbbbc"),
     1: ("grid", "tree", {"min_samples_leaf": 6},
-        "dc077bbba7dca4f55c5b68c8fc3d15bd9465c21ff803865ce6234dea704af345"),
+        "c8cf746c300d8aa4075149cbbbc9ac92bf755968787fba7a288a93468ce5381a"),
     3: ("continuous", "tree", {"collapsed": 3},
-        "61d32b75caaedfc8aa93c46859a51c361f738f1b4e7d3dea879caa05f1dbf853"),
+        "6ad78b420bdfee68e3464c1f033dd285170d6b38b3d3a6b1fa588cc6a3785faa"),
     5: ("single-class", "tree", {},
-        "18d55330633535900d38199902030763d943654db316dbbcdf896f86fb2a5ae2"),
+        "f1b6f36ebea7cebe773819182043f022a58c8b2a4654a866206e3797cd04a1db"),
     6: ("constant-feature", "tree", {},
-        "7bcebee080fe1da6eedf2b294b83b16957d5fc995b78702c75c3467b1c8f64ef"),
+        "b8ea07b31d895a1ae3b0ece7e13e84faa8d318e5ffa3ab8843be8c6f15711456"),
     7: ("extreme", "tree", {},
-        "595dc0c36d9e65fbbf7aa4d61aded5d44c05a37fd6c6679beeb95f96dfbe321d"),
+        "6bbe22714ceb4704778ee5009ff05d7c361ac1f4902e2472fc310cbf6bc8b06f"),
     8: ("extreme", "forest", {"n_trees": 4, "seed": 2, "max_features": 1},
-        "aee45e2bd94fd5368c5af2bb4e69ff3848a100d20d23d8fefe48b076c1c5b53b"),
+        "545e8f569b3d9ff858b83af1b4a375463d41f90a2939c5c061d85d326028ca16"),
     9: ("wide", "tree", {"collapsed": 6, "min_samples_leaf": 6},
-        "4d93a38d9a0cd60faa76b0fc5a32a0b602e614c015e010977254f7bdea248d74"),
+        "3bdab8c4d2541908460d9ce551781bbaf42b0c9d046efcc3a7a099f5893e467b"),
     10: ("grid", "forest", {"n_trees": 8, "seed": 0},
-         "e7007c9eb749c9c828fc130ed445f399189dfe030433f367af9a0c96cc67de6b"),
+         "bd585b4904c5a7c7203a0291966e3aab8dff30ba3460f5cd8d08a955f6a72f4c"),
     11: ("grid", "forest", {"n_trees": 8, "seed": 1, "min_samples_leaf": 6},
-         "1b89aebdc94cb1eaee849de6d00c19b211d6fa11959b6c4a1bd8035c5f1c93a1"),
+         "12a6a0943d2eda332e09cd1525a14fec9583ebe6a19f45107c54d05a09798a37"),
     12: ("grid", "forest", {"n_trees": 40, "seed": 2, "max_features": 1},
-         "65addeee2a404ce80c7e0f6303cac89c34e7892c548df409b12bd2d9762cf3ff"),
+         "bf0a1780cace4a470f141ec851f987b76fcf710445da26a384bdcb355176b209"),
     13: ("grid", "forest", {"n_trees": 5, "seed": 3, "max_features": 4, "collapsed": 3},
-         "5c26341012e5d6867f89f62fb0bfd95d0ff1a19b56f770aa3999b7c8684f0e8c"),
+         "30ef1a4de7f833f9af9c3bb7f73d6ba32ddfcb129b066c203ab94f4fcac4335c"),
     14: ("continuous", "forest", {"n_trees": 8, "seed": 0},
-         "6dc3c9d390c7ebd511fc5d3a72b118dd3e66f49dee2e529fce91e92df56d6d1f"),
+         "aae09282a1f1cc473f200ba59ae831c972805c3daee9e9f6f9ad6177c71a18d6"),
     16: ("continuous", "forest", {"n_trees": 4, "seed": 6, "bootstrap": False},
-         "f6f45db4e40e370d5ec70d4942cbe4a10090328ab54b02201c34ad2bcc598e06"),
+         "1e44be1289785ac7dca141f41d1fc4840f4ac0fcb486f253845163b2eea9cc52"),
     17: ("continuous", "forest", {"n_trees": 3, "seed": 7, "bootstrap": False, "max_features": 5},
-         "743bc13e9b6d2ab6ba395631026fc5643ec7e84533328f7a202d5b1104489834"),
+         "a6476540f33b572340a1905bfd12d89ff071763c3690d207433ad8faa3830eb6"),
     18: ("continuous", "forest", {"n_trees": 50, "seed": 10, "max_features": 2, "min_samples_leaf": 6},
-         "7f803d969d34dd41916386113146b55a5abe008be268c1f891a68f0a799b6bba"),
+         "d723645c50d7667cc00c7b4509669a007ea3187db7afc2f4e1b98c7d3bc4fc66"),
     19: ("continuous", "forest", {"n_trees": 1, "seed": 8},
-         "f26636634e75f325aeaa0ec82dfa6759346fc659cda268460b150c82760b1561"),
+         "3b63d276933494b4acb3cf7f8c9ae8440a912c04cfc6ee8f8df512931f6c44d0"),
     20: ("single-class", "forest", {"n_trees": 3, "seed": 0},
-         "162c1c7b62e0fbd1b04357326324578b7bebe2f9b83fc115a33c1eaa5b9556a2"),
+         "56e30c975ff8d43c7f8f8e9f3ad68d61914519de24138d0da02775d5c91041ac"),
     21: ("constant-feature", "forest", {"n_trees": 6, "seed": 9},
-         "9afe0e6314efac1b76898f446eb339b76ffbf51a3317ee20f255fb91225e050b"),
+         "c6a3c371df0aea03acdd35f7a11092e476396e793e1ee6933f075f522022dcbc"),
     22: ("wide", "forest", {"n_trees": 3, "seed": 1, "collapsed": 5, "min_samples_leaf": 6},
-         "0e6d22c4f31b048ef9cb13544fd0c90ae08e073e8e1f29bd62cc8080e55e3482"),
+         "46c1a0608d0533ddd47a588abbae8e9be19e6381fc3bff1f6df0b3dbb6abebb7"),
     24: ("wide", "forest", {"n_trees": 2, "seed": 2, "max_features": 2, "min_samples_leaf": 200},
-         "63636c2e7e71394f0b00f7a7e00299fd0137d1b45a721f1ad29bef9d54e69fc7"),
+         "d3700fc59797e56a6d4a7bb791188880c573ee3fa7edfa64a9c850ad5ae95293"),
     # max_features is the feature count: bootstrapped trees that draw no subsets
     # (recorded with the builder that took one node of a tree per step)
     25: ("continuous", "forest", {"n_trees": 6, "seed": 12, "max_features": 5},
-         "0dcde2257def053003dc25f3ab2c6c49ad6c910368becc3580f2fa7bc8140721"),
+         "a73221922e4aa1cac1c66f33cf5e633e583d637d9530134d4aa61e760e8e7710"),
     # the one case whose trees draw feature subsets over the wide keys
     26: ("wide", "forest", {"n_trees": 3, "seed": 3, "max_features": 1, "min_samples_leaf": 200},
-         "4642faa70dcfe4107ca856d1997e98bb68e8895410ee558375910d4f82950f7d"),
+         "9f9e39629c82b45532f76808e73a8aeb7edde5913250df93e90ce031cfe118dd"),
 }
 
 
@@ -478,7 +523,7 @@ def _golden_digest(data, fit, kwargs):
     x, y = _golden_data(data)
     kwargs = dict(kwargs)
     depth = kwargs.pop("collapsed", None)
-    model = (fit_tree if fit == "tree" else fit_forest)(x, y, **kwargs)
+    model = (fit_tree if fit == "tree" else _forest)(x, y, **kwargs)
     if depth is not None and fit == "tree":
         model = model.collapsed(depth)
     elif depth is not None:
@@ -490,7 +535,7 @@ def _golden_digest(data, fit, kwargs):
 @pytest.mark.parametrize(
     "data, fit, kwargs, digest",
     list(GOLDEN_MODELS.values()),
-    ids=[f"{data}-{fit}-kwargs{case}-{digest}" for case, (data, fit, _, digest) in GOLDEN_MODELS.items()],
+    ids=[f"{data}-{fit}-kwargs{case}" for case, (data, fit, _, _) in GOLDEN_MODELS.items()],
 )
 def test_models_match_golden_digests(data, fit, kwargs, digest):
     # any change in split choice, threshold, node order or RNG use shows here
@@ -530,7 +575,7 @@ def _score_probe(data):
     the forest or the tree, so many rows sit exactly on a threshold.
     """
     x, y = _golden_data(data)
-    forest = fit_forest(x, y, n_trees=20, min_samples_leaf=5, seed=4)
+    forest = _forest(x, y, n_trees=20, seed=4, min_samples_leaf=5)
     tree = fit_tree(x, y, min_samples_leaf=2)
     return forest, tree, _probe(x, [tree, *forest.trees], np.random.default_rng(31), 40_000, 0.05)
 
@@ -622,7 +667,7 @@ def test_walk_matches_per_row_reference(monkeypatch, data, kwargs, pairs_per_chu
         monkeypatch.setattr(tree_module, "_LEVELS_PER_COMPACTION", None)
         _first_compaction_at(monkeypatch, lambda depths: int(depths.max()))
     x, y = _golden_data(data)
-    forest = fit_forest(x, y, **kwargs)
+    forest = _forest(x, y, **kwargs)
     trees = [
         *forest.trees,
         fit_tree(x, y),
@@ -637,11 +682,11 @@ def test_walk_matches_per_row_reference(monkeypatch, data, kwargs, pairs_per_chu
     for tree in trees:
         assert np.array_equal(tree.apply(probe), _reference_leaves(tree, probe))
     for members in (forest.trees, trees):
-        scores = RandomForestModel(trees=members, max_features=1, bootstrap=True, seed=0).score_many(probe)
+        scores = RandomForestModel(trees=members, seed=0).score_many(probe)
         assert scores.dtype == np.float64
         assert scores.tobytes() == _reference_scores(members, probe).tobytes()
     # a 1-row batch sums a column of tree fractions, which a pairwise sum would round differently
-    everything = RandomForestModel(trees=trees, max_features=1, bootstrap=True, seed=0)
+    everything = RandomForestModel(trees=trees, seed=0)
     for row in probe[:, None]:
         assert everything.score_many(row).tobytes() == _reference_scores(trees, row).tobytes()
     assert forest.score_many(probe[:0]).shape == (0,)
@@ -677,7 +722,7 @@ def test_walk_compacts_first_where_half_the_training_samples_reached_a_leaf():
         below += reached[depth]
         if median is None and 2 * below >= total:
             median = depth
-    assert RandomForestModel(trees=trees, max_features=1, bootstrap=True, seed=0)._packed.first == median
+    assert RandomForestModel(trees=trees, seed=0)._packed.first == median
     assert 0 < median < max(reached)
 
 
@@ -690,17 +735,17 @@ def test_forest_and_tree_reject_wrong_feature_count():
             with pytest.raises(ValueError, match=r"expected \(n, 2\) feature matrix"):
                 score(features)
     with pytest.raises(ValueError, match=r"trees of one feature count, got \[\]"):
-        RandomForestModel(trees=[], max_features=1, bootstrap=True, seed=0)
+        RandomForestModel(trees=[], seed=0)
     narrow = fit_tree([[0.0], [1.0]], [0, 1])
     with pytest.raises(ValueError, match=r"trees of one feature count, got \[1, 2\]"):
-        RandomForestModel(trees=[tree, narrow], max_features=1, bootstrap=True, seed=0)
+        RandomForestModel(trees=[tree, narrow], seed=0)
 
 
 def test_nan_routes_right():
     # x <= threshold is False for nan, so a nan row takes the right child
     tree = fit_tree([[1.0], [2.0], [3.0], [4.0]], [0, 0, 1, 1])
     assert tree.apply([[np.nan]]).tolist() == [tree.right_child[0]]
-    forest = RandomForestModel(trees=[tree, tree], max_features=1, bootstrap=True, seed=0)
+    forest = RandomForestModel(trees=[tree, tree], seed=0)
     assert forest.score_many([[np.nan], [1.0]]).tolist() == [1.0, 0.0]
 
 
@@ -727,8 +772,7 @@ def _hand_tree(spec, n_features=3):
     add(spec)
     columns = ("feature_index", "threshold", "left_child", "right_child", "n_samples", "n_positive")
     return DecisionTreeModel.from_dict({
-        "n_features": n_features, "max_depth": None, "min_samples_leaf": 1, "min_samples_split": 2,
-        "seed": 0, **{name: list(column) for name, column in zip(columns, zip(*nodes))},
+        "n_features": n_features, "min_samples_leaf": 1, "seed": 0, **{name: list(column) for name, column in zip(columns, zip(*nodes))},
     })
 
 
@@ -752,7 +796,7 @@ def test_walk_rank_codes_match_float_comparisons():
     rng = np.random.default_rng(9)
     # every value in every column, against every value of the other columns in turn
     probe = np.stack([rng.permutation(np.resize(values, 6 * values.size)) for _ in range(3)], axis=1)
-    forest = RandomForestModel(trees=trees, max_features=1, bootstrap=True, seed=0)
+    forest = RandomForestModel(trees=trees, seed=0)
     for batch in (probe, *probe[:, None]):
         for tree in trees:
             assert np.array_equal(tree.apply(batch), _reference_leaves(tree, batch))
@@ -766,11 +810,16 @@ def test_walk_rejects_splits_the_rank_codes_cannot_hold():
     tree = _hand_tree((0, 0.5, (1, 0), (1, -0.5, (1, 0), (1, 1))))
     with pytest.raises(ValueError, match=r"^node 2: split threshold nan is not a finite number$"):
         replace(tree, threshold=np.where(np.arange(5) == 2, np.nan, tree.threshold))
-    # feature 2 ** 62 - 1 takes 62 bits, a cell's rank 0 or 1 one bit, and the last node's
-    # slot, 2 * 3 + 1, three bits: 66 in all
+    # feature 2 ** 62 - 1 takes 62 bits, a cell's rank 0 or 1 one bit, and the last of the
+    # 4 nodes' 8 child slots, 7, three bits: 66 in all.  The error names each part, and the
+    # wide feature's split at tree 1 node 0, not the last node packed
     wide = _hand_tree((2**62 - 1, 0.5, (1, 0), (1, 1)), n_features=2**62)
-    with pytest.raises(ValueError, match=r"^tree 1 node 2: its code would need 66 bits, more than 63$"):
-        RandomForestModel(trees=[_hand_tree((1, 1), n_features=2**62), wide], max_features=1, bootstrap=True, seed=0)
+    message = (
+        r"^codes would need 66 bits, more than 63: 3 for 8 child slots, 1 for a feature's 1 cuts, "
+        rf"and 62 for split feature {2**62 - 1} at tree 1 node 0$"
+    )
+    with pytest.raises(ValueError, match=message):
+        RandomForestModel(trees=[_hand_tree((1, 1), n_features=2**62), wide], seed=0)
 
 
 def test_wide_keys_match_golden_digests(monkeypatch):
