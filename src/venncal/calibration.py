@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from venncal.data import binary_labels, finite
+from venncal.data import finite, labelled
 
 __all__ = [
     "IsotonicFit",
@@ -40,17 +40,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # shared helpers
 # ---------------------------------------------------------------------------
-
-def _as_score_label_arrays(scores, labels) -> tuple[np.ndarray, np.ndarray]:
-    s = np.asarray(scores, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.float64)
-    if s.ndim != 1 or y.ndim != 1:
-        raise ValueError("scores and labels must be one-dimensional")
-    binary_labels(y, s.size, "score")
-    if s.size == 0:
-        raise ValueError("empty input")
-    return finite(s, "scores"), y
-
 
 def _pool_by_score(scores: np.ndarray, labels: np.ndarray):
     """Pool exact score ties into weighted points.
@@ -113,8 +102,8 @@ def pava(scores, labels) -> IsotonicFit:
     The fit is the last prefix stack of `_prefix_fits`.  Runs in O(n log n)
     (dominated by the sort).
     """
-    s, y = _as_score_label_arrays(scores, labels)
-    distinct, weights, label_sums = _pool_by_score(s, y)
+    s, y = labelled(scores, labels, "scores", "score")
+    distinct, weights, label_sums = _pool_by_score(finite(s, "scores"), y)
     means, block_weights = [], []
     top = _prefix_fits(weights, label_sums)[-1]
     while top is not None:  # right to left
@@ -196,7 +185,8 @@ def fit_platt(scores, labels) -> PlattFit:
     Raises ValueError when only one class is present (the smoothed targets
     degenerate).
     """
-    s, y = _as_score_label_arrays(scores, labels)
+    s, y = labelled(scores, labels, "scores", "score")
+    s = finite(s, "scores")
     n_pos = float(np.sum(y))
     n_neg = float(y.size - n_pos)
     if n_pos == 0.0 or n_neg == 0.0:
@@ -296,8 +286,8 @@ class VennAbersCalibrator:
     """
 
     def __init__(self, calibration_scores, calibration_labels):
-        s, y = _as_score_label_arrays(calibration_scores, calibration_labels)
-        s = s.copy()
+        s, y = labelled(calibration_scores, calibration_labels, "scores", "score")
+        s = finite(s, "scores").copy()
         y = y.copy()
         s.setflags(write=False)
         y.setflags(write=False)

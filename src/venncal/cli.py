@@ -18,12 +18,11 @@ import sys
 from pathlib import Path
 
 from venncal.calibration import VennAbersCalibrator
-from venncal.data import load_csv, stratified_holdout, write_columns
+from venncal.data import bounded, load_csv, stratified_holdout, write_columns
 from venncal.harness import (
     POST_HOC_CALIBRATORS,
     ExperimentConfig,
     calibrate_scores,
-    check_setting,
     load_fold_predictions,
     run_experiment,
     write_reliability_csv,
@@ -52,7 +51,7 @@ def _add_settings(parser, *names, suppress=False, **flags) -> None:
         parser.add_argument(flag, dest=name, default=argparse.SUPPRESS if suppress else declared.default,
                             type={"int": int, "float": float}.get(declared.type),
                             nargs="+" if declared.type.startswith("tuple") else None,
-                            choices=declared.metadata.get("choices"),
+                            choices=declared.metadata["bound"].get("choices"),
                             help=declared.metadata["help"] + ("" if shown is None else f" (default {shown})"))
     if not suppress:
         parser.set_defaults(shared=shared)
@@ -107,7 +106,7 @@ def _run_reliability(args) -> int:
 
 
 def _run_venn_tree(args) -> int:
-    check_setting("max_depth", args.max_depth, "--max-depth", {"low": 0})  # before the dataset is read
+    bounded(args.max_depth, "max_depth", "--max-depth", low=0)  # before the dataset is read
     dataset = load_csv(args.dataset_path)
     rng = np.random.default_rng(args.seed)
     proper_ids, calibration_ids = stratified_holdout(dataset.labels, args.calibration_fraction, rng)
@@ -194,7 +193,7 @@ def main(argv=None) -> int:
     }
     try:
         for name, flag in getattr(args, "shared", {}).items():
-            check_setting(name, getattr(args, name), flag, _FIELDS[name].metadata)
+            bounded(getattr(args, name), name, flag, **_FIELDS[name].metadata["bound"])
         return handlers[args.command](args)
     except Exception as err:  # surfaced as a diagnostic, not a traceback
         print(f"error: {err}", file=sys.stderr)

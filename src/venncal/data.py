@@ -49,11 +49,15 @@ __all__ = [
     "SchemaError",
     "ValidationError",
     "binary_labels",
+    "bounded",
+    "feature_matrix",
     "finite",
+    "labelled",
     "load_csv",
     "parse_columns",
     "reject_first",
     "repeated_stratified_kfold",
+    "require",
     "stratified_holdout",
     "write_columns",
     "write_split_manifest",
@@ -104,10 +108,29 @@ LABEL_CODES = {"0": 0, "1": 1}  # the label cell of every CSV venncal reads
 FEATURE_NAMES = tuple(name for name in AI4I_COLUMNS.values() if name)
 
 
+def bounded(value, name: str, flag: str | None = None, *, low=None, inside=None, choices=None,
+            error=ValidationError) -> None:
+    """Raise error unless value is >= low, strictly inside the pair inside, or one of choices; nan is none.
+
+    The one message of a setting out of bounds: "<name> must be <rule>, got
+    <value>", with " (<flag>)" after it when a flag is given.
+    """
+    if low is not None and not value >= low:
+        rule = f">= {low}"
+    elif inside is not None and not inside[0] < value < inside[1]:
+        rule = f"in {inside}"
+    elif choices is not None and value not in choices:
+        rule = " or ".join(map(repr, choices))
+    else:
+        return
+    shown = value.item() if isinstance(value, np.generic) else value  # got 1, not got np.int64(1)
+    raise error(f"{name} must be {rule}, got {shown!r}" + (f" ({flag})" if flag else ""))
+
+
 def finite(values, what: str) -> np.ndarray:
     """values as a float64 array; raises ValidationError naming the first nan or infinite entry."""
     v = np.asarray(values, dtype=np.float64)
-    _require(v, np.isfinite(v), f"{what} must be finite")
+    require(v, np.isfinite(v), f"{what} must be finite")
     return v
 
 
@@ -116,11 +139,27 @@ def binary_labels(labels, rows: int, of: str) -> np.ndarray:
     y = np.asarray(labels, dtype=np.float64)
     if y.shape != (rows,):
         raise ValidationError(f"labels must be one per {of}: expected shape {(rows,)}, got {y.shape}")
-    _require(y, (y == 0.0) | (y == 1.0), "labels must be 0 or 1")
+    require(y, (y == 0.0) | (y == 1.0), "labels must be 0 or 1")
     return y
 
 
-def _require(values: np.ndarray, holds: np.ndarray, rule: str) -> None:
+def labelled(values, labels, what: str, of: str, ndim: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """(values, labels) as float64 arrays, once values is a non-empty ndim-d array and labels one 0 or 1 per row."""
+    v = np.asarray(values, dtype=np.float64)
+    if v.ndim != ndim or v.size == 0:
+        raise ValidationError(f"{what} must be a non-empty {ndim}-d array, got shape {v.shape}")
+    return v, binary_labels(labels, v.shape[0], of)
+
+
+def feature_matrix(features, width: int, rows: int | None = None) -> np.ndarray:
+    """features as a float64 (n, width) matrix, or (rows, width) if rows is given."""
+    x = np.asarray(features, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != width or rows not in (None, x.shape[0]):
+        raise ValidationError(f"expected ({'n' if rows is None else rows}, {width}) feature matrix, got {x.shape}")
+    return x
+
+
+def require(values: np.ndarray, holds: np.ndarray, rule: str) -> None:
     """Unless holds is all True, raise ValidationError: rule, the first entry where it is False, its index."""
     if not holds.all():
         index = tuple(int(i) for i in np.unravel_index(np.argmin(holds), holds.shape))
@@ -137,9 +176,8 @@ class Dataset:
     feature_names: tuple[str, ...]
 
     def __post_init__(self):
-        if self.features.ndim != 2 or self.features.shape[1] != len(self.feature_names):
-            raise ValidationError("features must be (n, len(feature_names))")
-        binary_labels(self.labels, self.features.shape[0], "row")
+        rows = feature_matrix(self.features, len(self.feature_names)).shape[0]
+        binary_labels(self.labels, rows, "row")
         self.features.setflags(write=False)
         self.labels.setflags(write=False)
 
@@ -468,8 +506,7 @@ class FoldSplit:
 
 def _hold_out(class_sequences, fraction: float):
     """Sorted (rest, held_out): the first round(fraction * size) ids of each class sequence are held out."""
-    if not (0.0 < fraction < 1.0):
-        raise InfeasibleSplitError(f"calibration_fraction must be in (0, 1), got {fraction}")
+    bounded(fraction, "calibration_fraction", inside=(0, 1), error=InfeasibleSplitError)
     parts = [np.split(ids, [int(round(fraction * ids.size))]) for ids in class_sequences]
     held, rest = (np.sort(np.concatenate(part)) for part in zip(*parts))
     return rest, held
@@ -500,10 +537,8 @@ def repeated_stratified_kfold(
     training portion is split per class so calibration_fraction of it forms
     the calibration set.  Deterministic given the seed.
     """
-    if k < 2:
-        raise InfeasibleSplitError(f"k must be >= 2, got {k}")
-    if repetitions < 1:
-        raise InfeasibleSplitError(f"repetitions must be >= 1, got {repetitions}")
+    bounded(k, "k", low=2, error=InfeasibleSplitError)
+    bounded(repetitions, "repetitions", low=1, error=InfeasibleSplitError)
     y = dataset.labels
     for value in (0, 1):
         count = int(np.sum(y == value))

@@ -35,6 +35,7 @@ from venncal.data import (
     LABEL_CODES,
     Dataset,
     FoldSplit,
+    bounded,
     load_csv,
     parse_columns,
     reject_first,
@@ -69,21 +70,8 @@ RELIABILITY_COLUMNS = ("bin_low", "bin_high", "count", "mop", "foc")
 CALIBRATED_SCORE_COLUMNS = ("instance_id", "fold_id", "score", "p0", "p1", "point")
 
 
-def check_setting(name: str, value, flag: str, bound) -> None:
-    """Raise the one error of a setting outside its bound ("low" inclusive, "inside" open, or "choices")."""
-    if "low" in bound and value < bound["low"]:
-        rule = f">= {bound['low']}"
-    elif "inside" in bound and not bound["inside"][0] < value < bound["inside"][1]:
-        rule = f"in {bound['inside']}"
-    elif "choices" in bound and value not in bound["choices"]:
-        rule = " or ".join(map(repr, bound["choices"]))
-    else:
-        return
-    raise ValueError(f"{name} must be {rule}, got {value!r} ({flag})")
-
-
 def _setting(default, flag: str, help: str, **bound):  # a field's default, experiment flag, help text and bound
-    return field(default=default, metadata={"flag": flag, "help": help, **bound})
+    return field(default=default, metadata={"flag": flag, "help": help, "bound": bound})
 
 
 @dataclass(frozen=True)
@@ -111,7 +99,7 @@ class ExperimentConfig:
             wanted = {"int": numbers.Integral, "float": numbers.Real, "str | None": (str, type(None))}.get(f.type)
             if wanted and (isinstance(value, bool) or not isinstance(value, wanted)):
                 raise ValueError(f"{f.name} must be {f.type}, got {type(value).__name__} {value!r}")
-            check_setting(f.name, value, f.metadata["flag"], f.metadata)
+            bounded(value, f.name, f.metadata["flag"], **f.metadata["bound"])
         if not self.models or not self.calibrators:
             raise ValueError("at least one model and one calibrator must be selected")
         for field, known in (("models", KNOWN_MODELS), ("calibrators", KNOWN_CALIBRATORS)):

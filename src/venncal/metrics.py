@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from venncal.data import _require, binary_labels
+from venncal.data import bounded, labelled, require
 
 __all__ = [
     "BIN_MODES",
@@ -33,18 +33,10 @@ BIN_MODES = ("width", "frequency")  # equal-width bins, or edges at probability 
 
 def _check_inputs(probabilities, labels, m: int = 1, mode: str = BIN_MODES[0]):
     """The probabilities and labels as float arrays, once they and the bin settings are valid."""
-    p = np.asarray(probabilities, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.float64)
-    if p.ndim != 1 or y.ndim != 1:
-        raise ValueError(f"probabilities and labels must be one-dimensional, got shapes {p.shape} and {y.shape}")
-    binary_labels(y, p.size, "probability")
-    if p.size == 0:
-        raise ValueError("empty input")
-    _require(p, (p >= 0.0) & (p <= 1.0), "probabilities must lie in [0, 1]")  # nan fails both
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if mode not in BIN_MODES:
-        raise ValueError(f"unknown bin mode: {mode!r}")
+    p, y = labelled(probabilities, labels, "probabilities", "probability")
+    require(p, (p >= 0.0) & (p <= 1.0), "probabilities must lie in [0, 1]")  # nan fails both
+    bounded(m, "m", low=1)
+    bounded(mode, "mode", choices=BIN_MODES)
     return p, y
 
 

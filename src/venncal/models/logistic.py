@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from venncal.models.tree import _feature_matrix, _validate_training_data
+from venncal.data import feature_matrix, finite, labelled
 
 __all__ = ["LogisticRegressionModel", "fit_logistic"]
 
@@ -36,7 +36,8 @@ class LogisticRegressionModel:
         return int(self.weights.size)
 
     def score_many(self, features) -> np.ndarray:
-        p = _sigmoid(_feature_matrix(features, self.n_features) @ self.weights + self.bias)
+        x = finite(feature_matrix(features, self.n_features), "features")  # a nan would score nan
+        p = _sigmoid(x @ self.weights + self.bias)
         return np.clip(p, _P_FLOOR, _P_CEIL)  # keep scores strictly inside (0, 1)
 
 
@@ -47,7 +48,8 @@ def fit_logistic(features, labels) -> LogisticRegressionModel:
     steps; on (quasi-)separable data the bias and weights simply stop
     growing at the cap.
     """
-    x, y = _validate_training_data(features, labels)
+    x, y = labelled(features, labels, "features", "feature row", ndim=2)
+    x = finite(x, "features")
 
     mean = x.mean(axis=0)
     std = x.std(axis=0)

@@ -63,20 +63,16 @@ leaf.  A forest's score sums its trees' leaf fractions in tree order,
 adding a chunk's tree rows one after another onto its row block's running
 total, and divides by the tree count.  ``np.sum`` or ``np.add.reduce``
 must not take its place: on a 1-row batch numpy sums the tree axis
-pairwise, which rounds differently.  Both constants were set by scoring
-the 100-tree reference forest on a 2-vCPU Xeon VM, every setting called
-in turn on each batch, 40 rounds of ten 1000-row batches and one of 3 333
-rows.  Against chunks of 2^14 pairs, a first compaction at the median
-depth and then every 3 levels (10.3 ms per 1000-row batch, 38.1 ms for
-3 333 rows), the medians of the per-call ratios were x1.00 and x1.00 for
-every 2 levels, x1.01 and x1.00 for 4, x1.02 and x1.02 for 5, x1.04 and
-x1.02 for 6, x1.02 and x1.01 for a first compaction at 9, x0.98 and x0.99
-at 11, x1.13 and x1.10 for a first round of 6 and then every 6 (the
-previous schedule), x1.11 and x1.14 for chunks of 2^13 pairs, and x0.99
-and x0.95 for 2^15, which doubles a chunk's buffers.  A forest packs its
-trees once, on construction; a tree packs itself on first use.  Neither
-pack can go stale: node arrays and leaf fractions are read-only, a
-forest holds its trees as a tuple, and no model's fields can be rebound.
+pairwise, which rounds differently.  Both constants were set by timing
+the 100-tree reference forest on 1000-row batches.  ``_PAIRS_PER_CHUNK``
+is 2^14: with fewer, each numpy call's overhead is shared among fewer
+pairs, and more double a chunk's buffers for no gain.
+``_LEVELS_PER_COMPACTION`` is 3: compacting more often builds more index
+lists, less often walks finished pairs longer, and no other interval was
+faster.  A forest packs its trees once, on construction; a tree packs
+itself on first use.  Neither pack can go stale: node arrays and leaf
+fractions are read-only, a forest holds its trees as a tuple, and no
+model's fields can be rebound.
 """
 
 from __future__ import annotations
@@ -88,7 +84,7 @@ from functools import cached_property
 
 import numpy as np
 
-from venncal.data import binary_labels, finite
+from venncal.data import bounded, feature_matrix, finite, labelled
 
 __all__ = ["DecisionTreeModel", "RandomForestModel", "fit_forest", "fit_tree"]
 
@@ -162,8 +158,7 @@ class DecisionTreeModel(_Frozen):
         The nodes no deeper than max_depth keep their order, so a tree in
         preorder stays in preorder.
         """
-        if max_depth < 0:  # would keep no node, not even the root
-            raise ValueError(f"max_depth must be >= 0, got {max_depth}")
+        bounded(max_depth, "max_depth", low=0)  # below 0 would keep no node, not even the root
         depths = self.node_depths()
         keep = np.flatnonzero(depths <= max_depth)
         split = (self.feature_index[keep] != _NO_FEATURE) & (depths[keep] < max_depth)
@@ -174,8 +169,8 @@ class DecisionTreeModel(_Frozen):
         return _pack((self,))
 
     def apply(self, features) -> np.ndarray:
-        """Leaf index for every row of a feature matrix: the packed walk over a forest of one."""
-        return np.concatenate([leaves[0] for _, _, leaves in _walk(self._packed, features)])
+        """Leaf index for every row of features: the packed walk over a forest of one."""
+        return np.concatenate([leaves[0] for _, leaves in _walk(self._packed, features)])
 
     def score_many(self, features) -> np.ndarray:
         leaves = self.apply(features)
@@ -352,14 +347,14 @@ def _pack(trees: tuple[DecisionTreeModel, ...]) -> _Packed:
 def _walk(packed: _Packed, features):
     """The one traversal: the leaf of every (tree, row) pair, in chunks.
 
-    Yields (start, first, leaves) per chunk, where leaves[t, r] is the leaf
-    (an undoubled node id) that tree first + t reaches for row start + r.  A
-    chunk is one block of rows times one group of consecutive trees; blocks
-    come in row order and a block's groups in tree order.  Yields at least
-    one chunk.
+    Yields (first, leaves) per chunk, where leaves[t, r] is the leaf (an
+    undoubled node id) that tree first + t reaches for row r of the chunk's
+    row block.  A chunk is one block of rows times one group of consecutive
+    trees; blocks come in row order and a block's groups in tree order.
+    Yields at least one chunk.
     """
     k = packed.n_features
-    x = _feature_matrix(features, k)
+    x = feature_matrix(features, k)
     n_trees, n = packed.root.size, x.shape[0]
     rows = max(1, min(n, _PAIRS_PER_CHUNK))
     group = max(1, _PAIRS_PER_CHUNK // rows)
@@ -399,25 +394,7 @@ def _walk(packed: _Packed, features):
                 live = np.flatnonzero(packed.split[slot])
                 code, row, pair = code[live], row[live], pair[live]
                 levels = _LEVELS_PER_COMPACTION
-            yield start, first, (leaves >> 1).reshape(roots.size, m)
-
-
-def _feature_matrix(features, k: int) -> np.ndarray:
-    """features as a float64 (n, k) matrix, the only width a model of k features scores."""
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != k:
-        raise ValueError(f"expected (n, {k}) feature matrix, got {x.shape}")
-    return x
-
-
-def _validate_training_data(features, labels):
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] == 0:
-        raise ValueError(f"features must be a 2-d matrix with at least one column, got shape {x.shape}")
-    y = binary_labels(labels, x.shape[0], "feature row")
-    if x.shape[0] == 0:
-        raise ValueError("cannot fit on empty input")
-    return finite(x, "features"), y
+            yield first, (leaves >> 1).reshape(roots.size, m)
 
 
 # Both bound one lockstep step and were set by timing forest fits on the
@@ -433,7 +410,7 @@ def _validate_training_data(features, labels):
 _TREES_IN_FLIGHT = 64
 _ROWS_PER_STEP = 1 << 15
 
-# Both bound the scoring walk; the module docstring gives their timings.
+# Both bound the scoring walk; the module docstring gives their reasons.
 _PAIRS_PER_CHUNK = 1 << 14
 _LEVELS_PER_COMPACTION = 3
 
@@ -655,8 +632,7 @@ def _grow(
     at once, so each tree equals the one grown alone from its generator.
     """
     n, n_features = x.shape
-    if min_samples_leaf < 1:
-        raise ValueError(f"min_samples_leaf must be >= 1, got {min_samples_leaf}")
+    bounded(min_samples_leaf, "min_samples_leaf", low=1)
     subsets = max_features < n_features
     k = max_features  # candidate features per node
     labels = y.astype(np.uint8)
@@ -805,7 +781,8 @@ def fit_tree(
     only recorded in the model.  ``collapsed(max_depth)`` bounds the depth
     of the fitted tree.
     """
-    x, y = _validate_training_data(features, labels)
+    x, y = labelled(features, labels, "features", "feature row", ndim=2)
+    x = finite(x, "features")
     (tree,) = _grow(
         x,
         y,
@@ -842,7 +819,7 @@ class RandomForestModel(_Frozen):
 
     def score_many(self, features) -> np.ndarray:
         totals = []
-        for _, first, leaves in _walk(self._packed, features):
+        for first, leaves in _walk(self._packed, features):
             fractions = self._fraction[leaves]
             # a later tree group continues its row block's running total; rows are added one
             # after another, in tree order, where a reduce could pair them
@@ -869,9 +846,9 @@ def fit_forest(features, labels, *, n_trees: int = 100, seed: int = 0) -> Random
     ``SeedSequence(seed)``, so the forest is a function of the data, n_trees
     and seed alone.
     """
-    x, y = _validate_training_data(features, labels)
-    if n_trees < 1:
-        raise ValueError(f"n_trees must be >= 1, got {n_trees}")
+    x, y = labelled(features, labels, "features", "feature row", ndim=2)
+    x = finite(x, "features")
+    bounded(n_trees, "n_trees", low=1)
     trees = _grow(
         x,
         y,

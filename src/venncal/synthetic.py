@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from venncal.data import AI4I_COLUMNS, write_columns
+from venncal.data import AI4I_COLUMNS, bounded, write_columns
 
 __all__ = ["REFERENCE_SEED", "generate_reference_rows", "write_reference_csv"]
 
@@ -78,8 +78,7 @@ def _reference_columns(seed: int, n_rows: int) -> list[np.ndarray]:
     Temperatures and torque are rounded to tenths, so each writes by repr
     as its one-decimal text.
     """
-    if seed < 0:  # numpy's generators refuse it without naming it
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    bounded(seed, "seed", low=0)  # numpy's generators refuse a negative one without naming it
     rng = np.random.default_rng(seed)
 
     quality = rng.choice(_QUALITY_LEVELS, size=n_rows, p=_QUALITY_PROBS)

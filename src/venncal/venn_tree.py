@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from venncal.calibration import VennAbersCalibrator
+from venncal.data import feature_matrix
 from venncal.metrics import DECISION_THRESHOLD
 from venncal.models.tree import DecisionTreeModel
 
@@ -79,12 +80,7 @@ def build_venn_tree(
     """
     display = tree if display_max_depth is None else tree.collapsed(display_max_depth)
 
-    cal_x = np.asarray(calibration_features, dtype=np.float64)
-    n_cal = calibrator.calibration_scores.size
-    if cal_x.ndim != 2 or cal_x.shape != (n_cal, display.n_features):
-        raise ValueError(
-            f"calibration features have {cal_x.shape} but the calibrator and tree expect {(n_cal, display.n_features)}"
-        )
+    cal_x = feature_matrix(calibration_features, display.n_features, rows=calibrator.calibration_scores.size)
     routed = display.apply(cal_x)
     cal_counts = {int(k): int(v) for k, v in zip(*np.unique(routed, return_counts=True))}
 

@@ -146,7 +146,7 @@ def test_pava_rejects_bad_input():
         pava([0.1, 0.2], [0, 2])
     with pytest.raises(ValueError):
         pava([0.1], [0, 1])
-    with pytest.raises(ValueError, match="scores and labels must be one-dimensional"):
+    with pytest.raises(ValueError, match=r"^scores must be a non-empty 1-d array, got shape \(1, 2\)$"):
         pava([[0.1, 0.2]], [0, 1])
 
 

@@ -7,6 +7,7 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import re
 import struct
 import sys
@@ -630,6 +631,9 @@ def test_invalid_parameters_rejected():
         repeated_stratified_kfold(ds, k=2, repetitions=0)
     with pytest.raises(InfeasibleSplitError, match=r"^calibration_fraction must be in \(0, 1\), got 1.5$"):
         repeated_stratified_kfold(ds, k=2, repetitions=1, calibration_fraction=1.5)
+    for setting in ("k", "repetitions", "calibration_fraction"):  # nan fails every bound, as a split error
+        with pytest.raises(InfeasibleSplitError, match=f"^{setting} must be .*, got nan$"):
+            repeated_stratified_kfold(ds, **{setting: np.nan})
     # round(fraction * class size) of a negative share would hold out all but a few rows
     for fraction in (-0.2, 0.0, 1.0, 1.5):
         message = f"calibration_fraction must be in (0, 1), got {fraction}"
@@ -706,7 +710,7 @@ def _bad_inputs():
             (f"{fit.__name__} label 2", fit, ([0.1, 0.2], [0, 2]), "labels must be 0 or 1, got 2.0 at index 1"),
             (f"{fit.__name__} a label too many", fit, ([0.1], [0, 1]),
              "labels must be one per score: expected shape (1,), got (2,)"),
-            (f"{fit.__name__} empty", fit, ([], []), "empty input"),
+            (f"{fit.__name__} empty", fit, ([], []), "scores must be a non-empty 1-d array, got shape (0,)"),
         ]
     test_scores = {
         "intervals": lambda s: _venn_abers().intervals(s),
@@ -732,10 +736,13 @@ def _bad_inputs():
             (f"{name} label 2", metric, ([0.5, 0.7], [0, 2]), "labels must be 0 or 1, got 2.0 at index 1"),
             (f"{name} a label too many", metric, ([0.5], [0, 1]),
              "labels must be one per probability: expected shape (1,), got (2,)"),
-            (f"{name} empty", metric, ([], []), "empty input"),
+            (f"{name} empty", metric, ([], []), "probabilities must be a non-empty 1-d array, got shape (0,)"),
         ]
         if metric not in (classification_metrics, auc):
-            rows.append((f"{name} m 0", metric, ([0.5], [1], 0), "m must be >= 1, got 0"))
+            rows += [
+                (f"{name} m 0", metric, ([0.5], [1], 0), "m must be >= 1, got 0"),
+                (f"{name} m nan", metric, ([0.5], [1], np.nan), "m must be >= 1, got nan"),
+            ]
     for fit in (fit_tree, fit_forest, fit_logistic):
         name = fit.__name__
         rows += [
@@ -746,11 +753,24 @@ def _bad_inputs():
             (f"{name} label 2", fit, (_X, [0, 1, 2, 0]), "labels must be 0 or 1, got 2.0 at index 2"),
             (f"{name} a label too many", fit, (_X, [0, 1, 1, 0, 1]),
              "labels must be one per feature row: expected shape (4,), got (5,)"),
-            (f"{name} empty", fit, (np.empty((0, 2)), []), "cannot fit on empty input"),
+            (f"{name} empty", fit, (np.empty((0, 2)), []), "features must be a non-empty 2-d array, got shape (0, 2)"),
             (f"{name} no columns", fit, (np.zeros((3, 0)), [0, 1, 0]),
-             "features must be a 2-d matrix with at least one column, got shape (3, 0)"),
+             "features must be a non-empty 2-d array, got shape (3, 0)"),
         ]
-    rows.append(("fit_forest n_trees 0", lambda n: fit_forest(_X, _Y, n_trees=n), (0,), "n_trees must be >= 1, got 0"))
+    bounds = {  # a bounded setting: nan fails its bound, and a numpy scalar shows as its number
+        "fit_tree min_samples_leaf": (lambda n: fit_tree(_X, _Y, min_samples_leaf=n), "min_samples_leaf must be >= 1"),
+        "fit_forest n_trees": (lambda n: fit_forest(_X, _Y, n_trees=n), "n_trees must be >= 1"),
+        "collapsed max_depth": (lambda depth: fit_tree(_X, _Y).collapsed(depth), "max_depth must be >= 0"),
+        "repeated_stratified_kfold k": (lambda k: repeated_stratified_kfold(toy_dataset(), k=k), "k must be >= 2"),
+        "repeated_stratified_kfold repetitions":
+            (lambda r: repeated_stratified_kfold(toy_dataset(), repetitions=r), "repetitions must be >= 1"),
+        # the seed is checked before the file is opened
+        "write_reference_csv seed": (lambda seed: write_reference_csv(os.devnull, seed=seed), "seed must be >= 0"),
+    }
+    for name, (call, rule) in bounds.items():
+        rows.append((f"{name} nan", call, (np.nan,), f"{rule}, got nan"))
+    rows.append(("fit_forest n_trees 0", lambda n: fit_forest(_X, _Y, n_trees=n), (np.int64(0),),
+                 "n_trees must be >= 1, got 0"))
     scorers = {
         "tree score_many": lambda x: fit_tree(_X, _Y).score_many(x),
         "tree apply": lambda x: fit_tree(_X, _Y).apply(x),
@@ -762,6 +782,13 @@ def _bad_inputs():
             (f"{name} narrow", call, ([[1.0]],), "expected (n, 2) feature matrix, got (1, 1)"),
             (f"{name} vector", call, ([1.0, 2.0],), "expected (n, 2) feature matrix, got (2,)"),
         ]
+    # a tree or forest routes a nan right (test_nan_routes_right); logistic regression would score it nan
+    rows += [
+        ("logistic score_many nan", scorers["logistic score_many"], ([[0.5, 0.5], [np.nan, 0.2]],),
+         "features must be finite, got nan at index (1, 0)"),
+        ("logistic score_many inf", scorers["logistic score_many"], ([[0.2, -np.inf]],),
+         "features must be finite, got -inf at index (0, 1)"),
+    ]
     rows += [
         (f"Dataset {name}", lambda labels: Dataset(np.zeros((2, len(FEATURE_NAMES))), labels, FEATURE_NAMES),
          (np.array(labels),), message)
@@ -792,16 +819,16 @@ def _bad_inputs():
 
     rows += [
         ("build_venn_tree negative depth", venn_tree, (_X, -1), "max_depth must be >= 0, got -1"),
-        ("build_venn_tree narrow", venn_tree, ([[0.5]] * 4,),
-         "calibration features have (4, 1) but the calibrator and tree expect (4, 2)"),
+        ("build_venn_tree narrow", venn_tree, ([[0.5]] * 4,), "expected (4, 2) feature matrix, got (4, 1)"),
+        ("build_venn_tree a row short", venn_tree, (_X[1:],), "expected (4, 2) feature matrix, got (3, 2)"),
     ]
     return [pytest.param(call, args, message, id=name) for name, call, args, message in rows]
 
 
 @pytest.mark.parametrize("call, args, message", _bad_inputs())
 def test_every_entry_point_names_the_bad_input(call, args, message):
-    """Each input rule is stated once (venncal.data.finite and binary_labels, the tree checks) and names
-    the first entry at fault; every entry point that enforces a rule raises its whole message."""
+    """Each input rule is stated once (in venncal.data, and the tree checks) and names the first entry
+    or the setting at fault; every entry point that enforces a rule raises its whole message."""
     with pytest.raises(ValueError) as caught:
         call(*args)
     assert str(caught.value) == message

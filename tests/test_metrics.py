@@ -81,9 +81,9 @@ def test_empty_input_rejected():
         ([0.5, np.nan], [0, 1], r"probabilities must lie in \[0, 1\]"),
         ([0.5, 0.7], [0, 2], "labels must be 0 or 1"),
         # a probability column counted each row twice: accuracy 2.0 and 8 positive predictions of 4 rows
-        ([[0.9], [0.8], [0.2], [0.6]], [1, 1, 0, 0], r"must be one-dimensional, got shapes \(4, 1\) and \(4,\)$"),
-        ([0.9, 0.8], [[1], [0]], r"must be one-dimensional, got shapes \(2,\) and \(2, 1\)$"),
-        (0.9, 1, r"must be one-dimensional, got shapes \(\) and \(\)$"),
+        ([[0.9], [0.8], [0.2], [0.6]], [1, 1, 0, 0], r"must be a non-empty 1-d array, got shape \(4, 1\)$"),
+        ([0.9, 0.8], [[1], [0]], r"must be one per probability: expected shape \(2,\), got \(2, 1\)$"),
+        (0.9, 1, r"must be a non-empty 1-d array, got shape \(\)$"),
     ],
 )
 def test_bad_inputs_name_the_quantity(probabilities, labels, message):
@@ -207,9 +207,9 @@ def test_reliability_frequency_mode():
 def test_reliability_unknown_mode_rejected():
     p, y = [0.2, 0.7], [0, 1]
     assert [reliability_bins(p, y, mode=mode).n_instances for mode in BIN_MODES] == [2, 2]
-    with pytest.raises(ValueError, match="^unknown bin mode: 'quantile'$"):
+    with pytest.raises(ValueError, match="^mode must be 'width' or 'frequency', got 'quantile'$"):
         reliability_bins(p, y, mode="quantile")
-    with pytest.raises(ValueError, match="^unknown bin mode: 'quantile'$"):
+    with pytest.raises(ValueError, match="^mode must be 'width' or 'frequency', got 'quantile'$"):
         evaluate(p, y, mode="quantile")
 
 
@@ -264,7 +264,7 @@ def test_ece_minority_absent_when_no_positive_predictions():
 
 def test_minority_bins_check_m_and_mode_without_positive_predictions():
     # the bin settings are checked before the p >= 0.5 cut, not only when it keeps a row
-    with pytest.raises(ValueError, match="^unknown bin mode: 'quantile'$"):
+    with pytest.raises(ValueError, match="^mode must be 'width' or 'frequency', got 'quantile'$"):
         minority_bins([0.1, 0.2], [0, 1], mode="quantile")
     with pytest.raises(ValueError, match="^m must be >= 1, got 0$"):
         minority_bins([0.1, 0.2], [0, 1], m=0)

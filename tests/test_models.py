@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import venncal.models.tree as tree_module
-from venncal.data import ParseError, SchemaError, ValidationError
+from venncal.data import ParseError, SchemaError, ValidationError, labelled
 from venncal.models import (
     DecisionTreeModel,
     RandomForestModel,
@@ -68,12 +68,12 @@ def test_tree_empty_input_rejected():
 @pytest.mark.parametrize(
     "features, labels, kwargs, message",
     [
-        (np.zeros((2, 2, 2)), [0, 1], {}, "features must be a 2-d matrix"),
+        (np.zeros((2, 2, 2)), [0, 1], {}, "features must be a non-empty 2-d array"),
         ([[1.0], [2.0]], [0, 1, 1], {}, "labels must be one per feature row"),
         ([[1.0], [2.0]], [0, 2], {}, "labels must be 0 or 1"),
         ([[1.0], [2.0]], [0, 1], {"min_samples_leaf": 0}, r"^min_samples_leaf must be >= 1, got 0$"),
         ([[1.0], [np.inf]], [0, 1], {}, r"^features must be finite, got inf at index \(1, 0\)$"),
-        ([1.0, 2.0], [0, 1], {}, "features must be a 2-d matrix"),
+        ([1.0, 2.0], [0, 1], {}, "features must be a non-empty 2-d array"),
     ],
 )
 def test_tree_rejects_bad_training_input(features, labels, kwargs, message):
@@ -84,7 +84,7 @@ def test_tree_rejects_bad_training_input(features, labels, kwargs, message):
 @pytest.mark.parametrize("fit", [fit_tree, fit_forest, fit_logistic], ids=lambda fit: fit.__name__)
 def test_fits_reject_a_feature_matrix_without_columns(fit):
     # logistic regression would fit its bias alone
-    message = r"^features must be a 2-d matrix with at least one column, got shape \(3, 0\)$"
+    message = r"^features must be a non-empty 2-d array, got shape \(3, 0\)$"
     with pytest.raises(ValueError, match=message):
         fit(np.zeros((3, 0)), [0, 1, 0])
 
@@ -313,7 +313,7 @@ def _forest(x, y, *, n_trees, seed, **settings):
     """
     if not settings:
         return fit_forest(x, y, n_trees=n_trees, seed=seed)
-    x, y = tree_module._validate_training_data(x, y)
+    x, y = labelled(x, y, "features", "feature row", ndim=2)
     grow = {"max_features": math.ceil(math.sqrt(x.shape[1])), "min_samples_leaf": 1, "bootstrap": True, **settings}
     rngs = [np.random.default_rng(stream) for stream in np.random.SeedSequence(seed).spawn(n_trees)]
     return RandomForestModel(trees=tree_module._grow(x, y, rngs, seed=seed, **grow), seed=seed)
@@ -394,7 +394,7 @@ def test_forest_determinism_and_scores_in_range():
 def test_forest_validates_arguments():
     with pytest.raises(ValueError, match="^n_trees must be >= 1, got 0$"):
         fit_forest([[1.0]], [1], n_trees=0)
-    with pytest.raises(ValueError, match=r"^features must be a 2-d matrix with at least one column, got shape \(2,\)$"):
+    with pytest.raises(ValueError, match=r"^features must be a non-empty 2-d array, got shape \(2,\)$"):
         fit_forest([1.0, 2.0], [0, 1])
 
 
@@ -877,7 +877,7 @@ def test_logistic_constant_feature_ignored():
 def test_logistic_rejects_non_finite():
     with pytest.raises(ValueError):
         fit_logistic([[np.inf]], [1])
-    with pytest.raises(ValueError, match=r"^features must be a 2-d matrix with at least one column, got shape \(2,\)$"):
+    with pytest.raises(ValueError, match=r"^features must be a non-empty 2-d array, got shape \(2,\)$"):
         fit_logistic([1.0, 2.0], [0, 1])
 
 

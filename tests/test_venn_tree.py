@@ -95,7 +95,7 @@ def test_calibration_feature_mismatch_rejected():
     tree, calibrator, cal_x, _ = small_setup()
     with pytest.raises(ValueError):
         build_venn_tree(tree, calibrator, calibration_features=cal_x[:, :2])
-    with pytest.raises(ValueError, match=r"have \(132, 3\) but the calibrator and tree expect \(133, 3\)"):
+    with pytest.raises(ValueError, match=r"^expected \(133, 3\) feature matrix, got \(132, 3\)$"):
         build_venn_tree(tree, calibrator, calibration_features=cal_x[1:])
     with pytest.raises(ValueError, match="^one feature name per feature column required$"):
         build_venn_tree(tree, calibrator, feature_names=("a", "b"), calibration_features=cal_x)
