@@ -5,14 +5,23 @@ the pool-adjacent-violators algorithm (PAVA), sigmoid (Platt) scaling, and
 inductive Venn-Abers probability intervals derived from a pair of isotonic
 fits.
 
-One loop, `_prefix_fits`, runs every PAVA merge; the isotonic fit and
-both Venn-Abers stack directions are built from it.  Block weights and
+`_prefix_fits` builds every PAVA block stack: the isotonic fit and both
+Venn-Abers stack directions come from it.  The one other place that
+merges blocks is `VennAbersCalibrator._fitted_at_insert`, whose two loops
+merge a test point with the prefix stack on its left and the suffix stack
+on its right, by the same rule.  Block weights and
 label sums are exact integers (stored in float64, which is exact well past
 any realistic calibration-set size) and block means are compared by
 cross-multiplication.  Fitted values are produced by a single division per
 block, so any two code paths that agree on the block partition produce
 bit-identical probabilities.  This is what lets the incremental Venn-Abers
 evaluator guarantee exact agreement with its reference, two isotonic refits.
+
+A Venn-Abers calibrator answers from a table of its 2K+1 cells (K distinct
+calibration scores; a test score lies below, between or above them, or
+ties one).  Each cell's (p0, p1, point) is computed by the merges above
+the first time a score falls in it and read back from the table after
+that, so a fixed calibrator does each cell's Python work once.
 """
 
 from __future__ import annotations
@@ -298,6 +307,8 @@ class VennAbersCalibrator:
         # suffix stacks: prefix stacks of the reversed points with negated label
         # sums, which turns the merge comparison around; negation is exact
         self._right_states = _prefix_fits(self._weights[::-1], -self._label_sums[::-1])[::-1]
+        # rows p0, p1, point of cell 2 * position + tied, 24 * (2K+1) bytes; nan until the cell is asked for
+        self._cells = np.full((3, 2 * self._distinct.size + 1), np.nan)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -339,15 +350,28 @@ class VennAbersCalibrator:
         """Arrays of (p0, p1, point) for many test scores (fast exact path).
 
         A score at sorted position j among the K distinct calibration scores
-        falls in cell 2*j + tied: the merge runs once per distinct cell (at
-        most 2K+1) and label, and its results are scattered to the scores.
+        falls in cell 2*j + tied.  A cell no earlier call has asked for is
+        filled in the calibrator's table: the merge runs once for it and
+        each label.  Every score is then read from the table, so a repeat
+        call on filled cells runs no merge.  p0 and p1 are written before
+        point, and a cell counts as filled once its point is not nan, so a
+        concurrent reader never takes a half-written cell.
         """
         s = finite(scores, "test scores").ravel()
         position = np.searchsorted(self._distinct, s)
         tied = self._distinct[np.minimum(position, self._distinct.size - 1)] == s
-        cells, inverse = np.unique(2 * position + tied, return_inverse=True)
-        p0, p1 = (
-            np.array([self._fitted_at_insert(c // 2, c % 2 == 1, label) for c in cells.tolist()], dtype=np.float64)
-            for label in (0.0, 1.0)
-        )
-        return p0[inverse], p1[inverse], regularized_point(p0, p1)[inverse]
+        cells = 2 * position + tied
+        table = self._cells
+        point = table[2].take(cells)
+        missing = np.isnan(point)
+        if missing.any():
+            new = np.flatnonzero(np.bincount(cells[missing]))  # np.unique would hash: several times slower
+            p0, p1 = (
+                np.array([self._fitted_at_insert(c // 2, c % 2 == 1, label) for c in new.tolist()], dtype=np.float64)
+                for label in (0.0, 1.0)
+            )
+            table[0, new] = p0
+            table[1, new] = p1
+            table[2, new] = regularized_point(p0, p1)
+            point = table[2].take(cells)
+        return table[0].take(cells), table[1].take(cells), point

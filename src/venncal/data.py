@@ -30,6 +30,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import numbers
 import re
 import warnings
 from contextlib import ExitStack
@@ -112,7 +113,10 @@ def bounded(value, name: str, flag: str | None = None, *, low=None, inside=None,
             error=ValidationError) -> None:
     """Raise error unless value is >= low, strictly inside the pair inside, or one of choices; nan is none.
 
-    The one message of a setting out of bounds: "<name> must be <rule>, got
+    Every setting bounded below is a count, so a value given a low must
+    also be a whole number: a Python or numpy integer, not a bool and not a
+    float, even a whole-valued one.  The range is checked first.  The one
+    message of a setting out of bounds: "<name> must be <rule>, got
     <value>", with " (<flag>)" after it when a flag is given.
     """
     if low is not None and not value >= low:
@@ -121,6 +125,8 @@ def bounded(value, name: str, flag: str | None = None, *, low=None, inside=None,
         rule = f"in {inside}"
     elif choices is not None and value not in choices:
         rule = " or ".join(map(repr, choices))
+    elif low is not None and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+        rule = "a whole number"
     else:
         return
     shown = value.item() if isinstance(value, np.generic) else value  # got 1, not got np.int64(1)

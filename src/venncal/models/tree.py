@@ -200,6 +200,8 @@ class DecisionTreeModel(_Frozen):
         unknown = set(data) - {"kind", *names}
         if unknown:
             raise ValueError(f"unknown tree document keys: {sorted(unknown)}")
+        for key, low in (("n_features", 1), ("min_samples_leaf", 1), ("seed", 0)):
+            bounded(data[key], key, low=low)  # the bounds a fit writes; int() below would read 1.5 as 1
         return cls(
             feature_index=np.asarray(data["feature_index"], dtype=np.int64),
             threshold=np.asarray(
@@ -651,8 +653,8 @@ def _grow(
             n_samples=np.array(tree.n_samples, dtype=np.int64),
             n_positive=np.array(tree.n_positive, dtype=np.int64),
             n_features=n_features,
-            min_samples_leaf=min_samples_leaf,
-            seed=seed,
+            min_samples_leaf=int(min_samples_leaf),  # a numpy integer would not write as JSON
+            seed=int(seed),
         )
         # a tree that draws no subsets numbered its nodes as the steps took them
         return grown if subsets else _in_preorder(grown)
@@ -783,6 +785,7 @@ def fit_tree(
     """
     x, y = labelled(features, labels, "features", "feature row", ndim=2)
     x = finite(x, "features")
+    bounded(seed, "seed", low=0)  # recorded, and from_dict reads back only a whole one
     (tree,) = _grow(
         x,
         y,
@@ -849,6 +852,7 @@ def fit_forest(features, labels, *, n_trees: int = 100, seed: int = 0) -> Random
     x, y = labelled(features, labels, "features", "feature row", ndim=2)
     x = finite(x, "features")
     bounded(n_trees, "n_trees", low=1)
+    bounded(seed, "seed", low=0)
     trees = _grow(
         x,
         y,
@@ -858,4 +862,4 @@ def fit_forest(features, labels, *, n_trees: int = 100, seed: int = 0) -> Random
         max_features=math.ceil(math.sqrt(x.shape[1])),
         seed=seed,
     )
-    return RandomForestModel(trees=trees, seed=seed)
+    return RandomForestModel(trees=trees, seed=int(seed))

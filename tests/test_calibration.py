@@ -9,7 +9,10 @@ value here is computed, not asserted from hope.
 from __future__ import annotations
 
 import hashlib
+import pickle
 import re
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -486,6 +489,127 @@ def test_venn_abers_p_y_is_calibrated_for_a_non_monotone_scorer(grid):
     floor = float(np.quantile(null, 0.95))
     assert ece(reliability_bins(p_y, test_labels)) < floor
     assert ece(reliability_bins(wrong_label, test_labels)) > floor
+
+
+# ---------------------------------------------------------------------------
+# the cell table
+# ---------------------------------------------------------------------------
+
+def table_case(kind):
+    """A calibrator and one probe per cell, all 2K+1 of them: each distinct
+    calibration score, a score between each neighbouring pair, and one below
+    and one above them all.  "tied" draws forest-like scores, multiples of
+    1/100 with many ties; "continuous" draws distinct ones."""
+    rng = np.random.default_rng(33)
+    scores = rng.integers(0, 101, size=400) / 100 if kind == "tied" else rng.random(150)
+    labels = (rng.random(scores.size) < scores).astype(np.int64)
+    distinct = np.unique(scores)
+    probes = np.concatenate([distinct, (distinct[:-1] + distinct[1:]) / 2, [distinct[0] - 1.0, distinct[-1] + 1.0]])
+    return VennAbersCalibrator(scores, labels), probes[rng.permutation(probes.size)]
+
+
+def interval_bits(intervals):
+    return b"".join(values.tobytes() for values in intervals)
+
+
+@pytest.mark.parametrize("kind", ["tied", "continuous"])
+def test_venn_abers_table_fill_order_changes_no_bit(kind):
+    """Overlapping probe sets asked for in any order, each against a table holding
+    whatever earlier calls filled, answer as a fresh calibrator and as the naive refit."""
+    cal, probes = table_case(kind)
+    k = cal._distinct.size
+    position = np.searchsorted(cal._distinct, probes)
+    cells = 2 * position + (cal._distinct[np.minimum(position, k - 1)] == probes)
+    assert sorted(cells.tolist()) == list(range(2 * k + 1))  # one probe per cell
+    third = probes.size // 3
+    subsets = [probes[: 2 * third], probes[third:], np.concatenate([probes[:third], probes[2 * third:]])]
+    fresh = {i: interval_bits(table_case(kind)[0].intervals(subset)) for i, subset in enumerate(subsets)}
+    for order in [(0, 1, 2), (2, 0, 1), (1, 2, 0)]:
+        cal = table_case(kind)[0]
+        for i in order:
+            assert interval_bits(cal.intervals(subsets[i])) == fresh[i]
+            assert interval_bits(cal.intervals(subsets[i][::-1])) == interval_bits(
+                values[::-1] for values in table_case(kind)[0].intervals(subsets[i]))
+        assert not np.isnan(cal._cells).any()  # every cell filled
+        p0, p1, point = cal.intervals(probes)
+        for i, s in enumerate(probes.tolist()):
+            slow = cal.interval_naive(s)
+            assert bits(p0[i], p1[i], point[i]) == bits(slow.p0, slow.p1, slow.point)
+
+
+def test_venn_abers_table_repeat_call_runs_no_merge(monkeypatch):
+    """Each new cell costs one merge per label; a cell already in the table costs none."""
+    cal, probes = table_case("tied")
+    merges = []
+    original = VennAbersCalibrator._fitted_at_insert
+
+    def counted(self, position, tied, label):
+        merges.append((position, tied, label))
+        return original(self, position, tied, label)
+
+    monkeypatch.setattr(VennAbersCalibrator, "_fitted_at_insert", counted)
+    first = np.repeat(probes[:50], 3)  # 50 cells, each asked for three times
+    want = interval_bits(cal.intervals(first))
+    assert len(merges) == 2 * 50
+    merges.clear()
+    assert interval_bits(cal.intervals(first)) == want
+    assert interval_bits(cal.intervals(probes[10:20])) == interval_bits(v[10:20] for v in cal.intervals(probes[:50]))
+    assert merges == []
+    cal.intervals(probes[40:60])  # ten cells filled, ten new
+    assert len(merges) == 2 * 10
+
+
+class CheckedTable(np.ndarray):
+    """A cell table that checks after each write that every cell whose point is set has its p0 and p1."""
+
+    def __setitem__(self, key, value):
+        table = self.view(np.ndarray)
+        table[key] = value
+        assert not np.isnan(table[:2, ~np.isnan(table[2])]).any()
+
+
+def test_venn_abers_table_writes_each_point_after_its_interval():
+    """A reader takes a cell once its point is set, so p0 and p1 must be in the table by then."""
+    cal, probes = table_case("tied")
+    cal._cells = cal._cells.view(CheckedTable)
+    for batch in (probes[:40], probes[20:90], probes):
+        assert interval_bits(cal.intervals(batch)) == interval_bits(table_case("tied")[0].intervals(batch))
+
+
+def test_venn_abers_table_shared_by_threads_answers_as_a_fresh_calibrator():
+    """Threads that fill one table at once, switching every few microseconds, never read a half-written cell."""
+    _, probes = table_case("continuous")
+    rng = np.random.default_rng(8)
+    batches = [probes[rng.permutation(probes.size)[:120]] for _ in range(8)]  # more threads than cores
+    want = [interval_bits(table_case("continuous")[0].intervals(batch)) for batch in batches]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            cal = table_case("continuous")[0]
+            got = [None] * len(batches)
+
+            def answer(i):
+                got[i] = interval_bits(cal.intervals(batches[i]))
+
+            threads = [threading.Thread(target=answer, args=(i,)) for i in range(len(batches))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            assert got == want
+    finally:
+        sys.setswitchinterval(switch)
+
+
+def test_venn_abers_pickled_after_a_partial_fill_answers_identically():
+    cal, probes = table_case("tied")
+    cal.intervals(probes[: probes.size // 2])
+    loaded = pickle.loads(pickle.dumps(cal))
+    assert np.array_equal(loaded._cells, cal._cells, equal_nan=True)  # the filled half travels with it
+    assert interval_bits(loaded.intervals(probes)) == interval_bits(table_case("tied")[0].intervals(probes))
+    assert interval_bits(cal.intervals(probes)) == interval_bits(loaded.intervals(probes))
 
 
 # ---------------------------------------------------------------------------

@@ -832,3 +832,36 @@ def test_every_entry_point_names_the_bad_input(call, args, message):
     with pytest.raises(ValueError) as caught:
         call(*args)
     assert str(caught.value) == message
+
+
+_COUNTS = {  # id -> (call taking the count, setting it names)
+    "fit_tree min_samples_leaf": (lambda n: fit_tree(_X, _Y, min_samples_leaf=n), "min_samples_leaf"),
+    "fit_tree seed": (lambda seed: fit_tree(_X, _Y, seed=seed), "seed"),
+    "fit_forest n_trees": (lambda n: fit_forest(_X, _Y, n_trees=n), "n_trees"),
+    "fit_forest seed": (lambda seed: fit_forest(_X, _Y, n_trees=2, seed=seed), "seed"),
+    "collapsed max_depth": (lambda depth: fit_tree(_X, _Y).collapsed(depth), "max_depth"),
+    "reliability_bins m": (lambda m: reliability_bins([0.2, 0.7], [0, 1], m), "m"),
+    "minority_bins m": (lambda m: minority_bins([0.2, 0.7], [0, 1], m), "m"),
+    "evaluate m": (lambda m: evaluate([0.2, 0.7], [0, 1], m), "m"),
+    "repeated_stratified_kfold k": (lambda k: repeated_stratified_kfold(toy_dataset(), k=k, repetitions=1), "k"),
+    "repeated_stratified_kfold repetitions":
+        (lambda r: repeated_stratified_kfold(toy_dataset(), repetitions=r), "repetitions"),
+    "write_reference_csv seed": (lambda seed: write_reference_csv(os.devnull, seed=seed, n_rows=10), "seed"),
+    **{f"from_dict {key}": (lambda value, key=key: DecisionTreeModel.from_dict(_tree_document(**{key: value})), key)
+       for key in ("n_features", "min_samples_leaf", "seed")},
+}
+
+
+@pytest.mark.parametrize("call, setting", [pytest.param(*entry, id=name) for name, entry in _COUNTS.items()])
+def test_every_count_must_be_a_whole_number(call, setting):
+    """A count is a Python or numpy integer: a float, even a whole-valued one, and a bool fail naming the
+    setting, after its range is checked; a numpy integer is taken as its int."""
+    for value in (2.5, 3.0, np.float64(2.5), True):
+        with pytest.raises(ValueError) as caught:
+            call(value)
+        shown = value.item() if isinstance(value, np.generic) else value
+        rule = ">= 2" if (setting, value) == ("k", True) else "a whole number"  # True is below k's bound of 2
+        assert str(caught.value) == f"{setting} must be {rule}, got {shown!r}"
+    result = call(np.int64(2))
+    if hasattr(result, "to_dict"):  # a fitted or loaded model
+        json.dumps(result.to_dict())  # its settings are ints, which JSON writes

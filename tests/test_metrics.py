@@ -322,3 +322,24 @@ def test_evaluate_report_roundtrip():
         "ece",
         "ece1",
     }
+
+
+def test_evaluate_calibration_errors_equal_the_public_functions_for_every_bin_setting():
+    """For every bin count and mode, with probabilities at exactly 0, 0.5 and 1 and a set with no
+    positive predictions, evaluate's ECE and ECE-1 equal the public functions' bits."""
+    rng = np.random.default_rng(12)
+    continuous = np.concatenate([rng.random(300), [0.5, 0.5, 1.0, 1.0, 0.0, np.nextafter(0.5, 0.0)]])
+    sets = {
+        "continuous with 0, 0.5 and 1": continuous,
+        "on a 21-value grid": np.round(continuous * 20) / 20,
+        "no positive predictions": continuous / 2.01,
+    }
+    for name, p in sets.items():
+        y = (rng.random(p.size) < p).astype(int)
+        for mode in BIN_MODES:
+            for m in range(1, 13):
+                report = evaluate(p, y, m, mode)
+                minority = minority_bins(p, y, m, mode)
+                assert report.ece == ece(reliability_bins(p, y, m, mode)), (name, mode, m)
+                assert report.ece1 == (None if minority is None else ece(minority)), (name, mode, m)
+    assert minority_bins(sets["no positive predictions"], y) is None
