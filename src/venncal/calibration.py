@@ -112,7 +112,7 @@ def pava(scores, labels) -> IsotonicFit:
     (dominated by the sort).
     """
     s, y = labelled(scores, labels, "scores", "score")
-    distinct, weights, label_sums = _pool_by_score(finite(s, "scores"), y)
+    distinct, weights, label_sums = _pool_by_score(s, y)
     means, block_weights = [], []
     top = _prefix_fits(weights, label_sums)[-1]
     while top is not None:  # right to left
@@ -195,7 +195,6 @@ def fit_platt(scores, labels) -> PlattFit:
     degenerate).
     """
     s, y = labelled(scores, labels, "scores", "score")
-    s = finite(s, "scores")
     n_pos = float(np.sum(y))
     n_neg = float(y.size - n_pos)
     if n_pos == 0.0 or n_neg == 0.0:
@@ -296,7 +295,7 @@ class VennAbersCalibrator:
 
     def __init__(self, calibration_scores, calibration_labels):
         s, y = labelled(calibration_scores, calibration_labels, "scores", "score")
-        s = finite(s, "scores").copy()
+        s = s.copy()
         y = y.copy()
         s.setflags(write=False)
         y.setflags(write=False)

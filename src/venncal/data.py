@@ -150,11 +150,13 @@ def binary_labels(labels, rows: int, of: str) -> np.ndarray:
 
 
 def labelled(values, labels, what: str, of: str, ndim: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """(values, labels) as float64 arrays, once values is a non-empty ndim-d array and labels one 0 or 1 per row."""
+    """(values, labels) as float64 arrays, once values is a non-empty ndim-d array, labels one 0 or 1 per row
+    and values finite, checked in that order."""
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != ndim or v.size == 0:
         raise ValidationError(f"{what} must be a non-empty {ndim}-d array, got shape {v.shape}")
-    return v, binary_labels(labels, v.shape[0], of)
+    y = binary_labels(labels, v.shape[0], of)
+    return finite(v, what), y
 
 
 def feature_matrix(features, width: int, rows: int | None = None) -> np.ndarray:

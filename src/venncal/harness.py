@@ -107,8 +107,7 @@ class ExperimentConfig:
             if not isinstance(names, (tuple, list)):
                 raise ValueError(f"{field} must be a list of names, got {type(names).__name__} {names!r}")
             for i, name in enumerate(names):
-                if name not in known:
-                    raise ValueError(f"unknown {field[:-1]} {name!r} (choose from {known})")
+                bounded(name, field, self.__dataclass_fields__[field].metadata["flag"], choices=known)
                 if name in names[:i]:
                     raise ValueError(f"{field} lists {name!r} more than once")
             object.__setattr__(self, field, tuple(names))  # a JSON list, hashable and equal to its tuple
@@ -217,7 +216,7 @@ def _model_seed(seed: int, repetition: int, fold: int, role: str) -> int:
 
 
 def _calibrated(kind: str, cal_scores, cal_labels, test_scores):
-    """(p0, p1, point) arrays for one calibrator on one fold."""
+    """(p0, p1, point) arrays for one calibrator on one fold; the config and calibrate_scores check kind."""
     if kind == "none":
         return test_scores, test_scores, test_scores
     if kind == "venn-abers":
@@ -227,11 +226,9 @@ def _calibrated(kind: str, cal_scores, cal_labels, test_scores):
         fit = fit_platt(cal_scores, cal_labels)
         p = apply_platt(fit, test_scores)
         return p, p, p
-    if kind == "isotonic":
-        fit = pava(cal_scores, cal_labels)
-        p = isotonic_calibrate(fit, test_scores)
-        return p, p, p
-    raise ValueError(f"unknown calibrator kind {kind!r}")
+    fit = pava(cal_scores, cal_labels)  # isotonic
+    p = isotonic_calibrate(fit, test_scores)
+    return p, p, p
 
 
 @dataclass
@@ -336,10 +333,8 @@ def load_fold_predictions(output_dir, model: str, calibrator: str):
     can reach the glob.  A file that is not a prediction CSV fails with the
     file, and the row if one is at fault, named.
     """
-    if model not in KNOWN_MODELS:
-        raise ValueError(f"unknown model {model!r} (choose from {KNOWN_MODELS})")
-    if calibrator not in KNOWN_CALIBRATORS:
-        raise ValueError(f"unknown calibrator {calibrator!r} (choose from {KNOWN_CALIBRATORS})")
+    bounded(model, "model", choices=KNOWN_MODELS)
+    bounded(calibrator, "calibrator", choices=KNOWN_CALIBRATORS)
     folds_dir = Path(output_dir) / "folds"
     paths = sorted(folds_dir.glob(_fold_stem("*", "*", model, calibrator) + ".csv"))
     if not paths:
@@ -521,8 +516,7 @@ def calibrate_scores(score_table_path, calibrator_kind: str, output_path) -> int
     single-valued calibrators).  Every fold is calibrated before the output
     is opened, so a failing fold leaves no partial file behind.
     """
-    if calibrator_kind not in POST_HOC_CALIBRATORS:
-        raise ValueError(f"unknown calibrator kind {calibrator_kind!r}")
+    bounded(calibrator_kind, "calibrator_kind", choices=POST_HOC_CALIBRATORS)
     table = load_score_table(score_table_path)
     folds = []
     for fold, (_, cal_scores, cal_labels), (test_ids, test_scores, _) in table.folds():

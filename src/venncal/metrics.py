@@ -34,7 +34,7 @@ BIN_MODES = ("width", "frequency")  # equal-width bins, or edges at probability 
 def _check_inputs(probabilities, labels, m: int = 1, mode: str = BIN_MODES[0]):
     """The probabilities and labels as float arrays, once they and the bin settings are valid."""
     p, y = labelled(probabilities, labels, "probabilities", "probability")
-    require(p, (p >= 0.0) & (p <= 1.0), "probabilities must lie in [0, 1]")  # nan fails both
+    require(p, (p >= 0.0) & (p <= 1.0), "probabilities must lie in [0, 1]")  # labelled took nan and inf
     bounded(m, "m", low=1)
     bounded(mode, "mode", choices=BIN_MODES)
     return p, y

@@ -49,7 +49,6 @@ def fit_logistic(features, labels) -> LogisticRegressionModel:
     growing at the cap.
     """
     x, y = labelled(features, labels, "features", "feature row", ndim=2)
-    x = finite(x, "features")
 
     mean = x.mean(axis=0)
     std = x.std(axis=0)

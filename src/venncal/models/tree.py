@@ -84,7 +84,7 @@ from functools import cached_property
 
 import numpy as np
 
-from venncal.data import bounded, feature_matrix, finite, labelled
+from venncal.data import bounded, feature_matrix, labelled
 
 __all__ = ["DecisionTreeModel", "RandomForestModel", "fit_forest", "fit_tree"]
 
@@ -784,7 +784,6 @@ def fit_tree(
     of the fitted tree.
     """
     x, y = labelled(features, labels, "features", "feature row", ndim=2)
-    x = finite(x, "features")
     bounded(seed, "seed", low=0)  # recorded, and from_dict reads back only a whole one
     (tree,) = _grow(
         x,
@@ -850,7 +849,6 @@ def fit_forest(features, labels, *, n_trees: int = 100, seed: int = 0) -> Random
     and seed alone.
     """
     x, y = labelled(features, labels, "features", "feature row", ndim=2)
-    x = finite(x, "features")
     bounded(n_trees, "n_trees", low=1)
     bounded(seed, "seed", low=0)
     trees = _grow(

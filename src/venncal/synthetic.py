@@ -79,6 +79,7 @@ def _reference_columns(seed: int, n_rows: int) -> list[np.ndarray]:
     as its one-decimal text.
     """
     bounded(seed, "seed", low=0)  # numpy's generators refuse a negative one without naming it
+    bounded(n_rows, "n_rows", low=2)  # the temperature drift divides by the spread of n_rows steps
     rng = np.random.default_rng(seed)
 
     quality = rng.choice(_QUALITY_LEVELS, size=n_rows, p=_QUALITY_PROBS)
@@ -151,7 +152,7 @@ def generate_reference_rows(seed: int = REFERENCE_SEED, n_rows: int = N_ROWS) ->
 def write_reference_csv(path, seed: int = REFERENCE_SEED, n_rows: int = N_ROWS) -> Path:
     """Write the reference CSV (header plus n_rows data rows).
 
-    A negative seed fails before the directory or the file is created.
+    A negative seed or fewer than 2 rows fails before anything is created.
     """
     columns = _reference_columns(seed, n_rows)
     path = Path(path)

@@ -70,23 +70,27 @@ def build_venn_tree(
     *,
     calibration_features,
 ) -> VennTree:
-    """Annotate each (display) leaf with its Venn-Abers interval.
+    """Annotate each (display) leaf with a Venn-Abers interval fitted on the scores the display tree shows.
 
-    Collapsed leaves score with the pooled training positive fraction of
-    their subtree and are re-calibrated through the same calibrator.  Each
-    leaf's n_calibration is the number of rows of calibration_features (the
-    calibration set the calibrator was fitted on) that the display tree
-    routes to it, so the counts sum to the calibration set's size.
+    calibration_features holds the calibrator's calibration rows in its row
+    order: row i is labelled calibrator.calibration_labels[i].  A collapsed
+    leaf scores with the pooled training positive fraction of its subtree.
+    The intervals come from a calibrator fitted afresh on the display
+    tree's scores of these rows and their labels (at full depth, the scores
+    the passed calibrator was fitted on), so each describes the rows routed
+    to its leaf; n_calibration counts them, summing to the set's size.
     """
     display = tree if display_max_depth is None else tree.collapsed(display_max_depth)
 
     cal_x = feature_matrix(calibration_features, display.n_features, rows=calibrator.calibration_scores.size)
     routed = display.apply(cal_x)
     cal_counts = {int(k): int(v) for k, v in zip(*np.unique(routed, return_counts=True))}
+    scores = display.n_positive / display.n_samples  # a node's pooled training positive fraction
+    refit = VennAbersCalibrator(scores[routed], calibrator.calibration_labels)
 
     nodes = np.flatnonzero(display.feature_index == -1)
-    raw_scores = display.n_positive[nodes] / display.n_samples[nodes]
-    p0, p1, point = calibrator.intervals(raw_scores)
+    raw_scores = scores[nodes]
+    p0, p1, point = refit.intervals(raw_scores)
     leaves = {}
     for node, raw, lo, hi, pt in zip(nodes.tolist(), raw_scores.tolist(), p0.tolist(), p1.tolist(), point.tolist()):
         leaves[node] = LeafAnnotation(

@@ -98,6 +98,30 @@ def monotone_lsq_oracle(scores, labels):
 
 
 # ---------------------------------------------------------------------------
+# oracle: textbook PAVA
+# ---------------------------------------------------------------------------
+
+def textbook_pava(scores, labels):
+    """Pool adjacent violators on exact rationals, one fitted value per distinct score.
+
+    Blocks are merged while a block's mean exceeds its right neighbour's,
+    stepping back one block after each merge; no pooling of equal means, no
+    stacks, no cross-multiplication.  Usable at any size.
+    """
+    _, weights, sums = pooled(scores, labels)
+    blocks = [[w, t, 1] for w, t in zip(weights, sums)]  # weight, label sum, distinct scores
+    i = 0
+    while i < len(blocks) - 1:
+        (w, t, count), (w_next, t_next, count_next) = blocks[i], blocks[i + 1]
+        if Fraction(t, w) > Fraction(t_next, w_next):
+            blocks[i : i + 2] = [[w + w_next, t + t_next, count + count_next]]
+            i = max(i - 1, 0)
+        else:
+            i += 1
+    return [float(Fraction(t, w)) for w, t, count in blocks for _ in range(count)]
+
+
+# ---------------------------------------------------------------------------
 # oracle: exhaustive split enumeration
 # ---------------------------------------------------------------------------
 

@@ -4,7 +4,7 @@ Each test prints one PASS/FAIL line per criterion.  Criteria 1-3 evaluate
 the full 10x10 cross-validated experiment on the bundled reference dataset
 (10 000 rows, 339 failures); that run takes minutes, so its artifacts are
 cached under .cache/acceptance_run at the repository root and reused while
-the run.json there matches the current code and config.  Criteria 4-8 run
+the run.json there matches the current code and config.  Criteria 4-9 run
 fresh every time.  Criterion 4's brute-force references and criterion 7's
 toy dataset come from tests/support.py, the copies the unit tests use.
 """
@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from venncal.calibration import VennAbersCalibrator, regularized_point, pava
-from venncal.data import load_csv
+from venncal.data import load_csv, stratified_holdout
 from venncal.harness import ExperimentConfig, load_fold_predictions, run_experiment, run_record
 from venncal.metrics import auc, ece, minority_bins, reliability_bins
 from venncal.models import fit_tree
@@ -330,3 +330,38 @@ def test_criterion_8_rule_tree_roundtrip(reference_csv):
             mismatches += 1
     _report(8, "rule matched by conjunction equals tree routing for 1000 vectors",
             mismatches == 0, f"{1000 - mismatches}/1000 exact")
+
+
+# ---------------------------------------------------------------------------
+# criterion 9: Venn-tree leaves calibrated for the rows they label
+# ---------------------------------------------------------------------------
+
+VENN_TREE_SPLIT_SEEDS = range(9000, 9020)  # fixed before the criterion first ran
+
+
+def _leaf_gap(vt, x, y) -> float:
+    """Mean over rows x of |failure rate of the rows' display leaf - the leaf's point estimate|."""
+    leaves = vt.tree.apply(x)
+    counts = np.bincount(leaves, minlength=vt.tree.n_nodes)
+    failures = np.bincount(leaves, weights=y, minlength=vt.tree.n_nodes)
+    return sum(abs(failures[node] - counts[node] * ann.point) for node, ann in vt.leaves.items()) / y.size
+
+
+def test_criterion_9_venn_tree_leaves_hold_where_they_label(reference_csv):
+    # per split: 30% held out, a third of the rest calibrates, and the tree fits the remainder
+    dataset = load_csv(reference_csv)
+    x, y = dataset.features, dataset.labels
+    gaps = {None: [], 5: []}
+    for seed in VENN_TREE_SPLIT_SEEDS:
+        rng = np.random.default_rng(seed)
+        rest, held = stratified_holdout(y, 0.3, rng)
+        proper, cal = (rest[ids] for ids in stratified_holdout(y[rest], 1.0 / 3.0, rng))
+        tree = fit_tree(x[proper], y[proper], min_samples_leaf=6)
+        calibrator = VennAbersCalibrator(tree.score_many(x[cal]), y[cal])
+        for depth, depth_gaps in gaps.items():
+            vt = build_venn_tree(tree, calibrator, display_max_depth=depth, calibration_features=x[cal])
+            depth_gaps.append(_leaf_gap(vt, x[held], y[held]))
+    full, shallow = float(np.mean(gaps[None])), float(np.mean(gaps[5]))
+    _report(9, "depth-5 display leaves' held-out gap at most the full tree's",
+            shallow <= full, f"mean weighted |failure rate - point| over {len(gaps[5])} splits: "
+            f"depth 5 {shallow:.4f}, full depth {full:.4f}")

@@ -32,11 +32,11 @@ from venncal.calibration import (
 )
 from venncal.metrics import ece, reliability_bins
 
-from support import monotone_lsq_oracle, pooled
+from support import monotone_lsq_oracle, textbook_pava
 
 
 # ---------------------------------------------------------------------------
-# oracles built on the shared references: Venn-Abers by refit, textbook PAVA
+# oracle built on the shared references: Venn-Abers by refit
 # ---------------------------------------------------------------------------
 
 def oracle_interval(cal_scores, cal_labels, s_test):
@@ -47,26 +47,6 @@ def oracle_interval(cal_scores, cal_labels, s_test):
         distinct, fit, _ = monotone_lsq_oracle(aug_s, aug_y)
         out.append(fit[distinct.index(s_test)])
     return out[0], out[1]
-
-
-def textbook_pava(scores, labels):
-    """Pool adjacent violators on exact rationals, one fitted value per distinct score.
-
-    Blocks are merged while a block's mean exceeds its right neighbour's,
-    stepping back one block after each merge; no pooling of equal means, no
-    stacks, no cross-multiplication.  Usable at any size.
-    """
-    _, weights, sums = pooled(scores, labels)
-    blocks = [[w, t, 1] for w, t in zip(weights, sums)]  # weight, label sum, distinct scores
-    i = 0
-    while i < len(blocks) - 1:
-        (w, t, count), (w_next, t_next, count_next) = blocks[i], blocks[i + 1]
-        if Fraction(t, w) > Fraction(t_next, w_next):
-            blocks[i : i + 2] = [[w + w_next, t + t_next, count + count_next]]
-            i = max(i - 1, 0)
-        else:
-            i += 1
-    return [float(Fraction(t, w)) for w, t, count in blocks for _ in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -418,21 +398,60 @@ def test_venn_abers_intervals_property_permutation(case, data):
         assert got.tobytes() == want[order].tobytes()
 
 
+def increasing_map(data, cal, batch):
+    """A strictly increasing map, drawn, over the calibration and test scores of a calibration_and_batch case."""
+    distinct = np.unique(np.concatenate([cal.calibration_scores, batch]))
+    image = np.sort(data.draw(st.lists(st.floats(-1e6, 1e6), min_size=distinct.size, max_size=distinct.size, unique=True)))
+    # the map keeps every score finite and distinct scores distinct, so it keeps their order
+    assert np.isfinite(image).all() and np.unique(image).size == distinct.size
+
+    def increasing(scores):  # the i-th smallest distinct score goes to the i-th smallest image
+        return image[np.searchsorted(distinct, scores)]
+
+    return increasing
+
+
 @PROPERTY_SETTINGS
 @given(calibration_and_batch(), st.data())
 def test_venn_abers_intervals_property_increasing_transform(case, data):
     """Venn-Abers sees scores only through their order: one strictly increasing
     map applied to the calibration and the test scores changes no output bit."""
     cal, batch = case
-    distinct = np.unique(np.concatenate([cal.calibration_scores, batch]))
-    image = np.sort(data.draw(st.lists(st.floats(-1e6, 1e6), min_size=distinct.size, max_size=distinct.size, unique=True)))
-
-    def increasing(scores):  # the i-th smallest distinct score goes to the i-th smallest image
-        return image[np.searchsorted(distinct, scores)]
-
+    increasing = increasing_map(data, cal, batch)
     moved = VennAbersCalibrator(increasing(cal.calibration_scores), cal.calibration_labels)
     for got, want in zip(moved.intervals(increasing(batch)), cal.intervals(batch)):
         assert got.tobytes() == want.tobytes()
+
+
+# Metamorphic relations of the isotonic calibrator, bit for bit.  Flipping
+# the labels and negating the scores is left out: it maps a fitted value v to
+# 1 - v only in exact arithmetic, and 1 - (a / b) need not round as (b - a) / b.
+
+@PROPERTY_SETTINGS
+@given(calibration_and_batch(), st.data())
+def test_isotonic_property_increasing_transform(case, data):
+    """pava and isotonic_calibrate see scores only through their order, as Venn-Abers does."""
+    cal, batch = case
+    increasing = increasing_map(data, cal, batch)
+    fit = pava(cal.calibration_scores, cal.calibration_labels)
+    moved = pava(increasing(cal.calibration_scores), cal.calibration_labels)
+    assert moved.breakpoints.tobytes() == increasing(fit.breakpoints).tobytes()
+    assert moved.fitted_values.tobytes() == fit.fitted_values.tobytes()
+    assert isotonic_calibrate(moved, increasing(batch)).tobytes() == isotonic_calibrate(fit, batch).tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(calibration_and_batch())
+def test_isotonic_property_doubled_calibration_set(case):
+    """Each calibration row twice doubles every tie weight and changes no fitted value: a block's mean
+    is its label sum over its weight, and both double exactly."""
+    cal, batch = case
+    fit = pava(cal.calibration_scores, cal.calibration_labels)
+    doubled = pava(np.tile(cal.calibration_scores, 2), np.tile(cal.calibration_labels, 2))
+    assert doubled.breakpoints.tobytes() == fit.breakpoints.tobytes()
+    assert doubled.weights.tobytes() == (2.0 * fit.weights).tobytes()
+    assert doubled.fitted_values.tobytes() == fit.fitted_values.tobytes()
+    assert isotonic_calibrate(doubled, batch).tobytes() == isotonic_calibrate(fit, batch).tobytes()
 
 
 @PROPERTY_SETTINGS

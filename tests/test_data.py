@@ -40,7 +40,7 @@ from venncal.harness import load_fold_predictions
 from venncal.metrics import auc, classification_metrics, evaluate, minority_bins, reliability_bins
 from venncal.models import DecisionTreeModel, fit_forest, fit_logistic, fit_tree, load_score_table
 from venncal.models.score_table import _PARTITIONS as PARTITIONS
-from venncal.synthetic import write_reference_csv
+from venncal.synthetic import generate_reference_rows, write_reference_csv
 from venncal.venn_tree import build_venn_tree
 
 from support import HEADER
@@ -731,8 +731,8 @@ def _bad_inputs():
     for metric in (classification_metrics, auc, reliability_bins, minority_bins, evaluate):
         name = metric.__name__
         rows += [
-            (f"{name} nan", metric, ([0.5, np.nan], [0, 1]), "probabilities must lie in [0, 1], got nan at index 1"),
-            (f"{name} inf", metric, ([0.5, np.inf], [0, 1]), "probabilities must lie in [0, 1], got inf at index 1"),
+            (f"{name} nan", metric, ([0.5, np.nan], [0, 1]), "probabilities must be finite, got nan at index 1"),
+            (f"{name} inf", metric, ([0.5, np.inf], [0, 1]), "probabilities must be finite, got inf at index 1"),
             (f"{name} label 2", metric, ([0.5, 0.7], [0, 2]), "labels must be 0 or 1, got 2.0 at index 1"),
             (f"{name} a label too many", metric, ([0.5], [0, 1]),
              "labels must be one per probability: expected shape (1,), got (2,)"),
@@ -766,11 +766,19 @@ def _bad_inputs():
             (lambda r: repeated_stratified_kfold(toy_dataset(), repetitions=r), "repetitions must be >= 1"),
         # the seed is checked before the file is opened
         "write_reference_csv seed": (lambda seed: write_reference_csv(os.devnull, seed=seed), "seed must be >= 0"),
+        "write_reference_csv n_rows": (lambda n: write_reference_csv(os.devnull, n_rows=n), "n_rows must be >= 2"),
     }
     for name, (call, rule) in bounds.items():
         rows.append((f"{name} nan", call, (np.nan,), f"{rule}, got nan"))
     rows.append(("fit_forest n_trees 0", lambda n: fit_forest(_X, _Y, n_trees=n), (np.int64(0),),
                  "n_trees must be >= 1, got 0"))
+    # one row has no temperature spread to normalise by
+    rows += [
+        ("generate_reference_rows n_rows 1", lambda n: generate_reference_rows(n_rows=n), (1,),
+         "n_rows must be >= 2, got 1"),
+        ("write_reference_csv n_rows -1", lambda n: write_reference_csv(os.devnull, n_rows=n), (-1,),
+         "n_rows must be >= 2, got -1"),
+    ]
     scorers = {
         "tree score_many": lambda x: fit_tree(_X, _Y).score_many(x),
         "tree apply": lambda x: fit_tree(_X, _Y).apply(x),
@@ -847,6 +855,7 @@ _COUNTS = {  # id -> (call taking the count, setting it names)
     "repeated_stratified_kfold repetitions":
         (lambda r: repeated_stratified_kfold(toy_dataset(), repetitions=r), "repetitions"),
     "write_reference_csv seed": (lambda seed: write_reference_csv(os.devnull, seed=seed, n_rows=10), "seed"),
+    "write_reference_csv n_rows": (lambda n: write_reference_csv(os.devnull, n_rows=n), "n_rows"),
     **{f"from_dict {key}": (lambda value, key=key: DecisionTreeModel.from_dict(_tree_document(**{key: value})), key)
        for key in ("n_features", "min_samples_leaf", "seed")},
 }
@@ -860,7 +869,8 @@ def test_every_count_must_be_a_whole_number(call, setting):
         with pytest.raises(ValueError) as caught:
             call(value)
         shown = value.item() if isinstance(value, np.generic) else value
-        rule = ">= 2" if (setting, value) == ("k", True) else "a whole number"  # True is below k's bound of 2
+        # True is below the bound of 2 that k and n_rows have
+        rule = ">= 2" if value is True and setting in ("k", "n_rows") else "a whole number"
         assert str(caught.value) == f"{setting} must be {rule}, got {shown!r}"
     result = call(np.int64(2))
     if hasattr(result, "to_dict"):  # a fitted or loaded model

@@ -347,6 +347,18 @@ def test_unknown_bin_mode_rejected_by_config_and_cli(tmp_path, capsys):
     assert not (tmp_path / "bins.csv").exists()
 
 
+def test_unknown_name_rejected_naming_the_flag(tmp_path, capsys):
+    models = "'tree' or 'forest' or 'logistic' or 'external-scores'"
+    calibrators = "'none' or 'venn-abers' or 'platt' or 'isotonic'"
+    for settings, message in (({"models": ("tree", "bogus")}, f"models must be {models}, got 'bogus' (--models)"),
+                              ({"calibrators": ("beta",)}, f"calibrators must be {calibrators}, got 'beta' (--calibrators)")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ExperimentConfig(dataset_path="x.csv", **settings)
+    # the experiment command exits 1 with the config's message, before the (here missing) dataset is read
+    assert cli_main(["experiment", "--data", str(tmp_path / "missing.csv"), "--models", "bogus"]) == 1
+    assert capsys.readouterr().err == f"error: models must be {models}, got 'bogus' (--models)\n"
+
+
 def test_config_name_lists_become_tuples():
     # a config built from JSON lists is the config built from tuples, and hashable
     from_lists = ExperimentConfig(dataset_path="x.csv", models=["tree"], calibrators=["none", "platt"])
@@ -423,7 +435,8 @@ def test_calibrate_scores_platt_single_class_fold_names_fold(tmp_path):
 def test_calibrate_scores_rejects_unknown_kind(tmp_path):
     table = write_score_table(tmp_path / "scores.csv", {0: {"calibration": WORKED_CAL, "test": [(0.8, 1)]}})
     for kind in ("none", "beta"):  # "none" calibrates nothing, so it has no output to write
-        with pytest.raises(ValueError, match=f"^unknown calibrator kind '{kind}'$"):
+        message = f"calibrator_kind must be 'venn-abers' or 'platt' or 'isotonic', got '{kind}'"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             calibrate_scores(table, kind, tmp_path / "out.csv")
     assert not (tmp_path / "out.csv").exists()
 
@@ -642,8 +655,12 @@ def test_reliability_roundtrip_from_run(tmp_path):
     p, y = load_fold_predictions(config.output_dir, "forest", "venn-abers")
     assert p.size == 320  # both folds pooled
     # a glob pattern is no name: it would pool the folds of several pairs
-    for model, calibrator in (("*", "none"), ("forest", "?one"), ("[tf]*", "venn-abers")):
-        with pytest.raises(ValueError, match="unknown (model|calibrator)"):
+    models = "'tree' or 'forest' or 'logistic' or 'external-scores'"
+    calibrators = "'none' or 'venn-abers' or 'platt' or 'isotonic'"
+    for model, calibrator, message in (("*", "none", f"model must be {models}, got '*'"),
+                                       ("forest", "?one", f"calibrator must be {calibrators}, got '?one'"),
+                                       ("[tf]*", "venn-abers", f"model must be {models}, got '[tf]*'")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             load_fold_predictions(config.output_dir, model, calibrator)
     bins = reliability_bins(p, y)
     out = tmp_path / "bins.csv"
@@ -802,7 +819,8 @@ def test_cli_experiment_and_reliability(tmp_path, capsys):
     capsys.readouterr()
     argv = ["reliability", "--run-dir", str(run_dir), "--model", "*", "--calibrator", "none"]
     assert cli_main([*argv, "--out", str(tmp_path / "all.csv")]) == 1
-    assert "unknown model '*'" in capsys.readouterr().err
+    models = "'tree' or 'forest' or 'logistic' or 'external-scores'"
+    assert capsys.readouterr().err == f"error: model must be {models}, got '*'\n"
     assert not (tmp_path / "all.csv").exists()
     # a negative seed is named before any data loads
     argv = ["experiment", "--data", str(tmp_path / "toy.csv"), "--seed", "-1", "--out", str(tmp_path / "neg")]

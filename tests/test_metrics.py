@@ -78,7 +78,7 @@ def test_empty_input_rejected():
     [
         ([0.5], [0, 1], r"labels must be one per probability: expected shape \(1,\), got \(2,\)"),
         ([0.5, 1.5], [0, 1], r"probabilities must lie in \[0, 1\]"),
-        ([0.5, np.nan], [0, 1], r"probabilities must lie in \[0, 1\]"),
+        ([0.5, np.nan], [0, 1], "probabilities must be finite, got nan at index 1"),
         ([0.5, 0.7], [0, 2], "labels must be 0 or 1"),
         # a probability column counted each row twice: accuracy 2.0 and 8 positive predictions of 4 rows
         ([[0.9], [0.8], [0.2], [0.6]], [1, 1, 0, 0], r"must be a non-empty 1-d array, got shape \(4, 1\)$"),

@@ -18,6 +18,8 @@ from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import venncal.models.tree as tree_module
 from venncal.data import ParseError, SchemaError, ValidationError, labelled
@@ -828,6 +830,73 @@ def test_wide_keys_match_golden_digests(monkeypatch):
     monkeypatch.setattr(tree_module, "_key_dtype", lambda bits: np.uint64)
     for data, fit, kwargs, digest in GOLDEN_MODELS.values():
         assert _golden_digest(data, fit, kwargs) == digest, (data, fit, kwargs)
+
+
+# ---------------------------------------------------------------------------
+# metamorphic relations: trees see features only through their order
+# ---------------------------------------------------------------------------
+
+PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=100, database=None)
+# small whole numbers for ties, thousandths, and floats at least 1e-6 from zero: every value, every
+# midpoint of two and each of these times 2^k for k in SCALE_EXPONENTS is zero or a normal float
+FEATURE_VALUES = st.one_of(
+    st.integers(0, 4).map(float),
+    st.integers(-10**6, 10**6).map(lambda i: i / 1000),
+    st.floats(-1e6, 1e6).filter(lambda v: v == 0.0 or abs(v) >= 1e-6),
+)
+SCALE_EXPONENTS = st.sampled_from([-3, 1, 5])
+
+
+@st.composite
+def training_and_probe(draw):
+    """(features, labels, probe rows): 2-40 training rows of 1-3 features, and the training rows
+    followed by up to 20 other rows to score."""
+    n, width = draw(st.integers(2, 40)), draw(st.integers(1, 3))
+    x = np.array(draw(st.lists(FEATURE_VALUES, min_size=n * width, max_size=n * width))).reshape(n, width)
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    extra = draw(st.integers(0, 20))
+    probe = np.array(draw(st.lists(FEATURE_VALUES, min_size=extra * width, max_size=extra * width)))
+    return x, y, np.vstack([x, probe.reshape(extra, width)])
+
+
+def scaled_exactly(values, k):
+    """values * 2^k, once the product is finite and undoes exactly, so distinct values stay distinct."""
+    moved = values * 2.0**k
+    assert np.isfinite(moved).all() and np.array_equal(moved * 2.0**-k, values)
+    return moved
+
+
+@PROPERTY_SETTINGS
+@given(training_and_probe(), SCALE_EXPONENTS)
+def test_tree_property_feature_scaling(case, k):
+    """Features times 2^k give the document with every threshold times 2^k, and the same scores."""
+    x, y, probe = case
+    tree = fit_tree(x, y)
+    moved = fit_tree(scaled_exactly(x, k), y)
+    want = tree.to_dict()
+    want["threshold"] = [None if t is None else t * 2.0**k for t in want["threshold"]]
+    assert moved.to_dict() == want
+    assert moved.threshold.tobytes() == (tree.threshold * 2.0**k).tobytes()
+    assert moved.score_many(scaled_exactly(probe, k)).tobytes() == tree.score_many(probe).tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(training_and_probe(), SCALE_EXPONENTS, st.integers(0, 2**32))
+def test_forest_property_feature_scaling(case, k, seed):
+    """A forest's draws depend on row positions and feature counts, so features times 2^k score alike."""
+    x, y, probe = case
+    forest = fit_forest(x, y, n_trees=5, seed=seed)
+    moved = fit_forest(scaled_exactly(x, k), y, n_trees=5, seed=seed)
+    assert moved.score_many(scaled_exactly(probe, k)).tobytes() == forest.score_many(probe).tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(training_and_probe(), st.data())
+def test_tree_property_row_order(case, data):
+    """fit_tree draws nothing and breaks ties by feature and threshold, so the row order is not seen."""
+    x, y, _ = case
+    order = np.asarray(data.draw(st.permutations(range(y.size))), dtype=np.int64)
+    assert fit_tree(x[order], y[order]).to_dict() == fit_tree(x, y).to_dict()
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,15 @@ def test_negative_seed_named_before_anything_is_created(tmp_path):
     assert not (tmp_path / "newdir").exists()
 
 
+@pytest.mark.filterwarnings("error")  # 1 row once wrote nan temperatures with a divide warning
+def test_too_few_rows_named_before_anything_is_created(tmp_path):
+    for n_rows in (1, 0, -1):
+        with pytest.raises(ValueError, match=f"^n_rows must be >= 2, got {n_rows}$"):
+            write_reference_csv(tmp_path / "newdir" / "x.csv", n_rows=n_rows)
+    assert not (tmp_path / "newdir").exists()
+    assert len(generate_reference_rows(n_rows=2)) == 2
+
+
 def test_failure_label_is_union_of_modes():
     rows = generate_reference_rows(seed=11, n_rows=2000)
     for r in rows:

@@ -62,12 +62,14 @@ def test_pruned_leaf_scores_are_pooled_fractions():
 
 @pytest.mark.parametrize("depth", [None, 0, 1, 2, 4])
 def test_leaf_intervals_match_naive_refit(depth):
+    """Each leaf's interval is, bit for bit, the naive refit on the display tree's calibration scores."""
     for seed in range(4):
-        tree, calibrator, cal_x, _ = small_setup(seed=seed)
+        tree, calibrator, cal_x, cal_y = small_setup(seed=seed)
         vt = build_venn_tree(tree, calibrator, display_max_depth=depth, calibration_features=cal_x)
         assert sorted(vt.leaves) == np.flatnonzero(vt.tree.feature_index == -1).tolist()
+        display_calibrator = VennAbersCalibrator(vt.tree.score_many(cal_x), cal_y)
         for ann in vt.leaves.values():
-            want = calibrator.interval_naive(ann.raw_score)
+            want = display_calibrator.interval_naive(ann.raw_score)
             got = np.array([ann.p0, ann.p1, ann.point])
             assert got.tobytes() == np.array([want.p0, want.p1, want.point]).tobytes()
             assert all(type(v) is float for v in (ann.p0, ann.p1, ann.point))
@@ -192,22 +194,25 @@ def test_render_width_and_intensity_monotone():
 
 # sha256 of every file `venncal venn-tree` writes for the seed-5 synthetic
 # dataset at tree seed 1; depth 0 keeps only the root, 99 the whole tree.
-# leaves.csv ends its lines in \r\n, as write_columns writes every CSV
+# leaves.csv ends its lines in \r\n, as write_columns writes every CSV.
+# Depths 0, 2 and 5 were re-recorded when collapsed leaves began to be
+# calibrated on the display tree's scores; depth 99 is the whole tree and
+# its bytes did not change
 GOLDEN_VENN_TREE_DIGESTS = {
     0: {
-        "rules.txt": "a5fca256b5f4aa372b73ddea6c39835f760374b556b5e734487d310bed104991",
-        "tree.dot": "18b691ab068570737beefef89a361aa6e47c600e61e1936793adb6659bf5a75c",
-        "leaves.csv": "2bc03f03b2256a3ce9f8609161bd79e6cb3f0177bd1219a84c225204dfa60989",
+        "rules.txt": "7853e32c4fe7f6cfd745af85bc4d69087085faafa9964ad790bb04daec29f85d",
+        "tree.dot": "d5c831a5ebb56dab3fd091bea93560fc9f80865fc458d4ec8e07ead833a4315c",
+        "leaves.csv": "7f1a4be3a71ae679d65ba983a9c55effb9ff1269c63d1d208d189353c494560d",
     },
     2: {
-        "rules.txt": "591bc98853d976f6b7b4794505f44e5b97f2d9eabfb7b2a0588340bb85c2f0c2",
-        "tree.dot": "2710808c2f36e4830b8f99f611b507dc0b3eff5ba05fba66815ee0ba8f471d5e",
-        "leaves.csv": "4e32b6509200fa04d792a7a2c47968d7f3bfbec6fd8b409df5461a02bf182cb6",
+        "rules.txt": "0050170c20a67f82816d84b58fc3d310fc1d6997c5a7435083dd88a09c638213",
+        "tree.dot": "b85e39606b98566c133cda0017ba452cc5f2a6a6ff516df2a2a370c2b992dfe2",
+        "leaves.csv": "c6e01dca67c90e8971adfc3bf3a2497fccf28e50292c95fadf5d7588ecc2d965",
     },
     5: {
-        "rules.txt": "604efb0b607cfe5896ec327baab3f3f733c0c3971710a21c4df6139a77007f14",
-        "tree.dot": "324983350a2bfedcf147975d09d952e44e9ff85fc3d4754ed14868328dcbc526",
-        "leaves.csv": "9ea3dba78c8fcdb3cc39465bcdb524533ed0ee8735ff3d7526f51e09ba0a4597",
+        "rules.txt": "3568cbe4a58b08bcc4c530fe07e709413f3e38cd8dde670fd52abd4db73f96cf",
+        "tree.dot": "7b6deb2a4fedb4a48060688976540e737a89b0bba072dee458eb04ee914731b0",
+        "leaves.csv": "a38ae6ca3ddc63de40bb2112f126677d71c692735e24b60b38a0c6387dc3029b",
     },
     99: {
         "rules.txt": "91922a143f9c14d80517de30e824a54b4ca8359ce6b0c606184cdec983c5e57c",
