@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from venncal.data import finite, labelled
+from venncal.data import Frozen, finite, labelled
 
 __all__ = [
     "IsotonicFit",
@@ -89,8 +89,8 @@ def _prefix_fits(weights: np.ndarray, label_sums: np.ndarray) -> list:
 # isotonic regression
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IsotonicFit:
+@dataclass
+class IsotonicFit(Frozen):
     """Non-decreasing step function fitted to (score, label) pairs.
 
     breakpoints holds the sorted distinct calibration scores,
@@ -122,8 +122,6 @@ def pava(scores, labels) -> IsotonicFit:
     # a point lies in the first block whose running weight reaches the point's
     # running weight; both are exact integer sums, so the search is exact
     fitted = np.array(means[::-1])[np.searchsorted(np.cumsum(block_weights[::-1]), np.cumsum(weights))]
-    for arr in (distinct, fitted, weights):
-        arr.setflags(write=False)
     return IsotonicFit(breakpoints=distinct, fitted_values=fitted, weights=weights)
 
 
@@ -295,12 +293,9 @@ class VennAbersCalibrator:
 
     def __init__(self, calibration_scores, calibration_labels):
         s, y = labelled(calibration_scores, calibration_labels, "scores", "score")
-        s = s.copy()
-        y = y.copy()
-        s.setflags(write=False)
-        y.setflags(write=False)
-        self.calibration_scores = s
-        self.calibration_labels = y
+        self._scores, self._labels = s.copy(), y.copy()
+        for arr in (self._scores, self._labels):
+            arr.setflags(write=False)
         self._distinct, self._weights, self._label_sums = _pool_by_score(s, y)
         self._left_states = _prefix_fits(self._weights, self._label_sums)
         # suffix stacks: prefix stacks of the reversed points with negated label
@@ -308,6 +303,16 @@ class VennAbersCalibrator:
         self._right_states = _prefix_fits(self._weights[::-1], -self._label_sums[::-1])[::-1]
         # rows p0, p1, point of cell 2 * position + tied, 24 * (2K+1) bytes; nan until the cell is asked for
         self._cells = np.full((3, 2 * self._distinct.size + 1), np.nan)
+
+    @property
+    def calibration_scores(self) -> np.ndarray:
+        """The calibration scores, as a read-only copy, so the cell table stays theirs."""
+        return self._scores
+
+    @property
+    def calibration_labels(self) -> np.ndarray:
+        """The calibration labels, a read-only copy, in the order of calibration_scores."""
+        return self._labels
 
     # -- evaluation ---------------------------------------------------------
 

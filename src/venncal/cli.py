@@ -20,6 +20,8 @@ from pathlib import Path
 from venncal.calibration import VennAbersCalibrator
 from venncal.data import bounded, load_csv, stratified_holdout, write_columns
 from venncal.harness import (
+    KNOWN_CALIBRATORS,
+    KNOWN_MODELS,
     POST_HOC_CALIBRATORS,
     ExperimentConfig,
     calibrate_scores,
@@ -42,6 +44,7 @@ def _add_settings(parser, *names, suppress=False, **flags) -> None:
     """Add the flags of ExperimentConfig fields as their metadata declares them; flags renames one.
 
     Unless suppressed, a flag defaults to its field, and main checks its bound before the handler reads data.
+    argparse is given no choices, so a value out of bounds fails one way, from a flag or from --config.
     """
     shared = {}
     for name in names:
@@ -51,7 +54,6 @@ def _add_settings(parser, *names, suppress=False, **flags) -> None:
         parser.add_argument(flag, dest=name, default=argparse.SUPPRESS if suppress else declared.default,
                             type={"int": int, "float": float}.get(declared.type),
                             nargs="+" if declared.type.startswith("tuple") else None,
-                            choices=declared.metadata["bound"].get("choices"),
                             help=declared.metadata["help"] + ("" if shown is None else f" (default {shown})"))
     if not suppress:
         parser.set_defaults(shared=shared)
@@ -96,6 +98,8 @@ def _run_calibrate_scores(args) -> int:
 
 
 def _run_reliability(args) -> int:
+    bounded(args.model, "model", "--model", choices=KNOWN_MODELS)  # before the run directory is read
+    bounded(args.calibrator, "calibrator", "--calibrator", choices=KNOWN_CALIBRATORS)
     probabilities, labels = load_fold_predictions(args.run_dir, args.model, args.calibrator)
     binning = minority_bins if args.scope == "minority" else reliability_bins
     bins = binning(probabilities, labels, m=args.bins, mode=args.bin_mode)
@@ -141,6 +145,7 @@ def _run_venn_tree(args) -> int:
 
 
 def _run_synth_data(args) -> int:
+    bounded(args.seed, "seed", "--seed", low=0)  # before anything is created
     path = write_reference_csv(args.out, seed=args.seed)
     print(f"wrote reference dataset to {path}")
     return 0

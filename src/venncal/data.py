@@ -34,7 +34,7 @@ import numbers
 import re
 import warnings
 from contextlib import ExitStack
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +44,7 @@ __all__ = [
     "FEATURE_NAMES",
     "Dataset",
     "FoldSplit",
+    "Frozen",
     "InfeasibleSplitError",
     "LABEL_CODES",
     "ParseError",
@@ -175,8 +176,38 @@ def require(values: np.ndarray, holds: np.ndarray, rule: str) -> None:
         raise ValidationError(f"{rule}, got {values[index]}{where}")
 
 
-@dataclass(frozen=True)
-class Dataset:
+class Frozen:
+    """Base of a built record: dataclass fields that ``__init__`` sets once and nothing rebinds or deletes.
+
+    ``__post_init__`` makes every numpy array among the fields read-only,
+    in place; a subclass with its own ``__post_init__`` calls it last.
+    Other attributes stay assignable, so a method may still be wrapped on
+    the instance, as a tracer does.  A copy or an unpickled record is built
+    anew from its init fields, so it is checked and frozen afresh.
+    """
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+
+    def __setattr__(self, name, value):
+        if name in self.__dataclass_fields__ and name in self.__dict__:  # __init__ sets each field once
+            raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        super().__setattr__(name, value)
+
+    def __delattr__(self, name):
+        if name in self.__dataclass_fields__:
+            raise FrozenInstanceError(f"cannot delete field {name!r}")
+        super().__delattr__(name)
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
+
+
+@dataclass
+class Dataset(Frozen):
     """Immutable feature matrix plus binary labels (1 = failure)."""
 
     features: np.ndarray
@@ -186,8 +217,7 @@ class Dataset:
     def __post_init__(self):
         rows = feature_matrix(self.features, len(self.feature_names)).shape[0]
         binary_labels(self.labels, rows, "row")
-        self.features.setflags(write=False)
-        self.labels.setflags(write=False)
+        super().__post_init__()
 
     @property
     def n_instances(self) -> int:
@@ -496,8 +526,8 @@ def write_columns(header, tables) -> None:
 # splits
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FoldSplit:
+@dataclass
+class FoldSplit(Frozen):
     """One cross-validation cell: disjoint proper-train/calibration/test ids."""
 
     repetition_index: int
@@ -564,8 +594,6 @@ def repeated_stratified_kfold(
             test = np.sort(np.concatenate([chunks[0][fold], chunks[1][fold]]))
             train = [np.concatenate(class_chunks[:fold] + class_chunks[fold + 1:]) for class_chunks in chunks]
             proper, calibration = _hold_out(train, calibration_fraction)
-            for arr in (proper, calibration, test):
-                arr.setflags(write=False)
             splits.append(
                 FoldSplit(
                     repetition_index=repetition,

@@ -87,7 +87,8 @@ class ExperimentConfig:
     seed: int = _setting(0, "--seed", "master seed", low=0)  # numpy's generators refuse a negative one unnamed
     output_dir: str | None = _setting(None, "--out", "artifact directory")
     bins: int = _setting(10, "--bins", "reliability bin count", low=1)
-    bin_mode: str = _setting("width", "--bin-mode", "reliability bin edges", choices=BIN_MODES)
+    bin_mode: str = _setting("width", "--bin-mode", f"reliability bin edges: {' or '.join(BIN_MODES)}",
+                             choices=BIN_MODES)
     score_table_path: str | None = _setting(None, "--score-table", "score table for external-scores")
     n_trees: int = _setting(100, "--trees", "forest size", low=1)
     tree_min_samples_leaf: int = _setting(6, "--tree-min-samples-leaf", "fewest training rows in a tree leaf", low=1)

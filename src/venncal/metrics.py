@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from venncal.data import bounded, labelled, require
+from venncal.data import Frozen, bounded, labelled, require
 
 __all__ = [
     "BIN_MODES",
@@ -107,8 +107,8 @@ def _auc(p: np.ndarray, y: np.ndarray) -> float:
 # reliability and calibration error
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ReliabilityBins:
+@dataclass
+class ReliabilityBins(Frozen):
     """Per-bin reliability data: counts, mean prediction, fraction positive.
 
     mean_prediction / fraction_positive are NaN for empty bins; counts sum
@@ -152,8 +152,6 @@ def _reliability_bins(p: np.ndarray, y: np.ndarray, m: int, mode: str) -> Reliab
     with np.errstate(invalid="ignore"):
         mop = np.bincount(idx, weights=p, minlength=m) / counts
         foc = np.bincount(idx, weights=y, minlength=m) / counts
-    for arr in (edges, counts, mop, foc):
-        arr.setflags(write=False)
     return ReliabilityBins(bin_edges=edges, counts=counts, mean_prediction=mop, fraction_positive=foc)
 
 

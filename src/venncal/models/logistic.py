@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from venncal.data import feature_matrix, finite, labelled
+from venncal.data import Frozen, feature_matrix, finite, labelled
 
 __all__ = ["LogisticRegressionModel", "fit_logistic"]
 
@@ -26,7 +26,7 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class LogisticRegressionModel:
+class LogisticRegressionModel(Frozen):
     weights: np.ndarray  # one per feature, original scale
     bias: float
     converged: bool
@@ -79,7 +79,6 @@ def fit_logistic(features, labels) -> LogisticRegressionModel:
     bias_std = beta[-1]
     weights = np.where(usable, weights_std / scale, 0.0)
     bias = float(bias_std - np.dot(weights, mean))
-    weights.setflags(write=False)
     return LogisticRegressionModel(
         weights=weights,
         bias=bias,

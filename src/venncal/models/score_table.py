@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from venncal.data import LABEL_CODES, ValidationError, parse_columns, reject_first
+from venncal.data import LABEL_CODES, Frozen, ValidationError, parse_columns, reject_first
 
 __all__ = ["ScoreTable", "load_score_table", "SCORE_TABLE_COLUMNS"]
 
@@ -22,8 +22,8 @@ SCORE_TABLE_COLUMNS = ("instance_id", "fold_id", "partition", "score", "label")
 _PARTITIONS = {"calibration": False, "test": True}  # partition -> is_test
 
 
-@dataclass(frozen=True)
-class ScoreTable:
+@dataclass
+class ScoreTable(Frozen):
     instance_id: np.ndarray
     fold_id: np.ndarray
     is_test: np.ndarray  # bool: in its fold's test partition, else in its calibration partition
@@ -63,10 +63,7 @@ def load_score_table(path) -> ScoreTable:
     path = Path(path)
     parsers = dict(zip(SCORE_TABLE_COLUMNS, (np.int64, np.int64, _PARTITIONS, np.float64, LABEL_CODES)))
     columns = parse_columns(path, "score table", SCORE_TABLE_COLUMNS, parsers)
-    fields = [columns[column] for column in SCORE_TABLE_COLUMNS]  # ScoreTable's, in order
-    for arr in fields:
-        arr.setflags(write=False)
-    table = ScoreTable(*fields)
+    table = ScoreTable(*(columns[column] for column in SCORE_TABLE_COLUMNS))  # ScoreTable's fields, in order
     ids, folds, score = table.instance_id, table.fold_id, table.score
     reject_first(path, ~((score >= 0.0) & (score <= 1.0)), lambda i: f"score {score[i]} outside [0, 1]")
     # a stable sort by key keeps each key's rows in file order: all but the first repeat an earlier one

@@ -79,12 +79,12 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import FrozenInstanceError, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
 
-from venncal.data import bounded, feature_matrix, labelled
+from venncal.data import Frozen, bounded, feature_matrix, labelled
 
 __all__ = ["DecisionTreeModel", "RandomForestModel", "fit_forest", "fit_tree"]
 
@@ -93,30 +93,8 @@ _TIE_WINDOW = 1e-9
 _NODE_ARRAYS = ("feature_index", "threshold", "left_child", "right_child", "n_samples", "n_positive")
 
 
-class _Frozen:
-    """Dataclass fields that ``__init__`` sets once and nothing rebinds or deletes.
-
-    Other attributes stay assignable, so a method may still be wrapped on
-    the instance, as a tracer does.  A copy or an unpickled model is built
-    anew from its init fields, so it is checked, frozen and packed afresh.
-    """
-
-    def __setattr__(self, name, value):
-        if name in self.__dataclass_fields__ and name in self.__dict__:  # __init__ sets each field once
-            raise FrozenInstanceError(f"cannot assign to field {name!r}")
-        super().__setattr__(name, value)
-
-    def __delattr__(self, name):
-        if name in self.__dataclass_fields__:
-            raise FrozenInstanceError(f"cannot delete field {name!r}")
-        super().__delattr__(name)
-
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
-
-
 @dataclass
-class DecisionTreeModel(_Frozen):
+class DecisionTreeModel(Frozen):
     """Fitted tree as parallel node arrays (index 0 is the root); immutable once built.
 
     Internal nodes have feature_index >= 0 and route x left when
@@ -140,8 +118,7 @@ class DecisionTreeModel(_Frozen):
 
     def __post_init__(self):
         self._check_nodes()
-        for name in _NODE_ARRAYS:
-            getattr(self, name).setflags(write=False)
+        super().__post_init__()
 
     @property
     def n_nodes(self) -> int:
@@ -798,7 +775,7 @@ def fit_tree(
 
 
 @dataclass
-class RandomForestModel(_Frozen):
+class RandomForestModel(Frozen):
     """Trees, a tuple packed once, scored by their mean leaf fraction; immutable once built."""
 
     trees: tuple[DecisionTreeModel, ...]
@@ -813,7 +790,7 @@ class RandomForestModel(_Frozen):
             raise ValueError(f"a forest needs trees of one feature count, got {sorted(widths)}")
         self._packed = _pack(self.trees)
         self._fraction = np.concatenate([tree.n_positive / tree.n_samples for tree in self.trees])
-        self._fraction.setflags(write=False)
+        super().__post_init__()
 
     @property
     def n_trees(self) -> int:

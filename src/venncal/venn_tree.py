@@ -133,11 +133,7 @@ class Condition:
 @dataclass(frozen=True)
 class Rule:
     conditions: tuple[Condition, ...]
-    conclusion: str
-    p0: float
-    p1: float
-    point: float
-    leaf: int
+    leaf: LeafAnnotation  # of the leaf the conditions route to: its interval is leaf.p0, leaf.p1
 
     def matches(self, x) -> bool:
         return all(condition.holds(x) for condition in self.conditions)
@@ -150,7 +146,6 @@ def extract_rules(vt: VennTree) -> list[Rule]:
     placed where the path first bounds that feature that way.
     """
     tree = vt.tree
-    rules = []
     # each path's bounds by (feature, comparator); replacing a value keeps its key's place
     stack: list[tuple[int, dict[tuple[int, str], Condition]]] = [(0, {})]
     collected: dict[int, tuple[Condition, ...]] = {}
@@ -166,19 +161,7 @@ def extract_rules(vt: VennTree) -> list[Rule]:
             if bound is None or (t < bound.threshold if comparator == "<=" else t > bound.threshold):
                 bound = Condition(f, vt.feature_names[f], comparator, t)
             stack.append((int(child), {**bounds, (f, comparator): bound}))
-    for node in sorted(collected):
-        ann = vt.leaves[node]
-        rules.append(
-            Rule(
-                conditions=collected[node],
-                conclusion=CLASS_NAMES[ann.predicted_class],
-                p0=ann.p0,
-                p1=ann.p1,
-                point=ann.point,
-                leaf=node,
-            )
-        )
-    return rules
+    return [Rule(conditions=collected[node], leaf=vt.leaves[node]) for node in sorted(collected)]
 
 
 def format_rules(rules: list[Rule]) -> str:
@@ -191,7 +174,7 @@ def format_rules(rules: list[Rule]) -> str:
             lines.append(f"{prefix} {cond.feature_name} {cond.comparator} {cond.threshold:g}")
         if not rule.conditions:
             lines.append(f"{i}) (always)")
-        lines.append(f"  → {rule.conclusion} [{rule.p0:.2f}, {rule.p1:.2f}]")
+        lines.append(f"  → {CLASS_NAMES[rule.leaf.predicted_class]} [{rule.leaf.p0:.2f}, {rule.leaf.p1:.2f}]")
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n"
 

@@ -326,7 +326,7 @@ def test_criterion_8_rule_tree_roundtrip(reference_csv):
         point = low + rng.random(x.shape[1]) * (high - low)
         hits = [r for r in rules if r.matches(point)]
         ann = vt.annotation_for(point)
-        if len(hits) != 1 or hits[0].p0 != ann.p0 or hits[0].p1 != ann.p1:
+        if len(hits) != 1 or hits[0].leaf is not ann:
             mismatches += 1
     _report(8, "rule matched by conjunction equals tree routing for 1000 vectors",
             mismatches == 0, f"{1000 - mismatches}/1000 exact")

@@ -631,6 +631,22 @@ def test_venn_abers_pickled_after_a_partial_fill_answers_identically():
     assert interval_bits(cal.intervals(probes)) == interval_bits(loaded.intervals(probes))
 
 
+def test_venn_abers_calibration_set_cannot_be_rebound():
+    # rebound labels once moved interval_naive(0.35) to [0.4, 0.6] while intervals, read from the
+    # cell table the old labels built, still gave [0.5, 1.0], and build_venn_tree read the new ones
+    cal = VennAbersCalibrator([0.1, 0.2, 0.3, 0.4], [0, 0, 1, 1])
+    for name in ("calibration_scores", "calibration_labels"):
+        with pytest.raises(AttributeError):
+            setattr(cal, name, np.array([1.0, 1.0, 0.0, 0.0]))
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(cal, name)[0] = 1.0
+    for score in (0.05, 0.2, 0.35, 0.5):
+        naive = cal.interval_naive(score)
+        assert bits(*(v[0] for v in cal.intervals([score]))) == bits(naive.p0, naive.p1, naive.point)
+    p0, p1, _ = cal.intervals([0.35])
+    assert (p0.tolist(), p1.tolist()) == ([0.5], [1.0])
+
+
 # ---------------------------------------------------------------------------
 # bytes at scale
 # ---------------------------------------------------------------------------

@@ -337,13 +337,20 @@ def test_config_validation():
 
 
 def test_unknown_bin_mode_rejected_by_config_and_cli(tmp_path, capsys):
-    with pytest.raises(ValueError, match=r"^bin_mode must be 'width' or 'frequency', got 'quantile' \(--bin-mode\)$"):
+    message = "bin_mode must be 'width' or 'frequency', got 'quantile' (--bin-mode)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         ExperimentConfig(dataset_path="x.csv", bin_mode="quantile")
-    for command in (["experiment", "--data", "x.csv"], ["reliability", "--run-dir", "run", "--model", "tree",
-                                                       "--calibrator", "none", "--out", str(tmp_path / "bins.csv")]):
-        with pytest.raises(SystemExit):  # argparse rejects it before any handler runs
-            cli_main([*command, "--bin-mode", "quantile"])
-        assert "invalid choice: 'quantile'" in capsys.readouterr().err
+    # the flag fails as --config does: exit 1 naming it, before the (here missing) data is read
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"bin_mode": "quantile"}), encoding="utf-8")
+    missing = str(tmp_path / "missing")
+    reliability = ["reliability", "--run-dir", missing, "--model", "tree", "--calibrator", "none",
+                   "--out", str(tmp_path / "bins.csv")]
+    for argv in (["experiment", "--data", missing, "--bin-mode", "quantile"],
+                 ["experiment", "--data", missing, "--config", str(config_path)],
+                 [*reliability, "--bin-mode", "quantile"]):
+        assert cli_main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "bins.csv").exists()
 
 
@@ -820,7 +827,12 @@ def test_cli_experiment_and_reliability(tmp_path, capsys):
     argv = ["reliability", "--run-dir", str(run_dir), "--model", "*", "--calibrator", "none"]
     assert cli_main([*argv, "--out", str(tmp_path / "all.csv")]) == 1
     models = "'tree' or 'forest' or 'logistic' or 'external-scores'"
-    assert capsys.readouterr().err == f"error: model must be {models}, got '*'\n"
+    assert capsys.readouterr().err == f"error: model must be {models}, got '*' (--model)\n"
+    # so does an unknown calibrator, before a (here missing) run directory is read
+    argv = ["reliability", "--run-dir", str(tmp_path / "nowhere"), "--model", "tree", "--calibrator", "beta"]
+    assert cli_main([*argv, "--out", str(tmp_path / "all.csv")]) == 1
+    calibrators = "'none' or 'venn-abers' or 'platt' or 'isotonic'"
+    assert capsys.readouterr().err == f"error: calibrator must be {calibrators}, got 'beta' (--calibrator)\n"
     assert not (tmp_path / "all.csv").exists()
     # a negative seed is named before any data loads
     argv = ["experiment", "--data", str(tmp_path / "toy.csv"), "--seed", "-1", "--out", str(tmp_path / "neg")]
@@ -945,7 +957,7 @@ def test_cli_synth_data_and_venn_tree(tmp_path, capsys):
     assert not bad_dir.exists()
     rc = cli_main(["synth-data", "--out", str(tmp_path / "synth_bad" / "ref.csv"), "--seed", "-2"])
     assert rc == 1
-    assert "seed must be >= 0, got -2" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -2 (--seed)\n"
     assert not (tmp_path / "synth_bad").exists()
 
 

@@ -14,7 +14,7 @@ import json
 import math
 import pickle
 import re
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -22,10 +22,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import venncal.models.tree as tree_module
-from venncal.data import ParseError, SchemaError, ValidationError, labelled
+from venncal.calibration import IsotonicFit
+from venncal.data import FEATURE_NAMES, Dataset, FoldSplit, ParseError, SchemaError, ValidationError, labelled
+from venncal.metrics import ReliabilityBins
 from venncal.models import (
     DecisionTreeModel,
+    LogisticRegressionModel,
     RandomForestModel,
+    ScoreTable,
     fit_forest,
     fit_logistic,
     fit_tree,
@@ -269,24 +273,94 @@ def test_tree_with_a_cycle_fails_where_it_is_built():
         replace(tree, left_child=np.array([0, -1, -1]))
 
 
-def test_frozen_tree_rejects_writes_to_its_nodes():
+def _tree_from_arrays():
+    """The tree fit_tree fits to [[1], [2], [3], [4]] and [0, 0, 1, 1], built from writable node arrays."""
+    return DecisionTreeModel(
+        feature_index=np.array([0, -1, -1]), threshold=np.array([2.5, np.nan, np.nan]),
+        left_child=np.array([1, -1, -1]), right_child=np.array([2, -1, -1]),
+        n_samples=np.array([4, 2, 2]), n_positive=np.array([2, 0, 2]),
+        n_features=1, min_samples_leaf=1, seed=0,
+    )
+
+
+def _check_tree(tree):
     # a checked tree made into a self-loop in place was never checked again, and apply hung on it
-    tree = fit_tree([[1.0], [2.0], [3.0], [4.0]], [0, 0, 1, 1])
-    for name in ("feature_index", "threshold", "left_child", "right_child", "n_samples", "n_positive"):
-        with pytest.raises(ValueError, match="read-only"):
-            getattr(tree, name)[0] = 0
-        with pytest.raises(FrozenInstanceError):
-            setattr(tree, name, getattr(tree, name).copy())
-    with pytest.raises(FrozenInstanceError):
-        del tree.threshold
     assert tree.apply([[1.0], [4.0]]).tolist() == [1, 2]
     for clone in (pickle.loads(pickle.dumps(tree)), copy.deepcopy(tree), copy.copy(tree)):
-        assert clone.to_dict() == tree.to_dict() and "_packed" not in vars(clone)
-        with pytest.raises(ValueError, match="read-only"):
-            clone.left_child[0] = 0
-    # only the fields are frozen: a method may still be wrapped on the instance, as a tracer does
+        assert "_packed" not in vars(clone)  # a copy is packed afresh, on first use
     tree.score_many = lambda features: np.zeros(len(features))
     assert tree.score_many([[1.0]]).tolist() == [0.0]
+
+
+def _check_forest(forest):
+    # a forest packed on construction once held its trees in a list: after forest.trees[0] = b
+    # it still scored its old tree's fraction, while to_dict wrote b
+    with pytest.raises(TypeError):
+        forest.trees[0] = _tree_from_arrays()
+    assert forest.score_many([[1.0], [4.0]]).tolist() == [0.0, 1.0]
+    # a copy is rebuilt from the trees and seed alone, so it scores as the forest does
+    x, y = _golden_data("continuous")
+    forest = fit_forest(x, y, n_trees=8, seed=3)
+    expected = forest.score_many(x)
+    forest.score_many = lambda features: np.zeros(len(features))
+    assert forest.score_many(x[:2]).tolist() == [0.0, 0.0]
+    for clone in (pickle.loads(pickle.dumps(forest)), copy.deepcopy(forest), copy.copy(forest)):
+        assert clone.to_dict() == forest.to_dict()
+        assert clone.score_many(x).tobytes() == expected.tobytes()
+
+
+# every built record that holds arrays: how to build one from writable arrays, and what else to check
+FROZEN_RECORDS = {
+    "Dataset": (lambda: Dataset(np.arange(12.0).reshape(2, 6), np.array([0, 1]), FEATURE_NAMES), None),
+    "FoldSplit": (lambda: FoldSplit(0, 1, np.array([0, 1]), np.array([2]), np.array([3, 4])), None),
+    "IsotonicFit": (lambda: IsotonicFit(np.array([0.2, 0.6]), np.array([0.0, 1.0]), np.array([1.0, 2.0])), None),
+    "ReliabilityBins": (lambda: ReliabilityBins(np.array([0.0, 0.5, 1.0]), np.array([1, 0]),
+                                                np.array([0.2, np.nan]), np.array([0.0, np.nan])), None),
+    "ScoreTable": (lambda: ScoreTable(np.array([1, 2]), np.array([0, 0]), np.array([False, True]),
+                                      np.array([0.2, 0.7]), np.array([0, 1])), None),
+    "LogisticRegressionModel": (lambda: LogisticRegressionModel(np.array([0.5, -0.5]), 0.1, True), None),
+    "DecisionTreeModel": (_tree_from_arrays, _check_tree),
+    "RandomForestModel": (lambda: RandomForestModel(trees=[_tree_from_arrays(), _tree_from_arrays()], seed=0),
+                          _check_forest),
+}
+
+
+def _content(value):
+    """A value as copies of it compare: arrays by dtype, shape and bytes, records by their init fields."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if is_dataclass(value):
+        return type(value), tuple(_content(getattr(value, f.name)) for f in fields(value) if f.init)
+    if isinstance(value, (tuple, list)):
+        return tuple(map(_content, value))
+    return value
+
+
+@pytest.mark.parametrize("name", list(FROZEN_RECORDS))
+def test_frozen_record_rejects_writes(name):
+    # pickled or deep-copied, these records once came back writable; an IsotonicFit built directly
+    # could be edited until isotonic_calibrate returned 2.0, and a logistic model's bias rebound
+    build, check = FROZEN_RECORDS[name]
+    record = build()
+    assert type(record).__name__ == name
+    names = [f.name for f in fields(record)]
+    arrays = [field for field in names if isinstance(getattr(record, field), np.ndarray)]
+    assert arrays
+    for field in arrays:  # the very arrays passed in, made read-only in place
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(record, field)[0] = 0
+    for field in names:
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, field, getattr(record, field))
+        with pytest.raises(FrozenInstanceError):
+            delattr(record, field)
+    for clone in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record), copy.copy(record)):
+        assert _content(clone) == _content(record)
+        assert not any(getattr(clone, field).flags.writeable for field in arrays)
+    # only the fields are frozen: any other attribute may be set, as a tracer wraps a method
+    record.traced = True
+    if check is not None:
+        check(record)
 
 
 def test_walk_packs_a_tree_once_and_a_replaced_tree_anew():
@@ -346,34 +420,6 @@ def test_forest_mean_worked_example():
     t2 = fit_tree([[0.0]] * 5, [1, 1, 1, 0, 0])
     forest = RandomForestModel(trees=[t1, t2], seed=0)
     assert forest.score_many([[0.0]])[0] == pytest.approx(0.4)
-
-
-def test_frozen_forest_rejects_writes_to_its_trees():
-    # a forest packed on construction once held its trees in a list: after forest.trees[0] = b
-    # it still scored 0.0, its old tree's fraction, where b gives 1.0, while to_dict wrote b
-    a, b = fit_tree([[0.0], [1.0]], [0, 0]), fit_tree([[0.0], [1.0]], [1, 1])
-    forest = RandomForestModel(trees=[a], seed=0)
-    with pytest.raises(TypeError):
-        forest.trees[0] = b
-    for name, value in (("trees", (b,)), ("seed", 1), ("_packed", None), ("_fraction", np.ones(1))):
-        with pytest.raises(FrozenInstanceError):
-            setattr(forest, name, value)
-    for name in ("trees", "seed", "_packed"):
-        with pytest.raises(FrozenInstanceError):
-            delattr(forest, name)
-    with pytest.raises(ValueError, match="read-only"):
-        forest._fraction[0] = 1.0
-    assert forest.trees == (a,) and forest.score_many([[1.0]]).tolist() == [0.0]
-    # only the fields are frozen: score_many may still be wrapped on the instance, as a tracer
-    # does, and a copy is rebuilt from the trees and seed alone, so it scores as the forest does
-    x, y = _golden_data("continuous")
-    forest = fit_forest(x, y, n_trees=8, seed=3)
-    expected = forest.score_many(x)
-    forest.score_many = lambda features: np.zeros(len(features))
-    assert forest.score_many(x[:2]).tolist() == [0.0, 0.0]
-    for clone in (pickle.loads(pickle.dumps(forest)), copy.deepcopy(forest), copy.copy(forest)):
-        assert clone.to_dict() == forest.to_dict()
-        assert clone.score_many(x).tobytes() == expected.tobytes()
 
 
 def test_forest_determinism_and_scores_in_range():
