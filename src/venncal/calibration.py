@@ -276,7 +276,8 @@ class ProbabilityInterval:
     point: float
 
 
-class VennAbersCalibrator:
+@dataclass(eq=False)  # compared and hashed by identity, as each fills its own cell table
+class VennAbersCalibrator(Frozen):
     """Inductive Venn-Abers calibrator over a held-out calibration set.
 
     For a test score s, two isotonic fits are computed on the calibration
@@ -289,13 +290,19 @@ class VennAbersCalibrator:
     prefix and suffix of the calibration sequence and only re-merges around
     the insertion point; it is exact (bit-identical to `interval_naive`, two
     `pava` refits) because all block accounting is integer-valued.
+
+    Its fields are read-only copies of the calibration set; a copy or an
+    unpickled calibrator is rebuilt from them, with an empty cell table.
     """
 
-    def __init__(self, calibration_scores, calibration_labels):
-        s, y = labelled(calibration_scores, calibration_labels, "scores", "score")
-        self._scores, self._labels = s.copy(), y.copy()
-        for arr in (self._scores, self._labels):
-            arr.setflags(write=False)
+    calibration_scores: np.ndarray
+    calibration_labels: np.ndarray
+
+    def __post_init__(self):
+        s, y = labelled(self.calibration_scores, self.calibration_labels, "scores", "score")
+        object.__setattr__(self, "calibration_scores", s.copy())
+        object.__setattr__(self, "calibration_labels", y.copy())
+        super().__post_init__()
         self._distinct, self._weights, self._label_sums = _pool_by_score(s, y)
         self._left_states = _prefix_fits(self._weights, self._label_sums)
         # suffix stacks: prefix stacks of the reversed points with negated label
@@ -303,16 +310,6 @@ class VennAbersCalibrator:
         self._right_states = _prefix_fits(self._weights[::-1], -self._label_sums[::-1])[::-1]
         # rows p0, p1, point of cell 2 * position + tied, 24 * (2K+1) bytes; nan until the cell is asked for
         self._cells = np.full((3, 2 * self._distinct.size + 1), np.nan)
-
-    @property
-    def calibration_scores(self) -> np.ndarray:
-        """The calibration scores, as a read-only copy, so the cell table stays theirs."""
-        return self._scores
-
-    @property
-    def calibration_labels(self) -> np.ndarray:
-        """The calibration labels, a read-only copy, in the order of calibration_scores."""
-        return self._labels
 
     # -- evaluation ---------------------------------------------------------
 

@@ -180,7 +180,7 @@ class Frozen:
     """Base of a built record: dataclass fields that ``__init__`` sets once and nothing rebinds or deletes.
 
     ``__post_init__`` makes every numpy array among the fields read-only,
-    in place; a subclass with its own ``__post_init__`` calls it last.
+    in place; a subclass's own ``__post_init__`` calls it once its fields are final.
     Other attributes stay assignable, so a method may still be wrapped on
     the instance, as a tracer does.  A copy or an unpickled record is built
     anew from its init fields, so it is checked and frozen afresh.

@@ -1,11 +1,13 @@
 """Experiment harness.
 
 Runs the full train / calibrate / evaluate / aggregate loop over repeated
-stratified cross-validation folds and persists per-fold artifacts plus the
-aggregate table.  Within one fold the uncalibrated variant of a model is
-trained on the whole training portion, while the calibrated variants share
-one underlying model trained on the proper-training part only, with each
-calibrator fitted on the held-out calibration part.
+stratified cross-validation folds and persists each fold's prediction CSVs
+plus the aggregate table, which `aggregate_folds` derives from per-fold
+(probabilities, labels), held in memory or read back by
+`read_fold_predictions`.  Within one fold the uncalibrated variant of a
+model is trained on the whole training portion, while the calibrated
+variants share one underlying model trained on the proper-training part
+only, with each calibrator fitted on the held-out calibration part.
 
 All outputs are deterministic for a fixed config and seed: per-model
 random streams are derived from (seed, repetition, fold, role), artifacts
@@ -17,6 +19,7 @@ from __future__ import annotations
 import json
 import numbers
 import platform
+import re
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
@@ -35,6 +38,7 @@ from venncal.data import (
     LABEL_CODES,
     Dataset,
     FoldSplit,
+    ValidationError,
     bounded,
     load_csv,
     parse_columns,
@@ -43,15 +47,17 @@ from venncal.data import (
     write_columns,
     write_split_manifest,
 )
-from venncal.metrics import BIN_MODES, EvaluationReport, evaluate
+from venncal.metrics import BIN_MODES, evaluate
 from venncal.models import fit_forest, fit_logistic, fit_tree, load_score_table
 
 __all__ = [
     "AggregateRow",
     "AggregateTable",
     "ExperimentConfig",
+    "aggregate_folds",
     "calibrate_scores",
     "load_fold_predictions",
+    "read_fold_predictions",
     "run_experiment",
     "run_record",
     "write_reliability_csv",
@@ -61,10 +67,6 @@ KNOWN_MODELS = ("tree", "forest", "logistic", "external-scores")
 POST_HOC_CALIBRATORS = ("venn-abers", "platt", "isotonic")
 KNOWN_CALIBRATORS = ("none", *POST_HOC_CALIBRATORS)
 
-AGGREGATE_CSV_COLUMNS = (
-    "model", "calibrator", "n_folds", "accuracy", "auc", "precision",
-    "recall", "positive_predictions", "ece", "ece1",
-)
 PREDICTION_COLUMNS = ("instance_id", "label", "score", "p0", "p1", "point")
 RELIABILITY_COLUMNS = ("bin_low", "bin_high", "count", "mop", "foc")
 CALIBRATED_SCORE_COLUMNS = ("instance_id", "fold_id", "score", "p0", "p1", "point")
@@ -244,12 +246,11 @@ class _FoldOutcome:
     p0: np.ndarray
     p1: np.ndarray
     point: np.ndarray  # probability used for evaluation
-    report: EvaluationReport
 
 
 def _fold_outcomes(config: ExperimentConfig, repetition: int, fold: int, test_ids, test_labels,
                    models, partitions) -> list[_FoldOutcome]:
-    """Calibrate and evaluate, on one fold, each configured pair whose model is in `models`.
+    """Calibrate, on one fold, each configured pair whose model is in `models`.
 
     partitions(model, kind) gives the (calibration scores, calibration
     labels, test scores) that calibrator kind sees.  A failing pair raises
@@ -262,12 +263,9 @@ def _fold_outcomes(config: ExperimentConfig, repetition: int, fold: int, test_id
         try:
             cal_scores, cal_labels, test_scores = partitions(model, kind)
             p0, p1, point = _calibrated(kind, cal_scores, cal_labels, test_scores)
-            report = evaluate(point, test_labels, m=config.bins, mode=config.bin_mode)
         except Exception as err:
             raise RuntimeError(f"repetition {repetition} {model} fold {fold} calibrator {kind}: {err}") from err
-        outcomes.append(
-            _FoldOutcome(repetition, fold, model, kind, test_ids, test_labels, test_scores, p0, p1, point, report)
-        )
+        outcomes.append(_FoldOutcome(repetition, fold, model, kind, test_ids, test_labels, test_scores, p0, p1, point))
     return outcomes
 
 
@@ -304,35 +302,13 @@ def _fold_stem(repetition, fold, model: str, calibrator: str) -> str:
     return f"rep{repetition}_fold{fold}_{model}_{calibrator}"
 
 
-def _write_fold_artifacts(folds_dir: Path, outcomes: list[_FoldOutcome]) -> None:
-    """Write the metric JSONs of one _fold_outcomes call, then its prediction CSVs with one write_columns call.
+def read_fold_predictions(output_dir, model: str, calibrator: str) -> dict:
+    """(probabilities, labels) of each fold prediction CSV of a pair, keyed by (repetition, fold).
 
-    The outcomes of one call share their test rows, so their CSVs have one
-    row count and are written in lockstep.
-    """
-    tables = {}
-    for outcome in outcomes:
-        stem = folds_dir / _fold_stem(outcome.repetition, outcome.fold, outcome.model, outcome.calibrator)
-        payload = {
-            "repetition": outcome.repetition,
-            "fold": outcome.fold,
-            "model": outcome.model,
-            "calibrator": outcome.calibrator,
-            **asdict(outcome.report),
-        }
-        stem.with_suffix(".json").write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
-        tables[stem.with_suffix(".csv")] = (
-            outcome.instance_ids, outcome.labels, outcome.scores, outcome.p0, outcome.p1, outcome.point
-        )
-    write_columns(PREDICTION_COLUMNS, tables)
-
-
-def load_fold_predictions(output_dir, model: str, calibrator: str):
-    """Pool (probabilities, labels) over all fold prediction CSVs of a pair.
-
-    A name that is not a known model or calibrator is rejected before it
-    can reach the glob.  A file that is not a prediction CSV fails with the
-    file, and the row if one is at fault, named.
+    The keys are read from the file names, in file-name order.  A model or
+    calibrator name that is not known is rejected before it can reach the
+    glob; a file not named rep<r>_fold<f>_<model>_<calibrator>.csv, or not a
+    prediction CSV, fails with the file, and the row if one is at fault, named.
     """
     bounded(model, "model", choices=KNOWN_MODELS)
     bounded(calibrator, "calibrator", choices=KNOWN_CALIBRATORS)
@@ -340,16 +316,24 @@ def load_fold_predictions(output_dir, model: str, calibrator: str):
     paths = sorted(folds_dir.glob(_fold_stem("*", "*", model, calibrator) + ".csv"))
     if not paths:
         raise FileNotFoundError(f"no fold predictions for ({model}, {calibrator}) under {folds_dir}")
+    name = re.compile(_fold_stem("(0|[1-9][0-9]*)", "(0|[1-9][0-9]*)", re.escape(model), re.escape(calibrator)))
     parsers = {"label": LABEL_CODES, "point": np.float64}
-    probabilities = []
-    labels = []
+    folds = {}
     for path in paths:
+        key = name.fullmatch(path.stem)
+        if key is None:
+            raise ValidationError(f"{path}: not a fold file name rep<r>_fold<f>_{model}_{calibrator}.csv")
         columns = parse_columns(path, "fold predictions", PREDICTION_COLUMNS, parsers)
         point = columns["point"]
         outside = ~((point >= 0.0) & (point <= 1.0))  # nan is outside too
         reject_first(path, outside, lambda i: f"point '{point[i]}' outside [0, 1]")
-        probabilities.append(point)
-        labels.append(columns["label"])
+        folds[int(key[1]), int(key[2])] = (point, columns["label"])
+    return folds
+
+
+def load_fold_predictions(output_dir, model: str, calibrator: str):
+    """Pool read_fold_predictions over the folds of a pair, in file-name order."""
+    probabilities, labels = zip(*read_fold_predictions(output_dir, model, calibrator).values())
     return np.concatenate(probabilities), np.concatenate(labels)
 
 
@@ -357,14 +341,24 @@ def load_fold_predictions(output_dir, model: str, calibrator: str):
 # aggregation
 # ---------------------------------------------------------------------------
 
-def _aggregate(config: ExperimentConfig, outcomes: list[_FoldOutcome]) -> AggregateTable:
+def aggregate_folds(config: ExperimentConfig, predictions) -> AggregateTable:
+    """The aggregate table of predictions[(model, calibrator)][(repetition, fold)] = (probabilities, labels).
+
+    Folds are evaluated with the config's bins and bin mode and averaged in
+    (repetition, fold) order, whatever the mapping's order.  A fold that
+    fails raises RuntimeError naming its repetition, model, fold and calibrator.
+    """
     rows = []
     for model, cal in config.pairs():
-        cell = [o for o in outcomes if o.model == model and o.calibrator == cal]
-        if not cell:
+        folds = predictions.get((model, cal))
+        if not folds:
             raise RuntimeError(f"no fold results for configured pair ({model}, {cal})")
-        cell.sort(key=lambda o: (o.repetition, o.fold))
-        reports = [o.report for o in cell]
+        reports = []
+        for repetition, fold in sorted(folds):
+            try:
+                reports.append(evaluate(*folds[repetition, fold], m=config.bins, mode=config.bin_mode))
+            except Exception as err:
+                raise RuntimeError(f"repetition {repetition} {model} fold {fold} calibrator {cal}: {err}") from err
         row = {"positive_predictions": sum(r.positive_prediction_count for r in reports)}
         for name in ("accuracy", "auc", "recall", "ece"):
             row[name] = float(np.mean([getattr(r, name) for r in reports]))
@@ -372,7 +366,7 @@ def _aggregate(config: ExperimentConfig, outcomes: list[_FoldOutcome]) -> Aggreg
             defined = [getattr(r, name) for r in reports if getattr(r, name) is not None]
             row[name] = float(np.mean(defined)) if defined else None
             row[f"{name}_fold_count"] = len(defined)
-        rows.append(AggregateRow(model=model, calibrator=cal, n_folds=len(cell), **row))
+        rows.append(AggregateRow(model=model, calibrator=cal, n_folds=len(reports), **row))
     return AggregateTable(rows=tuple(rows))
 
 
@@ -440,11 +434,12 @@ def run_record(config: ExperimentConfig) -> dict:
 def run_experiment(config: ExperimentConfig, progress=None) -> AggregateTable:
     """Run the configured experiment; returns (and optionally writes) the table.
 
-    With an output directory set, writes per-fold metric JSONs and
-    prediction CSVs, the split manifest, aggregate.json / aggregate.csv, a
-    human-readable table.txt and, last, run.json (see run_record).
-    Fold-level errors abort the run with the fold named; identical config
-    and seed produce byte-identical artifacts regardless of the jobs count.
+    The table is aggregate_folds of the fold predictions in memory, taken
+    before any file is written.  With an output directory set, writes only
+    the fold prediction CSVs, splits.json, aggregate.json, table.txt and,
+    last, run.json (see run_record).  Fold-level errors abort the run with
+    the fold named; identical config and seed produce byte-identical
+    artifacts regardless of the jobs count.
     """
     dataset = load_csv(config.dataset_path) if config.reads_dataset else None
     table = load_score_table(config.score_table_path) if config.reads_score_table else None
@@ -479,7 +474,11 @@ def run_experiment(config: ExperimentConfig, progress=None) -> AggregateTable:
         except ValueError as err:  # a missing partition, named by fold
             raise RuntimeError(f"external-scores {err}") from err
 
-    aggregate = _aggregate(config, [outcome for group in groups for outcome in group])
+    predictions = {}  # (model, calibrator) -> {(repetition, fold): (probabilities, labels)}
+    for group in groups:
+        for o in group:
+            predictions.setdefault((o.model, o.calibrator), {})[o.repetition, o.fold] = (o.point, o.labels)
+    aggregate = aggregate_folds(config, predictions)
 
     if config.output_dir:
         out = Path(config.output_dir)
@@ -487,19 +486,22 @@ def run_experiment(config: ExperimentConfig, progress=None) -> AggregateTable:
         folds_dir.mkdir(parents=True, exist_ok=True)
         # written last, so a run that fails while writing leaves none
         (out / "run.json").unlink(missing_ok=True)
-        # a reused directory must not keep an earlier run's folds or splits
-        for stale in [*folds_dir.glob("rep*_fold*_*.json"), *folds_dir.glob("rep*_fold*_*.csv")]:
+        # a reused directory must not keep an earlier run's fold files, splits or aggregate.csv
+        for stale in folds_dir.glob("rep*_fold*_*"):
             stale.unlink()
-        for group in groups:
-            _write_fold_artifacts(folds_dir, group)
+        (out / "aggregate.csv").unlink(missing_ok=True)
+        for group in groups:  # one _fold_outcomes call's CSVs share their test rows: one lockstep write
+            write_columns(PREDICTION_COLUMNS, {
+                folds_dir / (_fold_stem(o.repetition, o.fold, o.model, o.calibrator) + ".csv"):
+                    (o.instance_ids, o.labels, o.scores, o.p0, o.p1, o.point)
+                for o in group
+            })
         if splits:
             write_split_manifest(out / "splits.json", config.seed, splits)
         else:
             (out / "splits.json").unlink(missing_ok=True)
         (out / "aggregate.json").write_text(aggregate.to_json(), encoding="utf-8")
         (out / "table.txt").write_text(aggregate.to_text(), encoding="utf-8")
-        columns = [[getattr(r, c) for r in aggregate.rows] for c in AGGREGATE_CSV_COLUMNS]
-        write_columns(AGGREGATE_CSV_COLUMNS, {out / "aggregate.csv": columns})
         (out / "run.json").write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     return aggregate
 

@@ -76,7 +76,7 @@ def reference_run(reference_csv):
     current = (
         record_path.exists()
         and json.loads(record_path.read_text(encoding="utf-8")) == run_record(config)
-        and len(list((RUN_DIR / "folds").glob("*.json"))) == EXPECTED_FOLD_FILES
+        and len(list((RUN_DIR / "folds").glob("*.csv"))) == EXPECTED_FOLD_FILES
     )
     if not current:
         run_experiment(config)

@@ -25,13 +25,15 @@ from venncal.data import ParseError, SchemaError, ValidationError
 from venncal.harness import (
     POST_HOC_CALIBRATORS,
     ExperimentConfig,
+    aggregate_folds,
     calibrate_scores,
     load_fold_predictions,
+    read_fold_predictions,
     run_experiment,
     run_record,
     write_reliability_csv,
 )
-from venncal.metrics import minority_bins, reliability_bins
+from venncal.metrics import evaluate, minority_bins, reliability_bins
 
 from support import write_small_dataset
 
@@ -75,12 +77,9 @@ def test_smoke_run_produces_all_rows_and_artifacts(tmp_path):
     assert ("logistic", "platt") not in rows
 
     run_dir = tmp_path / "run"
-    assert (run_dir / "aggregate.json").exists()
-    assert (run_dir / "aggregate.csv").exists()
-    assert (run_dir / "table.txt").exists()
-    assert (run_dir / "splits.json").exists()
-    fold_files = list((run_dir / "folds").glob("*.json"))
-    assert len(fold_files) == 9 * 2  # 9 pairs x 2 folds
+    top_level = ["aggregate.json", "folds", "run.json", "splits.json", "table.txt"]
+    assert sorted(p.name for p in run_dir.iterdir()) == top_level
+    assert [p.suffix for p in (run_dir / "folds").iterdir()] == [".csv"] * 9 * 2  # 9 pairs x 2 folds
 
 
 def test_uncalibrated_only_run(tmp_path):
@@ -132,7 +131,7 @@ def test_a_pair_writes_the_same_folds_whichever_models_run_beside_it(tmp_path):
     data = write_small_dataset(tmp_path / "toy.csv", n=2000)
     alone = _relation_folds(tmp_path, "forest", data, ("forest",))
     together = _relation_folds(tmp_path, "tree_forest", data, ("tree", "forest"))
-    assert len(alone) == 18  # 3 calibrators x 3 folds, a JSON and a CSV each
+    assert len(alone) == 9  # 3 calibrators x 3 folds
     assert {name: together[name] for name in alone} == alone
 
 
@@ -151,7 +150,9 @@ def test_doubling_every_numeric_feature_changes_no_fold_file(tmp_path):
         csv.writer(handle).writerows([header, *rows])
     plain = _relation_folds(tmp_path, "plain", data, ("tree", "forest"))
     doubled = _relation_folds(tmp_path, "doubled", scaled, ("tree", "forest"))
-    assert len(plain) == 36 and doubled == plain
+    assert len(plain) == 18 and doubled == plain
+    # no fold file carries the metrics, so compare the table derived from them
+    assert (tmp_path / "doubled" / "aggregate.json").read_bytes() == (tmp_path / "plain" / "aggregate.json").read_bytes()
 
 
 def test_run_record_names_config_versions_and_source(tmp_path):
@@ -231,19 +232,28 @@ def test_run_record_arithmetic_sha256_names_the_cpu_path(tmp_path, child_env, sa
     assert {**other, "arithmetic_sha256": None} == {**default, "arithmetic_sha256": None}
 
 
+def aggregate_from_fold_csvs(config: ExperimentConfig):
+    return aggregate_folds(config, {pair: read_fold_predictions(config.output_dir, *pair) for pair in config.pairs()})
+
+
 def test_aggregate_matches_fold_artifacts(tmp_path):
-    config = small_config(tmp_path)
-    table = run_experiment(config)
-    folds_dir = Path(config.output_dir) / "folds"
-    for row in table.rows:
-        reports = []
-        for path in sorted(folds_dir.glob(f"rep*_fold*_{row.model}_{row.calibrator}.json")):
-            reports.append(json.loads(path.read_text()))
-        assert len(reports) == row.n_folds
-        assert row.accuracy == pytest.approx(np.mean([r["accuracy"] for r in reports]), abs=1e-12)
-        assert row.positive_predictions == sum(r["positive_prediction_count"] for r in reports)
-        eces = [r["ece"] for r in reports]
-        assert row.ece == pytest.approx(np.mean(eces), abs=1e-12)
+    # the table run_experiment derives in memory, derived again from the fold CSVs it wrote
+    config, table, _ = golden_output_run(tmp_path / "golden")
+    assert aggregate_from_fold_csvs(config).to_json() == table.to_json()
+    # with 11 repetitions rep10 sorts before rep2 by name; folds still average in numeric order
+    tree = small_config(tmp_path, models=("tree",), k=3, repetitions=11, output_dir=str(tmp_path / "tree"))
+    table = run_experiment(tree)
+    names = list(read_fold_predictions(tree.output_dir, "tree", "none"))
+    assert len(names) == 33 and names != sorted(names)
+    assert aggregate_from_fold_csvs(tree).to_json() == table.to_json()
+
+
+def test_aggregate_bins_each_fold_as_configured(tmp_path):
+    config = small_config(tmp_path, models=("tree",), calibrators=("none",), bins=3, bin_mode="frequency")
+    row = run_experiment(config).rows[0]
+    folds = read_fold_predictions(config.output_dir, "tree", "none")
+    assert row.ece == float(np.mean([evaluate(p, y, m=3, mode="frequency").ece for p, y in folds.values()]))
+    assert row.ece != float(np.mean([evaluate(p, y).ece for p, y in folds.values()]))  # the default bins differ
 
 
 def test_paired_test_sets_across_variants(tmp_path):
@@ -519,8 +529,11 @@ def test_rerun_into_same_directory_drops_earlier_fold_files(tmp_path):
     }
     table_path = write_score_table(tmp_path / "scores.csv", folds)
     out = tmp_path / "run"
-    (out / "splits.json").parent.mkdir()
+    (out / "folds").mkdir(parents=True)
     (out / "splits.json").write_text("{}", encoding="utf-8")  # left by an earlier dataset run
+    # files that runs no longer write: a fold metric JSON and aggregate.csv
+    (out / "folds" / "rep0_fold0_tree_none.json").write_text("{}", encoding="utf-8")
+    (out / "aggregate.csv").write_text("model\n", encoding="utf-8")
     for calibrators in (("none", "platt"), ("none",)):
         run_experiment(
             ExperimentConfig(
@@ -535,9 +548,9 @@ def test_rerun_into_same_directory_drops_earlier_fold_files(tmp_path):
     probabilities, _ = load_fold_predictions(out, "external-scores", "none")
     assert probabilities.size == 80
     assert sorted(p.name for p in (out / "folds").iterdir()) == [
-        f"rep0_fold{fold}_external-scores_none.{ext}" for fold in range(2) for ext in ("csv", "json")
+        f"rep0_fold{fold}_external-scores_none.csv" for fold in range(2)
     ]
-    assert not (out / "splits.json").exists()
+    assert not (out / "splits.json").exists() and not (out / "aggregate.csv").exists()
 
 
 def test_calibrate_scores_matches_experiment_fold_rows(tmp_path):
@@ -708,6 +721,22 @@ def test_load_fold_predictions_names_file_and_row(tmp_path):
         load_fold_predictions(config.output_dir, "tree", "none")
 
 
+def test_fold_file_names_must_read_repetition_and_fold(tmp_path):
+    config = small_config(tmp_path, models=("tree",), calibrators=("none",))
+    run_experiment(config)
+    assert list(read_fold_predictions(config.output_dir, "tree", "none")) == [(0, 0), (0, 1)]
+    folds_dir = Path(config.output_dir) / "folds"
+    # each matches the pair's glob, rep*_fold*_tree_none.csv
+    for name in ("repX_fold0_tree_none.csv", "rep01_fold0_tree_none.csv", "rep0_fold1_forest_tree_none.csv"):
+        path = folds_dir / name
+        path.write_bytes((folds_dir / "rep0_fold0_tree_none.csv").read_bytes())
+        message = f"{path}: not a fold file name rep<r>_fold<f>_tree_none.csv"
+        for read in (read_fold_predictions, load_fold_predictions):
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                read(config.output_dir, "tree", "none")
+        path.unlink()
+
+
 def test_load_fold_predictions_rejects_point_outside_unit_interval(tmp_path):
     """A nan point would otherwise fail later as a bare 'probabilities must lie in [0, 1]'."""
     config = small_config(tmp_path, models=("tree",), calibrators=("none",))
@@ -727,10 +756,11 @@ def test_load_fold_predictions_rejects_point_outside_unit_interval(tmp_path):
 # ---------------------------------------------------------------------------
 
 # sha256 of every CSV kind venncal writes, recorded before the writers were
-# merged into one; fold files are hashed together, name then bytes
+# merged into one; fold files are hashed together, name then bytes (the
+# folds digest was taken over the fold CSVs alone once runs stopped writing
+# per-fold metric JSONs)
 GOLDEN_OUTPUT_DIGESTS = {
-    "folds": "0163734e385bcabc872c09cd9df7383115d6b26b9279281069d6acadebd4d617",
-    "aggregate.csv": "7c09c4ecf32881af361628c0f1cfc173d2ebe3dafc107881174be74631258b7a",
+    "folds": "5fff676396936be476d3833323e14f65e7be599132a2820ee1825197dd95fb61",
     "aggregate.json": "4937c6b25a46630d591e2b6ebe458116a90a26f89efd6d572bca1f75d6554a36",
     "table.txt": "120ed80a348c23967a9b9b2e16d7f5bac200fb4dd29023cfd40f5a50eab250d7",
     "splits.json": "dad9db2e86e9a22231d5a35c1ccdbd085742acd9b544514d0920271edcc55469",
@@ -742,30 +772,36 @@ GOLDEN_OUTPUT_DIGESTS = {
 }
 
 
-def test_output_bytes_match_golden_digests(tmp_path):
+def golden_output_run(tmp_path):
+    """The run whose bytes GOLDEN_OUTPUT_DIGESTS pins: its config, its table and its score table's path."""
+    tmp_path.mkdir(exist_ok=True)
     rng = np.random.default_rng(21)
     folds = {}
     for fold in range(2):
         cal = [(round(float(s), 2) if i % 2 else float(s), int(rng.random() < s)) for i, s in enumerate(rng.random(40))]
         # test scores below 0.5: the uncalibrated scores predict no failure,
-        # so that row's precision is undefined and written as an empty cell
+        # so that row's precision is undefined and written as null
         test = [(0.49 * float(s), int(i % 3 == 0)) for i, s in enumerate(rng.random(30))]
         folds[fold] = {"calibration": cal, "test": test}
     table_path = write_score_table(tmp_path / "scores.csv", folds)
     config = small_config(
         tmp_path, models=("tree", "logistic", "external-scores"), score_table_path=str(table_path)
     )
-    run_experiment(config)
+    return config, run_experiment(config), table_path
+
+
+def test_output_bytes_match_golden_digests(tmp_path):
+    config, _, table_path = golden_output_run(tmp_path)
     run_dir = Path(config.output_dir)
     folds_digest = hashlib.sha256()
     for path in sorted((run_dir / "folds").iterdir()):
         folds_digest.update(path.name.encode("utf-8") + b"\n" + path.read_bytes())
     digests = {"folds": folds_digest.hexdigest()}
-    for name in ("aggregate.csv", "aggregate.json", "table.txt", "splits.json"):
+    for name in ("aggregate.json", "table.txt", "splits.json"):
         digests[name] = hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
-    with (run_dir / "aggregate.csv").open(newline="") as handle:
-        none_row = [r for r in csv.DictReader(handle) if r["model"] == "external-scores" and r["calibrator"] == "none"]
-    assert none_row[0]["precision"] == ""
+    rows = json.loads((run_dir / "aggregate.json").read_text(encoding="utf-8"))
+    none_row = [r for r in rows if r["model"] == "external-scores" and r["calibrator"] == "none"]
+    assert none_row[0]["precision"] is None
 
     for kind in POST_HOC_CALIBRATORS:
         calibrate_scores(table_path, kind, tmp_path / f"{kind}.csv")

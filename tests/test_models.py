@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import venncal.models.tree as tree_module
-from venncal.calibration import IsotonicFit
+from venncal.calibration import IsotonicFit, VennAbersCalibrator
 from venncal.data import FEATURE_NAMES, Dataset, FoldSplit, ParseError, SchemaError, ValidationError, labelled
 from venncal.metrics import ReliabilityBins
 from venncal.models import (
@@ -309,6 +309,13 @@ def _check_forest(forest):
         assert clone.score_many(x).tobytes() == expected.tobytes()
 
 
+def _check_calibrator(calibrator):
+    # it freezes copies of its calibration set, so a caller's arrays stay writable
+    scores = np.array([0.1, 0.2, 0.3, 0.4])
+    VennAbersCalibrator(scores, np.array([0, 0, 1, 1]))
+    assert scores.flags.writeable
+
+
 # every built record that holds arrays: how to build one from writable arrays, and what else to check
 FROZEN_RECORDS = {
     "Dataset": (lambda: Dataset(np.arange(12.0).reshape(2, 6), np.array([0, 1]), FEATURE_NAMES), None),
@@ -322,6 +329,8 @@ FROZEN_RECORDS = {
     "DecisionTreeModel": (_tree_from_arrays, _check_tree),
     "RandomForestModel": (lambda: RandomForestModel(trees=[_tree_from_arrays(), _tree_from_arrays()], seed=0),
                           _check_forest),
+    "VennAbersCalibrator": (lambda: VennAbersCalibrator(np.array([0.1, 0.2, 0.3, 0.4]), np.array([0, 0, 1, 1])),
+                            _check_calibrator),
 }
 
 
@@ -346,7 +355,7 @@ def test_frozen_record_rejects_writes(name):
     names = [f.name for f in fields(record)]
     arrays = [field for field in names if isinstance(getattr(record, field), np.ndarray)]
     assert arrays
-    for field in arrays:  # the very arrays passed in, made read-only in place
+    for field in arrays:  # the arrays it holds (the very arrays passed in, but for the calibrator's copies)
         with pytest.raises(ValueError, match="read-only"):
             getattr(record, field)[0] = 0
     for field in names:
