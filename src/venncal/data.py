@@ -111,8 +111,8 @@ FEATURE_NAMES = tuple(name for name in AI4I_COLUMNS.values() if name)
 
 
 def bounded(value, name: str, flag: str | None = None, *, low=None, inside=None, choices=None,
-            error=ValidationError) -> None:
-    """Raise error unless value is >= low, strictly inside the pair inside, or one of choices; nan is none.
+            error=ValidationError):
+    """value once >= low (as an int), strictly inside the pair inside (as a float) or one of choices; nan is none.
 
     Every setting bounded below is a count, so a value given a low must
     also be a whole number: a Python or numpy integer, not a bool and not a
@@ -129,7 +129,7 @@ def bounded(value, name: str, flag: str | None = None, *, low=None, inside=None,
     elif low is not None and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
         rule = "a whole number"
     else:
-        return
+        return int(value) if low is not None else float(value) if inside is not None else value
     shown = value.item() if isinstance(value, np.generic) else value  # got 1, not got np.int64(1)
     raise error(f"{name} must be {rule}, got {shown!r}" + (f" ({flag})" if flag else ""))
 

@@ -8,6 +8,7 @@ plus the aggregate table, which `aggregate_folds` derives from per-fold
 model is trained on the whole training portion, while the calibrated
 variants share one underlying model trained on the proper-training part
 only, with each calibrator fitted on the held-out calibration part.
+`calibrate_scores` runs the external-scores model's one score-table pass.
 
 All outputs are deterministic for a fixed config and seed: per-model
 random streams are derived from (seed, repetition, fold, role), artifacts
@@ -48,7 +49,7 @@ from venncal.data import (
     write_split_manifest,
 )
 from venncal.metrics import BIN_MODES, evaluate
-from venncal.models import fit_forest, fit_logistic, fit_tree, load_score_table
+from venncal.models import ScoreTable, fit_forest, fit_logistic, fit_tree, load_score_table
 
 __all__ = [
     "AggregateRow",
@@ -102,7 +103,7 @@ class ExperimentConfig:
             wanted = {"int": numbers.Integral, "float": numbers.Real, "str | None": (str, type(None))}.get(f.type)
             if wanted and (isinstance(value, bool) or not isinstance(value, wanted)):
                 raise ValueError(f"{f.name} must be {f.type}, got {type(value).__name__} {value!r}")
-            bounded(value, f.name, f.metadata["flag"], **f.metadata["bound"])
+            object.__setattr__(self, f.name, bounded(value, f.name, f.metadata["flag"], **f.metadata["bound"]))
         if not self.models or not self.calibrators:
             raise ValueError("at least one model and one calibrator must be selected")
         for field, known in (("models", KNOWN_MODELS), ("calibrators", KNOWN_CALIBRATORS)):
@@ -248,18 +249,15 @@ class _FoldOutcome:
     point: np.ndarray  # probability used for evaluation
 
 
-def _fold_outcomes(config: ExperimentConfig, repetition: int, fold: int, test_ids, test_labels,
-                   models, partitions) -> list[_FoldOutcome]:
-    """Calibrate, on one fold, each configured pair whose model is in `models`.
+def _fold_outcomes(repetition: int, fold: int, test_ids, test_labels, pairs, partitions) -> list[_FoldOutcome]:
+    """Calibrate, on one fold, each (model, calibrator) pair of `pairs`, in order.
 
     partitions(model, kind) gives the (calibration scores, calibration
     labels, test scores) that calibrator kind sees.  A failing pair raises
     RuntimeError naming the repetition, model, fold and calibrator.
     """
     outcomes = []
-    for model, kind in config.pairs():
-        if model not in models:
-            continue
+    for model, kind in pairs:
         try:
             cal_scores, cal_labels, test_scores = partitions(model, kind)
             p0, p1, point = _calibrated(kind, cal_scores, cal_labels, test_scores)
@@ -291,7 +289,20 @@ def _dataset_fold_outcomes(config: ExperimentConfig, dataset: Dataset, split: Fo
             fitted[role] = (None if full else model.score_many(cal_x), cal_y, model.score_many(test_x))
         return fitted[role]
 
-    return _fold_outcomes(config, rep, fold, split.test_ids, test_y, ("tree", "forest", "logistic"), partitions)
+    pairs = [pair for pair in config.pairs() if pair[0] != "external-scores"]
+    return _fold_outcomes(rep, fold, split.test_ids, test_y, pairs, partitions)
+
+
+def _table_fold_outcomes(table: ScoreTable, pairs) -> list[list[_FoldOutcome]]:
+    """_fold_outcomes of each score-table fold, folds ascending, as repetition 0; evaluates nothing."""
+    groups = []
+    try:
+        for fold, (_, cal_scores, cal_labels), (test_ids, test_scores, test_labels) in table.folds():
+            partitions = (cal_scores, cal_labels, test_scores)
+            groups.append(_fold_outcomes(0, fold, test_ids, test_labels, pairs, lambda model, kind: partitions))
+    except ValidationError as err:  # a missing partition, named by fold
+        raise RuntimeError(f"external-scores {err}") from err
+    return groups
 
 
 # ---------------------------------------------------------------------------
@@ -466,13 +477,7 @@ def run_experiment(config: ExperimentConfig, progress=None) -> AggregateTable:
                 if progress:
                     progress(done, len(splits))
     if table is not None:
-        try:
-            for fold, (_, cal_scores, cal_labels), (test_ids, test_scores, test_labels) in table.folds():
-                partitions = (cal_scores, cal_labels, test_scores)
-                groups.append(_fold_outcomes(config, 0, fold, test_ids, test_labels, ("external-scores",),
-                                             lambda model, kind: partitions))
-        except ValueError as err:  # a missing partition, named by fold
-            raise RuntimeError(f"external-scores {err}") from err
+        groups += _table_fold_outcomes(table, [pair for pair in config.pairs() if pair[0] == "external-scores"])
 
     predictions = {}  # (model, calibrator) -> {(repetition, fold): (probabilities, labels)}
     for group in groups:
@@ -513,22 +518,18 @@ def run_experiment(config: ExperimentConfig, progress=None) -> AggregateTable:
 def calibrate_scores(score_table_path, calibrator_kind: str, output_path) -> int:
     """Calibrate an external score table fold by fold; returns rows written.
 
-    For every fold the calibrator is fitted on the calibration partition
-    and applied to the test partition.  Output columns:
-    instance_id,fold_id,score,p0,p1,point (p0 == p1 == point for the
-    single-valued calibrators).  Every fold is calibrated before the output
-    is opened, so a failing fold leaves no partial file behind.
+    The rows are those of the experiment's one score-table pass, folds
+    ascending and test rows in file order, and a fold fails with its
+    RuntimeError: "external-scores fold F: missing P partition" or
+    "repetition 0 external-scores fold F calibrator K: cause".  Every fold
+    is calibrated before the output is opened, so a failing fold leaves no
+    partial file.  Output columns: instance_id,fold_id,score,p0,p1,point
+    (p0 == p1 == point for the single-valued calibrators).
     """
     bounded(calibrator_kind, "calibrator_kind", choices=POST_HOC_CALIBRATORS)
-    table = load_score_table(score_table_path)
-    folds = []
-    for fold, (_, cal_scores, cal_labels), (test_ids, test_scores, _) in table.folds():
-        try:
-            calibrated = _calibrated(calibrator_kind, cal_scores, cal_labels, test_scores)
-        except ValueError as err:
-            raise ValueError(f"fold {fold} calibrator {calibrator_kind}: {err}") from err
-        folds.append((test_ids, np.full(test_ids.size, fold), test_scores, *calibrated))
-    columns = [np.concatenate(parts) for parts in zip(*folds)]
+    groups = _table_fold_outcomes(load_score_table(score_table_path), (("external-scores", calibrator_kind),))
+    rows = [(o.instance_ids, np.full(o.instance_ids.size, o.fold), o.scores, o.p0, o.p1, o.point) for (o,) in groups]
+    columns = [np.concatenate(parts) for parts in zip(*rows)]
     output_path = Path(output_path)
     output_path.parent.mkdir(parents=True, exist_ok=True)
     write_columns(CALIBRATED_SCORE_COLUMNS, {output_path: columns})

@@ -177,8 +177,8 @@ class DecisionTreeModel(Frozen):
         unknown = set(data) - {"kind", *names}
         if unknown:
             raise ValueError(f"unknown tree document keys: {sorted(unknown)}")
-        for key, low in (("n_features", 1), ("min_samples_leaf", 1), ("seed", 0)):
-            bounded(data[key], key, low=low)  # the bounds a fit writes; int() below would read 1.5 as 1
+        bounds = (("n_features", 1), ("min_samples_leaf", 1), ("seed", 0))  # the bounds a fit writes
+        checked = {key: bounded(data[key], key, low=low) for key, low in bounds}
         return cls(
             feature_index=np.asarray(data["feature_index"], dtype=np.int64),
             threshold=np.asarray(
@@ -188,9 +188,7 @@ class DecisionTreeModel(Frozen):
             right_child=np.asarray(data["right_child"], dtype=np.int64),
             n_samples=np.asarray(data["n_samples"], dtype=np.int64),
             n_positive=np.asarray(data["n_positive"], dtype=np.int64),
-            n_features=int(data["n_features"]),
-            min_samples_leaf=int(data["min_samples_leaf"]),
-            seed=int(data["seed"]),
+            **checked,
         )
 
     def _check_nodes(self) -> None:
@@ -611,7 +609,7 @@ def _grow(
     at once, so each tree equals the one grown alone from its generator.
     """
     n, n_features = x.shape
-    bounded(min_samples_leaf, "min_samples_leaf", low=1)
+    min_samples_leaf = bounded(min_samples_leaf, "min_samples_leaf", low=1)
     subsets = max_features < n_features
     k = max_features  # candidate features per node
     labels = y.astype(np.uint8)
@@ -630,8 +628,8 @@ def _grow(
             n_samples=np.array(tree.n_samples, dtype=np.int64),
             n_positive=np.array(tree.n_positive, dtype=np.int64),
             n_features=n_features,
-            min_samples_leaf=int(min_samples_leaf),  # a numpy integer would not write as JSON
-            seed=int(seed),
+            min_samples_leaf=min_samples_leaf,
+            seed=seed,
         )
         # a tree that draws no subsets numbered its nodes as the steps took them
         return grown if subsets else _in_preorder(grown)
@@ -761,7 +759,7 @@ def fit_tree(
     of the fitted tree.
     """
     x, y = labelled(features, labels, "features", "feature row", ndim=2)
-    bounded(seed, "seed", low=0)  # recorded, and from_dict reads back only a whole one
+    seed = bounded(seed, "seed", low=0)  # recorded, and from_dict reads back only a whole one
     (tree,) = _grow(
         x,
         y,
@@ -826,8 +824,8 @@ def fit_forest(features, labels, *, n_trees: int = 100, seed: int = 0) -> Random
     and seed alone.
     """
     x, y = labelled(features, labels, "features", "feature row", ndim=2)
-    bounded(n_trees, "n_trees", low=1)
-    bounded(seed, "seed", low=0)
+    n_trees = bounded(n_trees, "n_trees", low=1)
+    seed = bounded(seed, "seed", low=0)
     trees = _grow(
         x,
         y,
@@ -837,4 +835,4 @@ def fit_forest(features, labels, *, n_trees: int = 100, seed: int = 0) -> Random
         max_features=math.ceil(math.sqrt(x.shape[1])),
         seed=seed,
     )
-    return RandomForestModel(trees=trees, seed=int(seed))
+    return RandomForestModel(trees=trees, seed=seed)

@@ -101,8 +101,8 @@ def monotone_lsq_oracle(scores, labels):
 # oracle: textbook PAVA
 # ---------------------------------------------------------------------------
 
-def textbook_pava(scores, labels):
-    """Pool adjacent violators on exact rationals, one fitted value per distinct score.
+def exact_pava(scores, labels):
+    """Pool adjacent violators on exact rationals, one Fraction per distinct score, ascending.
 
     Blocks are merged while a block's mean exceeds its right neighbour's,
     stepping back one block after each merge; no pooling of equal means, no
@@ -118,7 +118,12 @@ def textbook_pava(scores, labels):
             i = max(i - 1, 0)
         else:
             i += 1
-    return [float(Fraction(t, w)) for w, t, count in blocks for _ in range(count)]
+    return [Fraction(t, w) for w, t, count in blocks for _ in range(count)]
+
+
+def textbook_pava(scores, labels):
+    """exact_pava's fitted values as floats."""
+    return [float(value) for value in exact_pava(scores, labels)]
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from venncal.calibration import (
 )
 from venncal.metrics import ece, reliability_bins
 
-from support import monotone_lsq_oracle, textbook_pava
+from support import exact_pava, monotone_lsq_oracle, textbook_pava
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +426,7 @@ def test_venn_abers_intervals_property_increasing_transform(case, data):
 # Metamorphic relations of the isotonic calibrator, bit for bit.  Flipping
 # the labels and negating the scores is left out: it maps a fitted value v to
 # 1 - v only in exact arithmetic, and 1 - (a / b) need not round as (b - a) / b.
+# test_venn_abers_oracle_label_flip checks it on the Fraction oracle instead.
 
 @PROPERTY_SETTINGS
 @given(calibration_and_batch(), st.data())
@@ -452,6 +453,31 @@ def test_isotonic_property_doubled_calibration_set(case):
     assert doubled.weights.tobytes() == (2.0 * fit.weights).tobytes()
     assert doubled.fitted_values.tobytes() == fit.fitted_values.tobytes()
     assert isotonic_calibrate(doubled, batch).tobytes() == isotonic_calibrate(fit, batch).tobytes()
+
+
+def exact_interval(cal_scores, cal_labels, s):
+    """Venn-Abers (p0, p1) at s in Fractions: exact_pava refitted with s labelled 0, then 1."""
+    at = sorted({*cal_scores, s}).index(s)
+    return tuple(exact_pava([*cal_scores, s], [*cal_labels, label])[at] for label in (0, 1))
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(st.tuples(st.one_of(GRID_SCORES, st.floats(0.0, 1.0)), st.integers(0, 1)), min_size=1, max_size=12))
+def test_venn_abers_oracle_label_flip(points):
+    """Negating every score and flipping every label maps p0 at s to 1 - p1 at -s, and p1 to 1 - p0.
+
+    Checked on the Fraction oracle at, between and outside the calibration
+    scores.  venncal's floats are not asserted: the relation holds only in
+    exact arithmetic, and 1 - (a / b) need not round as (b - a) / b.
+    """
+    scores, labels = [s for s, _ in points], [y for _, y in points]
+    ordered = sorted(set(scores))
+    tests = [*ordered, *((a + b) / 2 for a, b in zip(ordered, ordered[1:])), ordered[0] - 1, ordered[-1] + 1]
+    flipped = [-s for s in scores], [1 - y for y in labels]
+    for s in tests:
+        p0, p1 = exact_interval(scores, labels, s)
+        flipped_p0, flipped_p1 = exact_interval(*flipped, -s)
+        assert (flipped_p0, flipped_p1) == (1 - p1, 1 - p0), s
 
 
 @PROPERTY_SETTINGS

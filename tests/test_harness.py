@@ -387,6 +387,62 @@ def test_config_name_lists_become_tuples():
     assert hash(from_lists) == hash(from_json)
 
 
+def run_files(directory: Path) -> dict:
+    """Every file under directory, by relative path, with its bytes."""
+    return {path.relative_to(directory).as_posix(): path.read_bytes() for path in directory.rglob("*") if path.is_file()}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("seed", np.int64(3)),
+    ("k", np.int64(3)),
+    ("repetitions", np.int64(1)),
+    ("bins", np.int64(10)),
+    ("n_trees", np.int64(5)),
+    ("tree_min_samples_leaf", np.int64(3)),
+    ("calibration_fraction", np.float32(0.25)),
+])
+def test_numpy_number_settings_write_the_python_number_bytes(tmp_path, field, value):
+    """The config takes a numpy number as the int or float it holds: the run completes and writes
+    the same bytes in every file, run.json included, as a run from the equal Python number."""
+    write_small_dataset(tmp_path / "toy.csv", n=200)
+    for name, setting in (("numpy", value), ("python", value.item())):
+        config = small_config(tmp_path, output_dir=str(tmp_path / name), **{"k": 3, field: setting})
+        run_experiment(config)
+        assert type(getattr(config, field)) is type(value.item())
+    assert run_files(tmp_path / "numpy") == run_files(tmp_path / "python")
+
+
+def test_outputs_do_not_depend_on_the_hash_seed_or_process(tmp_path):
+    """A run and calibrate-scores of each kind write the same bytes from two child processes with
+    PYTHONHASHSEED 0 and 12345, and twice in this process."""
+    data = write_small_dataset(tmp_path / "toy.csv", n=300)
+    rng = np.random.default_rng(4)
+    table = write_score_table(tmp_path / "scores.csv", {
+        fold: {part: [(float(s), int(rng.random() < s)) for s in rng.random(30)] for part in ("calibration", "test")}
+        for fold in range(3)
+    })
+
+    def commands(out: Path) -> list:
+        run = ["experiment", "--data", str(data), "--models", "tree", "forest", "logistic", "--folds", "3",
+               "--repetitions", "1", "--trees", "5", "--quiet", "--out", str(out / "run")]
+        return [run] + [["calibrate-scores", "--scores", str(table), "--calibrator", kind, "--out", str(out / f"{kind}.csv")]
+                        for kind in POST_HOC_CALIBRATORS]
+
+    src = str(Path(venncal.__file__).resolve().parent.parent)
+    code = "import json, sys; from venncal.cli import main; sys.exit(max(main(a) for a in json.loads(sys.argv[1])))"
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    for hash_seed in ("0", "12345"):
+        env = {**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": hash_seed}
+        argv = json.dumps(commands(tmp_path / f"child_{hash_seed}"))
+        subprocess.run([sys.executable, "-c", code, argv], env=env, capture_output=True, check=True)
+    for name in ("first", "second"):
+        assert all(cli_main(argv) == 0 for argv in commands(tmp_path / name))
+    first = run_files(tmp_path / "first")
+    assert len(first) == 3 + 4 + 3 * 9  # calibrated CSVs, run files, and the 9 pairs' CSVs of each fold
+    for name in ("child_0", "child_12345", "second"):
+        assert run_files(tmp_path / name) == first, name
+
+
 # ---------------------------------------------------------------------------
 # score-table calibration
 # ---------------------------------------------------------------------------
@@ -443,7 +499,8 @@ def test_calibrate_scores_platt_single_class_fold_names_fold(tmp_path):
             3: {"calibration": [(0.2, 1), (0.8, 1)], "test": [(0.5, 1)]},
         },
     )
-    with pytest.raises(ValueError, match="fold 3"):
+    message = "repetition 0 external-scores fold 3 calibrator platt: fit_platt requires both classes in the calibration data"
+    with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
         calibrate_scores(table, "platt", tmp_path / "out.csv")
     # fold 0 succeeded, but nothing is written unless every fold does
     assert not (tmp_path / "out.csv").exists()
@@ -463,8 +520,9 @@ def test_calibrate_scores_missing_partition_names_fold(tmp_path):
         tmp_path / "scores.csv",
         {2: {"test": [(0.5, 1)]}},
     )
-    with pytest.raises(ValueError, match="fold 2"):
+    with pytest.raises(RuntimeError, match="^external-scores fold 2: missing calibration partition$"):
         calibrate_scores(table, "venn-abers", tmp_path / "out.csv")
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_external_scores_model_in_experiment(tmp_path):
@@ -587,6 +645,7 @@ def test_calibrate_scores_matches_experiment_fold_rows(tmp_path):
 
 
 def test_score_table_errors_name_fold_in_both_entry_points(tmp_path):
+    """Both entry points calibrate a table in one pass, so a failing fold raises the same error in each."""
     good = {"calibration": [(0.2, 0), (0.8, 1)], "test": [(0.3, 0), (0.7, 1)]}
 
     def experiment(table, calibrators):
@@ -594,15 +653,20 @@ def test_score_table_errors_name_fold_in_both_entry_points(tmp_path):
             ExperimentConfig(models=("external-scores",), calibrators=calibrators, score_table_path=str(table))
         )
 
-    table = write_score_table(tmp_path / "missing.csv", {0: good, 4: {"calibration": good["calibration"]}})
-    with pytest.raises(ValueError, match="fold 4: missing test partition"):
-        calibrate_scores(table, "isotonic", tmp_path / "out.csv")
-    with pytest.raises(RuntimeError, match="external-scores fold 4: missing test partition"):
-        experiment(table, ("none", "isotonic"))
-
-    table = write_score_table(tmp_path / "one_class_cal.csv", {0: good, 3: {**good, "calibration": [(0.2, 1)]}})
-    with pytest.raises(RuntimeError, match="external-scores fold 3 calibrator platt: "):
-        experiment(table, ("none", "platt"))
+    cases = (
+        ("missing.csv", {0: good, 4: {"calibration": good["calibration"]}}, "isotonic",
+         "external-scores fold 4: missing test partition"),
+        ("one_class_cal.csv", {0: good, 3: {**good, "calibration": [(0.2, 1)]}}, "platt",
+         "repetition 0 external-scores fold 3 calibrator platt: fit_platt requires both classes in the calibration data"),
+    )
+    for name, folds, kind, message in cases:
+        table = write_score_table(tmp_path / name, folds)
+        with pytest.raises(RuntimeError) as library:
+            calibrate_scores(table, kind, tmp_path / "out.csv")
+        with pytest.raises(RuntimeError) as run:
+            experiment(table, ("none", kind))
+        assert (type(library.value), str(library.value)) == (type(run.value), str(run.value)) == (RuntimeError, message)
+        assert not (tmp_path / "out.csv").exists()
 
     # only the experiment evaluates, and AUC needs both classes in the test partition
     table = write_score_table(tmp_path / "one_class_test.csv", {0: good, 2: {**good, "test": [(0.5, 1)]}})
