@@ -5,21 +5,22 @@ Loads the predictive-maintenance CSV in the AI4I column layout
 identifier and failure-mode indicator columns, and taking the
 machine-failure column as the binary label.  parse_columns and
 write_columns are the one CSV reader and the one CSV writer.
-parse_columns reads a file with one call: it checks the file's header,
-its names stripped of ASCII whitespace only as a token cell is, against
-the exact header the caller passes, then reads the rows below it with one
-np.loadtxt call: integers take an optional sign and ASCII digits, numbers
-what float() takes (to the same bits) except underscores and non-ASCII
-digits, and a cell that starts with '"' is quoted as the csv module
-quotes it.  A NUL character anywhere in a file is rejected, and so are
-bytes that are not UTF-8 and a numeric cell holding an information
-separator (\\x1c-\\x1f).  Data rows count from 1 after the header, blank
-lines skipped but counted; a faulty row is searched for only after a
-check fails.  write_columns writes one or more CSVs that share a header
-and a row count in lockstep, a block of rows at a time: in each block
-every distinct float64 bit pattern of all their float columns is
-formatted once, by repr, and rows are joined with str.join, byte for byte
-as csv.writer's QUOTE_MINIMAL writes them.
+A file is opened once, by read_input, and parse_columns parses the bytes
+it read: it checks the file's header, its names stripped of ASCII
+whitespace only as a token cell is, against the exact header the caller
+passes, then reads the rows below it with one np.loadtxt call over an
+in-memory copy of those bytes: integers take an optional sign and ASCII
+digits, numbers what float() takes (to the same bits) except underscores
+and non-ASCII digits, and a cell that starts with '"' is quoted as the
+csv module quotes it.  A NUL character anywhere in a file is rejected,
+and so are bytes that are not UTF-8 and a numeric cell holding an
+information separator (\\x1c-\\x1f).  Data rows count from 1 after the
+header, blank lines skipped but counted; a faulty row is searched for, in
+the same bytes, only after a check fails.  write_columns writes one or
+more CSVs that share a header and a row count in lockstep, a block of
+rows at a time: in each block every distinct float64 bit pattern of all
+their float columns is formatted once, by repr, and rows are joined with
+str.join, byte for byte as csv.writer's QUOTE_MINIMAL writes them.
 Also produces repeated stratified k-fold splits where each fold's training
 portion is further divided into a proper-training part and a calibration
 part.
@@ -28,6 +29,7 @@ part.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import json
 import numbers
@@ -57,6 +59,7 @@ __all__ = [
     "labelled",
     "load_csv",
     "parse_columns",
+    "read_input",
     "reject_first",
     "repeated_stratified_kfold",
     "require",
@@ -208,11 +211,16 @@ class Frozen:
 
 @dataclass
 class Dataset(Frozen):
-    """Immutable feature matrix plus binary labels (1 = failure)."""
+    """Immutable feature matrix plus binary labels (1 = failure).
+
+    source_sha256 is the sha256 (hex) of the CSV bytes load_csv parsed it
+    from, which run.json records; None for a dataset built from arrays.
+    """
 
     features: np.ndarray
     labels: np.ndarray
     feature_names: tuple[str, ...]
+    source_sha256: str | None = None
 
     def __post_init__(self):
         rows = feature_matrix(self.features, len(self.feature_names)).shape[0]
@@ -241,13 +249,21 @@ def load_csv(path) -> Dataset:
     parsers = {column: np.float64 for column in feature_columns}
     parsers[QUALITY_COLUMN] = QUALITY_CODES
     parsers[LABEL_COLUMN] = LABEL_CODES
-    columns = parse_columns(path, "dataset", tuple(AI4I_COLUMNS), parsers)
+    content = read_input(path, "dataset")
+    columns = parse_columns(path, content, tuple(AI4I_COLUMNS), parsers)
     features = np.column_stack([columns[column] for column in feature_columns])
     reject_first(
-        path, ~np.isfinite(features),
+        path, content, ~np.isfinite(features),
         lambda i, j: f"non-finite value '{features[i, j]}' in column {feature_columns[j]!r}",
     )
-    return Dataset(features=features, labels=columns[LABEL_COLUMN], feature_names=FEATURE_NAMES)
+    import hashlib  # loads OpenSSL, so only when a dataset is loaded
+
+    return Dataset(
+        features=features,
+        labels=columns[LABEL_COLUMN],
+        feature_names=FEATURE_NAMES,
+        source_sha256=hashlib.sha256(content).hexdigest(),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -276,30 +292,36 @@ def _loadtxt(source, dtype, **options):
     )
 
 
-def parse_columns(path, kind, header, parsers) -> dict:
+def read_input(path, kind) -> bytes:
+    """The bytes of the CSV at path, read with one open; raises FileNotFoundError ("<kind> not found") if there is none."""
+    path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(f"{kind} not found: {path}")
+    return path.read_bytes()
+
+
+def parse_columns(path, content, header, parsers) -> dict:
     """Check a CSV's header and parse the named columns below it with one np.loadtxt call: {column: array}.
 
-    The file's header, each name stripped of ASCII whitespace as a token
-    cell is, must be exactly header.  parsers maps a column to np.int64,
-    np.float64 or a token map (stripped cell -> value); every other column
-    is read but not kept, so each row must have the header's field count.
-    A row at fault is found only when a check fails, by _first_fault, and
-    named the way _records numbers it.  Raises FileNotFoundError ("<kind>
-    not found"), SchemaError (an empty file; a NUL character, bytes that
-    are not UTF-8 or a column named twice in the header; any other
+    content is the file's bytes, as read_input read them; path names the
+    file in messages, and nothing here opens it.  The file's header, each
+    name stripped of ASCII whitespace as a token cell is, must be exactly
+    header.  parsers maps a column to np.int64, np.float64 or a token map
+    (stripped cell -> value); every other column is read but not kept, so
+    each row must have the header's field count.  A row at fault is found
+    only when a check fails, by _first_fault, and named the way _records
+    numbers it.  Raises SchemaError (an empty file; a NUL character, bytes
+    that are not UTF-8 or a column named twice in the header; any other
     header), ParseError (a field count other than the header's, a
     non-numeric cell, a NUL character or bytes that are not UTF-8 anywhere
     in a row), ValidationError (a cell that is not a token of its map, no
     data rows), each naming the file.  NUL and SEPARATORS are looked for
-    in the file's bytes because np.loadtxt reads past them: numpy's string
+    in content because np.loadtxt reads past them: numpy's string
     fields drop trailing NULs ('1\\x00' would read as the token '1'), and
     a number's separators are stripped as whitespace ('0.2\\x1c' would read
     as 0.2).
     """
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"{kind} not found: {path}")
-    _, text, fields = next(_records(path), (0, None, None))
+    _, text, fields = next(_records(content), (0, None, None))
     if text is None:
         raise SchemaError(f"{path}: empty file")
     if NUL in text:
@@ -319,18 +341,16 @@ def parse_columns(path, kind, header, parsers) -> dict:
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            table = _loadtxt(path, dtype, skiprows=1)
+            # universal newlines, as np.loadtxt opens a path
+            table = _loadtxt(io.TextIOWrapper(io.BytesIO(content), encoding="utf-8"), dtype, skiprows=1)
     except ValueError as error:
-        raise _first_fault(path, header, parsers, dtype) or ParseError(f"{path}: {error}") from None
+        raise _first_fault(path, content, header, parsers, dtype) or ParseError(f"{path}: {error}") from None
     if not table.size:
         raise ValidationError(f"{path}: no data rows")
-    # one memchr per character: a regex over the bytes took a hundred times
-    # longer; the bytes go at once, as held they slowed the rest by about 4%
-    content = path.read_bytes()
+    # one memchr per character: a regex over the bytes took a hundred times longer
     found = [character for character in NUL + SEPARATORS if character.encode() in content]
-    del content
     if found:
-        fault = _first_fault(path, header, parsers, dtype)
+        fault = _first_fault(path, content, header, parsers, dtype)
         if fault or NUL in found:  # a separator outside the numeric columns is kept
             raise fault or ParseError(f"{path}: NUL character")
     columns = {}
@@ -338,7 +358,7 @@ def parse_columns(path, kind, header, parsers) -> dict:
         if isinstance(parse, dict):
             columns[column], known = _map_tokens(table[column], parse)
             if not known.all():
-                raise _first_fault(path, header, parsers, dtype) or ValidationError(
+                raise _first_fault(path, content, header, parsers, dtype) or ValidationError(
                     f"{path}: {column!r} must be one of {list(parse)}"
                 )
         else:
@@ -358,8 +378,8 @@ def _map_tokens(cells, tokens):
     return values, known & (np.strings.str_len(cells) < TOKEN_WIDTH)
 
 
-def _records(path):
-    """Yield (row number, text, fields) for a CSV's header, as row 0, and each non-blank row below it.
+def _records(content: bytes):
+    """Yield (row number, text, fields) for the header of a CSV's bytes, as row 0, and each non-blank row below it.
 
     Rows are csv records numbered from 0, blank ones counted; text is the
     row's lines as the file holds them, a byte that is not UTF-8 as a lone
@@ -368,7 +388,7 @@ def _records(path):
     error, and with the NULs taken out every Python reads the same records
     and fields.
     """
-    with Path(path).open(newline="", encoding="utf-8", errors="surrogateescape") as handle:
+    with io.TextIOWrapper(io.BytesIO(content), newline="", encoding="utf-8", errors="surrogateescape") as handle:
         lines = []  # the lines csv has read since the last record
         reader = csv.reader(lines.append(line) or line.replace(NUL, "") for line in handle)
         for row_number, fields in enumerate(reader):
@@ -378,7 +398,7 @@ def _records(path):
                 yield row_number, text, fields
 
 
-def _first_fault(path, header, parsers, dtype):
+def _first_fault(path, content, header, parsers, dtype):
     """The ParseError or ValidationError of the first row at fault in parse_columns' terms, or None.
 
     Rows are read with np.loadtxt in blocks; in a block that fails, each
@@ -387,7 +407,7 @@ def _first_fault(path, header, parsers, dtype):
     cells are tried in the order of parsers, after its NUL characters,
     its bytes that are not UTF-8 and its field count.
     """
-    records = _records(path)
+    records = _records(content)
     next(records)  # the header
     for block in iter(lambda: list(itertools.islice(records, 1024)), []):
         try:
@@ -424,16 +444,17 @@ def _reads(text, parse, i) -> bool:
     return True
 
 
-def reject_first(path, bad, fault) -> None:
-    """Raise a ValidationError naming the row of the first True in bad, a mask over the parsed rows.
+def reject_first(path, content, bad, fault) -> None:
+    """Raise a ValidationError naming the row of the first True in bad, a mask over the rows parsed from content.
 
-    fault words the rest from that entry's index (a row, or a row and a
-    column), and is called only on failure.
+    The row is numbered in content, the bytes parse_columns parsed.  fault
+    words the rest from that entry's index (a row, or a row and a column),
+    and is called only on failure.
     """
     hits = np.argwhere(bad)
     if hits.size:
         index = hits[0].tolist()
-        row_number = next(itertools.islice(_records(path), index[0] + 1, None))[0]  # row 0 is the header
+        row_number = next(itertools.islice(_records(content), index[0] + 1, None))[0]  # row 0 is the header
         raise ValidationError(f"{path}: row {row_number}: {fault(*index)}")
 
 

@@ -43,6 +43,7 @@ from venncal.data import (
     bounded,
     load_csv,
     parse_columns,
+    read_input,
     reject_first,
     repeated_stratified_kfold,
     write_columns,
@@ -334,10 +335,11 @@ def read_fold_predictions(output_dir, model: str, calibrator: str) -> dict:
         key = name.fullmatch(path.stem)
         if key is None:
             raise ValidationError(f"{path}: not a fold file name rep<r>_fold<f>_{model}_{calibrator}.csv")
-        columns = parse_columns(path, "fold predictions", PREDICTION_COLUMNS, parsers)
+        content = read_input(path, "fold predictions")
+        columns = parse_columns(path, content, PREDICTION_COLUMNS, parsers)
         point = columns["point"]
         outside = ~((point >= 0.0) & (point <= 1.0))  # nan is outside too
-        reject_first(path, outside, lambda i: f"point '{point[i]}' outside [0, 1]")
+        reject_first(path, content, outside, lambda i: f"point '{point[i]}' outside [0, 1]")
         folds[int(key[1]), int(key[2])] = (point, columns["label"])
     return folds
 
@@ -401,7 +403,7 @@ def _arithmetic_probe() -> bytes:
 
 
 def run_record(config: ExperimentConfig) -> dict:
-    """What produced a run's artifacts, as run_experiment writes it to run.json.
+    """What produced a run's artifacts, as run_experiment writes it to run.json, for the input files as they are now.
 
     Holds the config without jobs, output_dir and the two input paths (the
     artifacts depend on none of them), the venncal, numpy and Python
@@ -413,14 +415,25 @@ def run_record(config: ExperimentConfig) -> dict:
     """
     import hashlib  # loads OpenSSL, so only when a run is recorded
 
-    from venncal import __version__
-
     def file_sha256(path) -> str:
         digest = hashlib.sha256()
         with open(path, "rb") as handle:
             for block in iter(lambda: handle.read(1 << 16), b""):
                 digest.update(block)
         return digest.hexdigest()
+
+    return _record(
+        config,
+        file_sha256(config.dataset_path) if config.reads_dataset else None,
+        file_sha256(config.score_table_path) if config.reads_score_table else None,
+    )
+
+
+def _record(config: ExperimentConfig, dataset_sha256, score_table_sha256) -> dict:
+    """run_record, with the sha256 (hex) of each input's bytes given, None for an input the run does not read."""
+    import hashlib  # loads OpenSSL, so only when a run is recorded
+
+    from venncal import __version__
 
     package = Path(__file__).resolve().parent
     source = hashlib.sha256()
@@ -437,8 +450,8 @@ def run_record(config: ExperimentConfig) -> dict:
         "python_version": platform.python_version(),
         "source_sha256": source.hexdigest(),
         "arithmetic_sha256": hashlib.sha256(_arithmetic_probe()).hexdigest(),
-        "dataset_sha256": file_sha256(config.dataset_path) if config.reads_dataset else None,
-        "score_table_sha256": file_sha256(config.score_table_path) if config.reads_score_table else None,
+        "dataset_sha256": dataset_sha256,
+        "score_table_sha256": score_table_sha256,
     }
 
 
@@ -455,8 +468,10 @@ def run_experiment(config: ExperimentConfig, progress=None) -> AggregateTable:
     dataset = load_csv(config.dataset_path) if config.reads_dataset else None
     table = load_score_table(config.score_table_path) if config.reads_score_table else None
     # taken once the inputs loaded and before the folds run, so a source file
-    # edited meanwhile is not vouched for
-    record = run_record(config) if config.output_dir else None
+    # edited meanwhile is not vouched for; an input's digest is that of the
+    # bytes it was parsed from
+    digests = (loaded and loaded.source_sha256 for loaded in (dataset, table))
+    record = _record(config, *digests) if config.output_dir else None
     groups: list[list[_FoldOutcome]] = []  # the outcomes of each _fold_outcomes call
     splits: list[FoldSplit] = []
     if dataset is not None:

@@ -91,6 +91,7 @@ __all__ = ["DecisionTreeModel", "RandomForestModel", "fit_forest", "fit_tree"]
 _NO_FEATURE = -1
 _TIE_WINDOW = 1e-9
 _NODE_ARRAYS = ("feature_index", "threshold", "left_child", "right_child", "n_samples", "n_positive")
+_SETTING_BOUNDS = (("n_features", 1), ("min_samples_leaf", 1), ("seed", 0))  # the bounds a fit writes
 
 
 @dataclass
@@ -100,10 +101,11 @@ class DecisionTreeModel(Frozen):
     Internal nodes have feature_index >= 0 and route x left when
     x[feature_index] <= threshold.  Leaves have feature_index == -1 and
     score n_positive / n_samples.  Every node keeps its training counts so
-    subtrees can be collapsed into leaves later.  Every tree is checked by
-    ``_check_nodes`` where it is built, ``replace`` and ``from_dict`` included,
-    and its node arrays are then read-only and its fields frozen, so the
-    packed codes ``apply`` keeps stay those of the tree.
+    subtrees can be collapsed into leaves later.  Every tree is checked
+    where it is built, ``replace`` and ``from_dict`` included: its settings
+    by ``bounded``, each stored as the Python int it returns, and its nodes
+    by ``_check_nodes``.  Its node arrays are then read-only and its fields
+    frozen, so the packed codes ``apply`` keeps stay those of the tree.
     """
 
     feature_index: np.ndarray
@@ -117,6 +119,8 @@ class DecisionTreeModel(Frozen):
     seed: int
 
     def __post_init__(self):
+        for name, low in _SETTING_BOUNDS:  # an int, so to_dict writes it as JSON
+            object.__setattr__(self, name, bounded(getattr(self, name), name, low=low))
         self._check_nodes()
         super().__post_init__()
 
@@ -169,7 +173,7 @@ class DecisionTreeModel(Frozen):
 
     @classmethod
     def from_dict(cls, data: dict) -> "DecisionTreeModel":
-        """Load a tree written by ``to_dict``; raises ValueError naming a missing or unknown key or the first bad node."""
+        """Load a tree written by ``to_dict``; raises ValueError naming a missing or unknown key, a setting or the first bad node."""
         names = [f.name for f in fields(cls)]
         missing = [name for name in names if name not in data]
         if missing:  # data[name] would raise a bare KeyError
@@ -177,8 +181,6 @@ class DecisionTreeModel(Frozen):
         unknown = set(data) - {"kind", *names}
         if unknown:
             raise ValueError(f"unknown tree document keys: {sorted(unknown)}")
-        bounds = (("n_features", 1), ("min_samples_leaf", 1), ("seed", 0))  # the bounds a fit writes
-        checked = {key: bounded(data[key], key, low=low) for key, low in bounds}
         return cls(
             feature_index=np.asarray(data["feature_index"], dtype=np.int64),
             threshold=np.asarray(
@@ -188,7 +190,7 @@ class DecisionTreeModel(Frozen):
             right_child=np.asarray(data["right_child"], dtype=np.int64),
             n_samples=np.asarray(data["n_samples"], dtype=np.int64),
             n_positive=np.asarray(data["n_positive"], dtype=np.int64),
-            **checked,
+            **{name: data[name] for name, _ in _SETTING_BOUNDS},
         )
 
     def _check_nodes(self) -> None:
@@ -759,7 +761,7 @@ def fit_tree(
     of the fitted tree.
     """
     x, y = labelled(features, labels, "features", "feature row", ndim=2)
-    seed = bounded(seed, "seed", low=0)  # recorded, and from_dict reads back only a whole one
+    seed = bounded(seed, "seed", low=0)  # before the generator takes it
     (tree,) = _grow(
         x,
         y,
@@ -782,7 +784,9 @@ class RandomForestModel(Frozen):
     _fraction: np.ndarray = field(init=False, repr=False, compare=False)  # of every packed node
 
     def __post_init__(self):
-        object.__setattr__(self, "trees", tuple(self.trees))  # the one rebinding: a list becomes a tuple
+        # the two rebindings: a list becomes a tuple, a seed the int bounded returns
+        object.__setattr__(self, "trees", tuple(self.trees))
+        object.__setattr__(self, "seed", bounded(self.seed, "seed", low=0))
         widths = {tree.n_features for tree in self.trees}
         if len(widths) != 1:
             raise ValueError(f"a forest needs trees of one feature count, got {sorted(widths)}")

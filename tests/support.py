@@ -6,6 +6,9 @@ same independent oracles.  pytest collects no tests here: the name is not test_*
 
 from __future__ import annotations
 
+import os
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -35,6 +38,31 @@ def write_small_dataset(path: Path, n=320, seed=0):
         )
     path.write_text("\n".join([HEADER] + rows) + "\n", encoding="utf-8")
     return path
+
+
+_opened: list | None = None  # while a list, _record_open appends each file path the process opens
+_hooked = False  # an audit hook cannot be removed, so it is added once
+
+
+def _record_open(event, args):
+    if event == "open" and _opened is not None and isinstance(args[0], (str, bytes, os.PathLike)):
+        _opened.append(os.fsdecode(args[0]))
+
+
+@contextmanager
+def opens_under(root: Path):
+    """A list that fills with the paths under root this process opens inside the block, sorted on exit."""
+    global _opened, _hooked
+    if not _hooked:
+        sys.addaudithook(_record_open)
+        _hooked = True
+    opened = []
+    _opened = []
+    try:
+        yield opened
+    finally:
+        opened += sorted(path for path in _opened if path.startswith(str(root)))  # not a module's .pyc
+        _opened = None
 
 
 # ---------------------------------------------------------------------------

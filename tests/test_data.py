@@ -12,6 +12,7 @@ import re
 import struct
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,20 +31,21 @@ from venncal.data import (
     ValidationError,
     load_csv,
     parse_columns,
+    read_input,
     repeated_stratified_kfold,
     stratified_holdout,
     write_columns,
     write_split_manifest,
 )
 from venncal.calibration import VennAbersCalibrator, apply_platt, fit_platt, isotonic_calibrate, pava
-from venncal.harness import load_fold_predictions
+from venncal.harness import load_fold_predictions, read_fold_predictions
 from venncal.metrics import auc, classification_metrics, evaluate, minority_bins, reliability_bins
-from venncal.models import DecisionTreeModel, fit_forest, fit_logistic, fit_tree, load_score_table
+from venncal.models import DecisionTreeModel, RandomForestModel, fit_forest, fit_logistic, fit_tree, load_score_table
 from venncal.models.score_table import _PARTITIONS as PARTITIONS
 from venncal.synthetic import generate_reference_rows, write_reference_csv
 from venncal.venn_tree import build_venn_tree
 
-from support import HEADER
+from support import HEADER, opens_under, write_small_dataset
 
 
 def write_csv(tmp_path, rows, header=HEADER, name="data.csv"):
@@ -74,6 +76,13 @@ def test_load_quality_mapping_single_row(tmp_path):
     assert ds.n_instances == 1
     assert ds.features[0, 0] == 1.0  # M maps to 1
     assert ds.feature_names[0] == "quality"
+
+
+def test_loaded_dataset_names_the_bytes_it_was_parsed_from(tmp_path):
+    path = write_csv(tmp_path, ["1,M10,M,300.1,310.2,1500,40.5,100,0,0,0,0,0,0"])
+    ds = load_csv(path)
+    assert ds.source_sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert Dataset(ds.features, ds.labels, ds.feature_names).source_sha256 is None  # no bytes behind it
 
 
 def test_indicator_and_id_columns_dropped(tmp_path):
@@ -462,6 +471,27 @@ def typed_tables(draw):
     return list(parsers), columns, parsers, expected
 
 
+def test_every_csv_reader_opens_its_file_once(tmp_path):
+    """The header check, the np.loadtxt call and the NUL and separator scan parse one read of the file."""
+    dataset = write_small_dataset(tmp_path / "toy.csv", n=40)
+    table = tmp_path / "scores.csv"
+    table.write_text("instance_id,fold_id,partition,score,label\n1,0,calibration,0.25,0\n2,0,test,0.5,1\n",
+                     encoding="utf-8")
+    folds = tmp_path / "run" / "folds"
+    folds.mkdir(parents=True)
+    fold_files = [folds / f"rep0_fold{fold}_tree_none.csv" for fold in range(2)]
+    write_columns(("instance_id", "label", "score", "p0", "p1", "point"),
+                  {path: ([1, 2], [0, 1], [0.2, 0.7], [0.2, 0.7], [0.2, 0.7], [0.2, 0.7]) for path in fold_files})
+    for read, paths in (
+        (lambda: load_csv(dataset), [dataset]),
+        (lambda: load_score_table(table), [table]),
+        (lambda: read_fold_predictions(tmp_path / "run", "tree", "none"), fold_files),
+    ):
+        with opens_under(tmp_path) as opened:
+            read()
+        assert opened == [str(path) for path in paths]
+
+
 @settings(derandomize=True, deadline=None, max_examples=200, database=None)
 @given(typed_tables())
 def test_parse_columns_reads_back_what_write_columns_writes(table):
@@ -470,7 +500,7 @@ def test_parse_columns_reads_back_what_write_columns_writes(table):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "table.csv"
         write_columns(header, {path: columns})
-        parsed = parse_columns(path, "table", header, parsers)
+        parsed = parse_columns(path, read_input(path, "table"), header, parsers)
     assert parsed.keys() == expected.keys()
     for name, want in expected.items():
         assert parsed[name].dtype == want.dtype and parsed[name].tobytes() == want.tobytes(), name
@@ -818,6 +848,13 @@ def _bad_inputs():
          "node arrays must be non-empty and of one length, got shapes [(0,), (0,), (0,), (0,), (0,), (0,)]"),
         ("collapsed negative depth", lambda depth: fit_tree(_X, _Y).collapsed(depth), (-1,),
          "max_depth must be >= 0, got -1"),
+        # a model built directly checks the settings a fit records, as from_dict does
+        ("replace min_samples_leaf", lambda n: replace(load(_tree_document()), min_samples_leaf=n), (0,),
+         "min_samples_leaf must be >= 1, got 0"),
+        ("replace n_features", lambda n: replace(load(_tree_document()), n_features=n), (0,),
+         "n_features must be >= 1, got 0"),
+        ("RandomForestModel negative seed", lambda seed: RandomForestModel([load(_tree_document())], seed), (-5,),
+         "seed must be >= 0, got -5"),
     ]
 
     def venn_tree(calibration_features, depth=None):
@@ -858,6 +895,11 @@ _COUNTS = {  # id -> (call taking the count, setting it names)
     "write_reference_csv n_rows": (lambda n: write_reference_csv(os.devnull, n_rows=n), "n_rows"),
     **{f"from_dict {key}": (lambda value, key=key: DecisionTreeModel.from_dict(_tree_document(**{key: value})), key)
        for key in ("n_features", "min_samples_leaf", "seed")},
+    **{f"replace {key}": (lambda value, key=key: replace(DecisionTreeModel.from_dict(_tree_document()), **{key: value}),
+                          key)
+       for key in ("n_features", "min_samples_leaf", "seed")},
+    "RandomForestModel seed":
+        (lambda seed: RandomForestModel([DecisionTreeModel.from_dict(_tree_document())], seed), "seed"),
 }
 
 

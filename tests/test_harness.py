@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 import venncal
+import venncal.models.score_table as score_table_module
 from venncal import harness
 from venncal.cli import build_parser, main as cli_main
 from venncal.data import ParseError, SchemaError, ValidationError
@@ -35,7 +36,7 @@ from venncal.harness import (
 )
 from venncal.metrics import evaluate, minority_bins, reliability_bins
 
-from support import write_small_dataset
+from support import opens_under, write_small_dataset
 
 
 def small_config(tmp_path, **overrides) -> ExperimentConfig:
@@ -194,6 +195,20 @@ def test_run_record_changes_with_input_files(tmp_path):
     assert first["dataset_sha256"] is None and len(first["score_table_sha256"]) == 64
     write_score_table(table, {0: {"calibration": WORKED_CAL, "test": [(0.7, 1)]}})
     assert run_record(external)["score_table_sha256"] != first["score_table_sha256"]
+
+
+def test_run_experiment_records_the_digest_of_the_bytes_it_parsed(tmp_path):
+    """run.json names each input by the sha256 of the bytes the run parsed, read with the one open of each file."""
+    table = write_score_table(tmp_path / "scores.csv", {0: {"calibration": WORKED_CAL, "test": [(0.8, 1), (0.3, 0)]}})
+    config = small_config(tmp_path, models=("tree", "external-scores"), score_table_path=str(table), n_trees=1)
+    data = Path(config.dataset_path)
+    with opens_under(tmp_path) as opened:
+        run_experiment(config)
+    assert [path for path in opened if not path.startswith(config.output_dir)] == sorted([str(data), str(table)])
+    record = json.loads((tmp_path / "run" / "run.json").read_text(encoding="utf-8"))
+    assert record["dataset_sha256"] == hashlib.sha256(data.read_bytes()).hexdigest()
+    assert record["score_table_sha256"] == hashlib.sha256(table.read_bytes()).hexdigest()
+    assert record == run_record(config)
 
 
 def _exp_loops() -> set[str]:
@@ -836,9 +851,8 @@ GOLDEN_OUTPUT_DIGESTS = {
 }
 
 
-def golden_output_run(tmp_path):
-    """The run whose bytes GOLDEN_OUTPUT_DIGESTS pins: its config, its table and its score table's path."""
-    tmp_path.mkdir(exist_ok=True)
+def golden_score_table(path: Path) -> Path:
+    """The score table of the run GOLDEN_OUTPUT_DIGESTS pins, written to path."""
     rng = np.random.default_rng(21)
     folds = {}
     for fold in range(2):
@@ -847,7 +861,13 @@ def golden_output_run(tmp_path):
         # so that row's precision is undefined and written as null
         test = [(0.49 * float(s), int(i % 3 == 0)) for i, s in enumerate(rng.random(30))]
         folds[fold] = {"calibration": cal, "test": test}
-    table_path = write_score_table(tmp_path / "scores.csv", folds)
+    return write_score_table(path, folds)
+
+
+def golden_output_run(tmp_path):
+    """The run whose bytes GOLDEN_OUTPUT_DIGESTS pins: its config, its table and its score table's path."""
+    tmp_path.mkdir(exist_ok=True)
+    table_path = golden_score_table(tmp_path / "scores.csv")
     config = small_config(
         tmp_path, models=("tree", "logistic", "external-scores"), score_table_path=str(table_path)
     )
@@ -879,6 +899,25 @@ def test_output_bytes_match_golden_digests(tmp_path):
     for name in ("gap", "none"):
         digests[f"reliability {name}"] = hashlib.sha256((tmp_path / f"{name}.csv").read_bytes()).hexdigest()
     assert digests == GOLDEN_OUTPUT_DIGESTS
+
+
+def test_one_score_table_is_parsed_once_by_every_entry_point(tmp_path, monkeypatch):
+    """calibrate_scores with each calibrator, then run_experiment, on one table: its bytes are parsed once,
+    and the calibrated outputs of the tables the memo returns keep their golden bytes."""
+    monkeypatch.setattr(score_table_module, "_last_load", None)
+    parsed = []
+    parse = score_table_module.parse_columns
+    monkeypatch.setattr(score_table_module, "parse_columns", lambda path, *args: parsed.append(path) or parse(path, *args))
+    table_path = golden_score_table(tmp_path / "scores.csv")
+    for kind in POST_HOC_CALIBRATORS:
+        calibrate_scores(table_path, kind, tmp_path / f"{kind}.csv")
+        digest = hashlib.sha256((tmp_path / f"{kind}.csv").read_bytes()).hexdigest()
+        assert digest == GOLDEN_OUTPUT_DIGESTS[f"calibrated {kind}"], kind
+    config = ExperimentConfig(models=("external-scores",), score_table_path=str(table_path),
+                              output_dir=str(tmp_path / "run"))
+    run_experiment(config)
+    assert len(list((tmp_path / "run" / "folds").glob("rep0_fold*_external-scores_*.csv"))) == 2 * 4
+    assert parsed == [table_path]
 
 
 # ---------------------------------------------------------------------------

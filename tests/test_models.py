@@ -12,6 +12,7 @@ import copy
 import hashlib
 import json
 import math
+import os
 import pickle
 import re
 from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
@@ -21,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import venncal.models.score_table as score_table_module
 import venncal.models.tree as tree_module
 from venncal.calibration import IsotonicFit, VennAbersCalibrator
 from venncal.data import FEATURE_NAMES, Dataset, FoldSplit, ParseError, SchemaError, ValidationError, labelled
@@ -1127,3 +1129,72 @@ def test_score_table_faults_name_file_row_and_value(tmp_path):
         with pytest.raises(error, match=f"^{re.escape(f'{path}: {message}')}$"):
             load_score_table(path)
 
+
+def test_score_table_columns_are_checked_where_it_is_built():
+    """Columns of other lengths were accepted, and folds() failed later with numpy's bare broadcast error."""
+    ids, folds, is_test, score, label = (np.array(column) for column in
+                                         ([1, 2, 3], [0, 0, 0], [False, True, True], [0.2, 0.7, 0.4], [0, 1, 1]))
+    for columns, message in (
+        ((ids, folds[:2], is_test, score, label), "score table column fold_id has 2 rows, instance_id 3"),
+        ((ids, folds, is_test, score, label[1:]), "score table column label has 2 rows, instance_id 3"),
+        ((ids, folds, is_test, score[:, None], label), "score table column score must be one-dimensional, got shape (3, 1)"),
+        ((np.int64(1), folds, is_test, score, label), "score table column instance_id must be one-dimensional, got shape ()"),
+    ):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            ScoreTable(*columns)
+
+
+@pytest.fixture
+def table_parses(monkeypatch):
+    """The paths load_score_table parses, from an empty memo on."""
+    monkeypatch.setattr(score_table_module, "_last_load", None)
+    parsed = []
+    parse = score_table_module.parse_columns
+    monkeypatch.setattr(score_table_module, "parse_columns", lambda path, *args: parsed.append(path) or parse(path, *args))
+    return parsed
+
+
+def test_score_table_memo_parses_identical_bytes_at_two_paths_once(tmp_path, table_parses):
+    rows = ["1,0,calibration,0.25,0", "2,0,calibration,0.75,1", "3,0,test,0.5,1"]
+    first = write_table(tmp_path, rows)
+    second = tmp_path / "copy.csv"
+    second.write_bytes(first.read_bytes())
+    table = load_score_table(first)
+    assert load_score_table(second) is table and load_score_table(first) is table
+    assert table_parses == [first]
+    assert table.source_sha256 == hashlib.sha256(first.read_bytes()).hexdigest()
+    # a table built from arrays has no bytes behind it
+    assert ScoreTable(table.instance_id, table.fold_id, table.is_test, table.score, table.label).source_sha256 is None
+
+
+def test_score_table_memo_parses_other_bytes_of_the_same_length_and_mtime(tmp_path, table_parses):
+    """A memo keyed by path, size or mtime would return the first table for the rewritten file."""
+    path = write_table(tmp_path, ["1,0,calibration,0.25,0", "2,0,test,0.75,1"])
+    assert load_score_table(path).score.tolist() == [0.25, 0.75]
+    before = path.stat()
+    write_table(tmp_path, ["1,0,calibration,0.35,0", "2,0,test,0.75,1"])
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = path.stat()
+    assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+    assert load_score_table(path).score.tolist() == [0.35, 0.75]
+    assert table_parses == [path, path]
+
+
+def test_score_table_memo_faulty_rewrite_raises_the_message_of_a_cold_load(tmp_path, table_parses):
+    """A load that fails stores nothing: the good table is still returned for its bytes afterwards."""
+    good = ["1,0,calibration,0.25,0", "2,0,test,0.75,1"]
+    for faulty in (
+        ["1,0,calibration,0.25,0", "2,0,test,1.75,1"],  # a range fault, found on the parsed arrays
+        ["1,0,calibration,0.25,0", "1,0,test,0.75,1"],  # a repeated key
+        ["1,0,calibration,0.25,0", "2,0,test,high,1"],  # a parse fault, found by the row search
+        ["1,0,calibration,0.25,0", "2,0,hold,0.75,1"],  # a token fault
+    ):
+        path = write_table(tmp_path, faulty)
+        with pytest.raises(ValueError) as cold:
+            load_score_table(path)
+        table = load_score_table(write_table(tmp_path, good))
+        with pytest.raises(ValueError) as warm:
+            load_score_table(write_table(tmp_path, faulty))
+        assert (type(warm.value), str(warm.value)) == (type(cold.value), str(cold.value))
+        assert load_score_table(write_table(tmp_path, good)) is table
+    assert len(table_parses) == 4 * 2 + 1  # every faulty load, and the good bytes once
