@@ -27,9 +27,13 @@ sort of packed keys
 ``(slot * k + candidate) << bits | (2 * rank + label)``, one slot per node
 of the step, orders every (node, candidate feature) segment by value, a
 cumulative sum over runs of equal keys counts the positives left of each
-value boundary, and a segmented maximum gives each node's best score.
-Scores are compared in floating point first and near-ties are re-compared
-with exact integer arithmetic, so the tie rule holds exactly even when two
+value boundary, and a segmented maximum gives each node's best score
+pL^2/nL + pR^2/nR, of pL positives among nL rows left and pR among nR
+right.  In a node of m rows and p positives, (pL^2 + qL^2)/nL + (pR^2 +
+qR^2)/nR with q counting negatives is 2 (pL^2/nL + pR^2/nR) + m - 2p, so
+both order its splits as Gini impurity decrease does.  Scores are
+compared in floating point first and near-ties are re-compared with exact
+integer arithmetic, so the tie rule holds exactly even when two
 candidates have genuinely equal gain.
 
 One traversal, ``_walk``, scores every tree: a forest's trees at once and
@@ -70,9 +74,9 @@ pairs, and more double a chunk's buffers for no gain.
 ``_LEVELS_PER_COMPACTION`` is 3: compacting more often builds more index
 lists, less often walks finished pairs longer, and no other interval was
 faster.  A forest packs its trees once, on construction; a tree packs
-itself on first use.  Neither pack can go stale: node arrays and leaf
-fractions are read-only, a forest holds its trees as a tuple, and no
-model's fields can be rebound.
+itself on first use.  Neither pack can go stale: node arrays, leaf
+fractions and packed codes are read-only, a forest holds its trees as a
+tuple, and no model's or pack's fields can be rebound.
 """
 
 from __future__ import annotations
@@ -89,6 +93,8 @@ from venncal.data import Frozen, bounded, feature_matrix, labelled
 __all__ = ["DecisionTreeModel", "RandomForestModel", "fit_forest", "fit_tree"]
 
 _NO_FEATURE = -1
+# relative to a node's best score pL^2/nL + pR^2/nR: every split scoring at least
+# best - _TIE_WINDOW * (1 + best) in floats is re-compared in exact integers
 _TIE_WINDOW = 1e-9
 _NODE_ARRAYS = ("feature_index", "threshold", "left_child", "right_child", "n_samples", "n_positive")
 _SETTING_BOUNDS = (("n_features", 1), ("min_samples_leaf", 1), ("seed", 0))  # the bounds a fit writes
@@ -229,8 +235,8 @@ class DecisionTreeModel(Frozen):
                          "need 0 <= n_positive <= n_samples and n_samples >= 1")
 
 
-@dataclass(frozen=True)
-class _Packed:
+@dataclass
+class _Packed(Frozen):
     """The node arrays of one or more trees concatenated, as the codes the walk follows.
 
     A split's threshold is replaced by its rank among cuts[f], the sorted
@@ -244,17 +250,24 @@ class _Packed:
     root has the code root[t].  split is laid out by slot, so split[code &
     cmask], with cmask the low cshift bits, says whether a code is a
     split's.  The walk first compacts after first levels, the depth by
-    which half of the trees' training samples have reached a leaf.
+    which half of the trees' training samples have reached a leaf.  Every
+    array, each of cuts included, is read-only, so a pack cannot be edited
+    into walking other trees than those it was packed from.
     """
 
     code: np.ndarray
     root: np.ndarray
     split: np.ndarray
-    cuts: list  # (f, cuts[f]) for every feature a split uses
+    cuts: tuple  # (f, cuts[f]) for every feature a split uses
     cshift: int
     fshift: int
     first: int
     n_features: int
+
+    def __post_init__(self):
+        for _, cut in self.cuts:  # arrays in a tuple, which Frozen does not reach
+            cut.setflags(write=False)
+        super().__post_init__()
 
 
 def _depths(split: np.ndarray, child: np.ndarray, roots: np.ndarray) -> np.ndarray:
@@ -296,7 +309,7 @@ def _pack(trees: tuple[DecisionTreeModel, ...]) -> _Packed:
     distinct = np.cumsum(fresh) - 1
     code = np.zeros(n, dtype=np.int64)  # each node's rank, then its code
     code[at] = distinct - np.maximum.accumulate(np.where(first, distinct, 0))
-    cuts = list(zip(f[first].tolist(), np.split(t[fresh], distinct[first][1:])))
+    cuts = tuple(zip(f[first].tolist(), np.split(t[fresh], distinct[first][1:])))
     cshift = (2 * n - 1).bit_length()
     most = max((cut.size for _, cut in cuts), default=0)
     fshift = cshift + most.bit_length()  # a cell's rank runs one past its feature's last cut
@@ -496,22 +509,19 @@ def _rank_codes(x: np.ndarray, labels: np.ndarray):
     return packed, values, np.cumsum(counts) - counts
 
 
-def _segment_starts(counts, k):
-    """Where each (slot, candidate) segment starts, when slot j's k segments hold counts[j] each."""
-    return (k * (np.cumsum(counts) - counts)[:, None] + np.arange(k) * counts[:, None]).ravel()
-
-
 def _best_splits(keys, bits, sizes, positives, k, min_samples_leaf):
     """Winning candidate of every node of one step that has one.
 
     keys are the step's sorted packed keys: the rows of node slot j sit in
     k consecutive segments of sizes[j] keys, one per candidate feature, each
-    ordered by rank code.  Maximises (pL^2 + qL^2)/nL + (pR^2 + qR^2)/nR,
-    which orders splits identically to Gini impurity decrease.  Scores are
-    only computed at value boundaries, and float near-ties are re-compared
-    with exact integers to enforce the tie rule.  Returns the winners'
-    slots, candidate indices, key positions (the last key left of the
-    threshold), left sizes and left positives, in slot order.
+    ordered by rank code.  Maximises pL^2/nL + pR^2/nR, which orders a
+    node's splits as Gini impurity decrease does: (pL^2 + qL^2)/nL + (pR^2
+    + qR^2)/nR, q counting negatives, is 2 (pL^2/nL + pR^2/nR) + m - 2p in a
+    node of m rows and p positives.  Scores are only computed at value
+    boundaries, and float near-ties are re-compared as exact integers
+    pL^2 nR + pR^2 nL over nL nR to enforce the tie rule.  Returns the
+    winners' slots, candidate indices, key positions (the last key left of
+    the threshold), left sizes and left positives, in slot order.
     """
     # runs of equal keys share segment, rank and label; the positives left of
     # a boundary are summed over runs rather than over keys
@@ -521,55 +531,59 @@ def _best_splits(keys, bits, sizes, positives, k, min_samples_leaf):
     ends = np.flatnonzero(boundary)
     del boundary
     ranked = keys[ends]
-    cum_pos = np.diff(ends, prepend=-1)
+    cum_pos = np.empty(ends.size, dtype=np.intp)  # run lengths, then positives up to each run's end
+    cum_pos[0] = ends[0] + 1
+    np.subtract(ends[1:], ends[:-1], out=cum_pos[1:])
     cum_pos *= (ranked & 1).astype(np.intp, copy=False)  # a run of negatives adds none
     np.cumsum(cum_pos, out=cum_pos)
     ranked >>= 1
     last = np.flatnonzero(ranked[:-1] != ranked[1:])  # last run of each value
     seg = (ranked[last] >> (bits - 1)).astype(np.intp)
     del ranked
-    n_left = ends[last] - _segment_starts(sizes, k)[seg] + 1
-    m = np.repeat(sizes, k)[seg]
+    # a segment holds its node's rows once each, so the positives before it
+    # are laid out as its keys are
+    seg_rows = np.repeat(sizes, k)
+    seg_positives = np.repeat(positives, k)
+    cand = ends[last]
+    n_left = cand - (np.cumsum(seg_rows) - seg_rows)[seg] + 1
+    m = seg_rows[seg]
+    p_left = cum_pos[last] - (np.cumsum(seg_positives) - seg_positives)[seg]
+    del cum_pos, ends, last  # per-run arrays go before the per-candidate scores come
     # a segment's last key is never a boundary: its right side is empty
     keep = (n_left >= min_samples_leaf) & (m - n_left >= min_samples_leaf)
     if not keep.any():
         return (np.zeros(0, dtype=np.intp),) * 5
-    last, seg, n_left, m = last[keep], seg[keep], n_left[keep], m[keep]
-    cand = ends[last]
+    cand, seg, n_left, m, p_left = cand[keep], seg[keep], n_left[keep], m[keep], p_left[keep]
     slot = seg // k
-    # a segment holds its node's rows once each, so the positives before it
-    # are laid out as its keys are
-    p_left = cum_pos[last] - _segment_starts(positives, k)[seg]
-    del cum_pos, ends, last  # per-run arrays go before the per-candidate scores come
 
     # feature-major candidate order within a slot matches the tie rule
     # (lowest feature index first, then lowest threshold)
     pos = positives[slot]
-    pl = p_left.astype(np.float64)
+    # pl * pl / nl + pr * pr / nr, in place
     nl = n_left.astype(np.float64)
     nr = m.astype(np.float64)
     nr -= nl
+    score = p_left.astype(np.float64)
     pr = pos.astype(np.float64)
-    pr -= pl
-    ql = nl - pl
-    qr = nr - pr
-    # (pl * pl + ql * ql) / nl + (pr * pr + qr * qr) / nr, in place
-    score = pl * pl
-    ql *= ql
-    score += ql
+    pr -= score
+    score *= score
     score /= nl
     pr *= pr
-    qr *= qr
-    pr += qr
     pr /= nr
     score += pr
 
-    first = np.flatnonzero(np.r_[True, slot[1:] != slot[:-1]])
+    starts = np.empty(slot.size, dtype=bool)  # a slot's first candidate
+    starts[0] = True
+    np.not_equal(slot[1:], slot[:-1], out=starts[1:])
+    first = np.flatnonzero(starts)
     best = np.maximum.reduceat(score, first)
     floor = np.empty(sizes.size)
     floor[slot[first]] = best - _TIE_WINDOW * (1.0 + np.abs(best))
     near = np.flatnonzero(score >= floor[slot])
-    near_first = np.flatnonzero(np.r_[True, slot[near[1:]] != slot[near[:-1]]])
+    near_slot = slot[near]
+    starts = starts[: near.size]  # now a slot's first near-tie; starts[0] stays True
+    np.not_equal(near_slot[1:], near_slot[:-1], out=starts[1:])
+    near_first = np.flatnonzero(starts)
     near_end = np.append(near_first[1:], near.size)
     winner = near[near_first]
     for g in np.flatnonzero(near_end - near_first > 1):
@@ -578,10 +592,8 @@ def _best_splits(keys, bits, sizes, positives, k, min_samples_leaf):
             n_l = int(n_left[i])
             n_r = int(m[i]) - n_l
             p_l = int(p_left[i])
-            q_l = n_l - p_l
             p_r = int(pos[i]) - p_l
-            q_r = n_r - p_r
-            num = (p_l * p_l + q_l * q_l) * n_r + (p_r * p_r + q_r * q_r) * n_l
+            num = p_l * p_l * n_r + p_r * p_r * n_l
             den = n_l * n_r
             if best_exact is None or num * best_exact[1] > best_exact[0] * den:
                 best_exact = (num, den, i)

@@ -158,11 +158,13 @@ def textbook_pava(scores, labels):
 # oracle: exhaustive split enumeration
 # ---------------------------------------------------------------------------
 
-def exhaustive_best_split(x, y):
+def exhaustive_best_split(x, y, min_samples_leaf=1):
     """Best (feature, threshold) by brute force, or None.
 
     Maximises the Gini impurity decrease computed in exact rationals;
-    ties resolved by lowest feature index, then lowest threshold.
+    ties resolved by lowest feature index, then lowest threshold.  A
+    threshold that leaves fewer than min_samples_leaf rows on a side is
+    not a candidate.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y)
@@ -176,6 +178,8 @@ def exhaustive_best_split(x, y):
             threshold = (lo + hi) / 2.0
             left = x[:, feature] <= threshold
             n_l, n_r = int(left.sum()), int(m - left.sum())
+            if min(n_l, n_r) < min_samples_leaf:
+                continue
             p_l = int(y[left].sum())
             p_r = int(y.sum()) - p_l
             def gini_term(p, n):

@@ -112,16 +112,17 @@ def test_tree_leaf_fraction():
     assert tree.score_many([[7.0]])[0] == 0.25
 
 
-def test_tree_split_matches_oracle_on_random_instances():
+@pytest.mark.parametrize("min_samples_leaf", [1, 2, 3])
+def test_tree_split_matches_oracle_on_random_instances(min_samples_leaf):
     rng = np.random.default_rng(42)
     for _ in range(300):
         n = int(rng.integers(2, 13))
         d = int(rng.integers(1, 3))
-        # integer grids make exact gain ties common
+        # integer grids make exact gain ties common, and a leaf size drops some tied candidates
         x = rng.integers(0, 4, size=(n, d)).astype(float)
         y = rng.integers(0, 2, size=n)
-        expected = exhaustive_best_split(x, y)
-        tree = fit_tree(x, y)
+        expected = exhaustive_best_split(x, y, min_samples_leaf)
+        tree = fit_tree(x, y, min_samples_leaf=min_samples_leaf)
         if y.min() == y.max() or expected is None:
             assert tree.feature_index[0] == -1
             continue
@@ -129,20 +130,23 @@ def test_tree_split_matches_oracle_on_random_instances():
         assert tree.threshold[0] == expected[1]
 
 
-def test_tree_recursion_matches_oracle_everywhere():
+@pytest.mark.parametrize("min_samples_leaf", [1, 2, 3])
+def test_tree_recursion_matches_oracle_everywhere(min_samples_leaf):
     rng = np.random.default_rng(7)
     for _ in range(40):
         n = int(rng.integers(4, 13))
         x = rng.integers(0, 3, size=(n, 2)).astype(float)
         y = rng.integers(0, 2, size=n)
-        tree = fit_tree(x, y)
-        # replay every internal node's split against the oracle
+        tree = fit_tree(x, y, min_samples_leaf=min_samples_leaf)
+        # replay every node against the oracle: a leaf is pure or has no split left
         stack = [(0, np.arange(n))]
         while stack:
             node, idx = stack.pop()
+            assert tree.n_samples[node] == idx.size >= min_samples_leaf
+            expected = exhaustive_best_split(x[idx], y[idx], min_samples_leaf)
             if tree.feature_index[node] == -1:
+                assert y[idx].min() == y[idx].max() or expected is None
                 continue
-            expected = exhaustive_best_split(x[idx], y[idx])
             assert expected == (tree.feature_index[node], tree.threshold[node])
             go_left = x[idx, tree.feature_index[node]] <= tree.threshold[node]
             stack.append((tree.left_child[node], idx[go_left]))
@@ -311,6 +315,23 @@ def _check_forest(forest):
         assert clone.score_many(x).tobytes() == expected.tobytes()
 
 
+def _check_packed(packed):
+    # a pack was a frozen dataclass of writable arrays: on a 3-tree forest, reversing
+    # forest._packed.code in place changed what score_many returned
+    for _, cut in packed.cuts:
+        with pytest.raises(ValueError, match="read-only"):
+            cut[0] = 0
+    x, y = _golden_data("continuous")
+    forest = fit_forest(x, y, n_trees=3, seed=0)
+    expected = forest.score_many(x)
+    for pack in (forest._packed, forest.trees[0]._packed):
+        assert pack.cuts
+        for array in (pack.code, pack.root, pack.split, *(cut for _, cut in pack.cuts)):
+            with pytest.raises(ValueError, match="read-only"):
+                array[:] = array[::-1].copy()
+    assert forest.score_many(x).tobytes() == expected.tobytes()
+
+
 def _check_calibrator(calibrator):
     # it freezes copies of its calibration set, so a caller's arrays stay writable
     scores = np.array([0.1, 0.2, 0.3, 0.4])
@@ -331,6 +352,7 @@ FROZEN_RECORDS = {
     "DecisionTreeModel": (_tree_from_arrays, _check_tree),
     "RandomForestModel": (lambda: RandomForestModel(trees=[_tree_from_arrays(), _tree_from_arrays()], seed=0),
                           _check_forest),
+    "_Packed": (lambda: RandomForestModel(trees=[_tree_from_arrays()] * 3, seed=0)._packed, _check_packed),
     "VennAbersCalibrator": (lambda: VennAbersCalibrator(np.array([0.1, 0.2, 0.3, 0.4]), np.array([0, 0, 1, 1])),
                             _check_calibrator),
 }
