@@ -5,13 +5,17 @@ the pool-adjacent-violators algorithm (PAVA), sigmoid (Platt) scaling, and
 inductive Venn-Abers probability intervals derived from a pair of isotonic
 fits.
 
-`_prefix_fits` builds every PAVA block stack: the isotonic fit and both
-Venn-Abers stack directions come from it.  The one other place that
-merges blocks is `VennAbersCalibrator._fitted_at_insert`, whose two loops
-merge a test point with the prefix stack on its left and the suffix stack
-on its right, by the same rule.  Block weights and
-label sums are exact integers (stored in float64, which is exact well past
-any realistic calibration-set size) and block means are compared by
+`_label_runs` first pools each maximal run of consecutive calibration
+scores with equal label means into one point; no PAVA fit of a prefix, a
+suffix or the whole set splits such a run.  `_push` is the merge rule:
+`_prefix_fits` loops it over the runs, and the isotonic fit and both
+Venn-Abers stack directions come from that.  A Venn-Abers cell pushes the
+part of a run beside its test score with it, and
+`VennAbersCalibrator._fitted_between`, the one other place that merges
+blocks, merges the test point with the prefix stack on its left and the
+suffix stack on its right, by the same rule.  Block weights and label sums
+are exact integers (stored in float64, which is exact well past any
+realistic calibration-set size) and block means are compared by
 cross-multiplication.  Fitted values are produced by a single division per
 block, so any two code paths that agree on the block partition produce
 bit-identical probabilities.  This is what lets the incremental Venn-Abers
@@ -63,25 +67,53 @@ def _pool_by_score(scores: np.ndarray, labels: np.ndarray):
     return distinct, weights, label_sums
 
 
+def _label_runs(weights: np.ndarray, label_sums: np.ndarray):
+    """Pool each maximal run of consecutive points with equal label means.
+
+    Returns (bounds, run_weights, run_label_sums): run r holds points
+    bounds[r] to bounds[r + 1] - 1, and bounds ends with the point count.
+    Means are compared by cross-multiplying integer sums, so no comparison
+    rounds.  Every PAVA fit of a prefix, a suffix or the whole sequence keeps
+    a run, or the part of it that it holds, in one block: were point i to end
+    a block below point i + 1 of its run, mean_i <= f_i < f_{i+1} <= mean_{i+1}
+    = mean_i.  So stacks built over runs partition the points as stacks built
+    point by point, with the same integer sums in every block.
+    """
+    change = label_sums[1:] * weights[:-1] != label_sums[:-1] * weights[1:]
+    starts = np.concatenate(([0], np.flatnonzero(change) + 1))
+    return (
+        np.append(starts, weights.size),
+        np.add.reduceat(weights, starts),
+        np.add.reduceat(label_sums, starts),
+    )
+
+
+def _push(top, cw: float, cy: float):
+    """Push a block of weight cw and label sum cy onto the PAVA stack whose top block is top.
+
+    A block is a tuple (weight_sum, label_sum, block on its left), and None
+    is the empty stack.  Merging is non-strict (equal block means pool), so
+    the partition is canonical, and cross-multiplies integer sums, so no
+    merge decision rounds.  Returns the new top block; top is not changed.
+    """
+    while top is not None and top[1] * cw >= cy * top[0]:
+        cw += top[0]
+        cy += top[1]
+        top = top[2]
+    return (cw, cy, top)
+
+
 def _prefix_fits(weights: np.ndarray, label_sums: np.ndarray) -> list:
     """PAVA block stacks of every prefix of pre-pooled weighted points.
 
-    fits[j] is the top block of the fit of the first j points, a tuple
-    (weight_sum, label_sum, block on its left); fits[0] is None.  Prefixes
-    share their lower blocks, so the construction is O(n).  Merging is
-    non-strict (equal block means pool), so the partition is canonical, and
-    cross-multiplies integer sums, so no merge decision rounds.  The sums are
-    Python floats: numpy's IEEE arithmetic with less overhead per operation.
+    fits[j] is the top block of the fit of the first j points (see `_push`);
+    fits[0] is None.  Prefixes share their lower blocks, so the construction
+    is O(n).  The sums are Python floats: numpy's IEEE arithmetic with less
+    overhead per operation.
     """
     fits: list = [None]
-    top = None
     for cw, cy in zip(weights.tolist(), label_sums.tolist()):
-        while top is not None and top[1] * cw >= cy * top[0]:
-            cw += top[0]
-            cy += top[1]
-            top = top[2]
-        top = (cw, cy, top)
-        fits.append(top)
+        fits.append(_push(fits[-1], cw, cy))
     return fits
 
 
@@ -108,13 +140,14 @@ def pava(scores, labels) -> IsotonicFit:
 
     Exact score ties are pooled into single weighted points before the
     pool-adjacent-violators pass, so the result is a function of score.
-    The fit is the last prefix stack of `_prefix_fits`.  Runs in O(n log n)
-    (dominated by the sort).
+    The fit is the last prefix stack of `_prefix_fits` over the label runs
+    (`_label_runs`).  Runs in O(n log n) (dominated by the sort).
     """
     s, y = labelled(scores, labels, "scores", "score")
     distinct, weights, label_sums = _pool_by_score(s, y)
+    _, run_weights, run_label_sums = _label_runs(weights, label_sums)
     means, block_weights = [], []
-    top = _prefix_fits(weights, label_sums)[-1]
+    top = _prefix_fits(run_weights, run_label_sums)[-1]
     while top is not None:  # right to left
         w, y_sum, top = top
         means.append(y_sum / w)
@@ -287,12 +320,16 @@ class VennAbersCalibrator(Frozen):
     the fit, so evaluation is order-independent.
 
     `intervals` reuses the PAVA block stacks (from `_prefix_fits`) of every
-    prefix and suffix of the calibration sequence and only re-merges around
-    the insertion point; it is exact (bit-identical to `interval_naive`, two
-    `pava` refits) because all block accounting is integer-valued.
+    prefix and suffix of the calibration sequence that ends at a label run's
+    bound (`_label_runs`).  A test score inside a run pushes the run's part
+    on its side onto the stack at the run's bound, then merges between the
+    two stacks.  It is exact (bit-identical to `interval_naive`, two `pava`
+    refits) because all block accounting is integer-valued.
 
-    Its fields are read-only copies of the calibration set; a copy or an
-    unpickled calibrator is rebuilt from them, with an empty cell table.
+    Its fields are read-only copies of the calibration set, and every array
+    derived from them is read-only too; only the cell table is written.  A
+    copy or an unpickled calibrator is rebuilt from its fields, with an
+    empty cell table.
     """
 
     calibration_scores: np.ndarray
@@ -303,24 +340,33 @@ class VennAbersCalibrator(Frozen):
         object.__setattr__(self, "calibration_scores", s.copy())
         object.__setattr__(self, "calibration_labels", y.copy())
         super().__post_init__()
-        self._distinct, self._weights, self._label_sums = _pool_by_score(s, y)
-        self._left_states = _prefix_fits(self._weights, self._label_sums)
-        # suffix stacks: prefix stacks of the reversed points with negated label
+        self._distinct, weights, label_sums = _pool_by_score(s, y)
+        self._bounds, run_weights, run_label_sums = _label_runs(weights, label_sums)
+        # exact integer sums of the first j points: a tie group's, and a run's part beside a test score
+        self._cum_weights = np.concatenate(([0.0], np.cumsum(weights)))
+        self._cum_label_sums = np.concatenate(([0.0], np.cumsum(label_sums)))
+        for derived in (self._distinct, self._bounds, self._cum_weights, self._cum_label_sums):
+            derived.setflags(write=False)
+        # _left_states[r] is the stack of the points left of run r's start, _right_states[r] of
+        # those from it on; suffix stacks are prefix stacks of the reversed runs with negated label
         # sums, which turns the merge comparison around; negation is exact
-        self._right_states = _prefix_fits(self._weights[::-1], -self._label_sums[::-1])[::-1]
+        self._left_states = _prefix_fits(run_weights, run_label_sums)
+        self._right_states = _prefix_fits(run_weights[::-1], -run_label_sums[::-1])[::-1]
         # rows p0, p1, point of cell 2 * position + tied, 24 * (2K+1) bytes; nan until the cell is asked for
         self._cells = np.full((3, 2 * self._distinct.size + 1), np.nan)
 
     # -- evaluation ---------------------------------------------------------
 
-    def _fitted_at_insert(self, position: int, tied: bool, label: float) -> float:
-        """Fitted value of a test score inserted at sorted position, joining the tie group there if tied."""
-        cw, cy = 1.0, label
-        if tied:
-            cw += float(self._weights[position])
-            cy += float(self._label_sums[position])
-        left = self._left_states[position]
-        right = self._right_states[position + tied]
+    def _fitted_between(self, left, right, cw: float, cy: float) -> float:
+        """Fitted value of a block of weight cw and label sum cy merged between the prefix stack
+        left and the suffix stack right.
+
+        A zero label sum on the suffix side is -0.0 when negated (a run's sum)
+        but +0.0 when taken as a difference of cumulative sums (a run's part
+        beside a test score).  No output bit depends on which: the comparisons
+        treat both alike, and cy starts at +0.0 or above, so cy - right[1] is
+        the same float either way.
+        """
         while True:
             merged = False
             while left is not None and left[1] * cw >= cy * left[0]:
@@ -335,6 +381,27 @@ class VennAbersCalibrator(Frozen):
                 merged = True
             if not merged:
                 return cy / cw
+
+    def _fill(self, position: np.ndarray, tied: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """p0 and p1 of the cells of test scores at sorted positions, tied or not to the point there."""
+        after = position + tied  # the first calibration point right of the score and its tie group
+        bounds, cum_w, cum_y = self._bounds, self._cum_weights, self._cum_label_sums
+        left_run = np.searchsorted(bounds, position, side="right") - 1  # the last run bound at or left of it
+        right_run = np.searchsorted(bounds, after)  # the first run bound at or right of it
+        start, end = bounds[left_run], bounds[right_run]
+        rows = zip(
+            left_run.tolist(), (cum_w[position] - cum_w[start]).tolist(), (cum_y[position] - cum_y[start]).tolist(),
+            right_run.tolist(), (cum_w[end] - cum_w[after]).tolist(), (cum_y[after] - cum_y[end]).tolist(),
+            (cum_w[after] - cum_w[position] + 1.0).tolist(), (cum_y[after] - cum_y[position]).tolist(),
+        )
+        left_states, right_states, fitted = self._left_states, self._right_states, self._fitted_between
+        p0, p1 = [], []
+        for r, left_w, left_y, q, right_w, right_y, cw, cy in rows:
+            left = _push(left_states[r], left_w, left_y) if left_w else left_states[r]
+            right = _push(right_states[q], right_w, right_y) if right_w else right_states[q]
+            p0.append(fitted(left, right, cw, cy))
+            p1.append(fitted(left, right, cw, cy + 1.0))
+        return np.array(p0, dtype=np.float64), np.array(p1, dtype=np.float64)
 
     def interval_naive(self, s_test: float) -> ProbabilityInterval:
         """Reference path, the definition: isotonic fits from scratch of the
@@ -367,10 +434,7 @@ class VennAbersCalibrator(Frozen):
         missing = np.isnan(point)
         if missing.any():
             new = np.flatnonzero(np.bincount(cells[missing]))  # np.unique would hash: several times slower
-            p0, p1 = (
-                np.array([self._fitted_at_insert(c // 2, c % 2 == 1, label) for c in new.tolist()], dtype=np.float64)
-                for label in (0.0, 1.0)
-            )
+            p0, p1 = self._fill(new >> 1, new & 1)
             table[0, new] = p0
             table[1, new] = p1
             table[2, new] = regularized_point(p0, p1)

@@ -93,14 +93,21 @@ def test_pava_matches_dp_oracle_on_random_instances():
         assert fit.fitted_values.tolist() == oracle_fit
 
 
-@pytest.mark.parametrize("case", ["2000 continuous", "20-value grid", "all labels 0", "all labels 1"])
+@pytest.mark.parametrize("case", [
+    "2000 continuous", "20-value grid", "all labels 0", "all labels 1",
+    "2000 continuous at 3.4% positives", "20-value grid at 3.4% positives",
+])
 def test_pava_matches_textbook_pava_at_scale(case):
-    """The exhaustive oracle stops at about 10 distinct points; this one reaches long blocks."""
+    """The exhaustive oracle stops at about 10 distinct points; this one reaches long blocks.
+
+    Labels drawn as P(y = 1) = score form short runs of equal label means;
+    at a 3.4% positive share, as in a fault log, most runs are long.
+    """
     rng = np.random.default_rng(77)
     scores = rng.random(2000)
-    if case == "20-value grid":
+    if case.startswith("20-value grid"):
         scores = np.floor(scores * 20) / 20
-    labels = (rng.random(scores.size) < scores).astype(np.int64)
+    labels = (rng.random(scores.size) < (0.034 if case.endswith("3.4% positives") else scores)).astype(np.int64)
     if case.startswith("all labels"):
         labels[:] = int(case[-1])
     fit = pava(scores, labels)
@@ -494,6 +501,27 @@ def test_pava_property_monotone_pooled_and_mass_preserving(points):
     assert float(np.dot(fit.weights, fit.fitted_values)) == pytest.approx(sum(labels), rel=1e-12, abs=1e-12)
 
 
+@st.composite
+def imbalanced_points(draw):
+    """Calibration scores with ties, at most one label in ten positive, so most runs of equal label means are long."""
+    scores = draw(st.lists(st.one_of(GRID_SCORES, st.floats(0.0, 1.0)), min_size=1, max_size=30))
+    positives = draw(st.sets(st.integers(0, len(scores) - 1), max_size=len(scores) // 10 + 1))
+    return scores, [int(i in positives) for i in range(len(scores))]
+
+
+@PROPERTY_SETTINGS
+@given(imbalanced_points())
+def test_venn_abers_intervals_property_match_fraction_oracle(points):
+    """intervals equals float() of the Fraction oracle's p0 and p1, bit for bit, at, between, below and
+    above the calibration scores: each is cy / cw of exact integers, which rounds as a Fraction does."""
+    scores, labels = points
+    ordered = sorted(set(scores))
+    tests = [*ordered, *((a + b) / 2 for a, b in zip(ordered, ordered[1:])), ordered[0] - 1, ordered[-1] + 1]
+    p0, p1, _ = VennAbersCalibrator(scores, labels).intervals(tests)
+    for i, s in enumerate(tests):
+        assert bits(p0[i], p1[i]) == bits(*map(float, exact_interval(scores, labels, s))), s
+
+
 def test_venn_abers_rejects_bad_inputs():
     with pytest.raises(ValueError):
         VennAbersCalibrator([], [])
@@ -586,13 +614,13 @@ def test_venn_abers_table_repeat_call_runs_no_merge(monkeypatch):
     """Each new cell costs one merge per label; a cell already in the table costs none."""
     cal, probes = table_case("tied")
     merges = []
-    original = VennAbersCalibrator._fitted_at_insert
+    original = VennAbersCalibrator._fitted_between
 
-    def counted(self, position, tied, label):
-        merges.append((position, tied, label))
-        return original(self, position, tied, label)
+    def counted(self, left, right, cw, cy):
+        merges.append((cw, cy))
+        return original(self, left, right, cw, cy)
 
-    monkeypatch.setattr(VennAbersCalibrator, "_fitted_at_insert", counted)
+    monkeypatch.setattr(VennAbersCalibrator, "_fitted_between", counted)
     first = np.repeat(probes[:50], 3)  # 50 cells, each asked for three times
     want = interval_bits(cal.intervals(first))
     assert len(merges) == 2 * 50
@@ -653,7 +681,10 @@ def test_venn_abers_pickled_after_a_partial_fill_answers_identically():
     cal.intervals(probes[: probes.size // 2])
     loaded = pickle.loads(pickle.dumps(cal))
     assert np.isnan(loaded._cells).all()  # rebuilt from its calibration set, so no filled cell travels
-    assert not (loaded.calibration_scores.flags.writeable or loaded.calibration_labels.flags.writeable)
+    for calibrator in (cal, loaded):  # a write into a derived array once changed later cells with no error
+        arrays = {name: value for name, value in vars(calibrator).items() if isinstance(value, np.ndarray)}
+        assert {"calibration_scores", "calibration_labels", "_distinct", "_cells"} <= arrays.keys()
+        assert [name for name, value in arrays.items() if value.flags.writeable] == ["_cells"]
     assert interval_bits(loaded.intervals(probes)) == interval_bits(table_case("tied")[0].intervals(probes))
     assert interval_bits(cal.intervals(probes)) == interval_bits(loaded.intervals(probes))
 
