@@ -63,6 +63,7 @@ __all__ = [
     "reject_first",
     "repeated_stratified_kfold",
     "require",
+    "sha256_hex",
     "stratified_holdout",
     "write_columns",
     "write_split_manifest",
@@ -135,6 +136,13 @@ def bounded(value, name: str, flag: str | None = None, *, low=None, inside=None,
         return int(value) if low is not None else float(value) if inside is not None else value
     shown = value.item() if isinstance(value, np.generic) else value  # got 1, not got np.int64(1)
     raise error(f"{name} must be {rule}, got {shown!r}" + (f" ({flag})" if flag else ""))
+
+
+def sha256_hex(*chunks: bytes) -> str:
+    """The sha256 (hex) of the chunks joined, the one way venncal names bytes: every digest it records."""
+    import hashlib  # loads OpenSSL, so only at a first digest, never with venncal
+
+    return hashlib.sha256(b"".join(chunks)).hexdigest()
 
 
 def finite(values, what: str) -> np.ndarray:
@@ -256,13 +264,11 @@ def load_csv(path) -> Dataset:
         path, content, ~np.isfinite(features),
         lambda i, j: f"non-finite value '{features[i, j]}' in column {feature_columns[j]!r}",
     )
-    import hashlib  # loads OpenSSL, so only when a dataset is loaded
-
     return Dataset(
         features=features,
         labels=columns[LABEL_COLUMN],
         feature_names=FEATURE_NAMES,
-        source_sha256=hashlib.sha256(content).hexdigest(),
+        source_sha256=sha256_hex(content),
     )
 
 

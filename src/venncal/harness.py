@@ -39,6 +39,7 @@ from venncal.data import (
     LABEL_CODES,
     Dataset,
     FoldSplit,
+    Frozen,
     ValidationError,
     bounded,
     load_csv,
@@ -46,6 +47,7 @@ from venncal.data import (
     read_input,
     reject_first,
     repeated_stratified_kfold,
+    sha256_hex,
     write_columns,
     write_split_manifest,
 )
@@ -237,7 +239,7 @@ def _calibrated(kind: str, cal_scores, cal_labels, test_scores):
 
 
 @dataclass
-class _FoldOutcome:
+class _FoldOutcome(Frozen):
     repetition: int
     fold: int
     model: str
@@ -360,6 +362,8 @@ def aggregate_folds(config: ExperimentConfig, predictions) -> AggregateTable:
     Folds are evaluated with the config's bins and bin mode and averaged in
     (repetition, fold) order, whatever the mapping's order.  A fold that
     fails raises RuntimeError naming its repetition, model, fold and calibrator.
+    np.mean sums folds in the pairwise order numpy fixes, and metrics.ece
+    is order-free, so no CPU path tried moved the table of fixed folds.
     """
     rows = []
     for model, cal in config.pairs():
@@ -386,6 +390,7 @@ def aggregate_folds(config: ExperimentConfig, predictions) -> AggregateTable:
 def _arithmetic_probe() -> bytes:
     """float64 bits of Platt, logistic and ECE arithmetic on one seeded probe.
 
+    Platt and logistic move with the CPU path (np.exp, BLAS); ECE, summed by math.fsum, does not, but stays probed.
     Called through their own modules: a tracer may rebind this module's names.
     """
     from venncal import calibration, metrics, models
@@ -402,45 +407,37 @@ def _arithmetic_probe() -> bytes:
     return b"".join(output.tobytes() for output in outputs)
 
 
+def _inputs(config: ExperimentConfig):
+    """(Dataset, ScoreTable) of the inputs a run of config reads, None for one it does not read."""
+    dataset = load_csv(config.dataset_path) if config.reads_dataset else None
+    table = load_score_table(config.score_table_path) if config.reads_score_table else None
+    return dataset, table
+
+
 def run_record(config: ExperimentConfig) -> dict:
-    """What produced a run's artifacts, as run_experiment writes it to run.json, for the input files as they are now.
+    """The run.json a run of config would write now; an input that does not load raises the loader's error."""
+    return _record(config, *_inputs(config))
+
+
+def _record(config: ExperimentConfig, dataset: Dataset | None, table: ScoreTable | None) -> dict:
+    """What produced a run's artifacts from the loaded inputs, as run_experiment writes it to run.json.
 
     Holds the config without jobs, output_dir and the two input paths (the
     artifacts depend on none of them), the venncal, numpy and Python
-    versions, a sha256 over the package's *.py files in sorted order, a
-    sha256 of each input file the run reads (None for one it does not read)
-    and arithmetic_sha256, which names the CPU path (exp loop, BLAS kernel).
-    It holds no timings, so a rerun of the same code, config, input bytes
-    and CPU path writes the same bytes, wherever the files lie.
+    versions and four sha256_hex digests: source_sha256 over the package's
+    *.py files in sorted order, each input's source_sha256 as its loader
+    took it (None for one the run does not read) and arithmetic_sha256,
+    which names the CPU path (exp loop, BLAS kernel).  It holds no timings,
+    so a rerun of the same code, config, input bytes and CPU path writes
+    the same bytes, wherever the files lie.
     """
-    import hashlib  # loads OpenSSL, so only when a run is recorded
-
-    def file_sha256(path) -> str:
-        digest = hashlib.sha256()
-        with open(path, "rb") as handle:
-            for block in iter(lambda: handle.read(1 << 16), b""):
-                digest.update(block)
-        return digest.hexdigest()
-
-    return _record(
-        config,
-        file_sha256(config.dataset_path) if config.reads_dataset else None,
-        file_sha256(config.score_table_path) if config.reads_score_table else None,
-    )
-
-
-def _record(config: ExperimentConfig, dataset_sha256, score_table_sha256) -> dict:
-    """run_record, with the sha256 (hex) of each input's bytes given, None for an input the run does not read."""
-    import hashlib  # loads OpenSSL, so only when a run is recorded
-
     from venncal import __version__
 
     package = Path(__file__).resolve().parent
-    source = hashlib.sha256()
+    source = []
     for path in sorted(package.rglob("*.py")):
         data = path.read_bytes()
-        source.update(f"{path.relative_to(package).as_posix()}\n{len(data)}\n".encode("utf-8"))
-        source.update(data)
+        source += [f"{path.relative_to(package).as_posix()}\n{len(data)}\n".encode("utf-8"), data]
     settings = {f.name: getattr(config, f.name) for f in fields(config)}
     del settings["jobs"], settings["output_dir"], settings["dataset_path"], settings["score_table_path"]
     return {
@@ -448,10 +445,10 @@ def _record(config: ExperimentConfig, dataset_sha256, score_table_sha256) -> dic
         "venncal_version": __version__,
         "numpy_version": np.__version__,
         "python_version": platform.python_version(),
-        "source_sha256": source.hexdigest(),
-        "arithmetic_sha256": hashlib.sha256(_arithmetic_probe()).hexdigest(),
-        "dataset_sha256": dataset_sha256,
-        "score_table_sha256": score_table_sha256,
+        "source_sha256": sha256_hex(*source),
+        "arithmetic_sha256": sha256_hex(_arithmetic_probe()),
+        "dataset_sha256": dataset and dataset.source_sha256,
+        "score_table_sha256": table and table.source_sha256,
     }
 
 
@@ -465,13 +462,10 @@ def run_experiment(config: ExperimentConfig, progress=None) -> AggregateTable:
     the fold named; identical config and seed produce byte-identical
     artifacts regardless of the jobs count.
     """
-    dataset = load_csv(config.dataset_path) if config.reads_dataset else None
-    table = load_score_table(config.score_table_path) if config.reads_score_table else None
+    dataset, table = _inputs(config)
     # taken once the inputs loaded and before the folds run, so a source file
-    # edited meanwhile is not vouched for; an input's digest is that of the
-    # bytes it was parsed from
-    digests = (loaded and loaded.source_sha256 for loaded in (dataset, table))
-    record = _record(config, *digests) if config.output_dir else None
+    # edited meanwhile is not vouched for
+    record = _record(config, dataset, table) if config.output_dir else None
     groups: list[list[_FoldOutcome]] = []  # the outcomes of each _fold_outcomes call
     splits: list[FoldSplit] = []
     if dataset is not None:

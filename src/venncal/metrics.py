@@ -8,6 +8,7 @@ same error restricted to instances predicted positive (p >= 0.5).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,13 +157,13 @@ def _reliability_bins(p: np.ndarray, y: np.ndarray, m: int, mode: str) -> Reliab
 
 
 def ece(bins: ReliabilityBins) -> float:
-    """Expected calibration error: count-weighted mean |foc - mop|."""
+    """Expected calibration error: count-weighted mean |foc - mop|, summed in no order that a CPU path can move."""
     n = bins.n_instances
     if n == 0:
         raise ValueError("ece of empty bins")
     occupied = bins.counts > 0
     gaps = np.abs(bins.fraction_positive[occupied] - bins.mean_prediction[occupied])
-    return float(np.dot(bins.counts[occupied], gaps) / n)
+    return math.fsum((bins.counts[occupied] * gaps).tolist()) / n  # rounded once; np.dot's order followed BLAS
 
 
 def minority_bins(probabilities, labels, m: int = 10, mode: str = "width") -> ReliabilityBins | None:

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from venncal.data import LABEL_CODES, Frozen, ValidationError, parse_columns, read_input, reject_first
+from venncal.data import LABEL_CODES, Frozen, ValidationError, parse_columns, read_input, reject_first, sha256_hex
 
 __all__ = ["ScoreTable", "load_score_table", "SCORE_TABLE_COLUMNS"]
 
@@ -99,12 +99,10 @@ def load_score_table(path) -> ScoreTable:
     load of the same bytes meanwhile returns this one object, and the
     module keeps it, arrays and all, after its callers drop it.
     """
-    import hashlib  # loads OpenSSL, so only when a table is loaded
-
     global _last_load
     path = Path(path)
     content = read_input(path, "score table")
-    digest = hashlib.sha256(content).hexdigest()
+    digest = sha256_hex(content)
     last = _last_load  # read once: another thread may store its table meanwhile
     if last is not None and last.source_sha256 == digest:
         return last

@@ -300,6 +300,8 @@ def test_venn_abers_all_positive_labels():
 
 
 def test_venn_abers_fast_path_bit_identical_to_naive():
+    """intervals equals interval_naive, and both equal float() of the Fraction oracle, which shares no code
+    with venncal: interval_naive pools label runs through the same code as the fast path."""
     rng = np.random.default_rng(2024)
     for _ in range(200):
         n = int(rng.integers(1, 40))
@@ -316,6 +318,7 @@ def test_venn_abers_fast_path_bit_identical_to_naive():
             assert p0 == slow.p0
             assert p1 == slow.p1
             assert point == slow.point
+            assert bits(p0, p1) == bits(*map(float, exact_interval(scores.tolist(), labels.tolist(), s))), s
 
 
 def test_venn_abers_matches_dp_oracle():

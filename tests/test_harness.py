@@ -22,8 +22,9 @@ import venncal
 import venncal.models.score_table as score_table_module
 from venncal import harness
 from venncal.cli import build_parser, main as cli_main
-from venncal.data import ParseError, SchemaError, ValidationError
+from venncal.data import ParseError, SchemaError, ValidationError, load_csv, repeated_stratified_kfold
 from venncal.harness import (
+    KNOWN_CALIBRATORS,
     POST_HOC_CALIBRATORS,
     ExperimentConfig,
     aggregate_folds,
@@ -35,6 +36,7 @@ from venncal.harness import (
     write_reliability_csv,
 )
 from venncal.metrics import evaluate, minority_bins, reliability_bins
+from venncal.models import load_score_table
 
 from support import opens_under, write_small_dataset
 
@@ -211,6 +213,22 @@ def test_run_experiment_records_the_digest_of_the_bytes_it_parsed(tmp_path):
     assert record == run_record(config)
 
 
+def test_run_record_raises_the_loaders_error_on_an_input_that_does_not_load(tmp_path):
+    """run_record takes each input's digest from its loader, so an input a run cannot load has no record."""
+    missing = tmp_path / "missing.csv"
+    with pytest.raises(FileNotFoundError, match=f"^{re.escape(f'dataset not found: {missing}')}$"):
+        run_record(small_config(tmp_path, dataset_path=str(missing)))
+    data = Path(small_config(tmp_path).dataset_path)
+    lines = data.read_text(encoding="utf-8").splitlines()
+    cells = lines[3].split(",")
+    cells[4] = "oops"  # Process temperature [K] of data row 3
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join([*lines[:3], ",".join(cells), *lines[4:]]) + "\n", encoding="utf-8")
+    message = f"{bad}: row 3: non-numeric value 'oops' in column 'Process temperature [K]'"
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        run_record(small_config(tmp_path, dataset_path=str(bad)))
+
+
 def _exp_loops() -> set[str]:
     """The dispatch targets numpy runs its float64 exp on here."""
     info = np.lib.introspect.opt_func_info(func_name="^exp$", signature="float64")
@@ -263,12 +281,74 @@ def test_aggregate_matches_fold_artifacts(tmp_path):
     assert aggregate_from_fold_csvs(tree).to_json() == table.to_json()
 
 
+# the numpy CPU features each OpenBLAS core needs; OpenBLAS falls back to an older core without them
+BLAS_CORE_FEATURES = {"Prescott": ("SSE3",), "Sandybridge": ("AVX",), "Haswell": ("AVX2", "FMA3"),
+                      "SkylakeX": ("AVX512_SKX",)}
+
+
+def test_aggregate_of_fixed_fold_csvs_has_one_digest_on_every_cpu_path(tmp_path):
+    """aggregate_folds over one set of fold CSVs, in child processes under each OpenBLAS core this CPU
+    runs and with every numpy dispatch target above the baseline off, writes one aggregate.json: ECE is
+    summed by math.fsum, where np.dot summed in an order that followed the BLAS kernel."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    config, table, _ = golden_output_run(tmp_path)
+    paths = {"default": {}}
+    for core, needs in BLAS_CORE_FEATURES.items():
+        missing = [name for name in needs if not __cpu_features__.get(name)]
+        if missing:
+            print(f"skipped OPENBLAS_CORETYPE={core}: this CPU lacks {' '.join(missing)}")
+        else:
+            paths[core] = {"OPENBLAS_CORETYPE": core}
+    targets = " ".join(name for name in __cpu_dispatch__ if __cpu_features__[name])
+    if targets:
+        paths[f"without {targets}"] = {"NPY_DISABLE_CPU_FEATURES": targets}
+    else:
+        print("skipped NPY_DISABLE_CPU_FEATURES: no numpy dispatch target above the baseline is on")
+    code = (
+        "import hashlib, json, sys\n"
+        "from venncal.harness import ExperimentConfig, aggregate_folds, read_fold_predictions\n"
+        "config = ExperimentConfig.from_dict(json.loads(sys.argv[1]))\n"
+        "folds = {pair: read_fold_predictions(config.output_dir, *pair) for pair in config.pairs()}\n"
+        "print(hashlib.sha256(aggregate_folds(config, folds).to_json().encode('utf-8')).hexdigest())\n"
+    )
+    argv = [sys.executable, "-c", code, json.dumps(dataclasses.asdict(config))]
+    src = str(Path(venncal.__file__).resolve().parent.parent)
+    env = {name: value for name, value in os.environ.items()
+           if name not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    digests = {
+        name: subprocess.run(argv, env={**env, **extra}, capture_output=True, text=True, check=True).stdout.strip()
+        for name, extra in paths.items()
+    }
+    assert set(digests.values()) == {hashlib.sha256(table.to_json().encode("utf-8")).hexdigest()}, digests
+
+
 def test_aggregate_bins_each_fold_as_configured(tmp_path):
     config = small_config(tmp_path, models=("tree",), calibrators=("none",), bins=3, bin_mode="frequency")
     row = run_experiment(config).rows[0]
     folds = read_fold_predictions(config.output_dir, "tree", "none")
     assert row.ece == float(np.mean([evaluate(p, y, m=3, mode="frequency").ece for p, y in folds.values()]))
     assert row.ece != float(np.mean([evaluate(p, y).ece for p, y in folds.values()]))  # the default bins differ
+
+
+def test_fold_outcomes_hold_read_only_arrays(tmp_path):
+    """Every array of a fold outcome is read-only: a 'none' pair's scores, p0, p1 and point are one array,
+    so one write into it would change four written columns and the aggregate."""
+    config = small_config(tmp_path, n_trees=2)
+    dataset = load_csv(config.dataset_path)
+    split = repeated_stratified_kfold(dataset, k=2, repetitions=1, seed=config.seed)[0]
+    table = load_score_table(golden_score_table(tmp_path / "scores.csv"))
+    table_pairs = [("external-scores", kind) for kind in KNOWN_CALIBRATORS]
+    outcomes = [
+        *harness._dataset_fold_outcomes(config, dataset, split),
+        *(o for group in harness._table_fold_outcomes(table, table_pairs) for o in group),
+    ]
+    assert {(o.model, o.calibrator) for o in outcomes} == {*config.pairs(), *table_pairs}
+    for o in outcomes:
+        arrays = {name: value for name, value in vars(o).items() if isinstance(value, np.ndarray)}
+        assert len(arrays) == 6
+        assert [name for name, array in arrays.items() if array.flags.writeable] == [], (o.model, o.calibrator)
 
 
 def test_paired_test_sets_across_variants(tmp_path):
@@ -837,10 +917,11 @@ def test_load_fold_predictions_rejects_point_outside_unit_interval(tmp_path):
 # sha256 of every CSV kind venncal writes, recorded before the writers were
 # merged into one; fold files are hashed together, name then bytes (the
 # folds digest was taken over the fold CSVs alone once runs stopped writing
-# per-fold metric JSONs)
+# per-fold metric JSONs); aggregate.json was re-recorded once metrics.ece
+# summed with math.fsum, whose result no BLAS core changes
 GOLDEN_OUTPUT_DIGESTS = {
     "folds": "5fff676396936be476d3833323e14f65e7be599132a2820ee1825197dd95fb61",
-    "aggregate.json": "4937c6b25a46630d591e2b6ebe458116a90a26f89efd6d572bca1f75d6554a36",
+    "aggregate.json": "609e2657c031cd66f331c7c5355bf450cb4effa386ff7f6a4c9127cc0512fb68",
     "table.txt": "120ed80a348c23967a9b9b2e16d7f5bac200fb4dd29023cfd40f5a50eab250d7",
     "splits.json": "dad9db2e86e9a22231d5a35c1ccdbd085742acd9b544514d0920271edcc55469",
     "calibrated venn-abers": "fbf460c5a32491b9210cbe1561cb2977b736bf48533fa77a93ea94178f7db377",

@@ -1,4 +1,4 @@
-"""No venncal module imports a private name of another venncal module.
+"""No venncal module imports a private name of another venncal module, and only data imports hashlib.
 
 A private name is one that starts with "_" and is not a dunder such as
 ``__version__``.  A module that needs another's private helper should get
@@ -47,3 +47,15 @@ def test_the_package_has_modules():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.relative_to(PACKAGE).as_posix())
 def test_no_module_imports_another_modules_private_name(path):
     assert _private_imports(path) == []
+
+
+def test_hashlib_is_imported_by_data_alone():
+    """data.sha256_hex takes every digest venncal records, so it is the one place OpenSSL is loaded from."""
+    importers = [
+        path.relative_to(PACKAGE).as_posix()
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if (isinstance(node, ast.Import) and any(alias.name == "hashlib" for alias in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "hashlib")
+    ]
+    assert importers == ["data.py"]
