@@ -71,16 +71,23 @@ class ScoreTable(Frozen):
 
         Each partition is (instance_ids, scores, labels) in file order.  A
         fold without a calibration or a test row raises ValidationError
-        naming the fold and the missing partition.
+        naming the fold and the missing partition, once the fold is reached.
         """
-        for fold in np.unique(self.fold_id).tolist():
-            in_fold = self.fold_id == fold
-            partitions = []
-            for partition, mask in zip(_PARTITIONS, (in_fold & ~self.is_test, in_fold & self.is_test)):
-                if not mask.any():
+        if not self.n_rows:
+            return
+        # one stable sort: by fold, calibration rows before test rows, each in file order;
+        # a key 2 * fold_id + is_test would wrap for fold ids beyond 2^62 in magnitude
+        order = np.lexsort((self.is_test, self.fold_id))
+        fold_id, is_test = self.fold_id[order], self.is_test[order]
+        columns = [column[order] for column in (self.instance_id, self.score, self.label)]
+        starts = (np.flatnonzero(fold_id[1:] != fold_id[:-1]) + 1).tolist()  # of every fold but the first
+        for start, end in zip([0, *starts], [*starts, self.n_rows]):
+            fold = int(fold_id[start])
+            mid = end - int(np.count_nonzero(is_test[start:end]))
+            for partition, size in zip(_PARTITIONS, (mid - start, end - mid)):
+                if not size:
                     raise ValidationError(f"fold {fold}: missing {partition} partition")
-                partitions.append((self.instance_id[mask], self.score[mask], self.label[mask]))
-            yield fold, *partitions
+            yield fold, *(tuple(column[lo:hi] for column in columns) for lo, hi in ((start, mid), (mid, end)))
 
 
 # the table of the last load that succeeded, keyed by its source_sha256

@@ -15,15 +15,16 @@ subset per splittable node in preorder.
 
 One builder, ``_grow``, grows every tree: a forest's trees in lockstep and
 a single tree as a forest of one.  Features are rank-coded once per fit.
-Each step takes pending nodes of the trees in flight and searches all of
-them at once.  A tree that draws feature subsets gives its next splittable
-node in preorder, so its random stream is drawn exactly as if it were
-grown alone.  A tree that draws none (every ``fit_tree``, and every tree
-of a forest on one feature) gives all its pending splittable nodes,
-breadth-first as SPRINT grows a tree (Shafer, Agrawal & Mehta, VLDB
-1996); its nodes are numbered as the steps take them and renumbered to
-preorder once it is done, so either way a model is in preorder.  One
-sort of packed keys
+A split records its two children as leaves, and only a child that can
+split is pushed on its tree's stack, right child first.  Each step takes
+pending nodes of the trees in flight and searches all of them at once: the
+top one of a tree that draws feature subsets, so its random stream is
+drawn in preorder exactly as if it were grown alone, and all of a tree
+that draws none (every ``fit_tree``, and every tree of a forest on one
+feature), breadth-first as SPRINT grows a tree (Shafer, Agrawal & Mehta,
+VLDB 1996).  A tree is done when its stack is empty, and is then
+renumbered to preorder once, so every model is in preorder.  One sort of
+packed keys
 ``(slot * k + candidate) << bits | (2 * rank + label)``, one slot per node
 of the step, orders every (node, candidate feature) segment by value, a
 cumulative sum over runs of equal keys counts the positives left of each
@@ -149,7 +150,7 @@ class DecisionTreeModel(Frozen):
         depths = self.node_depths()
         keep = np.flatnonzero(depths <= max_depth)
         split = (self.feature_index[keep] != _NO_FEATURE) & (depths[keep] < max_depth)
-        return _renumbered(self, keep, split)
+        return replace(self, **_renumbered({name: getattr(self, name) for name in _NODE_ARRAYS}, keep, split))
 
     @cached_property
     def _packed(self) -> "_Packed":  # packed on first use: _grow builds trees no one walks alone
@@ -417,38 +418,37 @@ class _Tree:
     ``rows`` holds original row ids (a bootstrap sample repeats some), not
     copies of feature rows; every node owns a contiguous range of it, which
     a split partitions in place into the left child's range followed by the
-    right child's.
+    right child's.  Nodes are numbered as they are recorded, the root first.
     """
 
-    def __init__(self, rows: np.ndarray, positives: int, rng: np.random.Generator):
+    def __init__(self, rows: np.ndarray, positives: int, rng: np.random.Generator, min_rows: int):
         self.rows = rows
         self.rng = rng
+        self.min_rows = min_rows
         self.subsets: np.ndarray | None = None
         self.next_subset = 0
-        # pending (start, end, parent, is_right, positives); the right child
-        # is pushed first, so nodes taken one per step pop in preorder
-        self.stack = [(0, rows.size, -1, False, positives)]
+        self.stack = []  # (node, start, end, positives) of each recorded node that can split, not yet searched
         # typed arrays: 8 bytes a value, where a list would also hold an object
         self.feature_index = array("q")
         self.threshold = array("d")
-        self.left = array("q")
-        self.right = array("q")
+        self.left_child = array("q")
+        self.right_child = array("q")
         self.n_samples = array("q")
         self.n_positive = array("q")
+        self.record(0, rows.size, positives)
 
-    def pop_node(self):
-        """Pop the top pending node and number it next, recorded as a leaf until it splits."""
-        start, end, parent, is_right, pos = self.stack.pop()
-        node = len(self.feature_index)
+    def record(self, start: int, end: int, positives: int) -> int:
+        """Number the node of rows[start:end] next, as a leaf until it splits, and push it if it can split."""
+        node = len(self.n_samples)
         self.feature_index.append(_NO_FEATURE)
         self.threshold.append(np.nan)
-        self.left.append(-1)
-        self.right.append(-1)
+        self.left_child.append(-1)
+        self.right_child.append(-1)
         self.n_samples.append(end - start)
-        self.n_positive.append(pos)
-        if parent >= 0:
-            (self.right if is_right else self.left)[parent] = node
-        return node, start, end, pos
+        self.n_positive.append(positives)
+        if 0 < positives < end - start >= self.min_rows:
+            self.stack.append((node, start, end, positives))
+        return node
 
     def candidate_features(self, n_features: int, max_features: int) -> np.ndarray:
         # batched uniform subsets: the smallest k of i.i.d. uniforms per row
@@ -461,36 +461,23 @@ class _Tree:
         return self.subsets[self.next_subset - 1]
 
 
-def _renumbered(tree: DecisionTreeModel, nodes: np.ndarray, split: np.ndarray) -> DecisionTreeModel:
-    """The tree of the given nodes, numbered in their order; split says which of them stay splits.
+def _renumbered(arrays: dict, nodes: np.ndarray, split: np.ndarray) -> dict:
+    """The node arrays of the given nodes, numbered in their order; split says which of them stay splits.
 
-    The others become leaves.  The children of every node that stays a
+    arrays maps each name of ``_NODE_ARRAYS`` to a tree's array of it.  The
+    other nodes become leaves.  The children of every node that stays a
     split must be among nodes.
     """
-    number = np.zeros(tree.n_nodes, dtype=np.int64)
+    number = np.zeros(arrays["n_samples"].size, dtype=np.int64)
     number[nodes] = np.arange(nodes.size)
-    return replace(
-        tree,
-        feature_index=np.where(split, tree.feature_index[nodes], _NO_FEATURE),
-        threshold=np.where(split, tree.threshold[nodes], np.nan),
-        left_child=np.where(split, number[tree.left_child[nodes]], -1),
-        right_child=np.where(split, number[tree.right_child[nodes]], -1),
-        n_samples=tree.n_samples[nodes],
-        n_positive=tree.n_positive[nodes],
-    )
-
-
-def _in_preorder(tree: DecisionTreeModel) -> DecisionTreeModel:
-    """The tree with its nodes renumbered to preorder, left subtree first."""
-    left, right = tree.left_child.tolist(), tree.right_child.tolist()
-    order, stack = [], [0]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        if left[node] >= 0:
-            stack += (right[node], left[node])
-    order = np.array(order)
-    return _renumbered(tree, order, tree.feature_index[order] != _NO_FEATURE)
+    return {
+        "feature_index": np.where(split, arrays["feature_index"][nodes], _NO_FEATURE),
+        "threshold": np.where(split, arrays["threshold"][nodes], np.nan),
+        "left_child": np.where(split, number[arrays["left_child"][nodes]], -1),
+        "right_child": np.where(split, number[arrays["right_child"][nodes]], -1),
+        "n_samples": arrays["n_samples"][nodes],
+        "n_positive": arrays["n_positive"][nodes],
+    }
 
 
 def _rank_codes(x: np.ndarray, labels: np.ndarray):
@@ -614,13 +601,14 @@ def _grow(
 ) -> list[DecisionTreeModel]:
     """Grow one tree per generator, all in lockstep, to full depth; the only tree builder.
 
-    A node splits while it is impure and holds at least 2 * min_samples_leaf
-    rows.  Tree t draws from rngs[t] alone: its bootstrap sample first (when
-    bootstrap is set), then one feature subset per splittable node in
-    preorder (when max_features is below the feature count).  A step takes
-    the next splittable node of every such tree in flight, or all pending
-    splittable nodes of a tree that draws no subsets, and searches them all
-    at once, so each tree equals the one grown alone from its generator.
+    A node can split while it is impure and holds at least 2 *
+    min_samples_leaf rows.  Tree t draws from rngs[t] alone: its bootstrap
+    sample first (when bootstrap is set), then one feature subset per
+    splittable node in preorder (when max_features is below the feature
+    count).  A step searches at once the top pending node of every such tree
+    in flight and all pending nodes of every tree that draws no subsets, so
+    each tree equals the one grown alone from its generator.  A tree whose
+    stack is empty is done and renumbered to preorder.
     """
     n, n_features = x.shape
     min_samples_leaf = bounded(min_samples_leaf, "min_samples_leaf", low=1)
@@ -634,19 +622,22 @@ def _grow(
     row_dtype = np.min_scalar_type(n - 1)
 
     def model(tree: _Tree) -> DecisionTreeModel:
-        grown = DecisionTreeModel(
-            feature_index=np.array(tree.feature_index, dtype=np.int64),
-            threshold=np.array(tree.threshold, dtype=np.float64),
-            left_child=np.array(tree.left, dtype=np.int64),
-            right_child=np.array(tree.right, dtype=np.int64),
-            n_samples=np.array(tree.n_samples, dtype=np.int64),
-            n_positive=np.array(tree.n_positive, dtype=np.int64),
+        """The grown tree, renumbered to preorder."""
+        left, right = tree.left_child.tolist(), tree.right_child.tolist()
+        order, stack = [], [0]
+        while stack:
+            node = stack.pop()
+            order.append(node)
+            if left[node] >= 0:
+                stack += (right[node], left[node])
+        order = np.array(order)
+        arrays = {name: np.array(getattr(tree, name)) for name in _NODE_ARRAYS}
+        return DecisionTreeModel(
+            **_renumbered(arrays, order, arrays["feature_index"][order] != _NO_FEATURE),
             n_features=n_features,
             min_samples_leaf=min_samples_leaf,
             seed=seed,
         )
-        # a tree that draws no subsets numbered its nodes as the steps took them
-        return grown if subsets else _in_preorder(grown)
 
     def split(step: list) -> None:
         """Search every node of one step at once and split those that can.
@@ -721,8 +712,9 @@ def _grow(
             mid = start + n_l
             tree.rows[start:mid] = left_rows[l_at : l_at + n_l]
             tree.rows[mid:end] = right_rows[r_at : r_at + end - mid]
-            tree.stack.append((mid, end, node, True, pos - p_l))
-            tree.stack.append((start, mid, node, False, p_l))
+            # right first, so nodes taken one per step pop in preorder
+            tree.right_child[node] = tree.record(mid, end, pos - p_l)
+            tree.left_child[node] = tree.record(start, mid, p_l)
 
     grown: list[DecisionTreeModel | None] = [None] * len(rngs)
     waiting = list(enumerate(rngs))[::-1]
@@ -731,27 +723,23 @@ def _grow(
         while waiting and len(flight) < _TREES_IN_FLIGHT:
             index, rng = waiting.pop()
             sample = (rng.integers(0, n, size=n) if bootstrap else np.arange(n)).astype(row_dtype)
-            flight.append((index, _Tree(sample, int(labels[sample].sum()), rng)))
+            flight.append((index, _Tree(sample, int(labels[sample].sum()), rng, min_rows)))
 
         step = []  # (tree, node, start, end, positives)
         n_rows = 0
         taken, skipped = [], []
         for index, tree in flight:
+            if not tree.stack:
+                grown[index] = model(tree)
+                continue
             first, fits = len(step), True
             # a tree that draws subsets gives one node, so its generator draws in preorder
             while tree.stack and fits and not (subsets and len(step) > first):
-                start, end, _, _, pos = tree.stack[-1]
-                if not 0 < pos < end - start >= min_rows:
-                    tree.pop_node()  # a leaf
-                elif fits := not step or n_rows + end - start <= _ROWS_PER_STEP:
-                    step.append((tree, *tree.pop_node()))
+                _, start, end, _ = tree.stack[-1]
+                if fits := not step or n_rows + end - start <= _ROWS_PER_STEP:
+                    step.append((tree, *tree.stack.pop()))
                     n_rows += end - start
-            if not fits:
-                skipped.append((index, tree))
-            elif len(step) > first:
-                taken.append((index, tree))
-            else:
-                grown[index] = model(tree)
+            (taken if fits else skipped).append((index, tree))
         # a tree whose node did not fit goes first in the next step
         flight = skipped + taken
         if step:

@@ -508,6 +508,57 @@ def test_forest_recursion_matches_oracle_everywhere():
                 stack.append((tree.right_child[node], idx[~go_left]))
 
 
+def _assert_preorder(tree, n_rows, n_positive):
+    """Split node i has children i + 1 and i + 1 + (size of the left subtree), and its counts are theirs summed."""
+    split = np.flatnonzero(tree.feature_index != -1)
+    left, right = tree.left_child, tree.right_child
+    size = np.ones(tree.n_nodes, dtype=np.int64)
+    for node in split[::-1].tolist():  # children lie after their parent
+        size[node] += size[left[node]] + size[right[node]]
+    assert size[0] == tree.n_nodes
+    assert (tree.n_samples[0], tree.n_positive[0]) == (n_rows, n_positive)
+    assert left[split].tolist() == (split + 1).tolist()
+    assert right[split].tolist() == (split + 1 + size[split + 1]).tolist()
+    for counts in (tree.n_samples, tree.n_positive):
+        assert counts[split].tolist() == (counts[left[split]] + counts[right[split]]).tolist()
+    leaf = tree.feature_index == -1
+    assert np.all(left[leaf] == -1) and np.all(right[leaf] == -1) and np.all(np.isnan(tree.threshold[leaf]))
+
+
+def test_grown_trees_are_in_preorder_and_built_once(monkeypatch):
+    built = []
+    post_init = DecisionTreeModel.__post_init__
+    monkeypatch.setattr(DecisionTreeModel, "__post_init__", lambda self: built.append(self) or post_init(self))
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(20, 120))
+        x = rng.integers(0, 6, size=(n, 4)).astype(float)
+        x[:, 3] = rng.normal(size=n)
+        y = (x[:, 0] + x[:, 3] + rng.normal(size=n) > 2.5).astype(int)
+        for features in (x, x[:, 3:]):
+            for min_samples_leaf in (1, 2, 6):
+                built.clear()
+                tree = fit_tree(features, y, min_samples_leaf=min_samples_leaf, seed=seed)
+                assert [id(model) for model in built] == [id(tree)]  # one model, built in preorder
+                _assert_preorder(tree, n, y.sum())
+            built.clear()
+            forest = fit_forest(features, y, n_trees=6, seed=seed)
+            assert sorted(map(id, built)) == sorted(map(id, forest.trees))  # trees finish in any order
+            for tree, stream in zip(forest.trees, np.random.SeedSequence(seed).spawn(6)):
+                sample = np.random.default_rng(stream).integers(0, n, size=n)
+                _assert_preorder(tree, n, y[sample].sum())
+    # one-leaf trees: pure labels, and mixed labels on fewer than 2 * min_samples_leaf rows
+    for x, y, min_samples_leaf in (
+        ([[1.0], [2.0], [3.0]], [0, 0, 0], 1),
+        ([[0.0, 1.0]] * 5, [1] * 5, 1),
+        ([[float(i)] for i in range(11)], [0, 1] * 5 + [1], 6),
+    ):
+        built.clear()
+        tree = fit_tree(x, y, min_samples_leaf=min_samples_leaf)
+        assert [id(model) for model in built] == [id(tree)] and tree.n_nodes == 1
+        _assert_preorder(tree, len(y), sum(y))
+
+
 # ---------------------------------------------------------------------------
 # golden output: model.to_dict() digests, recorded with the earlier per-node builder;
 # re-recorded when documents lost max_depth, min_samples_split, max_features and
@@ -1067,6 +1118,48 @@ def test_score_table_roundtrip(tmp_path):
     assert labels.tolist() == [1]
     with pytest.raises(ValueError, match="^fold 1: missing calibration partition$"):
         next(folds)
+
+
+def _folds_by_masks(table):
+    """ScoreTable.folds as a boolean mask per fold and partition, the reference it must match."""
+    for fold in np.unique(table.fold_id).tolist():
+        in_fold = table.fold_id == fold
+        partitions = []
+        for partition, mask in (("calibration", in_fold & ~table.is_test), ("test", in_fold & table.is_test)):
+            if not mask.any():
+                raise ValidationError(f"fold {fold}: missing {partition} partition")
+            partitions.append((table.instance_id[mask], table.score[mask], table.label[mask]))
+        yield fold, *partitions
+
+
+def _fold_outcome(folds):
+    """Each fold, its type, and its partitions' dtypes and bytes, up to the error a fold raised, if any."""
+    outcome = []
+    try:
+        for fold, *partitions in folds:
+            outcome.append((type(fold), fold, [(part.dtype.str, part.tobytes()) for parts in partitions for part in parts]))
+    except ValidationError as err:
+        outcome.append(str(err))
+    return outcome
+
+
+def test_score_table_folds_match_a_mask_per_fold():
+    rng = np.random.default_rng(43)
+    extremes = [np.iinfo(np.int64).min, np.iinfo(np.int64).max]
+    errors = 0
+    for trial in range(300):
+        n = int(rng.integers(0, 80))
+        # non-contiguous fold ids, negative ones, and in some tables the int64 extremes
+        ids = rng.choice(np.arange(-7, 30, 3), size=int(rng.integers(1, 6)), replace=False).tolist()
+        ids += extremes if trial % 5 == 0 else []
+        fold_id = rng.choice(np.array(ids, dtype=np.int64), size=n)
+        is_test = rng.random(n) < rng.uniform(0.05, 0.95)  # partitions interleaved in file order
+        table = ScoreTable(rng.permutation(n).astype(np.int64), fold_id, is_test, rng.random(n),
+                           rng.integers(0, 2, size=n))
+        expected = _fold_outcome(_folds_by_masks(table))
+        assert _fold_outcome(table.folds()) == expected, trial
+        errors += any(isinstance(outcome, str) for outcome in expected)
+    assert 30 < errors < 270  # both tables that raise and tables that do not were drawn
 
 
 def test_score_table_out_of_range_score_names_row(tmp_path):
