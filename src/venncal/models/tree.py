@@ -15,16 +15,19 @@ subset per splittable node in preorder.
 
 One builder, ``_grow``, grows every tree: a forest's trees in lockstep and
 a single tree as a forest of one.  Features are rank-coded once per fit.
-A split records its two children as leaves, and only a child that can
-split is pushed on its tree's stack, right child first.  Each step takes
-pending nodes of the trees in flight and searches all of them at once: the
-top one of a tree that draws feature subsets, so its random stream is
-drawn in preorder exactly as if it were grown alone, and all of a tree
-that draws none (every ``fit_tree``, and every tree of a forest on one
-feature), breadth-first as SPRINT grows a tree (Shafer, Agrawal & Mehta,
-VLDB 1996).  A tree is done when its stack is empty, and is then
-renumbered to preorder once, so every model is in preorder.  One sort of
-packed keys
+Each step takes pending nodes of the trees in flight and searches all of
+them at once: the top one of a tree that draws feature subsets, so its
+random stream is drawn in preorder exactly as if it were grown alone, and
+all of a tree that draws none (every ``fit_tree``, and every tree of a
+forest on one feature), breadth-first as SPRINT grows a tree (Shafer,
+Agrawal & Mehta, VLDB 1996).  A step writes its node records once, as
+arrays: each split node's id, feature and threshold, and its children's
+sizes and positives, the children taking the next ids of the fit.  Only a
+child that can split is pushed on its tree's stack, right child first,
+and a tree is done when its stack is empty.  Once the last tree is done,
+every tree is numbered in preorder in one pass, subtree sizes from the
+last step back and positions from the first step on, so every model is
+in preorder and is built once.  One sort of packed keys
 ``(slot * k + candidate) << bits | (2 * rank + label)``, one slot per node
 of the step, orders every (node, candidate feature) segment by value, a
 cumulative sum over runs of equal keys counts the positives left of each
@@ -150,7 +153,17 @@ class DecisionTreeModel(Frozen):
         depths = self.node_depths()
         keep = np.flatnonzero(depths <= max_depth)
         split = (self.feature_index[keep] != _NO_FEATURE) & (depths[keep] < max_depth)
-        return replace(self, **_renumbered({name: getattr(self, name) for name in _NODE_ARRAYS}, keep, split))
+        number = np.zeros(self.n_nodes, dtype=np.int64)
+        number[keep] = np.arange(keep.size)
+        return replace(
+            self,
+            feature_index=np.where(split, self.feature_index[keep], _NO_FEATURE),
+            threshold=np.where(split, self.threshold[keep], np.nan),
+            left_child=np.where(split, number[self.left_child[keep]], -1),
+            right_child=np.where(split, number[self.right_child[keep]], -1),
+            n_samples=self.n_samples[keep],
+            n_positive=self.n_positive[keep],
+        )
 
     @cached_property
     def _packed(self) -> "_Packed":  # packed on first use: _grow builds trees no one walks alone
@@ -413,42 +426,22 @@ def _key_dtype(bits: int):
 
 
 class _Tree:
-    """One tree being grown: its rows, its pending nodes and its node arrays.
+    """One tree being grown: its rows and its pending nodes.
 
     ``rows`` holds original row ids (a bootstrap sample repeats some), not
-    copies of feature rows; every node owns a contiguous range of it, which
-    a split partitions in place into the left child's range followed by the
-    right child's.  Nodes are numbered as they are recorded, the root first.
+    copies of feature rows; every pending node owns a contiguous range of
+    it, which a split partitions in place into the left child's range
+    followed by the right child's.  ``stack`` holds (node, start, end,
+    positives) of each node that can split and is not yet searched, node
+    being its id in the fit; the tree is done when it is empty.
     """
 
-    def __init__(self, rows: np.ndarray, positives: int, rng: np.random.Generator, min_rows: int):
+    def __init__(self, rows: np.ndarray, stack: list, rng: np.random.Generator):
         self.rows = rows
+        self.stack = stack
         self.rng = rng
-        self.min_rows = min_rows
         self.subsets: np.ndarray | None = None
         self.next_subset = 0
-        self.stack = []  # (node, start, end, positives) of each recorded node that can split, not yet searched
-        # typed arrays: 8 bytes a value, where a list would also hold an object
-        self.feature_index = array("q")
-        self.threshold = array("d")
-        self.left_child = array("q")
-        self.right_child = array("q")
-        self.n_samples = array("q")
-        self.n_positive = array("q")
-        self.record(0, rows.size, positives)
-
-    def record(self, start: int, end: int, positives: int) -> int:
-        """Number the node of rows[start:end] next, as a leaf until it splits, and push it if it can split."""
-        node = len(self.n_samples)
-        self.feature_index.append(_NO_FEATURE)
-        self.threshold.append(np.nan)
-        self.left_child.append(-1)
-        self.right_child.append(-1)
-        self.n_samples.append(end - start)
-        self.n_positive.append(positives)
-        if 0 < positives < end - start >= self.min_rows:
-            self.stack.append((node, start, end, positives))
-        return node
 
     def candidate_features(self, n_features: int, max_features: int) -> np.ndarray:
         # batched uniform subsets: the smallest k of i.i.d. uniforms per row
@@ -459,25 +452,6 @@ class _Tree:
             self.next_subset = 0
         self.next_subset += 1
         return self.subsets[self.next_subset - 1]
-
-
-def _renumbered(arrays: dict, nodes: np.ndarray, split: np.ndarray) -> dict:
-    """The node arrays of the given nodes, numbered in their order; split says which of them stay splits.
-
-    arrays maps each name of ``_NODE_ARRAYS`` to a tree's array of it.  The
-    other nodes become leaves.  The children of every node that stays a
-    split must be among nodes.
-    """
-    number = np.zeros(arrays["n_samples"].size, dtype=np.int64)
-    number[nodes] = np.arange(nodes.size)
-    return {
-        "feature_index": np.where(split, arrays["feature_index"][nodes], _NO_FEATURE),
-        "threshold": np.where(split, arrays["threshold"][nodes], np.nan),
-        "left_child": np.where(split, number[arrays["left_child"][nodes]], -1),
-        "right_child": np.where(split, number[arrays["right_child"][nodes]], -1),
-        "n_samples": arrays["n_samples"][nodes],
-        "n_positive": arrays["n_positive"][nodes],
-    }
 
 
 def _rank_codes(x: np.ndarray, labels: np.ndarray):
@@ -607,10 +581,18 @@ def _grow(
     splittable node in preorder (when max_features is below the feature
     count).  A step searches at once the top pending node of every such tree
     in flight and all pending nodes of every tree that draws no subsets, so
-    each tree equals the one grown alone from its generator.  A tree whose
-    stack is empty is done and renumbered to preorder.
+    each tree equals the one grown alone from its generator.
+
+    Node ids run across the fit: tree t's root is node t, and a step that
+    splits s nodes numbers their left children next, then their right
+    children.  Each step writes its node records once, as arrays: the split
+    nodes' ids, features and thresholds, and the children's sizes and
+    positives.  Once every tree is done, all trees are numbered in preorder
+    in one pass and each model is built once, as slices of the trees'
+    concatenated node arrays.
     """
     n, n_features = x.shape
+    n_trees = len(rngs)
     min_samples_leaf = bounded(min_samples_leaf, "min_samples_leaf", low=1)
     subsets = max_features < n_features
     k = max_features  # candidate features per node
@@ -620,31 +602,30 @@ def _grow(
     min_rows = 2 * min_samples_leaf
     # the smallest dtype for row ids: every tree in flight holds n of them
     row_dtype = np.min_scalar_type(n - 1)
+    # node records, each step's appended at once to one typed buffer per field: a
+    # buffer grows in place, where an array per step would scatter small blocks over
+    # the heap and raise peak memory by about a megabyte
+    root_positives = np.zeros(n_trees, dtype=np.int64)
+    splits = []  # the number of nodes each step split
+    parents, features, thresholds = array("q"), array("q"), array("d")  # of the split nodes
+    child_samples, child_positives = array("q"), array("q")  # of their children, in node id order
+    next_node = n_trees
 
-    def model(tree: _Tree) -> DecisionTreeModel:
-        """The grown tree, renumbered to preorder."""
-        left, right = tree.left_child.tolist(), tree.right_child.tolist()
-        order, stack = [], [0]
-        while stack:
-            node = stack.pop()
-            order.append(node)
-            if left[node] >= 0:
-                stack += (right[node], left[node])
-        order = np.array(order)
-        arrays = {name: np.array(getattr(tree, name)) for name in _NODE_ARRAYS}
-        return DecisionTreeModel(
-            **_renumbered(arrays, order, arrays["feature_index"][order] != _NO_FEATURE),
-            n_features=n_features,
-            min_samples_leaf=min_samples_leaf,
-            seed=seed,
-        )
+    def record(buffer: array, chunk: np.ndarray) -> None:
+        buffer.frombytes(np.asarray(chunk, dtype=buffer.typecode).tobytes())
+
+    def splittable(size, positives):
+        """Whether a node of size rows, positives of them positive, can split; elementwise on arrays."""
+        return (0 < positives) & (positives < size) & (size >= min_rows)
 
     def split(step: list) -> None:
-        """Search every node of one step at once and split those that can.
+        """Search every node of one step at once, split those that can, and record the splits.
 
-        step holds (tree, node, start, end, positives) per node; the
-        arrays below die on return, before the next step allocates its own.
+        step holds (tree, node, start, end, positives) per node.  Only the
+        step's records outlive it: its other arrays die on return, before
+        the next step allocates its own.
         """
+        nonlocal next_node
         # key = (slot * k + candidate) << bits | (2 * rank + label), one slot per node
         key_dtype = _key_dtype(bits + (len(step) * k - 1).bit_length())
         segment_keys = (np.arange(len(step) * k, dtype=key_dtype) << bits).reshape(len(step), k)
@@ -685,6 +666,15 @@ def _grow(
             thr = (lo + hi) / 2.0
         adjacent = ~((lo < thr) & (thr < hi))  # adjacent floats: keep routing consistent
         thr[adjacent] = lo[adjacent]
+        n_right = sizes[slot] - n_left
+        p_right = positives[slot] - p_left
+        splits.append(slot.size)
+        record(parents, np.array([entry[1] for entry in step])[slot])
+        record(features, feature)
+        record(thresholds, thr)
+        for counts, side in ((child_samples, n_left), (child_samples, n_right),
+                             (child_positives, p_left), (child_positives, p_right)):
+            record(counts, side)
 
         # partition every splitting node's rows: left range, then right range
         split_feature = np.zeros(len(step), dtype=np.intp)
@@ -702,35 +692,40 @@ def _grow(
         right_sizes = sizes - left_sizes
         left_at = np.cumsum(left_sizes) - left_sizes
         right_at = np.cumsum(right_sizes) - right_sizes
-        for j, f, t, n_l, p_l, l_at, r_at in zip(
-            slot.tolist(), feature.tolist(), thr.tolist(), n_left.tolist(), p_left.tolist(),
-            left_at[slot].tolist(), right_at[slot].tolist(),
+        # only a child that can split is searched again, so only its rows are written back
+        left_ok, right_ok = splittable(n_left, p_left), splittable(n_right, p_right)
+        todo = np.flatnonzero(left_ok | right_ok)
+        s = slot.size
+        for j, node, n_l, p_l, l_at, r_at, l_ok, r_ok in zip(
+            slot[todo].tolist(), (next_node + todo).tolist(), n_left[todo].tolist(), p_left[todo].tolist(),
+            left_at[slot[todo]].tolist(), right_at[slot[todo]].tolist(), left_ok[todo].tolist(),
+            right_ok[todo].tolist(),
         ):
-            tree, node, start, end, pos = step[j]
-            tree.feature_index[node] = f
-            tree.threshold[node] = t
+            tree, _, start, end, pos = step[j]
             mid = start + n_l
-            tree.rows[start:mid] = left_rows[l_at : l_at + n_l]
-            tree.rows[mid:end] = right_rows[r_at : r_at + end - mid]
             # right first, so nodes taken one per step pop in preorder
-            tree.right_child[node] = tree.record(mid, end, pos - p_l)
-            tree.left_child[node] = tree.record(start, mid, p_l)
+            if r_ok:
+                tree.rows[mid:end] = right_rows[r_at : r_at + end - mid]
+                tree.stack.append((node + s, mid, end, pos - p_l))
+            if l_ok:
+                tree.rows[start:mid] = left_rows[l_at : l_at + n_l]
+                tree.stack.append((node, start, mid, p_l))
+        next_node += 2 * s
 
-    grown: list[DecisionTreeModel | None] = [None] * len(rngs)
     waiting = list(enumerate(rngs))[::-1]
-    flight: list[tuple[int, _Tree]] = []
+    flight: list[_Tree] = []
     while waiting or flight:
         while waiting and len(flight) < _TREES_IN_FLIGHT:
-            index, rng = waiting.pop()
+            root, rng = waiting.pop()
             sample = (rng.integers(0, n, size=n) if bootstrap else np.arange(n)).astype(row_dtype)
-            flight.append((index, _Tree(sample, int(labels[sample].sum()), rng, min_rows)))
+            positives = root_positives[root] = int(labels[sample].sum())
+            flight.append(_Tree(sample, [(root, 0, n, positives)] if splittable(n, positives) else [], rng))
 
         step = []  # (tree, node, start, end, positives)
         n_rows = 0
         taken, skipped = [], []
-        for index, tree in flight:
-            if not tree.stack:
-                grown[index] = model(tree)
+        for tree in flight:
+            if not tree.stack:  # done: its records are all written
                 continue
             first, fits = len(step), True
             # a tree that draws subsets gives one node, so its generator draws in preorder
@@ -739,12 +734,65 @@ def _grow(
                 if fits := not step or n_rows + end - start <= _ROWS_PER_STEP:
                     step.append((tree, *tree.stack.pop()))
                     n_rows += end - start
-            (taken if fits else skipped).append((index, tree))
+            (taken if fits else skipped).append(tree)
         # a tree whose node did not fit goes first in the next step
         flight = skipped + taken
         if step:
             split(step)
-    return grown
+
+    # number every tree in preorder: subtree sizes from the last step back, since a
+    # node splits only in a step after the one that made it, then, in the same array,
+    # each node's position in the trees' concatenation from the first step on; the
+    # node arrays come first, below the temporaries, so those free one block
+    nodes = {
+        "feature_index": np.full(next_node, _NO_FEATURE, dtype=np.int64),
+        "threshold": np.full(next_node, np.nan),
+        "left_child": np.full(next_node, -1, dtype=np.int64),
+        "right_child": np.full(next_node, -1, dtype=np.int64),
+        "n_samples": np.full(next_node, n, dtype=np.int64),
+        "n_positive": np.empty(next_node, dtype=np.int64),
+    }
+    parent_ids = np.frombuffer(parents, dtype=np.int64)
+    position = np.ones(next_node, dtype=np.int64)
+    end, first = parent_ids.size, next_node
+    for s in reversed(splits):
+        parent = parent_ids[end - s : end]
+        end -= s
+        first -= 2 * s
+        position[parent] += position[first : first + s] + position[first + s : first + 2 * s]
+    roots = np.cumsum(position[:n_trees]) - position[:n_trees]
+    position[:n_trees] = roots
+    rights = np.empty(parent_ids.size, dtype=np.int64)  # each split's right child
+    for s in splits:
+        parent, right = parent_ids[end : end + s], rights[end : end + s]
+        left = position[parent] + 1
+        np.add(left, position[first : first + s], out=right)  # past the left subtree, sized there still
+        position[first : first + s] = left
+        position[first + s : first + 2 * s] = right
+        end += s
+        first += 2 * s
+    # one scatter into each node array, children numbered within their tree
+    nodes["n_positive"][roots] = root_positives
+    nodes["n_samples"][position[n_trees:]] = np.frombuffer(child_samples, dtype=np.int64)
+    nodes["n_positive"][position[n_trees:]] = np.frombuffer(child_positives, dtype=np.int64)
+    split_at = position[parent_ids]
+    del position, parent_ids
+    tree_root = roots[np.searchsorted(roots, split_at, side="right") - 1]
+    nodes["feature_index"][split_at] = np.frombuffer(features, dtype=np.int64)
+    nodes["threshold"][split_at] = np.frombuffer(thresholds)
+    nodes["left_child"][split_at] = split_at + 1 - tree_root
+    nodes["right_child"][split_at] = rights - tree_root
+    del split_at, tree_root, rights
+    bounds = [*roots.tolist(), next_node]
+    return [
+        DecisionTreeModel(
+            **{name: column[lo:hi] for name, column in nodes.items()},
+            n_features=n_features,
+            min_samples_leaf=min_samples_leaf,
+            seed=seed,
+        )
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
 
 
 def fit_tree(

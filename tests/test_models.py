@@ -685,6 +685,38 @@ def test_step_layout_never_changes_a_model(monkeypatch, trees_in_flight, rows_pe
         assert _golden_digest(data, fit, kwargs) == digest, (data, fit, kwargs)
 
 
+def test_forest_trees_equal_the_trees_grown_alone(monkeypatch):
+    # a forest numbers its trees' nodes together; each tree must still be the one its
+    # generator grows alone, however the trees share steps and in whatever order they finish
+    cases = []
+    for case in range(4):
+        rng = np.random.default_rng(100 + case)
+        n = int(rng.integers(20, 121))
+        x = np.column_stack([rng.integers(0, 5, size=n), rng.normal(size=n), rng.integers(0, 3, size=n),
+                             rng.random(n)]).astype(float)
+        y = np.zeros(n, dtype=int)
+        y[rng.choice(n, size=1 + case * (n // 8), replace=False)] = 1  # one positive: some pure bootstraps
+        n_trees, seed = int(rng.integers(5, 12)), case
+        for features, max_features in ((x, 2), (x[:, 1:2], 1), (x, 4)):  # subsets, then none drawn
+            streams = np.random.SeedSequence(seed).spawn(n_trees)
+            alone = [tree_module._grow(features, y, [np.random.default_rng(stream)], bootstrap=True,
+                                       min_samples_leaf=1, max_features=max_features, seed=seed)[0].to_dict()
+                     for stream in streams]
+            cases.append((features, y, n_trees, seed, max_features, alone))
+    assert any(tree["left_child"] == [-1] for *_, alone in cases for tree in alone)
+    for trees_in_flight in (1, 3, tree_module._TREES_IN_FLIGHT):
+        for rows_per_step in (1, 64, tree_module._ROWS_PER_STEP):
+            monkeypatch.setattr(tree_module, "_TREES_IN_FLIGHT", trees_in_flight)
+            monkeypatch.setattr(tree_module, "_ROWS_PER_STEP", rows_per_step)
+            for features, y, n_trees, seed, max_features, alone in cases:
+                if max_features == math.ceil(math.sqrt(features.shape[1])):
+                    forest = fit_forest(features, y, n_trees=n_trees, seed=seed)
+                else:
+                    forest = _forest(features, y, n_trees=n_trees, seed=seed, max_features=max_features)
+                got = [tree.to_dict() for tree in forest.trees]
+                assert got == alone, (trees_in_flight, rows_per_step, features.shape, max_features)
+
+
 def _probe(x, models, rng, n, jitter):
     """n rows drawn from x plus normal jitter, half of whose cells then hold
     a split threshold of their column taken from the models."""
