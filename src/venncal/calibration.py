@@ -7,19 +7,19 @@ fits.
 
 `_label_runs` first pools each maximal run of consecutive calibration
 scores with equal label means into one point; no PAVA fit of a prefix, a
-suffix or the whole set splits such a run.  `_push` is the merge rule:
-`_prefix_fits` loops it over the runs, and the isotonic fit and both
-Venn-Abers stack directions come from that.  A Venn-Abers cell pushes the
-part of a run beside its test score with it, and
-`VennAbersCalibrator._fitted_between`, the one other place that merges
-blocks, merges the test point with the prefix stack on its left and the
-suffix stack on its right, by the same rule.  Block weights and label sums
-are exact integers (stored in float64, which is exact well past any
-realistic calibration-set size) and block means are compared by
-cross-multiplication.  Fitted values are produced by a single division per
-block, so any two code paths that agree on the block partition produce
-bit-identical probabilities.  This is what lets the incremental Venn-Abers
-evaluator guarantee exact agreement with its reference, two isotonic refits.
+suffix or the whole set splits such a run.  `_merge` is the one merge
+rule: `_prefix_fits` pushes the runs with it, and the isotonic fit and
+both Venn-Abers stack directions come from that; a Venn-Abers cell pushes
+the part of a run beside its test score with it, then merges the test
+point between the prefix stack on its left and the suffix stack on its
+right.  Block weights and label sums are exact integers (stored in
+float64, which is exact well past any realistic calibration-set size),
+block means are compared by cross-multiplication, and PAVA's block
+partition is unique, so the order of merges changes no block sum.
+Fitted values are produced by a single division per block, so any two
+code paths that agree on the block partition produce bit-identical
+probabilities.  This is what lets the incremental Venn-Abers evaluator
+guarantee exact agreement with its reference, two isotonic refits.
 
 A Venn-Abers calibrator answers from a table of its 2K+1 cells (K distinct
 calibration scores; a test score lies below, between or above them, or
@@ -88,32 +88,42 @@ def _label_runs(weights: np.ndarray, label_sums: np.ndarray):
     )
 
 
-def _push(top, cw: float, cy: float):
-    """Push a block of weight cw and label sum cy onto the PAVA stack whose top block is top.
+def _merge(left, right, cw: float, cy: float):
+    """Merge a block of weight cw and label sum cy between the prefix stack left and the suffix stack right.
 
     A block is a tuple (weight_sum, label_sum, block on its left), and None
-    is the empty stack.  Merging is non-strict (equal block means pool), so
-    the partition is canonical, and cross-multiplies integer sums, so no
-    merge decision rounds.  Returns the new top block; top is not changed.
+    is the empty stack; a suffix stack holds negated label sums (see
+    `VennAbersCalibrator`).  The block absorbs each left block whose mean is
+    not below its own, then, if the nearest right block's mean is not above
+    its own, absorbs that block and goes back to the left side.  Merging is
+    non-strict (equal block means pool), so the partition is canonical, and
+    cross-multiplies integer sums, so no merge decision rounds.  Returns
+    the merged block (cw, cy, left); with right None that is the new top of
+    left after a push.  Neither stack is changed.
     """
-    while top is not None and top[1] * cw >= cy * top[0]:
-        cw += top[0]
-        cy += top[1]
-        top = top[2]
-    return (cw, cy, top)
+    while True:
+        while left is not None and left[1] * cw >= cy * left[0]:
+            cw += left[0]
+            cy += left[1]
+            left = left[2]
+        if right is None or -right[1] * cw > cy * right[0]:
+            return (cw, cy, left)
+        cw += right[0]
+        cy -= right[1]
+        right = right[2]
 
 
 def _prefix_fits(weights: np.ndarray, label_sums: np.ndarray) -> list:
     """PAVA block stacks of every prefix of pre-pooled weighted points.
 
-    fits[j] is the top block of the fit of the first j points (see `_push`);
+    fits[j] is the top block of the fit of the first j points (see `_merge`);
     fits[0] is None.  Prefixes share their lower blocks, so the construction
     is O(n).  The sums are Python floats: numpy's IEEE arithmetic with less
     overhead per operation.
     """
     fits: list = [None]
     for cw, cy in zip(weights.tolist(), label_sums.tolist()):
-        fits.append(_push(fits[-1], cw, cy))
+        fits.append(_merge(fits[-1], None, cw, cy))
     return fits
 
 
@@ -322,9 +332,13 @@ class VennAbersCalibrator(Frozen):
     `intervals` reuses the PAVA block stacks (from `_prefix_fits`) of every
     prefix and suffix of the calibration sequence that ends at a label run's
     bound (`_label_runs`).  A test score inside a run pushes the run's part
-    on its side onto the stack at the run's bound, then merges between the
-    two stacks.  It is exact (bit-identical to `interval_naive`, two `pava`
-    refits) because all block accounting is integer-valued.
+    on its side onto the stack at the run's bound, then `_merge` merges it
+    between the two stacks.  It is exact (bit-identical to `interval_naive`,
+    two `pava` refits) because all block accounting is integer-valued.  A
+    zero label sum on the suffix side is -0.0 when negated (a run's sum) but
+    +0.0 as a difference of cumulative sums (a run's part); the test block's
+    label sum starts at +0.0 or above, so subtracting either zero gives the
+    same float.
 
     Its fields are read-only copies of the calibration set, and every array
     derived from them is read-only too; only the cell table is written.  A
@@ -357,31 +371,6 @@ class VennAbersCalibrator(Frozen):
 
     # -- evaluation ---------------------------------------------------------
 
-    def _fitted_between(self, left, right, cw: float, cy: float) -> float:
-        """Fitted value of a block of weight cw and label sum cy merged between the prefix stack
-        left and the suffix stack right.
-
-        A zero label sum on the suffix side is -0.0 when negated (a run's sum)
-        but +0.0 when taken as a difference of cumulative sums (a run's part
-        beside a test score).  No output bit depends on which: the comparisons
-        treat both alike, and cy starts at +0.0 or above, so cy - right[1] is
-        the same float either way.
-        """
-        while True:
-            merged = False
-            while left is not None and left[1] * cw >= cy * left[0]:
-                cw += left[0]
-                cy += left[1]
-                left = left[2]
-                merged = True
-            while right is not None and cy * right[0] >= -right[1] * cw:
-                cw += right[0]
-                cy -= right[1]
-                right = right[2]
-                merged = True
-            if not merged:
-                return cy / cw
-
     def _fill(self, position: np.ndarray, tied: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """p0 and p1 of the cells of test scores at sorted positions, tied or not to the point there."""
         after = position + tied  # the first calibration point right of the score and its tie group
@@ -394,13 +383,15 @@ class VennAbersCalibrator(Frozen):
             right_run.tolist(), (cum_w[end] - cum_w[after]).tolist(), (cum_y[after] - cum_y[end]).tolist(),
             (cum_w[after] - cum_w[position] + 1.0).tolist(), (cum_y[after] - cum_y[position]).tolist(),
         )
-        left_states, right_states, fitted = self._left_states, self._right_states, self._fitted_between
+        left_states, right_states = self._left_states, self._right_states
         p0, p1 = [], []
         for r, left_w, left_y, q, right_w, right_y, cw, cy in rows:
-            left = _push(left_states[r], left_w, left_y) if left_w else left_states[r]
-            right = _push(right_states[q], right_w, right_y) if right_w else right_states[q]
-            p0.append(fitted(left, right, cw, cy))
-            p1.append(fitted(left, right, cw, cy + 1.0))
+            left = _merge(left_states[r], None, left_w, left_y) if left_w else left_states[r]
+            right = _merge(right_states[q], None, right_w, right_y) if right_w else right_states[q]
+            w, y, _ = _merge(left, right, cw, cy)
+            p0.append(y / w)
+            w, y, _ = _merge(left, right, cw, cy + 1.0)
+            p1.append(y / w)
         return np.array(p0, dtype=np.float64), np.array(p1, dtype=np.float64)
 
     def interval_naive(self, s_test: float) -> ProbabilityInterval:

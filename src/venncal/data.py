@@ -191,10 +191,13 @@ class Frozen:
     """Base of a built record: dataclass fields that ``__init__`` sets once and nothing rebinds or deletes.
 
     ``__post_init__`` makes every numpy array among the fields read-only,
-    in place; a subclass's own ``__post_init__`` calls it once its fields are final.
-    Other attributes stay assignable, so a method may still be wrapped on
-    the instance, as a tracer does.  A copy or an unpickled record is built
-    anew from its init fields, so it is checked and frozen afresh.
+    in place, and stores a field annotated ``np.ndarray`` that holds no
+    array as ``np.asarray`` of its value, so an array field given as a list
+    is stored as a read-only array; a subclass's own
+    ``__post_init__`` calls it once its fields are final.  Other attributes
+    stay assignable, so a method may still be wrapped on the instance, as a
+    tracer does.  A copy or an unpickled record is built anew from its init
+    fields, so it is checked and frozen afresh.
     """
 
     def __post_init__(self):
@@ -202,6 +205,10 @@ class Frozen:
             value = getattr(self, f.name)
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
+            elif f.type == "np.ndarray":  # annotations are strings under `from __future__ import annotations`
+                value = np.asarray(value)
+                value.setflags(write=False)
+                object.__setattr__(self, f.name, value)
 
     def __setattr__(self, name, value):
         if name in self.__dataclass_fields__ and name in self.__dict__:  # __init__ sets each field once

@@ -131,8 +131,8 @@ class DecisionTreeModel(Frozen):
     def __post_init__(self):
         for name, low in _SETTING_BOUNDS:  # an int, so to_dict writes it as JSON
             object.__setattr__(self, name, bounded(getattr(self, name), name, low=low))
-        self._check_nodes()
         super().__post_init__()
+        self._check_nodes()
 
     @property
     def n_nodes(self) -> int:

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import venncal.calibration as calibration_module
 from venncal.calibration import (
     IsotonicFit,
     PlattFit,
@@ -614,25 +615,31 @@ def test_venn_abers_table_fill_order_changes_no_bit(kind):
 
 
 def test_venn_abers_table_repeat_call_runs_no_merge(monkeypatch):
-    """Each new cell costs one merge per label; a cell already in the table costs none."""
+    """Each new cell is filled once; a cell already in the table costs no merge."""
     cal, probes = table_case("tied")
-    merges = []
-    original = VennAbersCalibrator._fitted_between
+    filled, merges = [], []
+    fill, merge = VennAbersCalibrator._fill, calibration_module._merge
 
-    def counted(self, left, right, cw, cy):
-        merges.append((cw, cy))
-        return original(self, left, right, cw, cy)
+    def counted_fill(self, position, tied):
+        filled.append(position.size)
+        return fill(self, position, tied)
 
-    monkeypatch.setattr(VennAbersCalibrator, "_fitted_between", counted)
+    def counted_merge(*args):
+        merges.append(args)
+        return merge(*args)
+
+    monkeypatch.setattr(VennAbersCalibrator, "_fill", counted_fill)
+    monkeypatch.setattr(calibration_module, "_merge", counted_merge)
     first = np.repeat(probes[:50], 3)  # 50 cells, each asked for three times
     want = interval_bits(cal.intervals(first))
-    assert len(merges) == 2 * 50
+    assert filled == [50] and merges
+    filled.clear()
     merges.clear()
     assert interval_bits(cal.intervals(first)) == want
     assert interval_bits(cal.intervals(probes[10:20])) == interval_bits(v[10:20] for v in cal.intervals(probes[:50]))
-    assert merges == []
+    assert filled == [] and merges == []
     cal.intervals(probes[40:60])  # ten cells filled, ten new
-    assert len(merges) == 2 * 10
+    assert filled == [10]
 
 
 class CheckedTable(np.ndarray):

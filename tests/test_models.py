@@ -25,7 +25,16 @@ from hypothesis import strategies as st
 import venncal.models.score_table as score_table_module
 import venncal.models.tree as tree_module
 from venncal.calibration import IsotonicFit, VennAbersCalibrator
-from venncal.data import FEATURE_NAMES, Dataset, FoldSplit, ParseError, SchemaError, ValidationError, labelled
+from venncal.data import (
+    FEATURE_NAMES,
+    Dataset,
+    FoldSplit,
+    ParseError,
+    SchemaError,
+    ValidationError,
+    labelled,
+    repeated_stratified_kfold,
+)
 from venncal.metrics import ReliabilityBins
 from venncal.models import (
     DecisionTreeModel,
@@ -394,6 +403,31 @@ def test_frozen_record_rejects_writes(name):
     record.traced = True
     if check is not None:
         check(record)
+
+
+@pytest.mark.parametrize("name", list(FROZEN_RECORDS))
+def test_frozen_record_stores_an_array_field_given_as_a_list(name):
+    # list fields were once kept as lists: a list-built Dataset had no n_positive, ScoreTable.folds(),
+    # isotonic_calibrate and a list-built tree raised AttributeError on a list's missing .size
+    build, check = FROZEN_RECORDS[name]
+    record = build()
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if f.init and isinstance(value, np.ndarray):
+            rebuilt = replace(record, **{f.name: value.tolist()})
+            assert _content(rebuilt) == _content(record), f.name
+            assert not getattr(rebuilt, f.name).flags.writeable
+            if check is not None:
+                check(rebuilt)
+
+
+def test_dataset_built_from_lists_splits_as_from_arrays():
+    listed = Dataset(features=[[1.0]] * 20, labels=[0, 1] * 10, feature_names=("a",))
+    arrays = Dataset(features=np.ones((20, 1)), labels=np.array([0, 1] * 10), feature_names=("a",))
+    assert listed.n_positive == 10
+    assert listed.labels.dtype == np.int64  # as from an array, so no fold CSV byte moves
+    split = [_content(fold) for fold in repeated_stratified_kfold(listed, k=2, repetitions=1)]
+    assert split == [_content(fold) for fold in repeated_stratified_kfold(arrays, k=2, repetitions=1)]
 
 
 def test_walk_packs_a_tree_once_and_a_replaced_tree_anew():
